@@ -81,6 +81,17 @@ def _require(obj: Mapping[str, Any], key: str, path: str) -> Any:
     return obj[key]
 
 
+def _require_int(obj: Mapping[str, Any], key: str, path: str) -> int:
+    """A required integer field; bools, floats and strings are rejected, not cast."""
+    return _as_int(_require(obj, key, path), f"{path}.{key}")
+
+
+def _as_int(value: Any, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(path, f"expected an integer, got {value!r}")
+    return value
+
+
 def _as_object(value: Any, path: str) -> Mapping[str, Any]:
     if not isinstance(value, dict):
         raise DocumentError(path, f"expected an object, got {type(value).__name__}")
@@ -101,25 +112,28 @@ def build_groupoid(spec: Mapping[str, Any], path: str = "groupoid") -> FiniteGro
 
 
 def _build_builtin(name: Any, params: Mapping[str, Any], path: str) -> FiniteGroupoid:
+    at = f"{path}.params"
     try:
         if name == "pair":
-            return pair_groupoid(int(_require(params, "n", f"{path}.params")))
+            return pair_groupoid(_require_int(params, "n", at))
         if name == "cyclic_group":
-            return group_groupoid(cyclic_group(int(_require(params, "n", f"{path}.params"))))
+            return group_groupoid(cyclic_group(_require_int(params, "n", at)))
         if name == "symmetric_group":
-            return group_groupoid(symmetric_group(int(_require(params, "n", f"{path}.params"))))
+            return group_groupoid(symmetric_group(_require_int(params, "n", at)))
         if name == "cyclic_action":
-            n = int(_require(params, "points", f"{path}.params"))
+            n = _require_int(params, "points", at)
             return action_groupoid(list(range(n)), cyclic_group(n), lambda x, h: (x + h) % n)
         if name == "symmetric_action":
-            n = int(_require(params, "points", f"{path}.params"))
+            n = _require_int(params, "points", at)
             grp = symmetric_group(n)
             perms = permutations_of(n)
             inverses = [perms[grp.inv(i)] for i in range(grp.order)]
             return action_groupoid(list(range(n)), grp, lambda x, h: inverses[h][x])
         if name == "group_bundle_cyclic":
-            orders = _require(params, "orders", f"{path}.params")
-            return group_bundle([cyclic_group(int(k)) for k in orders])
+            orders = _require(params, "orders", at)
+            if not isinstance(orders, list):
+                raise DocumentError(f"{at}.orders", f"expected a list of integers, got {orders!r}")
+            return group_bundle([cyclic_group(_as_int(k, f"{at}.orders[{i}]")) for i, k in enumerate(orders)])
         if name == "disjoint_union":
             left = build_groupoid(_require(params, "left", f"{path}.params"), f"{path}.params.left")
             right = build_groupoid(_require(params, "right", f"{path}.params"), f"{path}.params.right")
@@ -176,8 +190,9 @@ def build_group(spec: Mapping[str, Any], path: str = "group") -> DiscreteGroup:
             raise DocumentError(f"{path}.finite.cayley", str(exc)) from exc
     if set(spec) == {"free_abelian"}:
         fa = _as_object(spec["free_abelian"], f"{path}.free_abelian")
+        rank = _require_int(fa, "rank", f"{path}.free_abelian")
         try:
-            return FreeAbelianGroup(int(_require(fa, "rank", f"{path}.free_abelian")))
+            return FreeAbelianGroup(rank)
         except (ValueError, TypeError) as exc:
             raise DocumentError(f"{path}.free_abelian", str(exc)) from exc
     raise DocumentError(path, "expected exactly one of {'finite': ...} or {'free_abelian': ...}")

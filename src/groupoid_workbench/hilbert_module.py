@@ -11,9 +11,13 @@ convolution L_a is an adjointable module operator; its operator norm is
 computed concretely by inducing through the faithful identity-fiber
 representation: form the Gram matrix of the elementary tensors
 (delta_x (x) basis vector), quotient the null directions, and express L_a on
-the surviving orthonormal frame.  At this scale completion is trivial and the
-null-space quotient is the only degeneracy to handle, so a deterministic
-relative eigenvalue cutoff keeps reports stable.
+the surviving orthonormal frame.  The Gram matrix is block-diagonal, so each
+block is eigendecomposed on its own.  At this scale completion is trivial and
+the null-space quotient is the only degeneracy to handle, so a deterministic
+relative eigenvalue cutoff keeps reports stable.  Inducing the regular
+representation of G_e up to G gives a multiple of the regular representation
+of G, so ||L_a|| equals the C*-norm of a; the verify suites assert this
+against the independently computed C*-norm.
 
 The conditional expectation P = include after restrict projects onto the
 identity-fiber subalgebra; the fiberwise identity linking it to the module
@@ -23,6 +27,7 @@ structure and the kernel characterization of L both live here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +41,7 @@ from .algebra import (
     restrict_q,
 )
 from .grading import GradedGroupoid
-from .representation import cstar_norm, operator_norm
+from .representation import cstar_norm, operator_norm, parent_to_sub_index
 
 
 def module_action(sys: GradedGroupoid, a: GroupoidFunction, g_e: GroupoidFunction) -> GroupoidFunction:
@@ -88,91 +93,158 @@ def expectation_P(sys: GradedGroupoid, a: GroupoidFunction) -> GroupoidFunction:
     return include_i(restrict_q(a, sys.identity_fiber), sys.groupoid)
 
 
+def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
+    """Positions grouped by equal (nonnegative) key: one (groups, size) array
+    per group size, groups in key order and members in position order."""
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(first, append=len(key))
+    return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
 class InducedSpace:
     """Orthonormal frame for the module tensored with the identity-fiber
     regular representation.
 
     Basis of the ambient coefficient space: delta_x (x) h for x over the
     groupoid arrows and h over the identity-fiber arrows (flat index
-    x * dim_H + h).  The Gram matrix of the module inner products, pushed
-    through the faithful representation, is Hermitian PSD; eigendirections
-    below ``null_threshold`` (relative to the top eigenvalue) are discarded
-    and left convolution is compressed onto the surviving frame, where its
-    largest singular value is the module operator norm.
+    x * dim_H + h).  The Gram entry between (x, h) and (y, h') is
+    rho(r(x)) sqrt(rho(r(h)) rho(r(h'))) when h h'^{-1} = x^{-1} y, and zero
+    otherwise.  Two consequences are used:
+
+    * rows with r(h) != s(x) vanish, so only the support pairs with
+      r(h) = s(x) are kept (the dropped rows count as exact zero eigenvalues);
+    * a nonzero entry needs r(x) = r(y), c(x) = c(y) and s(h) = s(h'), so the
+      Gram is block-diagonal over the keys (r(x), c(x), s(h)).
+
+    Each block is eigendecomposed on its own; eigendirections below
+    ``null_threshold`` times the top eigenvalue of the whole Gram are
+    discarded, and left convolution is compressed onto the surviving frame,
+    where its largest singular value is the module operator norm.  Left
+    convolution keeps h and s(x), hence the support and the unit s(h), so
+    the compression is block-diagonal over s(h) and its norm is taken block
+    by block.  The dense ambient ``gram`` and ``frame`` are assembled only
+    when read.
     """
 
     def __init__(self, sys: GradedGroupoid, null_threshold: float = 1e-10) -> None:
         g = sys.groupoid
         sub = sys.identity_fiber
-        haar = sys.haar
         self.system = sys
         self.null_threshold = null_threshold
-        n_g = g.n_arrows
-        n_h = sub.n_arrows
-        self.dim_ambient = n_g * n_h
+        self.dim_ambient = g.n_arrows * sub.n_arrows
+        rho = np.array([sys.haar.unit_weight(u) for u in g.units])
+        self._rho_r = rho[g.dst_index]
+        # conv_idx[x', x] is the arrow x' x^{-1}, or -1 when s(x') != s(x)
+        self._conv_idx = g.compose_matrix()[:, g.invert_index]
 
-        # identity-fiber representation scaffold: sub_conv[i', i] is the
-        # sub-arrow index of x' x^{-1} (or -1 when sources differ), and the
-        # sqrt-weight outer factor makes the basis orthonormal
-        sub_idx = np.full((n_h, n_h), -1, dtype=np.intp)
-        for i, x in enumerate(sub.arrows):
-            xinv = sub.invert_id(x.id)
-            for ip, xp in enumerate(sub.arrows):
-                if xp.src == x.src:
-                    z = sub.compose_ids(xp.id, xinv)
-                    sub_idx[ip, i] = sub.index(z)
-        lam = np.array([haar.unit_weight(x.dst) for x in sub.arrows])
-        scale = np.sqrt(np.outer(lam, lam))
-        self._sub_idx = sub_idx
-        self._sub_scale = scale
+        # Support pairs, ordered by (|G_e^u|, |G_u|, u, h, x) with u = r(h):
+        # for each unit the pairs are the product of the identity-fiber arrows
+        # ending at u with the arrows starting at u, and units of one shape
+        # are adjacent, so left convolution acts on each shape as one batch.
+        n_h_at = np.bincount(sub.dst_index, minlength=g.n_units)
+        n_x_at = np.bincount(g.src_index, minlength=g.n_units)
+        xs, hs = np.nonzero(g.src_index[:, None] == sub.dst_index[None, :])
+        unit = sub.dst_index[hs]
+        order = np.lexsort((xs, hs, unit, n_x_at[unit], n_h_at[unit]))
+        xs, hs = xs[order], hs[order]
+        self._support = xs * sub.n_arrows + hs
+        self._chunks = []
+        start = 0
+        for nh, nx in sorted(set(zip(n_h_at.tolist(), n_x_at.tolist()))):
+            stop = start + int(((n_h_at == nh) & (n_x_at == nx)).sum()) * nh * nx
+            arrows = xs[start:stop].reshape(-1, nh, nx)[:, 0, :]
+            self._chunks.append((slice(start, stop), nh, nx, arrows[:, :, None], arrows[:, None, :]))
+            start = stop
 
-        gram = np.zeros((self.dim_ambient, self.dim_ambient), dtype=np.complex128)
-        rho_r = np.array([haar.unit_weight(a.dst) for a in g.arrows])
-        for xi, x in enumerate(g.arrows):
-            cx = sys.cocycle.of(x.id)
-            for yi, y in enumerate(g.arrows):
-                if x.dst != y.dst or sys.cocycle.of(y.id) != cx:
-                    continue
-                m = g.compose_ids(g.invert_id(x.id), y.id)
-                block = (sub_idx == sub.index(m)) * scale * rho_r[xi]
-                gram[xi * n_h : (xi + 1) * n_h, yi * n_h : (yi + 1) * n_h] = block
-        gram = 0.5 * (gram + gram.conj().T)
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        self.gram = gram
-        self.gram_eigenvalues = eigvals
-        self.gram_min_eig = float(eigvals[0])
-        top = float(eigvals[-1])
-        keep = eigvals > null_threshold * top
-        self.rank = int(keep.sum())
-        self.frame = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-        self._frame_gram = self.frame.conj().T @ gram  # rank x ambient
+        # Gram blocks, batched by size: members[b] lists the support rows of
+        # block b, and the entry test compares x^{-1} y with h h'^{-1} in G_e
+        fiber = np.empty(g.n_arrows, dtype=np.intp)
+        fibers = sys.fibers()
+        for k, ids in enumerate(fibers.values()):
+            fiber[[g.index(aid) for aid in ids]] = k
+        key = (g.dst_index[xs] * len(fibers) + fiber[xs]) * g.n_units + sub.src_index[hs]
+        compose, invert = g.compose_matrix(), g.invert_index
+        sub_compose, sub_invert = sub.compose_matrix(), sub.invert_index
+        to_sub = parent_to_sub_index(sys)
+        sqrt_rho_h = np.sqrt(rho[sub.dst_index])
+        self._blocks = []  # (support rows, Gram) per batch of equal-size blocks
+        solved = []
+        for members in _equal_size_groups(key):
+            x, h = xs[members], hs[members]
+            x_inv_y = to_sub[compose[invert[x][:, :, None], x[:, None, :]]]
+            h_h_inv = sub_compose[h[:, :, None], sub_invert[h][:, None, :]]
+            scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * self._rho_r[x][:, :, None]
+            gram = (x_inv_y == h_h_inv) * scale
+            self._blocks.append((members, gram))
+            solved.append((members, *np.linalg.eigh(gram)))
 
-        # left-convolution scaffold on the plain delta basis of the big algebra
-        conv_idx = np.full((n_g, n_g), -1, dtype=np.intp)
-        for i, x in enumerate(g.arrows):
-            xinv = g.invert_id(x.id)
-            for ip, xp in enumerate(g.arrows):
-                if xp.src == x.src:
-                    conv_idx[ip, i] = g.index(g.compose_ids(xp.id, xinv))
-        self._conv_idx = conv_idx
-        self._rho_r = rho_r
-        self._n_g = n_g
-        self._n_h = n_h
+        n_zero_rows = self.dim_ambient - len(self._support)
+        spectra = [eigvals.ravel() for _, eigvals, _ in solved] + [np.zeros(n_zero_rows)]
+        self.gram_eigenvalues = np.sort(np.concatenate(spectra))
+        self.gram_min_eig = float(self.gram_eigenvalues[0])
+        cutoff = null_threshold * float(self.gram_eigenvalues[-1])
+        kept = []
+        for members, eigvals, eigvecs in solved:
+            b, j = np.nonzero(eigvals > cutoff)
+            kept.append((members[b], eigvecs[b, :, j], eigvals[b, j]))
+        self.rank = sum(len(values) for _, _, values in kept)
+        # frame on the support rows: each column is a kept block eigenvector
+        # v / sqrt(lambda); since G v = lambda v, frame^H G = lambda frame^H
+        self._frame = np.zeros((len(self._support), self.rank))
+        col = 0
+        for rows, vectors, values in kept:
+            cols = np.arange(col, col + len(values))[:, None]
+            self._frame[rows, cols] = vectors / np.sqrt(values)[:, None]
+            col += len(values)
+        self._frame_gram = (self._frame * np.concatenate([v for _, _, v in kept])).T  # rank x support
+        # frame columns grouped by the unit s(h) of their block, with the
+        # matching rows of frame^H G
+        column_unit = np.concatenate([sub.src_index[hs[rows[:, 0]]] for rows, _, _ in kept])
+        self._unit_columns = [(cols, self._frame_gram[cols]) for cols in _equal_size_groups(column_unit)]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """The dense ambient Gram matrix, assembled from its blocks."""
+        gram = np.zeros((self.dim_ambient, self.dim_ambient))
+        for members, block in self._blocks:
+            rows = self._support[members]
+            gram[rows[:, :, None], rows[:, None, :]] = block
+        return gram
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The orthonormal frame as ambient vectors (zero off the support)."""
+        frame = np.zeros((self.dim_ambient, self.rank))
+        frame[self._support] = self._frame
+        return frame
 
     def left_conv_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Matrix of b -> a * b on the plain delta basis of the big algebra."""
         vals = np.where(self._conv_idx >= 0, a.coeffs[np.clip(self._conv_idx, 0, None)], 0.0)
         return vals * self._rho_r[None, :]
 
+    def _image(self, a: GroupoidFunction) -> np.ndarray:
+        """Left convolution by a applied to the frame, on the support rows."""
+        conv = self.left_conv_matrix(a)
+        image = np.empty((len(self._support), self.rank), dtype=np.complex128)
+        for rows, nh, nx, row_arrows, col_arrows in self._chunks:
+            frame = self._frame[rows].reshape(-1, nh, nx, self.rank)
+            image[rows] = (conv[row_arrows, col_arrows][:, None] @ frame).reshape(-1, self.rank)
+        return image
+
     def operator_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Compression of left convolution by a onto the orthonormal frame."""
-        conv = self.left_conv_matrix(a)
-        f3 = self.frame.reshape(self._n_g, self._n_h, self.rank)
-        image = np.tensordot(conv, f3, axes=(1, 0)).reshape(self.dim_ambient, self.rank)
-        return self._frame_gram @ image
+        return self._frame_gram @ self._image(a)
+
+    def operator_blocks(self, a: GroupoidFunction) -> list[np.ndarray]:
+        """The diagonal blocks of ``operator_matrix(a)``, one per unit s(h),
+        as stacks of equal-size blocks; everything off them is zero."""
+        image = self._image(a)
+        return [frame_gram @ np.moveaxis(image[:, cols], 0, 1) for cols, frame_gram in self._unit_columns]
 
     def operator_norm_of(self, a: GroupoidFunction) -> float:
-        return operator_norm(self.operator_matrix(a))
+        return max(operator_norm(stack) for stack in self.operator_blocks(a))
 
 
 def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:

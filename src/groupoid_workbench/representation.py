@@ -55,12 +55,15 @@ class RepMatrix:
 
 
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value via the eigendecomposition of M^H M."""
+    """Largest singular value via the eigendecomposition of M^H M; for a
+    stack of matrices, the largest over the stack."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    eigs = np.linalg.eigvalsh(m.conj().T @ m)
-    return float(np.sqrt(max(float(eigs[-1]), 0.0)))
+    eigs = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
+    # a single matrix skips the reduction: cstar_norm calls this per unit block
+    top = eigs[-1] if m.ndim == 2 else eigs[:, -1].max()
+    return float(np.sqrt(max(float(top), 0.0)))
 
 
 def weighted_l2_basis(g: FiniteGroupoid, haar: HaarSystem, u: str) -> WeightedL2Basis:

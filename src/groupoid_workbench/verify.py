@@ -536,9 +536,9 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generat
         trials=count,
     )
     rec.add(
-        "l-norm-gap-observed",
-        "observed gap between the module operator norm and the C*-norm (recorded, not asserted)",
-        True,
+        "l-norm-equals-cstar",
+        "the module operator norm of left convolution equals the C*-norm (induced regular representation)",
+        gap <= EIG_TOL,
         EIG_TOL,
         max_rel_gap=gap,
         trials=count,

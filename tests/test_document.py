@@ -134,3 +134,63 @@ class TestExplicitGroupoid:
             }
         )
         assert g.n_arrows == 12
+
+
+class TestStrictIntegers:
+    """Integer parameters are checked, never cast: a bool, float or string
+    is rejected at its own path instead of building a different groupoid."""
+
+    @pytest.mark.parametrize("value", [True, 2.7, 2.0, "2"])
+    def test_pair_n(self, value):
+        raw = minimal_pair_doc()
+        raw["groupoid"]["params"]["n"] = value
+        with pytest.raises(DocumentError) as err:
+            document_from_dict(raw)
+        assert err.value.path == "groupoid.params.n"
+
+    def test_coerce_n_true(self):
+        # {"n": true} used to build the pair groupoid on one point
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "pair", "params": {"n": True}})
+        assert err.value.path == "groupoid.params.n"
+
+    def test_coerce_n_float(self):
+        # {"n": 2.7} used to build the pair groupoid on two points
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "pair", "params": {"n": 2.7}})
+        assert err.value.path == "groupoid.params.n"
+
+    def test_coerce_points_string(self):
+        # {"points": "3"} used to build the 3-point cyclic action
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "cyclic_action", "params": {"points": "3"}})
+        assert err.value.path == "groupoid.params.points"
+
+    def test_nested_path(self):
+        spec = {
+            "builtin": "product",
+            "params": {
+                "left": {"builtin": "pair", "params": {"n": 2}},
+                "right": {"builtin": "cyclic_group", "params": {"n": 3.0}},
+            },
+        }
+        with pytest.raises(DocumentError) as err:
+            build_groupoid(spec)
+        assert err.value.path == "groupoid.params.right.params.n"
+
+    def test_bundle_orders(self):
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "group_bundle_cyclic", "params": {"orders": [2, False]}})
+        assert err.value.path == "groupoid.params.orders[1]"
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "group_bundle_cyclic", "params": {"orders": "23"}})
+        assert err.value.path == "groupoid.params.orders"
+        assert build_groupoid({"builtin": "group_bundle_cyclic", "params": {"orders": [2, 3]}}).n_arrows == 5
+
+    @pytest.mark.parametrize("value", [True, 1.0, "1"])
+    def test_free_abelian_rank(self, value):
+        raw = minimal_pair_doc()
+        raw["group"]["free_abelian"]["rank"] = value
+        with pytest.raises(DocumentError) as err:
+            document_from_dict(raw)
+        assert err.value.path == "group.free_abelian.rank"

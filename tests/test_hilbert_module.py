@@ -7,7 +7,13 @@ there), so the graded component sum can be cross-checked against a single
 convolution.  The module operator norm is cross-checked against the C*-norm:
 on a finite groupoid the expectation is faithful, so left convolution is an
 injective *-homomorphism into the module operators and therefore isometric.
+
+The induced space is built block by block; the dense construction it
+replaced (one eigensolve of the whole ambient Gram matrix) is kept below as
+``dense_induced_space`` and serves as an oracle on the corpus.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -23,13 +29,16 @@ from groupoid_workbench.algebra import (
     unit_function,
     zero,
 )
+from groupoid_workbench.corpus import builtin_corpus
+from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import (
     action_groupoid,
     counting_haar,
     haar_from_weights,
+    pair_groupoid,
 )
-from groupoid_workbench.groups import cyclic_group
+from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     check_eq_ruy,
@@ -41,9 +50,59 @@ from groupoid_workbench.hilbert_module import (
     module_inner_product,
     module_norm,
 )
-from groupoid_workbench.representation import cstar_norm, positivity_check
+from groupoid_workbench.representation import cstar_norm, operator_norm, positivity_check
+from groupoid_workbench.verify import run_document
 
-from conftest import max_diff, rng_functions
+from conftest import max_diff, pair_cocycle, rng_functions
+
+
+def dense_induced_space(sys, null_threshold=1e-10):
+    """The induced space from one dense eigensolve of the whole ambient Gram
+    matrix, built entry by entry through the compose tables.  Returns the
+    rank, the ascending Gram spectrum, and a function a -> ||L_a||."""
+    g, sub, haar = sys.groupoid, sys.identity_fiber, sys.haar
+    n_g, n_h = g.n_arrows, sub.n_arrows
+    sub_idx = np.full((n_h, n_h), -1, dtype=np.intp)
+    for i, x in enumerate(sub.arrows):
+        for ip, xp in enumerate(sub.arrows):
+            if xp.src == x.src:
+                sub_idx[ip, i] = sub.index(sub.compose_ids(xp.id, sub.invert_id(x.id)))
+    lam = np.array([haar.unit_weight(x.dst) for x in sub.arrows])
+    scale = np.sqrt(np.outer(lam, lam))
+    rho_r = np.array([haar.unit_weight(a.dst) for a in g.arrows])
+    gram = np.zeros((n_g * n_h, n_g * n_h), dtype=np.complex128)
+    for xi, x in enumerate(g.arrows):
+        for yi, y in enumerate(g.arrows):
+            if x.dst != y.dst or sys.cocycle.of(y.id) != sys.cocycle.of(x.id):
+                continue
+            m = g.compose_ids(g.invert_id(x.id), y.id)
+            gram[xi * n_h : (xi + 1) * n_h, yi * n_h : (yi + 1) * n_h] = (
+                (sub_idx == sub.index(m)) * scale * rho_r[xi]
+            )
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    keep = eigvals > null_threshold * eigvals[-1]
+    frame = eigvecs[:, keep] / np.sqrt(eigvals[keep])
+    conv_idx = np.full((n_g, n_g), -1, dtype=np.intp)
+    for i, x in enumerate(g.arrows):
+        for ip, xp in enumerate(g.arrows):
+            if xp.src == x.src:
+                conv_idx[ip, i] = g.index(g.compose_ids(xp.id, g.invert_id(x.id)))
+
+    def l_norm(a):
+        conv = np.where(conv_idx >= 0, a.coeffs[conv_idx], 0.0) * rho_r[None, :]
+        lifted = np.kron(conv, np.eye(n_h))
+        return operator_norm(frame.conj().T @ gram @ lifted @ frame)
+
+    return int(keep.sum()), eigvals, l_norm
+
+
+def pair_system(n, graded):
+    """Pair groupoid on 1..n with seeded weights, graded by i - j in Z or trivially."""
+    g = pair_groupoid(n)
+    rng = np.random.default_rng(n)
+    rho = {u: float(rng.uniform(0.5, 2.5)) for u in g.units}
+    cocycle = pair_cocycle(g) if graded else cocycle_from_map(g, FreeAbelianGroup(1), dict.fromkeys(g.arrow_ids, 0))
+    return GradedGroupoid.build(g, haar_from_weights(g, rho), cocycle)
 
 
 @pytest.fixture
@@ -163,6 +222,48 @@ class TestInducedSpace:
         assert space.dim_ambient == 2
         assert space.rank == 2
         assert np.abs(space.gram - np.eye(2)).max() <= 1e-15
+
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda d: d.name)
+    def test_matches_dense_construction(self, doc):
+        sys = doc.system
+        space = induced_space(sys)
+        rank, eigvals, l_norm = dense_induced_space(sys)
+        assert space.rank == rank
+        assert space.gram_eigenvalues.shape == eigvals.shape
+        assert np.abs(space.gram_eigenvalues - eigvals).max() <= 1e-12 * (1 + eigvals[-1])
+        for a in doc.functions.values():
+            dense = l_norm(a)
+            assert L_operator_norm(sys, a, space) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+            # the per-unit blocks hold all of the compression: nothing lies off them
+            full = np.linalg.norm(space.operator_matrix(a))
+            blocks = np.sqrt(sum(np.linalg.norm(stack) ** 2 for stack in space.operator_blocks(a)))
+            assert blocks == pytest.approx(full, rel=1e-12)
+
+    def test_norm_and_verify_paths_leave_dense_views_unbuilt(self, graded_action):
+        sys = graded_action
+        doc = WorkbenchDocument(name="graded-action", system=sys, functions={}, raw={})
+        records = run_document(doc, suite="module", seed=0, count=5)
+        assert all(r.status == "pass" for r in records)
+        L_operator_norm(sys, rng_functions(sys.groupoid, seed=26, count=1)[0])
+        assert "gram" not in vars(induced_space(sys)) and "frame" not in vars(induced_space(sys))
+
+    def test_dense_views_match_blocks(self, graded_action):
+        space = induced_space(graded_action)
+        eigvals = np.linalg.eigvalsh(space.gram)
+        assert np.abs(eigvals - space.gram_eigenvalues).max() <= 1e-12 * (1 + eigvals[-1])
+        assert space.frame.shape == (space.dim_ambient, space.rank)
+
+    @pytest.mark.parametrize("n, graded", [(10, False), (20, True)])
+    def test_scale(self, n, graded):
+        # the dense Gram would be 10,000 x 10,000 (1.6 GB complex) for the
+        # trivially graded pair on 10 points
+        sys = pair_system(n, graded)
+        a = rng_functions(sys.groupoid, seed=n, count=1)[0]
+        t0 = time.perf_counter()
+        ell = L_operator_norm(sys, a, induced_space(sys))
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0
+        assert ell == pytest.approx(cstar_norm(a, sys.haar), rel=1e-9)
 
 
 class TestLOperatorNorm:
