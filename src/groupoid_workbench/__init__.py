@@ -1,6 +1,6 @@
 """Desk-scale workbench for graded finite-groupoid convolution algebras."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .algebra import (
     GroupoidFunction,
@@ -17,7 +17,7 @@ from .algebra import (
     unit_function,
     zero,
 )
-from .grading import Cocycle, GradedGroupoid, cocycle_from_map, fiber_of, identity_fiber_subgroupoid, validate_cocycle
+from .grading import Cocycle, GradedGroupoid, cocycle_from_map, identity_fiber_subgroupoid, validate_cocycle
 from .groupoid import (
     Arrow,
     FiniteGroupoid,

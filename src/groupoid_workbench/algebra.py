@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .grading import Cocycle
+from .grading import GradedGroupoid
 from .groupoid import FiniteGroupoid, HaarSystem
 
 
@@ -151,21 +151,14 @@ def restrict_q(a: GroupoidFunction, sub: FiniteGroupoid) -> GroupoidFunction:
     return GroupoidFunction(sub, coeffs)
 
 
-def graded_component(a: GroupoidFunction, c: Cocycle, gamma: Any) -> GroupoidFunction:
+def graded_component(sys: GradedGroupoid, a: GroupoidFunction, gamma: Any) -> GroupoidFunction:
     """a restricted to the fiber over gamma, as a function on the whole groupoid."""
-    g = a.groupoid
-    gamma = c.group.canonical(gamma)
-    mask = np.array([c.of(arrow.id) == gamma for arrow in g.arrows])
-    return GroupoidFunction(g, np.where(mask, a.coeffs, 0.0))
+    return GroupoidFunction(a.groupoid, np.where(sys.fiber_mask(gamma), a.coeffs, 0.0))
 
 
-def graded_components(a: GroupoidFunction, c: Cocycle) -> dict[str, GroupoidFunction]:
+def graded_components(sys: GradedGroupoid, a: GroupoidFunction) -> dict[str, GroupoidFunction]:
     """Nonzero-support fiber components keyed by element key (sorted by the group order)."""
-    g = a.groupoid
-    present: dict[str, Any] = {}
-    for arrow, v in zip(g.arrows, a.coeffs):
-        if v != 0:
-            el = c.of(arrow.id)
-            present.setdefault(c.group.element_key(el), el)
-    ordered = sorted(present.values(), key=c.group.sort_key)
-    return {c.group.element_key(el): graded_component(a, c, el) for el in ordered}
+    return {
+        sys.fiber_keys[k]: GroupoidFunction(a.groupoid, np.where(sys.fiber_index == k, a.coeffs, 0.0))
+        for k in np.unique(sys.fiber_index[a.coeffs != 0])
+    }

@@ -49,6 +49,7 @@ from .groups import (
     FreeAbelianGroup,
     cyclic_group,
     permutations_of,
+    strict_int,
     symmetric_group,
 )
 
@@ -87,9 +88,10 @@ def _require_int(obj: Mapping[str, Any], key: str, path: str) -> int:
 
 
 def _as_int(value: Any, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(path, f"expected an integer, got {value!r}")
-    return value
+    try:
+        return strict_int(value)
+    except TypeError as exc:
+        raise DocumentError(path, str(exc)) from None
 
 
 def _as_object(value: Any, path: str) -> Mapping[str, Any]:
@@ -274,7 +276,3 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
     system = GradedGroupoid(g, haar, cocycle)
     return WorkbenchDocument(name=name, system=system, functions=functions, raw=dict(top))
 
-
-def document_to_json(doc: WorkbenchDocument) -> dict[str, Any]:
-    """The raw dictionary form (already validated), for emission to disk."""
-    return dict(doc.raw)

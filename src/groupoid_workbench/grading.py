@@ -5,6 +5,13 @@ the group product.  Its fibers partition the arrow set; the fiber over the
 group identity is a subgroupoid carrying the restricted Haar system (same
 per-unit weights).  Surjectivity of the cocycle is not required: everything
 quantifies over the image.
+
+The fibers are numbered once, by :func:`number_fibers`, when a
+:class:`GradedGroupoid` is constructed: fiber k is the preimage of the k-th
+image element in the group's sort order, and ``fiber_index`` holds the fiber
+number of every arrow in declared order.  Every fiber-aware operation reads
+that index (as a numpy mask) instead of the arrow labels; this module is the
+only one that reads labels arrow by arrow.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .groupoid import FiniteGroupoid, HaarSystem
+import numpy as np
+
+from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, validate_groupoid
 from .groups import DiscreteGroup
 from .validation import CheckReport
 
@@ -26,9 +35,6 @@ class Cocycle:
 
     def of(self, aid: str) -> Any:
         return self.label[aid]
-
-    def key_of(self, aid: str) -> str:
-        return self.group.element_key(self.label[aid])
 
 
 def cocycle_from_map(g: FiniteGroupoid, group: DiscreteGroup, label: Mapping[str, Any]) -> Cocycle:
@@ -75,16 +81,17 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     return CheckReport.passed()
 
 
-def fiber_of(g: FiniteGroupoid, c: Cocycle, gamma: Any) -> tuple[str, ...]:
-    """Arrow ids in the preimage of gamma, in declared order (may be empty)."""
-    gamma = c.group.canonical(gamma)
-    return tuple(a.id for a in g.arrows if c.of(a.id) == gamma)
-
-
-def image_elements(g: FiniteGroupoid, c: Cocycle) -> list[Any]:
-    """Distinct label values, deterministically ordered by the group's sort key."""
-    seen = {c.group.element_key(c.of(a.id)): c.of(a.id) for a in g.arrows}
-    return sorted(seen.values(), key=c.group.sort_key)
+def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any, ...]]:
+    """The fiber number of every arrow (declared order) and the image
+    elements ordered by the group sort key: fiber k is the preimage of
+    elements[k].  Labels are compared as values, so they must be canonical
+    elements, as :func:`validate_cocycle` requires."""
+    first: dict[Any, int] = {}
+    seen = np.array([first.setdefault(c.label[a.id], len(first)) for a in g.arrows], dtype=np.intp)
+    elements = tuple(sorted(first, key=c.group.sort_key))
+    rank = np.empty(len(elements), dtype=np.intp)
+    rank[[first[el] for el in elements]] = np.arange(len(elements))
+    return rank[seen], elements
 
 
 def identity_fiber_subgroupoid(g: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
@@ -93,36 +100,37 @@ def identity_fiber_subgroupoid(g: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
     Arrow ids are shared with the parent, so inclusion and restriction of
     functions are id-based coefficient transfers.
     """
-    return g.restricted_to(fiber_of(g, c, c.group.identity))
+    return GradedGroupoid(g, counting_haar(g), c).identity_fiber
 
 
 class GradedGroupoid:
     """A groupoid together with a Haar system and a validated grading.
 
-    Bundles the three layers every higher operation needs and caches the
-    identity-fiber subgroupoid and fiber partition.  Use :meth:`build` to get
-    construction-time validation of all invariants.
+    Bundles the three layers every higher operation needs.  The fibers are
+    numbered at construction (``fiber_index``, ``fiber_elements`` and their
+    ``fiber_keys``; see :func:`number_fibers`) and the identity-fiber
+    subgroupoid is cached.  Use :meth:`build` to get construction-time
+    validation of all invariants.
     """
 
     def __init__(self, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> None:
         self.groupoid = groupoid
         self.haar = haar
         self.cocycle = cocycle
+        self.fiber_index, self.fiber_elements = number_fibers(groupoid, cocycle)
+        self.fiber_keys = tuple(self.group.element_key(el) for el in self.fiber_elements)
+        self._fiber_number = {el: k for k, el in enumerate(self.fiber_elements)}
+        self.identity_mask = self.fiber_mask(self.group.identity)
+        self.fiber_index.flags.writeable = self.identity_mask.flags.writeable = False
         self._identity_fiber: FiniteGroupoid | None = None
-        self._fibers: dict[str, tuple[str, ...]] | None = None
         self._induced_space = None
-        self._parent_to_sub = None
 
     @classmethod
     def build(cls, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> "GradedGroupoid":
-        from .groupoid import validate_groupoid
-
         report = validate_groupoid(groupoid)
         if not report:
             raise ValueError(f"Groupoid axioms fail: {report.cause} {dict(report.witness)}")
-        for u in groupoid.units:
-            if u not in haar.rho or not float(haar.rho[u]) > 0.0:
-                raise ValueError(f"Haar system invalid at unit {u!r}.")
+        haar_from_weights(groupoid, haar.rho)
         creport = validate_cocycle(groupoid, cocycle)
         if not creport:
             raise ValueError(f"Cocycle identities fail: {creport.cause} {dict(creport.witness)}")
@@ -135,21 +143,25 @@ class GradedGroupoid:
     @property
     def identity_fiber(self) -> FiniteGroupoid:
         if self._identity_fiber is None:
-            self._identity_fiber = identity_fiber_subgroupoid(self.groupoid, self.cocycle)
+            ids = [self.groupoid.arrows[i].id for i in np.flatnonzero(self.identity_mask)]
+            self._identity_fiber = self.groupoid.restricted_to(ids)
         return self._identity_fiber
 
-    def fibers(self) -> dict[str, tuple[str, ...]]:
-        """Element key -> arrow ids, ordered by the group sort key."""
-        if self._fibers is None:
-            members: dict[str, list[str]] = {}
-            for a in self.groupoid.arrows:
-                members.setdefault(self.cocycle.key_of(a.id), []).append(a.id)
-            order = image_elements(self.groupoid, self.cocycle)
-            self._fibers = {self.group.element_key(el): tuple(members[self.group.element_key(el)]) for el in order}
-        return self._fibers
+    def fiber_number(self, gamma: Any) -> int:
+        """The number of the fiber over gamma, or -1 when gamma is off the image."""
+        return self._fiber_number.get(self.group.canonical(gamma), -1)
 
-    def grading_elements(self) -> list[Any]:
-        return image_elements(self.groupoid, self.cocycle)
+    def fiber_mask(self, gamma: Any) -> np.ndarray:
+        """The arrows over gamma as a mask in declared order (all False off the image)."""
+        return self.fiber_index == self.fiber_number(gamma)
+
+    def fibers(self) -> dict[str, tuple[str, ...]]:
+        """Element key -> arrow ids in declared order, ordered by the group sort key."""
+        arrows = self.groupoid.arrows
+        return {
+            key: tuple(arrows[i].id for i in np.flatnonzero(self.fiber_index == k))
+            for k, key in enumerate(self.fiber_keys)
+        }
 
     def __repr__(self) -> str:
         return f"GradedGroupoid({self.groupoid!r}, group={self.group.name})"

@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, strict_int
 from .validation import CheckReport
 
 
@@ -334,10 +334,6 @@ class HaarSystem:
         per_unit = np.array([self.rho[u] for u in g.units], dtype=float)
         return per_unit[g.src_index]
 
-    def restricted(self) -> "HaarSystem":
-        """The restricted Haar system on a subgroupoid: same per-unit weights."""
-        return self
-
 
 def haar_from_weights(g: FiniteGroupoid, rho: Mapping[str, float]) -> HaarSystem:
     """Build the Haar system with w(y) = rho(s(y)); rho must be positive on every unit."""
@@ -387,7 +383,7 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol:
 
 def pair_groupoid(n: int) -> FiniteGroupoid:
     """Pair groupoid on units 1..n: arrow (i,j) runs j -> i, (i,j)(j,k) = (i,k)."""
-    n = int(n)
+    n = strict_int(n)
     if n <= 0:
         raise ValueError(f"Pair groupoid needs at least one point, got {n}.")
     units = [str(i) for i in range(1, n + 1)]

@@ -14,7 +14,19 @@ serve directly as dictionary keys and serialize canonically.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Any, Iterable, Sequence
+
+
+def strict_int(value: Any) -> int:
+    """An integer argument, checked rather than cast: ints and numpy integers
+    pass; bools, floats and strings raise TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"expected an integer, got {value!r}")
 
 
 class DiscreteGroup:
@@ -70,7 +82,7 @@ class FiniteGroup(DiscreteGroup):
         for i, row in enumerate(cayley):
             if len(row) != n:
                 raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}.")
-            row_int = [int(x) for x in row]
+            row_int = [strict_int(x) for x in row]
             for x in row_int:
                 if x < 0 or x >= n:
                     raise ValueError(f"Cayley entry {x} at row {i} out of range [0,{n - 1}].")
@@ -142,7 +154,7 @@ class FreeAbelianGroup(DiscreteGroup):
     """Free abelian group Z^k; elements are integer k-tuples, identity is zero."""
 
     def __init__(self, rank: int, *, name: str | None = None) -> None:
-        rank = int(rank)
+        rank = strict_int(rank)
         if rank < 0:
             raise ValueError(f"Rank must be nonnegative, got {rank}.")
         self.rank = rank
@@ -199,7 +211,7 @@ class FreeAbelianGroup(DiscreteGroup):
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Cyclic group Z/n with additive Cayley table."""
-    n = int(n)
+    n = strict_int(n)
     if n <= 0:
         raise ValueError(f"Cyclic group order must be positive, got {n}.")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -235,6 +247,7 @@ def permutation_parity(perm: Iterable[int]) -> int:
 
 def symmetric_group(n: int) -> FiniteGroup:
     """Symmetric group S_n; element i is permutations_of(n)[i], product is composition (p.q)(x) = p(q(x))."""
+    n = strict_int(n)
     if n <= 0:
         raise ValueError(f"Symmetric group degree must be positive, got {n}.")
     perms = permutations_of(n)

@@ -6,7 +6,10 @@ product is
 
     <a, b> = sum over gamma of (a_gamma)^* * b_gamma, restricted to G_e,
 
-which is conjugate-symmetric, right-linear, and positive definite.  Left
+which is conjugate-symmetric, right-linear, and positive definite.  It is
+computed with one convolution, as (a^* * b) restricted to G_e: the cross term
+(a_gamma)^* * b_beta lives on the fiber over gamma^{-1} beta, which is G_e
+only when gamma = beta, so restriction drops exactly the cross terms.  Left
 convolution L_a is an adjointable module operator; its operator norm is
 computed concretely by inducing through the faithful identity-fiber
 representation: form the Gram matrix of the elementary tensors
@@ -35,7 +38,6 @@ import numpy as np
 from .algebra import (
     GroupoidFunction,
     convolve,
-    graded_components,
     include_i,
     involute,
     restrict_q,
@@ -45,41 +47,17 @@ from .representation import cstar_norm, operator_norm, parent_to_sub_index
 
 
 def module_action(sys: GradedGroupoid, a: GroupoidFunction, g_e: GroupoidFunction) -> GroupoidFunction:
-    """a . g = a * i(g); also evaluated through the fiber-sum formula
-    (a.g)(x) = sum over {n in G_e : r(n) = s(x)} of a(xn) g(n^{-1}) w(n),
-    and the two paths are compared as a self-check."""
-    g = sys.groupoid
-    sub = sys.identity_fiber
-    if a.groupoid is not g or g_e.groupoid is not sub:
+    """a . g = a * i(g)."""
+    if a.groupoid is not sys.groupoid or g_e.groupoid is not sys.identity_fiber:
         raise ValueError("module_action expects (function on G, function on the identity fiber).")
-    via_convolution = convolve(a, include_i(g_e, g), sys.haar)
-    direct = np.zeros(g.n_arrows, dtype=np.complex128)
-    for i, x in enumerate(g.arrows):
-        total = 0j
-        for n in sub.arrows_with_dst(x.src):
-            xn = g.compose_ids(x.id, n)
-            total += a.coeffs[g.index(xn)] * g_e.coeffs[sub.index(sub.invert_id(n))] * sys.haar.weight(g, n)
-        direct[i] = total
-    gap = float(np.abs(via_convolution.coeffs - direct).max())
-    if gap > 1e-12 * (1.0 + via_convolution.max_abs()):
-        raise ValueError(f"Module action paths disagree by {gap:.3e}; implementation invariant broken.")
-    return via_convolution
+    return convolve(a, include_i(g_e, sys.groupoid), sys.haar)
 
 
 def module_inner_product(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> GroupoidFunction:
-    """<a, b> = sum over gamma of (a_gamma)^* * b_gamma, as a function on G_e."""
-    g = sys.groupoid
-    if a.groupoid is not g or b.groupoid is not g:
+    """<a, b> = (a^* * b) restricted to G_e, as a function on G_e."""
+    if a.groupoid is not sys.groupoid or b.groupoid is not sys.groupoid:
         raise ValueError("Inner product expects functions on the graded groupoid.")
-    comps_a = graded_components(a, sys.cocycle)
-    comps_b = graded_components(b, sys.cocycle)
-    acc = np.zeros(g.n_arrows, dtype=np.complex128)
-    for key, part_a in comps_a.items():
-        part_b = comps_b.get(key)
-        if part_b is None:
-            continue
-        acc += convolve(involute(part_a), part_b, sys.haar).coeffs
-    return restrict_q(GroupoidFunction(g, acc), sys.identity_fiber)
+    return restrict_q(convolve(involute(a), b, sys.haar), sys.identity_fiber)
 
 
 def module_norm(sys: GradedGroupoid, a: GroupoidFunction) -> float:
@@ -159,11 +137,7 @@ class InducedSpace:
 
         # Gram blocks, batched by size: members[b] lists the support rows of
         # block b, and the entry test compares x^{-1} y with h h'^{-1} in G_e
-        fiber = np.empty(g.n_arrows, dtype=np.intp)
-        fibers = sys.fibers()
-        for k, ids in enumerate(fibers.values()):
-            fiber[[g.index(aid) for aid in ids]] = k
-        key = (g.dst_index[xs] * len(fibers) + fiber[xs]) * g.n_units + sub.src_index[hs]
+        key = (g.dst_index[xs] * len(sys.fiber_keys) + sys.fiber_index[xs]) * g.n_units + sub.src_index[hs]
         compose, invert = g.compose_matrix(), g.invert_index
         sub_compose, sub_invert = sub.compose_matrix(), sub.invert_index
         to_sub = parent_to_sub_index(sys)
@@ -266,11 +240,11 @@ def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction, space: InducedSpac
 
 
 def _single_fiber_support(sys: GradedGroupoid, b: GroupoidFunction) -> None:
-    keys: dict[str, list[str]] = {}
-    for arrow, v in zip(sys.groupoid.arrows, b.coeffs):
-        if v != 0:
-            keys.setdefault(sys.cocycle.key_of(arrow.id), []).append(arrow.id)
-    if len(keys) > 1:
+    support = np.flatnonzero(b.coeffs)
+    if len(np.unique(sys.fiber_index[support])) > 1:
+        keys: dict[str, list[str]] = {}
+        for i in support:
+            keys.setdefault(sys.fiber_keys[sys.fiber_index[i]], []).append(sys.groupoid.arrows[i].id)
         detail = "; ".join(f"{k}: {ids[:2]}" for k, ids in sorted(keys.items()))
         raise ValueError(f"Function is supported in more than one fiber ({detail}).")
 

@@ -140,26 +140,16 @@ class FiberBlockDecomposition:
 
 def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
     """Element key -> arrows of Gu in that fiber (declared order), sorted by group order."""
-    g = sys.groupoid
-    members: dict[str, list[str]] = {}
-    present: dict[str, Any] = {}
-    for aid in g.arrows_with_src(u):
-        el = sys.cocycle.of(aid)
-        key = sys.group.element_key(el)
-        members.setdefault(key, []).append(aid)
-        present.setdefault(key, el)
-    ordered = sorted(present.values(), key=sys.group.sort_key)
-    return {sys.group.element_key(el): members[sys.group.element_key(el)] for el in ordered}
+    gidx, _ = sys.groupoid.source_fiber_rep_index(u)
+    fiber = sys.fiber_index[gidx]
+    ids = sys.groupoid.arrows_with_src(u)
+    return {sys.fiber_keys[k]: [ids[i] for i in np.flatnonzero(fiber == k)] for k in np.unique(fiber)}
 
 
 def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
     """Map from parent arrow index to identity-fiber arrow index (-1 outside)."""
-    if sys._parent_to_sub is None:
-        mapping = np.full(sys.groupoid.n_arrows, -1, dtype=np.intp)
-        for j, arrow in enumerate(sys.identity_fiber.arrows):
-            mapping[sys.groupoid.index(arrow.id)] = j
-        sys._parent_to_sub = mapping
-    return sys._parent_to_sub
+    mask = sys.identity_mask
+    return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
 def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> RepMatrix:
@@ -245,7 +235,8 @@ def translate_rep_V(
     grp = sys.group
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
-    fiber_at_u = [aid for aid in g.arrows_with_src(u) if sys.cocycle.of(aid) == gamma]
+    gidx, _ = g.source_fiber_rep_index(u)
+    fiber_at_u = [g.arrows[i].id for i in gidx[sys.fiber_mask(gamma)[gidx]]]
     if not fiber_at_u:
         raise ValueError(f"Fiber over {gamma_key} has no arrows with source {u!r}.")
     if z_arrow is None:

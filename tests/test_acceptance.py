@@ -185,7 +185,7 @@ def test_criterion_8_grading_axioms_and_projection():
     worst_ratio = 0.0
     for idx, doc in enumerate(CORPUS):
         family = graded_subspaces(doc.system)
-        axioms = check_grading_axioms(family, seed=idx, count=5)
+        axioms = check_grading_axioms(family, seed=idx)
         topo = check_topological_grading(family, seed=idx, count=200)
         ok = ok and axioms.ok and topo.ok
         worst_ratio = max(worst_ratio, float(topo.witness.get("sup_ratio", 0.0)))

@@ -24,7 +24,7 @@ from groupoid_workbench.algebra import (
 )
 from groupoid_workbench.groupoid import counting_haar, group_groupoid, pair_groupoid
 from groupoid_workbench.groups import cyclic_group
-from groupoid_workbench.grading import identity_fiber_subgroupoid
+from groupoid_workbench.grading import GradedGroupoid, identity_fiber_subgroupoid
 
 from conftest import max_diff, naive_convolve, naive_i_norm, pair_cocycle, rng_functions
 
@@ -143,7 +143,7 @@ class TestInclusionRestriction:
 
     def test_include_is_star_multiplicative(self, p2, p2_weighted):
         sub = identity_fiber_subgroupoid(p2, pair_cocycle(p2))
-        sub_haar = p2_weighted.restricted()
+        sub_haar = p2_weighted
         for seed in (3, 4):
             f, g_fn = rng_functions(sub, seed=seed, count=2)
             lhs = include_i(convolve(f, g_fn, sub_haar), p2)
@@ -171,40 +171,38 @@ class TestInclusionRestriction:
 
 
 class TestGradedComponents:
-    def test_components_of_named_function(self, p2):
-        c = pair_cocycle(p2)
+    def test_components_of_named_function(self, p2, p2_graded):
         a = from_map(p2, {"(1,1)": 1.0, "(1,2)": 2.0})
-        assert max_diff(graded_component(a, c, (0,)), {"(1,1)": 1.0}) == 0.0
-        assert max_diff(graded_component(a, c, (-1,)), {"(1,2)": 2.0}) == 0.0
+        assert max_diff(graded_component(p2_graded, a, (0,)), {"(1,1)": 1.0}) == 0.0
+        assert max_diff(graded_component(p2_graded, a, (-1,)), {"(1,2)": 2.0}) == 0.0
 
     def test_trivial_cocycle_single_component(self, p2):
         from groupoid_workbench.grading import trivial_cocycle
         from groupoid_workbench.groups import FreeAbelianGroup
 
-        c = trivial_cocycle(p2, FreeAbelianGroup(1))
+        sys = GradedGroupoid(p2, counting_haar(p2), trivial_cocycle(p2, FreeAbelianGroup(1)))
         a = rng_functions(p2, seed=2, count=1)[0]
-        assert np.abs(graded_component(a, c, (0,)).coeffs - a.coeffs).max() == 0.0
+        assert np.abs(graded_component(sys, a, (0,)).coeffs - a.coeffs).max() == 0.0
 
-    def test_components_sum_to_function_exactly(self, p2):
-        c = pair_cocycle(p2)
+    def test_components_sum_to_function_exactly(self, p2, p2_graded):
         for a in rng_functions(p2, seed=13, count=5):
-            parts = graded_components(a, c)
+            parts = graded_components(p2_graded, a)
             total = zero(p2)
             for part in parts.values():
                 total = total + part
             assert np.abs(total.coeffs - a.coeffs).max() == 0.0
 
-    def test_component_product_support(self, p2, p2_counting):
+    def test_component_product_support(self, p2, p2_counting, p2_graded):
         # component-beta * component-gamma lands in the (beta+gamma)-fiber
-        c = pair_cocycle(p2)
+        c = p2_graded.cocycle
         grp = c.group
         for a in rng_functions(p2, seed=17, count=3):
             for b in rng_functions(p2, seed=18, count=3):
                 for beta in (-1, 0, 1):
                     for gamma in (-1, 0, 1):
                         prod = convolve(
-                            graded_component(a, c, (beta,)),
-                            graded_component(b, c, (gamma,)),
+                            graded_component(p2_graded, a, (beta,)),
+                            graded_component(p2_graded, b, (gamma,)),
                             p2_counting,
                         )
                         for arrow, v in zip(p2.arrows, prod.coeffs):

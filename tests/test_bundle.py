@@ -11,9 +11,9 @@ from groupoid_workbench.bundle import (
     graded_subspaces,
     tautological_rep,
 )
-from groupoid_workbench.grading import GradedGroupoid, cocycle_from_map
+from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import counting_haar, group_groupoid
-from groupoid_workbench.groups import cyclic_group
+from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import operator_norm
 
 from conftest import max_diff, rng_functions
@@ -40,6 +40,14 @@ class TestGradingAxioms:
 
     def test_weighted_instance(self, p2_graded_weighted):
         assert check_grading_axioms(graded_subspaces(p2_graded_weighted)).ok
+
+    def test_unvalidated_bad_cocycle_reported(self, p2, p2_counting):
+        # every arrow labelled 1: the product (1,1)(1,1) = (1,1) would need label 2
+        bad = Cocycle(FreeAbelianGroup(1), {a.id: (1,) for a in p2.arrows})
+        report = check_grading_axioms(graded_subspaces(GradedGroupoid(p2, p2_counting, bad)))
+        assert not report.ok
+        assert report.cause == "basis-product-off-fiber"
+        assert report.witness["pair"] == ("(1,1)", "(1,1)")
 
     def test_adjoint_flips_fiber(self, p2_graded):
         family = graded_subspaces(p2_graded)

@@ -187,6 +187,19 @@ class TestStrictIntegers:
         assert err.value.path == "groupoid.params.orders"
         assert build_groupoid({"builtin": "group_bundle_cyclic", "params": {"orders": [2, 3]}}).n_arrows == 5
 
+    @pytest.mark.parametrize(
+        "cayley",
+        [[[0, 1.9], [1, 0]], [[0, True], [True, 0]], [[0, "1"], ["1", 0]]],
+        ids=["coerce-cayley-float", "coerce-cayley-bool", "coerce-cayley-string"],
+    )
+    def test_finite_cayley_entries(self, cayley):
+        # each of these tables used to be accepted as Z/2
+        raw = minimal_pair_doc()
+        raw["group"] = {"finite": {"cayley": cayley}}
+        with pytest.raises(DocumentError) as err:
+            document_from_dict(raw)
+        assert err.value.path == "group.finite.cayley"
+
     @pytest.mark.parametrize("value", [True, 1.0, "1"])
     def test_free_abelian_rank(self, value):
         raw = minimal_pair_doc()

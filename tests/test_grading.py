@@ -1,18 +1,20 @@
 """Cocycle validation, fibers, and the identity-fiber subgroupoid."""
 
+import math
+
 import pytest
 
+from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.grading import (
     Cocycle,
     GradedGroupoid,
     cocycle_from_map,
-    fiber_of,
     identity_fiber_subgroupoid,
-    image_elements,
     trivial_cocycle,
     validate_cocycle,
 )
 from groupoid_workbench.groupoid import (
+    HaarSystem,
     action_groupoid,
     counting_haar,
     group_groupoid,
@@ -49,20 +51,41 @@ class TestValidateCocycle:
             cocycle_from_map(p2, z, {"(1,1)": (0,)})
 
 
-class TestFibers:
-    def test_preimages(self, p2):
-        c = pair_cocycle(p2)
-        assert fiber_of(p2, c, (0,)) == ("(1,1)", "(2,2)")
-        assert fiber_of(p2, c, (-1,)) == ("(1,2)",)
-        assert fiber_of(p2, c, (5,)) == ()
+def fiber_ids(sys, gamma):
+    """Arrow ids over gamma in declared order, read from the fiber mask."""
+    return tuple(a.id for a, inside in zip(sys.groupoid.arrows, sys.fiber_mask(gamma)) if inside)
 
-    def test_partition(self, p2):
-        c = pair_cocycle(p2)
+
+class TestFibers:
+    def test_preimages(self, p2_graded):
+        assert fiber_ids(p2_graded, (0,)) == ("(1,1)", "(2,2)")
+        assert fiber_ids(p2_graded, (-1,)) == ("(1,2)",)
+        assert fiber_ids(p2_graded, (5,)) == ()
+
+    def test_partition(self, p2, p2_graded):
         seen = []
-        for gamma in image_elements(p2, c):
-            seen.extend(fiber_of(p2, c, gamma))
+        for gamma in p2_graded.fiber_elements:
+            seen.extend(fiber_ids(p2_graded, gamma))
         assert sorted(seen) == sorted(p2.arrow_ids)
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda doc: doc.name)
+    def test_fiber_index_matches_labels_on_corpus(self, doc):
+        sys = doc.system
+        g, c, grp = sys.groupoid, sys.cocycle, sys.group
+        assert len(sys.fiber_index) == g.n_arrows
+        for i, arrow in enumerate(g.arrows):
+            assert sys.fiber_elements[sys.fiber_index[i]] == c.of(arrow.id)
+        keys = [grp.element_key(el) for el in sys.fiber_elements]
+        assert len(set(keys)) == len(keys) == len(sys.fiber_elements)
+        assert list(sys.fiber_elements) == sorted(sys.fiber_elements, key=grp.sort_key)
+        assert list(sys.fiber_keys) == keys
+        expected: dict[str, list[str]] = {}
+        for arrow in g.arrows:
+            expected.setdefault(grp.element_key(c.of(arrow.id)), []).append(arrow.id)
+        ordered = sorted(expected, key=lambda key: grp.sort_key(c.of(expected[key][0])))
+        assert list(sys.fibers().items()) == [(key, tuple(expected[key])) for key in ordered]
+        assert [a.id for a in sys.identity_fiber.arrows] == expected[grp.element_key(grp.identity)]
 
     def test_product_and_inverse_support_calculus(self, p2):
         c = pair_cocycle(p2)
@@ -97,7 +120,7 @@ class TestIdentityFiber:
 
     def test_restricted_haar_still_invariant(self, p2):
         sub = identity_fiber_subgroupoid(p2, pair_cocycle(p2))
-        haar = counting_haar(p2).restricted()
+        haar = counting_haar(p2)
         w = {aid: haar.weight(sub, aid) for aid in sub.arrow_ids}
         assert validate_left_invariance(sub, w)
 
@@ -113,6 +136,13 @@ class TestGradedGroupoid:
         bad = Cocycle(z, {a.id: (1,) for a in p2.arrows})
         with pytest.raises(ValueError, match="Cocycle"):
             GradedGroupoid.build(p2, p2_counting, bad)
+
+    @pytest.mark.parametrize(
+        "rho", [{"1": math.inf, "2": 1.0}, {"1": 1.0, "2": 1.0, "3": 1.0}], ids=["infinite-weight", "unknown-unit"]
+    )
+    def test_build_rejects_bad_haar(self, p2, rho):
+        with pytest.raises(ValueError, match="Haar"):
+            GradedGroupoid.build(p2, HaarSystem(rho), pair_cocycle(p2))
 
     def test_sign_cocycle_on_s3_identity_fiber_is_a3(self):
         from groupoid_workbench.groups import permutation_parity, permutations_of, symmetric_group

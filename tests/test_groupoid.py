@@ -133,6 +133,12 @@ class TestConstructors:
         assert g.n_units == 3 and g.n_arrows == 9
         assert validate_groupoid(g).ok
 
+    @pytest.mark.parametrize("value", [True, 2.7, 2.0, "2"])
+    def test_pair_rejects_non_integer(self, value):
+        # pair_groupoid(2.7) used to build 4 arrows, pair_groupoid(True) one
+        with pytest.raises(TypeError, match="expected an integer"):
+            pair_groupoid(value)
+
     def test_action_groupoid_cyclic_shift(self):
         z3 = cyclic_group(3)
         g = action_groupoid([0, 1, 2], z3, lambda x, h: (x + h) % 3)

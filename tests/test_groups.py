@@ -1,5 +1,6 @@
 """Group backend checks: Cayley validation, Z^k arithmetic, S_n construction."""
 
+import numpy as np
 import pytest
 
 from groupoid_workbench.groups import (
@@ -101,3 +102,24 @@ class TestFreeAbelian:
         z1 = FreeAbelianGroup(1)
         els = [(1,), (-1,), (0,)]
         assert sorted(els, key=z1.sort_key) == [(-1,), (0,), (1,)]
+
+
+class TestStrictIntegers:
+    """Integer arguments are checked, never cast."""
+
+    @pytest.mark.parametrize("cayley", [[[0, 1.9], [1, 0]], [[0, True], [True, 0]], [[0, "1"], ["1", 0]]])
+    def test_cayley_entries(self, cayley):
+        with pytest.raises(TypeError, match="expected an integer"):
+            FiniteGroup(cayley)
+
+    @pytest.mark.parametrize("make", [cyclic_group, symmetric_group, FreeAbelianGroup])
+    @pytest.mark.parametrize("value", [True, 3.9, 2.0, "3"])
+    def test_constructors_reject_non_integers(self, make, value):
+        with pytest.raises(TypeError, match="expected an integer"):
+            make(value)
+
+    def test_numpy_integers_accepted(self):
+        assert cyclic_group(np.int64(3)).order == 3
+        assert symmetric_group(np.int64(3)).order == 6
+        assert FreeAbelianGroup(np.int64(2)).rank == 2
+        assert FiniteGroup([[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]]).table == [[0, 1], [1, 0]]

@@ -1,10 +1,9 @@
 """Module structure, the induced-space operator norm, and the expectation.
 
-The inner product has an independent closed form used as an oracle below:
-for x in the identity fiber, pairing deltas gives <a, b> = (a^* * b)
+The inner product is computed as one convolution, <a, b> = (a^* * b)
 restricted to the identity fiber (same-fiber components pair automatically
-there), so the graded component sum can be cross-checked against a single
-convolution.  The module operator norm is cross-checked against the C*-norm:
+there); its defining sum over the graded components is kept below as
+``fiber_sum_inner_product`` and serves as an oracle on the corpus.  The module operator norm is cross-checked against the C*-norm:
 on a finite groupoid the expectation is faithful, so left convolution is an
 injective *-homomorphism into the module operators and therefore isometric.
 
@@ -19,9 +18,11 @@ import numpy as np
 import pytest
 
 from groupoid_workbench.algebra import (
+    GroupoidFunction,
     convolve,
     delta,
     from_map,
+    graded_components,
     i_norm,
     include_i,
     involute,
@@ -96,6 +97,17 @@ def dense_induced_space(sys, null_threshold=1e-10):
     return int(keep.sum()), eigvals, l_norm
 
 
+def fiber_sum_inner_product(sys, a, b):
+    """<a, b> = sum over gamma of (a_gamma)^* * b_gamma, restricted to G_e."""
+    comps_a = graded_components(sys, a)
+    comps_b = graded_components(sys, b)
+    acc = np.zeros(sys.groupoid.n_arrows, dtype=np.complex128)
+    for key, part_a in comps_a.items():
+        if key in comps_b:
+            acc += convolve(involute(part_a), comps_b[key], sys.haar).coeffs
+    return restrict_q(GroupoidFunction(sys.groupoid, acc), sys.identity_fiber)
+
+
 def pair_system(n, graded):
     """Pair groupoid on 1..n with seeded weights, graded by i - j in Z or trivially."""
     g = pair_groupoid(n)
@@ -124,7 +136,7 @@ class TestModuleAction:
         sys = p2_graded_weighted
         a = rng_functions(sys.groupoid, seed=1, count=1)[0]
         g1, g2 = rng_functions(sys.identity_fiber, seed=2, count=2)
-        sub_haar = sys.haar.restricted()
+        sub_haar = sys.haar
         lhs = module_action(sys, a, convolve(g1, g2, sub_haar))
         rhs = module_action(sys, module_action(sys, a, g1), g2)
         assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12
@@ -156,6 +168,16 @@ class TestInnerProduct:
             oracle = restrict_q(convolve(involute(a), b, sys.haar), sys.identity_fiber)
             assert np.abs(direct.coeffs - oracle.coeffs).max() <= 1e-12
 
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda d: d.name)
+    def test_matches_fiber_sum_on_corpus(self, doc):
+        sys = doc.system
+        functions = list(doc.functions.values()) + rng_functions(sys.groupoid, seed=7, count=4)
+        for a in functions:
+            for b in functions:
+                oracle = fiber_sum_inner_product(sys, a, b).coeffs
+                got = module_inner_product(sys, a, b).coeffs
+                assert np.abs(got - oracle).max() <= 1e-12 * (1.0 + np.abs(oracle).max())
+
     def test_conjugate_symmetry(self, p2_graded_weighted):
         sys = p2_graded_weighted
         a, b = rng_functions(sys.groupoid, seed=7, count=2)
@@ -167,14 +189,14 @@ class TestInnerProduct:
         sys = p2_graded_weighted
         a, b = rng_functions(sys.groupoid, seed=8, count=2)
         g_e = rng_functions(sys.identity_fiber, seed=9, count=1)[0]
-        sub_haar = sys.haar.restricted()
+        sub_haar = sys.haar
         lhs = module_inner_product(sys, a, module_action(sys, b, g_e))
         rhs = convolve(module_inner_product(sys, a, b), g_e, sub_haar)
         assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-12
 
     def test_positivity_and_definiteness(self, graded_action):
         sys = graded_action
-        sub_haar = sys.haar.restricted()
+        sub_haar = sys.haar
         for a in rng_functions(sys.groupoid, seed=10, count=10):
             gram = module_inner_product(sys, a, a)
             assert positivity_check(gram, sub_haar)
