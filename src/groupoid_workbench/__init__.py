@@ -1,6 +1,6 @@
 """Desk-scale workbench for graded finite-groupoid convolution algebras."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .algebra import (
     GroupoidFunction,
@@ -46,8 +46,6 @@ from .hilbert_module import (
     module_norm,
 )
 from .representation import (
-    RepMatrix,
-    WeightedL2Basis,
     cstar_norm,
     decompose_rep_U,
     positivity_check,

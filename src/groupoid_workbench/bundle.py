@@ -153,9 +153,9 @@ def tautological_rep(sys: GradedGroupoid) -> dict[str, dict[str, np.ndarray]]:
         rep[key] = {}
         for aid in ids:
             mat = np.zeros((total, total), dtype=np.complex128)
-            for k, block in enumerate(rep_blocks(delta(g, aid), sys.haar)):
+            for k, block in enumerate(rep_blocks(delta(g, aid), sys.haar).values()):
                 lo, hi = offsets[k], offsets[k + 1]
-                mat[lo:hi, lo:hi] = block.matrix
+                mat[lo:hi, lo:hi] = block
             rep[key][aid] = mat
     return rep
 

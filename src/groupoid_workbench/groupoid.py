@@ -106,7 +106,7 @@ class FiniteGroupoid:
         self._src_index = np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp)
         self._dst_index = np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp)
         self._invert_index: np.ndarray | None = None
-        self._rep_scaffold: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -196,18 +196,29 @@ class FiniteGroupoid:
             self._pair_table = (xs, ys, mat[xs, ys])
         return self._pair_table
 
-    def source_fiber_rep_index(self, u: str) -> tuple[np.ndarray, np.ndarray]:
-        """For the arrows x with s(x) = u: their global indices and the table
-        of products x' x^{-1} (as global arrow indices), cached per unit."""
-        cached = self._rep_scaffold.get(u)
-        if cached is None:
-            gidx = np.array([self._index[aid] for aid in self._by_src[u]], dtype=np.intp)
-            table = self.compose_matrix()[np.ix_(gidx, self.invert_index[gidx])]
-            if (table < 0).any():
-                raise ValueError(f"Arrows with source {u!r} do not compose; groupoid invalid.")
-            cached = (gidx, table)
-            self._rep_scaffold[u] = cached
-        return cached
+    def rep_tables(self) -> tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...]:
+        """Index of the regular representation, one entry per block size d,
+        ascending: the units u with d = |G_u|, their arrows x with s(x) = u
+        as a (k, d) index array (both in declared order), and the products
+        x' x^{-1} as a (k, d, d) index array.  Built on first use; the
+        arrays are read-only."""
+        if self._rep_tables is None:
+            by_size: dict[int, list[str]] = {}
+            for u in self.units:
+                by_size.setdefault(len(self._by_src[u]), []).append(u)
+            tables = []
+            for d in sorted(by_size):
+                units = tuple(by_size[d])
+                arrows = np.array([[self._index[aid] for aid in self._by_src[u]] for u in units], dtype=np.intp)
+                products = self.compose_matrix()[arrows[:, :, None], self.invert_index[arrows][:, None, :]]
+                bad = np.argwhere(products < 0)
+                if bad.size:
+                    raise ValueError(f"Arrows with source {units[bad[0][0]]!r} do not compose; groupoid invalid.")
+                arrows.flags.writeable = False
+                products.flags.writeable = False
+                tables.append((units, arrows, products))
+            self._rep_tables = tuple(tables)
+        return self._rep_tables
 
     # -- derived groupoids --------------------------------------------------
 

@@ -111,11 +111,17 @@ class FiniteGroup(DiscreteGroup):
         self.identity_index = identity
         self.inverse_table = inverse
 
+    def _element(self, a: Any) -> int:
+        a = strict_int(a)
+        if not 0 <= a < self.order:
+            raise ValueError(f"Element index {a} out of range [0,{self.order - 1}].")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        return self.table[int(a)][int(b)]
+        return self.table[self._element(a)][self._element(b)]
 
     def inv(self, a: int) -> int:
-        return self.inverse_table[int(a)]
+        return self.inverse_table[self._element(a)]
 
     @property
     def identity(self) -> int:

@@ -13,6 +13,12 @@ blocks is faithful on a finite groupoid, so full and reduced norms coincide
 and one norm is computed (the degenerate full/reduced distinction is noted in
 reports, not modelled).
 
+The blocks of units with the same number d = |G_u| of arrows are stacked
+into one (k, d, d) array.  The groupoid indexes these stacks once
+(``FiniteGroupoid.rep_tables``), :func:`rep_stacks` is the one place that
+evaluates the entry formula on them, and norms, positivity and spectra are
+reductions over the stacks, one batched eigensolve per block size.
+
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
 """
@@ -26,32 +32,7 @@ import numpy as np
 
 from .algebra import GroupoidFunction, include_i, involute
 from .grading import GradedGroupoid
-from .groupoid import FiniteGroupoid, HaarSystem
-
-
-@dataclass(frozen=True, eq=False)
-class WeightedL2Basis:
-    """Orthonormalized basis data for the arrows with source ``unit``."""
-
-    unit: str
-    arrow_ids: tuple[str, ...]
-    weights: np.ndarray  # measure of each basis arrow: rho(r(x))
-
-    @property
-    def dim(self) -> int:
-        return len(self.arrow_ids)
-
-
-@dataclass(frozen=True, eq=False)
-class RepMatrix:
-    """A dense complex matrix together with the basis it is written in."""
-
-    matrix: np.ndarray
-    basis: WeightedL2Basis
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+from .groupoid import HaarSystem
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -61,52 +42,51 @@ def operator_norm(matrix: np.ndarray) -> float:
     if m.size == 0:
         return 0.0
     eigs = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
-    # a single matrix skips the reduction: cstar_norm calls this per unit block
-    top = eigs[-1] if m.ndim == 2 else eigs[:, -1].max()
-    return float(np.sqrt(max(float(top), 0.0)))
+    return float(np.sqrt(max(float(eigs[..., -1].max()), 0.0)))
 
 
-def weighted_l2_basis(g: FiniteGroupoid, haar: HaarSystem, u: str) -> WeightedL2Basis:
-    if not g.has_unit(u):
-        raise ValueError(f"Unknown unit {u!r}.")
-    ids = g.arrows_with_src(u)
-    rho_per_unit = np.array([haar.unit_weight(v) for v in g.units])
-    gidx = np.array([g.index(aid) for aid in ids], dtype=np.intp)
-    weights = rho_per_unit[g.dst_index[gidx]]
-    return WeightedL2Basis(unit=u, arrow_ids=ids, weights=weights)
-
-
-def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> RepMatrix:
-    """Matrix of h -> a * h on the weighted L2 space at u, orthonormalized basis."""
+def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
+    """The regular representation of a as one (k, d, d) stack per block
+    size, in the order of ``a.groupoid.rep_tables()``."""
     g = a.groupoid
-    basis = weighted_l2_basis(g, haar, u)
-    _, table = g.source_fiber_rep_index(u)
-    scale = np.sqrt(np.outer(basis.weights, basis.weights))
-    return RepMatrix(matrix=a.coeffs[table] * scale, basis=basis)
+    w = haar.weights(g)[g.invert_index]  # rho(r(x)) = rho(s(x^{-1}))
+    stacks = []
+    for _, arrows, products in g.rep_tables():
+        wx = w[arrows]
+        stacks.append(a.coeffs[products] * np.sqrt(wx[:, :, None] * wx[:, None, :]))
+    return stacks
 
 
-def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> list[RepMatrix]:
-    """The regular representation blocks, one per unit in declared order."""
-    return [regular_rep_matrix(a, haar, u) for u in a.groupoid.units]
+def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
+    """The regular representation blocks, unit -> matrix in the basis
+    ``arrows_with_src(unit)``, in declared unit order (views into the stacks)."""
+    blocks: dict[str, np.ndarray] = {}
+    for (units, _, _), stack in zip(a.groupoid.rep_tables(), rep_stacks(a, haar)):
+        blocks.update(zip(units, stack))
+    return {u: blocks[u] for u in a.groupoid.units}
+
+
+def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> np.ndarray:
+    """Matrix of h -> a * h on the weighted L2 space at u, orthonormalized basis."""
+    if not a.groupoid.has_unit(u):
+        raise ValueError(f"Unknown unit {u!r}.")
+    return rep_blocks(a, haar)[u]
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     """max over units of the largest singular value of the regular block."""
-    return max(operator_norm(block.matrix) for block in rep_blocks(a, haar))
+    return max(operator_norm(stack) for stack in rep_stacks(a, haar))
 
 
 def positivity_check(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> bool:
     """True iff a is positive: blocks Hermitian and spectra >= -tol*(1 + ||a||)."""
-    blocks = rep_blocks(a, haar)
-    norm = max(operator_norm(b.matrix) for b in blocks)
-    slack = tol * (1.0 + norm)
-    for block in blocks:
-        m = block.matrix
-        if m.size == 0:
-            continue
-        if np.abs(m - m.conj().T).max() > slack:
+    stacks = rep_stacks(a, haar)
+    slack = tol * (1.0 + max(operator_norm(m) for m in stacks))
+    for m in stacks:
+        adjoint = m.conj().swapaxes(-1, -2)
+        if np.abs(m - adjoint).max() > slack:
             return False
-        if float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) < -slack:
+        if float(np.linalg.eigvalsh(0.5 * (m + adjoint))[:, 0].min()) < -slack:
             return False
     return True
 
@@ -116,10 +96,7 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.nda
     deviation = cstar_norm(a - involute(a), haar)
     if deviation > tol * (1.0 + cstar_norm(a, haar)):
         raise ValueError(f"Function is not self-adjoint (deviation {deviation:.3e}).")
-    values: list[np.ndarray] = []
-    for block in rep_blocks(a, haar):
-        m = block.matrix
-        values.append(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))
+    values = [np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).ravel() for m in rep_stacks(a, haar)]
     return np.sort(np.concatenate(values))
 
 
@@ -133,17 +110,17 @@ class FiberBlockDecomposition:
 
     unit: str
     block_order: tuple[str, ...]  # element keys with nonempty fiber at the unit
-    blocks: dict[str, RepMatrix]
+    blocks: dict[str, np.ndarray]
     permuted_matrix: np.ndarray
     max_abs_error: float
 
 
 def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
     """Element key -> arrows of Gu in that fiber (declared order), sorted by group order."""
-    gidx, _ = sys.groupoid.source_fiber_rep_index(u)
+    g = sys.groupoid
+    gidx = np.flatnonzero(g.src_index == g.units.index(u))
     fiber = sys.fiber_index[gidx]
-    ids = sys.groupoid.arrows_with_src(u)
-    return {sys.fiber_keys[k]: [ids[i] for i in np.flatnonzero(fiber == k)] for k in np.unique(fiber)}
+    return {sys.fiber_keys[k]: [g.arrows[i].id for i in gidx[fiber == k]] for k in np.unique(fiber)}
 
 
 def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
@@ -152,7 +129,7 @@ def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
     return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
-def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> RepMatrix:
+def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> np.ndarray:
     """Block of the representation of an identity-fiber function on a set of
     same-source, same-fiber arrows, built directly from the entry formula."""
     g = sys.groupoid
@@ -166,9 +143,7 @@ def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple
     vals = np.where(sub_idx >= 0, a_e.coeffs[np.clip(sub_idx, 0, None)], 0.0)
     rho_per_unit = np.array([sys.haar.unit_weight(v) for v in g.units])
     weights = rho_per_unit[g.dst_index[gidx]]
-    matrix = vals * np.sqrt(np.outer(weights, weights))
-    unit = g.source(arrow_ids[0]) if arrow_ids else "?"
-    return RepMatrix(matrix=matrix, basis=WeightedL2Basis(unit=unit, arrow_ids=tuple(arrow_ids), weights=weights))
+    return vals * np.sqrt(np.outer(weights, weights))
 
 
 def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
@@ -179,17 +154,17 @@ def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> Fiber
     so the permuted matrix must be exactly the direct sum.
     """
     g = sys.groupoid
-    partition = _fiber_partition_at(sys, u)
     full = regular_rep_matrix(include_i(a_e, g), sys.haar, u)
-    order = {aid: i for i, aid in enumerate(full.basis.arrow_ids)}
+    partition = _fiber_partition_at(sys, u)
+    order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
     perm = [order[aid] for ids in partition.values() for aid in ids]
-    permuted = full.matrix[np.ix_(perm, perm)]
+    permuted = full[np.ix_(perm, perm)]
     blocks = {key: fiber_rep_block(sys, a_e, tuple(ids)) for key, ids in partition.items()}
     direct_sum = np.zeros_like(permuted)
     offset = 0
     for key in partition:
-        d = blocks[key].dim
-        direct_sum[offset : offset + d, offset : offset + d] = blocks[key].matrix
+        d = len(blocks[key])
+        direct_sum[offset : offset + d, offset : offset + d] = blocks[key]
         offset += d
     err = float(np.abs(permuted - direct_sum).max()) if permuted.size else 0.0
     return FiberBlockDecomposition(
@@ -211,9 +186,9 @@ class TranslationWitness:
     gamma_key: str
     z_arrow: str
     v_matrix: np.ndarray
-    fiber_block: RepMatrix
+    fiber_block: np.ndarray
     translated: np.ndarray
-    target_block: RepMatrix
+    target_block: np.ndarray
     max_abs_error: float
 
 
@@ -235,8 +210,8 @@ def translate_rep_V(
     grp = sys.group
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
-    gidx, _ = g.source_fiber_rep_index(u)
-    fiber_at_u = [g.arrows[i].id for i in gidx[sys.fiber_mask(gamma)[gidx]]]
+    at_u = (g.src_index == g.units.index(u)) & sys.fiber_mask(gamma)
+    fiber_at_u = [g.arrows[i].id for i in np.flatnonzero(at_u)]
     if not fiber_at_u:
         raise ValueError(f"Fiber over {gamma_key} has no arrows with source {u!r}.")
     if z_arrow is None:
@@ -260,8 +235,8 @@ def translate_rep_V(
         vmat[i, col[y]] = 1.0
     block = fiber_rep_block(sys, a_e, domain)
     target = regular_rep_matrix(a_e, sys.haar, v)  # on the identity-fiber subgroupoid
-    translated = vmat @ block.matrix @ vmat.conj().T
-    err = float(np.abs(translated - target.matrix).max()) if translated.size else 0.0
+    translated = vmat @ block @ vmat.conj().T
+    err = float(np.abs(translated - target).max()) if translated.size else 0.0
     return TranslationWitness(
         source_unit=u,
         target_unit=v,

@@ -63,7 +63,6 @@ from .representation import (
     decompose_rep_U,
     operator_norm,
     positivity_check,
-    regular_rep_matrix,
     spectrum,
     translate_rep_V,
 )
@@ -422,8 +421,8 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
             dec = decompose_rep_U(sys, f, u)
             u_defect = max(u_defect, dec.max_abs_error)
             for block in dec.blocks.values():
-                block_max = max(block_max, operator_norm(block.matrix))
-        fiber_max = max(operator_norm(regular_rep_matrix(f, haar, v).matrix) for v in sub.units)
+                block_max = max(block_max, operator_norm(block))
+        fiber_max = cstar_norm(f, haar)
         chain = max(chain, _rel(abs(block_max - ambient), ambient), _rel(abs(fiber_max - ambient), ambient))
     rec.add(
         "fiber-block-decomposition",
@@ -445,9 +444,8 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
     checked = 0
     for _ in range(UNITARY_TRIALS):
         f = random_function(sub, rng)
-        for u in g.units:
-            gidx, _ = g.source_fiber_rep_index(u)
-            for k in np.unique(sys.fiber_index[gidx]):
+        for ui, u in enumerate(g.units):
+            for k in np.unique(sys.fiber_index[g.src_index == ui]):
                 wit = translate_rep_V(sys, f, u, sys.fiber_elements[k])
                 v_defect = max(v_defect, wit.max_abs_error)
                 checked += 1

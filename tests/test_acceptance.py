@@ -207,9 +207,9 @@ def test_criterion_9_inner_product_positivity():
             gram = module_inner_product(sys, a, a)
             norm = cstar_norm(gram, sys.haar)
             min_eig = min(
-                float(np.linalg.eigvalsh(0.5 * (b.matrix + b.matrix.conj().T))[0])
-                for b in rep_blocks(gram, sys.haar)
-                if b.matrix.size
+                float(np.linalg.eigvalsh(0.5 * (b + b.conj().T))[0])
+                for b in rep_blocks(gram, sys.haar).values()
+                if b.size
             )
             worst = max(worst, -min_eig - EIG * (1.0 + norm))
             if min_eig < -EIG * (1.0 + norm):

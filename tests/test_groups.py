@@ -118,7 +118,21 @@ class TestStrictIntegers:
         with pytest.raises(TypeError, match="expected an integer"):
             make(value)
 
+    @pytest.mark.parametrize("call", [lambda z3: z3.mul(1.9, True), lambda z3: z3.mul(1, True), lambda z3: z3.inv(2.5)])
+    def test_arithmetic_rejects_non_integers(self, call):
+        with pytest.raises(TypeError, match="expected an integer"):
+            call(cyclic_group(3))
+
+    @pytest.mark.parametrize("call", [lambda z3: z3.mul(-1, 0), lambda z3: z3.mul(0, 3), lambda z3: z3.inv(-1)])
+    def test_arithmetic_rejects_out_of_range(self, call):
+        with pytest.raises(ValueError, match="out of range"):
+            call(cyclic_group(3))
+
     def test_numpy_integers_accepted(self):
+        z3 = cyclic_group(3)
+        assert z3.mul(np.int64(1), np.int64(2)) == 0
+        assert z3.inv(np.int64(1)) == 2
+
         assert cyclic_group(np.int64(3)).order == 3
         assert symmetric_group(np.int64(3)).order == 6
         assert FreeAbelianGroup(np.int64(2)).rank == 2

@@ -161,12 +161,19 @@ class TestInnerProduct:
         assert max_diff(module_inner_product(sys, a, a), {"(2,2)": 1.0}) == 0.0
 
     def test_matches_restricted_star_product(self, graded_action):
+        # <a, b>(n) = sum over {y : r(y) = r(n)} of conj(a(y^{-1})) b(y^{-1} n) w(y), n in G_e
         sys = graded_action
+        g, sub = sys.groupoid, sys.identity_fiber
         for seed in (4, 5, 6):
-            a, b = rng_functions(sys.groupoid, seed=seed, count=2)
+            a, b = rng_functions(g, seed=seed, count=2)
             direct = module_inner_product(sys, a, b)
-            oracle = restrict_q(convolve(involute(a), b, sys.haar), sys.identity_fiber)
-            assert np.abs(direct.coeffs - oracle.coeffs).max() <= 1e-12
+            oracle = np.zeros(sub.n_arrows, dtype=complex)
+            for i, n in enumerate(sub.arrow_ids):
+                for y in g.arrows_with_dst(g.target(n)):
+                    y_inv = g.invert_id(y)
+                    term = np.conj(a.coeffs[g.index(y_inv)]) * b.coeffs[g.index(g.compose_ids(y_inv, n))]
+                    oracle[i] += term * sys.haar.weight(g, y)
+            assert np.abs(direct.coeffs - oracle).max() <= 1e-12
 
     @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda d: d.name)
     def test_matches_fiber_sum_on_corpus(self, doc):

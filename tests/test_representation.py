@@ -7,6 +7,11 @@ Oracles used here, all derived before implementation:
     max(|alpha + beta|, |alpha - beta|);
   * ||delta_x|| = sqrt(rho(s(x)) rho(r(x))) via the C*-identity applied to
     the delta product rule.
+
+The blocks are evaluated as stacks of equal-size unit blocks; the per-unit
+builder they replaced (the entry formula through the compose tables, one
+unit at a time) is kept below as ``per_unit_block`` and serves as an oracle
+on the corpus.
 """
 
 import numpy as np
@@ -20,10 +25,13 @@ from groupoid_workbench.algebra import (
     involute,
     unit_function,
 )
+from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.grading import GradedGroupoid, cocycle_from_map, trivial_cocycle
 from groupoid_workbench.groupoid import (
     action_groupoid,
     counting_haar,
+    disjoint_union,
+    group_groupoid,
     haar_from_weights,
     pair_groupoid,
 )
@@ -34,6 +42,7 @@ from groupoid_workbench.representation import (
     operator_norm,
     positivity_check,
     regular_rep_matrix,
+    rep_blocks,
     spectrum,
     translate_rep_V,
 )
@@ -41,25 +50,46 @@ from groupoid_workbench.representation import (
 from conftest import rng_functions
 
 
+def per_unit_block(a, haar, u):
+    """The regular block at u, entry by entry over the arrows with source u:
+    M[x', x] = a(x' x^{-1}) sqrt(rho(r(x)) rho(r(x')))."""
+    g = a.groupoid
+    ids = g.arrows_with_src(u)
+    m = np.zeros((len(ids), len(ids)), dtype=complex)
+    for i, xp in enumerate(ids):
+        for j, x in enumerate(ids):
+            scale = np.sqrt(haar.unit_weight(g.target(x)) * haar.unit_weight(g.target(xp)))
+            m[i, j] = a.coeffs[g.index(g.compose_ids(xp, g.invert_id(x)))] * scale
+    return m
+
+
+def per_block_positive(blocks, tol=1e-9):
+    slack = tol * (1.0 + max(operator_norm(m) for m in blocks))
+    return all(
+        np.abs(m - m.conj().T).max() <= slack and np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0] >= -slack
+        for m in blocks
+    )
+
+
 class TestRegularRepMatrix:
     def test_pair_counting_gives_matrix_units(self, p2, p2_counting):
         a = from_map(p2, {"(1,1)": 1.0, "(1,2)": 2.0, "(2,1)": 3.0, "(2,2)": 4.0})
         rep = regular_rep_matrix(a, p2_counting, "1")
-        assert rep.basis.arrow_ids == ("(1,1)", "(2,1)")
+        assert p2.arrows_with_src("1") == ("(1,1)", "(2,1)")
         expected = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        assert np.abs(rep.matrix - expected).max() == 0.0
+        assert np.abs(rep - expected).max() == 0.0
 
     def test_weighted_delta_entry(self, p2, p2_weighted):
         rep = regular_rep_matrix(delta(p2, "(1,2)"), p2_weighted, "1")
         # sends e_(2,1) to 2 e_(1,1); all other entries vanish
         expected = np.array([[0.0, 2.0], [0.0, 0.0]], dtype=complex)
-        assert np.abs(rep.matrix - expected).max() <= 1e-15
+        assert np.abs(rep - expected).max() <= 1e-15
 
     def test_unit_acts_as_identity(self, p2, p2_weighted):
         e = unit_function(p2, p2_weighted)
         for u in p2.units:
             rep = regular_rep_matrix(e, p2_weighted, u)
-            assert np.abs(rep.matrix - np.eye(rep.dim)).max() <= 1e-15
+            assert np.abs(rep - np.eye(len(rep))).max() <= 1e-15
 
     def test_representation_is_multiplicative(self):
         g = pair_groupoid(3)
@@ -67,21 +97,65 @@ class TestRegularRepMatrix:
         a, b = rng_functions(g, seed=3, count=2)
         ab = convolve(a, b, haar)
         for u in g.units:
-            ma = regular_rep_matrix(a, haar, u).matrix
-            mb = regular_rep_matrix(b, haar, u).matrix
-            mab = regular_rep_matrix(ab, haar, u).matrix
+            ma = regular_rep_matrix(a, haar, u)
+            mb = regular_rep_matrix(b, haar, u)
+            mab = regular_rep_matrix(ab, haar, u)
             assert np.abs(ma @ mb - mab).max() <= 1e-12
 
     def test_representation_is_star_preserving(self, p2, p2_weighted):
         a = rng_functions(p2, seed=4, count=1)[0]
         for u in p2.units:
-            ma = regular_rep_matrix(a, p2_weighted, u).matrix
-            mastar = regular_rep_matrix(involute(a), p2_weighted, u).matrix
+            ma = regular_rep_matrix(a, p2_weighted, u)
+            mastar = regular_rep_matrix(involute(a), p2_weighted, u)
             assert np.abs(ma.conj().T - mastar).max() <= 1e-12
 
     def test_unknown_unit_rejected(self, p2, p2_counting):
         with pytest.raises(ValueError, match="Unknown unit"):
             regular_rep_matrix(delta(p2, "(1,1)"), p2_counting, "9")
+
+
+class TestStacksAgainstPerUnitBlocks:
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda d: d.name)
+    def test_matches_per_unit_builder_on_corpus(self, doc):
+        sys = doc.system
+        cases = [
+            (sys.groupoid, list(doc.functions.values()) + rng_functions(sys.groupoid, seed=13, count=3)),
+            (sys.identity_fiber, rng_functions(sys.identity_fiber, seed=13, count=3)),
+        ]
+        for g, functions in cases:
+            for a in functions:
+                reference = [per_unit_block(a, sys.haar, u) for u in g.units]
+                blocks = rep_blocks(a, sys.haar)
+                assert list(blocks) == list(g.units)
+                for got, ref in zip(blocks.values(), reference):
+                    assert got.shape == ref.shape
+                    assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+                norm = max(operator_norm(m) for m in reference)
+                assert cstar_norm(a, sys.haar) == pytest.approx(norm, rel=1e-15, abs=1e-300)
+                h = a + involute(a)
+                h_blocks = [per_unit_block(h, sys.haar, u) for u in g.units]
+                expected = np.sort(np.concatenate([np.linalg.eigvalsh(0.5 * (m + m.conj().T)) for m in h_blocks]))
+                assert np.abs(spectrum(h, sys.haar) - expected).max() <= 1e-15 * (1.0 + np.abs(expected).max())
+                for f in (a, h, convolve(involute(a), a, sys.haar)):
+                    blocks = [per_unit_block(f, sys.haar, u) for u in g.units]
+                    assert positivity_check(f, sys.haar) == per_block_positive(blocks)
+
+    def test_union_of_groups_has_two_stacks(self):
+        doc = next(d for d in builtin_corpus(seed=0) if d.name == "union-z2-z3-counting")
+        assert doc.system.groupoid._rep_tables is None  # parsing and validation do not build the index
+        tables = doc.system.groupoid.rep_tables()
+        assert [(len(units), arrows.shape[1]) for units, arrows, _ in tables] == [(1, 2), (1, 3)]
+        assert all(not arrows.flags.writeable and not products.flags.writeable for _, arrows, products in tables)
+
+    def test_blocks_follow_declared_unit_order_across_sizes(self):
+        g = disjoint_union(group_groupoid(cyclic_group(3)), group_groupoid(cyclic_group(2)))
+        haar = haar_from_weights(g, {"L:u": 2.0, "R:u": 0.5})
+        assert [units for units, _, _ in g.rep_tables()] == [("R:u",), ("L:u",)]
+        a = rng_functions(g, seed=17, count=1)[0]
+        blocks = rep_blocks(a, haar)
+        assert list(blocks) == ["L:u", "R:u"]
+        for u in g.units:
+            assert np.abs(blocks[u] - per_unit_block(a, haar, u)).max() <= 1e-15 * np.abs(blocks[u]).max()
 
 
 class TestCstarNorm:
@@ -157,8 +231,8 @@ class TestFiberDecomposition:
         a_e = from_map(sub, {"(1,1)": 2.0, "(2,2)": 5.0})
         dec = decompose_rep_U(sys, a_e, "1")
         assert dec.block_order == ("0", "1")  # (1,1) in fiber 0, (2,1) in fiber 1
-        assert dec.blocks["0"].matrix == pytest.approx(np.array([[2.0]]))
-        assert dec.blocks["1"].matrix == pytest.approx(np.array([[5.0]]))
+        assert dec.blocks["0"] == pytest.approx(np.array([[2.0]]))
+        assert dec.blocks["1"] == pytest.approx(np.array([[5.0]]))
         assert dec.max_abs_error == 0.0
 
     def test_trivial_cocycle_single_block(self, p2, p2_counting):
@@ -167,7 +241,7 @@ class TestFiberDecomposition:
         dec = decompose_rep_U(sys, a_e, "1")
         assert dec.block_order == ("0",)
         full = regular_rep_matrix(include_i(a_e, p2), p2_counting, "1")
-        assert np.abs(dec.blocks["0"].matrix - full.matrix).max() <= 1e-15
+        assert np.abs(dec.blocks["0"] - full).max() <= 1e-15
 
     def test_blocks_match_permuted_full_on_action_groupoid(self):
         z3 = cyclic_group(3)
@@ -185,7 +259,7 @@ class TestFiberDecomposition:
         for a_e in rng_functions(sys.identity_fiber, seed=9, count=5):
             full_norm = cstar_norm(include_i(a_e, sys.groupoid), sys.haar)
             block_max = max(
-                operator_norm(block.matrix)
+                operator_norm(block)
                 for u in sys.groupoid.units
                 for block in decompose_rep_U(sys, a_e, u).blocks.values()
             )
