@@ -22,7 +22,9 @@ positivity, and the cocycle identities, with the JSON path in every error.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -207,7 +209,15 @@ def _parse_complex(value: Any, path: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise DocumentError(path, f"complex values are [re, im] pairs, got {value!r}")
-    return complex(float(value[0]), float(value[1]))
+    # json.loads accepts NaN and Infinity, and an integer past the float range
+    # overflows; either would reach the norms as NaN
+    try:
+        z = complex(float(value[0]), float(value[1]))
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise DocumentError(path, f"complex values must be finite, got {value!r}")
+    return z
 
 
 def parse_document(text: str) -> WorkbenchDocument:

@@ -5,7 +5,12 @@ records carry ``src`` (the source unit ``s(x)``) and ``dst`` (the range unit
 ``r(x)``); ``compose(x, y)`` is defined exactly when ``s(x) = r(y)`` and then
 ``r(xy) = r(x)`` and ``s(xy) = s(y)``.  Constructors fill explicit composition
 and inversion tables; nothing is computed lazily from generators, so
-validation is a direct table check.
+validation is a direct table check.  The groupoid numbers its arrows and
+units in declared order and keeps the tables as integer arrays
+(``compose_matrix``, ``composable_pairs``, ``src_index``/``dst_index``,
+``unit_arrow_index``, ``invert_index``); :func:`validate_groupoid` and
+:func:`validate_left_invariance` are array reductions over them, and no
+temporary they build has more entries than the (n, n) compose matrix.
 
 A Haar system is stored as one positive weight per unit: left invariance on a
 finite groupoid forces the arrow weight ``w(y)`` to depend only on ``s(y)``
@@ -105,6 +110,7 @@ class FiniteGroupoid:
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._src_index = np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp)
         self._dst_index = np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp)
+        self._unit_arrow_index = np.array([self._index[self.unit_arrow[u]] for u in units], dtype=np.intp)
         self._invert_index: np.ndarray | None = None
         self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
 
@@ -169,6 +175,11 @@ class FiniteGroupoid:
     @property
     def dst_index(self) -> np.ndarray:
         return self._dst_index
+
+    @property
+    def unit_arrow_index(self) -> np.ndarray:
+        """The unit arrow of every unit, in declared unit order."""
+        return self._unit_arrow_index
 
     @property
     def invert_index(self) -> np.ndarray:
@@ -252,11 +263,30 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
 
 
+def _first_violation(*masks: np.ndarray) -> tuple[int, int] | None:
+    """(k, i) for the first index i at which some mask is set, with k the
+    first mask set there; None when no mask is set anywhere."""
+    bad = np.stack(masks)
+    hit = np.flatnonzero(bad.any(axis=0))
+    if not hit.size:
+        return None
+    i = int(hit[0])
+    return int(np.argmax(bad[:, i])), i
+
+
 def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     """Check the groupoid axioms; pass, or first violation with a witness.
 
     Check order: compose-domain exactness, endpoints of composites, unit-arrow
-    endpoints, identity laws, inverse laws, involution, associativity.
+    endpoints, identity laws, inverse laws, involution, associativity.  Each
+    check is a whole-array comparison on the integer tables; the witness is
+    the first violation in declared arrow order (row-major for pairs).
+
+    Associativity runs over the composable triples (x, y, z) only, grouped by
+    the unit u = s(x) = r(y): for each composable pair (y, z) with r(y) = u it
+    compares (xy)z with x(yz) for every x with s(x) = u at once, in chunks of
+    at most n^2 triples, and reports the lexicographically first failing
+    triple.
     """
     mat = g.compose_matrix()
     src = g.src_index
@@ -287,44 +317,55 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
             pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id),
             product=g.arrows[zs[k]].id,
         )
-    for u in g.units:
-        e = g.arrow(g.unit_arrow[u])
-        if e.src != u or e.dst != u:
-            return CheckReport.failed("unit-arrow-endpoints", unit=u, arrow=e.id)
-    for a in g.arrows:
-        left = g.compose_ids(g.unit_arrow[a.dst], a.id)
-        if left != a.id:
-            return CheckReport.failed("unit-not-left-identity", arrow=a.id, got=left)
-        right = g.compose_ids(a.id, g.unit_arrow[a.src])
-        if right != a.id:
-            return CheckReport.failed("unit-not-right-identity", arrow=a.id, got=right)
-    for a in g.arrows:
-        b = g.arrow(g.invert[a.id])
-        if b.src != a.dst or b.dst != a.src:
-            return CheckReport.failed("inverse-endpoints", arrow=a.id, inverse=b.id)
-        if g.compose_ids(b.id, a.id) != g.unit_arrow[a.src]:
-            return CheckReport.failed("inverse-left", arrow=a.id, inverse=b.id)
-        if g.compose_ids(a.id, b.id) != g.unit_arrow[a.dst]:
-            return CheckReport.failed("inverse-right", arrow=a.id, inverse=b.id)
-        if g.invert[b.id] != a.id:
-            return CheckReport.failed("inverse-not-involutive", arrow=a.id)
-    for i in range(n):
-        row = mat[i]
-        ij_ok = row >= 0
-        if not ij_ok.any():
-            continue
-        j_idx = np.nonzero(ij_ok)[0]
-        lhs = mat[row[j_idx], :]
-        cjk = mat[j_idx, :]
-        mask = cjk >= 0
-        rhs = np.where(mask, row[np.clip(cjk, 0, None)], -1)
-        mismatch = mask & (lhs != rhs)
-        if mismatch.any():
-            a, b = np.argwhere(mismatch)[0]
-            return CheckReport.failed(
-                "associativity",
-                triple=(g.arrows[i].id, g.arrows[j_idx[a]].id, g.arrows[b].id),
-            )
+    unit_arrow = g.unit_arrow_index
+    units = np.arange(g.n_units)
+    bad = (src[unit_arrow] != units) | (dst[unit_arrow] != units)
+    if bad.any():
+        u = np.argmax(bad)
+        return CheckReport.failed("unit-arrow-endpoints", unit=g.units[u], arrow=g.arrows[unit_arrow[u]].id)
+    # compose is exact and the unit arrows sit at their units, so every
+    # product with a unit arrow is defined and ``got`` is an arrow
+    arrows = np.arange(n)
+    left = mat[unit_arrow[dst], arrows]
+    right = mat[arrows, unit_arrow[src]]
+    found = _first_violation(left != arrows, right != arrows)
+    if found:
+        k, i = found
+        cause, got = (("unit-not-left-identity", left), ("unit-not-right-identity", right))[k]
+        return CheckReport.failed(cause, arrow=g.arrows[i].id, got=g.arrows[got[i]].id)
+    inv = g.invert_index
+    found = _first_violation(
+        (src[inv] != dst) | (dst[inv] != src),
+        mat[inv, arrows] != unit_arrow[src],
+        mat[arrows, inv] != unit_arrow[dst],
+        inv[inv] != arrows,
+    )
+    if found:
+        k, i = found
+        if k == 3:
+            return CheckReport.failed("inverse-not-involutive", arrow=g.arrows[i].id)
+        cause = ("inverse-endpoints", "inverse-left", "inverse-right")[k]
+        return CheckReport.failed(cause, arrow=g.arrows[i].id, inverse=g.arrows[inv[i]].id)
+    # the composable pair (y, z) -> yz is (xs, ys, zs)[p], grouped by r(y);
+    # x runs over the arrows with s(x) = r(y), as a column in declared order
+    pairs = np.argsort(dst[xs], kind="stable")
+    pair_bounds = np.searchsorted(dst[xs][pairs], np.arange(g.n_units + 1))
+    by_src = np.argsort(src, kind="stable")
+    src_bounds = np.searchsorted(src[by_src], np.arange(g.n_units + 1))
+    witness = None
+    for u in range(g.n_units):
+        x = by_src[src_bounds[u] : src_bounds[u + 1], None]
+        at_u = pairs[pair_bounds[u] : pair_bounds[u + 1]]
+        step = n * n // len(x)
+        for lo in range(0, len(at_u), step):
+            p = at_u[lo : lo + step]
+            bad = mat[mat[x, xs[p]], ys[p]] != mat[x, zs[p]]
+            if bad.any():
+                i, k = np.argwhere(bad)[0]
+                first = (int(x[i, 0]), int(xs[p[k]]), int(ys[p[k]]))
+                witness = first if witness is None else min(witness, first)
+    if witness is not None:
+        return CheckReport.failed("associativity", triple=tuple(g.arrows[i].id for i in witness))
     return CheckReport.passed()
 
 
@@ -372,6 +413,12 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol:
     True iff for every arrow x and every indicator function f,
     sum over {y : r(y) = s(x)} of f(xy) w(y) equals
     sum over {y : r(y) = r(x)} of f(y) w(y).
+
+    For f the indicator of t this compares, per key (x, t), the sum of w(y)
+    over the composable pairs with xy = t against w(t) when r(t) = r(x) and
+    0 otherwise, within ``rel_tol * (1 + max w)``.  Only the keys that some
+    pair hits are formed; every (x, t) with r(t) = r(x) must be among them,
+    since an unhit one compares 0 with a positive weight.
     """
     for a in g.arrows:
         if a.id not in w:
@@ -382,11 +429,13 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol:
     n = g.n_arrows
     tol = rel_tol * (1.0 + float(vec.max()))
     xs, ys, zs = g.composable_pairs()
-    lhs = np.zeros((n, n))
-    np.add.at(lhs, (xs, zs), vec[ys])
+    keys, at = np.unique(xs * n + zs, return_inverse=True)
+    lhs = np.bincount(at, weights=vec[ys])
+    x, t = np.divmod(keys, n)
     dst = g.dst_index
-    rhs = np.where(dst[None, :] == dst[:, None], vec[None, :], 0.0)
-    return bool(np.abs(lhs - rhs).max() <= tol)
+    same = dst[x] == dst[t]
+    every_pair_hit = int(same.sum()) == int((np.bincount(dst) ** 2).sum())
+    return every_pair_hit and bool(np.abs(lhs - np.where(same, vec[t], 0.0)).max() <= tol)
 
 
 # -- constructors ----------------------------------------------------------

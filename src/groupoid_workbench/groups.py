@@ -17,6 +17,8 @@ import itertools
 import operator
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 
 def strict_int(value: Any) -> int:
     """An integer argument, checked rather than cast: ints and numpy integers
@@ -69,9 +71,12 @@ class DiscreteGroup:
 class FiniteGroup(DiscreteGroup):
     """Finite group given by a Cayley table over element indices 0..n-1.
 
-    The constructor checks the table axioms (closure, associativity, a
-    two-sided identity, two-sided inverses) and raises ``ValueError`` with a
-    witness on the first violation.
+    The constructor checks the table axioms (closure, a two-sided identity,
+    two-sided inverses, associativity, in that order) and raises
+    ``ValueError`` with a witness on the first violation.  The last three
+    are array comparisons on the table; associativity takes one row of the
+    first factor a at a time, so the witness (a, b, c) is the
+    lexicographically first failing triple.
     """
 
     def __init__(self, cayley: Sequence[Sequence[int]], *, name: str = "finite") -> None:
@@ -87,24 +92,23 @@ class FiniteGroup(DiscreteGroup):
                 if x < 0 or x >= n:
                     raise ValueError(f"Cayley entry {x} at row {i} out of range [0,{n - 1}].")
             table.append(row_int)
-        identity = None
-        for e in range(n):
-            if all(table[e][a] == a and table[a][e] == a for a in range(n)):
-                identity = e
-                break
-        if identity is None:
+        cayley_table = np.array(table, dtype=np.intp)
+        elements = np.arange(n)
+        is_identity = (cayley_table == elements).all(axis=1) & (cayley_table.T == elements).all(axis=1)
+        if not is_identity.any():
             raise ValueError("Cayley table has no two-sided identity.")
-        inverse: list[int] = []
-        for a in range(n):
-            inv = next((b for b in range(n) if table[a][b] == identity and table[b][a] == identity), None)
-            if inv is None:
-                raise ValueError(f"Element {a} has no two-sided inverse.")
-            inverse.append(inv)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if table[table[a][b]][c] != table[a][table[b][c]]:
-                        raise ValueError(f"Cayley table not associative at triple ({a},{b},{c}).")
+        identity = int(np.argmax(is_identity))
+        inverse_pairs = (cayley_table == identity) & (cayley_table.T == identity)
+        has_inverse = inverse_pairs.any(axis=1)
+        if not has_inverse.all():
+            raise ValueError(f"Element {int(np.argmin(has_inverse))} has no two-sided inverse.")
+        inverse = inverse_pairs.argmax(axis=1).tolist()
+        for a, row in enumerate(cayley_table):
+            # (ab)c against a(bc) for all b, c at once, b along rows
+            bad = cayley_table[row] != row[cayley_table]
+            if bad.any():
+                b, c = np.argwhere(bad)[0]
+                raise ValueError(f"Cayley table not associative at triple ({a},{b},{c}).")
         self.name = name
         self.order = n
         self.table = table

@@ -15,8 +15,9 @@ reports, not modelled).
 
 The blocks of units with the same number d = |G_u| of arrows are stacked
 into one (k, d, d) array.  The groupoid indexes these stacks once
-(``FiniteGroupoid.rep_tables``), :func:`rep_stacks` is the one place that
-evaluates the entry formula on them, and norms, positivity and spectra are
+(``FiniteGroupoid.rep_tables``), one helper evaluates the entry formula on
+them (whole stacks for :func:`rep_stacks`, one unit's row for
+:func:`regular_rep_matrix`), and norms, positivity and spectra are
 reductions over the stacks, one batched eigensolve per block size.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
@@ -45,16 +46,25 @@ def operator_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt(max(float(eigs[..., -1].max()), 0.0)))
 
 
+def _range_weights(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
+    """rho(r(x)) = rho(s(x^{-1})) for every arrow x of a's groupoid."""
+    g = a.groupoid
+    return haar.weights(g)[g.invert_index]
+
+
+def _rep_entries(a: GroupoidFunction, w: np.ndarray, arrows: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """The entry formula on rows of a ``rep_tables`` stack, with ``w`` from
+    :func:`_range_weights`: ``arrows`` (..., d) and ``products`` (..., d, d)
+    give blocks (..., d, d)."""
+    wx = w[arrows]
+    return a.coeffs[products] * np.sqrt(wx[..., :, None] * wx[..., None, :])
+
+
 def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
     """The regular representation of a as one (k, d, d) stack per block
     size, in the order of ``a.groupoid.rep_tables()``."""
-    g = a.groupoid
-    w = haar.weights(g)[g.invert_index]  # rho(r(x)) = rho(s(x^{-1}))
-    stacks = []
-    for _, arrows, products in g.rep_tables():
-        wx = w[arrows]
-        stacks.append(a.coeffs[products] * np.sqrt(wx[:, :, None] * wx[:, None, :]))
-    return stacks
+    w = _range_weights(a, haar)
+    return [_rep_entries(a, w, arrows, products) for _, arrows, products in a.groupoid.rep_tables()]
 
 
 def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
@@ -70,7 +80,10 @@ def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> np.ndar
     """Matrix of h -> a * h on the weighted L2 space at u, orthonormalized basis."""
     if not a.groupoid.has_unit(u):
         raise ValueError(f"Unknown unit {u!r}.")
-    return rep_blocks(a, haar)[u]
+    for units, arrows, products in a.groupoid.rep_tables():
+        if u in units:
+            k = units.index(u)
+            return _rep_entries(a, _range_weights(a, haar), arrows[k], products[k])
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:

@@ -71,6 +71,17 @@ class TestParse:
         with pytest.raises(DocumentError, match="re, im"):
             document_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "text", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]", "[1" + "0" * 400 + ", 0]"],
+        ids=["nan", "plus-inf", "minus-inf", "int-past-float-range"],
+    )
+    def test_non_finite_coefficients_rejected(self, text):
+        # json.loads reads NaN and Infinity; accepted, they made cstar_norm nan
+        raw = json.dumps(minimal_pair_doc()).replace("[2.0, 0.5]", text)
+        with pytest.raises(DocumentError, match="finite") as err:
+            parse_document(raw)
+        assert err.value.path == "functions.f.(1,2)"
+
     def test_finite_group_backend(self):
         raw = minimal_pair_doc()
         raw["group"] = {"finite": {"cayley": [[0, 1], [1, 0]]}}

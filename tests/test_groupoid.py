@@ -8,6 +8,7 @@ pair groupoid).
 import numpy as np
 import pytest
 
+from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.groupoid import (
     FiniteGroupoid,
     action_groupoid,
@@ -22,6 +23,20 @@ from groupoid_workbench.groupoid import (
     validate_left_invariance,
 )
 from groupoid_workbench.groups import cyclic_group
+
+
+def dense_left_invariance(g: FiniteGroupoid, w, rel_tol: float = 1e-12) -> bool:
+    """The invariance identity as two dense (n, n) tables indexed by (x, t):
+    sum of w(y) over xy = t, against w(t) where r(t) = r(x) and 0 elsewhere."""
+    vec = np.array([float(w[a.id]) for a in g.arrows])
+    n = g.n_arrows
+    tol = rel_tol * (1.0 + float(vec.max()))
+    xs, ys, zs = g.composable_pairs()
+    lhs = np.zeros((n, n))
+    np.add.at(lhs, (xs, zs), vec[ys])
+    dst = g.dst_index
+    rhs = np.where(dst[None, :] == dst[:, None], vec[None, :], 0.0)
+    return bool(np.abs(lhs - rhs).max() <= tol)
 
 
 def redirect_compose(g: FiniteGroupoid, pair: tuple[str, str], target: str) -> FiniteGroupoid:
@@ -125,6 +140,37 @@ class TestHaar:
                 continue  # unit-arrow weight defines rho(s); perturbing it moves rho itself
             w[victim.id] = w[victim.id] * 1.7 + 0.3
             assert not validate_left_invariance(g, w)
+
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda doc: doc.name)
+    def test_matches_dense_tables_on_corpus_perturbations(self, doc):
+        g = doc.groupoid
+        rng = np.random.default_rng([8, g.n_arrows, g.n_units])
+        base = {a.id: doc.system.haar.weight(g, a.id) for a in g.arrows}
+        verdicts = []
+        for k in range(30):
+            w = dict(base)
+            if k % 3 == 0:  # move rho at one unit consistently: stays invariant
+                u = g.units[int(rng.integers(g.n_units))]
+                factor = float(rng.uniform(0.5, 2.0))
+                w.update({aid: w[aid] * factor for aid in g.arrows_with_src(u)})
+            else:  # scale one arrow, by a relative step from 1e-14 to 1
+                victim = g.arrows[int(rng.integers(g.n_arrows))].id
+                w[victim] *= 1.0 + float(10.0 ** rng.uniform(-14, 0))
+            verdict = validate_left_invariance(g, w)
+            assert verdict == dense_left_invariance(g, w)
+            verdicts.append(verdict)
+        assert set(verdicts) == {True, False}
+
+    def test_skipped_pair_fails(self):
+        # dropping the compose entry (1,2)(2,2) leaves (x, t) = ((1,2), (1,2))
+        # unhit: lhs 0 against w((1,2)) > 0 in the dense table
+        g = pair_groupoid(2)
+        compose = dict(g.compose)
+        del compose[("(1,2)", "(2,2)")]
+        broken = FiniteGroupoid(g.units, g.arrows, compose, dict(g.invert), dict(g.unit_arrow))
+        w = {a.id: 1.0 for a in g.arrows}
+        assert not dense_left_invariance(broken, w)
+        assert not validate_left_invariance(broken, w)
 
 
 class TestConstructors:

@@ -140,6 +140,17 @@ class TestStacksAgainstPerUnitBlocks:
                     blocks = [per_unit_block(f, sys.haar, u) for u in g.units]
                     assert positivity_check(f, sys.haar) == per_block_positive(blocks)
 
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda d: d.name)
+    def test_regular_rep_matrix_is_its_stacked_block(self, doc):
+        # regular_rep_matrix evaluates only u's row of its stack, with the
+        # arithmetic of rep_stacks, so the two agree bit for bit
+        sys = doc.system
+        for g in (sys.groupoid, sys.identity_fiber):
+            for a in rng_functions(g, seed=19, count=2):
+                blocks = rep_blocks(a, sys.haar)
+                for u in g.units:
+                    assert np.array_equal(regular_rep_matrix(a, sys.haar, u), blocks[u])
+
     def test_union_of_groups_has_two_stacks(self):
         doc = next(d for d in builtin_corpus(seed=0) if d.name == "union-z2-z3-counting")
         assert doc.system.groupoid._rep_tables is None  # parsing and validation do not build the index
