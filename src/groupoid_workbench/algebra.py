@@ -13,6 +13,14 @@ needed at this scale.
 Grading-aware operations: extension by zero from the identity-fiber
 subgroupoid (an injective *-homomorphism), restriction back to it, and the
 fiberwise components a_gamma = a restricted to c^{-1}(gamma).
+
+Every operation is a kernel on a stack of T functions, a (T, n) coefficient
+array (the ``*_stack`` functions); the operations on one
+:class:`GroupoidFunction` call the same kernels with T = 1.  Kernels whose
+temporaries outgrow the coefficients evaluate the trial axis in chunks of at
+most :data:`TRIAL_CHUNK_ENTRIES` entries.  Each trial is evaluated exactly
+as it would be alone, so a stack gives bit for bit the values of T separate
+calls.
 """
 
 from __future__ import annotations
@@ -28,17 +36,19 @@ from .groupoid import FiniteGroupoid, HaarSystem
 
 @dataclass(frozen=True, eq=False)
 class GroupoidFunction:
-    """Element of the convolution algebra: one complex coefficient per arrow."""
+    """Element of the convolution algebra: one complex coefficient per arrow,
+    held as a read-only copy."""
 
     groupoid: FiniteGroupoid
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
+        arr = np.array(self.coeffs, dtype=np.complex128)  # a copy, never the caller's array
         if arr.shape != (self.groupoid.n_arrows,):
             raise ValueError(
                 f"Coefficient vector has shape {arr.shape}, expected ({self.groupoid.n_arrows},)."
             )
+        arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
     def value(self, aid: str) -> complex:
@@ -97,58 +107,122 @@ def unit_function(g: FiniteGroupoid, haar: HaarSystem) -> GroupoidFunction:
     return GroupoidFunction(g, coeffs)
 
 
+def random_stacks(rng: np.random.Generator, count: int, *groupoids: FiniteGroupoid) -> list[np.ndarray]:
+    """``count`` trials, each drawing :func:`random_function` on every
+    groupoid in turn, as one (count, n) stack per groupoid.  The trials are
+    drawn as one uniform block, which follows the generator's stream exactly
+    as the sequential draws would."""
+    block = rng.uniform(-1.0, 1.0, (count, 2 * sum(g.n_arrows for g in groupoids)))
+    stacks = []
+    lo = 0
+    for g in groupoids:
+        n = g.n_arrows
+        stacks.append(block[:, lo : lo + n] + 1j * block[:, lo + n : lo + 2 * n])
+        lo += 2 * n
+    return stacks
+
+
 def random_function(g: FiniteGroupoid, rng: np.random.Generator) -> GroupoidFunction:
     """Seeded random element: real then imaginary parts uniform in [-1, 1]."""
-    re = rng.uniform(-1.0, 1.0, g.n_arrows)
-    im = rng.uniform(-1.0, 1.0, g.n_arrows)
-    return GroupoidFunction(g, re + 1j * im)
+    return GroupoidFunction(g, random_stacks(rng, 1, g)[0][0])
+
+
+TRIAL_CHUNK_ENTRIES = 1 << 18
+"""Most entries a kernel's temporaries hold for one chunk of a trial stack."""
+
+
+def trial_chunks(count: int, per_trial: int) -> list[slice]:
+    """Slices of a trial axis of length ``count``, each covering at most
+    ``TRIAL_CHUNK_ENTRIES // per_trial`` trials (at least one)."""
+    step = max(1, TRIAL_CHUNK_ENTRIES // max(1, per_trial))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _trial_bins(index: np.ndarray, width: int, trials: int) -> np.ndarray:
+    """``index`` shifted to the bins of each of ``trials`` rows of ``width``
+    bins, flattened row by row."""
+    if trials == 1:
+        return index
+    return (index + width * np.arange(trials)[:, None]).ravel()
+
+
+def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSystem) -> np.ndarray:
+    """a * b trial by trial for (T, n) stacks (a stack with T = 1 broadcasts).
+
+    Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial by
+    ``bincount``, real and imaginary parts apart, in composable-pair order."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    ys, ts, zs = g.composable_pairs()
+    w = haar.weights(g)[ys]
+    n = g.n_arrows
+    out = np.empty(a.shape, dtype=np.complex128)
+    for s in trial_chunks(len(a), len(zs)):
+        terms = a[s][:, ys] * b[s][:, ts] * w
+        bins = _trial_bins(zs, n, len(terms))
+        out.real[s] = np.bincount(bins, terms.real.ravel(), len(terms) * n).reshape(-1, n)
+        out.imag[s] = np.bincount(bins, terms.imag.ravel(), len(terms) * n).reshape(-1, n)
+    return out
 
 
 def convolve(a: GroupoidFunction, b: GroupoidFunction, haar: HaarSystem) -> GroupoidFunction:
     """(a * b)(x) = sum over {y : r(y) = r(x)} of a(y) b(y^{-1}x) w(y)."""
     _same_groupoid(a, b)
-    g = a.groupoid
-    ys, ts, zs = g.composable_pairs()
-    w = haar.weights(g)
-    out = np.zeros(g.n_arrows, dtype=np.complex128)
-    np.add.at(out, zs, a.coeffs[ys] * b.coeffs[ts] * w[ys])
-    return GroupoidFunction(g, out)
+    return GroupoidFunction(a.groupoid, convolve_stack(a.groupoid, a.coeffs[None], b.coeffs[None], haar)[0])
+
+
+def involute_stack(g: FiniteGroupoid, a: np.ndarray) -> np.ndarray:
+    return np.conj(a[:, g.invert_index])
 
 
 def involute(a: GroupoidFunction) -> GroupoidFunction:
     """a^*(x) = conj(a(x^{-1}))."""
-    return GroupoidFunction(a.groupoid, np.conj(a.coeffs[a.groupoid.invert_index]))
+    return GroupoidFunction(a.groupoid, involute_stack(a.groupoid, a.coeffs[None])[0])
+
+
+def i_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
+    """The I-norm of every trial of a (T, n) stack."""
+    w = haar.weights(g)
+    mags = np.abs(a)
+    bins = _trial_bins(g.dst_index, g.n_units, len(a))
+    size = len(a) * g.n_units
+    direct = np.bincount(bins, (mags * w).ravel(), size).reshape(-1, g.n_units)
+    inverted = np.bincount(bins, (mags[:, g.invert_index] * w).ravel(), size).reshape(-1, g.n_units)
+    return np.maximum(direct.max(axis=1), inverted.max(axis=1))
 
 
 def i_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     """max over units of the larger of the two weighted fiber sums of |a|."""
-    g = a.groupoid
-    w = haar.weights(g)
-    mags = np.abs(a.coeffs)
-    direct = np.bincount(g.dst_index, weights=mags * w, minlength=g.n_units)
-    inverted = np.bincount(g.dst_index, weights=mags[g.invert_index] * w, minlength=g.n_units)
-    return float(max(direct.max(), inverted.max()))
+    return float(i_norm_stack(a.groupoid, a.coeffs[None], haar)[0])
+
+
+def include_stack(sub: FiniteGroupoid, a: np.ndarray, parent: FiniteGroupoid) -> np.ndarray:
+    """Extension by zero of a (T, n_sub) stack on a subgroupoid of ``parent``."""
+    out = np.zeros((len(a), parent.n_arrows), dtype=np.complex128)
+    out[:, sub.embedding(parent)] = a
+    return out
 
 
 def include_i(f: GroupoidFunction, parent: FiniteGroupoid) -> GroupoidFunction:
     """Extension by zero from a subgroupoid whose arrow ids live in ``parent``."""
-    coeffs = np.zeros(parent.n_arrows, dtype=np.complex128)
-    for a, v in zip(f.groupoid.arrows, f.coeffs):
-        if not parent.has_arrow(a.id):
-            raise ValueError(f"Arrow {a.id!r} of the subalgebra is not an arrow of the ambient groupoid.")
-        coeffs[parent.index(a.id)] = v
-    return GroupoidFunction(parent, coeffs)
+    return GroupoidFunction(parent, include_stack(f.groupoid, f.coeffs[None], parent)[0])
+
+
+def restrict_stack(g: FiniteGroupoid, a: np.ndarray, sub: FiniteGroupoid) -> np.ndarray:
+    """The coefficients of a (T, n) stack on the arrows of a subgroupoid."""
+    return a[:, sub.embedding(g)]
 
 
 def restrict_q(a: GroupoidFunction, sub: FiniteGroupoid) -> GroupoidFunction:
     """Coefficients restricted to the arrows of a subgroupoid (shared ids)."""
-    g = a.groupoid
-    coeffs = np.zeros(sub.n_arrows, dtype=np.complex128)
-    for i, arrow in enumerate(sub.arrows):
-        if not g.has_arrow(arrow.id):
-            raise ValueError(f"Subgroupoid arrow {arrow.id!r} is not an arrow of the ambient groupoid.")
-        coeffs[i] = a.coeffs[g.index(arrow.id)]
-    return GroupoidFunction(sub, coeffs)
+    return GroupoidFunction(sub, restrict_stack(a.groupoid, a.coeffs[None], sub)[0])
+
+
+def graded_component_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
+    """The fiber components of a (T, n) stack as an (n_fibers, T, n) array,
+    fibers in ``sys.fiber_keys`` order."""
+    fibers = np.arange(len(sys.fiber_keys))[:, None, None]
+    return np.where(sys.fiber_index == fibers, a, 0.0)
 
 
 def graded_component(sys: GradedGroupoid, a: GroupoidFunction, gamma: Any) -> GroupoidFunction:
@@ -158,7 +232,8 @@ def graded_component(sys: GradedGroupoid, a: GroupoidFunction, gamma: Any) -> Gr
 
 def graded_components(sys: GradedGroupoid, a: GroupoidFunction) -> dict[str, GroupoidFunction]:
     """Nonzero-support fiber components keyed by element key (sorted by the group order)."""
+    parts = graded_component_stack(sys, a.coeffs[None])
     return {
-        sys.fiber_keys[k]: GroupoidFunction(a.groupoid, np.where(sys.fiber_index == k, a.coeffs, 0.0))
+        sys.fiber_keys[k]: GroupoidFunction(a.groupoid, parts[k, 0])
         for k in np.unique(sys.fiber_index[a.coeffs != 0])
     }

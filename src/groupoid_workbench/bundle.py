@@ -21,18 +21,17 @@ from typing import Mapping
 import numpy as np
 
 from .algebra import (
-    GroupoidFunction,
-    convolve,
+    convolve_stack,
     delta,
-    graded_component,
-    i_norm,
-    involute,
-    random_function,
+    graded_component_stack,
+    i_norm_stack,
+    involute_stack,
+    random_stacks,
     unit_function,
 )
 from .grading import GradedGroupoid
-from .hilbert_module import expectation_P
-from .representation import cstar_norm, operator_norm, rep_blocks
+from .hilbert_module import expectation_stack
+from .representation import cstar_norm_stack, operator_norm, operator_norms, rep_blocks
 from .validation import CheckReport
 
 
@@ -81,19 +80,23 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     bad = np.flatnonzero(fiber[g.invert_index] != inverse[fiber])
     if len(bad):
         return CheckReport.failed("basis-adjoint-off-fiber", arrow=g.arrows[bad[0]].id)
+    # per fiber beta: a random pair (a, b) for every fiber gamma, then one
+    # more function for the adjoint, drawn in that order
     rng = np.random.default_rng(seed)
-    for beta_key, beta in zip(sys.fiber_keys, elements):
-        for gamma_key, gamma in zip(sys.fiber_keys, elements):
-            a = graded_component(sys, random_function(g, rng), beta)
-            b = graded_component(sys, random_function(g, rng), gamma)
-            prod = convolve(a, b, sys.haar)
-            off = np.flatnonzero((prod.coeffs != 0) & ~sys.fiber_mask(grp.mul(beta, gamma)))
-            if len(off):
-                return CheckReport.failed(
-                    "random-product-off-fiber", fibers=(beta_key, gamma_key), arrow=g.arrows[off[0]].id
-                )
-        adj = involute(graded_component(sys, random_function(g, rng), beta))
-        off = np.flatnonzero((adj.coeffs != 0) & ~sys.fiber_mask(grp.inv(beta)))
+    masks = fiber == np.arange(len(elements))[:, None]
+    for beta, beta_key in enumerate(sys.fiber_keys):
+        (draws,) = random_stacks(rng, 2 * len(elements) + 1, g)
+        a = np.where(masks[beta], draws[0:-1:2], 0.0)
+        b = np.where(masks, draws[1:-1:2], 0.0)
+        prod = convolve_stack(g, a, b, sys.haar)
+        off = np.argwhere((prod != 0) & (fiber != product[beta][:, None]))
+        if len(off):
+            gamma, arrow = off[0]
+            return CheckReport.failed(
+                "random-product-off-fiber", fibers=(beta_key, sys.fiber_keys[gamma]), arrow=g.arrows[arrow].id
+            )
+        adj = involute_stack(g, np.where(masks[beta], draws[-1:], 0.0))[0]
+        off = np.flatnonzero((adj != 0) & (fiber != inverse[beta]))
         if len(off):
             return CheckReport.failed("random-adjoint-off-fiber", fiber=beta_key, arrow=g.arrows[off[0]].id)
     total = sum(family.dimension(key) for key in family.keys)
@@ -114,25 +117,19 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
     random elements, witnessed in the report)."""
     sys = family.system
     g = sys.groupoid
-    identity_key = sys.group.element_key(sys.group.identity)
-    e = unit_function(g, sys.haar)
-    image = expectation_P(sys, e)
-    if float(np.abs(image.coeffs - e.coeffs).max()) != 0.0:
+    e = unit_function(g, sys.haar).coeffs
+    if float(np.abs(expectation_stack(sys, e[None]) - e).max()) != 0.0:
         return CheckReport.failed("projection-moves-unit")
+    deltas = np.eye(g.n_arrows, dtype=np.complex128)
+    moved = np.abs(expectation_stack(sys, deltas) - np.where(sys.identity_mask[:, None], deltas, 0.0)).max(axis=1)
     for key, ids in family.bases.items():
         for aid in ids:
-            image = expectation_P(sys, delta(g, aid))
-            expected = delta(g, aid).coeffs if key == identity_key else 0.0
-            if float(np.abs(image.coeffs - expected).max()) != 0.0:
+            if moved[g.index(aid)] != 0.0:
                 return CheckReport.failed("projection-wrong-on-basis", fiber=key, arrow=aid)
-    rng = np.random.default_rng(seed)
-    sup_ratio = 0.0
-    for _ in range(count):
-        a = random_function(g, rng)
-        denom = cstar_norm(a, sys.haar)
-        if denom == 0.0:
-            continue
-        sup_ratio = max(sup_ratio, cstar_norm(expectation_P(sys, a), sys.haar) / denom)
+    (a,) = random_stacks(np.random.default_rng(seed), count, g)
+    denom = cstar_norm_stack(g, a, sys.haar)
+    numer = cstar_norm_stack(g, expectation_stack(sys, a), sys.haar)
+    sup_ratio = max([0.0, *(numer[denom != 0.0] / denom[denom != 0.0]).tolist()])
     if sup_ratio > 1.0 + 1e-9:
         return CheckReport.failed("projection-not-contractive", sup_ratio=sup_ratio)
     return CheckReport(ok=True, witness={"sup_ratio": sup_ratio, "samples": count})
@@ -160,11 +157,12 @@ def tautological_rep(sys: GradedGroupoid) -> dict[str, dict[str, np.ndarray]]:
     return rep
 
 
-def _rep_apply(sys: GradedGroupoid, rep: FiberRep, a: GroupoidFunction, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=np.complex128)
+def _rep_apply(sys: GradedGroupoid, rep: FiberRep, a: np.ndarray, dim: int) -> np.ndarray:
+    """The summed representation of every trial of a (T, n) stack."""
+    out = np.zeros((len(a), dim, dim), dtype=np.complex128)
     arrows = sys.groupoid.arrows
-    for i in np.flatnonzero(a.coeffs):
-        out += a.coeffs[i] * rep[sys.fiber_keys[sys.fiber_index[i]]][arrows[i].id]
+    for i in np.flatnonzero(a.any(axis=0)):
+        out += a[:, i, None, None] * rep[sys.fiber_keys[sys.fiber_index[i]]][arrows[i].id]
     return out
 
 
@@ -212,22 +210,26 @@ def bundle_rep_check(
         defect = float(np.abs(lookup[x].conj().T - lookup[g.invert_id(x)]).max())
         if defect > tol * norm_scale:
             return CheckReport.failed("rep-not-star-on-basis", arrow=x, defect=defect)
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        a = random_function(g, rng)
-        b = random_function(g, rng)
-        pa = _rep_apply(sys, rep, a, dim)
-        pb = _rep_apply(sys, rep, b, dim)
-        pab = _rep_apply(sys, rep, convolve(a, b, haar), dim)
-        if float(np.abs(pa @ pb - pab).max()) > tol * norm_scale**2 * g.n_arrows:
-            return CheckReport.failed("rep-not-multiplicative", defect=float(np.abs(pa @ pb - pab).max()))
-        pastar = _rep_apply(sys, rep, involute(a), dim)
-        if float(np.abs(pa.conj().T - pastar).max()) > tol * norm_scale * g.n_arrows:
+    a, b = random_stacks(np.random.default_rng(seed), count, g, g)
+    pa = _rep_apply(sys, rep, a, dim)
+    mult = np.abs(pa @ _rep_apply(sys, rep, b, dim) - _rep_apply(sys, rep, convolve_stack(g, a, b, haar), dim))
+    mult = mult.max(axis=(1, 2), initial=0.0)
+    star = np.abs(pa.conj().swapaxes(1, 2) - _rep_apply(sys, rep, involute_stack(g, a), dim)).max(axis=(1, 2), initial=0.0)
+    parts = graded_component_stack(sys, a)
+    bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
+    norms = np.array([operator_norms(_rep_apply(sys, rep, part, dim)) for part in parts])
+    # per trial, in order: multiplicativity, adjoints, the norm of each fiber
+    failed = np.column_stack(
+        [mult > tol * norm_scale**2 * g.n_arrows, star > tol * norm_scale * g.n_arrows, (norms > bounds * (1.0 + 1e-9)).T]
+    )
+    if failed.any():
+        trial, check = np.argwhere(failed)[0]
+        if check == 0:
+            return CheckReport.failed("rep-not-multiplicative", defect=float(mult[trial]))
+        if check == 1:
             return CheckReport.failed("rep-not-star")
-        for key, gamma in zip(sys.fiber_keys, sys.fiber_elements):
-            part = graded_component(sys, a, gamma)
-            bound = i_norm(part, haar)
-            got = operator_norm(_rep_apply(sys, rep, part, dim))
-            if got > bound * (1.0 + 1e-9):
-                return CheckReport.failed("fiber-norm-exceeds-i-norm", fiber=key, norm=got, bound=bound)
+        k = check - 2
+        return CheckReport.failed(
+            "fiber-norm-exceeds-i-norm", fiber=sys.fiber_keys[k], norm=float(norms[k, trial]), bound=float(bounds[k, trial])
+        )
     return CheckReport(ok=True, witness={"dimension": dim, "samples": count})

@@ -13,7 +13,7 @@ parse-time validation by construction.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -21,7 +21,11 @@ from .document import WorkbenchDocument, build_group, build_groupoid, document_f
 from .groupoid import FiniteGroupoid
 from .groups import DiscreteGroup, permutation_parity, permutations_of
 
-LabelFn = Callable[[FiniteGroupoid, str], Any]
+if TYPE_CHECKING:
+    # only annotations name it; subscripting at import would put this
+    # import's FiniteGroupoid into typing's cache and keep the module alive
+    # after the package is imported again
+    LabelFn = Callable[[FiniteGroupoid, str], Any]
 
 
 def _pair_difference(g: FiniteGroupoid, aid: str) -> Any:

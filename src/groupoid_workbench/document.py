@@ -22,7 +22,6 @@ positivity, and the cocycle identities, with the JSON path in every error.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -202,22 +201,27 @@ def build_group(spec: Mapping[str, Any], path: str = "group") -> DiscreteGroup:
     raise DocumentError(path, "expected exactly one of {'finite': ...} or {'free_abelian': ...}")
 
 
-def _parse_complex(value: Any, path: str) -> complex:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        raise DocumentError(path, f"complex values are [re, im] pairs, got {value!r}")
-    # json.loads accepts NaN and Infinity, and an integer past the float range
-    # overflows; either would reach the norms as NaN
+def _finite_float(value: Any, path: str, what: str) -> float:
+    """A JSON number as a finite float.  json.loads accepts NaN and Infinity,
+    and an integer past the float range overflows; either would reach the
+    norms as NaN, so both are rejected at ``path``."""
     try:
-        z = complex(float(value[0]), float(value[1]))
+        x = float(value)
     except OverflowError:
-        z = complex(math.inf)
-    if not cmath.isfinite(z):
-        raise DocumentError(path, f"complex values must be finite, got {value!r}")
-    return z
+        x = math.inf
+    if not math.isfinite(x):
+        raise DocumentError(path, f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_complex(value: Any, path: str) -> complex:
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(_is_number(x) for x in value):
+        raise DocumentError(path, f"complex values are [re, im] pairs, got {value!r}")
+    return complex(*(_finite_float(x, path, "complex values") for x in value))
 
 
 def parse_document(text: str) -> WorkbenchDocument:
@@ -244,11 +248,13 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
 
     haar_spec = _as_object(_require(top, "haar", "$"), "haar")
     rho = _as_object(_require(haar_spec, "rho", "haar"), "haar.rho")
+    weights = {}
     for key, value in rho.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise DocumentError(f"haar.rho.{key}", f"weights are numbers, got {value!r}")
+        weights[str(key)] = _finite_float(value, f"haar.rho.{key}", "weights")
     try:
-        haar = haar_from_weights(g, {str(k): float(v) for k, v in rho.items()})
+        haar = haar_from_weights(g, weights)
     except ValueError as exc:
         raise DocumentError("haar.rho", str(exc)) from exc
     if not validate_left_invariance(g, {aid: haar.weight(g, aid) for aid in g.arrow_ids}):

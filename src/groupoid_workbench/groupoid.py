@@ -23,7 +23,8 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -95,9 +96,9 @@ class FiniteGroupoid:
         missing_units = [u for u in units if u not in unit_arrow]
         if missing_units:
             raise ValueError(f"Unit-arrow table missing units {missing_units[:3]}.")
-        self.compose = dict(compose)
-        self.invert = dict(invert)
-        self.unit_arrow = dict(unit_arrow)
+        self.compose = MappingProxyType(dict(compose))
+        self.invert = MappingProxyType(dict(invert))
+        self.unit_arrow = MappingProxyType(dict(unit_arrow))
         self._unit_index = {u: i for i, u in enumerate(units)}
         by_src: dict[str, list[str]] = {u: [] for u in units}
         by_dst: dict[str, list[str]] = {u: [] for u in units}
@@ -108,11 +109,12 @@ class FiniteGroupoid:
         self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
         self._compose_matrix: np.ndarray | None = None
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._src_index = np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp)
-        self._dst_index = np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp)
-        self._unit_arrow_index = np.array([self._index[self.unit_arrow[u]] for u in units], dtype=np.intp)
+        self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
+        self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
+        self._unit_arrow_index = _read_only(np.array([self._index[self.unit_arrow[u]] for u in units], dtype=np.intp))
         self._invert_index: np.ndarray | None = None
         self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
+        self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -184,8 +186,8 @@ class FiniteGroupoid:
     @property
     def invert_index(self) -> np.ndarray:
         if self._invert_index is None:
-            self._invert_index = np.array(
-                [self._index[self.invert[a.id]] for a in self.arrows], dtype=np.intp
+            self._invert_index = _read_only(
+                np.array([self._index[self.invert[a.id]] for a in self.arrows], dtype=np.intp)
             )
         return self._invert_index
 
@@ -196,7 +198,7 @@ class FiniteGroupoid:
             mat = np.full((n, n), -1, dtype=np.intp)
             for (x, y), z in self.compose.items():
                 mat[self._index[x], self._index[y]] = self._index[z]
-            self._compose_matrix = mat
+            self._compose_matrix = _read_only(mat)
         return self._compose_matrix
 
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,8 +206,21 @@ class FiniteGroupoid:
         if self._pair_table is None:
             mat = self.compose_matrix()
             xs, ys = np.nonzero(mat >= 0)
-            self._pair_table = (xs, ys, mat[xs, ys])
+            self._pair_table = (_read_only(xs), _read_only(ys), _read_only(mat[xs, ys]))
         return self._pair_table
+
+    def embedding(self, parent: "FiniteGroupoid") -> np.ndarray:
+        """The index in ``parent`` of every arrow of this groupoid (declared
+        order), matched by arrow id; read-only, built once per parent.
+        Subgroupoids made by :meth:`restricted_to` get it at construction."""
+        cached = self._embeddings.get(id(parent))
+        if cached is None:
+            for a in self.arrows:
+                if not parent.has_arrow(a.id):
+                    raise ValueError(f"Arrow {a.id!r} of the subgroupoid is not an arrow of the ambient groupoid.")
+            index = _read_only(np.array([parent.index(a.id) for a in self.arrows], dtype=np.intp))
+            cached = self._embeddings.setdefault(id(parent), (parent, index))
+        return cached[1]
 
     def rep_tables(self) -> tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...]:
         """Index of the regular representation, one entry per block size d,
@@ -249,7 +264,8 @@ class FiniteGroupoid:
         for aid in keep:
             if self.invert[aid] not in keep:
                 raise ValueError(f"Restriction not closed under inversion at {aid!r}.")
-        sub_arrows = [a for a in self.arrows if a.id in keep]
+        kept = [i for i, a in enumerate(self.arrows) if a.id in keep]
+        sub_arrows = [self.arrows[i] for i in kept]
         sub_compose = {}
         for (x, y), z in self.compose.items():
             if x in keep and y in keep:
@@ -257,10 +273,17 @@ class FiniteGroupoid:
                     raise ValueError(f"Restriction not closed under composition at ({x!r},{y!r}).")
                 sub_compose[(x, y)] = z
         sub_invert = {aid: self.invert[aid] for aid in keep}
-        return FiniteGroupoid(self.units, sub_arrows, sub_compose, sub_invert, dict(self.unit_arrow))
+        sub = FiniteGroupoid(self.units, sub_arrows, sub_compose, sub_invert, self.unit_arrow)
+        sub._embeddings[id(self)] = (self, _read_only(np.array(kept, dtype=np.intp)))
+        return sub
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _first_violation(*masks: np.ndarray) -> tuple[int, int] | None:
@@ -371,9 +394,16 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
 
 @dataclass(frozen=True, eq=False)
 class HaarSystem:
-    """Per-unit positive weights; arrow y gets measure w(y) = rho(s(y))."""
+    """Per-unit positive weights; arrow y gets measure w(y) = rho(s(y)).
+
+    ``rho`` is held as a read-only copy of the mapping passed in, so the
+    weight arrays cached per groupoid cannot go stale."""
 
     rho: Mapping[str, float]
+    _weights: dict[int, tuple[FiniteGroupoid, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rho", MappingProxyType(dict(self.rho)))
 
     def unit_weight(self, u: str) -> float:
         return self.rho[u]
@@ -382,9 +412,13 @@ class HaarSystem:
         return self.rho[g.source(aid)]
 
     def weights(self, g: FiniteGroupoid) -> np.ndarray:
-        """w(y) = rho(s(y)) in declared arrow order."""
-        per_unit = np.array([self.rho[u] for u in g.units], dtype=float)
-        return per_unit[g.src_index]
+        """w(y) = rho(s(y)) in declared arrow order; read-only, computed
+        once per groupoid."""
+        cached = self._weights.get(id(g))
+        if cached is None:
+            per_unit = np.array([self.rho[u] for u in g.units], dtype=float)
+            cached = self._weights.setdefault(id(g), (g, _read_only(per_unit[g.src_index])))
+        return cached[1]
 
 
 def haar_from_weights(g: FiniteGroupoid, rho: Mapping[str, float]) -> HaarSystem:
@@ -412,30 +446,38 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol:
 
     True iff for every arrow x and every indicator function f,
     sum over {y : r(y) = s(x)} of f(xy) w(y) equals
-    sum over {y : r(y) = r(x)} of f(y) w(y).
-
-    For f the indicator of t this compares, per key (x, t), the sum of w(y)
-    over the composable pairs with xy = t against w(t) when r(t) = r(x) and
-    0 otherwise, within ``rel_tol * (1 + max w)``.  Only the keys that some
-    pair hits are formed; every (x, t) with r(t) = r(x) must be among them,
-    since an unhit one compares 0 with a positive weight.
+    sum over {y : r(y) = r(x)} of f(y) w(y).  See :func:`left_invariance_stack`.
     """
     for a in g.arrows:
         if a.id not in w:
             raise ValueError(f"Weight table missing arrow {a.id!r}.")
         if not float(w[a.id]) > 0.0:
             raise ValueError(f"Weight table must be positive; got {w[a.id]!r} at {a.id!r}.")
-    vec = np.array([float(w[a.id]) for a in g.arrows])
+    vec = np.array([[float(w[a.id]) for a in g.arrows]])
+    return bool(left_invariance_stack(g, vec, rel_tol)[0])
+
+
+def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+    """The verdict of :func:`validate_left_invariance` for every row of a
+    (T, n) stack of positive arrow-weight tables.
+
+    For f the indicator of t the identity compares, per key (x, t), the sum
+    of w(y) over the composable pairs with xy = t against w(t) when
+    r(t) = r(x) and 0 otherwise, within ``rel_tol * (1 + max w)``.  Only the
+    keys that some pair hits are formed; every (x, t) with r(t) = r(x) must
+    be among them, since an unhit one compares 0 with a positive weight.
+    """
     n = g.n_arrows
-    tol = rel_tol * (1.0 + float(vec.max()))
+    tol = rel_tol * (1.0 + w.max(axis=1))
     xs, ys, zs = g.composable_pairs()
     keys, at = np.unique(xs * n + zs, return_inverse=True)
-    lhs = np.bincount(at, weights=vec[ys])
+    bins = (at + len(keys) * np.arange(len(w))[:, None]).ravel()
+    lhs = np.bincount(bins, w[:, ys].ravel(), len(w) * len(keys)).reshape(len(w), len(keys))
     x, t = np.divmod(keys, n)
     dst = g.dst_index
     same = dst[x] == dst[t]
     every_pair_hit = int(same.sum()) == int((np.bincount(dst) ** 2).sum())
-    return every_pair_hit and bool(np.abs(lhs - np.where(same, vec[t], 0.0)).max() <= tol)
+    return every_pair_hit & (np.abs(lhs - np.where(same, w[:, t], 0.0)).max(axis=1) <= tol)
 
 
 # -- constructors ----------------------------------------------------------

@@ -25,6 +25,12 @@ against the independently computed C*-norm.
 The conditional expectation P = include after restrict projects onto the
 identity-fiber subalgebra; the fiberwise identity linking it to the module
 structure and the kernel characterization of L both live here.
+
+Every operation also takes a (T, n) stack of trials (the ``*_stack``
+functions, ``InducedSpace.operator_norms``, :func:`kernel_norms`), and the
+one-function forms call them with T = 1.  The induced operator takes its
+trials in chunks, so that its (t, n, n) left-convolution matrices stay
+within ``algebra.TRIAL_CHUNK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -37,38 +43,65 @@ import numpy as np
 
 from .algebra import (
     GroupoidFunction,
-    convolve,
-    include_i,
-    involute,
-    restrict_q,
+    convolve_stack,
+    include_stack,
+    involute_stack,
+    restrict_stack,
+    trial_chunks,
 )
 from .grading import GradedGroupoid
-from .representation import cstar_norm, operator_norm, parent_to_sub_index
+from .representation import _norm_of_trials, cstar_norm_stack, parent_to_sub_index
+
+
+def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:
+    """The coefficients of functions on the graded groupoid, as T = 1 stacks."""
+    if any(f.groupoid is not sys.groupoid for f in functions):
+        raise ValueError("Function does not live on the graded groupoid.")
+    return [f.coeffs[None] for f in functions]
+
+
+def action_stack(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) -> np.ndarray:
+    """a . g = a * i(g) for stacks on G and on the identity fiber."""
+    return convolve_stack(sys.groupoid, a, include_stack(sys.identity_fiber, g_e, sys.groupoid), sys.haar)
 
 
 def module_action(sys: GradedGroupoid, a: GroupoidFunction, g_e: GroupoidFunction) -> GroupoidFunction:
     """a . g = a * i(g)."""
     if a.groupoid is not sys.groupoid or g_e.groupoid is not sys.identity_fiber:
         raise ValueError("module_action expects (function on G, function on the identity fiber).")
-    return convolve(a, include_i(g_e, sys.groupoid), sys.haar)
+    return GroupoidFunction(sys.groupoid, action_stack(sys, a.coeffs[None], g_e.coeffs[None])[0])
+
+
+def inner_product_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> = (a^* * b) restricted to G_e, trial by trial."""
+    g = sys.groupoid
+    return restrict_stack(g, convolve_stack(g, involute_stack(g, a), b, sys.haar), sys.identity_fiber)
 
 
 def module_inner_product(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> GroupoidFunction:
     """<a, b> = (a^* * b) restricted to G_e, as a function on G_e."""
-    if a.groupoid is not sys.groupoid or b.groupoid is not sys.groupoid:
-        raise ValueError("Inner product expects functions on the graded groupoid.")
-    return restrict_q(convolve(involute(a), b, sys.haar), sys.identity_fiber)
+    return GroupoidFunction(sys.identity_fiber, inner_product_stack(sys, *_on(sys, a, b))[0])
+
+
+def module_norm_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
+    """||a|| = sqrt of the identity-fiber C*-norm of <a, a>, trial by trial."""
+    return np.sqrt(cstar_norm_stack(sys.identity_fiber, inner_product_stack(sys, a, a), sys.haar))
 
 
 def module_norm(sys: GradedGroupoid, a: GroupoidFunction) -> float:
     """||a|| = sqrt of the identity-fiber C*-norm of <a, a>."""
-    return float(np.sqrt(cstar_norm(module_inner_product(sys, a, a), sys.haar)))
+    return float(module_norm_stack(sys, *_on(sys, a))[0])
+
+
+def expectation_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
+    """P(a) trial by trial: keep the coefficients on G_e, zero elsewhere."""
+    return include_stack(sys.identity_fiber, restrict_stack(sys.groupoid, a, sys.identity_fiber), sys.groupoid)
 
 
 def expectation_P(sys: GradedGroupoid, a: GroupoidFunction) -> GroupoidFunction:
     """Conditional expectation onto the identity-fiber subalgebra: keep the
     coefficients on G_e, zero elsewhere."""
-    return include_i(restrict_q(a, sys.identity_fiber), sys.groupoid)
+    return GroupoidFunction(sys.groupoid, expectation_stack(sys, *_on(sys, a))[0])
 
 
 def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
@@ -114,7 +147,9 @@ class InducedSpace:
         rho = np.array([sys.haar.unit_weight(u) for u in g.units])
         self._rho_r = rho[g.dst_index]
         # conv_idx[x', x] is the arrow x' x^{-1}, or -1 when s(x') != s(x)
-        self._conv_idx = g.compose_matrix()[:, g.invert_index]
+        conv_idx = g.compose_matrix()[:, g.invert_index]
+        self._conv_defined = conv_idx >= 0
+        self._conv_clipped = np.clip(conv_idx, 0, None)
 
         # Support pairs, ordered by (|G_e^u|, |G_u|, u, h, x) with u = r(h):
         # for each unit the pairs are the product of the identity-fiber arrows
@@ -193,32 +228,52 @@ class InducedSpace:
         frame[self._support] = self._frame
         return frame
 
+    def _left_conv_stack(self, a: np.ndarray) -> np.ndarray:
+        vals = np.where(self._conv_defined, a[:, self._conv_clipped], 0.0)
+        return vals * self._rho_r
+
     def left_conv_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Matrix of b -> a * b on the plain delta basis of the big algebra."""
-        vals = np.where(self._conv_idx >= 0, a.coeffs[np.clip(self._conv_idx, 0, None)], 0.0)
-        return vals * self._rho_r[None, :]
+        return self._left_conv_stack(a.coeffs[None])[0]
 
-    def _image(self, a: GroupoidFunction) -> np.ndarray:
-        """Left convolution by a applied to the frame, on the support rows."""
-        conv = self.left_conv_matrix(a)
-        image = np.empty((len(self._support), self.rank), dtype=np.complex128)
+    def _image(self, a: np.ndarray) -> np.ndarray:
+        """Left convolution by every trial of a (T, n) stack applied to the
+        frame, on the support rows: a (T, support, rank) array."""
+        conv = self._left_conv_stack(a)
+        image = np.empty((len(a), len(self._support), self.rank), dtype=np.complex128)
         for rows, nh, nx, row_arrows, col_arrows in self._chunks:
             frame = self._frame[rows].reshape(-1, nh, nx, self.rank)
-            image[rows] = (conv[row_arrows, col_arrows][:, None] @ frame).reshape(-1, self.rank)
+            blocks = conv[:, row_arrows, col_arrows][:, :, None] @ frame
+            image[:, rows] = blocks.reshape(len(a), -1, self.rank)
         return image
 
     def operator_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Compression of left convolution by a onto the orthonormal frame."""
-        return self._frame_gram @ self._image(a)
+        return self._frame_gram @ self._image(a.coeffs[None])[0]
+
+    def operator_block_stacks(self, a: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks of the compression for every trial of a (T, n)
+        stack, one per unit s(h), as (T, k, c, c) stacks of equal-size blocks;
+        everything off them is zero."""
+        image = self._image(a)
+        return [frame_gram @ np.moveaxis(image[:, :, cols], 1, 2) for cols, frame_gram in self._unit_columns]
 
     def operator_blocks(self, a: GroupoidFunction) -> list[np.ndarray]:
         """The diagonal blocks of ``operator_matrix(a)``, one per unit s(h),
         as stacks of equal-size blocks; everything off them is zero."""
-        image = self._image(a)
-        return [frame_gram @ np.moveaxis(image[:, cols], 0, 1) for cols, frame_gram in self._unit_columns]
+        return [stack[0] for stack in self.operator_block_stacks(a.coeffs[None])]
+
+    def operator_norms(self, a: np.ndarray) -> np.ndarray:
+        """The operator norm of left convolution by every trial of a (T, n)
+        stack, one batched eigensolve per block size and chunk."""
+        out = np.empty(len(a))
+        per_trial = self._conv_defined.size + len(self._support) * self.rank
+        for s in trial_chunks(len(a), per_trial):
+            out[s] = _norm_of_trials(self.operator_block_stacks(a[s]))
+        return out
 
     def operator_norm_of(self, a: GroupoidFunction) -> float:
-        return max(operator_norm(stack) for stack in self.operator_blocks(a))
+        return float(self.operator_norms(a.coeffs[None])[0])
 
 
 def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:
@@ -230,18 +285,25 @@ def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> Induced
     return cached
 
 
-def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction, space: InducedSpace | None = None) -> float:
-    """Module operator norm of left convolution by a."""
-    if a.groupoid is not sys.groupoid:
-        raise ValueError("Function does not live on the graded groupoid.")
+def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray, space: InducedSpace | None = None) -> np.ndarray:
+    """Module operator norm of left convolution by every trial of a (T, n) stack."""
     if space is None:
         space = induced_space(sys)
-    return space.operator_norm_of(a)
+    return space.operator_norms(a)
 
 
-def _single_fiber_support(sys: GradedGroupoid, b: GroupoidFunction) -> None:
-    support = np.flatnonzero(b.coeffs)
-    if len(np.unique(sys.fiber_index[support])) > 1:
+def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction, space: InducedSpace | None = None) -> float:
+    """Module operator norm of left convolution by a."""
+    return float(L_operator_norm_stack(sys, *_on(sys, a), space)[0])
+
+
+def _single_fiber_support(sys: GradedGroupoid, b: np.ndarray) -> None:
+    """Raise unless every trial of a (T, n) stack lives in one fiber."""
+    nonzero = b != 0
+    lowest = np.where(nonzero, sys.fiber_index, len(sys.fiber_keys)).min(axis=1)
+    spread = np.flatnonzero(np.where(nonzero, sys.fiber_index, -1).max(axis=1) > lowest)
+    if len(spread):
+        support = np.flatnonzero(b[spread[0]])
         keys: dict[str, list[str]] = {}
         for i in support:
             keys.setdefault(sys.fiber_keys[sys.fiber_index[i]], []).append(sys.groupoid.arrows[i].id)
@@ -249,21 +311,32 @@ def _single_fiber_support(sys: GradedGroupoid, b: GroupoidFunction) -> None:
         raise ValueError(f"Function is supported in more than one fiber ({detail}).")
 
 
-def eq_ruy_defect(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> float:
-    """Max coefficient deviation between i(<b, a*b>) and b^* P(a) b for a
-    single-fiber-supported b."""
+def eq_ruy_defect_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Max coefficient deviation between i(<b, a*b>) and b^* P(a) b, trial
+    by trial, for stacks whose every b is single-fiber-supported."""
     _single_fiber_support(sys, b)
     g = sys.groupoid
     haar = sys.haar
-    lhs = include_i(module_inner_product(sys, b, convolve(a, b, haar)), g)
-    rhs = convolve(convolve(involute(b), expectation_P(sys, a), haar), b, haar)
-    return float(np.abs(lhs.coeffs - rhs.coeffs).max())
+    lhs = include_stack(sys.identity_fiber, inner_product_stack(sys, b, convolve_stack(g, a, b, haar)), g)
+    rhs = convolve_stack(g, convolve_stack(g, involute_stack(g, b), expectation_stack(sys, a), haar), b, haar)
+    return np.abs(lhs - rhs).max(axis=1)
+
+
+def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The bound ``tol * (1 + max|a|) * (1 + max|b|)^2`` on the defect, trial by trial."""
+    return tol * ((1.0 + np.abs(a).max(axis=1)) * (1.0 + np.abs(b).max(axis=1)) ** 2)
+
+
+def eq_ruy_defect(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> float:
+    """Max coefficient deviation between i(<b, a*b>) and b^* P(a) b for a
+    single-fiber-supported b."""
+    return float(eq_ruy_defect_stack(sys, *_on(sys, a, b))[0])
 
 
 def check_eq_ruy(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction, tol: float = 1e-12) -> bool:
     """True iff i(<b, a*b>) equals b^* P(a) b within tol (relative to scale)."""
-    scale = (1.0 + a.max_abs()) * (1.0 + b.max_abs()) ** 2
-    return eq_ruy_defect(sys, a, b) <= tol * scale
+    a_, b_ = _on(sys, a, b)
+    return bool(eq_ruy_defect_stack(sys, a_, b_)[0] <= eq_ruy_tolerance(a_, b_, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -283,6 +356,20 @@ class KernelCheckRecord:
         return self.l_zero == self.p_zero == self.a_zero
 
 
+def kernel_norms(
+    sys: GradedGroupoid, a: np.ndarray, space: InducedSpace | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The norm triple of :func:`kernel_check` (||L_a||, ||P(a^* a)||,
+    ||a||) for every trial of a (T, n) stack."""
+    g = sys.groupoid
+    star_square = convolve_stack(g, involute_stack(g, a), a, sys.haar)
+    return (
+        L_operator_norm_stack(sys, a, space),
+        cstar_norm_stack(g, expectation_stack(sys, star_square), sys.haar),
+        cstar_norm_stack(g, a, sys.haar),
+    )
+
+
 def kernel_check(
     sys: GradedGroupoid,
     functions: Sequence[GroupoidFunction],
@@ -297,22 +384,8 @@ def kernel_check(
     a, so the thresholds agree only away from norms near sqrt(tol); feed
     order-one functions (or exact zeros), as the verification suites do.
     """
-    if space is None:
-        space = induced_space(sys)
-    records = []
-    for a in functions:
-        star_square = convolve(involute(a), a, sys.haar)
-        l_norm = L_operator_norm(sys, a, space)
-        p_norm = cstar_norm(expectation_P(sys, star_square), sys.haar)
-        a_norm = cstar_norm(a, sys.haar)
-        records.append(
-            KernelCheckRecord(
-                l_norm=l_norm,
-                p_norm=p_norm,
-                a_norm=a_norm,
-                l_zero=l_norm <= tol,
-                p_zero=p_norm <= tol,
-                a_zero=a_norm <= tol,
-            )
-        )
-    return records
+    stack = np.concatenate([np.empty((0, sys.groupoid.n_arrows)), *_on(sys, *functions)])
+    return [
+        KernelCheckRecord(l_norm=ln, p_norm=pn, a_norm=an, l_zero=ln <= tol, p_zero=pn <= tol, a_zero=an <= tol)
+        for ln, pn, an in zip(*(norms.tolist() for norms in kernel_norms(sys, stack, space)))
+    ]

@@ -18,7 +18,10 @@ into one (k, d, d) array.  The groupoid indexes these stacks once
 (``FiniteGroupoid.rep_tables``), one helper evaluates the entry formula on
 them (whole stacks for :func:`rep_stacks`, one unit's row for
 :func:`regular_rep_matrix`), and norms, positivity and spectra are
-reductions over the stacks, one batched eigensolve per block size.
+reductions over the stacks, one batched eigensolve per block size.  The
+``*_stack`` functions evaluate a (T, n) stack of trials the same way, with
+the trial axis in front of the unit axis, so one eigensolve per block size
+covers every trial of a chunk; the one-function forms call them with T = 1.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
@@ -26,14 +29,21 @@ power iteration, so repeated runs give bit-stable reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
 
-from .algebra import GroupoidFunction, include_i, involute
+from .algebra import GroupoidFunction, include_stack, involute, trial_chunks
 from .grading import GradedGroupoid
-from .groupoid import HaarSystem
+from .groupoid import FiniteGroupoid, HaarSystem
+
+
+def operator_norms(matrices: np.ndarray) -> np.ndarray:
+    """The largest singular value of every matrix of a stack (..., d, d),
+    via the eigenvalues of M^H M."""
+    top = np.linalg.eigvalsh(matrices.conj().swapaxes(-1, -2) @ matrices)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def operator_norm(matrix: np.ndarray) -> float:
@@ -42,29 +52,38 @@ def operator_norm(matrix: np.ndarray) -> float:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    eigs = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)
-    return float(np.sqrt(max(float(eigs[..., -1].max()), 0.0)))
+    return float(operator_norms(m).max())
 
 
-def _range_weights(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
-    """rho(r(x)) = rho(s(x^{-1})) for every arrow x of a's groupoid."""
-    g = a.groupoid
+def _range_weights(g: FiniteGroupoid, haar: HaarSystem) -> np.ndarray:
+    """rho(r(x)) = rho(s(x^{-1})) for every arrow x of g."""
     return haar.weights(g)[g.invert_index]
 
 
-def _rep_entries(a: GroupoidFunction, w: np.ndarray, arrows: np.ndarray, products: np.ndarray) -> np.ndarray:
+def _rep_entries(coeffs: np.ndarray, w: np.ndarray, arrows: np.ndarray, products: np.ndarray) -> np.ndarray:
     """The entry formula on rows of a ``rep_tables`` stack, with ``w`` from
-    :func:`_range_weights`: ``arrows`` (..., d) and ``products`` (..., d, d)
-    give blocks (..., d, d)."""
+    :func:`_range_weights`: coefficients (..., n), ``arrows`` (k, d) and
+    ``products`` (k, d, d) give blocks (..., k, d, d)."""
     wx = w[arrows]
-    return a.coeffs[products] * np.sqrt(wx[..., :, None] * wx[..., None, :])
+    return coeffs[..., products] * np.sqrt(wx[..., :, None] * wx[..., None, :])
+
+
+def _rep_stack_chunks(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem):
+    """For each chunk of the trial axis of a (T, n) stack: its slice and the
+    regular representation of its trials, one (t, k, d, d) array per block
+    size in the order of ``g.rep_tables()``."""
+    w = _range_weights(g, haar)
+    tables = g.rep_tables()
+    per_trial = sum(products.size for _, _, products in tables)
+    for s in trial_chunks(len(a), per_trial):
+        yield s, [_rep_entries(a[s], w, arrows, products) for _, arrows, products in tables]
 
 
 def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
     """The regular representation of a as one (k, d, d) stack per block
     size, in the order of ``a.groupoid.rep_tables()``."""
-    w = _range_weights(a, haar)
-    return [_rep_entries(a, w, arrows, products) for _, arrows, products in a.groupoid.rep_tables()]
+    w = _range_weights(a.groupoid, haar)
+    return [_rep_entries(a.coeffs, w, arrows, products) for _, arrows, products in a.groupoid.rep_tables()]
 
 
 def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
@@ -76,32 +95,58 @@ def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
     return {u: blocks[u] for u in a.groupoid.units}
 
 
-def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> np.ndarray:
-    """Matrix of h -> a * h on the weighted L2 space at u, orthonormalized basis."""
-    if not a.groupoid.has_unit(u):
+def _rep_matrix_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, u: str) -> np.ndarray:
+    """The regular representation at u of every trial of a (T, n) stack."""
+    if not g.has_unit(u):
         raise ValueError(f"Unknown unit {u!r}.")
-    for units, arrows, products in a.groupoid.rep_tables():
+    for units, arrows, products in g.rep_tables():
         if u in units:
             k = units.index(u)
-            return _rep_entries(a, _range_weights(a, haar), arrows[k], products[k])
+            return _rep_entries(a, _range_weights(g, haar), arrows[k], products[k])
+
+
+def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> np.ndarray:
+    """Matrix of h -> a * h on the weighted L2 space at u, orthonormalized basis."""
+    return _rep_matrix_stack(a.groupoid, a.coeffs, haar, u)
+
+
+def _norm_of_trials(stacks: list[np.ndarray]) -> np.ndarray:
+    """The largest singular value over all blocks of each trial, for (t, k,
+    d, d) stacks."""
+    return np.max([operator_norms(stack).max(axis=1) for stack in stacks], axis=0)
+
+
+def cstar_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
+    """The C*-norm of every trial of a (T, n) stack: one batched eigensolve
+    per block size and chunk."""
+    out = np.empty(len(a))
+    for s, stacks in _rep_stack_chunks(g, a, haar):
+        out[s] = _norm_of_trials(stacks)
+    return out
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     """max over units of the largest singular value of the regular block."""
-    return max(operator_norm(stack) for stack in rep_stacks(a, haar))
+    return float(cstar_norm_stack(a.groupoid, a.coeffs[None], haar)[0])
+
+
+def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
+    """:func:`positivity_check` for every trial of a (T, n) stack."""
+    out = np.empty(len(a), dtype=bool)
+    for s, stacks in _rep_stack_chunks(g, a, haar):
+        slack = tol * (1.0 + _norm_of_trials(stacks))
+        ok = np.ones(len(slack), dtype=bool)
+        for m in stacks:
+            adjoint = m.conj().swapaxes(-1, -2)
+            ok &= ~(np.abs(m - adjoint).max(axis=(1, 2, 3)) > slack)
+            ok &= ~(np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0].min(axis=1) < -slack)
+        out[s] = ok
+    return out
 
 
 def positivity_check(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> bool:
     """True iff a is positive: blocks Hermitian and spectra >= -tol*(1 + ||a||)."""
-    stacks = rep_stacks(a, haar)
-    slack = tol * (1.0 + max(operator_norm(m) for m in stacks))
-    for m in stacks:
-        adjoint = m.conj().swapaxes(-1, -2)
-        if np.abs(m - adjoint).max() > slack:
-            return False
-        if float(np.linalg.eigvalsh(0.5 * (m + adjoint))[:, 0].min()) < -slack:
-            return False
-    return True
+    return bool(positivity_stack(a.groupoid, a.coeffs[None], haar, tol)[0])
 
 
 def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
@@ -119,13 +164,15 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.nda
 @dataclass(frozen=True, eq=False)
 class FiberBlockDecomposition:
     """Fiber blocks of the regular representation at a unit, with the
-    deviation between the directly built blocks and the permuted full matrix."""
+    deviation between the directly built blocks and the permuted full matrix.
+    From :func:`decompose_rep_U_stack`, every matrix has a leading trial axis
+    and ``max_abs_error`` holds one value per trial."""
 
     unit: str
     block_order: tuple[str, ...]  # element keys with nonempty fiber at the unit
     blocks: dict[str, np.ndarray]
     permuted_matrix: np.ndarray
-    max_abs_error: float
+    max_abs_error: float | np.ndarray
 
 
 def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
@@ -142,57 +189,89 @@ def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
     return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
-def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> np.ndarray:
-    """Block of the representation of an identity-fiber function on a set of
-    same-source, same-fiber arrows, built directly from the entry formula."""
-    g = sys.groupoid
+def _identity_fiber_stack(sys: GradedGroupoid, a_e: np.ndarray) -> np.ndarray:
+    if a_e.ndim != 2 or a_e.shape[1] != sys.identity_fiber.n_arrows:
+        raise ValueError("Stack must hold functions on the identity-fiber subgroupoid.")
+    return a_e
+
+
+def _of_identity_fiber(sys: GradedGroupoid, a_e: GroupoidFunction) -> np.ndarray:
     if a_e.groupoid is not sys.identity_fiber:
         raise ValueError("Function must live on the identity-fiber subgroupoid.")
+    return a_e.coeffs[None]
+
+
+def fiber_rep_block_stack(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str, ...]) -> np.ndarray:
+    """Block of the representation of every trial of a (T, n_e) stack of
+    identity-fiber functions on a set of same-source, same-fiber arrows,
+    built directly from the entry formula."""
+    g = sys.groupoid
+    a_e = _identity_fiber_stack(sys, a_e)
     gidx = np.array([g.index(aid) for aid in arrow_ids], dtype=np.intp)
     table = g.compose_matrix()[np.ix_(gidx, g.invert_index[gidx])]
     if (table < 0).any():
         raise ValueError("Block arrows do not share a source; groupoid invalid.")
     sub_idx = parent_to_sub_index(sys)[table]
-    vals = np.where(sub_idx >= 0, a_e.coeffs[np.clip(sub_idx, 0, None)], 0.0)
+    vals = np.where(sub_idx >= 0, a_e[:, np.clip(sub_idx, 0, None)], 0.0)
     rho_per_unit = np.array([sys.haar.unit_weight(v) for v in g.units])
     weights = rho_per_unit[g.dst_index[gidx]]
     return vals * np.sqrt(np.outer(weights, weights))
 
 
-def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
-    """Sort the basis at u into fiber blocks and compare the directly built
-    blocks against the permuted full representation of the included function.
+def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> np.ndarray:
+    """Block of the representation of an identity-fiber function on a set of
+    same-source, same-fiber arrows, built directly from the entry formula."""
+    return fiber_rep_block_stack(sys, _of_identity_fiber(sys, a_e), arrow_ids)[0]
+
+
+def decompose_rep_U_stack(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> FiberBlockDecomposition:
+    """Sort the basis at u into fiber blocks and compare, for every trial of
+    a (T, n_e) stack of identity-fiber functions, the directly built blocks
+    against the permuted full representation of the included function.
 
     Empty fibers contribute no block; the fiber subspaces partition the space,
     so the permuted matrix must be exactly the direct sum.
     """
     g = sys.groupoid
-    full = regular_rep_matrix(include_i(a_e, g), sys.haar, u)
+    a_e = _identity_fiber_stack(sys, a_e)
+    full = _rep_matrix_stack(g, include_stack(sys.identity_fiber, a_e, g), sys.haar, u)
     partition = _fiber_partition_at(sys, u)
     order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
-    perm = [order[aid] for ids in partition.values() for aid in ids]
-    permuted = full[np.ix_(perm, perm)]
-    blocks = {key: fiber_rep_block(sys, a_e, tuple(ids)) for key, ids in partition.items()}
+    perm = np.array([order[aid] for ids in partition.values() for aid in ids], dtype=np.intp)
+    permuted = full[:, perm[:, None], perm[None, :]]
+    blocks = {key: fiber_rep_block_stack(sys, a_e, tuple(ids)) for key, ids in partition.items()}
     direct_sum = np.zeros_like(permuted)
     offset = 0
-    for key in partition:
-        d = len(blocks[key])
-        direct_sum[offset : offset + d, offset : offset + d] = blocks[key]
+    for block in blocks.values():
+        d = block.shape[-1]
+        direct_sum[:, offset : offset + d, offset : offset + d] = block
         offset += d
-    err = float(np.abs(permuted - direct_sum).max()) if permuted.size else 0.0
     return FiberBlockDecomposition(
         unit=u,
         block_order=tuple(partition),
         blocks=blocks,
         permuted_matrix=permuted,
-        max_abs_error=err,
+        max_abs_error=np.abs(permuted - direct_sum).max(axis=(1, 2)),
+    )
+
+
+def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
+    """:func:`decompose_rep_U_stack` for one identity-fiber function."""
+    dec = decompose_rep_U_stack(sys, _of_identity_fiber(sys, a_e), u)
+    return replace(
+        dec,
+        blocks={key: block[0] for key, block in dec.blocks.items()},
+        permuted_matrix=dec.permuted_matrix[0],
+        max_abs_error=float(dec.max_abs_error[0]),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class TranslationWitness:
     """Conjugation of a fiber block to the identity-fiber representation at
-    the range of the chosen translating arrow."""
+    the range of the chosen translating arrow.  From
+    :func:`translate_rep_V_stack`, the blocks have a leading trial axis and
+    ``max_abs_error`` holds one value per trial."""
 
     source_unit: str
     target_unit: str
@@ -202,17 +281,18 @@ class TranslationWitness:
     fiber_block: np.ndarray
     translated: np.ndarray
     target_block: np.ndarray
-    max_abs_error: float
+    max_abs_error: float | np.ndarray
 
 
-def translate_rep_V(
+def translate_rep_V_stack(
     sys: GradedGroupoid,
-    a_e: GroupoidFunction,
+    a_e: np.ndarray,
     u: str,
     gamma: Any,
     z_arrow: str | None = None,
 ) -> TranslationWitness:
-    """Conjugate the gamma-fiber block at u by right translation x -> x.z.
+    """Conjugate the gamma-fiber block at u by right translation x -> x.z,
+    for every trial of a (T, n_e) stack of identity-fiber functions.
 
     z defaults to the unit arrow when gamma is the identity, else to the first
     arrow of the fiber in declared order; any member of the fiber may be
@@ -221,6 +301,7 @@ def translate_rep_V(
     """
     g = sys.groupoid
     grp = sys.group
+    a_e = _identity_fiber_stack(sys, a_e)
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
     at_u = (g.src_index == g.units.index(u)) & sys.fiber_mask(gamma)
@@ -246,10 +327,9 @@ def translate_rep_V(
         if y is None or y not in col:
             raise ValueError("Translation leaves the fiber; groupoid or grading invalid.")
         vmat[i, col[y]] = 1.0
-    block = fiber_rep_block(sys, a_e, domain)
-    target = regular_rep_matrix(a_e, sys.haar, v)  # on the identity-fiber subgroupoid
+    block = fiber_rep_block_stack(sys, a_e, domain)
+    target = _rep_matrix_stack(sub, a_e, sys.haar, v)  # on the identity-fiber subgroupoid
     translated = vmat @ block @ vmat.conj().T
-    err = float(np.abs(translated - target).max()) if translated.size else 0.0
     return TranslationWitness(
         source_unit=u,
         target_unit=v,
@@ -259,5 +339,23 @@ def translate_rep_V(
         fiber_block=block,
         translated=translated,
         target_block=target,
-        max_abs_error=err,
+        max_abs_error=np.abs(translated - target).max(axis=(1, 2)),
+    )
+
+
+def translate_rep_V(
+    sys: GradedGroupoid,
+    a_e: GroupoidFunction,
+    u: str,
+    gamma: Any,
+    z_arrow: str | None = None,
+) -> TranslationWitness:
+    """:func:`translate_rep_V_stack` for one identity-fiber function."""
+    wit = translate_rep_V_stack(sys, _of_identity_fiber(sys, a_e), u, gamma, z_arrow)
+    return replace(
+        wit,
+        fiber_block=wit.fiber_block[0],
+        translated=wit.translated[0],
+        target_block=wit.target_block[0],
+        max_abs_error=float(wit.max_abs_error[0]),
     )

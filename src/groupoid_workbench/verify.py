@@ -17,6 +17,7 @@ identities, 1e-9 relative for anything passing through an eigensolve.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -25,17 +26,15 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
-    GroupoidFunction,
-    convolve,
-    delta,
-    graded_components,
-    i_norm,
-    include_i,
-    involute,
-    random_function,
-    restrict_q,
+    convolve_stack,
+    graded_component_stack,
+    i_norm_stack,
+    include_stack,
+    involute_stack,
+    random_stacks,
+    restrict_stack,
+    trial_chunks,
     unit_function,
-    zero,
 )
 from .bundle import (
     bundle_rep_check,
@@ -46,25 +45,26 @@ from .bundle import (
 )
 from .document import WorkbenchDocument
 from .grading import GradedGroupoid, validate_cocycle
-from .groupoid import validate_groupoid, validate_left_invariance
+from .groupoid import left_invariance_stack, validate_groupoid
 from .hilbert_module import (
-    L_operator_norm,
-    check_eq_ruy,
-    eq_ruy_defect,
-    expectation_P,
+    L_operator_norm_stack,
+    action_stack,
+    eq_ruy_defect_stack,
+    eq_ruy_tolerance,
+    expectation_stack,
     induced_space,
-    kernel_check,
-    module_action,
-    module_inner_product,
-    module_norm,
+    inner_product_stack,
+    kernel_norms,
+    module_norm_stack,
 )
 from .representation import (
     cstar_norm,
-    decompose_rep_U,
-    operator_norm,
-    positivity_check,
+    cstar_norm_stack,
+    decompose_rep_U_stack,
+    operator_norms,
+    positivity_stack,
     spectrum,
-    translate_rep_V,
+    translate_rep_V_stack,
 )
 
 ALG_TOL = 1e-12
@@ -142,20 +142,33 @@ def _jsonable(v: Any) -> Any:
     return v
 
 
-def _rel(defect: float, scale: float) -> float:
-    return float(defect) / (1.0 + float(scale))
+def _rel(defect: Any, scale: Any) -> Any:
+    return defect / (1.0 + scale)
 
 
-def _max_abs(x: np.ndarray) -> float:
-    return float(np.abs(x).max()) if x.size else 0.0
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """The largest modulus in every row of a (T, n) stack."""
+    return np.abs(x).max(axis=1)
+
+
+def _worst(*defects: Any) -> float:
+    """The largest of zero and every given defect (numbers or trial arrays);
+    NaN when any defect is NaN, so that no comparison with a tolerance passes."""
+    values = [float(np.max(d, initial=0.0)) for d in defects]
+    return math.nan if any(math.isnan(v) for v in values) else max(0.0, *values)
 
 
 # -- suites -----------------------------------------------------------------
+#
+# Each suite draws its trials in one block per loop (``random_stacks``), in
+# the order a trial-by-trial loop would draw them, and evaluates every trial
+# at once on the (T, n) coefficient stacks.
 
 
 def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
     sys = doc.system
     g = sys.groupoid
+    haar = sys.haar
     report = validate_groupoid(g)
     rec.add(
         "groupoid-axioms",
@@ -172,26 +185,21 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator
         0.0,
         cause=creport.cause,
     )
-    w = {aid: sys.haar.weight(g, aid) for aid in g.arrow_ids}
+    w = haar.weights(g)
     rec.add(
         "haar-left-invariance",
         "source-determined weights satisfy the left-invariance identity",
-        validate_left_invariance(g, w),
+        bool(left_invariance_stack(g, w[None])[0]),
         ALG_TOL,
     )
-    unit_arrows = {g.unit_arrow[u] for u in g.units}
-    non_units = [aid for aid in g.arrow_ids if aid not in unit_arrows]
-    detected = 0
-    trials = 0
-    for _ in range(count):
-        if not non_units:
-            break
-        victim = non_units[int(rng.integers(len(non_units)))]
-        perturbed = dict(w)
-        perturbed[victim] *= float(rng.uniform(1.3, 2.0))
-        trials += 1
-        if not validate_left_invariance(g, perturbed):
-            detected += 1
+    non_units = np.flatnonzero(~np.isin(np.arange(g.n_arrows), g.unit_arrow_index))
+    # an integer and a uniform per trial: drawn one after the other, as the
+    # generator interleaves them
+    trials = count if len(non_units) else 0
+    draws = np.array([(rng.integers(len(non_units)), rng.uniform(1.3, 2.0)) for _ in range(trials)]).reshape(trials, 2)
+    perturbed = np.tile(w, (trials, 1))
+    perturbed[np.arange(trials), non_units[draws[:, 0].astype(np.intp)]] *= draws[:, 1]
+    detected = int((~left_invariance_stack(g, perturbed)).sum())
     rec.add(
         "haar-perturbation-detected",
         "breaking the source-dependence of a weight breaks invariance",
@@ -200,17 +208,12 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator
         trials=trials,
         detected=detected,
     )
-    e = unit_function(g, sys.haar)
-    worst = 0.0
-    for _ in range(count):
-        f = random_function(g, rng)
-        left = convolve(e, f, sys.haar)
-        right = convolve(f, e, sys.haar)
-        worst = max(
-            worst,
-            _rel(_max_abs(left.coeffs - f.coeffs), f.max_abs()),
-            _rel(_max_abs(right.coeffs - f.coeffs), f.max_abs()),
-        )
+    e = unit_function(g, haar).coeffs[None]
+    (f,) = random_stacks(rng, count, g)
+    scale = _max_abs(f)
+    left = convolve_stack(g, e, f, haar)
+    right = convolve_stack(g, f, e, haar)
+    worst = _worst(_rel(_max_abs(left - f), scale), _rel(_max_abs(right - f), scale))
     rec.add(
         "convolution-unit",
         "the weighted sum of unit-arrow deltas is a two-sided unit",
@@ -220,12 +223,10 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator
         trials=count,
     )
     sub = sys.identity_fiber
-    sub_ok = validate_groupoid(sub).ok
-    wsub = {aid: sys.haar.weight(sub, aid) for aid in sub.arrow_ids}
     rec.add(
         "identity-fiber-subgroupoid",
         "the identity fiber is a subgroupoid carrying the restricted weights",
-        sub_ok and validate_left_invariance(sub, wsub),
+        validate_groupoid(sub).ok and bool(left_invariance_stack(sub, haar.weights(sub)[None])[0]),
         0.0,
         arrows=sub.n_arrows,
     )
@@ -236,51 +237,48 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Genera
     g = sys.groupoid
     haar = sys.haar
     sub = sys.identity_fiber
-    assoc = bilin = star = inorm_star = comp_sum = include_hom = 0.0
-    for _ in range(count):
-        a = random_function(g, rng)
-        b = random_function(g, rng)
-        c = random_function(g, rng)
-        lhs = convolve(convolve(a, b, haar), c, haar)
-        rhs = convolve(a, convolve(b, c, haar), haar)
-        assoc = max(assoc, _rel(_max_abs(lhs.coeffs - rhs.coeffs), _max_abs(lhs.coeffs)))
-        lin = convolve(a + 2j * b, c, haar)
-        split = convolve(a, c, haar) + 2j * convolve(b, c, haar)
-        bilin = max(bilin, _rel(_max_abs(lin.coeffs - split.coeffs), _max_abs(lin.coeffs)))
-        anti = involute(convolve(a, b, haar))
-        flip = convolve(involute(b), involute(a), haar)
-        star = max(
-            star,
-            _rel(_max_abs(anti.coeffs - flip.coeffs), _max_abs(anti.coeffs)),
-            _max_abs(involute(involute(a)).coeffs - a.coeffs),
-            _max_abs(
-                involute(1j * a + b).coeffs - (-1j * involute(a) + involute(b)).coeffs
-            ),
-        )
-        inorm_star = max(inorm_star, _rel(abs(i_norm(involute(a), haar) - i_norm(a, haar)), i_norm(a, haar)))
-        parts = graded_components(sys, a)
-        total = np.zeros_like(a.coeffs)
-        for part in parts.values():
-            total = total + part.coeffs
-        comp_sum = max(comp_sum, _max_abs(total - a.coeffs))
-        f1 = random_function(sub, rng)
-        f2 = random_function(sub, rng)
-        lift = convolve(include_i(f1, g), include_i(f2, g), haar)
-        lifted_prod = include_i(convolve(f1, f2, haar), g)
-        include_hom = max(
-            include_hom,
-            _rel(_max_abs(lift.coeffs - lifted_prod.coeffs), _max_abs(lift.coeffs)),
-            _max_abs(restrict_q(include_i(f1, g), sub).coeffs - f1.coeffs),
-            _max_abs(include_i(involute(f1), g).coeffs - involute(include_i(f1, g)).coeffs),
-        )
+
+    def conv(x: np.ndarray, y: np.ndarray, on: Any = g) -> np.ndarray:
+        return convolve_stack(on, x, y, haar)
+
+    def star(x: np.ndarray, on: Any = g) -> np.ndarray:
+        return involute_stack(on, x)
+
+    def include(x: np.ndarray) -> np.ndarray:
+        return include_stack(sub, x, g)
+
+    a, b, c, f1, f2 = random_stacks(rng, count, g, g, g, sub, sub)
+    lhs = conv(conv(a, b), c)
+    rhs = conv(a, conv(b, c))
+    assoc = _worst(_rel(_max_abs(lhs - rhs), _max_abs(lhs)))
+    lin = conv(a + b * 2j, c)
+    split = conv(a, c) + conv(b, c) * 2j
+    bilin = _worst(_rel(_max_abs(lin - split), _max_abs(lin)))
+    anti = star(conv(a, b))
+    flip = conv(star(b), star(a))
+    star_defect = _worst(
+        _rel(_max_abs(anti - flip), _max_abs(anti)),
+        _max_abs(star(star(a)) - a),
+        _max_abs(star(a * 1j + b) - (star(a) * -1j + star(b))),
+    )
+    ia = i_norm_stack(g, a, haar)
+    inorm_star = _worst(_rel(np.abs(i_norm_stack(g, star(a), haar) - ia), ia))
+    comp_sum = _worst(_max_abs(graded_component_stack(sys, a).sum(axis=0) - a))
+    lift = conv(include(f1), include(f2))
+    lifted_prod = include(conv(f1, f2, sub))
+    include_hom = _worst(
+        _rel(_max_abs(lift - lifted_prod), _max_abs(lift)),
+        _max_abs(restrict_stack(g, include(f1), sub) - f1),
+        _max_abs(include(star(f1, sub)) - star(include(f1))),
+    )
     rec.add("convolution-associativity", "convolution is associative", assoc <= ALG_TOL, ALG_TOL, max_rel_defect=assoc, trials=count)
     rec.add("convolution-bilinear", "convolution is bilinear", bilin <= ALG_TOL, ALG_TOL, max_rel_defect=bilin, trials=count)
     rec.add(
         "involution-star-algebra",
         "the involution is involutive and anti-multiplicative",
-        star <= ALG_TOL,
+        star_defect <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=star,
+        max_rel_defect=star_defect,
         trials=count,
     )
     rec.add(
@@ -309,25 +307,42 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Genera
     )
 
 
+def _delta_rule_defect(g: Any, haar: Any) -> float:
+    """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|,
+    with the expected products read off ``compose_matrix()``; the pairs are
+    evaluated as stacks of deltas, a chunk at a time."""
+    n = g.n_arrows
+    products = g.compose_matrix().ravel()
+    w = haar.weights(g)
+    eye = np.eye(n, dtype=np.complex128)
+    worst = 0.0
+    for s in trial_chunks(n * n, n):
+        pairs = np.arange(n * n)[s]
+        x, y = np.divmod(pairs, n)
+        got = convolve_stack(g, eye[x], eye[y], haar)
+        expected = np.zeros_like(got)
+        rows = np.flatnonzero(products[pairs] >= 0)
+        expected[rows, products[pairs][rows]] = w[x[rows]]
+        worst = _worst(worst, _max_abs(got - expected))
+    return worst
+
+
 def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
-    cident = dominated = submult = star = 0.0
-    positive = True
-    for _ in range(count):
-        a = random_function(g, rng)
-        b = random_function(g, rng)
-        n = cstar_norm(a, haar)
-        nn = cstar_norm(convolve(involute(a), a, haar), haar)
-        cident = max(cident, abs(nn - n * n) / (1.0 + n * n))
-        ia = i_norm(a, haar)
-        dominated = max(dominated, _rel(max(0.0, n - ia), ia))
-        iab = i_norm(convolve(a, b, haar), haar)
-        submult = max(submult, _rel(max(0.0, iab - ia * i_norm(b, haar)), ia * i_norm(b, haar)))
-        star = max(star, _rel(abs(cstar_norm(involute(a), haar) - n), n))
-        if not positivity_check(convolve(involute(a), a, haar), haar):
-            positive = False
+    a, b = random_stacks(rng, count, g, g)
+    n = cstar_norm_stack(g, a, haar)
+    star_square = convolve_stack(g, involute_stack(g, a), a, haar)
+    nn = cstar_norm_stack(g, star_square, haar)
+    cident = _worst(np.abs(nn - n * n) / (1.0 + n * n))
+    ia = i_norm_stack(g, a, haar)
+    dominated = _worst(_rel(np.maximum(0.0, n - ia), ia))
+    iab = i_norm_stack(g, convolve_stack(g, a, b, haar), haar)
+    iaib = ia * i_norm_stack(g, b, haar)
+    submult = _worst(_rel(np.maximum(0.0, iab - iaib), iaib))
+    star = _worst(_rel(np.abs(cstar_norm_stack(g, involute_stack(g, a), haar) - n), n))
+    positive = bool(positivity_stack(g, star_square, haar).all())
     rec.add("cstar-identity", "the C*-identity ||a^* a|| = ||a||^2", cident <= EIG_TOL, EIG_TOL, max_rel_defect=cident, trials=count)
     rec.add(
         "i-norm-dominates-cstar",
@@ -355,7 +370,7 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generato
     )
     e = unit_function(g, haar)
     unit_norm = abs(cstar_norm(e, haar) - 1.0)
-    unit_spec = _max_abs(spectrum(e, haar) - 1.0)
+    unit_spec = float(np.abs(spectrum(e, haar) - 1.0).max())
     rec.add(
         "unit-norm-and-spectrum",
         "the convolution unit has norm one and spectrum {1}",
@@ -364,19 +379,11 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generato
         norm_defect=unit_norm,
         spectrum_defect=unit_spec,
     )
-    delta_norm = delta_rule = 0.0
-    for x in g.arrows:
-        expected = float(np.sqrt(haar.rho[x.src] * haar.rho[x.dst]))
-        delta_norm = max(delta_norm, _rel(abs(cstar_norm(delta(g, x.id), haar) - expected), expected))
-    for x in g.arrow_ids:
-        dx = delta(g, x)
-        for y in g.arrow_ids:
-            prod = convolve(dx, delta(g, y), haar)
-            z = g.compose_ids(x, y)
-            expected_vec = np.zeros(g.n_arrows, dtype=np.complex128)
-            if z is not None:
-                expected_vec[g.index(z)] = haar.weight(g, x)
-            delta_rule = max(delta_rule, _max_abs(prod.coeffs - expected_vec))
+    rho = np.array([haar.rho[u] for u in g.units])
+    expected = np.sqrt(rho[g.src_index] * rho[g.dst_index])
+    deltas = np.eye(g.n_arrows, dtype=np.complex128)
+    delta_norm = _worst(_rel(np.abs(cstar_norm_stack(g, deltas, haar) - expected), expected))
+    delta_rule = _delta_rule_defect(g, haar)
     rec.add(
         "delta-norm-closed-form",
         "||delta_x|| is the geometric mean of the endpoint weights",
@@ -398,12 +405,10 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
     g = sys.groupoid
     haar = sys.haar
     sub = sys.identity_fiber
-    iso = 0.0
-    for _ in range(count):
-        f = random_function(sub, rng)
-        inner = cstar_norm(f, haar)
-        outer = cstar_norm(include_i(f, g), haar)
-        iso = max(iso, _rel(abs(outer - inner), inner))
+    (f,) = random_stacks(rng, count, sub)
+    inner = cstar_norm_stack(sub, f, haar)
+    outer = cstar_norm_stack(g, include_stack(sub, f, g), haar)
+    iso = _worst(_rel(np.abs(outer - inner), inner))
     rec.add(
         "inclusion-isometric",
         "extension by zero preserves the C*-norm of identity-fiber functions",
@@ -412,18 +417,17 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
         max_rel_defect=iso,
         trials=count,
     )
-    chain = u_defect = 0.0
-    for _ in range(UNITARY_TRIALS):
-        f = random_function(sub, rng)
-        ambient = cstar_norm(include_i(f, g), haar)
-        block_max = 0.0
-        for u in g.units:
-            dec = decompose_rep_U(sys, f, u)
-            u_defect = max(u_defect, dec.max_abs_error)
-            for block in dec.blocks.values():
-                block_max = max(block_max, operator_norm(block))
-        fiber_max = cstar_norm(f, haar)
-        chain = max(chain, _rel(abs(block_max - ambient), ambient), _rel(abs(fiber_max - ambient), ambient))
+    (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
+    ambient = cstar_norm_stack(g, include_stack(sub, f, g), haar)
+    block_max = np.zeros(UNITARY_TRIALS)
+    u_defect = 0.0
+    for u in g.units:
+        dec = decompose_rep_U_stack(sys, f, u)
+        u_defect = _worst(u_defect, dec.max_abs_error)
+        for block in dec.blocks.values():
+            block_max = np.maximum(block_max, operator_norms(block))
+    fiber_max = cstar_norm_stack(sub, f, haar)
+    chain = _worst(_rel(np.abs(block_max - ambient), ambient), _rel(np.abs(fiber_max - ambient), ambient))
     rec.add(
         "fiber-block-decomposition",
         "the representation of an included function is the direct sum of its fiber blocks",
@@ -440,15 +444,14 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
         max_rel_defect=chain,
         trials=UNITARY_TRIALS,
     )
+    (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
     v_defect = 0.0
     checked = 0
-    for _ in range(UNITARY_TRIALS):
-        f = random_function(sub, rng)
-        for ui, u in enumerate(g.units):
-            for k in np.unique(sys.fiber_index[g.src_index == ui]):
-                wit = translate_rep_V(sys, f, u, sys.fiber_elements[k])
-                v_defect = max(v_defect, wit.max_abs_error)
-                checked += 1
+    for ui, u in enumerate(g.units):
+        for k in np.unique(sys.fiber_index[g.src_index == ui]):
+            wit = translate_rep_V_stack(sys, f, u, sys.fiber_elements[k])
+            v_defect = _worst(v_defect, wit.max_abs_error)
+            checked += UNITARY_TRIALS
     rec.add(
         "fiber-translation-unitaries",
         "right translation by a fiber arrow conjugates blocks to the identity-fiber representation",
@@ -459,13 +462,17 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
     )
 
 
-def _action_by_fiber_sum(sys: GradedGroupoid, a: GroupoidFunction, g_e: GroupoidFunction) -> np.ndarray:
-    """The module action by its fiber-sum formula, a cross-check of a * i(g):
-    (a.g)(x) = sum over {n in G_e : r(n) = s(x)} of a(xn) g(n^{-1}) w(n)."""
+def _action_by_fiber_sum(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) -> np.ndarray:
+    """The module action by its fiber-sum formula, a cross-check of a * i(g),
+    trial by trial: (a.g)(x) = sum over {n in G_e : r(n) = s(x)} of
+    a(xn) g(n^{-1}) w(n)."""
     g, sub = sys.groupoid, sys.identity_fiber
-    xn = g.compose_matrix()[:, [g.index(aid) for aid in sub.arrow_ids]]
-    terms = a.coeffs[xn] * (g_e.coeffs[sub.invert_index] * sys.haar.weights(sub))
-    return np.where(xn >= 0, terms, 0.0).sum(axis=1)
+    xn = g.compose_matrix()[:, sub.embedding(g)]
+    weighted = g_e[:, sub.invert_index] * sys.haar.weights(sub)
+    out = np.empty(a.shape, dtype=np.complex128)
+    for s in trial_chunks(len(a), xn.size):
+        out[s] = np.where(xn >= 0, a[s][:, xn] * weighted[s][:, None, :], 0.0).sum(axis=2)
+    return out
 
 
 def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
@@ -483,36 +490,32 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generat
         rank=space.rank,
         dimension=space.dim_ambient,
     )
+
+    def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return inner_product_stack(sys, x, y)
+
+    a, b = random_stacks(rng, count, g, g)
+    q = cstar_norm_stack(sub, restrict_stack(g, a, sub), haar)
+    m = module_norm_stack(sys, a)
+    ell = L_operator_norm_stack(sys, a, space)
+    ia = i_norm_stack(g, a, haar)
+    n = cstar_norm_stack(g, a, haar)
     slack = 1.0 + EIG_TOL
-    sandwich_ok = True
-    contraction = cauchy = 0.0
-    positive = definite = True
-    gap = 0.0
+    broken = np.flatnonzero(~((q <= m * slack + 1e-15) & (m <= ell * slack + 1e-15) & (ell <= ia * slack + 1e-15)))
     worst_chain = None
-    for _ in range(count):
-        a = random_function(g, rng)
-        q = cstar_norm(restrict_q(a, sub), haar)
-        m = module_norm(sys, a)
-        ell = L_operator_norm(sys, a, space)
-        ia = i_norm(a, haar)
-        n = cstar_norm(a, haar)
-        if not (q <= m * slack + 1e-15 and m <= ell * slack + 1e-15 and ell <= ia * slack + 1e-15):
-            sandwich_ok = False
-            worst_chain = {"restriction": q, "module": m, "operator": ell, "i_norm": ia}
-        contraction = max(contraction, _rel(max(0.0, q - n), n))
-        gram = module_inner_product(sys, a, a)
-        if not positivity_check(gram, haar):
-            positive = False
-        if m <= 1e-9 and n > 1e-6:
-            definite = False
-        b = random_function(g, rng)
-        pairing = cstar_norm(module_inner_product(sys, a, b), haar)
-        cauchy = max(cauchy, _rel(max(0.0, pairing - m * module_norm(sys, b)), pairing))
-        gap = max(gap, _rel(abs(ell - n), n))
+    if len(broken):
+        last = broken[-1]
+        worst_chain = {"restriction": q[last], "module": m[last], "operator": ell[last], "i_norm": ia[last]}
+    contraction = _worst(_rel(np.maximum(0.0, q - n), n))
+    positive = bool(positivity_stack(sub, inner(a, a), haar).all())
+    definite = not ((m <= 1e-9) & (n > 1e-6)).any()
+    pairing = cstar_norm_stack(sub, inner(a, b), haar)
+    cauchy = _worst(_rel(np.maximum(0.0, pairing - m * module_norm_stack(sys, b)), pairing))
+    gap = _worst(_rel(np.abs(ell - n), n))
     rec.add(
         "norm-sandwich",
         "restriction norm <= module norm <= operator norm <= I-norm",
-        sandwich_ok,
+        not len(broken),
         EIG_TOL,
         trials=count,
         **({"worst": worst_chain} if worst_chain else {}),
@@ -548,40 +551,34 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generat
         max_rel_gap=gap,
         trials=count,
     )
-    symmetry = linearity = action = path_gap = adjoint = isometry = 0.0
-    for _ in range(SMALL_TRIALS):
-        a = random_function(g, rng)
-        b = random_function(g, rng)
-        ge = random_function(sub, rng)
-        he = random_function(sub, rng)
-        lhs = involute(module_inner_product(sys, a, b))
-        rhs = module_inner_product(sys, b, a)
-        symmetry = max(symmetry, _rel(_max_abs(lhs.coeffs - rhs.coeffs), _max_abs(rhs.coeffs)))
-        b_ge = module_action(sys, b, ge)
-        lin_lhs = module_inner_product(sys, a, b_ge)
-        lin_rhs = convolve(module_inner_product(sys, a, b), ge, haar)
-        linearity = max(linearity, _rel(_max_abs(lin_lhs.coeffs - lin_rhs.coeffs), _max_abs(lin_rhs.coeffs)))
-        a_ge = module_action(sys, a, ge)
-        act_lhs = module_action(sys, a, convolve(ge, he, haar))
-        act_rhs = module_action(sys, a_ge, he)
-        action = max(action, _rel(_max_abs(act_lhs.coeffs - act_rhs.coeffs), _max_abs(act_rhs.coeffs)))
-        e_sub = unit_function(sub, haar)
-        action = max(action, _rel(_max_abs(module_action(sys, a, e_sub).coeffs - a.coeffs), a.max_abs()))
-        for f, f_ge in ((a, a_ge), (b, b_ge)):
-            path_gap = max(path_gap, _rel(_max_abs(_action_by_fiber_sum(sys, f, ge) - f_ge.coeffs), f_ge.max_abs()))
-        a2 = random_function(g, rng)
-        d = random_function(g, rng)
-        adj_lhs = module_inner_product(sys, convolve(a, b, haar), convolve(a2, d, haar))
-        adj_rhs = module_inner_product(sys, b, convolve(convolve(involute(a), a2, haar), d, haar))
-        adjoint = max(adjoint, _rel(_max_abs(adj_lhs.coeffs - adj_rhs.coeffs), _max_abs(adj_rhs.coeffs)))
-        f = random_function(sub, rng)
-        lifted = include_i(f, g)
-        target = cstar_norm(f, haar)
-        isometry = max(
-            isometry,
-            _rel(abs(module_norm(sys, lifted) - target), target),
-            _rel(abs(L_operator_norm(sys, lifted, space) - target), target),
-        )
+    a, b, ge, he, a2, d, f = random_stacks(rng, SMALL_TRIALS, g, g, sub, sub, g, g, sub)
+    lhs = involute_stack(sub, inner(a, b))
+    rhs = inner(b, a)
+    symmetry = _worst(_rel(_max_abs(lhs - rhs), _max_abs(rhs)))
+    b_ge = action_stack(sys, b, ge)
+    lin_lhs = inner(a, b_ge)
+    lin_rhs = convolve_stack(sub, inner(a, b), ge, haar)
+    linearity = _worst(_rel(_max_abs(lin_lhs - lin_rhs), _max_abs(lin_rhs)))
+    a_ge = action_stack(sys, a, ge)
+    act_lhs = action_stack(sys, a, convolve_stack(sub, ge, he, haar))
+    act_rhs = action_stack(sys, a_ge, he)
+    e_sub = unit_function(sub, haar).coeffs[None]
+    action = _worst(
+        _rel(_max_abs(act_lhs - act_rhs), _max_abs(act_rhs)),
+        _rel(_max_abs(action_stack(sys, a, e_sub) - a), _max_abs(a)),
+    )
+    path_gap = _worst(
+        *(_rel(_max_abs(_action_by_fiber_sum(sys, x, ge) - x_ge), _max_abs(x_ge)) for x, x_ge in ((a, a_ge), (b, b_ge)))
+    )
+    adj_lhs = inner(convolve_stack(g, a, b, haar), convolve_stack(g, a2, d, haar))
+    adj_rhs = inner(b, convolve_stack(g, convolve_stack(g, involute_stack(g, a), a2, haar), d, haar))
+    adjoint = _worst(_rel(_max_abs(adj_lhs - adj_rhs), _max_abs(adj_rhs)))
+    lifted = include_stack(sub, f, g)
+    target = cstar_norm_stack(sub, f, haar)
+    isometry = _worst(
+        _rel(np.abs(module_norm_stack(sys, lifted) - target), target),
+        _rel(np.abs(L_operator_norm_stack(sys, lifted, space) - target), target),
+    )
     rec.add(
         "inner-product-symmetry",
         "<a, b>^* = <b, a>",
@@ -630,11 +627,15 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
     g = sys.groupoid
     haar = sys.haar
     sub = sys.identity_fiber
-    basis_defect = 0.0
-    for aid, in_identity_fiber in zip(g.arrow_ids, sys.identity_mask):
-        image = expectation_P(sys, delta(g, aid))
-        expected = delta(g, aid).coeffs if in_identity_fiber else np.zeros(g.n_arrows)
-        basis_defect = max(basis_defect, _max_abs(image.coeffs - expected))
+
+    def expect(x: np.ndarray) -> np.ndarray:
+        return expectation_stack(sys, x)
+
+    def conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return convolve_stack(g, x, y, haar)
+
+    deltas = np.eye(g.n_arrows, dtype=np.complex128)
+    basis_defect = _worst(_max_abs(expect(deltas) - np.where(sys.identity_mask[:, None], deltas, 0.0)))
     rec.add(
         "expectation-projection",
         "the expectation is the identity on the identity component and zero on the others",
@@ -642,22 +643,17 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
         0.0,
         max_abs_defect=basis_defect,
     )
-    idem = bimodule = 0.0
-    contraction = 0.0
-    positive = True
-    for _ in range(count):
-        a = random_function(g, rng)
-        once = expectation_P(sys, a)
-        idem = max(idem, _max_abs(expectation_P(sys, once).coeffs - once.coeffs))
-        contraction = max(contraction, _rel(max(0.0, cstar_norm(once, haar) - cstar_norm(a, haar)), cstar_norm(a, haar)))
-        square = convolve(involute(a), a, haar)
-        if not positivity_check(expectation_P(sys, square), haar):
-            positive = False
-        b = include_i(random_function(sub, rng), g)
-        c = include_i(random_function(sub, rng), g)
-        lhs = expectation_P(sys, convolve(convolve(involute(b), a, haar), c, haar))
-        rhs = convolve(convolve(involute(b), expectation_P(sys, a), haar), c, haar)
-        bimodule = max(bimodule, _rel(_max_abs(lhs.coeffs - rhs.coeffs), _max_abs(rhs.coeffs)))
+    a, b, c = random_stacks(rng, count, g, sub, sub)
+    b, c = include_stack(sub, b, g), include_stack(sub, c, g)
+    once = expect(a)
+    idem = _worst(_max_abs(expect(once) - once))
+    norm_a = cstar_norm_stack(g, a, haar)
+    contraction = _worst(_rel(np.maximum(0.0, cstar_norm_stack(g, once, haar) - norm_a), norm_a))
+    positive = bool(positivity_stack(g, expect(conv(involute_stack(g, a), a)), haar).all())
+    b_star = involute_stack(g, b)
+    lhs = expect(conv(conv(b_star, a), c))
+    rhs = conv(conv(b_star, once), c)
+    bimodule = _worst(_rel(_max_abs(lhs - rhs), _max_abs(rhs)))
     rec.add("expectation-idempotent", "applying the expectation twice changes nothing", idem == 0.0, 0.0, max_abs_defect=idem, trials=count)
     rec.add(
         "expectation-contractive",
@@ -682,15 +678,16 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
         max_rel_defect=bimodule,
         trials=count,
     )
+    # every trial's a against every delta b, one defect each
+    (a,) = random_stacks(rng, SMALL_TRIALS, g)
     ruy_defect = 0.0
     ruy_ok = True
-    for _ in range(SMALL_TRIALS):
-        a = random_function(g, rng)
-        for aid in g.arrow_ids:
-            b = delta(g, aid)
-            ruy_defect = max(ruy_defect, eq_ruy_defect(sys, a, b))
-            if not check_eq_ruy(sys, a, b):
-                ruy_ok = False
+    for s in trial_chunks(SMALL_TRIALS, g.n_arrows * g.n_arrows):
+        a_rows = np.repeat(a[s], g.n_arrows, axis=0)
+        b_rows = np.tile(deltas, (len(a[s]), 1))
+        defects = eq_ruy_defect_stack(sys, a_rows, b_rows)
+        ruy_defect = _worst(ruy_defect, defects)
+        ruy_ok = ruy_ok and bool((defects <= eq_ruy_tolerance(a_rows, b_rows, ALG_TOL)).all())
     rec.add(
         "fiber-sandwich-identity",
         "i(<b, a*b>) = b^* P(a) b for fiber-supported b",
@@ -699,11 +696,13 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
         max_abs_defect=ruy_defect,
         trials=SMALL_TRIALS * g.n_arrows,
     )
-    functions = [zero(g)] + [random_function(g, rng) for _ in range(count)]
-    records = kernel_check(sys, functions, tol=EIG_TOL)
-    kernel_ok = all(r.consistent for r in records)
-    kernel_ok = kernel_ok and records[0].l_zero and records[0].p_zero and records[0].a_zero
-    kernel_ok = kernel_ok and all(not (r.l_zero or r.p_zero or r.a_zero) for r in records[1:])
+    (functions,) = random_stacks(rng, count, g)
+    functions = np.concatenate([np.zeros((1, g.n_arrows)), functions])
+    zero_verdicts = [norms <= EIG_TOL for norms in kernel_norms(sys, functions)]
+    l_zero, p_zero, a_zero = zero_verdicts
+    kernel_ok = bool(((l_zero == p_zero) & (p_zero == a_zero)).all())
+    kernel_ok = kernel_ok and all(zero[0] for zero in zero_verdicts)
+    kernel_ok = kernel_ok and not any(zero[1:].any() for zero in zero_verdicts)
     rec.add(
         "kernel-characterization",
         "L_a vanishes iff P(a^* a) vanishes iff a vanishes",

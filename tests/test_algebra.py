@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from groupoid_workbench.algebra import (
+    GroupoidFunction,
     convolve,
     delta,
     from_map,
@@ -208,3 +209,16 @@ class TestGradedComponents:
                         for arrow, v in zip(p2.arrows, prod.coeffs):
                             if v != 0:
                                 assert c.of(arrow.id) == grp.canonical((beta + gamma,))
+
+
+class TestReadOnlyCoefficients:
+    def test_function_copies_the_callers_array(self, p2):
+        values = np.arange(4, dtype=np.complex128)
+        f = GroupoidFunction(p2, values)
+        values[0] = 99.0
+        assert f.coeffs[0] == 0.0
+
+    def test_coefficients_are_read_only(self, p2):
+        f = delta(p2, "(1,2)")
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeffs[0] = 1.0

@@ -31,6 +31,14 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "Nonpositive Haar weight" in capsys.readouterr().out
 
+    def test_haar_weight_past_float_range(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        text = json.dumps(builtin_corpus(seed=0)[0].raw)
+        bad.write_text(text.replace('"rho": {"1": 1.0', '"rho": {"1": 1' + "0" * 400, 1), encoding="utf-8")
+        assert '"1": 1000' in bad.read_text(encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "invalid: haar.rho.1" in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 

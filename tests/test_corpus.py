@@ -1,5 +1,9 @@
 """Built-in corpus: size, shapes, determinism, and the advertised members."""
 
+import os
+import subprocess
+import sys
+
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.groupoid import validate_groupoid
 
@@ -64,3 +68,21 @@ def test_union_and_product_sizes():
     assert docs["union-pair2-z2-counting"].groupoid.n_arrows == 6
     assert docs["union-pair2-z2-counting"].groupoid.n_units == 3
     assert docs["product-pair2-z2-counting"].groupoid.n_arrows == 8
+
+
+def test_reimported_package_frees_the_previous_import():
+    # a benchmark re-imports the package before every pass; a module-level
+    # typing alias naming FiniteGroupoid kept each old copy alive through
+    # typing's subscription cache, and resident memory grew with every import
+    script = """
+import gc, sys, weakref
+import groupoid_workbench.corpus
+old = weakref.ref(sys.modules["groupoid_workbench.groupoid"].FiniteGroupoid)
+for key in [k for k in sys.modules if k.startswith("groupoid_workbench")]:
+    del sys.modules[key]
+import groupoid_workbench.corpus
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", script], env=env, timeout=60).returncode == 0

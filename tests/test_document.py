@@ -82,6 +82,17 @@ class TestParse:
             parse_document(raw)
         assert err.value.path == "functions.f.(1,2)"
 
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["nan", "plus-inf", "minus-inf", "int-past-float-range"],
+    )
+    def test_non_finite_haar_weights_rejected(self, text):
+        # the integer overflowed float() and escaped as OverflowError
+        raw = json.dumps(minimal_pair_doc()).replace('"2": 4.0', f'"2": {text}')
+        with pytest.raises(DocumentError, match="finite") as err:
+            parse_document(raw)
+        assert err.value.path == "haar.rho.2"
+
     def test_finite_group_backend(self):
         raw = minimal_pair_doc()
         raw["group"] = {"finite": {"cayley": [[0, 1], [1, 0]]}}

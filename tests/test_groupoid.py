@@ -11,6 +11,7 @@ import pytest
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.groupoid import (
     FiniteGroupoid,
+    HaarSystem,
     action_groupoid,
     counting_haar,
     disjoint_union,
@@ -224,3 +225,59 @@ class TestConstructors:
         ]
         for g in corpus:
             assert validate_groupoid(g).ok
+
+
+class TestReadOnlyState:
+    """The caches hold arrays derived from these tables; every mutation that
+    could make them stale must raise."""
+
+    def test_haar_weights_are_a_read_only_copy(self):
+        g = pair_groupoid(2)
+        rho = {"1": 1.0, "2": 4.0}
+        haar = HaarSystem(rho=rho)
+        with pytest.raises(TypeError):
+            haar.rho["1"] = -1.0
+        rho["1"] = -1.0
+        assert haar.rho["1"] == 1.0
+        assert haar.weights(g).tolist() == [1.0, 4.0, 1.0, 4.0]
+
+    def test_cached_haar_weights_are_read_only(self):
+        g = pair_groupoid(2)
+        weights = counting_haar(g).weights(g)
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = -1.0
+
+    def test_compose_matrix_is_read_only(self):
+        with pytest.raises(ValueError, match="read-only"):
+            pair_groupoid(2).compose_matrix()[0, 0] = 3
+
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "y", "xy"])
+    def test_composable_pairs_are_read_only(self, which):
+        with pytest.raises(ValueError, match="read-only"):
+            pair_groupoid(2).composable_pairs()[which][0] = 3
+
+    @pytest.mark.parametrize("table", ["invert_index", "src_index", "dst_index", "unit_arrow_index"])
+    def test_index_tables_are_read_only(self, table):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(pair_groupoid(2), table)[0] = 1
+
+    @pytest.mark.parametrize("table", ["compose", "invert", "unit_arrow"])
+    def test_id_tables_are_read_only(self, table):
+        with pytest.raises(TypeError):
+            getattr(pair_groupoid(2), table)["(1,1)"] = "(2,2)"
+
+    def test_subgroupoid_embedding_is_read_only(self):
+        g = pair_groupoid(2)
+        sub = g.restricted_to(["(1,1)", "(2,2)"])
+        embedding = sub.embedding(g)
+        assert embedding.tolist() == [0, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            embedding[0] = 1
+
+    def test_embedding_by_id_matches_restriction(self):
+        g = pair_groupoid(3)
+        sub = g.restricted_to(["(3,3)", "(1,1)", "(2,2)", "(1,2)", "(2,1)"])
+        rebuilt = FiniteGroupoid(sub.units, sub.arrows, sub.compose, sub.invert, sub.unit_arrow)
+        assert rebuilt.embedding(g).tolist() == sub.embedding(g).tolist() == [0, 1, 3, 4, 8]
+        with pytest.raises(ValueError, match="not an arrow of the ambient groupoid"):
+            g.embedding(sub)

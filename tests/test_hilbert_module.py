@@ -44,6 +44,7 @@ from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     check_eq_ruy,
     eq_ruy_defect,
+    eq_ruy_tolerance,
     expectation_P,
     induced_space,
     kernel_check,
@@ -399,6 +400,12 @@ class TestEqRuy:
         b = from_map(sys.groupoid, {"(1,2)": 1.0, "(1,1)": 1.0})
         with pytest.raises(ValueError, match="more than one fiber"):
             check_eq_ruy(sys, rng_functions(sys.groupoid, 42, 1)[0], b)
+
+    def test_tolerance_scales_with_both_functions(self):
+        # the verdict bound is tol * (1 + max|a|) * (1 + max|b|)^2, trial by trial
+        a = np.array([[3.0, -4.0j], [0.5, 0.0]])
+        b = np.array([[1.0, 0.0], [0.0, -2.0]])
+        assert eq_ruy_tolerance(a, b, 1e-12).tolist() == [1e-12 * 5.0 * 4.0, 1e-12 * 1.5 * 9.0]
 
 
 class TestKernelCheck:

@@ -6,7 +6,7 @@ import pytest
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import GradedGroupoid, trivial_cocycle
-from groupoid_workbench.groupoid import FiniteGroupoid, counting_haar, pair_groupoid
+from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, counting_haar, pair_groupoid
 from groupoid_workbench.groups import FreeAbelianGroup
 from groupoid_workbench.verify import (
     DEFAULT_COUNTS,
@@ -82,6 +82,18 @@ class TestForcedFailure:
         assert failures
         axioms = [f for f in failures if f["check"] == "groupoid-axioms"]
         assert axioms and axioms[0]["witness"]["cause"] == "compose-range-mismatch"
+
+    def test_nan_defect_fails_its_check(self):
+        # weights near the float limit overflow (a*b)*c to inf, and the
+        # associativity defect to NaN; a NaN trial used to be skipped
+        g = pair_groupoid(2)
+        system = GradedGroupoid(g, HaarSystem(rho={"1": 1e300, "2": 1e300}), trivial_cocycle(g, FreeAbelianGroup(1)))
+        doc = WorkbenchDocument(name="huge", system=system, functions={}, raw={})
+        with np.errstate(all="ignore"):
+            report = run_verification([doc], suite="algebra", seed=0, count=3)
+        (assoc,) = [c for c in report["checks"] if c["check"] == "convolution-associativity"]
+        assert assoc["status"] == "fail"
+        assert np.isnan(assoc["witness"]["max_rel_defect"])
 
 
 class TestDistribution:
