@@ -16,17 +16,18 @@ fiberwise components a_gamma = a restricted to c^{-1}(gamma).
 
 Every operation is a kernel on a stack of T functions, a (T, n) coefficient
 array (the ``*_stack`` functions); the operations on one
-:class:`GroupoidFunction` call the same kernels with T = 1.  Kernels whose
-temporaries outgrow the coefficients evaluate the trial axis in chunks of at
-most :data:`TRIAL_CHUNK_ENTRIES` entries.  Each trial is evaluated exactly
-as it would be alone, so a stack gives bit for bit the values of T separate
-calls.
+:class:`GroupoidFunction` pass its 1-D coefficient vector to the same
+kernels, which index the last axis only.  Kernels whose temporaries outgrow
+the coefficients evaluate the trial axis in chunks of at most
+:data:`TRIAL_CHUNK_ENTRIES` entries (:func:`chunked`).  Each trial is
+evaluated exactly as it would be alone, so a stack gives bit for bit the
+values of T separate calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -138,16 +139,27 @@ def trial_chunks(count: int, per_trial: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
-def _trial_bins(index: np.ndarray, width: int, trials: int) -> np.ndarray:
-    """``index`` shifted to the bins of each of ``trials`` rows of ``width``
-    bins, flattened row by row."""
-    if trials == 1:
-        return index
-    return (index + width * np.arange(trials)[:, None]).ravel()
+def chunked(kernel: Callable[..., np.ndarray], per_trial: int, *stacks: np.ndarray) -> np.ndarray:
+    """``kernel(*stacks)`` on the chunks of :func:`trial_chunks` of the
+    trial axis of (T, n) stacks, concatenated.  One function (a 1-D array)
+    or a stack that fits in one chunk is passed whole."""
+    chunks = trial_chunks(len(stacks[0]), per_trial) if stacks[0].ndim > 1 else ()
+    if len(chunks) <= 1:
+        return kernel(*stacks)
+    return np.concatenate([kernel(*(x[s] for x in stacks)) for s in chunks])
+
+
+def _bin_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
+    """Row by row, ``out[..., index[j]] += values[..., j]`` in the order of
+    j, by ``bincount``, for real values (..., m) with at most one leading axis."""
+    lead = values.shape[:-1]
+    bins = (index + width * np.arange(lead[0])[:, None]).ravel() if lead else index
+    return np.bincount(bins, values.ravel(), width * (lead[0] if lead else 1)).reshape(lead + (width,))
 
 
 def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSystem) -> np.ndarray:
-    """a * b trial by trial for (T, n) stacks (a stack with T = 1 broadcasts).
+    """a * b trial by trial for (T, n) stacks, or for one pair of 1-D
+    coefficient vectors (a stack with T = 1 broadcasts).
 
     Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial by
     ``bincount``, real and imaginary parts apart, in composable-pair order."""
@@ -155,73 +167,73 @@ def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSy
         a, b = np.broadcast_arrays(a, b)
     ys, ts, zs = g.composable_pairs()
     w = haar.weights(g)[ys]
-    n = g.n_arrows
-    out = np.empty(a.shape, dtype=np.complex128)
-    for s in trial_chunks(len(a), len(zs)):
-        terms = a[s][:, ys] * b[s][:, ts] * w
-        bins = _trial_bins(zs, n, len(terms))
-        out.real[s] = np.bincount(bins, terms.real.ravel(), len(terms) * n).reshape(-1, n)
-        out.imag[s] = np.bincount(bins, terms.imag.ravel(), len(terms) * n).reshape(-1, n)
-    return out
+
+    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        terms = x.take(ys, axis=-1) * y.take(ts, axis=-1) * w
+        out = np.empty(x.shape, dtype=np.complex128)
+        out.real = _bin_rows(terms.real, zs, g.n_arrows)
+        out.imag = _bin_rows(terms.imag, zs, g.n_arrows)
+        return out
+
+    return chunked(kernel, len(zs), a, b)
 
 
 def convolve(a: GroupoidFunction, b: GroupoidFunction, haar: HaarSystem) -> GroupoidFunction:
     """(a * b)(x) = sum over {y : r(y) = r(x)} of a(y) b(y^{-1}x) w(y)."""
     _same_groupoid(a, b)
-    return GroupoidFunction(a.groupoid, convolve_stack(a.groupoid, a.coeffs[None], b.coeffs[None], haar)[0])
+    return GroupoidFunction(a.groupoid, convolve_stack(a.groupoid, a.coeffs, b.coeffs, haar))
 
 
 def involute_stack(g: FiniteGroupoid, a: np.ndarray) -> np.ndarray:
-    return np.conj(a[:, g.invert_index])
+    """a^* for every trial of a (..., n) stack."""
+    return np.conj(a.take(g.invert_index, axis=-1))
 
 
 def involute(a: GroupoidFunction) -> GroupoidFunction:
     """a^*(x) = conj(a(x^{-1}))."""
-    return GroupoidFunction(a.groupoid, involute_stack(a.groupoid, a.coeffs[None])[0])
+    return GroupoidFunction(a.groupoid, involute_stack(a.groupoid, a.coeffs))
 
 
 def i_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
-    """The I-norm of every trial of a (T, n) stack."""
+    """The I-norm of every trial of a (..., n) stack."""
     w = haar.weights(g)
     mags = np.abs(a)
-    bins = _trial_bins(g.dst_index, g.n_units, len(a))
-    size = len(a) * g.n_units
-    direct = np.bincount(bins, (mags * w).ravel(), size).reshape(-1, g.n_units)
-    inverted = np.bincount(bins, (mags[:, g.invert_index] * w).ravel(), size).reshape(-1, g.n_units)
-    return np.maximum(direct.max(axis=1), inverted.max(axis=1))
+    direct = _bin_rows(mags * w, g.dst_index, g.n_units)
+    inverted = _bin_rows(mags.take(g.invert_index, axis=-1) * w, g.dst_index, g.n_units)
+    return np.maximum(direct.max(axis=-1), inverted.max(axis=-1))
 
 
 def i_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     """max over units of the larger of the two weighted fiber sums of |a|."""
-    return float(i_norm_stack(a.groupoid, a.coeffs[None], haar)[0])
+    return float(i_norm_stack(a.groupoid, a.coeffs, haar))
 
 
 def include_stack(sub: FiniteGroupoid, a: np.ndarray, parent: FiniteGroupoid) -> np.ndarray:
-    """Extension by zero of a (T, n_sub) stack on a subgroupoid of ``parent``."""
-    out = np.zeros((len(a), parent.n_arrows), dtype=np.complex128)
-    out[:, sub.embedding(parent)] = a
+    """Extension by zero of a (..., n_sub) stack on a subgroupoid of ``parent``."""
+    out = np.zeros(a.shape[:-1] + (parent.n_arrows,), dtype=np.complex128)
+    out[..., sub.embedding(parent)] = a
     return out
 
 
 def include_i(f: GroupoidFunction, parent: FiniteGroupoid) -> GroupoidFunction:
     """Extension by zero from a subgroupoid whose arrow ids live in ``parent``."""
-    return GroupoidFunction(parent, include_stack(f.groupoid, f.coeffs[None], parent)[0])
+    return GroupoidFunction(parent, include_stack(f.groupoid, f.coeffs, parent))
 
 
 def restrict_stack(g: FiniteGroupoid, a: np.ndarray, sub: FiniteGroupoid) -> np.ndarray:
-    """The coefficients of a (T, n) stack on the arrows of a subgroupoid."""
-    return a[:, sub.embedding(g)]
+    """The coefficients of a (..., n) stack on the arrows of a subgroupoid."""
+    return a.take(sub.embedding(g), axis=-1)
 
 
 def restrict_q(a: GroupoidFunction, sub: FiniteGroupoid) -> GroupoidFunction:
     """Coefficients restricted to the arrows of a subgroupoid (shared ids)."""
-    return GroupoidFunction(sub, restrict_stack(a.groupoid, a.coeffs[None], sub)[0])
+    return GroupoidFunction(sub, restrict_stack(a.groupoid, a.coeffs, sub))
 
 
 def graded_component_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
-    """The fiber components of a (T, n) stack as an (n_fibers, T, n) array,
-    fibers in ``sys.fiber_keys`` order."""
-    fibers = np.arange(len(sys.fiber_keys))[:, None, None]
+    """The fiber components of a (..., n) stack as an (n_fibers, ..., n)
+    array, fibers in ``sys.fiber_keys`` order."""
+    fibers = np.arange(len(sys.fiber_keys)).reshape((-1,) + (1,) * a.ndim)
     return np.where(sys.fiber_index == fibers, a, 0.0)
 
 
@@ -232,8 +244,8 @@ def graded_component(sys: GradedGroupoid, a: GroupoidFunction, gamma: Any) -> Gr
 
 def graded_components(sys: GradedGroupoid, a: GroupoidFunction) -> dict[str, GroupoidFunction]:
     """Nonzero-support fiber components keyed by element key (sorted by the group order)."""
-    parts = graded_component_stack(sys, a.coeffs[None])
+    parts = graded_component_stack(sys, a.coeffs)
     return {
-        sys.fiber_keys[k]: GroupoidFunction(a.groupoid, parts[k, 0])
+        sys.fiber_keys[k]: GroupoidFunction(a.groupoid, parts[k])
         for k in np.unique(sys.fiber_index[a.coeffs != 0])
     }

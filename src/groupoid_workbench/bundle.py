@@ -120,12 +120,16 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
     e = unit_function(g, sys.haar).coeffs
     if float(np.abs(expectation_stack(sys, e[None]) - e).max()) != 0.0:
         return CheckReport.failed("projection-moves-unit")
-    deltas = np.eye(g.n_arrows, dtype=np.complex128)
-    moved = np.abs(expectation_stack(sys, deltas) - np.where(sys.identity_mask[:, None], deltas, 0.0)).max(axis=1)
-    for key, ids in family.bases.items():
-        for aid in ids:
-            if moved[g.index(aid)] != 0.0:
-                return CheckReport.failed("projection-wrong-on-basis", fiber=key, arrow=aid)
+    # every listed basis delta, expected to stay when listed under the
+    # identity key and to vanish otherwise
+    identity_key = sys.group.element_key(sys.group.identity)
+    listed = [(key, aid) for key, ids in family.bases.items() for aid in ids]
+    deltas = np.eye(g.n_arrows, dtype=np.complex128)[[g.index(aid) for _, aid in listed]]
+    kept = np.array([key == identity_key for key, _ in listed], dtype=bool).reshape(-1, 1)
+    wrong = np.flatnonzero(np.abs(expectation_stack(sys, deltas) - np.where(kept, deltas, 0.0)).max(axis=1) != 0.0)
+    if len(wrong):
+        key, aid = listed[wrong[0]]
+        return CheckReport.failed("projection-wrong-on-basis", fiber=key, arrow=aid)
     (a,) = random_stacks(np.random.default_rng(seed), count, g)
     denom = cstar_norm_stack(g, a, sys.haar)
     numer = cstar_norm_stack(g, expectation_stack(sys, a), sys.haar)

@@ -27,10 +27,10 @@ identity-fiber subalgebra; the fiberwise identity linking it to the module
 structure and the kernel characterization of L both live here.
 
 Every operation also takes a (T, n) stack of trials (the ``*_stack``
-functions, ``InducedSpace.operator_norms``, :func:`kernel_norms`), and the
-one-function forms call them with T = 1.  The induced operator takes its
-trials in chunks, so that its (t, n, n) left-convolution matrices stay
-within ``algebra.TRIAL_CHUNK_ENTRIES``.
+functions, ``InducedSpace.operator_norms``, :func:`kernel_verdicts`), and
+the one-function forms pass their 1-D coefficients to the same kernels.
+The induced operator takes its trials in chunks, so that its (t, n, n)
+left-convolution matrices stay within ``algebra.TRIAL_CHUNK_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -43,21 +43,21 @@ import numpy as np
 
 from .algebra import (
     GroupoidFunction,
+    chunked,
     convolve_stack,
     include_stack,
     involute_stack,
     restrict_stack,
-    trial_chunks,
 )
 from .grading import GradedGroupoid
 from .representation import _norm_of_trials, cstar_norm_stack, parent_to_sub_index
 
 
 def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:
-    """The coefficients of functions on the graded groupoid, as T = 1 stacks."""
+    """The coefficients of functions on the graded groupoid."""
     if any(f.groupoid is not sys.groupoid for f in functions):
         raise ValueError("Function does not live on the graded groupoid.")
-    return [f.coeffs[None] for f in functions]
+    return [f.coeffs for f in functions]
 
 
 def action_stack(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def module_action(sys: GradedGroupoid, a: GroupoidFunction, g_e: GroupoidFunctio
     """a . g = a * i(g)."""
     if a.groupoid is not sys.groupoid or g_e.groupoid is not sys.identity_fiber:
         raise ValueError("module_action expects (function on G, function on the identity fiber).")
-    return GroupoidFunction(sys.groupoid, action_stack(sys, a.coeffs[None], g_e.coeffs[None])[0])
+    return GroupoidFunction(sys.groupoid, action_stack(sys, a.coeffs, g_e.coeffs))
 
 
 def inner_product_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,7 +80,7 @@ def inner_product_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np
 
 def module_inner_product(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> GroupoidFunction:
     """<a, b> = (a^* * b) restricted to G_e, as a function on G_e."""
-    return GroupoidFunction(sys.identity_fiber, inner_product_stack(sys, *_on(sys, a, b))[0])
+    return GroupoidFunction(sys.identity_fiber, inner_product_stack(sys, *_on(sys, a, b)))
 
 
 def module_norm_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
@@ -90,7 +90,7 @@ def module_norm_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
 
 def module_norm(sys: GradedGroupoid, a: GroupoidFunction) -> float:
     """||a|| = sqrt of the identity-fiber C*-norm of <a, a>."""
-    return float(module_norm_stack(sys, *_on(sys, a))[0])
+    return float(module_norm_stack(sys, *_on(sys, a)))
 
 
 def expectation_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
@@ -101,7 +101,7 @@ def expectation_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
 def expectation_P(sys: GradedGroupoid, a: GroupoidFunction) -> GroupoidFunction:
     """Conditional expectation onto the identity-fiber subalgebra: keep the
     coefficients on G_e, zero elsewhere."""
-    return GroupoidFunction(sys.groupoid, expectation_stack(sys, *_on(sys, a))[0])
+    return GroupoidFunction(sys.groupoid, expectation_stack(sys, *_on(sys, a)))
 
 
 def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
@@ -229,51 +229,48 @@ class InducedSpace:
         return frame
 
     def _left_conv_stack(self, a: np.ndarray) -> np.ndarray:
-        vals = np.where(self._conv_defined, a[:, self._conv_clipped], 0.0)
+        vals = np.where(self._conv_defined, a.take(self._conv_clipped, axis=-1), 0.0)
         return vals * self._rho_r
 
     def left_conv_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Matrix of b -> a * b on the plain delta basis of the big algebra."""
-        return self._left_conv_stack(a.coeffs[None])[0]
+        return self._left_conv_stack(a.coeffs)
 
     def _image(self, a: np.ndarray) -> np.ndarray:
-        """Left convolution by every trial of a (T, n) stack applied to the
-        frame, on the support rows: a (T, support, rank) array."""
+        """Left convolution by every trial of a (..., n) stack applied to the
+        frame, on the support rows: a (..., support, rank) array."""
         conv = self._left_conv_stack(a)
-        image = np.empty((len(a), len(self._support), self.rank), dtype=np.complex128)
+        image = np.empty(a.shape[:-1] + (len(self._support), self.rank), dtype=np.complex128)
         for rows, nh, nx, row_arrows, col_arrows in self._chunks:
             frame = self._frame[rows].reshape(-1, nh, nx, self.rank)
-            blocks = conv[:, row_arrows, col_arrows][:, :, None] @ frame
-            image[:, rows] = blocks.reshape(len(a), -1, self.rank)
+            blocks = conv[..., row_arrows, col_arrows][..., None, :, :] @ frame
+            image[..., rows, :] = blocks.reshape(image[..., rows, :].shape)
         return image
 
     def operator_matrix(self, a: GroupoidFunction) -> np.ndarray:
         """Compression of left convolution by a onto the orthonormal frame."""
-        return self._frame_gram @ self._image(a.coeffs[None])[0]
+        return self._frame_gram @ self._image(a.coeffs)
 
     def operator_block_stacks(self, a: np.ndarray) -> list[np.ndarray]:
-        """The diagonal blocks of the compression for every trial of a (T, n)
-        stack, one per unit s(h), as (T, k, c, c) stacks of equal-size blocks;
-        everything off them is zero."""
+        """The diagonal blocks of the compression for every trial of a (..., n)
+        stack, one per unit s(h), as (..., k, c, c) stacks of equal-size
+        blocks; everything off them is zero."""
         image = self._image(a)
-        return [frame_gram @ np.moveaxis(image[:, :, cols], 1, 2) for cols, frame_gram in self._unit_columns]
+        return [frame_gram @ np.moveaxis(image[..., cols], -3, -2) for cols, frame_gram in self._unit_columns]
 
     def operator_blocks(self, a: GroupoidFunction) -> list[np.ndarray]:
         """The diagonal blocks of ``operator_matrix(a)``, one per unit s(h),
         as stacks of equal-size blocks; everything off them is zero."""
-        return [stack[0] for stack in self.operator_block_stacks(a.coeffs[None])]
+        return self.operator_block_stacks(a.coeffs)
 
     def operator_norms(self, a: np.ndarray) -> np.ndarray:
-        """The operator norm of left convolution by every trial of a (T, n)
+        """The operator norm of left convolution by every trial of a (..., n)
         stack, one batched eigensolve per block size and chunk."""
-        out = np.empty(len(a))
         per_trial = self._conv_defined.size + len(self._support) * self.rank
-        for s in trial_chunks(len(a), per_trial):
-            out[s] = _norm_of_trials(self.operator_block_stacks(a[s]))
-        return out
+        return chunked(lambda x: _norm_of_trials(self.operator_block_stacks(x)), per_trial, a)
 
     def operator_norm_of(self, a: GroupoidFunction) -> float:
-        return float(self.operator_norms(a.coeffs[None])[0])
+        return float(self.operator_norms(a.coeffs))
 
 
 def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:
@@ -286,7 +283,7 @@ def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> Induced
 
 
 def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray, space: InducedSpace | None = None) -> np.ndarray:
-    """Module operator norm of left convolution by every trial of a (T, n) stack."""
+    """Module operator norm of left convolution by every trial of a (..., n) stack."""
     if space is None:
         space = induced_space(sys)
     return space.operator_norms(a)
@@ -294,7 +291,7 @@ def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray, space: InducedSpac
 
 def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction, space: InducedSpace | None = None) -> float:
     """Module operator norm of left convolution by a."""
-    return float(L_operator_norm_stack(sys, *_on(sys, a), space)[0])
+    return float(L_operator_norm_stack(sys, *_on(sys, a), space))
 
 
 def _single_fiber_support(sys: GradedGroupoid, b: np.ndarray) -> None:
@@ -330,19 +327,20 @@ def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.nda
 def eq_ruy_defect(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> float:
     """Max coefficient deviation between i(<b, a*b>) and b^* P(a) b for a
     single-fiber-supported b."""
-    return float(eq_ruy_defect_stack(sys, *_on(sys, a, b))[0])
+    return float(eq_ruy_defect_stack(sys, *(x[None] for x in _on(sys, a, b)))[0])
 
 
 def check_eq_ruy(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction, tol: float = 1e-12) -> bool:
     """True iff i(<b, a*b>) equals b^* P(a) b within tol (relative to scale)."""
-    a_, b_ = _on(sys, a, b)
+    a_, b_ = (x[None] for x in _on(sys, a, b))
     return bool(eq_ruy_defect_stack(sys, a_, b_)[0] <= eq_ruy_tolerance(a_, b_, tol)[0])
 
 
 @dataclass(frozen=True)
 class KernelCheckRecord:
     """Norm triple for one function: left-convolution operator, expectation
-    of the star-square, and the C*-norm, with their zero-verdicts."""
+    of the star-square, and the C*-norm, with their zero-verdicts and
+    whether the verdicts agree."""
 
     l_norm: float
     p_norm: float
@@ -350,24 +348,24 @@ class KernelCheckRecord:
     l_zero: bool
     p_zero: bool
     a_zero: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.l_zero == self.p_zero == self.a_zero
+    consistent: bool
 
 
-def kernel_norms(
-    sys: GradedGroupoid, a: np.ndarray, space: InducedSpace | None = None
+def kernel_verdicts(
+    sys: GradedGroupoid, a: np.ndarray, tol: float = 1e-9, space: InducedSpace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The norm triple of :func:`kernel_check` (||L_a||, ||P(a^* a)||,
-    ||a||) for every trial of a (T, n) stack."""
+    """For every trial of a (T, n) stack: the norm triple (||L_a||,
+    ||P(a^* a)||, ||a||) as a (3, T) array, its zero verdicts ``norm <= tol``
+    and whether the three verdicts agree."""
     g = sys.groupoid
     star_square = convolve_stack(g, involute_stack(g, a), a, sys.haar)
-    return (
+    norms = np.array([
         L_operator_norm_stack(sys, a, space),
         cstar_norm_stack(g, expectation_stack(sys, star_square), sys.haar),
         cstar_norm_stack(g, a, sys.haar),
-    )
+    ])
+    zeros = norms <= tol
+    return norms, zeros, (zeros == zeros[0]).all(axis=0)
 
 
 def kernel_check(
@@ -384,8 +382,9 @@ def kernel_check(
     a, so the thresholds agree only away from norms near sqrt(tol); feed
     order-one functions (or exact zeros), as the verification suites do.
     """
-    stack = np.concatenate([np.empty((0, sys.groupoid.n_arrows)), *_on(sys, *functions)])
+    stack = np.array(_on(sys, *functions), dtype=np.complex128).reshape(len(functions), sys.groupoid.n_arrows)
+    norms, zeros, consistent = kernel_verdicts(sys, stack, tol, space)
     return [
-        KernelCheckRecord(l_norm=ln, p_norm=pn, a_norm=an, l_zero=ln <= tol, p_zero=pn <= tol, a_zero=an <= tol)
-        for ln, pn, an in zip(*(norms.tolist() for norms in kernel_norms(sys, stack, space)))
+        KernelCheckRecord(*n, *z, c)
+        for n, z, c in zip(norms.T.tolist(), zeros.T.tolist(), consistent.tolist())
     ]

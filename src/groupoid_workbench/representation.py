@@ -21,7 +21,8 @@ them (whole stacks for :func:`rep_stacks`, one unit's row for
 reductions over the stacks, one batched eigensolve per block size.  The
 ``*_stack`` functions evaluate a (T, n) stack of trials the same way, with
 the trial axis in front of the unit axis, so one eigensolve per block size
-covers every trial of a chunk; the one-function forms call them with T = 1.
+covers every trial of a chunk; the one-function forms pass their 1-D
+coefficients to the same kernels.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
@@ -29,12 +30,13 @@ power iteration, so repeated runs give bit-stable reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .algebra import GroupoidFunction, include_stack, involute, trial_chunks
+from .algebra import GroupoidFunction, chunked, include_stack, involute
 from .grading import GradedGroupoid
 from .groupoid import FiniteGroupoid, HaarSystem
 
@@ -65,25 +67,25 @@ def _rep_entries(coeffs: np.ndarray, w: np.ndarray, arrows: np.ndarray, products
     :func:`_range_weights`: coefficients (..., n), ``arrows`` (k, d) and
     ``products`` (k, d, d) give blocks (..., k, d, d)."""
     wx = w[arrows]
-    return coeffs[..., products] * np.sqrt(wx[..., :, None] * wx[..., None, :])
-
-
-def _rep_stack_chunks(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem):
-    """For each chunk of the trial axis of a (T, n) stack: its slice and the
-    regular representation of its trials, one (t, k, d, d) array per block
-    size in the order of ``g.rep_tables()``."""
-    w = _range_weights(g, haar)
-    tables = g.rep_tables()
-    per_trial = sum(products.size for _, _, products in tables)
-    for s in trial_chunks(len(a), per_trial):
-        yield s, [_rep_entries(a[s], w, arrows, products) for _, arrows, products in tables]
+    return coeffs.take(products, axis=-1) * np.sqrt(wx[..., :, None] * wx[..., None, :])
 
 
 def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
     """The regular representation of a as one (k, d, d) stack per block
     size, in the order of ``a.groupoid.rep_tables()``."""
-    w = _range_weights(a.groupoid, haar)
-    return [_rep_entries(a.coeffs, w, arrows, products) for _, arrows, products in a.groupoid.rep_tables()]
+    return _rep_stack_of(a.groupoid, a.coeffs, haar)
+
+
+def _rep_stack_of(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> list[np.ndarray]:
+    """The regular representation of every trial of a (..., n) stack, one
+    (..., k, d, d) array per block size in the order of ``g.rep_tables()``."""
+    w = _range_weights(g, haar)
+    return [_rep_entries(a, w, arrows, products) for _, arrows, products in g.rep_tables()]
+
+
+def _rep_size(g: FiniteGroupoid) -> int:
+    """Entries of the regular representation of one function."""
+    return sum(products.size for _, _, products in g.rep_tables())
 
 
 def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
@@ -96,7 +98,7 @@ def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
 
 
 def _rep_matrix_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, u: str) -> np.ndarray:
-    """The regular representation at u of every trial of a (T, n) stack."""
+    """The regular representation at u of every trial of a (..., n) stack."""
     if not g.has_unit(u):
         raise ValueError(f"Unknown unit {u!r}.")
     for units, arrows, products in g.rep_tables():
@@ -111,42 +113,43 @@ def regular_rep_matrix(a: GroupoidFunction, haar: HaarSystem, u: str) -> np.ndar
 
 
 def _norm_of_trials(stacks: list[np.ndarray]) -> np.ndarray:
-    """The largest singular value over all blocks of each trial, for (t, k,
-    d, d) stacks."""
-    return np.max([operator_norms(stack).max(axis=1) for stack in stacks], axis=0)
+    """The largest singular value over all blocks of each trial, for (...,
+    k, d, d) stacks."""
+    return functools.reduce(np.maximum, [operator_norms(stack).max(axis=-1) for stack in stacks])
 
 
 def cstar_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
-    """The C*-norm of every trial of a (T, n) stack: one batched eigensolve
-    per block size and chunk."""
-    out = np.empty(len(a))
-    for s, stacks in _rep_stack_chunks(g, a, haar):
-        out[s] = _norm_of_trials(stacks)
-    return out
+    """The C*-norm of every trial of a (..., n) stack: one batched
+    eigensolve per block size and chunk."""
+    return chunked(lambda x: _norm_of_trials(_rep_stack_of(g, x, haar)), _rep_size(g), a)
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     """max over units of the largest singular value of the regular block."""
-    return float(cstar_norm_stack(a.groupoid, a.coeffs[None], haar)[0])
+    return float(cstar_norm_stack(a.groupoid, a.coeffs, haar))
 
 
 def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
-    """:func:`positivity_check` for every trial of a (T, n) stack."""
-    out = np.empty(len(a), dtype=bool)
-    for s, stacks in _rep_stack_chunks(g, a, haar):
+    """:func:`positivity_check` for every trial of a (..., n) stack."""
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        stacks = _rep_stack_of(g, x, haar)
         slack = tol * (1.0 + _norm_of_trials(stacks))
-        ok = np.ones(len(slack), dtype=bool)
+        ok = np.ones(x.shape[:-1], dtype=bool)
         for m in stacks:
             adjoint = m.conj().swapaxes(-1, -2)
-            ok &= ~(np.abs(m - adjoint).max(axis=(1, 2, 3)) > slack)
-            ok &= ~(np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0].min(axis=1) < -slack)
-        out[s] = ok
-    return out
+            ok &= ~(np.abs(m - adjoint).max(axis=(-3, -2, -1)) > slack)
+            if not ok.any():  # no trial left to decide
+                break
+            ok &= ~(np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0].min(axis=-1) < -slack)
+        return ok
+
+    return chunked(kernel, _rep_size(g), a)
 
 
 def positivity_check(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> bool:
     """True iff a is positive: blocks Hermitian and spectra >= -tol*(1 + ||a||)."""
-    return bool(positivity_stack(a.groupoid, a.coeffs[None], haar, tol)[0])
+    return bool(positivity_stack(a.groupoid, a.coeffs, haar, tol))
 
 
 def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
@@ -164,15 +167,13 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.nda
 @dataclass(frozen=True, eq=False)
 class FiberBlockDecomposition:
     """Fiber blocks of the regular representation at a unit, with the
-    deviation between the directly built blocks and the permuted full matrix.
-    From :func:`decompose_rep_U_stack`, every matrix has a leading trial axis
-    and ``max_abs_error`` holds one value per trial."""
+    deviation between the directly built blocks and the permuted full matrix."""
 
     unit: str
     block_order: tuple[str, ...]  # element keys with nonempty fiber at the unit
     blocks: dict[str, np.ndarray]
     permuted_matrix: np.ndarray
-    max_abs_error: float | np.ndarray
+    max_abs_error: float
 
 
 def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
@@ -198,21 +199,19 @@ def _identity_fiber_stack(sys: GradedGroupoid, a_e: np.ndarray) -> np.ndarray:
 def _of_identity_fiber(sys: GradedGroupoid, a_e: GroupoidFunction) -> np.ndarray:
     if a_e.groupoid is not sys.identity_fiber:
         raise ValueError("Function must live on the identity-fiber subgroupoid.")
-    return a_e.coeffs[None]
+    return a_e.coeffs
 
 
-def fiber_rep_block_stack(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str, ...]) -> np.ndarray:
-    """Block of the representation of every trial of a (T, n_e) stack of
-    identity-fiber functions on a set of same-source, same-fiber arrows,
-    built directly from the entry formula."""
+def _fiber_rep_block(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str, ...]) -> np.ndarray:
+    """The block of every trial of a (..., n_e) stack on a set of
+    same-source, same-fiber arrows, from the entry formula."""
     g = sys.groupoid
-    a_e = _identity_fiber_stack(sys, a_e)
     gidx = np.array([g.index(aid) for aid in arrow_ids], dtype=np.intp)
     table = g.compose_matrix()[np.ix_(gidx, g.invert_index[gidx])]
     if (table < 0).any():
         raise ValueError("Block arrows do not share a source; groupoid invalid.")
     sub_idx = parent_to_sub_index(sys)[table]
-    vals = np.where(sub_idx >= 0, a_e[:, np.clip(sub_idx, 0, None)], 0.0)
+    vals = np.where(sub_idx >= 0, a_e[..., np.clip(sub_idx, 0, None)], 0.0)
     rho_per_unit = np.array([sys.haar.unit_weight(v) for v in g.units])
     weights = rho_per_unit[g.dst_index[gidx]]
     return vals * np.sqrt(np.outer(weights, weights))
@@ -221,57 +220,51 @@ def fiber_rep_block_stack(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple
 def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> np.ndarray:
     """Block of the representation of an identity-fiber function on a set of
     same-source, same-fiber arrows, built directly from the entry formula."""
-    return fiber_rep_block_stack(sys, _of_identity_fiber(sys, a_e), arrow_ids)[0]
+    return _fiber_rep_block(sys, _of_identity_fiber(sys, a_e), arrow_ids)
 
 
-def decompose_rep_U_stack(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> FiberBlockDecomposition:
-    """Sort the basis at u into fiber blocks and compare, for every trial of
-    a (T, n_e) stack of identity-fiber functions, the directly built blocks
-    against the permuted full representation of the included function.
+def _decompose(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """The fiber blocks at u (element key -> block, in block order), the
+    permuted full representation and the largest deviation between the two,
+    for every trial of a (..., n_e) stack of identity-fiber functions.
 
     Empty fibers contribute no block; the fiber subspaces partition the space,
     so the permuted matrix must be exactly the direct sum.
     """
     g = sys.groupoid
-    a_e = _identity_fiber_stack(sys, a_e)
     full = _rep_matrix_stack(g, include_stack(sys.identity_fiber, a_e, g), sys.haar, u)
     partition = _fiber_partition_at(sys, u)
     order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
     perm = np.array([order[aid] for ids in partition.values() for aid in ids], dtype=np.intp)
-    permuted = full[:, perm[:, None], perm[None, :]]
-    blocks = {key: fiber_rep_block_stack(sys, a_e, tuple(ids)) for key, ids in partition.items()}
+    permuted = full[..., perm[:, None], perm[None, :]]
+    blocks = {key: _fiber_rep_block(sys, a_e, tuple(ids)) for key, ids in partition.items()}
     direct_sum = np.zeros_like(permuted)
     offset = 0
     for block in blocks.values():
         d = block.shape[-1]
-        direct_sum[:, offset : offset + d, offset : offset + d] = block
+        direct_sum[..., offset : offset + d, offset : offset + d] = block
         offset += d
-    return FiberBlockDecomposition(
-        unit=u,
-        block_order=tuple(partition),
-        blocks=blocks,
-        permuted_matrix=permuted,
-        max_abs_error=np.abs(permuted - direct_sum).max(axis=(1, 2)),
-    )
+    return blocks, permuted, np.abs(permuted - direct_sum).max(axis=(-2, -1))
+
+
+def decompose_rep_U_stack(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """:func:`decompose_rep_U` for every trial of a (T, n_e) stack: the fiber
+    blocks, (T, d, d) each in block order, and each trial's largest deviation."""
+    blocks, _, error = _decompose(sys, _identity_fiber_stack(sys, a_e), u)
+    return blocks, error
 
 
 def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
-    """:func:`decompose_rep_U_stack` for one identity-fiber function."""
-    dec = decompose_rep_U_stack(sys, _of_identity_fiber(sys, a_e), u)
-    return replace(
-        dec,
-        blocks={key: block[0] for key, block in dec.blocks.items()},
-        permuted_matrix=dec.permuted_matrix[0],
-        max_abs_error=float(dec.max_abs_error[0]),
-    )
+    """Sort the basis at u into fiber blocks and compare the directly built
+    blocks against the permuted full representation of the included function."""
+    blocks, permuted, error = _decompose(sys, _of_identity_fiber(sys, a_e), u)
+    return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(error))
 
 
 @dataclass(frozen=True, eq=False)
 class TranslationWitness:
     """Conjugation of a fiber block to the identity-fiber representation at
-    the range of the chosen translating arrow.  From
-    :func:`translate_rep_V_stack`, the blocks have a leading trial axis and
-    ``max_abs_error`` holds one value per trial."""
+    the range of the chosen translating arrow."""
 
     source_unit: str
     target_unit: str
@@ -281,27 +274,20 @@ class TranslationWitness:
     fiber_block: np.ndarray
     translated: np.ndarray
     target_block: np.ndarray
-    max_abs_error: float | np.ndarray
+    max_abs_error: float
 
 
-def translate_rep_V_stack(
-    sys: GradedGroupoid,
-    a_e: np.ndarray,
-    u: str,
-    gamma: Any,
-    z_arrow: str | None = None,
-) -> TranslationWitness:
-    """Conjugate the gamma-fiber block at u by right translation x -> x.z,
-    for every trial of a (T, n_e) stack of identity-fiber functions.
+def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -> tuple[str, str, str, tuple[str, ...], np.ndarray]:
+    """The element key of gamma, the translating arrow z, its range v, the
+    gamma-fiber arrows at u and the permutation matrix of x -> x.z from them
+    onto the identity-fiber arrows at v.
 
     z defaults to the unit arrow when gamma is the identity, else to the first
     arrow of the fiber in declared order; any member of the fiber may be
-    passed explicitly.  In the orthonormalized bases the translation is a
-    permutation matrix, hence exactly unitary.
+    passed explicitly.
     """
     g = sys.groupoid
     grp = sys.group
-    a_e = _identity_fiber_stack(sys, a_e)
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
     at_u = (g.src_index == g.units.index(u)) & sys.fiber_mask(gamma)
@@ -315,9 +301,8 @@ def translate_rep_V_stack(
             raise ValueError(f"Arrow {z_arrow!r} is not in the {gamma_key}-fiber at {u!r}.")
         z = z_arrow
     v = g.target(z)
-    sub = sys.identity_fiber
     domain = tuple(fiber_at_u)
-    codomain = sub.arrows_with_src(v)
+    codomain = sys.identity_fiber.arrows_with_src(v)
     if len(codomain) != len(domain):
         raise ValueError("Translation is not bijective; groupoid or grading invalid.")
     col = {aid: j for j, aid in enumerate(domain)}
@@ -327,20 +312,29 @@ def translate_rep_V_stack(
         if y is None or y not in col:
             raise ValueError("Translation leaves the fiber; groupoid or grading invalid.")
         vmat[i, col[y]] = 1.0
-    block = fiber_rep_block_stack(sys, a_e, domain)
-    target = _rep_matrix_stack(sub, a_e, sys.haar, v)  # on the identity-fiber subgroupoid
-    translated = vmat @ block @ vmat.conj().T
-    return TranslationWitness(
-        source_unit=u,
-        target_unit=v,
-        gamma_key=gamma_key,
-        z_arrow=z,
-        v_matrix=vmat,
-        fiber_block=block,
-        translated=translated,
-        target_block=target,
-        max_abs_error=np.abs(translated - target).max(axis=(1, 2)),
-    )
+    return gamma_key, z, v, domain, vmat
+
+
+def _translate(sys: GradedGroupoid, a_e: np.ndarray, v: str, domain: tuple[str, ...], vmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fiber block on ``domain``, its conjugate by ``vmat`` and the
+    identity-fiber block at v, for every trial of a (..., n_e) stack."""
+    block = _fiber_rep_block(sys, a_e, domain)
+    target = _rep_matrix_stack(sys.identity_fiber, a_e, sys.haar, v)  # on the identity-fiber subgroupoid
+    return block, vmat @ block @ vmat.conj().T, target
+
+
+def translate_rep_V_stack(
+    sys: GradedGroupoid,
+    a_e: np.ndarray,
+    u: str,
+    gamma: Any,
+    z_arrow: str | None = None,
+) -> np.ndarray:
+    """The largest deviation of :func:`translate_rep_V` for every trial of a
+    (T, n_e) stack of identity-fiber functions."""
+    _, _, v, domain, vmat = _translation(sys, u, gamma, z_arrow)
+    _, translated, target = _translate(sys, _identity_fiber_stack(sys, a_e), v, domain, vmat)
+    return np.abs(translated - target).max(axis=(1, 2))
 
 
 def translate_rep_V(
@@ -350,12 +344,9 @@ def translate_rep_V(
     gamma: Any,
     z_arrow: str | None = None,
 ) -> TranslationWitness:
-    """:func:`translate_rep_V_stack` for one identity-fiber function."""
-    wit = translate_rep_V_stack(sys, _of_identity_fiber(sys, a_e), u, gamma, z_arrow)
-    return replace(
-        wit,
-        fiber_block=wit.fiber_block[0],
-        translated=wit.translated[0],
-        target_block=wit.target_block[0],
-        max_abs_error=float(wit.max_abs_error[0]),
-    )
+    """Conjugate the gamma-fiber block at u by right translation x -> x.z
+    (see :func:`_translation` for the choice of z).  In the orthonormalized
+    bases the translation is a permutation matrix, hence exactly unitary."""
+    gamma_key, z, v, domain, vmat = _translation(sys, u, gamma, z_arrow)
+    block, translated, target = _translate(sys, _of_identity_fiber(sys, a_e), v, domain, vmat)
+    return TranslationWitness(u, v, gamma_key, z, vmat, block, translated, target, float(np.abs(translated - target).max()))

@@ -16,6 +16,7 @@ identities, 1e-9 relative for anything passing through an eigensolve.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import zlib
@@ -54,7 +55,7 @@ from .hilbert_module import (
     expectation_stack,
     induced_space,
     inner_product_stack,
-    kernel_norms,
+    kernel_verdicts,
     module_norm_stack,
 )
 from .representation import (
@@ -117,6 +118,10 @@ class _Recorder:
         self.seed = seed
         self.records: list[CheckRecord] = []
 
+    def rng(self) -> np.random.Generator:
+        """The suite's own generator, seeded by (seed, instance, suite)."""
+        return np.random.default_rng([self.seed, _instance_key(self.instance), SUITES.index(self.suite)])
+
     def add(self, check: str, prop: str, ok: bool, tolerance: float, **witness: Any) -> None:
         self.records.append(
             CheckRecord(
@@ -165,7 +170,8 @@ def _worst(*defects: Any) -> float:
 # at once on the (T, n) coefficient stacks.
 
 
-def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -232,7 +238,8 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator
     )
 
 
-def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -327,7 +334,8 @@ def _delta_rule_defect(g: Any, haar: Any) -> float:
     return worst
 
 
-def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -400,7 +408,8 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generato
     )
 
 
-def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -422,9 +431,9 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
     block_max = np.zeros(UNITARY_TRIALS)
     u_defect = 0.0
     for u in g.units:
-        dec = decompose_rep_U_stack(sys, f, u)
-        u_defect = _worst(u_defect, dec.max_abs_error)
-        for block in dec.blocks.values():
+        blocks, error = decompose_rep_U_stack(sys, f, u)
+        u_defect = _worst(u_defect, error)
+        for block in blocks.values():
             block_max = np.maximum(block_max, operator_norms(block))
     fiber_max = cstar_norm_stack(sub, f, haar)
     chain = _worst(_rel(np.abs(block_max - ambient), ambient), _rel(np.abs(fiber_max - ambient), ambient))
@@ -449,8 +458,7 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Gene
     checked = 0
     for ui, u in enumerate(g.units):
         for k in np.unique(sys.fiber_index[g.src_index == ui]):
-            wit = translate_rep_V_stack(sys, f, u, sys.fiber_elements[k])
-            v_defect = _worst(v_defect, wit.max_abs_error)
+            v_defect = _worst(v_defect, translate_rep_V_stack(sys, f, u, sys.fiber_elements[k]))
             checked += UNITARY_TRIALS
     rec.add(
         "fiber-translation-unitaries",
@@ -475,7 +483,8 @@ def _action_by_fiber_sum(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) ->
     return out
 
 
-def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -622,7 +631,8 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generat
     )
 
 
-def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     g = sys.groupoid
     haar = sys.haar
@@ -698,11 +708,8 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
     )
     (functions,) = random_stacks(rng, count, g)
     functions = np.concatenate([np.zeros((1, g.n_arrows)), functions])
-    zero_verdicts = [norms <= EIG_TOL for norms in kernel_norms(sys, functions)]
-    l_zero, p_zero, a_zero = zero_verdicts
-    kernel_ok = bool(((l_zero == p_zero) & (p_zero == a_zero)).all())
-    kernel_ok = kernel_ok and all(zero[0] for zero in zero_verdicts)
-    kernel_ok = kernel_ok and not any(zero[1:].any() for zero in zero_verdicts)
+    _, zeros, consistent = kernel_verdicts(sys, functions, EIG_TOL)
+    kernel_ok = bool(consistent.all() and zeros[:, 0].all() and not zeros[:, 1:].any())
     rec.add(
         "kernel-characterization",
         "L_a vanishes iff P(a^* a) vanishes iff a vanishes",
@@ -712,7 +719,8 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Ge
     )
 
 
-def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
+def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
+    rng = rec.rng()
     sys = doc.system
     family = graded_subspaces(sys)
     axioms = check_grading_axioms(family, seed=int(rng.integers(2**31)))
@@ -744,7 +752,7 @@ def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generat
     )
 
 
-_SUITE_FN: dict[str, Callable[[WorkbenchDocument, _Recorder, np.random.Generator, int], None]] = {
+_SUITE_FN: dict[str, Callable[[WorkbenchDocument, _Recorder, int], None]] = {
     "haar": _suite_haar,
     "algebra": _suite_algebra,
     "norms": _suite_norms,
@@ -767,13 +775,9 @@ def run_document(
         raise ValueError(f"Unknown suite {suite!r}; choose from {('all',) + SUITES}.")
     names = SUITES if suite == "all" else (suite,)
     records: list[CheckRecord] = []
-    for index, name in enumerate(SUITES):
-        if name not in names:
-            continue
-        rng = np.random.default_rng([seed, _instance_key(doc.name), index])
+    for name in names:
         rec = _Recorder(suite=name, instance=doc.name, seed=seed)
-        trials = count if count is not None else DEFAULT_COUNTS[name]
-        _SUITE_FN[name](doc, rec, rng, trials)
+        _SUITE_FN[name](doc, rec, count if count is not None else DEFAULT_COUNTS[name])
         records.extend(rec.records)
     return records
 
@@ -808,8 +812,53 @@ def run_verification(
 
 
 def report_to_json(report: dict[str, Any]) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline,
+    i.e. ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``.
+
+    That indenting encoder runs in Python, node by node.  When every check
+    is a record from :meth:`CheckRecord.to_json` whose fields and witness
+    values are all scalars, the checks are written instead from two runs of
+    the compact C encoder, one over all field values and one over the
+    witnesses; the text is the same.
+    """
+    checks = report.get("checks")
+    flat = type(checks) is list and bool(checks) and all(type(c) is dict and c.keys() == _CHECK_KEYS for c in checks)
+    if flat:
+        values = [c[k] for c in checks for k in _CHECK_FIELDS]
+        witnesses = [c["witness"] for c in checks]
+        flat = all(type(w) is dict for w in witnesses) and _SCALAR_TYPES.issuperset(
+            map(type, itertools.chain(values, *map(dict.values, witnesses)))
+        )
+    if not flat:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # the C encoder escapes every newline inside a string, so splitting at
+    # newlines splits the text into the values
+    texts = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    width = len(_CHECK_FIELDS)
+    entries = [
+        _CHECK_ENTRY % (*texts[i * width : (i + 1) * width], "{\n        " + w + "\n      }" if w else "{}")
+        for i, w in enumerate(_flat_dict_items(witnesses, "\n        "))
+    ]
+    head = json.dumps({**report, "checks": []}, indent=2, sort_keys=True)
+    # a newline and two spaces open the lines of top-level keys only
+    return head.replace('\n  "checks": []', '\n  "checks": [\n    ' + ",\n    ".join(entries) + "\n  ]", 1) + "\n"
+
+
+_CHECK_FIELDS = ("check", "instance", "property", "seed", "status", "suite", "tolerance")  # sorted, all before "witness"
+_CHECK_KEYS = frozenset(_CHECK_FIELDS + ("witness",))
+_CHECK_ENTRY = "{" + "".join(f'\n      "{k}": %s,' for k in _CHECK_FIELDS) + '\n      "witness": %s\n    }'
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _flat_dict_items(dicts: list[dict[str, Any]], pad: str) -> list[str]:
+    """The items of each of a list of dicts of scalars, sorted, one per line
+    at indentation ``pad``, as the indenting encoder writes them between the
+    braces (empty for an empty dict).  Newlines inside strings are escaped
+    and no dict item starts with a brace, so the separator between two dicts
+    of the list, a closing brace, the item separator and an opening brace,
+    occurs nowhere else."""
+    sep = "," + pad
+    return json.dumps(dicts, sort_keys=True, separators=(sep, ": "))[2:-2].split("}" + sep + "{")
 
 
 def iter_failures(report: dict[str, Any]) -> Iterable[dict[str, Any]]:

@@ -27,7 +27,13 @@ from groupoid_workbench.algebra import (
     unit_function,
     zero,
 )
-from groupoid_workbench.bundle import FiberRep, GradedSubspaceFamily, graded_subspaces, tautological_rep
+from groupoid_workbench.bundle import (
+    FiberRep,
+    GradedSubspaceFamily,
+    check_topological_grading,
+    graded_subspaces,
+    tautological_rep,
+)
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import GradedGroupoid, validate_cocycle
@@ -844,10 +850,42 @@ def docs():
 def test_batched_suite_matches_reference(docs, name, suite):
     doc = docs[name]
     records = []
-    for run in (_SUITE_FN[suite], REFERENCE[suite]):
-        rng = np.random.default_rng([7, _instance_key(doc.name), SUITES.index(suite)])
-        rec = _Recorder(suite=suite, instance=doc.name, seed=7)
-        run(doc, rec, rng, 5)
-        records.append([r.to_json() for r in rec.records])
+    rec = _Recorder(suite=suite, instance=doc.name, seed=7)
+    _SUITE_FN[suite](doc, rec, 5)
+    records.append([r.to_json() for r in rec.records])
+    rec = _Recorder(suite=suite, instance=doc.name, seed=7)
+    REFERENCE[suite](doc, rec, np.random.default_rng([7, _instance_key(doc.name), SUITES.index(suite)]), 5)
+    records.append([r.to_json() for r in rec.records])
     batched, reference = records
     assert batched == reference
+
+
+def _relabelled(family: GradedSubspaceFamily, moves: dict[str, str]) -> GradedSubspaceFamily:
+    """The family with each arrow of ``moves`` listed under its new key."""
+    bases: dict[str, list[str]] = {key: [a for a in ids if a not in moves] for key, ids in family.bases.items()}
+    for aid, key in moves.items():
+        bases[key].append(aid)
+    return GradedSubspaceFamily(family.system, {key: tuple(ids) for key, ids in bases.items()})
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_topological_grading_reads_the_family_labels(docs, name):
+    """An arrow listed under the wrong key fails the projection check the
+    way the reference reports it, whichever way it is mislabelled."""
+    sys = docs[name].system
+    family = graded_subspaces(sys)
+    identity_key = sys.group.element_key(sys.group.identity)
+    other_key = next(key for key in family.keys if key != identity_key)
+    identity_arrow = family.bases[identity_key][-1]
+    other_arrow = family.bases[other_key][0]
+    families = [
+        family,
+        _relabelled(family, {identity_arrow: other_key}),
+        _relabelled(family, {other_arrow: identity_key}),
+        _relabelled(family, {identity_arrow: other_key, other_arrow: identity_key}),
+    ]
+    for fam in families:
+        got = check_topological_grading(fam, seed=3, count=5)
+        want = reference_check_topological_grading(fam, seed=3, count=5)
+        assert (got.ok, got.cause, dict(got.witness)) == (want.ok, want.cause, dict(want.witness))
+    assert [check_topological_grading(fam, seed=3, count=5).ok for fam in families] == [True, False, False, False]

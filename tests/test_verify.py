@@ -1,5 +1,7 @@
 """Verification harness: record structure, determinism, forced failures."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,56 @@ class TestReport:
         a = run_verification(two_docs, suite="norms", seed=1)
         b = run_verification(two_docs, suite="norms", seed=2)
         assert report_to_json(a) != report_to_json(b)
+
+
+AWKWARD_STRINGS = ["", "plain", 'quote " and \\ backslash', "brace }, {", "}\n{", "tab\tnew\nline", "caf\u00e9 \u2203", "\x00\x1f", '"check": []']
+AWKWARD_SCALARS = [0, -1, 2**70, True, False, None, 0.1, -0.0, 1e-300, float("nan"), float("inf"), float("-inf"), *AWKWARD_STRINGS]
+
+
+def _check(rng: np.random.Generator, witness: dict) -> dict:
+    pick = lambda: AWKWARD_SCALARS[rng.integers(len(AWKWARD_SCALARS))]
+    fields = {k: pick() for k in ("suite", "check", "property", "instance", "status", "tolerance", "seed")}
+    return {**fields, "witness": witness}
+
+
+class TestReportSerialization:
+    """``report_to_json`` is ``json.dumps(report, indent=2, sort_keys=True)``
+    plus a newline, whether its checks take the C-encoder path or not."""
+
+    @staticmethod
+    def expected(report: dict) -> str:
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_corpus_report(self):
+        report = run_verification(builtin_corpus(seed=0)[:3], seed=0)
+        assert report_to_json(report) == self.expected(report)
+
+    def test_awkward_scalars(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            checks = [
+                _check(rng, {s: AWKWARD_SCALARS[rng.integers(len(AWKWARD_SCALARS))] for s in AWKWARD_STRINGS[: rng.integers(4)]})
+                for _ in range(rng.integers(1, 6))
+            ]
+            report = {"checks": checks, "notes": ["x"], "summary": {"checks": []}, "z": 1}
+            assert report_to_json(report) == self.expected(report)
+
+    @pytest.mark.parametrize(
+        "checks",
+        [
+            [],
+            [{"witness": {}}],
+            [{"suite": "s", "check": "c", "property": "p", "instance": "i", "status": "pass", "tolerance": 0.0, "seed": 0, "witness": {"worst": {"a": [1, {"b": None}]}}}],
+            [{"suite": ["s"], "check": "c", "property": "p", "instance": "i", "status": "pass", "tolerance": 0.0, "seed": 0, "witness": {}}],
+            [{"suite": "s", "check": "c", "property": "p", "instance": "i", "status": "pass", "tolerance": 0.0, "seed": 0, "witness": [1]}],
+            [{"suite": "s", "check": "c", "property": "p", "instance": "i", "status": "pass", "tolerance": np.float64(0.5), "seed": 0, "witness": {}}],
+            [{"suite": "s", "check": "c", "property": "p", "instance": "i", "status": "pass", "tolerance": 0.5, "seed": 0, "witness": {3: 1, 1: 2}}],
+            ["not a record"],
+        ],
+    )
+    def test_other_shapes(self, checks):
+        report = {"checks": checks, "seed": 0}
+        assert report_to_json(report) == self.expected(report)
 
 
 class TestForcedFailure:
