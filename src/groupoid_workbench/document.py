@@ -219,9 +219,9 @@ def _is_number(value: Any) -> bool:
 
 
 def _parse_complex(value: Any, path: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(_is_number(x) for x in value):
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not (_is_number(value[0]) and _is_number(value[1])):
         raise DocumentError(path, f"complex values are [re, im] pairs, got {value!r}")
-    return complex(*(_finite_float(x, path, "complex values") for x in value))
+    return complex(_finite_float(value[0], path, "complex values"), _finite_float(value[1], path, "complex values"))
 
 
 def parse_document(text: str) -> WorkbenchDocument:

@@ -424,3 +424,14 @@ class TestKernelCheck:
         # a^* a = rho(1) delta_(2,2) and the unit-arrow delta has norm rho(2)
         assert rec.p_norm == pytest.approx(4.0, rel=1e-12)
         assert rec.consistent and not rec.a_zero
+
+    def test_thresholds_disagree_near_sqrt_tol(self, p2_graded_weighted):
+        # ||a|| and ||L_a|| are about 1e-5, above tol; ||P(a^* a)|| is about
+        # 4e-10, below it: the verdicts disagree and the record says so
+        sys = p2_graded_weighted
+        rec = kernel_check(sys, [delta(sys.groupoid, "(1,2)", 1e-5)], tol=1e-9)[0]
+        assert (rec.l_zero, rec.p_zero, rec.a_zero, rec.consistent) == (False, True, False, False)
+
+    def test_zero_threshold_is_inclusive(self, p2_graded_weighted):
+        rec = kernel_check(p2_graded_weighted, [zero(p2_graded_weighted.groupoid)], tol=0.0)[0]
+        assert rec.l_zero and rec.p_zero and rec.a_zero and rec.consistent
