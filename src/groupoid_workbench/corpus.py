@@ -19,7 +19,7 @@ import numpy as np
 
 from .document import WorkbenchDocument, build_group, build_groupoid, document_from_dict
 from .groupoid import FiniteGroupoid
-from .groups import DiscreteGroup, permutation_parity, permutations_of
+from .groups import DiscreteGroup, cyclic_group, permutation_parity, permutations_of, symmetric_group
 
 if TYPE_CHECKING:
     # only annotations name it; subscripting at import would put this
@@ -70,128 +70,28 @@ def _product_second_coordinate(g: FiniteGroupoid, aid: str) -> Any:
 
 
 def _bases() -> list[dict[str, Any]]:
-    s3_perms = permutations_of(3)
-    trivial_group = {"finite": {"cayley": [[0]]}}
-    z = {"free_abelian": {"rank": 1}}
-    bases: list[dict[str, Any]] = []
-    for n in range(2, 6):
-        bases.append(
-            {
-                "slug": f"pair{n}-zgraded",
-                "groupoid": {"builtin": "pair", "params": {"n": n}},
-                "group": z,
-                "label": _pair_difference,
-            }
-        )
-    for n in (2, 3):
-        bases.append(
-            {
-                "slug": f"pair{n}-trivial",
-                "groupoid": {"builtin": "pair", "params": {"n": n}},
-                "group": trivial_group,
-                "label": _zero_label,
-            }
-        )
-    for n in (2, 3):
-        bases.append(
-            {
-                "slug": f"cyclic{n}-identity",
-                "groupoid": {"builtin": "cyclic_group", "params": {"n": n}},
-                "group": {"finite": {"cayley": [[(a + b) % n for b in range(n)] for a in range(n)]}},
-                "label": _group_index,
-            }
-        )
-    s3_cayley = _symmetric_cayley(3)
-    bases.append(
-        {
-            "slug": "s3-identity",
-            "groupoid": {"builtin": "symmetric_group", "params": {"n": 3}},
-            "group": {"finite": {"cayley": s3_cayley}},
-            "label": _group_index,
-        }
-    )
-    bases.append(
-        {
-            "slug": "s3-sign",
-            "groupoid": {"builtin": "symmetric_group", "params": {"n": 3}},
-            "group": {"finite": {"cayley": [[0, 1], [1, 0]]}},
-            "label": _s3_parity(s3_perms),
-        }
-    )
-    for n in (3, 4):
-        bases.append(
-            {
-                "slug": f"shift{n}-action",
-                "groupoid": {"builtin": "cyclic_action", "params": {"points": n}},
-                "group": {"finite": {"cayley": [[(a + b) % n for b in range(n)] for a in range(n)]}},
-                "label": _action_coordinate,
-            }
-        )
-    bases.append(
-        {
-            "slug": "s3-action",
-            "groupoid": {"builtin": "symmetric_action", "params": {"points": 3}},
-            "group": {"finite": {"cayley": s3_cayley}},
-            "label": _action_coordinate,
-        }
-    )
-    bases.append(
-        {
-            "slug": "bundle-z2z2",
-            "groupoid": {"builtin": "group_bundle_cyclic", "params": {"orders": [2, 2]}},
-            "group": {"finite": {"cayley": [[0, 1], [1, 0]]}},
-            "label": _bundle_element,
-        }
-    )
-    bases.append(
-        {
-            "slug": "union-pair2-z2",
-            "groupoid": {
-                "builtin": "disjoint_union",
-                "params": {
-                    "left": {"builtin": "pair", "params": {"n": 2}},
-                    "right": {"builtin": "cyclic_group", "params": {"n": 2}},
-                },
-            },
-            "group": z,
-            "label": _union_pair_then_zero,
-        }
-    )
-    bases.append(
-        {
-            "slug": "union-z2-z3",
-            "groupoid": {
-                "builtin": "disjoint_union",
-                "params": {
-                    "left": {"builtin": "cyclic_group", "params": {"n": 2}},
-                    "right": {"builtin": "cyclic_group", "params": {"n": 3}},
-                },
-            },
-            "group": {"finite": {"cayley": [[0, 1], [1, 0]]}},
-            "label": _union_index_then_zero,
-        }
-    )
-    bases.append(
-        {
-            "slug": "product-pair2-z2",
-            "groupoid": {
-                "builtin": "product",
-                "params": {
-                    "left": {"builtin": "pair", "params": {"n": 2}},
-                    "right": {"builtin": "cyclic_group", "params": {"n": 2}},
-                },
-            },
-            "group": {"finite": {"cayley": [[0, 1], [1, 0]]}},
-            "label": _product_second_coordinate,
-        }
-    )
-    return bases
-
-
-def _symmetric_cayley(n: int) -> list[list[int]]:
-    perms = permutations_of(n)
-    index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms]
+    pair = lambda n: {"builtin": "pair", "params": {"n": n}}
+    cyclic = lambda n: {"builtin": "cyclic_group", "params": {"n": n}}
+    symmetric = {"builtin": "symmetric_group", "params": {"n": 3}}
+    finite = lambda group: {"finite": {"cayley": group.table}}
+    z, z2, s3 = {"free_abelian": {"rank": 1}}, finite(cyclic_group(2)), finite(symmetric_group(3))
+    rows = [
+        *((f"pair{n}-zgraded", pair(n), z, _pair_difference) for n in range(2, 6)),
+        *((f"pair{n}-trivial", pair(n), {"finite": {"cayley": [[0]]}}, _zero_label) for n in (2, 3)),
+        *((f"cyclic{n}-identity", cyclic(n), finite(cyclic_group(n)), _group_index) for n in (2, 3)),
+        ("s3-identity", symmetric, s3, _group_index),
+        ("s3-sign", symmetric, z2, _s3_parity(permutations_of(3))),
+        *(
+            (f"shift{n}-action", {"builtin": "cyclic_action", "params": {"points": n}}, finite(cyclic_group(n)), _action_coordinate)
+            for n in (3, 4)
+        ),
+        ("s3-action", {"builtin": "symmetric_action", "params": {"points": 3}}, s3, _action_coordinate),
+        ("bundle-z2z2", {"builtin": "group_bundle_cyclic", "params": {"orders": [2, 2]}}, z2, _bundle_element),
+        ("union-pair2-z2", {"builtin": "disjoint_union", "params": {"left": pair(2), "right": cyclic(2)}}, z, _union_pair_then_zero),
+        ("union-z2-z3", {"builtin": "disjoint_union", "params": {"left": cyclic(2), "right": cyclic(3)}}, z2, _union_index_then_zero),
+        ("product-pair2-z2", {"builtin": "product", "params": {"left": pair(2), "right": cyclic(2)}}, z2, _product_second_coordinate),
+    ]
+    return [{"slug": slug, "groupoid": spec, "group": group, "label": label} for slug, spec, group, label in rows]
 
 
 def _sample_functions(g: FiniteGroupoid, rng: np.random.Generator) -> dict[str, dict[str, list[float]]]:

@@ -16,8 +16,10 @@ Groupoids are either built in (pair, cyclic_group, symmetric_group,
 cyclic_action, group_bundle_cyclic, and the recursive disjoint_union /
 product combinators) or explicit tables.  Complex numbers are [re, im]
 pairs; group elements are an index (finite backend) or an integer vector
-(free abelian).  Parsing validates everything: groupoid axioms, Haar
-positivity, and the cocycle identities, with the JSON path in every error.
+(free abelian).  Parsing validates everything, through
+:func:`~groupoid_workbench.grading.validate_system`: groupoid axioms, Haar
+positivity, left invariance and the cocycle identities, with the JSON path
+in every error.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping
 
 import numpy as np
 
 from .algebra import GroupoidFunction
-from .grading import Cocycle, GradedGroupoid, validate_cocycle
+from .grading import Cocycle, GradedGroupoid, InvalidSystem, validate_system
 from .groupoid import (
     Arrow,
     FiniteGroupoid,
@@ -38,11 +41,8 @@ from .groupoid import (
     disjoint_union,
     group_bundle,
     group_groupoid,
-    haar_from_weights,
     pair_groupoid,
     product,
-    validate_groupoid,
-    validate_left_invariance,
 )
 from .groups import (
     DiscreteGroup,
@@ -125,26 +125,23 @@ def _build_builtin(name: Any, params: Mapping[str, Any], path: str) -> FiniteGro
             return group_groupoid(symmetric_group(_require_int(params, "n", at)))
         if name == "cyclic_action":
             n = _require_int(params, "points", at)
-            return action_groupoid(list(range(n)), cyclic_group(n), lambda x, h: (x + h) % n)
+            grp = cyclic_group(n)
+            return action_groupoid(range(n), grp, grp.cayley)  # x.h = x + h
         if name == "symmetric_action":
             n = _require_int(params, "points", at)
             grp = symmetric_group(n)
-            perms = permutations_of(n)
-            inverses = [perms[grp.inv(i)] for i in range(grp.order)]
-            return action_groupoid(list(range(n)), grp, lambda x, h: inverses[h][x])
+            # x.h = h^{-1}(x): column h of the table is the inverse permutation
+            inverses = np.array(permutations_of(n), dtype=np.intp)[grp.inverse_table]
+            return action_groupoid(range(n), grp, inverses.T)
         if name == "group_bundle_cyclic":
             orders = _require(params, "orders", at)
             if not isinstance(orders, list):
                 raise DocumentError(f"{at}.orders", f"expected a list of integers, got {orders!r}")
             return group_bundle([cyclic_group(_as_int(k, f"{at}.orders[{i}]")) for i, k in enumerate(orders)])
-        if name == "disjoint_union":
+        if name in ("disjoint_union", "product"):
             left = build_groupoid(_require(params, "left", f"{path}.params"), f"{path}.params.left")
             right = build_groupoid(_require(params, "right", f"{path}.params"), f"{path}.params.right")
-            return disjoint_union(left, right)
-        if name == "product":
-            left = build_groupoid(_require(params, "left", f"{path}.params"), f"{path}.params.left")
-            right = build_groupoid(_require(params, "right", f"{path}.params"), f"{path}.params.right")
-            return product(left, right)
+            return (disjoint_union if name == "disjoint_union" else product)(left, right)
     except DocumentError:
         raise
     except (ValueError, TypeError) as exc:
@@ -166,11 +163,11 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
             )
         )
     compose_raw = _require(spec, "compose", path)
-    compose = {}
+    compose = []  # the groupoid maps these ids to indices once, a repeated pair keeping its last entry
     for i, triple in enumerate(compose_raw):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-        compose[(str(triple[0]), str(triple[1]))] = str(triple[2])
+        compose.append((str(triple[0]), str(triple[1]), str(triple[2])))
     invert = {str(k): str(v) for k, v in _as_object(_require(spec, "invert", path), f"{path}.invert").items()}
     unit_arrows = {
         str(k): str(v)
@@ -233,19 +230,7 @@ def parse_document(text: str) -> WorkbenchDocument:
     return document_from_dict(raw)
 
 
-def document_from_dict(raw: Any) -> WorkbenchDocument:
-    top = _as_object(raw, "$")
-    allowed = {"name", "groupoid", "haar", "group", "cocycle", "functions"}
-    unknown = set(top) - allowed
-    if unknown:
-        raise DocumentError("$", f"unknown fields {sorted(unknown)}")
-    name = str(top.get("name", "document"))
-
-    g = build_groupoid(_require(top, "groupoid", "$"), "groupoid")
-    report = validate_groupoid(g)
-    if not report:
-        raise DocumentError("groupoid", f"axiom violation: {report.cause} {dict(report.witness)}")
-
+def _read_rho(top: Mapping[str, Any]) -> dict[str, float]:
     haar_spec = _as_object(_require(top, "haar", "$"), "haar")
     rho = _as_object(_require(haar_spec, "rho", "haar"), "haar.rho")
     weights = {}
@@ -253,15 +238,11 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
         if not _is_number(value):
             raise DocumentError(f"haar.rho.{key}", f"weights are numbers, got {value!r}")
         weights[str(key)] = _finite_float(value, f"haar.rho.{key}", "weights")
-    try:
-        haar = haar_from_weights(g, weights)
-    except ValueError as exc:
-        raise DocumentError("haar.rho", str(exc)) from exc
-    if not validate_left_invariance(g, {aid: haar.weight(g, aid) for aid in g.arrow_ids}):
-        raise DocumentError("haar.rho", "weights violate left invariance")
+    return weights
 
+
+def _read_cocycle(top: Mapping[str, Any], g: FiniteGroupoid) -> Cocycle:
     group = build_group(_require(top, "group", "$"), "group")
-
     cocycle_spec = _as_object(_require(top, "cocycle", "$"), "cocycle")
     label = {}
     for aid in g.arrow_ids:
@@ -274,10 +255,22 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
     extra = set(cocycle_spec) - set(g.arrow_ids)
     if extra:
         raise DocumentError("cocycle", f"labels for unknown arrows {sorted(extra)[:3]}")
-    cocycle = Cocycle(group=group, label=label)
-    creport = validate_cocycle(g, cocycle)
-    if not creport:
-        raise DocumentError("cocycle", f"identity violation: {creport.cause} {dict(creport.witness)}")
+    return Cocycle(group=group, label=label)
+
+
+def document_from_dict(raw: Any) -> WorkbenchDocument:
+    top = _as_object(raw, "$")
+    allowed = {"name", "groupoid", "haar", "group", "cocycle", "functions"}
+    unknown = set(top) - allowed
+    if unknown:
+        raise DocumentError("$", f"unknown fields {sorted(unknown)}")
+    name = str(top.get("name", "document"))
+
+    g = build_groupoid(_require(top, "groupoid", "$"), "groupoid")
+    try:
+        haar, cocycle = validate_system(g, partial(_read_rho, top), partial(_read_cocycle, top, g))
+    except InvalidSystem as exc:
+        raise DocumentError(exc.path, exc.message) from exc
 
     functions: dict[str, GroupoidFunction] = {}
     for fname, coeffs in _as_object(top.get("functions", {}), "functions").items():

@@ -16,17 +16,19 @@ only one that reads labels arrow by arrow.
 :func:`validate_cocycle` numbers the labels the same way, so the group's
 ``mul`` and ``inv`` run once per distinct pair of labels and once per
 distinct label, and the cocycle identities are array comparisons over the
-groupoid's integer tables.
+groupoid's integer tables.  :func:`validate_system` is the one validation
+path of a graded groupoid, shared by the document parser and
+:meth:`GradedGroupoid.build`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, validate_groupoid
+from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, left_invariance_stack, validate_groupoid
 from .groups import DiscreteGroup
 from .validation import CheckReport
 
@@ -100,6 +102,48 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     return CheckReport.passed()
 
 
+class InvalidSystem(ValueError):
+    """The first failed check of :func:`validate_system`; ``path`` is the
+    document field it concerns: ``groupoid``, ``haar.rho`` or ``cocycle``."""
+
+    SUBJECTS = {"groupoid": "Groupoid", "haar.rho": "Haar system", "cocycle": "Cocycle"}
+
+    def __init__(self, path: str, message: str) -> None:
+        self.path = path
+        self.message = message
+        super().__init__(f"{self.SUBJECTS[path]}: {message}")
+
+
+def validate_system(
+    g: FiniteGroupoid, rho: Callable[[], Mapping[str, float]], cocycle: Callable[[], Cocycle]
+) -> tuple[HaarSystem, Cocycle]:
+    """The validation of a graded groupoid, in order: the groupoid axioms,
+    the Haar weights (finite and positive on every unit, no others), left
+    invariance of the arrow weights, the cocycle identities.  Returns the
+    Haar system and the cocycle; the first failure raises
+    :class:`InvalidSystem`.
+
+    ``rho`` and ``cocycle`` are called for the per-unit weights and the
+    cocycle once the checks before them pass, so a parser can read each
+    field where it is checked and report the first bad field.
+    """
+    report = validate_groupoid(g)
+    if not report:
+        raise InvalidSystem("groupoid", f"axiom violation: {report.cause} {dict(report.witness)}")
+    weights = rho()
+    try:
+        haar = haar_from_weights(g, weights)
+    except ValueError as exc:
+        raise InvalidSystem("haar.rho", str(exc)) from exc
+    if not left_invariance_stack(g, haar.weights(g)[None, :])[0]:
+        raise InvalidSystem("haar.rho", "weights violate left invariance")
+    c = cocycle()
+    report = validate_cocycle(g, c)
+    if not report:
+        raise InvalidSystem("cocycle", f"identity violation: {report.cause} {dict(report.witness)}")
+    return haar, c
+
+
 def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any, ...]]:
     """The fiber number of every arrow (declared order) and the image
     elements ordered by the group sort key: fiber k is the preimage of
@@ -129,7 +173,7 @@ class GradedGroupoid:
     numbered at construction (``fiber_index``, ``fiber_elements`` and their
     ``fiber_keys``; see :func:`number_fibers`) and the identity-fiber
     subgroupoid is cached.  Use :meth:`build` to get construction-time
-    validation of all invariants.
+    validation of all invariants (:func:`validate_system`).
     """
 
     def __init__(self, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> None:
@@ -146,13 +190,9 @@ class GradedGroupoid:
 
     @classmethod
     def build(cls, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> "GradedGroupoid":
-        report = validate_groupoid(groupoid)
-        if not report:
-            raise ValueError(f"Groupoid axioms fail: {report.cause} {dict(report.witness)}")
-        haar_from_weights(groupoid, haar.rho)
-        creport = validate_cocycle(groupoid, cocycle)
-        if not creport:
-            raise ValueError(f"Cocycle identities fail: {creport.cause} {dict(creport.witness)}")
+        """The graded groupoid after :func:`validate_system`; raises
+        :class:`InvalidSystem` (a ``ValueError``) on the first failed check."""
+        validate_system(groupoid, lambda: haar.rho, lambda: cocycle)
         return cls(groupoid, haar, cocycle)
 
     @property

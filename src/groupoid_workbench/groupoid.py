@@ -1,16 +1,18 @@
-"""Finite groupoids with explicit composition tables, plus Haar systems.
+"""Finite groupoids with integer composition tables, plus Haar systems.
 
 A groupoid here is a finite set of arrows over a finite unit space.  Arrow
 records carry ``src`` (the source unit ``s(x)``) and ``dst`` (the range unit
 ``r(x)``); ``compose(x, y)`` is defined exactly when ``s(x) = r(y)`` and then
-``r(xy) = r(x)`` and ``s(xy) = s(y)``.  Constructors fill explicit composition
-and inversion tables; nothing is computed lazily from generators, so
-validation is a direct table check.  The groupoid numbers its arrows and
-units in declared order and keeps the tables as integer arrays
-(``compose_matrix``, ``composable_pairs``, ``src_index``/``dst_index``,
-``unit_arrow_index``, ``invert_index``); :func:`validate_groupoid` and
-:func:`validate_left_invariance` are array reductions over them, and no
-temporary they build has more entries than the (n, n) compose matrix.
+``r(xy) = r(x)`` and ``s(xy) = s(y)``.  The groupoid numbers its arrows and
+units in declared order, and its state is five read-only integer tables over
+those numbers, built once at construction: ``src_index``/``dst_index``,
+``invert_index``, ``unit_arrow_index`` and the (n, n) ``compose_matrix()``,
+with -1 where a product is undefined.  Arrow and unit ids are labels only;
+``compose``, ``invert`` and ``unit_arrow`` are read-only id views of the
+arrays.  The builtin constructors write their tables in closed form,
+explicit id tables are mapped to indices once, and :func:`validate_groupoid`
+and :func:`validate_left_invariance` are array reductions over the tables; no
+temporary they build has more entries than the compose matrix.
 
 A Haar system is stored as one positive weight per unit: left invariance on a
 finite groupoid forces the arrow weight ``w(y)`` to depend only on ``s(y)``
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -43,13 +45,20 @@ class Arrow:
 
 
 class FiniteGroupoid:
-    """Arrows over a finite unit space with explicit compose/invert tables.
+    """Arrows over a finite unit space with integer compose/invert tables.
 
-    The constructor checks structural well-formedness (unique ids, resolvable
-    references, nonempty unit space) and raises ``ValueError`` on violations.
-    The groupoid *axioms* are checked by :func:`validate_groupoid`, which
-    reports rather than raises, so deliberately broken tables can be built
-    and fed to the validator.
+    The constructor takes the tables as ids or as indices.  As ids,
+    ``compose`` maps (x, y) to xy, as a mapping or as a sequence of (x, y,
+    xy) triples in which a later triple for a pair replaces an earlier one,
+    ``invert`` maps x to its inverse and ``unit_arrow`` a unit to its unit
+    arrow.  As indices over the declared order, ``compose`` is the (n, n)
+    array with -1 where undefined, ``invert`` an (n,) and ``unit_arrow`` an
+    (n_units,) array with every entry in range; the arrays are taken over
+    and made read-only.  The constructor checks structural well-formedness
+    (unique ids, resolvable references, nonempty unit space) and raises
+    ``ValueError`` on violations.  The groupoid *axioms* are checked by
+    :func:`validate_groupoid`, which reports rather than raises, so
+    deliberately broken tables can be built and fed to the validator.
 
     Unit and arrow order is the declared order; matrix bases and reports
     follow it.
@@ -59,62 +68,75 @@ class FiniteGroupoid:
         self,
         units: Sequence[str],
         arrows: Sequence[Arrow],
-        compose: Mapping[tuple[str, str], str],
-        invert: Mapping[str, str],
-        unit_arrow: Mapping[str, str],
+        compose: Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]] | np.ndarray,
+        invert: Mapping[str, str] | np.ndarray,
+        unit_arrow: Mapping[str, str] | np.ndarray,
     ) -> None:
         units = tuple(str(u) for u in units)
         if not units:
             raise ValueError("Unit space must be nonempty (norms are undefined on empty algebras).")
-        if len(set(units)) != len(units):
+        self._unit_index = {u: i for i, u in enumerate(units)}
+        if len(self._unit_index) != len(units):
             raise ValueError("Unit identifiers must be unique.")
         self.units = units
         self.arrows = tuple(arrows)
-        ids = [a.id for a in self.arrows]
-        if len(set(ids)) != len(ids):
+        self._ids = tuple(a.id for a in self.arrows)
+        self._index = index = {aid: i for i, aid in enumerate(self._ids)}
+        if len(index) != len(self._ids):
             raise ValueError("Arrow identifiers must be unique.")
-        unit_set = set(units)
         for a in self.arrows:
-            if a.src not in unit_set or a.dst not in unit_set:
+            if a.src not in self._unit_index or a.dst not in self._unit_index:
                 raise ValueError(f"Arrow {a.id!r} references unknown unit {a.src!r} or {a.dst!r}.")
-        self._index = {a.id: i for i, a in enumerate(self.arrows)}
-        for (x, y), z in compose.items():
-            for aid in (x, y, z):
-                if aid not in self._index:
-                    raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {aid!r}.")
+        self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
+        self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
+        if not isinstance(compose, np.ndarray):
+            compose, invert, unit_arrow = self._index_tables(compose, invert, unit_arrow)
+        self._compose_matrix = _read_only(compose)
+        self._invert_index = _read_only(invert)
+        self._unit_arrow_index = _read_only(unit_arrow)
+        self.compose: Mapping[tuple[str, str], str] = _IdView(compose, lambda xy: (index[xy[0]], index[xy[1]]), self._ids)
+        self.invert: Mapping[str, str] = _IdView(invert, index.__getitem__, self._ids, self._ids)
+        self.unit_arrow: Mapping[str, str] = _IdView(unit_arrow, self._unit_index.__getitem__, self._ids, units)
+        self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
+        self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
+
+    def _index_tables(
+        self, compose: Any, invert: Mapping[str, str], unit_arrow: Mapping[str, str]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The index tables of id tables, every id looked up once."""
+        index = self._index
+        n = len(index)
+        triples = [(x, y, z) for (x, y), z in compose.items()] if isinstance(compose, Mapping) else list(compose)
+        found = np.array([(index.get(x, -1), index.get(y, -1), index.get(z, -1)) for x, y, z in triples], dtype=np.intp)
+        if (found < 0).any():
+            # the first unknown id in dict order; an unknown product that a
+            # later triple replaces is not an error
+            for (x, y), z in {(x, y): z for x, y, z in triples}.items():
+                for aid in (x, y, z):
+                    if aid not in index:
+                        raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {aid!r}.")
+        # the last triple of each pair wins
+        found = found.reshape(-1, 3)[::-1]
+        pairs, last = np.unique(found[:, 0] * n + found[:, 1], return_index=True)
+        mat = np.full((n, n), -1, dtype=np.intp)
+        mat.flat[pairs] = found[last, 2]
         for x, y in invert.items():
-            if x not in self._index or y not in self._index:
+            if x not in index or y not in index:
                 raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
-        missing_inv = [a.id for a in self.arrows if a.id not in invert]
+        missing_inv = [aid for aid in self._ids if aid not in invert]
         if missing_inv:
             raise ValueError(f"Invert table missing arrows {missing_inv[:3]}.")
         for u, aid in unit_arrow.items():
-            if u not in unit_set:
+            if u not in self._unit_index:
                 raise ValueError(f"Unit-arrow entry for unknown unit {u!r}.")
-            if aid not in self._index:
+            if aid not in index:
                 raise ValueError(f"Unit arrow {aid!r} for unit {u!r} is not a declared arrow.")
-        missing_units = [u for u in units if u not in unit_arrow]
+        missing_units = [u for u in self.units if u not in unit_arrow]
         if missing_units:
             raise ValueError(f"Unit-arrow table missing units {missing_units[:3]}.")
-        self.compose = MappingProxyType(dict(compose))
-        self.invert = MappingProxyType(dict(invert))
-        self.unit_arrow = MappingProxyType(dict(unit_arrow))
-        self._unit_index = {u: i for i, u in enumerate(units)}
-        by_src: dict[str, list[str]] = {u: [] for u in units}
-        by_dst: dict[str, list[str]] = {u: [] for u in units}
-        for a in self.arrows:
-            by_src[a.src].append(a.id)
-            by_dst[a.dst].append(a.id)
-        self._by_src = {u: tuple(v) for u, v in by_src.items()}
-        self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
-        self._compose_matrix: np.ndarray | None = None
-        self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
-        self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
-        self._unit_arrow_index = _read_only(np.array([self._index[self.unit_arrow[u]] for u in units], dtype=np.intp))
-        self._invert_index: np.ndarray | None = None
-        self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
-        self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
+        inverse = np.array([index[invert[aid]] for aid in self._ids], dtype=np.intp)
+        return mat, inverse, np.array([index[unit_arrow[u]] for u in self.units], dtype=np.intp)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -128,7 +150,7 @@ class FiniteGroupoid:
 
     @property
     def arrow_ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arrows)
+        return self._ids
 
     def arrow(self, aid: str) -> Arrow:
         return self.arrows[self._index[aid]]
@@ -148,25 +170,19 @@ class FiniteGroupoid:
     def target(self, aid: str) -> str:
         return self.arrows[self._index[aid]].dst
 
-    def composable(self, a: str, b: str) -> bool:
-        return self.source(a) == self.target(b)
-
     def compose_ids(self, a: str, b: str) -> str | None:
         return self.compose.get((a, b))
 
     def invert_id(self, aid: str) -> str:
         return self.invert[aid]
 
-    def unit_arrow_id(self, u: str) -> str:
-        return self.unit_arrow[u]
-
     def arrows_with_src(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with s(x) = u, in declared order (the set Gu)."""
-        return self._by_src[u]
+        return tuple(self._ids[i] for i in np.flatnonzero(self._src_index == self._unit_index[u]))
 
     def arrows_with_dst(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with r(x) = u, in declared order (the set G^u)."""
-        return self._by_dst[u]
+        return tuple(self._ids[i] for i in np.flatnonzero(self._dst_index == self._unit_index[u]))
 
     # -- integer tables for vectorized operations --------------------------
 
@@ -185,20 +201,10 @@ class FiniteGroupoid:
 
     @property
     def invert_index(self) -> np.ndarray:
-        if self._invert_index is None:
-            self._invert_index = _read_only(
-                np.array([self._index[self.invert[a.id]] for a in self.arrows], dtype=np.intp)
-            )
         return self._invert_index
 
     def compose_matrix(self) -> np.ndarray:
         """Dense (n, n) table of arrow indices for x.y, with -1 where undefined."""
-        if self._compose_matrix is None:
-            n = self.n_arrows
-            mat = np.full((n, n), -1, dtype=np.intp)
-            for (x, y), z in self.compose.items():
-                mat[self._index[x], self._index[y]] = self._index[z]
-            self._compose_matrix = _read_only(mat)
         return self._compose_matrix
 
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,13 +235,12 @@ class FiniteGroupoid:
         x' x^{-1} as a (k, d, d) index array.  Built on first use; the
         arrays are read-only."""
         if self._rep_tables is None:
-            by_size: dict[int, list[str]] = {}
-            for u in self.units:
-                by_size.setdefault(len(self._by_src[u]), []).append(u)
+            sizes = np.bincount(self._src_index, minlength=self.n_units)
             tables = []
-            for d in sorted(by_size):
-                units = tuple(by_size[d])
-                arrows = np.array([[self._index[aid] for aid in self._by_src[u]] for u in units], dtype=np.intp)
+            for d in np.unique(sizes).tolist():
+                at = np.flatnonzero(sizes == d)
+                units = tuple(self.units[u] for u in at)
+                arrows = np.array([np.flatnonzero(self._src_index == u) for u in at], dtype=np.intp).reshape(len(at), d)
                 products = self.compose_matrix()[arrows[:, :, None], self.invert_index[arrows][:, None, :]]
                 bad = np.argwhere(products < 0)
                 if bad.size:
@@ -249,36 +254,71 @@ class FiniteGroupoid:
     # -- derived groupoids --------------------------------------------------
 
     def restricted_to(self, arrow_ids: Sequence[str]) -> "FiniteGroupoid":
-        """Subgroupoid on a subset of arrows (same units, declared order kept).
+        """Subgroupoid on a subset of arrows (same units, declared order kept),
+        with the compose matrix sliced and renumbered.
 
         The subset must contain every unit arrow, be closed under inversion,
-        and be closed under composition; otherwise ValueError.
+        and be closed under composition; otherwise ValueError naming the
+        first violation in declared order.
         """
         keep = set(arrow_ids)
-        unknown = keep - set(self._index)
+        unknown = keep - self._index.keys()
         if unknown:
             raise ValueError(f"Unknown arrows in restriction: {sorted(unknown)[:3]}.")
-        for u in self.units:
-            if self.unit_arrow[u] not in keep:
-                raise ValueError(f"Restriction drops the unit arrow at {u!r}.")
-        for aid in keep:
-            if self.invert[aid] not in keep:
-                raise ValueError(f"Restriction not closed under inversion at {aid!r}.")
-        kept = [i for i, a in enumerate(self.arrows) if a.id in keep]
-        sub_arrows = [self.arrows[i] for i in kept]
-        sub_compose = {}
-        for (x, y), z in self.compose.items():
-            if x in keep and y in keep:
-                if z not in keep:
-                    raise ValueError(f"Restriction not closed under composition at ({x!r},{y!r}).")
-                sub_compose[(x, y)] = z
-        sub_invert = {aid: self.invert[aid] for aid in keep}
-        sub = FiniteGroupoid(self.units, sub_arrows, sub_compose, sub_invert, self.unit_arrow)
-        sub._embeddings[id(self)] = (self, _read_only(np.array(kept, dtype=np.intp)))
-        return sub
+        mask = np.zeros(self.n_arrows, dtype=bool)
+        mask[[self._index[aid] for aid in keep]] = True
+        dropped = ~mask[self._unit_arrow_index]
+        if dropped.any():
+            raise ValueError(f"Restriction drops the unit arrow at {self.units[np.argmax(dropped)]!r}.")
+        kept = np.flatnonzero(mask)
+        open_at = ~mask[self._invert_index[kept]]
+        if open_at.any():
+            raise ValueError(f"Restriction not closed under inversion at {self._ids[kept[np.argmax(open_at)]]!r}.")
+        sub = self._compose_matrix[np.ix_(kept, kept)]
+        leaves = (sub >= 0) & ~mask[sub]
+        if leaves.any():
+            i, j = np.argwhere(leaves)[0]
+            raise ValueError(f"Restriction not closed under composition at ({self._ids[kept[i]]!r},{self._ids[kept[j]]!r}).")
+        # new numbers of the kept arrows; the extra last entry sends -1 to -1
+        renumber = np.full(self.n_arrows + 1, -1, dtype=np.intp)
+        renumber[kept] = np.arange(len(kept))
+        restricted = FiniteGroupoid(
+            self.units,
+            [self.arrows[i] for i in kept],
+            renumber[sub],
+            renumber[self._invert_index[kept]],
+            renumber[self._unit_arrow_index],
+        )
+        restricted._embeddings[id(self)] = (self, _read_only(kept))
+        return restricted
 
     def __repr__(self) -> str:
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
+
+
+class _IdView(Mapping):
+    """A read-only id table over an index table: ``table[at(key)]`` is the
+    index of the value among ``ids``, -1 where undefined.  The keys are
+    ``keys``, or for the compose matrix its defined pairs in row-major order.
+    The view holds the arrays, not the groupoid, so it makes no cycle."""
+
+    def __init__(self, table: np.ndarray, at: Callable[[Any], Any], ids: tuple[str, ...], keys: Sequence[str] = ()) -> None:
+        self._table, self._at, self._ids, self._keys = table, at, ids, keys
+
+    def __getitem__(self, key: Any) -> str:
+        k = self._table[self._at(key)]
+        if k < 0:
+            raise KeyError(key)
+        return self._ids[k]
+
+    def __iter__(self) -> Iterator[Any]:
+        if self._table.ndim == 1:
+            return iter(self._keys)
+        xs, ys = np.nonzero(self._table >= 0)
+        return ((self._ids[x], self._ids[y]) for x, y in zip(xs.tolist(), ys.tolist()))
+
+    def __len__(self) -> int:
+        return len(self._keys) if self._table.ndim == 1 else int(np.count_nonzero(self._table >= 0))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -489,68 +529,98 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     if n <= 0:
         raise ValueError(f"Pair groupoid needs at least one point, got {n}.")
     units = [str(i) for i in range(1, n + 1)]
-    aid = lambda i, j: f"({i},{j})"
-    arrows = [Arrow(aid(i, j), src=str(j), dst=str(i)) for i in range(1, n + 1) for j in range(1, n + 1)]
-    compose = {
-        (aid(i, j), aid(j, k)): aid(i, k)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(1, n + 1)
-    }
-    invert = {aid(i, j): aid(j, i) for i in range(1, n + 1) for j in range(1, n + 1)}
-    unit_arrow = {str(i): aid(i, i) for i in range(1, n + 1)}
-    return FiniteGroupoid(units, arrows, compose, invert, unit_arrow)
+    arrows = [Arrow(f"({i},{j})", src=j, dst=i) for i in units for j in units]
+    # arrow (i,j) has index i*n + j (from 0); as an (n, n, n, n) view indexed
+    # [i, j, j', k] the compose matrix holds (i,k) where j = j', -1 elsewhere
+    ids = np.arange(n * n, dtype=np.intp).reshape(n, n)
+    compose = np.full((n * n, n * n), -1, dtype=np.intp)
+    diagonal = np.arange(n)
+    compose.reshape(n, n, n, n)[:, diagonal, diagonal, :] = ids[:, None, :]
+    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1))
+
+
+def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A group as one-unit groupoid tables: the Cayley table is the compose matrix."""
+    return group.cayley, np.array(group.inverse_table, dtype=np.intp), np.array([group.identity], dtype=np.intp)
 
 
 def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = "u") -> FiniteGroupoid:
     """A finite group as a one-unit groupoid; arrow ids are g0..g{n-1}."""
     if not isinstance(group, FiniteGroup):
         group = FiniteGroup(group)
-    aid = lambda i: f"g{i}"
-    arrows = [Arrow(aid(i), src=unit, dst=unit) for i in group.elements()]
-    compose = {(aid(i), aid(j)): aid(group.mul(i, j)) for i in group.elements() for j in group.elements()}
-    invert = {aid(i): aid(group.inv(i)) for i in group.elements()}
-    return FiniteGroupoid([unit], arrows, compose, invert, {unit: aid(group.identity)})
+    arrows = [Arrow(f"g{i}", src=unit, dst=unit) for i in group.elements()]
+    return FiniteGroupoid([unit], arrows, *_group_tables(group))
 
 
 def action_groupoid(
     points: Sequence[Any],
     group: FiniteGroup,
-    action: Callable[[Any, int], Any],
+    action: Callable[[Any, int], Any] | Sequence[Sequence[Any]],
 ) -> FiniteGroupoid:
     """Transformation groupoid of a right action: arrow (x,h) runs x.h -> x.
 
-    ``action(x, h)`` must be a genuine right action: ``action(x, e) = x`` and
-    ``action(action(x, h), k) = action(x, hk)``; violations are rejected with
-    a witness.
+    ``action`` is the table of the action, ``action[i][h]`` the point
+    ``points[i].h``, with one row per point and one entry per group element,
+    or a function ``action(x, h)``, which is tabulated.  It must be a genuine
+    right action: ``x.e = x`` and ``(x.h).k = x.(hk)``; violations are
+    rejected with a witness: the first failing point, and for it the
+    identity law, then for each h in order whether x.h is a point and the
+    compatibility with each k.
     """
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("Action points must be distinct.")
-    point_set = set(points)
-    for x in points:
-        if action(x, group.identity) != x:
+    if callable(action):
+        action = [[action(x, h) for h in group.elements()] for x in points]
+    # number the points in order and every image off the point set after
+    # them, so the action laws are integer comparisons on the table
+    number = {x: i for i, x in enumerate(points)}
+    table = action.tolist() if isinstance(action, np.ndarray) else action
+    act = np.array([[number.setdefault(y, len(number)) for y in row] for row in table], dtype=np.intp)
+    act = act.reshape(len(points), group.order)
+    for i, x in enumerate(points):
+        if act[i, group.identity] != i:
             raise ValueError(f"Not an action: point {x!r} moves under the identity.")
-        for h in group.elements():
-            if action(x, h) not in point_set:
+        inside = act[i] < len(points)
+        # (x.h).k against x.(hk), indexed [h, k]; where x.h is no point that
+        # failure comes first, so row 0 stands in for it
+        incompatible = act[np.where(inside, act[i], 0)] != act[i][group.cayley]
+        bad = ~inside | incompatible.any(axis=1)
+        if bad.any():
+            h = int(np.argmax(bad))
+            if not inside[h]:
                 raise ValueError(f"Not an action: {x!r}.{h} leaves the point set.")
-            for k in group.elements():
-                if action(action(x, h), k) != action(x, group.mul(h, k)):
-                    raise ValueError(f"Not an action: compatibility fails at ({x!r},{h},{k}).")
+            raise ValueError(f"Not an action: compatibility fails at ({x!r},{h},{int(np.argmax(incompatible[h]))}).")
     units = [str(x) for x in points]
     if len(set(units)) != len(units):
         raise ValueError("Action points must stringify to distinct unit ids.")
-    aid = lambda x, h: f"({x},{h})"
-    arrows = [Arrow(aid(x, h), src=str(action(x, h)), dst=str(x)) for x in points for h in group.elements()]
-    compose = {}
-    for x in points:
-        for h in group.elements():
-            y = action(x, h)
-            for k in group.elements():
-                compose[(aid(x, h), aid(y, k))] = aid(x, group.mul(h, k))
-    invert = {aid(x, h): aid(action(x, h), group.inv(h)) for x in points for h in group.elements()}
-    unit_arrow = {str(x): aid(x, group.identity) for x in points}
-    return FiniteGroupoid(units, arrows, compose, invert, unit_arrow)
+    arrows = [
+        Arrow(f"({x},{h})", src=units[y], dst=units[i])
+        for i, (x, row) in enumerate(zip(points, act.tolist()))
+        for h, y in enumerate(row)
+    ]
+    # arrow (x,h) has index x*order + h; (x,h)(x.h,k) = (x,hk)
+    order, n = group.order, len(arrows)
+    compose = np.full((n, n), -1, dtype=np.intp)
+    products = np.arange(len(points))[:, None, None] * order + group.cayley
+    compose[np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order)] = products.reshape(n, order)
+    inverse = np.array(group.inverse_table, dtype=np.intp)
+    return FiniteGroupoid(units, arrows, compose, (act * order + inverse).ravel(), np.arange(len(points)) * order + group.identity)
+
+
+def _direct_sum(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of a disjoint union from the (compose, invert, unit_arrow)
+    tables of its parts, arrows and units in part order: the compose matrix
+    is block-diagonal, and each part's indices move by its offset."""
+    n = sum(len(invert) for _, invert, _ in parts)
+    compose = np.full((n, n), -1, dtype=np.intp)
+    inverse, unit_arrows, at = [], [], 0
+    for mat, invert, unit_arrow in parts:
+        np.add(mat, at, out=compose[at : at + len(invert), at : at + len(invert)], where=mat >= 0)
+        inverse.append(invert + at)
+        unit_arrows.append(unit_arrow + at)
+        at += len(invert)
+    return compose, np.concatenate(inverse), np.concatenate(unit_arrows)
 
 
 def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> FiniteGroupoid:
@@ -559,20 +629,8 @@ def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> Fin
         raise ValueError("Group bundle needs at least one fibre.")
     fibres = [h if isinstance(h, FiniteGroup) else FiniteGroup(h) for h in groups]
     units = [f"u{j}" for j in range(1, len(fibres) + 1)]
-    aid = lambda j, i: f"u{j}:g{i}"
-    arrows = []
-    compose = {}
-    invert = {}
-    unit_arrow = {}
-    for j, h in enumerate(fibres, start=1):
-        u = f"u{j}"
-        arrows.extend(Arrow(aid(j, i), src=u, dst=u) for i in h.elements())
-        for i in h.elements():
-            for k in h.elements():
-                compose[(aid(j, i), aid(j, k))] = aid(j, h.mul(i, k))
-            invert[aid(j, i)] = aid(j, h.inv(i))
-        unit_arrow[u] = aid(j, h.identity)
-    return FiniteGroupoid(units, arrows, compose, invert, unit_arrow)
+    arrows = [Arrow(f"{u}:g{i}", src=u, dst=u) for u, h in zip(units, fibres) for i in h.elements()]
+    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]))
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -580,33 +638,19 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     relabel = [("L:", g1), ("R:", g2)]
     units = [p + u for p, g in relabel for u in g.units]
     arrows = [Arrow(p + a.id, src=p + a.src, dst=p + a.dst) for p, g in relabel for a in g.arrows]
-    compose = {}
-    invert = {}
-    unit_arrow = {}
-    for p, g in relabel:
-        for (x, y), z in g.compose.items():
-            compose[(p + x, p + y)] = p + z
-        for x, y in g.invert.items():
-            invert[p + x] = p + y
-        for u, a in g.unit_arrow.items():
-            unit_arrow[p + u] = p + a
-    return FiniteGroupoid(units, arrows, compose, invert, unit_arrow)
+    return FiniteGroupoid(units, arrows, *_direct_sum([(g.compose_matrix(), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]))
 
 
 def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Direct product groupoid; arrows are pairs composed componentwise."""
-    uid = lambda u, v: f"{u}|{v}"
-    aid = lambda a, b: f"{a}|{b}"
-    units = [uid(u, v) for u in g1.units for v in g2.units]
-    arrows = [
-        Arrow(aid(a.id, b.id), src=uid(a.src, b.src), dst=uid(a.dst, b.dst))
-        for a in g1.arrows
-        for b in g2.arrows
-    ]
-    compose = {}
-    for (x1, y1), z1 in g1.compose.items():
-        for (x2, y2), z2 in g2.compose.items():
-            compose[(aid(x1, x2), aid(y1, y2))] = aid(z1, z2)
-    invert = {aid(a.id, b.id): aid(g1.invert[a.id], g2.invert[b.id]) for a in g1.arrows for b in g2.arrows}
-    unit_arrow = {uid(u, v): aid(g1.unit_arrow[u], g2.unit_arrow[v]) for u in g1.units for v in g2.units}
-    return FiniteGroupoid(units, arrows, compose, invert, unit_arrow)
+    units = [f"{u}|{v}" for u in g1.units for v in g2.units]
+    arrows = [Arrow(f"{a.id}|{b.id}", src=f"{a.src}|{b.src}", dst=f"{a.dst}|{b.dst}") for a in g1.arrows for b in g2.arrows]
+    # arrow (a,b) has index a*n2 + b; indexed [a, b, c, d] the product
+    # (a,b)(c,d) = (ac,bd) is defined where both factors are
+    n2 = g2.n_arrows
+    m1 = g1.compose_matrix()[:, None, :, None]
+    m2 = g2.compose_matrix()[None, :, None, :]
+    compose = np.where((m1 >= 0) & (m2 >= 0), m1 * n2 + m2, -1).reshape(len(arrows), len(arrows))
+    invert = g1.invert_index[:, None] * n2 + g2.invert_index
+    unit_arrow = g1.unit_arrow_index[:, None] * n2 + g2.unit_arrow_index
+    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel())

@@ -71,7 +71,8 @@ class DiscreteGroup:
 class FiniteGroup(DiscreteGroup):
     """Finite group given by a Cayley table over element indices 0..n-1.
 
-    The constructor checks the table axioms (closure, a two-sided identity,
+    ``table`` holds the Cayley table as lists and ``cayley`` as a read-only
+    (n, n) integer array.  The constructor checks the table axioms (closure, a two-sided identity,
     two-sided inverses, associativity, in that order) and raises
     ``ValueError`` with a witness on the first violation.  The last three
     are array comparisons on the table; associativity takes one row of the
@@ -111,7 +112,9 @@ class FiniteGroup(DiscreteGroup):
                 raise ValueError(f"Cayley table not associative at triple ({a},{b},{c}).")
         self.name = name
         self.order = n
+        cayley_table.flags.writeable = False
         self.table = table
+        self.cayley = cayley_table
         self.identity_index = identity
         self.inverse_table = inverse
 
@@ -260,10 +263,10 @@ def symmetric_group(n: int) -> FiniteGroup:
     n = strict_int(n)
     if n <= 0:
         raise ValueError(f"Symmetric group degree must be positive, got {n}.")
-    perms = permutations_of(n)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(n))] for q in perms]
-        for p in perms
-    ]
+    perms = np.array(permutations_of(n), dtype=np.intp)
+    # a permutation's digits in base n; lexicographic order is the order of
+    # these codes, so the index of a product is a sorted search
+    place = n ** np.arange(n - 1, -1, -1)
+    codes = perms @ place
+    table = [np.searchsorted(codes, p[perms] @ place).tolist() for p in perms]
     return FiniteGroup(table, name=f"S{n}")

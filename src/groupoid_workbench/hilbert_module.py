@@ -232,10 +232,6 @@ class InducedSpace:
         vals = np.where(self._conv_defined, a.take(self._conv_clipped, axis=-1), 0.0)
         return vals * self._rho_r
 
-    def left_conv_matrix(self, a: GroupoidFunction) -> np.ndarray:
-        """Matrix of b -> a * b on the plain delta basis of the big algebra."""
-        return self._left_conv_stack(a.coeffs)
-
     def _image(self, a: np.ndarray) -> np.ndarray:
         """Left convolution by every trial of a (..., n) stack applied to the
         frame, on the support rows: a (..., support, rank) array."""
@@ -268,9 +264,6 @@ class InducedSpace:
         stack, one batched eigensolve per block size and chunk."""
         per_trial = self._conv_defined.size + len(self._support) * self.rank
         return chunked(lambda x: _norm_of_trials(self.operator_block_stacks(x)), per_trial, a)
-
-    def operator_norm_of(self, a: GroupoidFunction) -> float:
-        return float(self.operator_norms(a.coeffs))
 
 
 def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:

@@ -217,12 +217,6 @@ def _fiber_rep_block(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str,
     return vals * np.sqrt(np.outer(weights, weights))
 
 
-def fiber_rep_block(sys: GradedGroupoid, a_e: GroupoidFunction, arrow_ids: tuple[str, ...]) -> np.ndarray:
-    """Block of the representation of an identity-fiber function on a set of
-    same-source, same-fiber arrows, built directly from the entry formula."""
-    return _fiber_rep_block(sys, _of_identity_fiber(sys, a_e), arrow_ids)
-
-
 def _decompose(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """The fiber blocks at u (element key -> block, in block order), the
     permuted full representation and the largest deviation between the two,

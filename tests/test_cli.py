@@ -114,3 +114,16 @@ class TestCorpus:
         assert len(files) == 34
         # emitted documents parse and validate
         assert main(["validate", str(files[0])]) == 0
+
+
+def test_validate_both_construction_paths(tmp_path, capsys):
+    """The builtin pair(6), its explicit-table twin and a copy with one
+    redirected compose entry, as the CI step runs them for pair(40)."""
+    from pair_documents import main as write_documents
+
+    assert write_documents(["6", str(tmp_path)]) == 0
+    assert main(["validate", str(tmp_path / "pair6-builtin.json")]) == 0
+    assert main(["validate", str(tmp_path / "pair6-explicit.json")]) == 0
+    assert capsys.readouterr().out.count("identity-fiber arrows: 6") == 2
+    assert main(["validate", str(tmp_path / "pair6-explicit-bad-compose.json")]) == 2
+    assert "invalid: groupoid: axiom violation" in capsys.readouterr().out
