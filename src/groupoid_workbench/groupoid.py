@@ -97,6 +97,13 @@ class FiniteGroupoid:
         self.compose: Mapping[tuple[str, str], str] = _IdView(compose, lambda xy: (index[xy[0]], index[xy[1]]), self._ids)
         self.invert: Mapping[str, str] = _IdView(invert, index.__getitem__, self._ids, self._ids)
         self.unit_arrow: Mapping[str, str] = _IdView(unit_arrow, self._unit_index.__getitem__, self._ids, units)
+        by_src: dict[str, list[str]] = {u: [] for u in units}
+        by_dst: dict[str, list[str]] = {u: [] for u in units}
+        for a in self.arrows:
+            by_src[a.src].append(a.id)
+            by_dst[a.dst].append(a.id)
+        self._by_src = {u: tuple(v) for u, v in by_src.items()}
+        self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
         self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
@@ -171,18 +178,20 @@ class FiniteGroupoid:
         return self.arrows[self._index[aid]].dst
 
     def compose_ids(self, a: str, b: str) -> str | None:
-        return self.compose.get((a, b))
+        """The id of ab, or None where the product is undefined."""
+        k = self._compose_matrix[self._index[a], self._index[b]]
+        return self._ids[k] if k >= 0 else None
 
     def invert_id(self, aid: str) -> str:
-        return self.invert[aid]
+        return self._ids[self._invert_index[self._index[aid]]]
 
     def arrows_with_src(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with s(x) = u, in declared order (the set Gu)."""
-        return tuple(self._ids[i] for i in np.flatnonzero(self._src_index == self._unit_index[u]))
+        return self._by_src[u]
 
     def arrows_with_dst(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with r(x) = u, in declared order (the set G^u)."""
-        return tuple(self._ids[i] for i in np.flatnonzero(self._dst_index == self._unit_index[u]))
+        return self._by_dst[u]
 
     # -- integer tables for vectorized operations --------------------------
 
@@ -235,12 +244,13 @@ class FiniteGroupoid:
         x' x^{-1} as a (k, d, d) index array.  Built on first use; the
         arrays are read-only."""
         if self._rep_tables is None:
-            sizes = np.bincount(self._src_index, minlength=self.n_units)
+            by_size: dict[int, list[str]] = {}
+            for u in self.units:
+                by_size.setdefault(len(self._by_src[u]), []).append(u)
             tables = []
-            for d in np.unique(sizes).tolist():
-                at = np.flatnonzero(sizes == d)
-                units = tuple(self.units[u] for u in at)
-                arrows = np.array([np.flatnonzero(self._src_index == u) for u in at], dtype=np.intp).reshape(len(at), d)
+            for d in sorted(by_size):
+                units = tuple(by_size[d])
+                arrows = np.array([[self._index[aid] for aid in self._by_src[u]] for u in units], dtype=np.intp)
                 products = self.compose_matrix()[arrows[:, :, None], self.invert_index[arrows][:, None, :]]
                 bad = np.argwhere(products < 0)
                 if bad.size:
