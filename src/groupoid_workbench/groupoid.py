@@ -178,8 +178,9 @@ class FiniteGroupoid:
         return self.arrows[self._index[aid]].dst
 
     def compose_ids(self, a: str, b: str) -> str | None:
-        """The id of ab, or None where the product is undefined."""
-        k = self._compose_matrix[self._index[a], self._index[b]]
+        """The id of ab, or None where the product is undefined or an id is unknown."""
+        i, j = self._index.get(a), self._index.get(b)
+        k = -1 if i is None or j is None else self._compose_matrix[i, j]
         return self._ids[k] if k >= 0 else None
 
     def invert_id(self, aid: str) -> str:
