@@ -149,9 +149,16 @@ def _build_builtin(name: Any, params: Mapping[str, Any], path: str) -> FiniteGro
     raise DocumentError(path, f"unknown builtin groupoid {name!r}")
 
 
+def _require_list(obj: Mapping[str, Any], key: str, path: str) -> list:
+    value = _require(obj, key, path)
+    if not isinstance(value, list):
+        raise DocumentError(f"{path}.{key}", f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
-    units = _require(spec, "units", path)
-    arrows_raw = _require(spec, "arrows", path)
+    units = _require_list(spec, "units", path)
+    arrows_raw = _require_list(spec, "arrows", path)
     arrows = []
     for i, rec in enumerate(arrows_raw):
         rec = _as_object(rec, f"{path}.arrows[{i}]")
@@ -162,7 +169,7 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
                 dst=str(_require(rec, "dst", f"{path}.arrows[{i}]")),
             )
         )
-    compose_raw = _require(spec, "compose", path)
+    compose_raw = _require_list(spec, "compose", path)
     compose = []  # the groupoid maps these ids to indices once, a repeated pair keeping its last entry
     for i, triple in enumerate(compose_raw):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:

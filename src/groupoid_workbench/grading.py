@@ -13,10 +13,11 @@ number of every arrow in declared order.  Every fiber-aware operation reads
 that index (as a numpy mask) instead of the arrow labels; this module is the
 only one that reads labels arrow by arrow.
 
-:func:`validate_cocycle` numbers the labels the same way, so the group's
-``mul`` and ``inv`` run once per distinct pair of labels and once per
-distinct label, and the cocycle identities are array comparisons over the
-groupoid's integer tables.  :func:`validate_system` is the one validation
+:func:`validate_cocycle` reads the labels into one array of group elements
+(a Cayley index for a finite group, an integer row for Z^k) and checks the
+cocycle identities as array products over the groupoid's integer tables:
+a Cayley gather or a coordinate add per composable pair, exact for every
+label.  :func:`validate_system` is the one validation
 path of a graded groupoid, shared by the document parser and
 :meth:`GradedGroupoid.build`.
 """
@@ -65,9 +66,12 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     """Check the homomorphism identities; pass, or first violation with witness pair.
 
     Check order: every label present and in the group, multiplicativity,
-    units to the identity, inverses to inverses.  The multiplicativity
-    witness is the first failing pair in row-major compose order, the others
-    the first failing unit or arrow in declared order.
+    units to the identity, inverses to inverses.  The labels become one
+    array (:meth:`~groupoid_workbench.groups.DiscreteGroup.element_array`)
+    and each identity is one array comparison over the composable pairs,
+    the units or the arrows.  The multiplicativity witness is the first
+    failing pair in row-major compose order, the others the first failing
+    unit or arrow in declared order.
     """
     grp = c.group
     for a in g.arrows:
@@ -75,31 +79,36 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
             return CheckReport.failed("label-missing", arrow=a.id)
         if not grp.contains(c.label[a.id]):
             return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(c.label[a.id]))
-    lab, elements = number_fibers(g, c)
-    number = {el: k for k, el in enumerate(elements)}
-    m = len(elements)
+    labels = [c.label[aid] for aid in g.arrow_ids]
+    values = grp.element_array(labels)
     xs, ys, xys = g.composable_pairs()
-    keys, at = np.unique(lab[xs] * m + lab[ys], return_inverse=True)
-    products = [grp.mul(elements[k // m], elements[k % m]) for k in keys.tolist()]
-    bad = lab[xys] != np.array([number.get(el, -1) for el in products], dtype=np.intp)[at]
+    bad = _differ(values[xys], grp.mul_array(values[xs], values[ys]))
     if bad.any():
         i = np.argmax(bad)
+        x, y = xs[i], ys[i]
         return CheckReport.failed(
             "not-multiplicative",
-            pair=(g.arrows[xs[i]].id, g.arrows[ys[i]].id),
-            got=grp.element_key(elements[lab[xys[i]]]),
-            expected=grp.element_key(products[at[i]]),
+            pair=(g.arrows[x].id, g.arrows[y].id),
+            got=grp.element_key(labels[xys[i]]),
+            expected=grp.element_key(grp.mul(labels[x], labels[y])),
         )
-    units = lab[g.unit_arrow_index]
-    bad = units != number.get(grp.identity, -1)
+    units = g.unit_arrow_index
+    identity = grp.element_array([grp.identity])
+    bad = _differ(values[units], identity)
     if bad.any():
         u = np.argmax(bad)
-        return CheckReport.failed("unit-not-identity", unit=g.units[u], got=grp.element_key(elements[units[u]]))
-    inverses = np.array([number.get(grp.inv(el), -1) for el in elements], dtype=np.intp)
-    bad = lab[g.invert_index] != inverses[lab]
+        return CheckReport.failed("unit-not-identity", unit=g.units[u], got=grp.element_key(labels[units[u]]))
+    # in a group, b = a^-1 exactly when ab = e
+    bad = _differ(grp.mul_array(values, values[g.invert_index]), identity)
     if bad.any():
         return CheckReport.failed("inverse-not-inverted", arrow=g.arrows[np.argmax(bad)].id)
     return CheckReport.passed()
+
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per leading index, whether two element arrays (entries or rows) differ."""
+    bad = a != b
+    return bad.any(axis=tuple(range(1, bad.ndim)))
 
 
 class InvalidSystem(ValueError):

@@ -14,6 +14,14 @@ explicit id tables are mapped to indices once, and :func:`validate_groupoid`
 and :func:`validate_left_invariance` are array reductions over the tables; no
 temporary they build has more entries than the compose matrix.
 
+:func:`validate_groupoid` proves associativity with a structure certificate:
+by the structure theorem (Renault, LNM 793, ch. I) a groupoid is, orbit by
+orbit, pair(orbit) x the isotropy group of a base unit, and checking that
+decomposition costs O(composable pairs) plus the isotropy tables instead of
+one comparison per composable triple (n^4 for the pair groupoid on n
+points).  The triple sweep runs only to name the witness of a failed
+certificate.
+
 A Haar system is stored as one positive weight per unit: left invariance on a
 finite groupoid forces the arrow weight ``w(y)`` to depend only on ``s(y)``
 (put ``y = unit arrow at s(x)`` in the invariance identity), so the per-unit
@@ -31,7 +39,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .groups import FiniteGroup, strict_int
+from .groups import FiniteGroup, first_nonassociative_triple, strict_int
 from .validation import CheckReport
 
 
@@ -218,11 +226,27 @@ class FiniteGroupoid:
         return self._compose_matrix
 
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays (x, y, xy) over all defined compose entries."""
+        """Index arrays (x, y, xy) over the defined compose entries, in
+        row-major order.  When the defined entries are exactly the
+        composable pairs, s(x) = r(y), as in every groupoid, they are read
+        in O(pairs) from the arrows grouped by range: each x is repeated
+        once per arrow y into s(x).  Otherwise they are the nonzero entries
+        of the defined mask."""
         if self._pair_table is None:
-            mat = self.compose_matrix()
-            xs, ys = np.nonzero(mat >= 0)
-            self._pair_table = (_read_only(xs), _read_only(ys), _read_only(mat[xs, ys]))
+            src, dst, mat = self._src_index, self._dst_index, self._compose_matrix
+            by_dst = np.argsort(dst, kind="stable")
+            starts = np.searchsorted(dst[by_dst], np.arange(self.n_units + 1))
+            counts = np.diff(starts)[src]
+            xs = np.repeat(np.arange(self.n_arrows), counts)
+            # the k-th pair of row x is y = by_dst[starts[s(x)] + k], after
+            # ends[x] - counts[x] pairs of earlier rows
+            ends = np.cumsum(counts)
+            ys = by_dst[np.repeat(starts[src] - ends + counts, counts) + np.arange(len(xs))]
+            zs = mat[xs, ys]
+            if (zs < 0).any() or np.count_nonzero(mat >= 0) != len(zs):
+                xs, ys = np.nonzero(mat >= 0)
+                zs = mat[xs, ys]
+            self._pair_table = (_read_only(xs), _read_only(ys), _read_only(zs))
         return self._pair_table
 
     def embedding(self, parent: "FiniteGroupoid") -> np.ndarray:
@@ -356,25 +380,33 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     check is a whole-array comparison on the integer tables; the witness is
     the first violation in declared arrow order (row-major for pairs).
 
-    Associativity runs over the composable triples (x, y, z) only, grouped by
-    the unit u = s(x) = r(y): for each composable pair (y, z) with r(y) = u it
-    compares (xy)z with x(yz) for every x with s(x) = u at once, in chunks of
-    at most n^2 triples, and reports the lexicographically first failing
-    triple.
+    Exactness is "every defined entry is a composable pair, and there are as
+    many as composable pairs", over :meth:`FiniteGroupoid.composable_pairs`;
+    the dense comparison of the two n x n masks runs only to name the
+    witness.
+
+    Associativity is proved by a structure certificate instead of a sweep
+    over the composable triples.  A groupoid is isomorphic, orbit by orbit,
+    to pair(orbit) x isotropy (Renault, LNM 793, ch. I); the certificate
+    builds that map and checks it (:func:`_structure_certificate`).  Once
+    the earlier axioms hold, the certificate holds exactly when the table
+    is associative, so the lexicographic sweep of
+    :func:`_associativity_witness` runs only on a failed certificate,
+    to name the first failing triple.
     """
     mat = g.compose_matrix()
     src = g.src_index
     dst = g.dst_index
     n = g.n_arrows
-    defined = mat >= 0
-    composable = src[:, None] == dst[None, :]
-    if (defined != composable).any():
-        i, j = np.argwhere(defined != composable)[0]
+    xs, ys, zs = g.composable_pairs()
+    n_composable = int(np.bincount(src, minlength=g.n_units) @ np.bincount(dst, minlength=g.n_units))
+    if len(xs) != n_composable or (src[xs] != dst[ys]).any():
+        composable = src[:, None] == dst[None, :]
+        i, j = np.argwhere((mat >= 0) != composable)[0]
         a, b = g.arrows[i].id, g.arrows[j].id
         if composable[i, j]:
             return CheckReport.failed("compose-undefined-on-composable-pair", pair=(a, b))
         return CheckReport.failed("compose-defined-on-noncomposable-pair", pair=(a, b))
-    xs, ys, zs = g.composable_pairs()
     bad = dst[zs] != dst[xs]
     if bad.any():
         k = int(np.nonzero(bad)[0][0])
@@ -420,8 +452,69 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
             return CheckReport.failed("inverse-not-involutive", arrow=g.arrows[i].id)
         cause = ("inverse-endpoints", "inverse-left", "inverse-right")[k]
         return CheckReport.failed(cause, arrow=g.arrows[i].id, inverse=g.arrows[inv[i]].id)
-    # the composable pair (y, z) -> yz is (xs, ys, zs)[p], grouped by r(y);
-    # x runs over the arrows with s(x) = r(y), as a column in declared order
+    if _structure_certificate(g):
+        return CheckReport.passed()
+    return CheckReport.failed("associativity", triple=tuple(g.arrows[i].id for i in _associativity_witness(g)))
+
+
+def _structure_certificate(g: FiniteGroupoid) -> bool:
+    """Whether a table that passes every groupoid axiom but associativity
+    is associative, by the structure theorem.
+
+    Walk the units in declared order; a unit not yet reached becomes a base
+    b, and every unit v = r(x) with s(x) = b gets base b and transport t_v,
+    the first such x.  So the base of v is the first unit of its orbit.  Put
+    h(x) = (t_{r(x)}^-1 x) t_{s(x)}; by the endpoint checks already passed,
+    r(h(x)) = s(t_{r(x)}) = b and s(h(x)) = s(t_{s(x)}) = b, so h(x) lies
+    in the isotropy G_b^b of the base.  Check that
+
+    * x -> (r(x), s(x), h(x)) is injective,
+    * h(xy) = h(x) h(y) on every composable pair,
+    * each base's isotropy table is associative
+      (:func:`~groupoid_workbench.groups.first_nonassociative_triple`).
+
+    Then (xy)z and x(yz) have the same endpoints and the same image
+    (h(x) h(y)) h(z) = h(x) (h(y) h(z)), so they are equal.  In a groupoid
+    every check holds, for any choice of transports.
+    """
+    mat = g.compose_matrix()
+    src, dst, inv = g.src_index, g.dst_index, g.invert_index
+    n = g.n_arrows
+    # the orbit of a unit is the set of sources of the arrows into it
+    base = np.full(g.n_units, g.n_units, dtype=np.intp)
+    np.minimum.at(base, dst, src)
+    into = np.flatnonzero(src == base[dst])
+    transport = np.full(g.n_units, n, dtype=np.intp)
+    np.minimum.at(transport, dst[into], into)
+    h = mat[mat[inv[transport[dst]], np.arange(n)], transport[src]]
+    if len(np.unique((dst * g.n_units + src) * n + h)) != n:
+        return False
+    xs, ys, zs = g.composable_pairs()
+    if (h[zs] != mat[h[xs], h[ys]]).any():
+        return False
+    # a one-arrow isotropy is {unit arrow}, associative by the identity law
+    loops = np.flatnonzero((src == dst) & (src == base[src]))
+    local = np.empty(n, dtype=np.intp)
+    for u in np.flatnonzero(np.bincount(src[loops]) > 1):
+        iso = loops[src[loops] == u]
+        local[iso] = np.arange(len(iso))
+        if first_nonassociative_triple(local[mat[iso[:, None], iso]]) is not None:
+            return False
+    return True
+
+
+def _associativity_witness(g: FiniteGroupoid) -> tuple[int, int, int]:
+    """The lexicographically first composable triple (x, y, z) with
+    (xy)z != x(yz), on a table whose compose is exact.
+
+    The composable pair (y, z) -> yz is grouped by r(y); for each unit u, x
+    runs over the arrows with s(x) = u as a column in declared order, and
+    (xy)z is compared with x(yz) in chunks of at most n^2 triples.
+    """
+    mat = g.compose_matrix()
+    src, dst = g.src_index, g.dst_index
+    n = g.n_arrows
+    xs, ys, zs = g.composable_pairs()
     pairs = np.argsort(dst[xs], kind="stable")
     pair_bounds = np.searchsorted(dst[xs][pairs], np.arange(g.n_units + 1))
     by_src = np.argsort(src, kind="stable")
@@ -438,9 +531,7 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
                 i, k = np.argwhere(bad)[0]
                 first = (int(x[i, 0]), int(xs[p[k]]), int(ys[p[k]]))
                 witness = first if witness is None else min(witness, first)
-    if witness is not None:
-        return CheckReport.failed("associativity", triple=tuple(g.arrows[i].id for i in witness))
-    return CheckReport.passed()
+    return witness
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,6 +31,45 @@ def strict_int(value: Any) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
+def _index_table(cayley: Sequence[Sequence[int]], n: int) -> np.ndarray:
+    """The entries of a square table as an (n, n) integer array, each in
+    [0, n).  Rows that are lists or tuples of n plain ints take one type
+    scan and one range check.  Otherwise, or on a violation, the rows are
+    read one at a time: the length, each entry through :func:`strict_int`,
+    then the range, so the first violation raises as that row loop finds it."""
+    rows_ok = all(isinstance(row, (list, tuple)) and len(row) == n for row in cayley)
+    if rows_ok and set(map(type, itertools.chain.from_iterable(cayley))) <= {int}:
+        try:
+            table = np.array(cayley, dtype=np.intp)
+        except OverflowError:  # an entry past the integer range; the row loop names it
+            pass
+        else:
+            if ((table >= 0) & (table < n)).all():
+                return table
+    rows = []
+    for i, row in enumerate(cayley):
+        if len(row) != n:
+            raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}.")
+        rows.append([strict_int(x) for x in row])
+        for x in rows[-1]:
+            if not 0 <= x < n:
+                raise ValueError(f"Cayley entry {x} at row {i} out of range [0,{n - 1}].")
+    return np.array(rows, dtype=np.intp)
+
+
+def first_nonassociative_triple(table: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically first (a, b, c) with (ab)c != a(bc) in a square
+    table whose entries index its rows, or None when the table is
+    associative.  One row of the first factor a at a time: (ab)c against
+    a(bc) for all b, c at once, b along rows."""
+    for a, row in enumerate(table):
+        bad = table[row] != row[table]
+        if bad.any():
+            b, c = np.argwhere(bad)[0]
+            return a, int(b), int(c)
+    return None
+
+
 class DiscreteGroup:
     """Shared interface for the two group backends."""
 
@@ -67,6 +106,14 @@ class DiscreteGroup:
     def element_from_json(self, value: Any) -> Any:
         raise NotImplementedError
 
+    def element_array(self, elements: Sequence[Any]) -> np.ndarray:
+        """Canonical elements as an array with one entry (or row) each, on
+        which :meth:`mul_array` computes exactly."""
+        raise NotImplementedError
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
 
 class FiniteGroup(DiscreteGroup):
     """Finite group given by a Cayley table over element indices 0..n-1.
@@ -75,8 +122,8 @@ class FiniteGroup(DiscreteGroup):
     (n, n) integer array.  The constructor checks the table axioms (closure, a two-sided identity,
     two-sided inverses, associativity, in that order) and raises
     ``ValueError`` with a witness on the first violation.  The last three
-    are array comparisons on the table; associativity takes one row of the
-    first factor a at a time, so the witness (a, b, c) is the
+    are array comparisons on the table; associativity is
+    :func:`first_nonassociative_triple`, so the witness (a, b, c) is the
     lexicographically first failing triple.
     """
 
@@ -84,16 +131,7 @@ class FiniteGroup(DiscreteGroup):
         n = len(cayley)
         if n == 0:
             raise ValueError("Cayley table must be nonempty.")
-        table: list[list[int]] = []
-        for i, row in enumerate(cayley):
-            if len(row) != n:
-                raise ValueError(f"Cayley row {i} has length {len(row)}, expected {n}.")
-            row_int = [strict_int(x) for x in row]
-            for x in row_int:
-                if x < 0 or x >= n:
-                    raise ValueError(f"Cayley entry {x} at row {i} out of range [0,{n - 1}].")
-            table.append(row_int)
-        cayley_table = np.array(table, dtype=np.intp)
+        cayley_table = _index_table(cayley, n)
         elements = np.arange(n)
         is_identity = (cayley_table == elements).all(axis=1) & (cayley_table.T == elements).all(axis=1)
         if not is_identity.any():
@@ -103,20 +141,16 @@ class FiniteGroup(DiscreteGroup):
         has_inverse = inverse_pairs.any(axis=1)
         if not has_inverse.all():
             raise ValueError(f"Element {int(np.argmin(has_inverse))} has no two-sided inverse.")
-        inverse = inverse_pairs.argmax(axis=1).tolist()
-        for a, row in enumerate(cayley_table):
-            # (ab)c against a(bc) for all b, c at once, b along rows
-            bad = cayley_table[row] != row[cayley_table]
-            if bad.any():
-                b, c = np.argwhere(bad)[0]
-                raise ValueError(f"Cayley table not associative at triple ({a},{b},{c}).")
+        triple = first_nonassociative_triple(cayley_table)
+        if triple is not None:
+            raise ValueError("Cayley table not associative at triple ({},{},{}).".format(*triple))
         self.name = name
         self.order = n
         cayley_table.flags.writeable = False
-        self.table = table
+        self.table = cayley_table.tolist()
         self.cayley = cayley_table
         self.identity_index = identity
-        self.inverse_table = inverse
+        self.inverse_table = inverse_pairs.argmax(axis=1).tolist()
 
     def _element(self, a: Any) -> int:
         a = strict_int(a)
@@ -158,6 +192,12 @@ class FiniteGroup(DiscreteGroup):
 
     def element_from_json(self, value: Any) -> int:
         return self.canonical(value)
+
+    def element_array(self, elements: Sequence[int]) -> np.ndarray:
+        return np.array(elements, dtype=np.intp)
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.cayley[a, b]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -217,6 +257,21 @@ class FreeAbelianGroup(DiscreteGroup):
 
     def element_from_json(self, value: Any) -> tuple[int, ...]:
         return self.canonical(value)
+
+    def element_array(self, elements: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """An (m, rank) array: int64 while every coordinate is below 2**62 in
+        size, so that a sum of two stays in range, and Python ints otherwise."""
+        try:
+            values = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
+        except OverflowError:
+            pass
+        else:
+            if ((values > -(2**62)) & (values < 2**62)).all():
+                return values
+        return np.array(elements, dtype=object).reshape(len(elements), self.rank)
+
+    def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
 
     def __repr__(self) -> str:
         return f"FreeAbelianGroup(rank={self.rank})"

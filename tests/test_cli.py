@@ -39,6 +39,21 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 2
         assert "invalid: haar.rho.1" in capsys.readouterr().out
 
+    def test_explicit_compose_not_a_list(self, tmp_path, capsys):
+        raw = {
+            "groupoid": {
+                "explicit": {"units": ["u"], "arrows": [{"id": "e", "src": "u", "dst": "u"}], "compose": 5,
+                             "invert": {"e": "e"}, "unit_arrows": {"u": "e"}}
+            },
+            "haar": {"rho": {"u": 1.0}},
+            "group": {"finite": {"cayley": [[0]]}},
+            "cocycle": {"e": 0},
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["validate", str(bad)]) == 2
+        assert "invalid: groupoid.explicit.compose" in capsys.readouterr().out
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 

@@ -141,6 +141,15 @@ class TestExplicitGroupoid:
         with pytest.raises(DocumentError, match="axiom violation"):
             document_from_dict(raw)
 
+    @pytest.mark.parametrize("field", ["units", "arrows", "compose"])
+    @pytest.mark.parametrize("value", [5, "u", {"u": "u"}, None])
+    def test_table_fields_must_be_lists(self, field, value):
+        spec = self.explicit_z2()
+        spec["explicit"][field] = value
+        with pytest.raises(DocumentError, match="expected a list") as info:
+            build_groupoid(spec)
+        assert info.value.path == f"groupoid.explicit.{field}"
+
     def test_unknown_builtin(self):
         with pytest.raises(DocumentError, match="unknown builtin"):
             build_groupoid({"builtin": "torus", "params": {}})
