@@ -103,8 +103,7 @@ def from_map(g: FiniteGroupoid, values: Mapping[str, complex]) -> GroupoidFuncti
 def unit_function(g: FiniteGroupoid, haar: HaarSystem) -> GroupoidFunction:
     """The exact convolution unit e = sum_u rho(u)^{-1} delta at the unit arrow of u."""
     coeffs = np.zeros(g.n_arrows, dtype=np.complex128)
-    for u in g.units:
-        coeffs[g.index(g.unit_arrow[u])] = 1.0 / haar.unit_weight(u)
+    coeffs[g.unit_arrow_index] = [1.0 / haar.unit_weight(u) for u in g.units]
     return GroupoidFunction(g, coeffs)
 
 

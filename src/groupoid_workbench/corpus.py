@@ -73,7 +73,7 @@ def _bases() -> list[dict[str, Any]]:
     pair = lambda n: {"builtin": "pair", "params": {"n": n}}
     cyclic = lambda n: {"builtin": "cyclic_group", "params": {"n": n}}
     symmetric = {"builtin": "symmetric_group", "params": {"n": 3}}
-    finite = lambda group: {"finite": {"cayley": group.table}}
+    finite = lambda group: {"finite": {"cayley": group.cayley.tolist()}}
     z, z2, s3 = {"free_abelian": {"rank": 1}}, finite(cyclic_group(2)), finite(symmetric_group(3))
     rows = [
         *((f"pair{n}-zgraded", pair(n), z, _pair_difference) for n in range(2, 6)),
@@ -101,7 +101,7 @@ def _sample_functions(g: FiniteGroupoid, rng: np.random.Generator) -> dict[str, 
             g.arrow_ids, rng.uniform(-1, 1, g.n_arrows), rng.uniform(-1, 1, g.n_arrows)
         )
     }
-    unit_arrows = {g.unit_arrow[u] for u in g.units}
+    unit_arrows = {g.arrow_ids[k] for k in g.unit_arrow_index.tolist()}
     mass_at = next((aid for aid in g.arrow_ids if aid not in unit_arrows), g.arrow_ids[0])
     return {"sample": sample, "point_mass": {mass_at: [1.0, 0.0]}}
 

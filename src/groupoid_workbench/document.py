@@ -41,6 +41,7 @@ from .groupoid import (
     disjoint_union,
     group_bundle,
     group_groupoid,
+    numbered,
     pair_groupoid,
     product,
 )
@@ -157,10 +158,9 @@ def _require_list(obj: Mapping[str, Any], key: str, path: str) -> list:
 
 
 def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
-    units = _require_list(spec, "units", path)
-    arrows_raw = _require_list(spec, "arrows", path)
+    units = [str(u) for u in _require_list(spec, "units", path)]
     arrows = []
-    for i, rec in enumerate(arrows_raw):
+    for i, rec in enumerate(_require_list(spec, "arrows", path)):
         rec = _as_object(rec, f"{path}.arrows[{i}]")
         arrows.append(
             Arrow(
@@ -169,19 +169,49 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
                 dst=str(_require(rec, "dst", f"{path}.arrows[{i}]")),
             )
         )
-    compose_raw = _require_list(spec, "compose", path)
-    compose = []  # the groupoid maps these ids to indices once, a repeated pair keeping its last entry
-    for i, triple in enumerate(compose_raw):
+    index = {a.id: i for i, a in enumerate(arrows)}
+    find = index.get
+    triples = _require_list(spec, "compose", path)
+    products = {}  # (x, y) -> xy by index, -1 for an unknown id; a repeated pair keeps its last product
+    for i, triple in enumerate(triples):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-        compose.append((str(triple[0]), str(triple[1]), str(triple[2])))
+        products[find(str(triple[0]), -1), find(str(triple[1]), -1)] = find(str(triple[2]), -1)
     invert = {str(k): str(v) for k, v in _as_object(_require(spec, "invert", path), f"{path}.invert").items()}
     unit_arrows = {
         str(k): str(v)
         for k, v in _as_object(_require(spec, "unit_arrows", path), f"{path}.unit_arrows").items()
     }
     try:
-        return FiniteGroupoid([str(u) for u in units], arrows, compose, invert, unit_arrows)
+        # the unit and arrow errors come before those of the id tables
+        unit_index, index = numbered(units, arrows)
+        pairs = np.array(list(products), dtype=np.intp).reshape(-1, 2)
+        xys = np.array(list(products.values()), dtype=np.intp)
+        if (pairs < 0).any() or (xys < 0).any():
+            # name the first unknown id, pairs in order of first appearance
+            for (x, y), z in {(str(x), str(y)): str(z) for x, y, z in triples}.items():
+                for aid in (x, y, z):
+                    if aid not in index:
+                        raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {aid!r}.")
+        compose = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
+        compose[pairs[:, 0], pairs[:, 1]] = xys
+        for x, y in invert.items():
+            if x not in index or y not in index:
+                raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
+        missing = [a.id for a in arrows if a.id not in invert]
+        if missing:
+            raise ValueError(f"Invert table missing arrows {missing[:3]}.")
+        for u, aid in unit_arrows.items():
+            if u not in unit_index:
+                raise ValueError(f"Unit-arrow entry for unknown unit {u!r}.")
+            if aid not in index:
+                raise ValueError(f"Unit arrow {aid!r} for unit {u!r} is not a declared arrow.")
+        missing = [u for u in units if u not in unit_arrows]
+        if missing:
+            raise ValueError(f"Unit-arrow table missing units {missing[:3]}.")
+        inverse = np.array([index[invert[a.id]] for a in arrows], dtype=np.intp)
+        unit_arrow = np.array([index[unit_arrows[u]] for u in units], dtype=np.intp)
+        return FiniteGroupoid(units, arrows, compose, inverse, unit_arrow, _in_range=True)
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from exc
 
@@ -256,7 +286,7 @@ def _read_cocycle(top: Mapping[str, Any], g: FiniteGroupoid) -> Cocycle:
         if aid not in cocycle_spec:
             raise DocumentError(f"cocycle.{aid}", "missing label for this arrow")
         try:
-            label[aid] = group.element_from_json(cocycle_spec[aid])
+            label[aid] = group.canonical(cocycle_spec[aid])
         except ValueError as exc:
             raise DocumentError(f"cocycle.{aid}", str(exc)) from exc
     extra = set(cocycle_spec) - set(g.arrow_ids)

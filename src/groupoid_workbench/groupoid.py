@@ -7,11 +7,11 @@ records carry ``src`` (the source unit ``s(x)``) and ``dst`` (the range unit
 units in declared order, and its state is five read-only integer tables over
 those numbers, built once at construction: ``src_index``/``dst_index``,
 ``invert_index``, ``unit_arrow_index`` and the (n, n) ``compose_matrix()``,
-with -1 where a product is undefined.  Arrow and unit ids are labels only;
-``compose``, ``invert`` and ``unit_arrow`` are read-only id views of the
-arrays.  The builtin constructors write their tables in closed form,
-explicit id tables are mapped to indices once, and :func:`validate_groupoid`
-and :func:`validate_left_invariance` are array reductions over the tables; no
+with -1 where a product is undefined; they are the only encoding a groupoid
+is built from.  Arrow and unit ids are labels only.  The builtin
+constructors write their tables in closed form, the document parser maps
+explicit id tables to indices once, and :func:`validate_groupoid` and
+:func:`validate_left_invariance` are array reductions over the tables; no
 temporary they build has more entries than the compose matrix.
 
 :func:`validate_groupoid` proves associativity with a structure certificate:
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,16 +55,16 @@ class Arrow:
 class FiniteGroupoid:
     """Arrows over a finite unit space with integer compose/invert tables.
 
-    The constructor takes the tables as ids or as indices.  As ids,
-    ``compose`` maps (x, y) to xy, as a mapping or as a sequence of (x, y,
-    xy) triples in which a later triple for a pair replaces an earlier one,
-    ``invert`` maps x to its inverse and ``unit_arrow`` a unit to its unit
-    arrow.  As indices over the declared order, ``compose`` is the (n, n)
-    array with -1 where undefined, ``invert`` an (n,) and ``unit_arrow`` an
-    (n_units,) array with every entry in range; the arrays are taken over
-    and made read-only.  The constructor checks structural well-formedness
-    (unique ids, resolvable references, nonempty unit space) and raises
-    ``ValueError`` on violations.  The groupoid *axioms* are checked by
+    The tables are index arrays over the declared order: ``compose`` the
+    (n, n) table of xy with -1 where undefined, ``invert`` the (n,) table of
+    inverses and ``unit_arrow`` the (n_units,) table of unit arrows.  They
+    are taken over and made read-only.  The constructor checks structural
+    well-formedness (nonempty unit space, unique ids, arrow endpoints among
+    the units, integer tables of these shapes with every entry in range)
+    and raises ``ValueError`` on violations.  The builtin constructors and
+    the document parser compute their entries in range and pass
+    ``_in_range=True``, which skips the range sweeps, O(n^2) for the
+    compose matrix.  The groupoid *axioms* are checked by
     :func:`validate_groupoid`, which reports rather than raises, so
     deliberately broken tables can be built and fed to the validator.
 
@@ -76,37 +76,22 @@ class FiniteGroupoid:
         self,
         units: Sequence[str],
         arrows: Sequence[Arrow],
-        compose: Mapping[tuple[str, str], str] | Iterable[tuple[str, str, str]] | np.ndarray,
-        invert: Mapping[str, str] | np.ndarray,
-        unit_arrow: Mapping[str, str] | np.ndarray,
+        compose: np.ndarray,
+        invert: np.ndarray,
+        unit_arrow: np.ndarray,
+        *,
+        _in_range: bool = False,
     ) -> None:
-        units = tuple(str(u) for u in units)
-        if not units:
-            raise ValueError("Unit space must be nonempty (norms are undefined on empty algebras).")
-        self._unit_index = {u: i for i, u in enumerate(units)}
-        if len(self._unit_index) != len(units):
-            raise ValueError("Unit identifiers must be unique.")
-        self.units = units
-        self.arrows = tuple(arrows)
-        self._ids = tuple(a.id for a in self.arrows)
-        self._index = index = {aid: i for i, aid in enumerate(self._ids)}
-        if len(index) != len(self._ids):
-            raise ValueError("Arrow identifiers must be unique.")
-        for a in self.arrows:
-            if a.src not in self._unit_index or a.dst not in self._unit_index:
-                raise ValueError(f"Arrow {a.id!r} references unknown unit {a.src!r} or {a.dst!r}.")
+        self._unit_index, self._index = numbered(units, arrows)
+        self.units, self.arrows, self._ids = tuple(self._unit_index), tuple(arrows), tuple(self._index)
+        n = len(self._ids)
         self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
         self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
-        if not isinstance(compose, np.ndarray):
-            compose, invert, unit_arrow = self._index_tables(compose, invert, unit_arrow)
-        self._compose_matrix = _read_only(compose)
-        self._invert_index = _read_only(invert)
-        self._unit_arrow_index = _read_only(unit_arrow)
-        self.compose: Mapping[tuple[str, str], str] = _IdView(compose, lambda xy: (index[xy[0]], index[xy[1]]), self._ids)
-        self.invert: Mapping[str, str] = _IdView(invert, index.__getitem__, self._ids, self._ids)
-        self.unit_arrow: Mapping[str, str] = _IdView(unit_arrow, self._unit_index.__getitem__, self._ids, units)
-        by_src: dict[str, list[str]] = {u: [] for u in units}
-        by_dst: dict[str, list[str]] = {u: [] for u in units}
+        self._compose_matrix = _checked_table("compose", compose, (n, n), -1, n, _in_range)
+        self._invert_index = _checked_table("invert", invert, (n,), 0, n, _in_range)
+        self._unit_arrow_index = _checked_table("unit_arrow", unit_arrow, (len(self.units),), 0, n, _in_range)
+        by_src: dict[str, list[str]] = {u: [] for u in self.units}
+        by_dst: dict[str, list[str]] = {u: [] for u in self.units}
         for a in self.arrows:
             by_src[a.src].append(a.id)
             by_dst[a.dst].append(a.id)
@@ -115,43 +100,6 @@ class FiniteGroupoid:
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
         self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
-
-    def _index_tables(
-        self, compose: Any, invert: Mapping[str, str], unit_arrow: Mapping[str, str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The index tables of id tables, every id looked up once."""
-        index = self._index
-        n = len(index)
-        triples = [(x, y, z) for (x, y), z in compose.items()] if isinstance(compose, Mapping) else list(compose)
-        found = np.array([(index.get(x, -1), index.get(y, -1), index.get(z, -1)) for x, y, z in triples], dtype=np.intp)
-        if (found < 0).any():
-            # the first unknown id in dict order; an unknown product that a
-            # later triple replaces is not an error
-            for (x, y), z in {(x, y): z for x, y, z in triples}.items():
-                for aid in (x, y, z):
-                    if aid not in index:
-                        raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {aid!r}.")
-        # the last triple of each pair wins
-        found = found.reshape(-1, 3)[::-1]
-        pairs, last = np.unique(found[:, 0] * n + found[:, 1], return_index=True)
-        mat = np.full((n, n), -1, dtype=np.intp)
-        mat.flat[pairs] = found[last, 2]
-        for x, y in invert.items():
-            if x not in index or y not in index:
-                raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
-        missing_inv = [aid for aid in self._ids if aid not in invert]
-        if missing_inv:
-            raise ValueError(f"Invert table missing arrows {missing_inv[:3]}.")
-        for u, aid in unit_arrow.items():
-            if u not in self._unit_index:
-                raise ValueError(f"Unit-arrow entry for unknown unit {u!r}.")
-            if aid not in index:
-                raise ValueError(f"Unit arrow {aid!r} for unit {u!r} is not a declared arrow.")
-        missing_units = [u for u in self.units if u not in unit_arrow]
-        if missing_units:
-            raise ValueError(f"Unit-arrow table missing units {missing_units[:3]}.")
-        inverse = np.array([index[invert[aid]] for aid in self._ids], dtype=np.intp)
-        return mat, inverse, np.array([index[unit_arrow[u]] for u in self.units], dtype=np.intp)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -323,6 +271,7 @@ class FiniteGroupoid:
             renumber[sub],
             renumber[self._invert_index[kept]],
             renumber[self._unit_arrow_index],
+            _in_range=True,
         )
         restricted._embeddings[id(self)] = (self, _read_only(kept))
         return restricted
@@ -331,29 +280,35 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
 
 
-class _IdView(Mapping):
-    """A read-only id table over an index table: ``table[at(key)]`` is the
-    index of the value among ``ids``, -1 where undefined.  The keys are
-    ``keys``, or for the compose matrix its defined pairs in row-major order.
-    The view holds the arrays, not the groupoid, so it makes no cycle."""
+def numbered(units: Sequence[str], arrows: Sequence[Arrow]) -> tuple[dict[str, int], dict[str, int]]:
+    """The number of each unit (as a string) and each arrow id in declared
+    order.  ValueError on an empty unit space, a repeated unit or arrow id,
+    or an arrow whose endpoint is not a unit."""
+    unit_index = {str(u): i for i, u in enumerate(units)}
+    if not unit_index:
+        raise ValueError("Unit space must be nonempty (norms are undefined on empty algebras).")
+    if len(unit_index) != len(units):
+        raise ValueError("Unit identifiers must be unique.")
+    index = {a.id: i for i, a in enumerate(arrows)}
+    if len(index) != len(arrows):
+        raise ValueError("Arrow identifiers must be unique.")
+    for a in arrows:
+        if a.src not in unit_index or a.dst not in unit_index:
+            raise ValueError(f"Arrow {a.id!r} references unknown unit {a.src!r} or {a.dst!r}.")
+    return unit_index, index
 
-    def __init__(self, table: np.ndarray, at: Callable[[Any], Any], ids: tuple[str, ...], keys: Sequence[str] = ()) -> None:
-        self._table, self._at, self._ids, self._keys = table, at, ids, keys
 
-    def __getitem__(self, key: Any) -> str:
-        k = self._table[self._at(key)]
-        if k < 0:
-            raise KeyError(key)
-        return self._ids[k]
-
-    def __iter__(self) -> Iterator[Any]:
-        if self._table.ndim == 1:
-            return iter(self._keys)
-        xs, ys = np.nonzero(self._table >= 0)
-        return ((self._ids[x], self._ids[y]) for x, y in zip(xs.tolist(), ys.tolist()))
-
-    def __len__(self) -> int:
-        return len(self._keys) if self._table.ndim == 1 else int(np.count_nonzero(self._table >= 0))
+def _checked_table(name: str, table: Any, shape: tuple[int, ...], low: int, high: int, in_range: bool) -> np.ndarray:
+    """``table`` as a read-only intp array, once it is an integer array of
+    ``shape`` with (unless ``in_range``) every entry in [low, high)."""
+    if not isinstance(table, np.ndarray) or table.shape != shape or not np.issubdtype(table.dtype, np.integer):
+        got = f"{table.dtype} array of shape {table.shape}" if isinstance(table, np.ndarray) else type(table).__name__
+        raise ValueError(f"The {name} table must be an integer array of shape {shape}, got {got}.")
+    if not in_range and table.size:
+        lo, hi = int(table.min()), int(table.max())
+        if lo < low or hi >= high:
+            raise ValueError(f"The {name} table has an entry {lo if lo < low else hi} outside [{low}, {high}).")
+    return _read_only(table.astype(np.intp, copy=False))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -638,12 +593,12 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     compose = np.full((n * n, n * n), -1, dtype=np.intp)
     diagonal = np.arange(n)
     compose.reshape(n, n, n, n)[:, diagonal, diagonal, :] = ids[:, None, :]
-    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1))
+    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1), _in_range=True)
 
 
 def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A group as one-unit groupoid tables: the Cayley table is the compose matrix."""
-    return group.cayley, np.array(group.inverse_table, dtype=np.intp), np.array([group.identity], dtype=np.intp)
+    return group.cayley, group.inverse_table, np.array([group.identity], dtype=np.intp)
 
 
 def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = "u") -> FiniteGroupoid:
@@ -651,7 +606,7 @@ def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = 
     if not isinstance(group, FiniteGroup):
         group = FiniteGroup(group)
     arrows = [Arrow(f"g{i}", src=unit, dst=unit) for i in group.elements()]
-    return FiniteGroupoid([unit], arrows, *_group_tables(group))
+    return FiniteGroupoid([unit], arrows, *_group_tables(group), _in_range=True)
 
 
 def action_groupoid(
@@ -706,8 +661,8 @@ def action_groupoid(
     compose = np.full((n, n), -1, dtype=np.intp)
     products = np.arange(len(points))[:, None, None] * order + group.cayley
     compose[np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order)] = products.reshape(n, order)
-    inverse = np.array(group.inverse_table, dtype=np.intp)
-    return FiniteGroupoid(units, arrows, compose, (act * order + inverse).ravel(), np.arange(len(points)) * order + group.identity)
+    invert = (act * order + group.inverse_table).ravel()
+    return FiniteGroupoid(units, arrows, compose, invert, np.arange(len(points)) * order + group.identity, _in_range=True)
 
 
 def _direct_sum(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -732,7 +687,7 @@ def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> Fin
     fibres = [h if isinstance(h, FiniteGroup) else FiniteGroup(h) for h in groups]
     units = [f"u{j}" for j in range(1, len(fibres) + 1)]
     arrows = [Arrow(f"{u}:g{i}", src=u, dst=u) for u, h in zip(units, fibres) for i in h.elements()]
-    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]))
+    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]), _in_range=True)
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -740,7 +695,8 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     relabel = [("L:", g1), ("R:", g2)]
     units = [p + u for p, g in relabel for u in g.units]
     arrows = [Arrow(p + a.id, src=p + a.src, dst=p + a.dst) for p, g in relabel for a in g.arrows]
-    return FiniteGroupoid(units, arrows, *_direct_sum([(g.compose_matrix(), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]))
+    parts = [(g.compose_matrix(), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
+    return FiniteGroupoid(units, arrows, *_direct_sum(parts), _in_range=True)
 
 
 def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -755,4 +711,4 @@ def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     compose = np.where((m1 >= 0) & (m2 >= 0), m1 * n2 + m2, -1).reshape(len(arrows), len(arrows))
     invert = g1.invert_index[:, None] * n2 + g2.invert_index
     unit_arrow = g1.unit_arrow_index[:, None] * n2 + g2.unit_arrow_index
-    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel())
+    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel(), _in_range=True)

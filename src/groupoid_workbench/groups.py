@@ -103,9 +103,6 @@ class DiscreteGroup:
     def element_to_json(self, el: Any) -> Any:
         raise NotImplementedError
 
-    def element_from_json(self, value: Any) -> Any:
-        raise NotImplementedError
-
     def element_array(self, elements: Sequence[Any]) -> np.ndarray:
         """Canonical elements as an array with one entry (or row) each, on
         which :meth:`mul_array` computes exactly."""
@@ -118,13 +115,13 @@ class DiscreteGroup:
 class FiniteGroup(DiscreteGroup):
     """Finite group given by a Cayley table over element indices 0..n-1.
 
-    ``table`` holds the Cayley table as lists and ``cayley`` as a read-only
-    (n, n) integer array.  The constructor checks the table axioms (closure, a two-sided identity,
-    two-sided inverses, associativity, in that order) and raises
-    ``ValueError`` with a witness on the first violation.  The last three
-    are array comparisons on the table; associativity is
-    :func:`first_nonassociative_triple`, so the witness (a, b, c) is the
-    lexicographically first failing triple.
+    ``cayley`` holds the Cayley table and ``inverse_table`` the inverse of
+    each element, as read-only integer arrays.  The constructor checks the
+    table axioms (closure, a two-sided identity, two-sided inverses,
+    associativity, in that order) and raises ``ValueError`` with a witness
+    on the first violation.  The last three are array comparisons on the
+    table; associativity is :func:`first_nonassociative_triple`, so the
+    witness (a, b, c) is the lexicographically first failing triple.
     """
 
     def __init__(self, cayley: Sequence[Sequence[int]], *, name: str = "finite") -> None:
@@ -147,10 +144,10 @@ class FiniteGroup(DiscreteGroup):
         self.name = name
         self.order = n
         cayley_table.flags.writeable = False
-        self.table = cayley_table.tolist()
         self.cayley = cayley_table
         self.identity_index = identity
-        self.inverse_table = inverse_pairs.argmax(axis=1).tolist()
+        self.inverse_table = inverse_pairs.argmax(axis=1)
+        self.inverse_table.flags.writeable = False
 
     def _element(self, a: Any) -> int:
         a = strict_int(a)
@@ -159,10 +156,10 @@ class FiniteGroup(DiscreteGroup):
         return a
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[self._element(a)][self._element(b)]
+        return int(self.cayley[self._element(a), self._element(b)])
 
     def inv(self, a: int) -> int:
-        return self.inverse_table[self._element(a)]
+        return int(self.inverse_table[self._element(a)])
 
     @property
     def identity(self) -> int:
@@ -189,9 +186,6 @@ class FiniteGroup(DiscreteGroup):
 
     def element_to_json(self, el: int) -> int:
         return int(el)
-
-    def element_from_json(self, value: Any) -> int:
-        return self.canonical(value)
 
     def element_array(self, elements: Sequence[int]) -> np.ndarray:
         return np.array(elements, dtype=np.intp)
@@ -254,9 +248,6 @@ class FreeAbelianGroup(DiscreteGroup):
 
     def element_to_json(self, el: Sequence[int]) -> list[int]:
         return list(self.canonical(el))
-
-    def element_from_json(self, value: Any) -> tuple[int, ...]:
-        return self.canonical(value)
 
     def element_array(self, elements: Sequence[tuple[int, ...]]) -> np.ndarray:
         """An (m, rank) array: int64 while every coordinate is below 2**62 in

@@ -284,12 +284,13 @@ def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -
     grp = sys.group
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
-    at_u = (g.src_index == g.units.index(u)) & sys.fiber_mask(gamma)
+    unit = g.units.index(u)
+    at_u = (g.src_index == unit) & sys.fiber_mask(gamma)
     fiber_at_u = [g.arrows[i].id for i in np.flatnonzero(at_u)]
     if not fiber_at_u:
         raise ValueError(f"Fiber over {gamma_key} has no arrows with source {u!r}.")
     if z_arrow is None:
-        z = g.unit_arrow[u] if gamma == grp.identity else fiber_at_u[0]
+        z = g.arrow_ids[g.unit_arrow_index[unit]] if gamma == grp.identity else fiber_at_u[0]
     else:
         if z_arrow not in fiber_at_u:
             raise ValueError(f"Arrow {z_arrow!r} is not in the {gamma_key}-fiber at {u!r}.")

@@ -51,6 +51,36 @@ def max_diff(f: GroupoidFunction, expected: dict[str, complex]) -> float:
     return max(abs(actual.get(k, 0j) - expected.get(k, 0j)) for k in keys)
 
 
+def id_tables(g: FiniteGroupoid) -> tuple[dict[tuple[str, str], str], dict[str, str], dict[str, str]]:
+    """The compose, invert and unit-arrow tables of g by id, read from its
+    index arrays; compose holds the defined pairs in row-major order."""
+    ids = g.arrow_ids
+    xs, ys = np.nonzero(g.compose_matrix() >= 0)
+    zs = g.compose_matrix()[xs, ys]
+    compose = {(ids[x], ids[y]): ids[z] for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())}
+    invert = {aid: ids[k] for aid, k in zip(ids, g.invert_index.tolist())}
+    unit_arrow = {u: ids[k] for u, k in zip(g.units, g.unit_arrow_index.tolist())}
+    return compose, invert, unit_arrow
+
+
+def with_tables(g: FiniteGroupoid, compose=None, invert=None, unit_arrow=None) -> FiniteGroupoid:
+    """g's units and arrows over the given index tables, g's own where None."""
+    return FiniteGroupoid(
+        g.units,
+        g.arrows,
+        g.compose_matrix() if compose is None else compose,
+        g.invert_index if invert is None else invert,
+        g.unit_arrow_index if unit_arrow is None else unit_arrow,
+    )
+
+
+def redirected(g: FiniteGroupoid, x: str, y: str, xy: str | None) -> FiniteGroupoid:
+    """g with the compose entry (x, y) set to xy, or undefined for None."""
+    compose = g.compose_matrix().copy()
+    compose[g.index(x), g.index(y)] = -1 if xy is None else g.index(xy)
+    return with_tables(g, compose=compose)
+
+
 def pair_cocycle(g: FiniteGroupoid) -> Cocycle:
     """The integer grading c((i,j)) = i - j on a pair groupoid."""
     z = FreeAbelianGroup(1)

@@ -1,12 +1,15 @@
-"""Three documents on the pair groupoid for an end-to-end ``workbench validate``
+"""Four documents on the pair groupoid for an end-to-end ``workbench validate``
 run through both construction paths: the builtin pair(n), its explicit-table
-twin, and the twin with one compose entry redirected to another arrow.  The
-first two must be accepted (exit 0) and the third rejected (exit 2).
+twin, the twin with one compose entry redirected to another arrow, and the
+twin with one compose product naming an undeclared arrow.  The first two
+must be accepted (exit 0) and the last two rejected (exit 2), the last at
+``groupoid.explicit``.
 
     python tests/pair_documents.py N OUT_DIR
 
-writes ``pair{N}-builtin.json``, ``pair{N}-explicit.json`` and
-``pair{N}-explicit-bad-compose.json`` to OUT_DIR.
+writes ``pair{N}-builtin.json``, ``pair{N}-explicit.json``,
+``pair{N}-explicit-bad-compose.json`` and ``pair{N}-explicit-unknown-id.json``
+to OUT_DIR.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any
 
 
 def pair_documents(n: int) -> dict[str, dict[str, Any]]:
-    """The three documents by name, Z-graded by i - j with weights 1..n."""
+    """The four documents by name, Z-graded by i - j with weights 1..n."""
     units = [str(i) for i in range(1, n + 1)]
     ids = [f"({i},{j})" for i in units for j in units]
     builtin = {
@@ -43,12 +46,16 @@ def pair_documents(n: int) -> dict[str, dict[str, Any]]:
             }
         },
     )
-    # (1,1)(1,n) -> (1,n) now names (n,1), an arrow with the wrong endpoints for n > 1
-    bad = [list(triple) for triple in compose]
-    bad[n - 1][2] = f"({n},1)"
-    broken = dict(explicit, name=f"pair{n}-explicit-bad-compose")
-    broken["groupoid"] = {"explicit": dict(explicit["groupoid"]["explicit"], compose=bad)}
-    return {doc["name"]: doc for doc in (builtin, explicit, broken)}
+    def with_product(name: str, product: str) -> dict[str, Any]:
+        """The explicit twin with the product of (1,1)(1,n) replaced."""
+        triples = [list(triple) for triple in compose]
+        triples[n - 1][2] = product
+        return dict(explicit, name=name, groupoid={"explicit": dict(explicit["groupoid"]["explicit"], compose=triples)})
+
+    # (n,1) has the wrong endpoints for n > 1; (n+1,1) is no arrow at all
+    broken = with_product(f"pair{n}-explicit-bad-compose", f"({n},1)")
+    unknown = with_product(f"pair{n}-explicit-unknown-id", f"({n + 1},1)")
+    return {doc["name"]: doc for doc in (builtin, explicit, broken, unknown)}
 
 
 def main(argv: list[str]) -> int:

@@ -132,8 +132,9 @@ class TestCorpus:
 
 
 def test_validate_both_construction_paths(tmp_path, capsys):
-    """The builtin pair(6), its explicit-table twin and a copy with one
-    redirected compose entry, as the CI step runs them for pair(40)."""
+    """The builtin pair(6), its explicit-table twin and copies with one
+    compose product redirected to another arrow or to an undeclared one,
+    as the CI step runs them for pair(40)."""
     from pair_documents import main as write_documents
 
     assert write_documents(["6", str(tmp_path)]) == 0
@@ -142,3 +143,5 @@ def test_validate_both_construction_paths(tmp_path, capsys):
     assert capsys.readouterr().out.count("identity-fiber arrows: 6") == 2
     assert main(["validate", str(tmp_path / "pair6-explicit-bad-compose.json")]) == 2
     assert "invalid: groupoid: axiom violation" in capsys.readouterr().out
+    assert main(["validate", str(tmp_path / "pair6-explicit-unknown-id.json")]) == 2
+    assert "invalid: groupoid.explicit: Compose entry ('(1,1)','(1,6)')->'(7,1)'" in capsys.readouterr().out

@@ -150,6 +150,54 @@ class TestExplicitGroupoid:
             build_groupoid(spec)
         assert info.value.path == f"groupoid.explicit.{field}"
 
+    @staticmethod
+    def numeric_pair2(first_product: int = 1) -> str:
+        """pair(2) with every unit, arrow id and compose entry a JSON number:
+        arrows 1 = (1,1), 2 = (1,2), 3 = (2,1), 4 = (2,2), where (i,j) runs
+        j -> i; the product of the first triple, 1.1, is ``first_product``."""
+        triples = [[1, 1, first_product], [1, 2, 2], [2, 3, 1], [2, 4, 2], [3, 1, 3], [3, 2, 4], [4, 3, 3], [4, 4, 4]]
+        explicit = {
+            "units": [1, 2],
+            "arrows": [{"id": k, "src": src, "dst": dst} for k, src, dst in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (4, 2, 2)]],
+            "compose": triples,
+            "invert": {"1": 1, "2": 3, "3": 2, "4": 4},
+            "unit_arrows": {"1": 1, "2": 4},
+        }
+        return json.dumps(
+            {
+                "groupoid": {"explicit": explicit},
+                "haar": {"rho": {"1": 1.0, "2": 4.0}},
+                "group": {"free_abelian": {"rank": 1}},
+                "cocycle": {"1": [0], "2": [-1], "3": [1], "4": [0]},
+            }
+        )
+
+    def test_numeric_ids_parse_as_their_string_twin(self):
+        text = self.numeric_pair2()
+        assert '"units": [1, 2]' in text and '"compose": [[1, 1, 1],' in text
+        raw = json.loads(text)
+        explicit = raw["groupoid"]["explicit"]
+        twin = {
+            "units": [str(u) for u in explicit["units"]],
+            "arrows": [{key: str(value) for key, value in rec.items()} for rec in explicit["arrows"]],
+            "compose": [[str(aid) for aid in triple] for triple in explicit["compose"]],
+            "invert": {key: str(value) for key, value in explicit["invert"].items()},
+            "unit_arrows": {key: str(value) for key, value in explicit["unit_arrows"].items()},
+        }
+        numeric = parse_document(text).groupoid
+        strings = document_from_dict(dict(raw, groupoid={"explicit": twin})).groupoid
+        assert numeric.units == strings.units == ("1", "2")
+        assert numeric.arrows == strings.arrows
+        assert numeric.compose_matrix().tolist() == strings.compose_matrix().tolist()
+        assert numeric.invert_index.tolist() == strings.invert_index.tolist() == [0, 2, 1, 3]
+        assert numeric.unit_arrow_index.tolist() == strings.unit_arrow_index.tolist() == [0, 3]
+
+    def test_unknown_numeric_id_rejected(self):
+        with pytest.raises(DocumentError) as info:
+            parse_document(self.numeric_pair2(first_product=9))
+        assert info.value.path == "groupoid.explicit"
+        assert str(info.value) == "groupoid.explicit: Compose entry ('1','1')->'9' references unknown arrow '9'."
+
     def test_unknown_builtin(self):
         with pytest.raises(DocumentError, match="unknown builtin"):
             build_groupoid({"builtin": "torus", "params": {}})

@@ -25,6 +25,8 @@ from groupoid_workbench.groupoid import (
 )
 from groupoid_workbench.groups import cyclic_group
 
+from conftest import id_tables, redirected, with_tables
+
 
 def dense_left_invariance(g: FiniteGroupoid, w, rel_tol: float = 1e-12) -> bool:
     """The invariance identity as two dense (n, n) tables indexed by (x, t):
@@ -40,18 +42,12 @@ def dense_left_invariance(g: FiniteGroupoid, w, rel_tol: float = 1e-12) -> bool:
     return bool(np.abs(lhs - rhs).max() <= tol)
 
 
-def redirect_compose(g: FiniteGroupoid, pair: tuple[str, str], target: str) -> FiniteGroupoid:
-    compose = dict(g.compose)
-    compose[pair] = target
-    return FiniteGroupoid(g.units, g.arrows, compose, dict(g.invert), dict(g.unit_arrow))
-
-
 class TestValidateGroupoid:
     def test_pair_groupoid_passes(self):
         assert validate_groupoid(pair_groupoid(2)).ok
 
     def test_redirected_compose_fails_with_range_witness(self):
-        g = redirect_compose(pair_groupoid(2), ("(1,2)", "(2,1)"), "(2,2)")
+        g = redirected(pair_groupoid(2), "(1,2)", "(2,1)", "(2,2)")
         report = validate_groupoid(g)
         assert not report.ok
         assert report.cause == "compose-range-mismatch"
@@ -61,32 +57,84 @@ class TestValidateGroupoid:
         assert validate_groupoid(group_groupoid(cyclic_group(3))).ok
 
     def test_dropped_compose_entry_fails(self):
-        g = pair_groupoid(2)
-        compose = dict(g.compose)
-        del compose[("(1,2)", "(2,1)")]
-        broken = FiniteGroupoid(g.units, g.arrows, compose, dict(g.invert), dict(g.unit_arrow))
+        broken = redirected(pair_groupoid(2), "(1,2)", "(2,1)", None)
         report = validate_groupoid(broken)
         assert report.cause == "compose-undefined-on-composable-pair"
 
     def test_bad_inverse_fails(self):
         g = pair_groupoid(2)
-        invert = dict(g.invert)
-        invert["(1,2)"] = "(1,2)"
-        broken = FiniteGroupoid(g.units, g.arrows, dict(g.compose), invert, dict(g.unit_arrow))
-        assert validate_groupoid(broken).cause == "inverse-endpoints"
+        invert = g.invert_index.copy()
+        invert[g.index("(1,2)")] = g.index("(1,2)")
+        assert validate_groupoid(with_tables(g, invert=invert)).cause == "inverse-endpoints"
 
     def test_associativity_violation_found(self):
         # in a one-unit groupoid endpoints cannot betray a redirect, so
         # g1.g1 -> g0 in Z/3 survives until the associativity sweep:
         # (g1 g1) g2 = g2 while g1 (g1 g2) = g1
         z3 = group_groupoid(cyclic_group(3))
-        report = validate_groupoid(redirect_compose(z3, ("g1", "g1"), "g0"))
+        report = validate_groupoid(redirected(z3, "g1", "g1", "g0"))
         assert not report.ok
         assert report.cause == "associativity"
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError):
-            FiniteGroupoid([], [], {}, {}, {})
+            FiniteGroupoid([], [], np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+
+
+def malformed(table: str, edit) -> tuple:
+    """pair(2)'s compose, invert and unit-arrow tables with ``edit`` applied
+    to a copy of the named one; ``edit`` returns the replacement."""
+    g = pair_groupoid(2)
+    tables = {"compose": g.compose_matrix().copy(), "invert": g.invert_index.copy(), "unit_arrow": g.unit_arrow_index.copy()}
+    tables[table] = edit(tables[table])
+    return g.units, g.arrows, tables["compose"], tables["invert"], tables["unit_arrow"]
+
+
+def set_entry(at, value):
+    def edit(table):
+        table[at] = value
+        return table
+
+    return edit
+
+
+MALFORMED = {
+    "compose-entry-past-n": ("compose", set_entry((0, 0), 7), r"compose table has an entry 7 outside \[-1, 4\)"),
+    "compose-entry-below-undefined": ("compose", set_entry((1, 0), -2), r"compose table has an entry -2 outside \[-1, 4\)"),
+    "compose-float": ("compose", lambda t: t.astype(float), r"compose table must be an integer array of shape \(4, 4\), got float64"),
+    "compose-wrong-shape": ("compose", lambda t: t[:3], r"shape \(4, 4\), got int64 array of shape \(3, 4\)"),
+    "compose-mapping": ("compose", lambda t: id_tables(pair_groupoid(2))[0], "compose table must be an integer array .* got dict"),
+    "compose-triples": ("compose", lambda t: [(x, y, z) for (x, y), z in id_tables(pair_groupoid(2))[0].items()], "got list"),
+    "invert-three-entries": ("invert", lambda t: t[:3], r"invert table must be an integer array of shape \(4,\)"),
+    "invert-entry-minus-one": ("invert", set_entry(0, -1), r"invert table has an entry -1 outside \[0, 4\)"),
+    "invert-entry-past-n": ("invert", set_entry(3, 4), r"invert table has an entry 4 outside \[0, 4\)"),
+    "invert-bool": ("invert", lambda t: t.astype(bool), "invert table must be an integer array .* got bool array"),
+    "invert-mapping": ("invert", lambda t: id_tables(pair_groupoid(2))[1], "invert table must be an integer array .* got dict"),
+    "unit-arrow-past-n": ("unit_arrow", set_entry(1, 4), r"unit_arrow table has an entry 4 outside \[0, 4\)"),
+    "unit-arrow-negative": ("unit_arrow", set_entry(0, -1), r"unit_arrow table has an entry -1 outside \[0, 4\)"),
+    "unit-arrow-wrong-shape": ("unit_arrow", lambda t: t[:, None], r"unit_arrow table must be an integer array of shape \(2,\)"),
+    "unit-arrow-mapping": ("unit_arrow", lambda t: id_tables(pair_groupoid(2))[2], "got dict"),
+}
+
+
+class TestTableChecks:
+    """The constructor takes index arrays only, and checks their shape,
+    dtype and range."""
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_table_rejected(self, name):
+        table, edit, message = MALFORMED[name]
+        with pytest.raises(ValueError, match=message):
+            FiniteGroupoid(*malformed(table, edit))
+
+    def test_other_integer_dtypes_read_as_intp(self):
+        g = pair_groupoid(2)
+        narrow = FiniteGroupoid(
+            g.units, g.arrows, g.compose_matrix().astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
+        )
+        for got, want in zip(id_tables(narrow), id_tables(g)):
+            assert got == want
+        assert {narrow.compose_matrix().dtype, narrow.invert_index.dtype, narrow.unit_arrow_index.dtype} == {np.dtype(np.intp)}
 
 
 class TestHaar:
@@ -131,13 +179,14 @@ class TestHaar:
 
     def test_random_source_breaking_perturbations_fail(self):
         g = pair_groupoid(3)
+        unit_arrow = id_tables(g)[2]
         rng = np.random.default_rng(7)
         for _ in range(20):
             rho = {u: float(rng.uniform(0.5, 2.0)) for u in g.units}
             w = {a.id: rho[a.src] for a in g.arrows}
             assert validate_left_invariance(g, w)
             victim = g.arrows[int(rng.integers(g.n_arrows))]
-            if victim.id == g.unit_arrow[victim.src]:
+            if victim.id == unit_arrow[victim.src]:
                 continue  # unit-arrow weight defines rho(s); perturbing it moves rho itself
             w[victim.id] = w[victim.id] * 1.7 + 0.3
             assert not validate_left_invariance(g, w)
@@ -165,11 +214,8 @@ class TestHaar:
     def test_skipped_pair_fails(self):
         # dropping the compose entry (1,2)(2,2) leaves (x, t) = ((1,2), (1,2))
         # unhit: lhs 0 against w((1,2)) > 0 in the dense table
-        g = pair_groupoid(2)
-        compose = dict(g.compose)
-        del compose[("(1,2)", "(2,2)")]
-        broken = FiniteGroupoid(g.units, g.arrows, compose, dict(g.invert), dict(g.unit_arrow))
-        w = {a.id: 1.0 for a in g.arrows}
+        broken = redirected(pair_groupoid(2), "(1,2)", "(2,2)", None)
+        w = {a.id: 1.0 for a in broken.arrows}
         assert not dense_left_invariance(broken, w)
         assert not validate_left_invariance(broken, w)
 
@@ -261,11 +307,6 @@ class TestReadOnlyState:
         with pytest.raises(ValueError, match="read-only"):
             getattr(pair_groupoid(2), table)[0] = 1
 
-    @pytest.mark.parametrize("table", ["compose", "invert", "unit_arrow"])
-    def test_id_tables_are_read_only(self, table):
-        with pytest.raises(TypeError):
-            getattr(pair_groupoid(2), table)["(1,1)"] = "(2,2)"
-
     def test_subgroupoid_embedding_is_read_only(self):
         g = pair_groupoid(2)
         sub = g.restricted_to(["(1,1)", "(2,2)"])
@@ -277,7 +318,7 @@ class TestReadOnlyState:
     def test_embedding_by_id_matches_restriction(self):
         g = pair_groupoid(3)
         sub = g.restricted_to(["(3,3)", "(1,1)", "(2,2)", "(1,2)", "(2,1)"])
-        rebuilt = FiniteGroupoid(sub.units, sub.arrows, sub.compose, sub.invert, sub.unit_arrow)
+        rebuilt = with_tables(sub)
         assert rebuilt.embedding(g).tolist() == sub.embedding(g).tolist() == [0, 1, 3, 4, 8]
         with pytest.raises(ValueError, match="not an arrow of the ambient groupoid"):
             g.embedding(sub)

@@ -45,7 +45,7 @@ class TestFiniteGroup:
         z2 = cyclic_group(2)
         assert z2.element_key(1) == "1"
         assert z2.element_to_json(1) == 1
-        assert z2.element_from_json(1) == 1
+        assert z2.canonical(1) == 1
         with pytest.raises(ValueError):
             z2.canonical(5)
 
@@ -136,4 +136,4 @@ class TestStrictIntegers:
         assert cyclic_group(np.int64(3)).order == 3
         assert symmetric_group(np.int64(3)).order == 6
         assert FreeAbelianGroup(np.int64(2)).rank == 2
-        assert FiniteGroup([[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]]).table == [[0, 1], [1, 0]]
+        assert FiniteGroup([[np.int64(0), np.int64(1)], [np.int64(1), np.int64(0)]]).cayley.tolist() == [[0, 1], [1, 0]]

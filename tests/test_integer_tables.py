@@ -7,7 +7,7 @@ index arrays; they are kept below as ``reference_*`` oracles, together with
 the former constructor checks (``reference_tables``).  On every corpus
 instance, on its identity fiber, and on pair(40), S5, a product and a union,
 both sides must give the same units, arrows (ids, endpoints and order), index
-tables and id views.  Explicit tables with seeded single-entry corruptions
+tables and id tables (read from the arrays by ``conftest.id_tables``).  Explicit tables with seeded single-entry corruptions
 must fail with the same message or build the same tables.
 """
 
@@ -31,6 +31,8 @@ from groupoid_workbench.groupoid import (
     product,
 )
 from groupoid_workbench.groups import FiniteGroup, cyclic_group, permutations_of
+
+from conftest import id_tables
 
 CORPUS = builtin_corpus(seed=0)
 BASES = range(0, len(CORPUS), 2)  # the counting variants; each weighted twin has the same groupoid
@@ -114,9 +116,7 @@ def assert_same_tables(g: FiniteGroupoid, ref: RefGroupoid) -> None:
     assert got[:4] == want[:4]  # units, arrows, src, dst
     assert np.array_equal(got[4], want[4])
     assert got[5:] == want[5:]
-    assert dict(g.compose) == ref.compose
-    assert dict(g.invert) == ref.invert
-    assert dict(g.unit_arrow) == ref.unit_arrow
+    assert id_tables(g) == (ref.compose, ref.invert, ref.unit_arrow)
 
 
 # -- the former constructors -------------------------------------------------
@@ -358,12 +358,13 @@ def test_restriction_failures_match_reference(index):
 
 
 def explicit_spec(g: FiniteGroupoid) -> dict:
+    compose, invert, unit_arrow = id_tables(g)
     return {
         "units": list(g.units),
         "arrows": [{"id": a.id, "src": a.src, "dst": a.dst} for a in g.arrows],
-        "compose": [[x, y, z] for (x, y), z in g.compose.items()],
-        "invert": dict(g.invert),
-        "unit_arrows": dict(g.unit_arrow),
+        "compose": [[x, y, z] for (x, y), z in compose.items()],
+        "invert": invert,
+        "unit_arrows": unit_arrow,
     }
 
 

@@ -58,6 +58,8 @@ from groupoid_workbench.representation import (
     translate_rep_V,
 )
 from groupoid_workbench.validation import CheckReport
+
+from conftest import id_tables
 from groupoid_workbench.verify import (
     _SUITE_FN,
     ALG_TOL,
@@ -271,7 +273,7 @@ def reference_suite_haar(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.
         validate_left_invariance(g, w),
         ALG_TOL,
     )
-    unit_arrows = {g.unit_arrow[u] for u in g.units}
+    unit_arrows = set(id_tables(g)[2].values())
     non_units = [aid for aid in g.arrow_ids if aid not in unit_arrows]
     detected = 0
     trials = 0

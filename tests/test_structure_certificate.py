@@ -34,6 +34,7 @@ from groupoid_workbench import groupoid as groupoid_module
 from groupoid_workbench.grading import Cocycle, validate_cocycle
 from groupoid_workbench.groupoid import Arrow, FiniteGroupoid, disjoint_union, group_groupoid, pair_groupoid, validate_groupoid
 from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup, cyclic_group, strict_int
+from conftest import redirected
 from test_table_validation import reference_validate_cocycle, reference_validate_groupoid
 
 # every element of this loop is its own inverse, which no group of order 5
@@ -151,23 +152,21 @@ def seeded_blocks(seed: int) -> FiniteGroupoid:
     return random_blocks(rng, n_units, np.triu(sizes) + np.triu(sizes, 1).T)
 
 
-def redirect(g: FiniteGroupoid, pair: tuple[str, str], target: str) -> FiniteGroupoid:
-    return FiniteGroupoid(g.units, g.arrows, {**g.compose, pair: target}, dict(g.invert), dict(g.unit_arrow))
-
-
 def collapsed_isotropy() -> FiniteGroupoid:
     """Units b, u with one arrow t: b -> u and its inverse s, trivial
     isotropy at b and Z/2 = {eu, a} at u.  Every identity and inverse law
     holds, h sends a and eu alike to eb, yet (a t) s = eu while a (t s) = a."""
     arrows = [Arrow("eb", "b", "b"), Arrow("t", "b", "u"), Arrow("s", "u", "b"), Arrow("eu", "u", "u"), Arrow("a", "u", "u")]
-    compose = {
-        ("eb", "eb"): "eb", ("eb", "s"): "s", ("t", "eb"): "t", ("t", "s"): "eu",
-        ("s", "t"): "eb", ("s", "eu"): "s", ("s", "a"): "s",
-        ("eu", "t"): "t", ("eu", "eu"): "eu", ("eu", "a"): "a",
-        ("a", "t"): "t", ("a", "eu"): "a", ("a", "a"): "eu",
-    }  # fmt: skip
-    invert = {"eb": "eb", "t": "s", "s": "t", "eu": "eu", "a": "a"}
-    return FiniteGroupoid(["b", "u"], arrows, compose, invert, {"b": "eb", "u": "eu"})
+    eb, t, s, eu, a = range(5)
+    compose = np.array([
+        # y = eb  t   s   eu  a
+        [eb, -1, s, -1, -1],  # x = eb
+        [t, -1, eu, -1, -1],  # x = t
+        [-1, eb, -1, s, s],  # x = s
+        [-1, t, -1, eu, a],  # x = eu
+        [-1, t, -1, a, eu],  # x = a
+    ])  # fmt: skip
+    return FiniteGroupoid(["b", "u"], arrows, compose, np.array([eb, s, t, eu, a]), np.array([eb, eu]))
 
 
 def assert_matches_reference(g: FiniteGroupoid) -> str | None:
@@ -193,9 +192,9 @@ def test_seeded_block_tables_match_reference():
 @pytest.mark.parametrize(
     "g, ok",
     [
-        (redirect(group_groupoid(cyclic_group(3)), ("g1", "g1"), "g0"), False),
+        (redirected(group_groupoid(cyclic_group(3)), "g1", "g1", "g0"), False),
         (collapsed_isotropy(), False),
-        (group_groupoid(FiniteGroup(cyclic_group(6).table)), True),
+        (group_groupoid(FiniteGroup(cyclic_group(6).cayley.tolist())), True),
         (disjoint_union(pair_groupoid(3), group_groupoid(cyclic_group(4))), True),
     ],
     ids=["z3-redirect", "collapsed-isotropy", "z6", "pair3-plus-z4"],
@@ -366,4 +365,4 @@ def test_cayley_entries_read_as_the_row_loop(cayley):
     if isinstance(expected, tuple):
         assert outcome(FiniteGroup, cayley) == expected
     else:
-        assert FiniteGroup(cayley).table == expected
+        assert FiniteGroup(cayley).cayley.tolist() == expected

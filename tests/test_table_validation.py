@@ -7,9 +7,11 @@ on every corpus instance, and on seeded single-entry corruptions of its
 compose, invert, unit-arrow, label and Cayley tables, both sides must give
 the same outcome, cause and witness.
 
-The reference walks the ``compose`` view, which iterates over the defined
-pairs in row-major order, so it reports the first multiplicativity failure
-in the validator's order and every witness must agree.
+The reference walks the id tables of ``conftest.id_tables``, whose compose
+table holds the defined pairs in row-major order, so it reports the first
+multiplicativity failure in the validator's order and every witness must
+agree.  Corrupted groupoids are built from edited copies of the index
+arrays.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ from groupoid_workbench.groupoid import FiniteGroupoid, validate_groupoid
 from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup
 from groupoid_workbench.validation import CheckReport
 
+from conftest import id_tables, redirected, with_tables
+
 CORPUS = builtin_corpus(seed=0)
 
 
 def reference_validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     """The groupoid axioms, arrow by arrow and one compose row at a time."""
+    _, invert, unit_arrow = id_tables(g)
     mat = g.compose_matrix()
     src = g.src_index
     dst = g.dst_index
@@ -58,25 +63,25 @@ def reference_validate_groupoid(g: FiniteGroupoid) -> CheckReport:
             product=g.arrows[zs[k]].id,
         )
     for u in g.units:
-        e = g.arrow(g.unit_arrow[u])
+        e = g.arrow(unit_arrow[u])
         if e.src != u or e.dst != u:
             return CheckReport.failed("unit-arrow-endpoints", unit=u, arrow=e.id)
     for a in g.arrows:
-        left = g.compose_ids(g.unit_arrow[a.dst], a.id)
+        left = g.compose_ids(unit_arrow[a.dst], a.id)
         if left != a.id:
             return CheckReport.failed("unit-not-left-identity", arrow=a.id, got=left)
-        right = g.compose_ids(a.id, g.unit_arrow[a.src])
+        right = g.compose_ids(a.id, unit_arrow[a.src])
         if right != a.id:
             return CheckReport.failed("unit-not-right-identity", arrow=a.id, got=right)
     for a in g.arrows:
-        b = g.arrow(g.invert[a.id])
+        b = g.arrow(invert[a.id])
         if b.src != a.dst or b.dst != a.src:
             return CheckReport.failed("inverse-endpoints", arrow=a.id, inverse=b.id)
-        if g.compose_ids(b.id, a.id) != g.unit_arrow[a.src]:
+        if g.compose_ids(b.id, a.id) != unit_arrow[a.src]:
             return CheckReport.failed("inverse-left", arrow=a.id, inverse=b.id)
-        if g.compose_ids(a.id, b.id) != g.unit_arrow[a.dst]:
+        if g.compose_ids(a.id, b.id) != unit_arrow[a.dst]:
             return CheckReport.failed("inverse-right", arrow=a.id, inverse=b.id)
-        if g.invert[b.id] != a.id:
+        if invert[b.id] != a.id:
             return CheckReport.failed("inverse-not-involutive", arrow=a.id)
     for i in range(n):
         row = mat[i]
@@ -101,12 +106,13 @@ def reference_validate_groupoid(g: FiniteGroupoid) -> CheckReport:
 def reference_validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     """The homomorphism identities, one compose entry at a time in row-major order."""
     grp = c.group
+    compose, invert, unit_arrow = id_tables(g)
     for a in g.arrows:
         if a.id not in c.label:
             return CheckReport.failed("label-missing", arrow=a.id)
         if not grp.contains(c.label[a.id]):
             return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(c.label[a.id]))
-    for (x, y), z in g.compose.items():
+    for (x, y), z in compose.items():
         expected = grp.mul(c.of(x), c.of(y))
         if c.of(z) != expected:
             return CheckReport.failed(
@@ -116,11 +122,11 @@ def reference_validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
                 expected=grp.element_key(expected),
             )
     for u in g.units:
-        aid = g.unit_arrow[u]
+        aid = unit_arrow[u]
         if c.of(aid) != grp.identity:
             return CheckReport.failed("unit-not-identity", unit=u, got=grp.element_key(c.of(aid)))
     for a in g.arrows:
-        if c.of(g.invert[a.id]) != grp.inv(c.of(a.id)):
+        if c.of(invert[a.id]) != grp.inv(c.of(a.id)):
             return CheckReport.failed("inverse-not-inverted", arrow=a.id)
     return CheckReport.passed()
 
@@ -153,16 +159,6 @@ def reference_cayley_check(table: list[list[int]]) -> tuple[int, list[int]]:
 # -- seeded single-entry corruptions ----------------------------------------
 
 
-def rebuilt(g: FiniteGroupoid, compose=None, invert=None, unit_arrow=None) -> FiniteGroupoid:
-    return FiniteGroupoid(
-        g.units,
-        g.arrows,
-        g.compose if compose is None else compose,
-        g.invert if invert is None else invert,
-        g.unit_arrow if unit_arrow is None else unit_arrow,
-    )
-
-
 def other_arrow(g: FiniteGroupoid, aid: str, rng: np.random.Generator) -> str:
     """Another arrow, half the time one with the same endpoints when there is
     one, so that corruptions also survive the endpoint checks."""
@@ -176,22 +172,25 @@ def corrupted_groupoids(g: FiniteGroupoid, rng: np.random.Generator) -> list[Fin
     """Single-entry corruptions: four compose entries redirected, one deleted
     and one added on a noncomposable pair (when there is one), one invert
     entry and one unit arrow redirected."""
-    keys = list(g.compose)
+    compose, invert, unit_arrow = id_tables(g)
+    keys = list(compose)
     out = []
     loose = [(a.id, b.id) for a in g.arrows for b in g.arrows if a.src != b.dst]
     if loose:
-        key = loose[int(rng.integers(len(loose)))]
-        out.append(rebuilt(g, compose={**g.compose, key: g.arrows[int(rng.integers(g.n_arrows))].id}))
+        x, y = loose[int(rng.integers(len(loose)))]
+        out.append(redirected(g, x, y, g.arrows[int(rng.integers(g.n_arrows))].id))
     for _ in range(4):
-        key = keys[int(rng.integers(len(keys)))]
-        out.append(rebuilt(g, compose={**g.compose, key: other_arrow(g, g.compose[key], rng)}))
-    compose = dict(g.compose)
-    del compose[keys[int(rng.integers(len(keys)))]]
-    out.append(rebuilt(g, compose=compose))
+        x, y = keys[int(rng.integers(len(keys)))]
+        out.append(redirected(g, x, y, other_arrow(g, compose[x, y], rng)))
+    out.append(redirected(g, *keys[int(rng.integers(len(keys)))], None))
     a = g.arrows[int(rng.integers(g.n_arrows))].id
-    out.append(rebuilt(g, invert={**g.invert, a: other_arrow(g, g.invert[a], rng)}))
+    inverse = g.invert_index.copy()
+    inverse[g.index(a)] = g.index(other_arrow(g, invert[a], rng))
+    out.append(with_tables(g, invert=inverse))
     u = g.units[int(rng.integers(g.n_units))]
-    out.append(rebuilt(g, unit_arrow={**g.unit_arrow, u: other_arrow(g, g.unit_arrow[u], rng)}))
+    unit_arrows = g.unit_arrow_index.copy()
+    unit_arrows[g.units.index(u)] = g.index(other_arrow(g, unit_arrow[u], rng))
+    out.append(with_tables(g, unit_arrow=unit_arrows))
     return out
 
 
@@ -248,7 +247,7 @@ def cayley_outcome(check, table):
 
 def finite_check(table):
     group = FiniteGroup(table)
-    return group.identity, group.inverse_table
+    return group.identity, group.inverse_table.tolist()
 
 
 FINITE = [i for i, doc in enumerate(CORPUS) if isinstance(doc.system.group, FiniteGroup) and doc.system.group.order > 1]
@@ -258,7 +257,7 @@ FINITE = [i for i, doc in enumerate(CORPUS) if isinstance(doc.system.group, Fini
 def test_cayley_checks_match_reference(index):
     group = CORPUS[index].system.group
     rng = np.random.default_rng([6, index])
-    table = [list(row) for row in group.table]
+    table = group.cayley.tolist()
     assert finite_check(table) == reference_cayley_check(table)
     for _ in range(6):
         a, b = (int(v) for v in rng.integers(group.order, size=2))

@@ -8,7 +8,7 @@ import pytest
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import GradedGroupoid, trivial_cocycle
-from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, counting_haar, pair_groupoid
+from groupoid_workbench.groupoid import HaarSystem, counting_haar, pair_groupoid
 from groupoid_workbench.groups import FreeAbelianGroup
 from groupoid_workbench.verify import (
     DEFAULT_COUNTS,
@@ -18,6 +18,8 @@ from groupoid_workbench.verify import (
     run_document,
     run_verification,
 )
+
+from conftest import redirected
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +125,7 @@ class TestReportSerialization:
 
 class TestForcedFailure:
     def test_broken_groupoid_fails_haar_suite(self):
-        g = pair_groupoid(2)
-        compose = dict(g.compose)
-        compose[("(1,2)", "(2,1)")] = "(2,2)"  # redirected product
-        broken = FiniteGroupoid(g.units, g.arrows, compose, dict(g.invert), dict(g.unit_arrow))
+        broken = redirected(pair_groupoid(2), "(1,2)", "(2,1)", "(2,2)")
         system = GradedGroupoid(broken, counting_haar(broken), trivial_cocycle(broken, FreeAbelianGroup(1)))
         doc = WorkbenchDocument(name="broken", system=system, functions={}, raw={})
         report = run_verification([doc], suite="haar", seed=0)
