@@ -169,14 +169,11 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
                 dst=str(_require(rec, "dst", f"{path}.arrows[{i}]")),
             )
         )
-    index = {a.id: i for i, a in enumerate(arrows)}
-    find = index.get
-    triples = _require_list(spec, "compose", path)
-    products = {}  # (x, y) -> xy by index, -1 for an unknown id; a repeated pair keeps its last product
-    for i, triple in enumerate(triples):
+    compose = {}  # a repeated pair keeps its last product
+    for i, triple in enumerate(_require_list(spec, "compose", path)):
         if not isinstance(triple, (list, tuple)) or len(triple) != 3:
             raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-        products[find(str(triple[0]), -1), find(str(triple[1]), -1)] = find(str(triple[2]), -1)
+        compose[str(triple[0]), str(triple[1])] = str(triple[2])
     invert = {str(k): str(v) for k, v in _as_object(_require(spec, "invert", path), f"{path}.invert").items()}
     unit_arrows = {
         str(k): str(v)
@@ -185,16 +182,15 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
     try:
         # the unit and arrow errors come before those of the id tables
         unit_index, index = numbered(units, arrows)
-        pairs = np.array(list(products), dtype=np.intp).reshape(-1, 2)
-        xys = np.array(list(products.values()), dtype=np.intp)
-        if (pairs < 0).any() or (xys < 0).any():
-            # name the first unknown id, pairs in order of first appearance
-            for (x, y), z in {(str(x), str(y)): str(z) for x, y, z in triples}.items():
-                for aid in (x, y, z):
-                    if aid not in index:
-                        raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {aid!r}.")
-        compose = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
-        compose[pairs[:, 0], pairs[:, 1]] = xys
+        found = []
+        try:
+            for (x, y), z in compose.items():
+                found.append((index[x], index[y], index[z]))
+        except KeyError as exc:
+            raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {exc.args[0]!r}.") from None
+        found = np.array(found, dtype=np.intp).reshape(-1, 3)
+        table = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
+        table[found[:, 0], found[:, 1]] = found[:, 2]
         for x, y in invert.items():
             if x not in index or y not in index:
                 raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
@@ -211,7 +207,7 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
             raise ValueError(f"Unit-arrow table missing units {missing[:3]}.")
         inverse = np.array([index[invert[a.id]] for a in arrows], dtype=np.intp)
         unit_arrow = np.array([index[unit_arrows[u]] for u in units], dtype=np.intp)
-        return FiniteGroupoid(units, arrows, compose, inverse, unit_arrow, _in_range=True)
+        return FiniteGroupoid(units, arrows, table, inverse, unit_arrow)
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from exc
 

@@ -61,12 +61,9 @@ class FiniteGroupoid:
     are taken over and made read-only.  The constructor checks structural
     well-formedness (nonempty unit space, unique ids, arrow endpoints among
     the units, integer tables of these shapes with every entry in range)
-    and raises ``ValueError`` on violations.  The builtin constructors and
-    the document parser compute their entries in range and pass
-    ``_in_range=True``, which skips the range sweeps, O(n^2) for the
-    compose matrix.  The groupoid *axioms* are checked by
-    :func:`validate_groupoid`, which reports rather than raises, so
-    deliberately broken tables can be built and fed to the validator.
+    and raises ``ValueError`` on violations.  The groupoid *axioms* are
+    checked by :func:`validate_groupoid`, which reports rather than raises,
+    so deliberately broken tables can be built and fed to the validator.
 
     Unit and arrow order is the declared order; matrix bases and reports
     follow it.
@@ -79,17 +76,15 @@ class FiniteGroupoid:
         compose: np.ndarray,
         invert: np.ndarray,
         unit_arrow: np.ndarray,
-        *,
-        _in_range: bool = False,
     ) -> None:
         self._unit_index, self._index = numbered(units, arrows)
         self.units, self.arrows, self._ids = tuple(self._unit_index), tuple(arrows), tuple(self._index)
         n = len(self._ids)
         self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
         self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
-        self._compose_matrix = _checked_table("compose", compose, (n, n), -1, n, _in_range)
-        self._invert_index = _checked_table("invert", invert, (n,), 0, n, _in_range)
-        self._unit_arrow_index = _checked_table("unit_arrow", unit_arrow, (len(self.units),), 0, n, _in_range)
+        self._compose_matrix = _checked_table("compose", compose, (n, n), -1, n)
+        self._invert_index = _checked_table("invert", invert, (n,), 0, n)
+        self._unit_arrow_index = _checked_table("unit_arrow", unit_arrow, (len(self.units),), 0, n)
         by_src: dict[str, list[str]] = {u: [] for u in self.units}
         by_dst: dict[str, list[str]] = {u: [] for u in self.units}
         for a in self.arrows:
@@ -228,9 +223,7 @@ class FiniteGroupoid:
                 bad = np.argwhere(products < 0)
                 if bad.size:
                     raise ValueError(f"Arrows with source {units[bad[0][0]]!r} do not compose; groupoid invalid.")
-                arrows.flags.writeable = False
-                products.flags.writeable = False
-                tables.append((units, arrows, products))
+                tables.append((units, _read_only(arrows), _read_only(products)))
             self._rep_tables = tuple(tables)
         return self._rep_tables
 
@@ -271,7 +264,6 @@ class FiniteGroupoid:
             renumber[sub],
             renumber[self._invert_index[kept]],
             renumber[self._unit_arrow_index],
-            _in_range=True,
         )
         restricted._embeddings[id(self)] = (self, _read_only(kept))
         return restricted
@@ -298,13 +290,13 @@ def numbered(units: Sequence[str], arrows: Sequence[Arrow]) -> tuple[dict[str, i
     return unit_index, index
 
 
-def _checked_table(name: str, table: Any, shape: tuple[int, ...], low: int, high: int, in_range: bool) -> np.ndarray:
+def _checked_table(name: str, table: Any, shape: tuple[int, ...], low: int, high: int) -> np.ndarray:
     """``table`` as a read-only intp array, once it is an integer array of
-    ``shape`` with (unless ``in_range``) every entry in [low, high)."""
+    ``shape`` with every entry in [low, high)."""
     if not isinstance(table, np.ndarray) or table.shape != shape or not np.issubdtype(table.dtype, np.integer):
         got = f"{table.dtype} array of shape {table.shape}" if isinstance(table, np.ndarray) else type(table).__name__
         raise ValueError(f"The {name} table must be an integer array of shape {shape}, got {got}.")
-    if not in_range and table.size:
+    if table.size:
         lo, hi = int(table.min()), int(table.max())
         if lo < low or hi >= high:
             raise ValueError(f"The {name} table has an entry {lo if lo < low else hi} outside [{low}, {high}).")
@@ -593,7 +585,7 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     compose = np.full((n * n, n * n), -1, dtype=np.intp)
     diagonal = np.arange(n)
     compose.reshape(n, n, n, n)[:, diagonal, diagonal, :] = ids[:, None, :]
-    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1), _in_range=True)
+    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1))
 
 
 def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -606,7 +598,7 @@ def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = 
     if not isinstance(group, FiniteGroup):
         group = FiniteGroup(group)
     arrows = [Arrow(f"g{i}", src=unit, dst=unit) for i in group.elements()]
-    return FiniteGroupoid([unit], arrows, *_group_tables(group), _in_range=True)
+    return FiniteGroupoid([unit], arrows, *_group_tables(group))
 
 
 def action_groupoid(
@@ -662,7 +654,7 @@ def action_groupoid(
     products = np.arange(len(points))[:, None, None] * order + group.cayley
     compose[np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order)] = products.reshape(n, order)
     invert = (act * order + group.inverse_table).ravel()
-    return FiniteGroupoid(units, arrows, compose, invert, np.arange(len(points)) * order + group.identity, _in_range=True)
+    return FiniteGroupoid(units, arrows, compose, invert, np.arange(len(points)) * order + group.identity)
 
 
 def _direct_sum(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -687,7 +679,7 @@ def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> Fin
     fibres = [h if isinstance(h, FiniteGroup) else FiniteGroup(h) for h in groups]
     units = [f"u{j}" for j in range(1, len(fibres) + 1)]
     arrows = [Arrow(f"{u}:g{i}", src=u, dst=u) for u, h in zip(units, fibres) for i in h.elements()]
-    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]), _in_range=True)
+    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]))
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -696,7 +688,7 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     units = [p + u for p, g in relabel for u in g.units]
     arrows = [Arrow(p + a.id, src=p + a.src, dst=p + a.dst) for p, g in relabel for a in g.arrows]
     parts = [(g.compose_matrix(), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
-    return FiniteGroupoid(units, arrows, *_direct_sum(parts), _in_range=True)
+    return FiniteGroupoid(units, arrows, *_direct_sum(parts))
 
 
 def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
@@ -711,4 +703,4 @@ def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     compose = np.where((m1 >= 0) & (m2 >= 0), m1 * n2 + m2, -1).reshape(len(arrows), len(arrows))
     invert = g1.invert_index[:, None] * n2 + g2.invert_index
     unit_arrow = g1.unit_arrow_index[:, None] * n2 + g2.unit_arrow_index
-    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel(), _in_range=True)
+    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel())

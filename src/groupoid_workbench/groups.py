@@ -156,10 +156,10 @@ class FiniteGroup(DiscreteGroup):
         return a
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.cayley[self._element(a), self._element(b)])
+        return self.cayley.item(self._element(a), self._element(b))
 
     def inv(self, a: int) -> int:
-        return int(self.inverse_table[self._element(a)])
+        return self.inverse_table.item(self._element(a))
 
     @property
     def identity(self) -> int:
