@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .grading import GradedGroupoid
 from .hilbert_module import expectation_stack
-from .representation import cstar_norm_stack, operator_norm, operator_norms, rep_blocks
+from .representation import cstar_norm_stack, operator_norms, rep_blocks
 from .validation import CheckReport
 
 
@@ -203,7 +203,7 @@ def bundle_rep_check(
                 return CheckReport.failed("rep-dimension-mismatch", arrow=aid)
     assert dim is not None
     lookup = {aid: np.asarray(rep[key][aid], dtype=np.complex128) for key, ids in family.bases.items() for aid in ids}
-    norm_scale = 1.0 + max(operator_norm(m) for m in lookup.values())
+    norm_scale = 1.0 + float(operator_norms(np.stack(list(lookup.values()))).max())
     for x in g.arrow_ids:
         for y in g.arrow_ids:
             z = g.compose_ids(x, y)

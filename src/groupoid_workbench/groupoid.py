@@ -8,9 +8,10 @@ units in declared order, and its state is five read-only integer tables over
 those numbers, built once at construction: ``src_index``/``dst_index``,
 ``invert_index``, ``unit_arrow_index`` and the (n, n) ``compose_matrix()``,
 with -1 where a product is undefined; they are the only encoding a groupoid
-is built from.  Arrow and unit ids are labels only.  The builtin
-constructors write their tables in closed form, the document parser maps
-explicit id tables to indices once, and :func:`validate_groupoid` and
+is built from.  The first unit of every unit's orbit (``orbit_base``) is
+read from them at construction.  Arrow and unit ids are labels only.  The
+builtin constructors write their tables in closed form, the document parser
+maps explicit id tables to indices once, and :func:`validate_groupoid` and
 :func:`validate_left_invariance` are array reductions over the tables; no
 temporary they build has more entries than the compose matrix.
 
@@ -41,6 +42,11 @@ import numpy as np
 
 from .groups import FiniteGroup, first_nonassociative_triple, strict_int
 from .validation import CheckReport
+
+
+# per block size: (units, arrows, products), and (arrows, products) of the orbit rows
+RepTables = tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...]
+OrbitRepTables = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,9 @@ class FiniteGroupoid:
         self._compose_matrix = _checked_table("compose", compose, (n, n), -1, n)
         self._invert_index = _checked_table("invert", invert, (n,), 0, n)
         self._unit_arrow_index = _checked_table("unit_arrow", unit_arrow, (len(self.units),), 0, n)
+        base = np.full(len(self.units), len(self.units), dtype=np.intp)
+        np.minimum.at(base, self._dst_index, self._src_index)
+        self._orbit_base = _read_only(base)
         by_src: dict[str, list[str]] = {u: [] for u in self.units}
         by_dst: dict[str, list[str]] = {u: [] for u in self.units}
         for a in self.arrows:
@@ -93,7 +102,8 @@ class FiniteGroupoid:
         self._by_src = {u: tuple(v) for u, v in by_src.items()}
         self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._rep_tables: tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...] | None = None
+        # rep_tables() and orbit_rep_tables(), filled together on first use
+        self._rep_tables: tuple[RepTables, OrbitRepTables] | None = None
         self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
 
     # -- basic accessors ---------------------------------------------------
@@ -164,6 +174,13 @@ class FiniteGroupoid:
     def invert_index(self) -> np.ndarray:
         return self._invert_index
 
+    @property
+    def orbit_base(self) -> np.ndarray:
+        """The least source of an arrow into each unit, in declared unit
+        order.  In a groupoid the sources of the arrows into v are the orbit
+        of v, so this is the first unit of the orbit."""
+        return self._orbit_base
+
     def compose_matrix(self) -> np.ndarray:
         """Dense (n, n) table of arrow indices for x.y, with -1 where undefined."""
         return self._compose_matrix
@@ -205,26 +222,41 @@ class FiniteGroupoid:
             cached = self._embeddings.setdefault(id(parent), (parent, index))
         return cached[1]
 
-    def rep_tables(self) -> tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...]:
+    def rep_tables(self) -> RepTables:
         """Index of the regular representation, one entry per block size d,
         ascending: the units u with d = |G_u|, their arrows x with s(x) = u
         as a (k, d) index array (both in declared order), and the products
         x' x^{-1} as a (k, d, d) index array.  Built on first use; the
         arrays are read-only."""
+        return self._rep_index()[0]
+
+    def orbit_rep_tables(self) -> OrbitRepTables:
+        """The (arrows, products) rows of :meth:`rep_tables` whose unit is
+        the first unit of its orbit (:attr:`orbit_base`), for every block
+        size that has one.  Right translation by an arrow z: v -> u maps G_u
+        onto G_v and permutes the block at u onto the block at v, so these
+        rows carry every block up to a permutation."""
+        return self._rep_index()[1]
+
+    def _rep_index(self) -> tuple[RepTables, OrbitRepTables]:
         if self._rep_tables is None:
-            by_size: dict[int, list[str]] = {}
-            for u in self.units:
-                by_size.setdefault(len(self._by_src[u]), []).append(u)
-            tables = []
-            for d in sorted(by_size):
-                units = tuple(by_size[d])
-                arrows = np.array([[self._index[aid] for aid in self._by_src[u]] for u in units], dtype=np.intp)
-                products = self.compose_matrix()[arrows[:, :, None], self.invert_index[arrows][:, None, :]]
+            src = self._src_index
+            sizes = np.bincount(src, minlength=self.n_units)
+            by_src = src.argsort(kind="stable")
+            starts = sizes.cumsum() - sizes
+            tables, orbit_tables = [], []
+            for d in sorted(set(sizes.tolist())):
+                (at,) = (sizes == d).nonzero()
+                arrows = _read_only(by_src[starts[at][:, None] + np.arange(d)])
+                products = self._compose_matrix[arrows[:, :, None], self._invert_index[arrows][:, None, :]]
                 bad = np.argwhere(products < 0)
                 if bad.size:
-                    raise ValueError(f"Arrows with source {units[bad[0][0]]!r} do not compose; groupoid invalid.")
-                tables.append((units, _read_only(arrows), _read_only(products)))
-            self._rep_tables = tuple(tables)
+                    raise ValueError(f"Arrows with source {self.units[at[bad[0][0]]]!r} do not compose; groupoid invalid.")
+                tables.append((tuple(self.units[u] for u in at), arrows, _read_only(products)))
+                base = self._orbit_base[at] == at
+                if base.any():
+                    orbit_tables.append((_read_only(arrows[base]), _read_only(products[base])))
+            self._rep_tables = (tuple(tables), tuple(orbit_tables))
         return self._rep_tables
 
     # -- derived groupoids --------------------------------------------------
@@ -427,9 +459,7 @@ def _structure_certificate(g: FiniteGroupoid) -> bool:
     mat = g.compose_matrix()
     src, dst, inv = g.src_index, g.dst_index, g.invert_index
     n = g.n_arrows
-    # the orbit of a unit is the set of sources of the arrows into it
-    base = np.full(g.n_units, g.n_units, dtype=np.intp)
-    np.minimum.at(base, dst, src)
+    base = g.orbit_base
     into = np.flatnonzero(src == base[dst])
     transport = np.full(g.n_units, n, dtype=np.intp)
     np.minimum.at(transport, dst[into], into)

@@ -8,21 +8,32 @@ left convolution by a acts with entries
     M[x', x] = a(x' x^{-1}) * sqrt(rho(r(x)) * rho(r(x'))),
 
 derived by evaluating the convolution sum on basis deltas.  The C*-norm is
-the max over units of the largest singular value; the direct sum of these
-blocks is faithful on a finite groupoid, so full and reduced norms coincide
-and one norm is computed (the degenerate full/reduced distinction is noted in
+the norm of the direct sum of these blocks over the units; the direct sum
+is faithful on a finite groupoid, so full and reduced norms coincide and one
+norm is computed (the degenerate full/reduced distinction is noted in
 reports, not modelled).
+
+Units of one orbit have unitarily equivalent blocks.  For an arrow z: v -> u,
+right translation x -> xz maps G_u onto G_v; it keeps r(x), hence the weight,
+and (x' z)(x z)^{-1} = x' x^{-1}, so it conjugates the block at u into the
+block at v by a permutation (Renault, *A Groupoid Approach to C*-Algebras*,
+LNM 793, ch. II; the inclusion suite checks the same translation as
+``fiber-translation-unitaries``).  So the C*-norm is the max over orbits of
+the largest singular value of one block per orbit, and a is positive iff
+that block is positive semidefinite on every orbit.  :func:`cstar_norm_stack`
+and :func:`positivity_stack` evaluate only the block of the first unit of
+each orbit (``FiniteGroupoid.orbit_rep_tables``).
 
 The blocks of units with the same number d = |G_u| of arrows are stacked
 into one (k, d, d) array.  The groupoid indexes these stacks once
-(``FiniteGroupoid.rep_tables``), one helper evaluates the entry formula on
-them (whole stacks for :func:`rep_stacks`, one unit's row for
-:func:`regular_rep_matrix`), and norms, positivity and spectra are
-reductions over the stacks, one batched eigensolve per block size.  The
-``*_stack`` functions evaluate a (T, n) stack of trials the same way, with
-the trial axis in front of the unit axis, so one eigensolve per block size
-covers every trial of a chunk; the one-function forms pass their 1-D
-coefficients to the same kernels.
+(``FiniteGroupoid.rep_tables``, every unit, and its orbit rows), one helper
+evaluates the entry formula on them (whole stacks for :func:`rep_stacks`,
+one unit's row for :func:`regular_rep_matrix`), and norms, positivity and
+spectra are reductions over the stacks, one batched eigensolve per block
+size.  The ``*_stack`` functions evaluate a (T, n) stack of trials the same
+way, with the trial axis in front of the unit axis, so one eigensolve per
+block size covers every trial of a chunk; the one-function forms pass their
+1-D coefficients to the same kernels.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
@@ -73,19 +84,22 @@ def _rep_entries(coeffs: np.ndarray, w: np.ndarray, arrows: np.ndarray, products
 def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
     """The regular representation of a as one (k, d, d) stack per block
     size, in the order of ``a.groupoid.rep_tables()``."""
-    return _rep_stack_of(a.groupoid, a.coeffs, haar)
-
-
-def _rep_stack_of(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> list[np.ndarray]:
-    """The regular representation of every trial of a (..., n) stack, one
-    (..., k, d, d) array per block size in the order of ``g.rep_tables()``."""
+    g = a.groupoid
     w = _range_weights(g, haar)
-    return [_rep_entries(a, w, arrows, products) for _, arrows, products in g.rep_tables()]
+    return [_rep_entries(a.coeffs, w, arrows, products) for _, arrows, products in g.rep_tables()]
 
 
-def _rep_size(g: FiniteGroupoid) -> int:
-    """Entries of the regular representation of one function."""
-    return sum(products.size for _, _, products in g.rep_tables())
+def _orbit_stack_of(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> list[np.ndarray]:
+    """The block of the first unit of every orbit for every trial of a
+    (..., n) stack, one (..., k, d, d) array per block size in the order of
+    ``g.orbit_rep_tables()``."""
+    w = _range_weights(g, haar)
+    return [_rep_entries(a, w, arrows, products) for arrows, products in g.orbit_rep_tables()]
+
+
+def _orbit_size(g: FiniteGroupoid) -> int:
+    """Entries of the orbit blocks of one function."""
+    return sum(products.size for _, products in g.orbit_rep_tables())
 
 
 def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
@@ -120,12 +134,12 @@ def _norm_of_trials(stacks: list[np.ndarray]) -> np.ndarray:
 
 def cstar_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
     """The C*-norm of every trial of a (..., n) stack: one batched
-    eigensolve per block size and chunk."""
-    return chunked(lambda x: _norm_of_trials(_rep_stack_of(g, x, haar)), _rep_size(g), a)
+    eigensolve per block size and chunk, over one block per orbit."""
+    return chunked(lambda x: _norm_of_trials(_orbit_stack_of(g, x, haar)), _orbit_size(g), a)
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
-    """max over units of the largest singular value of the regular block."""
+    """max over orbits of the largest singular value of the regular block."""
     return float(cstar_norm_stack(a.groupoid, a.coeffs, haar))
 
 
@@ -133,7 +147,7 @@ def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: fl
     """:func:`positivity_check` for every trial of a (..., n) stack."""
 
     def kernel(x: np.ndarray) -> np.ndarray:
-        stacks = _rep_stack_of(g, x, haar)
+        stacks = _orbit_stack_of(g, x, haar)
         slack = tol * (1.0 + _norm_of_trials(stacks))
         ok = np.ones(x.shape[:-1], dtype=bool)
         for m in stacks:
@@ -144,7 +158,7 @@ def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: fl
             ok &= ~(np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0].min(axis=-1) < -slack)
         return ok
 
-    return chunked(kernel, _rep_size(g), a)
+    return chunked(kernel, _orbit_size(g), a)
 
 
 def positivity_check(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> bool:
