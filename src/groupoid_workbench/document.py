@@ -24,6 +24,7 @@ in every error.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -161,19 +162,16 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
     units = [str(u) for u in _require_list(spec, "units", path)]
     arrows = []
     for i, rec in enumerate(_require_list(spec, "arrows", path)):
-        rec = _as_object(rec, f"{path}.arrows[{i}]")
+        at = f"{path}.arrows[{i}]"
+        rec = _as_object(rec, at)
         arrows.append(
-            Arrow(
-                id=str(_require(rec, "id", f"{path}.arrows[{i}]")),
-                src=str(_require(rec, "src", f"{path}.arrows[{i}]")),
-                dst=str(_require(rec, "dst", f"{path}.arrows[{i}]")),
-            )
+            Arrow(id=str(_require(rec, "id", at)), src=str(_require(rec, "src", at)), dst=str(_require(rec, "dst", at)))
         )
-    compose = {}  # a repeated pair keeps its last product
-    for i, triple in enumerate(_require_list(spec, "compose", path)):
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-        compose[str(triple[0]), str(triple[1])] = str(triple[2])
+    triples = _require_list(spec, "compose", path)
+    if not (set(map(type, triples)) <= {list, tuple} and set(map(len, triples)) <= {3}):
+        for i, triple in enumerate(triples):
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
+                raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
     invert = {str(k): str(v) for k, v in _as_object(_require(spec, "invert", path), f"{path}.invert").items()}
     unit_arrows = {
         str(k): str(v)
@@ -182,15 +180,7 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
     try:
         # the unit and arrow errors come before those of the id tables
         unit_index, index = numbered(units, arrows)
-        found = []
-        try:
-            for (x, y), z in compose.items():
-                found.append((index[x], index[y], index[z]))
-        except KeyError as exc:
-            raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {exc.args[0]!r}.") from None
-        found = np.array(found, dtype=np.intp).reshape(-1, 3)
-        table = np.full((len(arrows), len(arrows)), -1, dtype=np.intp)
-        table[found[:, 0], found[:, 1]] = found[:, 2]
+        table = _compose_table(triples, index)
         for x, y in invert.items():
             if x not in index or y not in index:
                 raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
@@ -210,6 +200,48 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
         return FiniteGroupoid(units, arrows, table, inverse, unit_arrow)
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from exc
+
+
+def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
+    """The compose table of [first, second, product] id triples, -1 where no
+    triple names the pair; a repeated pair keeps its last product.
+
+    The ids are looked up in one pass over the flattened triples, through
+    ``str`` only if that pass misses (JSON ids may be numbers), and the last
+    triple of each pair is picked by ``np.unique`` over x * n + y.  If an id
+    is still unknown, the triples are read into a dict in order and walked:
+    the error names the first unknown id among the pairs' last products, and
+    an unknown id that only a later triple overwrites is no error."""
+    n = len(index)
+    flat = list(itertools.chain.from_iterable(triples))
+    try:
+        found = list(map(index.__getitem__, flat))
+    except (KeyError, TypeError):
+        try:
+            found = list(map(index.__getitem__, map(str, flat)))
+        except KeyError:
+            found = _walk_compose(triples, index)
+    found = np.fromiter(found, dtype=np.intp, count=len(found)).reshape(-1, 3)
+    keys = found[:, 0] * n + found[:, 1]
+    _, from_end = np.unique(keys[::-1], return_index=True)
+    last = len(keys) - 1 - from_end
+    table = np.full(n * n, -1, dtype=np.intp)
+    table[keys[last]] = found[last, 2]
+    return table.reshape(n, n)
+
+
+def _walk_compose(triples: list, index: Mapping[str, int]) -> list[int]:
+    """The ids of the triples as a dict keyed by pair (the last product of a
+    repeated pair), looked up in the dict's order; raises ValueError at the
+    first unknown id."""
+    compose = {(str(x), str(y)): str(z) for x, y, z in triples}
+    found = []
+    try:
+        for (x, y), z in compose.items():
+            found += index[x], index[y], index[z]
+    except KeyError as exc:
+        raise ValueError(f"Compose entry ({x!r},{y!r})->{z!r} references unknown arrow {exc.args[0]!r}.") from None
+    return found
 
 
 def build_group(spec: Mapping[str, Any], path: str = "group") -> DiscreteGroup:

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, report files."""
 
 import json
+import time
 
 import pytest
 
@@ -145,3 +146,23 @@ def test_validate_both_construction_paths(tmp_path, capsys):
     assert "invalid: groupoid: axiom violation" in capsys.readouterr().out
     assert main(["validate", str(tmp_path / "pair6-explicit-unknown-id.json")]) == 2
     assert "invalid: groupoid.explicit: Compose entry ('(1,1)','(1,6)')->'(7,1)'" in capsys.readouterr().out
+
+
+def test_s6_graded_document_within_budget(tmp_path, capsys):
+    """The S6-graded pair(3) document, as the CI step runs it: ``validate``
+    and ``verify --suite bundle`` each finish within 1 s in process.  Its
+    720 x 720 Cayley table passes the group axioms by Light's test; the
+    n^3 sweep alone took 1.3-4.6 s on a shared 2-vCPU machine."""
+    from s6_document import main as write_document
+
+    path = tmp_path / "pair3-s6.json"
+    assert write_document([str(path)]) == 0
+    started = time.perf_counter()
+    assert main(["validate", str(path)]) == 0
+    validated = time.perf_counter()
+    assert main(["verify", str(path), "--suite", "bundle"]) == 0
+    verified = time.perf_counter()
+    out = capsys.readouterr().out
+    assert "grading fibers: 7" in out and "summary: 3/3 passed, 0 failed" in out
+    assert validated - started <= 1.0
+    assert verified - validated <= 1.0

@@ -198,6 +198,57 @@ class TestExplicitGroupoid:
         assert info.value.path == "groupoid.explicit"
         assert str(info.value) == "groupoid.explicit: Compose entry ('1','1')->'9' references unknown arrow '9'."
 
+    def test_repeated_pair_keeps_its_last_product(self):
+        spec = self.explicit_z2()
+        compose = spec["explicit"]["compose"]
+        spec["explicit"]["compose"] = compose + [["g", "g", "g"]]
+        assert build_groupoid(spec).compose_matrix().tolist() == [[0, 1], [1, 1]]
+        spec["explicit"]["compose"] = [["g", "g", "g"]] + compose
+        assert build_groupoid(spec).compose_matrix().tolist() == [[0, 1], [1, 0]]
+
+    def test_unknown_id_only_in_an_overwritten_triple_is_not_reported(self):
+        spec = self.explicit_z2()
+        compose = spec["explicit"]["compose"]
+        spec["explicit"]["compose"] = [["g", "g", "ghost"], ["phantom", "e", "e"]] + compose + [["phantom", "e", "g"]]
+        with pytest.raises(DocumentError) as info:
+            build_groupoid(spec)
+        assert str(info.value) == "groupoid.explicit: Compose entry ('phantom','e')->'g' references unknown arrow 'phantom'."
+        spec["explicit"]["compose"] = [["g", "g", "ghost"]] + compose
+        assert build_groupoid(spec).compose_matrix().tolist() == [[0, 1], [1, 0]]
+
+    def test_unknown_ids_are_reported_in_the_order_of_first_declaration(self):
+        """A repeated pair keeps the place of its first triple: the product
+        of (g, g) is unknown and is reported before the earlier-listed, but
+        later-declared, pair of 'phantom'."""
+        spec = self.explicit_z2()
+        spec["explicit"]["compose"] = [["g", "g", "e"], ["phantom", "e", "g"], ["g", "g", "ghost"]]
+        with pytest.raises(DocumentError) as info:
+            build_groupoid(spec)
+        assert info.value.path == "groupoid.explicit"
+        assert str(info.value) == "groupoid.explicit: Compose entry ('g','g')->'ghost' references unknown arrow 'ghost'."
+
+    @pytest.mark.parametrize("triple", ["egg", 7, None, {"e": "g"}, ["e", "g"], ["e", "g", "g", "e"]])
+    def test_malformed_triple_rejected_at_its_index(self, triple):
+        spec = self.explicit_z2()
+        spec["explicit"]["compose"][2] = triple
+        spec["explicit"]["compose"].append(5)  # a later malformed entry is not the one named
+        with pytest.raises(DocumentError, match=r"expected a \[first, second, product\] triple") as info:
+            build_groupoid(spec)
+        assert info.value.path == "groupoid.explicit.compose[2]"
+
+    def test_tuple_triples_accepted(self):
+        spec = self.explicit_z2()
+        spec["explicit"]["compose"] = [tuple(triple) for triple in spec["explicit"]["compose"]]
+        assert build_groupoid(spec).compose_matrix().tolist() == [[0, 1], [1, 0]]
+
+    def test_mixed_numeric_and_string_ids_map_like_their_strings(self):
+        raw = json.loads(self.numeric_pair2())
+        explicit = raw["groupoid"]["explicit"]
+        explicit["compose"] = [[str(x), y, str(z)] if k % 2 else [x, y, z] for k, (x, y, z) in enumerate(explicit["compose"])]
+        mixed = document_from_dict(raw).groupoid
+        numeric = parse_document(self.numeric_pair2()).groupoid
+        assert mixed.compose_matrix().tolist() == numeric.compose_matrix().tolist()
+
     def test_unknown_builtin(self):
         with pytest.raises(DocumentError, match="unknown builtin"):
             build_groupoid({"builtin": "torus", "params": {}})

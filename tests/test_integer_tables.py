@@ -410,6 +410,9 @@ def corrupted_specs(spec: dict, rng: np.random.Generator) -> dict[str, dict]:
         "unknown-then-replaced": with_compose(triples[:k] + [[x, y, "ghost"]] + triples[k:]),
         "replaced-by-unknown": with_compose(triples + [[x, y, "ghost"]]),
         "not-a-triple": with_compose(triples[:k] + [[x, y]] + triples[k + 1 :]),
+        "string-triple": with_compose(triples[:k] + ["xyz"] + triples[k + 1 :]),
+        "numeric-unknown": with_compose(triples[:k] + [[x, y, 7]] + triples[k + 1 :]),
+        "two-unknowns": with_compose(triples[:k] + [[x, y, "ghost"]] + triples[k + 1 :] + [["phantom", y, z]]),
         "invert-redirected": dict(spec, invert={**spec["invert"], x: other_inverse}),
         "invert-missing": dict(spec, invert={a: b for a, b in spec["invert"].items() if a != x}),
         "invert-unknown": dict(spec, invert={**spec["invert"], x: "ghost"}),
