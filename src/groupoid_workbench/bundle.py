@@ -54,20 +54,6 @@ def graded_subspaces(sys: GradedGroupoid) -> GradedSubspaceFamily:
     return GradedSubspaceFamily(system=sys, bases=sys.fibers())
 
 
-def fiber_tables(sys: GradedGroupoid) -> tuple[np.ndarray, np.ndarray]:
-    """The fiber numbers of the products (m x m) and of the inverses of the
-    m image elements, -1 off the image.  The products are one
-    ``mul_array`` over the element array and one lookup of their fiber
-    numbers; the inverses take one ``inv`` per image element."""
-    grp = sys.group
-    m = len(sys.fiber_elements)
-    values = grp.element_array(sys.fiber_elements)
-    products = grp.mul_array(values[:, None], values[None, :])
-    product = sys.fiber_numbers(products.reshape(m * m, *values.shape[1:])).reshape(m, m)
-    inverse = np.array([sys.fiber_number(grp.inv(b)) for b in sys.fiber_elements], dtype=np.intp)
-    return product, inverse
-
-
 def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckReport:
     """Product/adjoint support containment (exact), spanning, independence.
 
@@ -78,9 +64,12 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     """
     sys = family.system
     g = sys.groupoid
+    grp = sys.group
     fiber = sys.fiber_index
     elements = sys.fiber_elements
-    product, inverse = fiber_tables(sys)
+    # fiber numbers of the products and inverses of image elements (-1 off the image)
+    product = np.array([[sys.fiber_number(grp.mul(b, c)) for c in elements] for b in elements], dtype=np.intp)
+    inverse = np.array([sys.fiber_number(grp.inv(b)) for b in elements], dtype=np.intp)
     xs, ys, zs = g.composable_pairs()
     bad = np.flatnonzero(product[fiber[xs], fiber[ys]] != fiber[zs])
     if len(bad):

@@ -24,7 +24,6 @@ path of a graded groupoid, shared by the document parser and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -219,14 +218,6 @@ class GradedGroupoid:
     def fiber_number(self, gamma: Any) -> int:
         """The number of the fiber over gamma, or -1 when gamma is off the image."""
         return self._fiber_number.get(self.group.canonical(gamma), -1)
-
-    def fiber_numbers(self, values: np.ndarray) -> np.ndarray:
-        """The fiber number of each element of an element array (one entry
-        or row per element, as from ``element_array``), -1 off the image: one
-        dict lookup per element, on the entries read back as ints or tuples
-        of ints, which are the canonical elements of both backends."""
-        keys = values.tolist() if values.ndim == 1 else map(tuple, values.tolist())
-        return np.fromiter(map(self._fiber_number.get, keys, itertools.repeat(-1)), dtype=np.intp, count=len(values))
 
     def fiber_mask(self, gamma: Any) -> np.ndarray:
         """The arrows over gamma as a mask in declared order (all False off the image)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,15 +36,11 @@ def strict_int(value: Any) -> int:
 
 
 def _index_table(cayley: Sequence[Sequence[int]], n: int) -> np.ndarray:
-    """The entries of a square table as a new (n, n) integer array, each in
-    [0, n).  An (n, n) integer ndarray, or rows that are lists or tuples of
-    n plain ints, take one range check (the rows one type scan first).
-    Otherwise, or on a violation, the rows are read one at a time: the
-    length, each entry through :func:`strict_int`, then the range, so the
-    first violation raises as that row loop finds it."""
-    if isinstance(cayley, np.ndarray) and cayley.dtype.kind in "iu" and cayley.shape == (n, n):
-        if ((cayley >= 0) & (cayley < n)).all():
-            return cayley.astype(np.intp)
+    """The entries of a square table as an (n, n) integer array, each in
+    [0, n).  Rows that are lists or tuples of n plain ints take one type
+    scan and one range check.  Otherwise, or on a violation, the rows are
+    read one at a time: the length, each entry through :func:`strict_int`,
+    then the range, so the first violation raises as that row loop finds it."""
     rows_ok = all(isinstance(row, (list, tuple)) and len(row) == n for row in cayley)
     if rows_ok and set(map(type, itertools.chain.from_iterable(cayley))) <= {int}:
         try:
@@ -65,29 +61,30 @@ def _index_table(cayley: Sequence[Sequence[int]], n: int) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
-# a table of at most this many triples is swept whole; a larger one is first
+# a table of at most this many triples is only swept; a larger one is first
 # decided by Light's test
 SWEEP_ENTRIES = 1 << 14
 
 
-def greedy_generators(table: np.ndarray) -> list[int]:
+def greedy_generators(table: np.ndarray) -> Iterator[int]:
     """Elements s_1, s_2, ... of a square table whose entries index its rows,
     each the first element outside the closure under products of those
     before it.  The closure is grown by squaring the member set, C -> C u CC,
     until it stops growing; so the generators generate the whole table under
     its product, associative or not.  In a group each new generator at least
-    doubles the closure, so there are at most log2(n) + 1 of them."""
+    doubles the closure, so there are at most log2(n) + 1 of them.  Each
+    generator is yielded before the closure over it is grown, so a caller
+    that stops early pays for no further closure."""
     member = np.zeros(len(table), dtype=bool)
-    generators = []
     while not member.all():
-        generators.append(int(np.argmin(member)))
-        member[generators[-1]] = True
+        s = int(np.argmin(member))
+        yield s
+        member[s] = True
         size = 0
         while size != member.sum():
             closure = np.flatnonzero(member)
             size = len(closure)
             member[table[closure[:, None], closure]] = True
-    return generators
 
 
 def light_associative(table: np.ndarray) -> bool:
@@ -108,19 +105,16 @@ def first_nonassociative_triple(table: np.ndarray) -> tuple[int, int, int] | Non
     table whose entries index its rows, or None when the table is
     associative.  A table of more than ``SWEEP_ENTRIES`` triples is first
     decided by :func:`light_associative`; the sweep, which names the
-    witness, runs on the others and on a failed test.  It compares (ab)c
-    with a(bc) for all b, c at once, for as many rows of the first factor a
-    as keep ``SWEEP_ENTRIES`` triples in one comparison, b along rows."""
-    n = len(table)
-    if n**3 > SWEEP_ENTRIES and light_associative(table):
+    witness, runs on the others and on a failed test.  It takes one row of
+    the first factor a at a time: (ab)c against a(bc) for all b, c at once,
+    b along rows."""
+    if len(table) ** 3 > SWEEP_ENTRIES and light_associative(table):
         return None
-    step = max(1, SWEEP_ENTRIES // (n * n or 1))
-    for lo in range(0, n, step):
-        rows = table[lo : lo + step]
-        bad = table[rows] != rows[:, table]
+    for a, row in enumerate(table):
+        bad = table[row] != row[table]
         if bad.any():
-            a, b, c = np.argwhere(bad)[0]
-            return lo + int(a), int(b), int(c)
+            b, c = np.argwhere(bad)[0]
+            return a, int(b), int(c)
     return None
 
 
@@ -375,4 +369,4 @@ def symmetric_group(n: int) -> FiniteGroup:
     product_codes = np.zeros((len(perms), len(perms)), dtype=np.intp)
     for k in range(n):  # digit k of p.q is p(q(k)), p along rows
         product_codes += perms[:, perms[:, k]] * place[k]
-    return FiniteGroup(index_of_code[product_codes], name=f"S{n}")
+    return FiniteGroup(index_of_code[product_codes].tolist(), name=f"S{n}")

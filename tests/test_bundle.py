@@ -8,19 +8,15 @@ from groupoid_workbench.bundle import (
     bundle_rep_check,
     check_grading_axioms,
     check_topological_grading,
-    fiber_tables,
     graded_subspaces,
     tautological_rep,
 )
-from groupoid_workbench.corpus import builtin_corpus
-from groupoid_workbench.document import document_from_dict
 from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
-from groupoid_workbench.groupoid import counting_haar, group_groupoid, pair_groupoid
+from groupoid_workbench.groupoid import counting_haar, group_groupoid
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import operator_norm
 
 from conftest import max_diff, rng_functions
-from s6_document import s6_document
 
 
 @pytest.fixture
@@ -128,43 +124,3 @@ class TestBundleRepCheck:
         for key, members in sys.fibers().items():
             for aid in members:
                 assert operator_norm(rep[key][aid]) == pytest.approx(1.0, abs=1e-12)
-
-
-# -- fiber tables as gathers ---------------------------------------------------
-
-
-def per_pair_fiber_tables(sys: GradedGroupoid) -> tuple[list, list]:
-    """One ``mul`` per pair and one ``inv`` per image element, each looked
-    up with ``fiber_number``: the tables the grading axioms once built."""
-    grp, elements = sys.group, sys.fiber_elements
-    product = [[sys.fiber_number(grp.mul(b, c)) for c in elements] for b in elements]
-    return product, [sys.fiber_number(grp.inv(b)) for b in elements]
-
-
-def huge_label_system() -> GradedGroupoid:
-    """pair(3) graded by c(i, j) = b_i - b_j in Z with labels past 2**62,
-    so the element array holds Python ints."""
-    g = pair_groupoid(3)
-    b = [0, 2**70, -(2**65)]
-    labels = {f"({i},{j})": (b[i - 1] - b[j - 1],) for i in (1, 2, 3) for j in (1, 2, 3)}
-    return GradedGroupoid.build(g, counting_haar(g), cocycle_from_map(g, FreeAbelianGroup(1), labels))
-
-
-CORPUS = builtin_corpus(seed=0)
-SYSTEMS = [doc.system for doc in CORPUS]
-SYSTEM_IDS = [doc.name for doc in CORPUS]
-
-
-@pytest.mark.parametrize("sys", SYSTEMS + [huge_label_system()], ids=SYSTEM_IDS + ["pair3-huge-labels"])
-def test_fiber_tables_match_per_pair_products(sys):
-    product, inverse = fiber_tables(sys)
-    assert (product.tolist(), inverse.tolist()) == per_pair_fiber_tables(sys)
-
-
-def test_fiber_tables_of_an_s6_grading():
-    """Seven image elements of S6: most products fall off the image (-1)."""
-    sys = document_from_dict(s6_document()).system
-    product, inverse = fiber_tables(sys)
-    assert len(sys.fiber_elements) == 7 and (product == -1).any()
-    assert (product.tolist(), inverse.tolist()) == per_pair_fiber_tables(sys)
-    assert check_grading_axioms(graded_subspaces(sys)).ok

@@ -4,8 +4,9 @@
 greedy generators and sweeps the triples only to name a failure's witness.
 The row sweep it replaced is kept here as ``reference_first_nonassociative_triple``;
 on non-associative loops, on group tables with two entries swapped and on
-every builtin group up to S5 both must return the same triple, through
-every sweep chunking, and ``light_associative`` must agree with it.
+every builtin group up to S5 both must return the same triple, also with
+Light's test forced on the smallest tables, and ``light_associative`` must
+agree with it.
 ``reference_closure`` pins the greedy generators: each is the least element
 outside the closure of those before it, and together they generate.
 """
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from groupoid_workbench import groups
 from groupoid_workbench.groups import (
+    FiniteGroup,
     cyclic_group,
     first_nonassociative_triple,
     greedy_generators,
@@ -59,14 +61,14 @@ def reference_closure(table: np.ndarray, generators: list[int]) -> set[int]:
 def assert_same_verdict(table: np.ndarray) -> None:
     want = reference_first_nonassociative_triple(table)
     assert light_associative(table) == (want is None)
-    # whole-table sweep, one row per chunk, several rows per chunk
-    for entries in (groups.SWEEP_ENTRIES, 0, 50):
-        with mock.patch.object(groups, "SWEEP_ENTRIES", entries):
-            assert first_nonassociative_triple(table) == want
+    assert first_nonassociative_triple(table) == want
+    # Light's test first on every table, however small
+    with mock.patch.object(groups, "SWEEP_ENTRIES", 0):
+        assert first_nonassociative_triple(table) == want
 
 
 def assert_greedy(table: np.ndarray) -> None:
-    generators = greedy_generators(table)
+    generators = list(greedy_generators(table))
     for k, s in enumerate(generators):
         assert s == min(set(range(len(table))) - reference_closure(table, generators[:k]))
     assert reference_closure(table, generators) == set(range(len(table)))
@@ -137,7 +139,7 @@ def test_builtin_groups_are_associative(group):
     assert_same_verdict(table)
     assert_greedy(table)
     # each generator at least doubles the closure of a group
-    assert len(greedy_generators(table)) <= math.floor(math.log2(group.order)) + 1
+    assert len(list(greedy_generators(table))) <= math.floor(math.log2(group.order)) + 1
 
 
 def test_hand_loop_of_order_five():
@@ -159,7 +161,33 @@ def test_symmetric_group_6_builds_within_bound():
     for p, q in rng.integers(720, size=(50, 2)):
         composed = tuple(perms[p][perms[q][x]] for x in range(6))
         assert perms[s6.mul(int(p), int(q))] == composed
-    assert len(greedy_generators(s6.cayley)) <= 10
+    assert len(list(greedy_generators(s6.cayley))) <= 10
+
+
+def involution_table(n: int) -> np.ndarray:
+    """Identity 0, x x = 0 and x y = 0 for distinct x, y != 0: it passes
+    closure, identity and inverses, and its greedy generators are all n
+    elements, since the closure of 0..k is itself."""
+    table = np.zeros((n, n), dtype=np.intp)
+    table[0] = table[:, 0] = np.arange(n)
+    return table
+
+
+def test_many_generators_rejected_at_the_first_failing_one():
+    """Light's test stops at the first generator that fails, s = 1, before
+    the closure over it is grown; an order-720 table with 720 greedy
+    generators is rejected in at most 0.2 s, best of three, where closing
+    over every generator first gathers about 2.5e8 entries."""
+    table = involution_table(720)
+    assert list(greedy_generators(involution_table(8))) == list(range(8))
+    assert not light_associative(table)
+    rows = table.tolist()
+
+    def reject() -> None:
+        with pytest.raises(ValueError, match=r"not associative at triple \(1,1,2\)"):
+            FiniteGroup(rows)
+
+    assert min(timeit.repeat(reject, number=1, repeat=3)) <= 0.2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
