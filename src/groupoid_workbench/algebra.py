@@ -127,6 +127,11 @@ def random_function(g: FiniteGroupoid, rng: np.random.Generator) -> GroupoidFunc
     return GroupoidFunction(g, random_stacks(rng, 1, g)[0][0])
 
 
+def unit_labels(n: int) -> np.ndarray:
+    """n labels exp(2 pi i theta) of modulus one, from their own fixed-seed generator."""
+    return np.exp(2j * np.pi * np.random.default_rng(0x1ABE1).random(n))
+
+
 TRIAL_CHUNK_ENTRIES = 1 << 18
 """Most entries a kernel's temporaries hold for one chunk of a trial stack."""
 

@@ -7,31 +7,34 @@ pairwise disjoint supports.  The expectation onto the identity component is
 the bounded projection that makes the grading topological (norm one, identity
 on the identity component, zero on the others).
 
-A fiberwise representation assigns a matrix to every fiber basis element; the
-checks here verify the multiplication/adjoint relations on basis elements,
-that the summed map is a *-homomorphism on random elements, and the I-norm
-bound on each fiber.
+A fiberwise representation, given by one matrix per fiber basis element or
+as a linear map onto block stacks, is checked for the multiplication and
+adjoint relations on basis elements, for being a *-homomorphism on random
+elements, and for the I-norm bound on each fiber.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .algebra import (
+    chunked,
     convolve_stack,
-    delta,
     graded_component_stack,
     i_norm_stack,
     involute_stack,
     random_stacks,
+    trial_chunks,
     unit_function,
+    unit_labels,
 )
 from .grading import GradedGroupoid
 from .hilbert_module import expectation_stack
-from .representation import cstar_norm_stack, operator_norms, rep_blocks
+from .representation import _norm_of_trials, _stacks_of, cstar_norm_stack
 from .validation import CheckReport
 
 
@@ -142,51 +145,17 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
 FiberRep = Mapping[str, Mapping[str, np.ndarray]]
 """Per-fiber linear maps, given by one square matrix per fiber basis arrow."""
 
-
-def tautological_rep(sys: GradedGroupoid) -> dict[str, dict[str, np.ndarray]]:
-    """Restrict the direct sum of the regular representations to the fibers."""
-    g = sys.groupoid
-    dims = [len(g.arrows_with_src(u)) for u in g.units]
-    total = sum(dims)
-    offsets = np.concatenate([[0], np.cumsum(dims)])
-    rep: dict[str, dict[str, np.ndarray]] = {}
-    for key, ids in sys.fibers().items():
-        rep[key] = {}
-        for aid in ids:
-            mat = np.zeros((total, total), dtype=np.complex128)
-            for k, block in enumerate(rep_blocks(delta(g, aid), sys.haar).values()):
-                lo, hi = offsets[k], offsets[k + 1]
-                mat[lo:hi, lo:hi] = block
-            rep[key][aid] = mat
-    return rep
+StackRep = Callable[[np.ndarray], list]
+"""A direct sum of blocks: a linear map from (T, n) stacks to (T, k, d, d) stacks."""
 
 
-def _rep_apply(sys: GradedGroupoid, rep: FiberRep, a: np.ndarray, dim: int) -> np.ndarray:
-    """The summed representation of every trial of a (T, n) stack."""
-    out = np.zeros((len(a), dim, dim), dtype=np.complex128)
-    arrows = sys.groupoid.arrows
-    for i in np.flatnonzero(a.any(axis=0)):
-        out += a[:, i, None, None] * rep[sys.fiber_keys[sys.fiber_index[i]]][arrows[i].id]
-    return out
+def tautological_rep(sys: GradedGroupoid) -> StackRep:
+    """The direct sum of the regular representations, on the blocks of ``rep_tables()``."""
+    return lambda a: _stacks_of(sys.groupoid, a, sys.haar, sys.groupoid.rep_tables())
 
 
-def bundle_rep_check(
-    family: GradedSubspaceFamily,
-    rep: FiberRep,
-    seed: int = 0,
-    count: int = 5,
-    tol: float = 1e-12,
-) -> CheckReport:
-    """Verify a fiberwise representation and its summed *-homomorphism.
-
-    Checks, in order: coverage and shape of the matrices; the basis relations
-    pi(d_x) pi(d_y) = w(x) pi(d_{xy}) (zero when non-composable) and
-    pi(d_x)^H = pi(d_{x^{-1}}); multiplicativity and adjoints of the summed
-    map on seeded random pairs; and the I-norm bound on each fiber.
-    """
-    sys = family.system
-    g = sys.groupoid
-    haar = sys.haar
+def _one_block(family: GradedSubspaceFamily, rep: FiberRep) -> StackRep | CheckReport:
+    """A :data:`FiberRep` checked for coverage and shape, acting as one block."""
     dim: int | None = None
     for key, ids in family.bases.items():
         if key not in rep:
@@ -201,31 +170,72 @@ def bundle_rep_check(
                 dim = mat.shape[0]
             elif mat.shape[0] != dim:
                 return CheckReport.failed("rep-dimension-mismatch", arrow=aid)
-    assert dim is not None
-    lookup = {aid: np.asarray(rep[key][aid], dtype=np.complex128) for key, ids in family.bases.items() for aid in ids}
-    norm_scale = 1.0 + float(operator_norms(np.stack(list(lookup.values()))).max())
-    for x in g.arrow_ids:
-        for y in g.arrow_ids:
-            z = g.compose_ids(x, y)
-            expected = haar.weight(g, x) * lookup[z] if z is not None else np.zeros((dim, dim))
-            defect = float(np.abs(lookup[x] @ lookup[y] - expected).max())
-            if defect > tol * norm_scale**2:
-                return CheckReport.failed("rep-not-multiplicative-on-basis", pair=(x, y), defect=defect)
-        defect = float(np.abs(lookup[x].conj().T - lookup[g.invert_id(x)]).max())
-        if defect > tol * norm_scale:
-            return CheckReport.failed("rep-not-star-on-basis", arrow=x, defect=defect)
+    lookup = {aid: rep[key][aid] for key, ids in family.bases.items() for aid in ids}
+    mats = np.array([lookup[aid] for aid in family.system.groupoid.arrow_ids], dtype=np.complex128)
+    return lambda a: [np.tensordot(a, mats, axes=(-1, 0))[..., None, :, :]]
+
+
+def bundle_rep_check(
+    family: GradedSubspaceFamily,
+    rep: FiberRep | StackRep,
+    seed: int = 0,
+    count: int = 5,
+    tol: float = 1e-12,
+) -> CheckReport:
+    """Verify a fiberwise representation and its summed *-homomorphism.
+
+    Checks, in order, on block stacks in chunks of arrows: coverage and shape
+    of a :data:`FiberRep`; pi(d_x) pi(d_y) = w(x) pi(d_{xy}) (zero when
+    non-composable) and pi(d_x)^H = pi(d_{x^{-1}}); the summed map on seeded
+    random pairs; the I-norm bound on each fiber.  The product relation is
+    linear in d_y, so each x is checked once on sum_y c_y d_y for the
+    modulus-one :func:`unit_labels` c, where one wrong pair shows at its full
+    defect (Freivalds, IFIP 1977); the pairs of each x over the tolerance are
+    then swept, so the witness is the sweep's unless wrong pairs cancel.
+    """
+    sys = family.system
+    g, haar, n = sys.groupoid, sys.haar, sys.groupoid.n_arrows
+    rep = _one_block(family, rep) if isinstance(rep, Mapping) else rep
+    if isinstance(rep, CheckReport):
+        return rep
+    compose, w, eye = g.compose_matrix(), haar.weights(g), np.eye(n, dtype=np.complex128)
+
+    def defects(pa: list[np.ndarray], b: np.ndarray, ab: np.ndarray, a_star: np.ndarray) -> np.ndarray:
+        """|pi(a) pi(b) - pi(ab)| and |pi(a)^H - pi(a^*)| for each trial, (T, 2), given pi(a)."""
+        product = [p @ q - m for p, q, m in zip(pa, rep(b), rep(ab))]
+        adjoint = [p.conj().swapaxes(-1, -2) - m for p, m in zip(pa, rep(a_star))]
+        largest = [functools.reduce(np.maximum, [np.abs(m).max(axis=(-3, -2, -1)) for m in d]) for d in (product, adjoint)]
+        return np.stack(largest, axis=-1)
+
+    def basis_defects(px: list[np.ndarray], x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """:func:`defects` of d_x (blocks px), c (T, n) or (1, n), sum_y c_y w(x) d_{xy} and d_{x^{-1}}."""
+        (rows, ys), d = np.nonzero(compose[x] >= 0), np.zeros((len(x), n), dtype=np.complex128)
+        np.add.at(d, (rows, compose[x[rows], ys]), np.broadcast_to(c, d.shape)[rows, ys] * w[x[rows]])
+        return defects(px, c, d, eye[g.invert_index[x]])
+
+    labels = unit_labels(n)[None]
+    size = sum(m.size for m in rep(labels))  # block entries of one function
+    chunks = [np.arange(n)[s] for s in trial_chunks(n, size)]
+    per_chunk = [(_norm_of_trials(px := rep(eye[xs])), basis_defects(px, xs, labels)) for xs in chunks]
+    scales, basis = map(np.concatenate, zip(*per_chunk))
+    norm_scale, (labelled, adjoint) = 1.0 + float(scales.max()), basis.T
+    for x in np.flatnonzero((labelled > tol * norm_scale**2) | (adjoint > tol * norm_scale)):
+        for ys in chunks if labelled[x] > tol * norm_scale**2 else []:
+            defect = basis_defects(rep(eye[[x]]), np.full(len(ys), x), eye[ys])[:, 0]
+            (bad,) = np.nonzero(defect > tol * norm_scale**2)
+            if len(bad):
+                pair = (g.arrow_ids[x], g.arrow_ids[ys[bad[0]]])
+                return CheckReport.failed("rep-not-multiplicative-on-basis", pair=pair, defect=float(defect[bad[0]]))
+        if adjoint[x] > tol * norm_scale:
+            return CheckReport.failed("rep-not-star-on-basis", arrow=g.arrow_ids[x], defect=float(adjoint[x]))
+
     a, b = random_stacks(np.random.default_rng(seed), count, g, g)
-    pa = _rep_apply(sys, rep, a, dim)
-    mult = np.abs(pa @ _rep_apply(sys, rep, b, dim) - _rep_apply(sys, rep, convolve_stack(g, a, b, haar), dim))
-    mult = mult.max(axis=(1, 2), initial=0.0)
-    star = np.abs(pa.conj().swapaxes(1, 2) - _rep_apply(sys, rep, involute_stack(g, a), dim)).max(axis=(1, 2), initial=0.0)
+    mult, star = chunked(lambda a, b: defects(rep(a), b, convolve_stack(g, a, b, haar), involute_stack(g, a)), size, a, b).T
     parts = graded_component_stack(sys, a)
     bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
-    norms = np.array([operator_norms(_rep_apply(sys, rep, part, dim)) for part in parts])
+    norms = chunked(lambda p: _norm_of_trials(rep(p)), size, parts.reshape(-1, n)).reshape(bounds.shape)
     # per trial, in order: multiplicativity, adjoints, the norm of each fiber
-    failed = np.column_stack(
-        [mult > tol * norm_scale**2 * g.n_arrows, star > tol * norm_scale * g.n_arrows, (norms > bounds * (1.0 + 1e-9)).T]
-    )
+    failed = np.column_stack([mult > tol * norm_scale**2 * n, star > tol * norm_scale * n, (norms > bounds * (1.0 + 1e-9)).T])
     if failed.any():
         trial, check = np.argwhere(failed)[0]
         if check == 0:
@@ -236,4 +246,4 @@ def bundle_rep_check(
         return CheckReport.failed(
             "fiber-norm-exceeds-i-norm", fiber=sys.fiber_keys[k], norm=float(norms[k, trial]), bound=float(bounds[k, trial])
         )
-    return CheckReport(ok=True, witness={"dimension": dim, "samples": count})
+    return CheckReport(ok=True, witness={"dimension": sum(m.shape[-3] * m.shape[-1] for m in rep(labels)), "samples": count})

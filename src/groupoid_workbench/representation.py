@@ -63,9 +63,7 @@ def operator_norm(matrix: np.ndarray) -> float:
     """Largest singular value via the eigendecomposition of M^H M; for a
     stack of matrices, the largest over the stack."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.size == 0:
-        return 0.0
-    return float(operator_norms(m).max())
+    return float(operator_norms(m).max()) if m.size else 0.0
 
 
 def _range_weights(g: FiniteGroupoid, haar: HaarSystem) -> np.ndarray:
@@ -81,20 +79,18 @@ def _rep_entries(coeffs: np.ndarray, w: np.ndarray, arrows: np.ndarray, products
     return coeffs.take(products, axis=-1) * np.sqrt(wx[..., :, None] * wx[..., None, :])
 
 
+def _stacks_of(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tables: tuple) -> list[np.ndarray]:
+    """The blocks of the rows of ``tables`` (``g.rep_tables()`` or
+    ``g.orbit_rep_tables()``) for every trial of a (..., n) stack, one
+    (..., k, d, d) array per block size."""
+    w = _range_weights(g, haar)
+    return [_rep_entries(a, w, arrows, products) for *_, arrows, products in tables]
+
+
 def rep_stacks(a: GroupoidFunction, haar: HaarSystem) -> list[np.ndarray]:
     """The regular representation of a as one (k, d, d) stack per block
     size, in the order of ``a.groupoid.rep_tables()``."""
-    g = a.groupoid
-    w = _range_weights(g, haar)
-    return [_rep_entries(a.coeffs, w, arrows, products) for _, arrows, products in g.rep_tables()]
-
-
-def _orbit_stack_of(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> list[np.ndarray]:
-    """The block of the first unit of every orbit for every trial of a
-    (..., n) stack, one (..., k, d, d) array per block size in the order of
-    ``g.orbit_rep_tables()``."""
-    w = _range_weights(g, haar)
-    return [_rep_entries(a, w, arrows, products) for arrows, products in g.orbit_rep_tables()]
+    return _stacks_of(a.groupoid, a.coeffs, haar, a.groupoid.rep_tables())
 
 
 def _orbit_size(g: FiniteGroupoid) -> int:
@@ -105,9 +101,7 @@ def _orbit_size(g: FiniteGroupoid) -> int:
 def rep_blocks(a: GroupoidFunction, haar: HaarSystem) -> dict[str, np.ndarray]:
     """The regular representation blocks, unit -> matrix in the basis
     ``arrows_with_src(unit)``, in declared unit order (views into the stacks)."""
-    blocks: dict[str, np.ndarray] = {}
-    for (units, _, _), stack in zip(a.groupoid.rep_tables(), rep_stacks(a, haar)):
-        blocks.update(zip(units, stack))
+    blocks = {u: m for (units, _, _), stack in zip(a.groupoid.rep_tables(), rep_stacks(a, haar)) for u, m in zip(units, stack)}
     return {u: blocks[u] for u in a.groupoid.units}
 
 
@@ -135,7 +129,7 @@ def _norm_of_trials(stacks: list[np.ndarray]) -> np.ndarray:
 def cstar_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
     """The C*-norm of every trial of a (..., n) stack: one batched
     eigensolve per block size and chunk, over one block per orbit."""
-    return chunked(lambda x: _norm_of_trials(_orbit_stack_of(g, x, haar)), _orbit_size(g), a)
+    return chunked(lambda x: _norm_of_trials(_stacks_of(g, x, haar, g.orbit_rep_tables())), _orbit_size(g), a)
 
 
 def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
@@ -147,7 +141,7 @@ def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: fl
     """:func:`positivity_check` for every trial of a (..., n) stack."""
 
     def kernel(x: np.ndarray) -> np.ndarray:
-        stacks = _orbit_stack_of(g, x, haar)
+        stacks = _stacks_of(g, x, haar, g.orbit_rep_tables())
         slack = tol * (1.0 + _norm_of_trials(stacks))
         ok = np.ones(x.shape[:-1], dtype=bool)
         for m in stacks:

@@ -36,6 +36,7 @@ from .algebra import (
     restrict_stack,
     trial_chunks,
     unit_function,
+    unit_labels,
 )
 from .bundle import (
     bundle_rep_check,
@@ -123,18 +124,9 @@ class _Recorder:
         return np.random.default_rng([self.seed, _instance_key(self.instance), SUITES.index(self.suite)])
 
     def add(self, check: str, prop: str, ok: bool, tolerance: float, **witness: Any) -> None:
-        self.records.append(
-            CheckRecord(
-                suite=self.suite,
-                check=check,
-                prop=prop,
-                instance=self.instance,
-                status="pass" if ok else "fail",
-                tolerance=tolerance,
-                seed=self.seed,
-                witness={k: _jsonable(v) for k, v in witness.items()},
-            )
-        )
+        witness = {k: _jsonable(v) for k, v in witness.items()}
+        status = "pass" if ok else "fail"
+        self.records.append(CheckRecord(self.suite, check, prop, self.instance, status, tolerance, self.seed, witness))
 
 
 def _jsonable(v: Any) -> Any:
@@ -316,22 +308,21 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
 
 def _delta_rule_defect(g: Any, haar: Any) -> float:
     """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|,
-    with the expected products read off ``compose_matrix()``; the pairs are
-    evaluated as stacks of deltas, a chunk at a time."""
+    with the products read off ``compose_matrix()``.  Both sides are linear in
+    delta_y, so each x is checked once on the modulus-one ``unit_labels`` c,
+    and the pairs of every x with a nonzero residual are swept in chunks."""
     n = g.n_arrows
-    products = g.compose_matrix().ravel()
-    w = haar.weights(g)
-    eye = np.eye(n, dtype=np.complex128)
-    worst = 0.0
-    for s in trial_chunks(n * n, n):
-        pairs = np.arange(n * n)[s]
-        x, y = np.divmod(pairs, n)
-        got = convolve_stack(g, eye[x], eye[y], haar)
-        expected = np.zeros_like(got)
-        rows = np.flatnonzero(products[pairs] >= 0)
-        expected[rows, products[pairs][rows]] = w[x[rows]]
-        worst = _worst(worst, _max_abs(got - expected))
-    return worst
+    compose, w, eye = g.compose_matrix(), haar.weights(g), np.eye(n, dtype=np.complex128)
+
+    def defects(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        rows, ys = np.nonzero(compose[x] >= 0)
+        expected = np.zeros_like(c)
+        np.add.at(expected, (rows, compose[x[rows], ys]), c[rows, ys] * w[x[rows]])
+        return _max_abs(convolve_stack(g, eye[x], c, haar) - expected)
+
+    flagged = np.flatnonzero(defects(np.arange(n), np.tile(unit_labels(n), (n, 1))) != 0.0)
+    x, y = np.repeat(flagged, n), np.tile(np.arange(n), len(flagged))
+    return _worst(0.0, *(defects(x[s], eye[y[s]]) for s in trial_chunks(len(x), n)))
 
 
 def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupoid_workbench.algebra import convolve, delta, from_map, i_norm
+from groupoid_workbench.algebra import convolve, delta, from_map, i_norm, random_stacks
 from groupoid_workbench.bundle import (
     bundle_rep_check,
     check_grading_axioms,
@@ -11,12 +11,14 @@ from groupoid_workbench.bundle import (
     graded_subspaces,
     tautological_rep,
 )
+from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import counting_haar, group_groupoid
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import operator_norm
 
 from conftest import max_diff, rng_functions
+from test_reference_suites import reference_bundle_rep_check, reference_rep_apply_stack, reference_tautological_rep
 
 
 @pytest.fixture
@@ -84,7 +86,7 @@ class TestBundleRepCheck:
     def test_sign_flip_reported(self, p2_graded):
         sys = p2_graded
         family = graded_subspaces(sys)
-        rep = tautological_rep(sys)
+        rep = reference_tautological_rep(sys)
         rep["1"]["(2,1)"] = -rep["1"]["(2,1)"]
         report = bundle_rep_check(family, rep, seed=1, count=2)
         assert not report.ok
@@ -120,7 +122,188 @@ class TestBundleRepCheck:
 
     def test_tautological_rep_matches_blocks(self, p2_graded):
         sys = p2_graded
-        rep = tautological_rep(sys)
+        rep = reference_tautological_rep(sys)
         for key, members in sys.fibers().items():
             for aid in members:
                 assert operator_norm(rep[key][aid]) == pytest.approx(1.0, abs=1e-12)
+
+
+# -- the block-stack check against the dense per-pair oracle -------------------
+#
+# Each corrupted representation is built twice: as a map on the unit-block
+# stacks of ``tautological_rep`` and as dense matrices from
+# ``reference_tautological_rep``, with the same entries, so the new check and
+# the v0.11.0 sweep must name the same (ok, cause, witness).
+
+CORPUS = {doc.name: doc for doc in builtin_corpus(seed=0)}
+
+
+def _dense_matrices(sys):
+    """The dense oracle's matrices as one (n, N, N) array in arrow order."""
+    rep = reference_tautological_rep(sys)
+    lookup = {aid: rep[key][aid] for key, ids in sys.fibers().items() for aid in ids}
+    return np.array([lookup[aid] for aid in sys.groupoid.arrow_ids])
+
+
+def _as_fiber_rep(sys, mats):
+    return {key: {aid: mats[sys.groupoid.index(aid)] for aid in ids} for key, ids in sys.fibers().items()}
+
+
+def _substituted(sys, s):
+    """pi'(d_x) = sum_j s[x, j] pi(d_j), on the blocks and densely."""
+    rep = tautological_rep(sys)
+    return (lambda a: rep(a @ s)), _as_fiber_rep(sys, np.tensordot(s, _dense_matrices(sys), axes=(1, 0)))
+
+
+def _conjugated(sys, t):
+    """pi'(a) = D pi(a) D^-1 for the diagonal D with t[x] at basis arrow x:
+    a homomorphism, and a *-homomorphism only where t is constant."""
+    g = sys.groupoid
+    rep = tautological_rep(sys)
+    ratios = [t[arrows][..., :, None] / t[arrows][..., None, :] for _, arrows, _ in g.rep_tables()]
+    order = np.array([g.index(aid) for u in g.units for aid in g.arrows_with_src(u)])
+    dense = _dense_matrices(sys) * (t[order][:, None] / t[order][None, :])
+    return (lambda a: [m * r for m, r in zip(rep(a), ratios)]), _as_fiber_rep(sys, dense)
+
+
+def _first_non_unit(g):
+    return next(x for x in range(g.n_arrows) if x not in set(g.unit_arrow_index.tolist()))
+
+
+def _scaled(sys, factor):
+    """pi(d_z) scaled by ``factor`` at the first non-unit arrow z.  Every
+    earlier arrow is a unit, whose products with pi'(d_z) stay right, so the
+    first failing row is z's, with a wrong product for every y composable
+    with z (at least two: the unit at s(z) and z^-1)."""
+    s = np.eye(sys.groupoid.n_arrows)
+    z = _first_non_unit(sys.groupoid)
+    s[z, z] = factor
+    return _substituted(sys, s)
+
+
+def _position_at_source(g):
+    """The place of every arrow in the basis of its unit block."""
+    return np.array([g.arrows_with_src(g.source(aid)).index(aid) for aid in g.arrow_ids])
+
+
+def _corruptions(sys):
+    g = sys.groupoid
+    n = g.n_arrows
+    z = _first_non_unit(g)
+    flip = np.eye(n)  # -pi(d_u) for a unit u: pi(d_u)^2 = w(u) pi(d_u) no longer holds
+    u = g.unit_arrow_index[-1]
+    flip[u, u] = -1.0
+    swap = np.eye(n)
+    swap[[0, n - 1]] = swap[[n - 1, 0]]
+    return {
+        "unmodified": _substituted(sys, np.eye(n)),
+        "sign-flip": _substituted(sys, flip),
+        "swapped": _substituted(sys, swap),
+        "two-wrong-products-in-a-row": _scaled(sys, 1.0 + 2.0**-20),
+        "wrong-adjoint-only": _conjugated(sys, 2.0 ** (_position_at_source(g) % 3)),
+    }
+
+
+def _outcome(report):
+    return report.ok, report.cause, dict(report.witness)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_block_check_matches_the_dense_sweep(name):
+    sys = CORPUS[name].system
+    family = graded_subspaces(sys)
+    outcomes = {}
+    for case, (blocks, dense) in _corruptions(sys).items():
+        want = _outcome(reference_bundle_rep_check(family, dense, seed=4, count=3))
+        assert _outcome(bundle_rep_check(family, blocks, seed=4, count=3)) == want, case
+        assert _outcome(bundle_rep_check(family, dense, seed=4, count=3)) == want, case
+        outcomes[case] = want
+    assert outcomes["unmodified"] == (True, None, {"dimension": sys.groupoid.n_arrows, "samples": 3})
+    assert outcomes["sign-flip"][1] == "rep-not-multiplicative-on-basis"
+    assert outcomes["two-wrong-products-in-a-row"][1] == "rep-not-multiplicative-on-basis"
+    assert outcomes["wrong-adjoint-only"][1] == "rep-not-star-on-basis"
+    # the first failing row has several wrong products, and the first is named
+    g = sys.groupoid
+    z = _first_non_unit(g)
+    assert outcomes["two-wrong-products-in-a-row"][2]["pair"][0] == g.arrow_ids[z]
+    assert np.count_nonzero(g.compose_matrix()[z] >= 0) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_a_wrong_pair_just_over_the_tolerance_is_found(name):
+    """With labels of modulus one, a row with one wrong pair shows at that
+    pair's full defect: set the tolerance 5% under the largest pair defect of
+    the first failing row, and the check still names the reference's pair."""
+    sys = CORPUS[name].system
+    g = sys.groupoid
+    family = graded_subspaces(sys)
+    blocks, dense = _scaled(sys, 1.0 + 2.0**-30)
+    z = _first_non_unit(g)
+    mats = _dense_matrices(sys) * 1.0
+    mats[z] *= 1.0 + 2.0**-30
+    w = sys.haar.weights(g)
+    defects = [
+        np.abs(mats[z] @ mats[y] - w[z] * mats[g.compose_matrix()[z, y]]).max()
+        for y in np.flatnonzero(g.compose_matrix()[z] >= 0)
+    ]
+    norm_scale = 1.0 + max(operator_norm(m) for m in mats)
+    tol = max(defects) / (1.05 * norm_scale**2)
+    want = _outcome(reference_bundle_rep_check(family, dense, seed=4, count=3, tol=tol))
+    assert want[:2] == (False, "rep-not-multiplicative-on-basis")
+    assert _outcome(bundle_rep_check(family, blocks, seed=4, count=3, tol=tol)) == want
+
+
+def test_labels_have_modulus_one_and_leave_the_seeded_draws_alone():
+    """The labelled combination is the same for every seed, every label has
+    modulus one, and the random pairs are the seed's first draws."""
+    sys = CORPUS["pair3-zgraded-weighted"].system
+    g = sys.groupoid
+    rep = tautological_rep(sys)
+    labels = {}
+    for seed in (1, 2):
+        seen = []
+        assert bundle_rep_check(graded_subspaces(sys), lambda a: seen.append(np.array(a)) or rep(a), seed=seed, count=3).ok
+        rows = np.concatenate(seen)
+        (labelled,) = np.unique([r for r in rows if np.all(np.abs(np.abs(r) - 1.0) <= 1e-15)], axis=0)
+        labels[seed] = labelled
+        for draws in random_stacks(np.random.default_rng(seed), 3, g, g):
+            assert all((rows == row).all(axis=1).any() for row in draws)
+    assert (labels[1] == labels[2]).all()
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_block_map_is_the_dense_representation(name):
+    """The unit-block stacks, laid out along the diagonal, are the dense
+    oracle's matrices summed one arrow at a time."""
+    sys = CORPUS[name].system
+    g = sys.groupoid
+    (a,) = random_stacks(np.random.default_rng(7), 4, g)
+    dense = reference_rep_apply_stack(sys, reference_tautological_rep(sys), a, g.n_arrows)
+    blocks = tautological_rep(sys)(a)
+    order = {aid: i for i, aid in enumerate(aid for u in g.units for aid in g.arrows_with_src(u))}
+    for (_, arrows, _), stack in zip(g.rep_tables(), blocks):
+        for k, row in enumerate(arrows):
+            at = [order[g.arrow_ids[x]] for x in row]
+            assert np.abs(dense[:, at][:, :, at] - stack[:, k]).max() <= 1e-15
+
+
+def test_memory_stays_quadratic_at_400_arrows():
+    """On the Z-graded pair groupoid on 20 points the check holds no more
+    than 256 n^2 bytes at a time: its temporaries are chunked over the
+    arrows (20 MB); with `algebra.TRIAL_CHUNK_ENTRIES` = 2^40 it peaks at 210 MB."""
+    import tracemalloc
+
+    from pair_documents import pair_documents
+
+    from groupoid_workbench.document import document_from_dict
+
+    sys = document_from_dict(pair_documents(20)["pair20-builtin"]).system
+    n = sys.groupoid.n_arrows
+    tracemalloc.start()
+    try:
+        report = bundle_rep_check(graded_subspaces(sys), tautological_rep(sys), seed=0, count=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.witness["dimension"] == n == 400
+    assert peak < 256 * n * n

@@ -32,12 +32,11 @@ from groupoid_workbench.bundle import (
     GradedSubspaceFamily,
     check_topological_grading,
     graded_subspaces,
-    tautological_rep,
 )
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import GradedGroupoid, validate_cocycle
-from groupoid_workbench.groupoid import validate_groupoid, validate_left_invariance
+from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, validate_groupoid, validate_left_invariance
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     check_eq_ruy,
@@ -54,6 +53,7 @@ from groupoid_workbench.representation import (
     decompose_rep_U,
     operator_norm,
     positivity_check,
+    rep_blocks,
     spectrum,
     translate_rep_V,
 )
@@ -69,6 +69,7 @@ from groupoid_workbench.verify import (
     UNITARY_TRIALS,
     _instance_key,
     _Recorder,
+    _delta_rule_defect,
 )
 
 INSTANCES = ("pair3-zgraded-weighted", "s3-sign-weighted", "union-z2-z3-weighted", "product-pair2-z2-counting")
@@ -168,6 +169,34 @@ def reference_check_topological_grading(family: GradedSubspaceFamily, seed: int 
         return CheckReport.failed("projection-not-contractive", sup_ratio=sup_ratio)
     return CheckReport(ok=True, witness={"sup_ratio": sup_ratio, "samples": count})
 
+
+def reference_tautological_rep(sys: GradedGroupoid) -> dict[str, dict[str, np.ndarray]]:
+    """Restrict the direct sum of the regular representations to the fibers,
+    as one dense matrix per arrow (the v0.11.0 ``bundle.tautological_rep``)."""
+    g = sys.groupoid
+    dims = [len(g.arrows_with_src(u)) for u in g.units]
+    total = sum(dims)
+    offsets = np.concatenate([[0], np.cumsum(dims)])
+    rep: dict[str, dict[str, np.ndarray]] = {}
+    for key, ids in sys.fibers().items():
+        rep[key] = {}
+        for aid in ids:
+            mat = np.zeros((total, total), dtype=np.complex128)
+            for k, block in enumerate(rep_blocks(delta(g, aid), sys.haar).values()):
+                lo, hi = offsets[k], offsets[k + 1]
+                mat[lo:hi, lo:hi] = block
+            rep[key][aid] = mat
+    return rep
+
+
+def reference_rep_apply_stack(sys: GradedGroupoid, rep: FiberRep, a: np.ndarray, dim: int) -> np.ndarray:
+    """The summed representation of every trial of a (T, n) stack, one
+    arrow's matrix at a time (the v0.11.0 ``bundle._rep_apply``)."""
+    out = np.zeros((len(a), dim, dim), dtype=np.complex128)
+    arrows = sys.groupoid.arrows
+    for i in np.flatnonzero(a.any(axis=0)):
+        out += a[:, i, None, None] * rep[sys.fiber_keys[sys.fiber_index[i]]][arrows[i].id]
+    return out
 
 
 def reference_rep_apply(sys: GradedGroupoid, rep: FiberRep, a: GroupoidFunction, dim: int) -> np.ndarray:
@@ -403,6 +432,21 @@ def reference_suite_algebra(doc: WorkbenchDocument, rec: _Recorder, rng: np.rand
     )
 
 
+def reference_delta_rule_defect(g: FiniteGroupoid, haar: HaarSystem) -> float:
+    """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|, one pair at a time."""
+    delta_rule = 0.0
+    for x in g.arrow_ids:
+        dx = delta(g, x)
+        for y in g.arrow_ids:
+            prod = convolve(dx, delta(g, y), haar)
+            z = g.compose_ids(x, y)
+            expected_vec = np.zeros(g.n_arrows, dtype=np.complex128)
+            if z is not None:
+                expected_vec[g.index(z)] = haar.weight(g, x)
+            delta_rule = max(delta_rule, _max_abs(prod.coeffs - expected_vec))
+    return delta_rule
+
+
 def reference_suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random.Generator, count: int) -> None:
     sys = doc.system
     g = sys.groupoid
@@ -458,19 +502,11 @@ def reference_suite_norms(doc: WorkbenchDocument, rec: _Recorder, rng: np.random
         norm_defect=unit_norm,
         spectrum_defect=unit_spec,
     )
-    delta_norm = delta_rule = 0.0
+    delta_norm = 0.0
     for x in g.arrows:
         expected = float(np.sqrt(haar.rho[x.src] * haar.rho[x.dst]))
         delta_norm = max(delta_norm, _rel(abs(cstar_norm(delta(g, x.id), haar) - expected), expected))
-    for x in g.arrow_ids:
-        dx = delta(g, x)
-        for y in g.arrow_ids:
-            prod = convolve(dx, delta(g, y), haar)
-            z = g.compose_ids(x, y)
-            expected_vec = np.zeros(g.n_arrows, dtype=np.complex128)
-            if z is not None:
-                expected_vec[g.index(z)] = haar.weight(g, x)
-            delta_rule = max(delta_rule, _max_abs(prod.coeffs - expected_vec))
+    delta_rule = reference_delta_rule_defect(g, haar)
     rec.add(
         "delta-norm-closed-form",
         "||delta_x|| is the geometric mean of the endpoint weights",
@@ -828,7 +864,7 @@ def reference_suite_bundle(doc: WorkbenchDocument, rec: _Recorder, rng: np.rando
         cause=topo.cause,
         **dict(topo.witness),
     )
-    taut = reference_bundle_rep_check(family, tautological_rep(sys), seed=int(rng.integers(2**31)), count=3)
+    taut = reference_bundle_rep_check(family, reference_tautological_rep(sys), seed=int(rng.integers(2**31)), count=3)
     rec.add(
         "bundle-representation",
         "the fiberwise regular representation is a *-representation bounded by the I-norm",
@@ -891,3 +927,31 @@ def test_topological_grading_reads_the_family_labels(docs, name):
         want = reference_check_topological_grading(fam, seed=3, count=5)
         assert (got.ok, got.cause, dict(got.witness)) == (want.ok, want.cause, dict(want.witness))
     assert [check_topological_grading(fam, seed=3, count=5).ok for fam in families] == [True, False, False, False]
+
+
+def _misrouted(g: FiniteGroupoid, monkeypatch: pytest.MonkeyPatch, pairs: list[int], to: int) -> None:
+    """Send the convolution terms of the given composable pairs to bin ``to``,
+    while ``compose_matrix()`` keeps the right products."""
+    xs, ys, zs = g.composable_pairs()
+    zs = zs.copy()
+    zs[pairs] = to
+    monkeypatch.setattr(g, "composable_pairs", lambda: (xs, ys, zs))
+
+
+@pytest.mark.parametrize("name", sorted(d.name for d in builtin_corpus(seed=0)))
+def test_delta_rule_names_the_reference_defect(name, monkeypatch):
+    """The labelled check of ``delta-convolution-rule`` reads exactly 0.0 on
+    the corpus and, with one misrouted product, or two of one row sent to the
+    same wrong bin, the reference's largest pair defect."""
+    doc = next(d for d in builtin_corpus(seed=0) if d.name == name)
+    g, haar = doc.system.groupoid, doc.system.haar
+    assert _delta_rule_defect(g, haar) == reference_delta_rule_defect(g, haar) == 0.0
+    xs, _, zs = g.composable_pairs()
+    last = len(xs) - 1
+    row = np.flatnonzero(xs == xs[last])
+    for pairs in ([last], row[-2:].tolist()):
+        with monkeypatch.context() as patch:
+            _misrouted(g, patch, pairs, (zs[last] + 1) % g.n_arrows)
+            want = reference_delta_rule_defect(g, haar)
+            assert want > ALG_TOL
+            assert _delta_rule_defect(g, haar) == want

@@ -1,6 +1,7 @@
 """Verification harness: record structure, determinism, forced failures."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -159,3 +160,24 @@ class TestDistribution:
         re = check.uniform(-1, 1, 4)
         im = check.uniform(-1, 1, 4)
         assert np.array_equal(f.coeffs, re + 1j * im)
+
+
+class TestPastTheCorpus:
+    """The all-pairs checks on the Z-graded pair groupoid on 14 points (196
+    arrows), at default counts.  Checked one pair at a time, the bundle suite
+    took 66 s there and the norms suite 3.4 s on a shared 2-vCPU machine."""
+
+    @pytest.fixture(scope="class")
+    def pair14(self):
+        from pair_documents import pair_documents
+
+        from groupoid_workbench.document import document_from_dict
+
+        return document_from_dict(pair_documents(14)["pair14-builtin"])
+
+    @pytest.mark.parametrize("suite", ["bundle", "norms"])
+    def test_suite_within_budget(self, pair14, suite):
+        started = time.perf_counter()
+        records = run_document(pair14, suite=suite, seed=0)
+        assert time.perf_counter() - started <= 2.0
+        assert [r.check for r in records if r.status != "pass"] == []
