@@ -174,7 +174,7 @@ def _scaled(sys, factor):
     """pi(d_z) scaled by ``factor`` at the first non-unit arrow z.  Every
     earlier arrow is a unit, whose products with pi'(d_z) stay right, so the
     first failing row is z's, with a wrong product for every y composable
-    with z (at least two: the unit at s(z) and z^-1)."""
+    with z: at least two, the unit at s(z) and z^-1."""
     s = np.eye(sys.groupoid.n_arrows)
     z = _first_non_unit(sys.groupoid)
     s[z, z] = factor
@@ -189,7 +189,6 @@ def _position_at_source(g):
 def _corruptions(sys):
     g = sys.groupoid
     n = g.n_arrows
-    z = _first_non_unit(g)
     flip = np.eye(n)  # -pi(d_u) for a unit u: pi(d_u)^2 = w(u) pi(d_u) no longer holds
     u = g.unit_arrow_index[-1]
     flip[u, u] = -1.0
@@ -199,7 +198,7 @@ def _corruptions(sys):
         "unmodified": _substituted(sys, np.eye(n)),
         "sign-flip": _substituted(sys, flip),
         "swapped": _substituted(sys, swap),
-        "two-wrong-products-in-a-row": _scaled(sys, 1.0 + 2.0**-20),
+        "wrong-products-in-one-row": _scaled(sys, 1.0 + 2.0**-20),
         "wrong-adjoint-only": _conjugated(sys, 2.0 ** (_position_at_source(g) % 3)),
     }
 
@@ -220,12 +219,12 @@ def test_block_check_matches_the_dense_sweep(name):
         outcomes[case] = want
     assert outcomes["unmodified"] == (True, None, {"dimension": sys.groupoid.n_arrows, "samples": 3})
     assert outcomes["sign-flip"][1] == "rep-not-multiplicative-on-basis"
-    assert outcomes["two-wrong-products-in-a-row"][1] == "rep-not-multiplicative-on-basis"
+    assert outcomes["wrong-products-in-one-row"][1] == "rep-not-multiplicative-on-basis"
     assert outcomes["wrong-adjoint-only"][1] == "rep-not-star-on-basis"
     # the first failing row has several wrong products, and the first is named
     g = sys.groupoid
     z = _first_non_unit(g)
-    assert outcomes["two-wrong-products-in-a-row"][2]["pair"][0] == g.arrow_ids[z]
+    assert outcomes["wrong-products-in-one-row"][2]["pair"][0] == g.arrow_ids[z]
     assert np.count_nonzero(g.compose_matrix()[z] >= 0) >= 2
 
 
@@ -239,7 +238,7 @@ def test_a_wrong_pair_just_over_the_tolerance_is_found(name):
     family = graded_subspaces(sys)
     blocks, dense = _scaled(sys, 1.0 + 2.0**-30)
     z = _first_non_unit(g)
-    mats = _dense_matrices(sys) * 1.0
+    mats = _dense_matrices(sys)
     mats[z] *= 1.0 + 2.0**-30
     w = sys.haar.weights(g)
     defects = [
@@ -284,7 +283,7 @@ def test_block_map_is_the_dense_representation(name):
     for (_, arrows, _), stack in zip(g.rep_tables(), blocks):
         for k, row in enumerate(arrows):
             at = [order[g.arrow_ids[x]] for x in row]
-            assert np.abs(dense[:, at][:, :, at] - stack[:, k]).max() <= 1e-15
+            assert np.array_equal(dense[:, at][:, :, at], stack[:, k])
 
 
 def test_memory_stays_quadratic_at_400_arrows():

@@ -181,3 +181,11 @@ class TestPastTheCorpus:
         records = run_document(pair14, suite=suite, seed=0)
         assert time.perf_counter() - started <= 2.0
         assert [r.check for r in records if r.status != "pass"] == []
+
+    def test_every_suite_within_budget(self, pair14):
+        """All seven suites take 1.6 s here, 1.2 s of it the expectation
+        suite's ``fiber-sandwich-identity`` (20 trials x 196 deltas)."""
+        started = time.perf_counter()
+        records = run_document(pair14, suite="all", seed=0)
+        assert time.perf_counter() - started <= 10.0
+        assert [r.check for r in records if r.status != "pass"] == []
