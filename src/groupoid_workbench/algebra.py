@@ -21,7 +21,10 @@ kernels, which index the last axis only.  Kernels whose temporaries outgrow
 the coefficients evaluate the trial axis in chunks of at most
 :data:`TRIAL_CHUNK_ENTRIES` entries (:func:`chunked`).  Each trial is
 evaluated exactly as it would be alone, so a stack gives bit for bit the
-values of T separate calls.
+values of T separate calls.  The convolution and the I-norm sum their terms
+by one ``bincount`` over interleaved bins, each complex term a (real,
+imaginary) pair of float64 bins, so every bin takes its terms in the order
+of a sum trial by trial and pair by pair.
 """
 
 from __future__ import annotations
@@ -153,31 +156,30 @@ def chunked(kernel: Callable[..., np.ndarray], per_trial: int, *stacks: np.ndarr
     return np.concatenate([kernel(*(x[s] for x in stacks)) for s in chunks])
 
 
-def _bin_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
-    """Row by row, ``out[..., index[j]] += values[..., j]`` in the order of
-    j, by ``bincount``, for real values (..., m) with at most one leading axis."""
-    lead = values.shape[:-1]
-    bins = (index + width * np.arange(lead[0])[:, None]).ravel() if lead else index
-    return np.bincount(bins, values.ravel(), width * (lead[0] if lead else 1)).reshape(lead + (width,))
+def _bin_pairs(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
+    """Row by row, ``out[..., 2 index[j] + k] += values[..., 2 j + k]`` for
+    k = 0, 1 in the order of j, by one ``bincount`` over interleaved bins:
+    values (..., 2m) hold m (real, imaginary) or other pairs."""
+    rows = values.reshape(-1, values.shape[-1])
+    bins = ((2 * index)[:, None] + np.arange(2)).ravel() + 2 * width * np.arange(len(rows))[:, None]
+    return np.bincount(bins.ravel(), rows.ravel(), 2 * width * len(rows)).reshape(values.shape[:-1] + (2 * width,))
 
 
 def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSystem) -> np.ndarray:
     """a * b trial by trial for (T, n) stacks, or for one pair of 1-D
     coefficient vectors (a stack with T = 1 broadcasts).
 
-    Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial by
-    ``bincount``, real and imaginary parts apart, in composable-pair order."""
+    Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial in
+    composable-pair order, by one ``bincount`` over the terms viewed as
+    (real, imaginary) pairs."""
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     ys, ts, zs = g.composable_pairs()
     w = haar.weights(g)[ys]
 
     def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        terms = x.take(ys, axis=-1) * y.take(ts, axis=-1) * w
-        out = np.empty(x.shape, dtype=np.complex128)
-        out.real = _bin_rows(terms.real, zs, g.n_arrows)
-        out.imag = _bin_rows(terms.imag, zs, g.n_arrows)
-        return out
+        terms = (x.take(ys, axis=-1) * y.take(ts, axis=-1) * w).astype(np.complex128, copy=False)
+        return _bin_pairs(terms.view(np.float64), zs, g.n_arrows).view(np.complex128)
 
     return chunked(kernel, len(zs), a, b)
 
@@ -199,12 +201,11 @@ def involute(a: GroupoidFunction) -> GroupoidFunction:
 
 
 def i_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
-    """The I-norm of every trial of a (..., n) stack."""
-    w = haar.weights(g)
-    mags = np.abs(a)
-    direct = _bin_rows(mags * w, g.dst_index, g.n_units)
-    inverted = _bin_rows(mags.take(g.invert_index, axis=-1) * w, g.dst_index, g.n_units)
-    return np.maximum(direct.max(axis=-1), inverted.max(axis=-1))
+    """The I-norm of every trial of a (..., n) stack: the direct and the
+    inverted fiber sums are summed as pairs by one ``bincount``."""
+    w, mags = haar.weights(g), np.abs(a)
+    pairs = np.stack([mags * w, mags.take(g.invert_index, axis=-1) * w], axis=-1)
+    return _bin_pairs(pairs.reshape(mags.shape[:-1] + (-1,)), g.dst_index, g.n_units).max(axis=-1)
 
 
 def i_norm(a: GroupoidFunction, haar: HaarSystem) -> float:

@@ -84,24 +84,22 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     if len(bad):
         return CheckReport.failed("basis-adjoint-off-fiber", arrow=g.arrows[bad[0]].id)
     # per fiber beta: a random pair (a, b) for every fiber gamma, then one
-    # more function for the adjoint, drawn in that order
-    rng = np.random.default_rng(seed)
-    masks = fiber == np.arange(len(elements))[:, None]
-    for beta, beta_key in enumerate(sys.fiber_keys):
-        (draws,) = random_stacks(rng, 2 * len(elements) + 1, g)
-        a = np.where(masks[beta], draws[0:-1:2], 0.0)
-        b = np.where(masks, draws[1:-1:2], 0.0)
-        prod = convolve_stack(g, a, b, sys.haar)
-        off = np.argwhere((prod != 0) & (fiber != product[beta][:, None]))
-        if len(off):
-            gamma, arrow = off[0]
+    # more function for the adjoint, drawn in that order as one block
+    m, n = len(elements), g.n_arrows
+    masks = fiber == np.arange(m)[:, None]
+    (draws,) = random_stacks(np.random.default_rng(seed), m * (2 * m + 1), g)
+    draws = draws.reshape(m, 2 * m + 1, n)
+    a = np.where(masks[:, None], draws[:, 0:-1:2], 0.0).reshape(-1, n)
+    prod = convolve_stack(g, a, np.where(masks, draws[:, 1:-1:2], 0.0).reshape(-1, n), sys.haar).reshape(m, m, n)
+    prod_off = (prod != 0) & (fiber != product[:, :, None])
+    adj_off = (involute_stack(g, np.where(masks, draws[:, -1], 0.0)) != 0) & (fiber != inverse[:, None])
+    for beta in np.flatnonzero(prod_off.any(axis=(1, 2)) | adj_off.any(axis=1))[:1]:
+        if prod_off[beta].any():
+            gamma, arrow = np.argwhere(prod_off[beta])[0]
             return CheckReport.failed(
-                "random-product-off-fiber", fibers=(beta_key, sys.fiber_keys[gamma]), arrow=g.arrows[arrow].id
+                "random-product-off-fiber", fibers=(sys.fiber_keys[beta], sys.fiber_keys[gamma]), arrow=g.arrows[arrow].id
             )
-        adj = involute_stack(g, np.where(masks[beta], draws[-1:], 0.0))[0]
-        off = np.flatnonzero((adj != 0) & (fiber != inverse[beta]))
-        if len(off):
-            return CheckReport.failed("random-adjoint-off-fiber", fiber=beta_key, arrow=g.arrows[off[0]].id)
+        return CheckReport.failed("random-adjoint-off-fiber", fiber=sys.fiber_keys[beta], arrow=g.arrows[np.argmax(adj_off[beta])].id)
     total = sum(family.dimension(key) for key in family.keys)
     if total != g.n_arrows:
         return CheckReport.failed("fibers-do-not-span", total=total, arrows=g.n_arrows)

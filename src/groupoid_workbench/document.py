@@ -103,13 +103,45 @@ def _as_object(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
+MAX_BUILTIN_ARROWS = 4096
+"""The most arrows a builtin groupoid spec may describe, counted from its
+parameters before anything is built; a larger spec is rejected."""
+
+
+def _arrow_count(spec: Any) -> int | None:
+    """The number of arrows a groupoid spec describes, by closed forms over
+    the builtin parameters (an explicit part counts its listed arrows), or
+    None when a parameter is missing or invalid, which the builder reports."""
+    try:
+        if set(spec) == {"explicit"}:
+            return len(spec["explicit"]["arrows"])
+        name, params = spec["builtin"], spec.get("params", {})
+        if name in ("disjoint_union", "product"):
+            left, right = _arrow_count(params["left"]), _arrow_count(params["right"])
+            return None if None in (left, right) else left + right if name == "disjoint_union" else left * right
+        if name == "group_bundle_cyclic":
+            orders = [strict_int(k) for k in params["orders"]]
+            return sum(orders) if min(orders, default=0) >= 0 else None
+        n = strict_int(params["points" if name.endswith("action") else "n"])
+    except (KeyError, TypeError, AttributeError):
+        return None
+    factorial = math.factorial(min(max(n, 0), 32))  # 32! is past any budget
+    closed = {"pair": n * n, "cyclic_group": n, "cyclic_action": n * n, "symmetric_group": factorial, "symmetric_action": n * factorial}
+    return closed.get(name) if n >= 0 else None
+
+
 def build_groupoid(spec: Mapping[str, Any], path: str = "groupoid") -> FiniteGroupoid:
-    """Construct a groupoid from a builtin or explicit specification."""
+    """Construct a groupoid from a builtin or explicit specification; a
+    builtin spec over :data:`MAX_BUILTIN_ARROWS` arrows is rejected first."""
     spec = _as_object(spec, path)
     keys = set(spec)
     if keys == {"builtin", "params"} or keys == {"builtin"}:
         name = spec["builtin"]
         params = _as_object(spec.get("params", {}), f"{path}.params")
+        arrows = _arrow_count(spec)
+        if arrows is not None and arrows > MAX_BUILTIN_ARROWS:
+            shown = arrows if arrows < 10**18 else "over 10^18"
+            raise DocumentError(f"{path}.params", f"{name} describes {shown} arrows, over the budget of {MAX_BUILTIN_ARROWS}")
         return _build_builtin(name, params, path)
     if keys == {"explicit"}:
         return _build_explicit(_as_object(spec["explicit"], f"{path}.explicit"), f"{path}.explicit")

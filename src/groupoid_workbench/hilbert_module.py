@@ -24,7 +24,9 @@ against the independently computed C*-norm.
 
 The conditional expectation P = include after restrict projects onto the
 identity-fiber subalgebra; the fiberwise identity linking it to the module
-structure and the kernel characterization of L both live here.
+structure and the kernel characterization of L both live here.  Against
+deltas the identity is evaluated by gathers, since convolution with a delta
+is a weighted permutation (:func:`eq_ruy_delta_defect_stack`).
 
 Every operation also takes a (T, n) stack of trials (the ``*_stack``
 functions, ``InducedSpace.operator_norms``, :func:`kernel_verdicts`), and
@@ -50,7 +52,7 @@ from .algebra import (
     restrict_stack,
 )
 from .grading import GradedGroupoid
-from .representation import _norm_of_trials, cstar_norm_stack, parent_to_sub_index
+from .representation import _equal_size_groups, _norm_of_trials, cstar_norm_stack, parent_to_sub_index
 
 
 def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:
@@ -102,15 +104,6 @@ def expectation_P(sys: GradedGroupoid, a: GroupoidFunction) -> GroupoidFunction:
     """Conditional expectation onto the identity-fiber subalgebra: keep the
     coefficients on G_e, zero elsewhere."""
     return GroupoidFunction(sys.groupoid, expectation_stack(sys, *_on(sys, a)))
-
-
-def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
-    """Positions grouped by equal (nonnegative) key: one (groups, size) array
-    per group size, groups in key order and members in position order."""
-    order = np.argsort(key, kind="stable")
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
-    sizes = np.diff(first, append=len(key))
-    return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
 class InducedSpace:
@@ -309,6 +302,25 @@ def eq_ruy_defect_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np
     haar = sys.haar
     lhs = include_stack(sys.identity_fiber, inner_product_stack(sys, b, convolve_stack(g, a, b, haar)), g)
     rhs = convolve_stack(g, convolve_stack(g, involute_stack(g, b), expectation_stack(sys, a), haar), b, haar)
+    return np.abs(lhs - rhs).max(axis=1)
+
+
+def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`eq_ruy_defect_stack` for rows a (R, n) against the deltas at
+    the arrows v (R,), by gathers: (a * delta_v)(x) = a(x v^{-1}) w(x v^{-1})
+    where s(x) = s(v), and (delta_v^* * h)(x) = h(v x) w(v^{-1}) where
+    r(x) = s(v), the one nonzero term of each convolution bin, multiplied in
+    the same order, so only the sign of a zero can differ."""
+    g, sub = sys.groupoid, sys.identity_fiber
+    compose, w = g.compose_matrix(), sys.haar.weights(g)
+    right = compose[:, g.invert_index[v]].T  # x v^{-1}, at [row, x]
+    w_right, w_left = w[np.clip(right, 0, None)], w[g.invert_index[v]][:, None]
+
+    def gather(h: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        return np.where(index >= 0, np.take_along_axis(h, np.clip(index, 0, None), axis=1) * weight, 0.0)
+
+    lhs = include_stack(sub, restrict_stack(g, gather(gather(a, right, w_right), compose[v], w_left), sub), g)
+    rhs = gather(gather(expectation_stack(sys, a), compose[v], w_left), right, w_right)
     return np.abs(lhs - rhs).max(axis=1)
 
 

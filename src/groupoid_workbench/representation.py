@@ -33,7 +33,11 @@ spectra are reductions over the stacks, one batched eigensolve per block
 size.  The ``*_stack`` functions evaluate a (T, n) stack of trials the same
 way, with the trial axis in front of the unit axis, so one eigensolve per
 block size covers every trial of a chunk; the one-function forms pass their
-1-D coefficients to the same kernels.
+1-D coefficients to the same kernels.  The inclusion suite's fiber checks
+(:func:`fiber_block_stacks`) take every unit's block from ``rep_tables()``
+and its fiber sub-blocks and translations by index gathers, with one
+eigensolve per fiber-block size; :func:`decompose_rep_U` and
+:func:`translate_rep_V` build the same blocks one unit at a time.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
@@ -198,10 +202,52 @@ def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
     return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
-def _identity_fiber_stack(sys: GradedGroupoid, a_e: np.ndarray) -> np.ndarray:
-    if a_e.ndim != 2 or a_e.shape[1] != sys.identity_fiber.n_arrows:
-        raise ValueError("Stack must hold functions on the identity-fiber subgroupoid.")
-    return a_e
+def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
+    """Positions grouped by equal (nonnegative) key: one (groups, size) array
+    per group size, groups in key order and members in position order."""
+    order = np.argsort(key, kind="stable")
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    sizes = np.diff(first, append=len(key))
+    return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
+
+
+def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """:func:`decompose_rep_U` and :func:`translate_rep_V` (default z) at
+    every unit and fiber, for a (T, n_e) stack f of identity-fiber functions.
+    The arrows of one source and fiber form a segment; segments are grouped
+    by size L into (S, L) arrays in (unit, fiber) order.  Returns each
+    trial's largest deviation of the blocks of i(f) from the direct sum of
+    the fiber blocks built from f, and per L the segments, their fiber
+    blocks (T, S, L, L) and the largest deviation (T, S) of each block,
+    translated, from the identity-fiber block at r(z)."""
+    g, sub, haar, fiber = sys.groupoid, sys.identity_fiber, sys.haar, sys.fiber_index
+    compose, inv, to_sub, w = g.compose_matrix(), g.invert_index, parent_to_sub_index(sys), _range_weights(g, haar)
+    lifted = include_stack(sub, f, g)
+    cross = [(fiber[a][:, :, None] != fiber[a][:, None, :], m) for (_, a, _), m in zip(g.rep_tables(), _stacks_of(g, lifted, haar, g.rep_tables()))]
+    error = functools.reduce(np.maximum, [np.abs(np.where(mask, m, 0.0)).max(axis=(-3, -2, -1)) for mask, m in cross])
+    key = g.src_index * len(sys.fiber_keys) + fiber
+    groups = _equal_size_groups(key)
+    # the identity-fiber blocks, by block size, with their units
+    targets = {a.shape[1]: (units, m) for (units, a, _), m in zip(sub.rep_tables(), _stacks_of(sub, f, haar, sub.rep_tables()))}
+    position = np.empty(g.n_arrows, dtype=np.intp)  # of every arrow in its segment
+    identity, out = sys.fiber_number(sys.group.identity), []
+    for seg in groups:
+        position[seg] = np.arange(seg.shape[1])
+        products = compose[seg[:, :, None], inv[seg][:, None, :]]
+        sub_idx = to_sub[products]
+        scale = np.sqrt(w[seg][:, :, None] * w[seg][:, None, :])
+        blocks = np.where(sub_idx >= 0, f.take(np.clip(sub_idx, 0, None), axis=-1), 0.0) * scale
+        error = np.maximum(error, np.abs(_rep_entries(lifted, w, seg, products) - blocks).max(axis=(-3, -2, -1)))
+        first = seg[:, 0]
+        z = np.where(fiber[first] == identity, g.unit_arrow_index[g.src_index[first]], first)
+        # the identity-fiber arrows with source r(z): the segment keyed (r(z), e), of size L
+        codomain = seg[np.searchsorted(key[first], key[g.unit_arrow_index[g.dst_index[z]]])]
+        shift = position[compose[codomain, z[:, None]]]
+        translated = blocks[..., np.arange(len(seg))[:, None, None], shift[:, :, None], shift[:, None, :]]
+        units, stack = targets[seg.shape[1]]
+        target = stack[..., [units.index(g.units[v]) for v in g.dst_index[z]], :, :]
+        out.append((seg, blocks, np.abs(translated - target).max(axis=(-2, -1))))
+    return error, out
 
 
 def _of_identity_fiber(sys: GradedGroupoid, a_e: GroupoidFunction) -> np.ndarray:
@@ -211,56 +257,35 @@ def _of_identity_fiber(sys: GradedGroupoid, a_e: GroupoidFunction) -> np.ndarray
 
 
 def _fiber_rep_block(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str, ...]) -> np.ndarray:
-    """The block of every trial of a (..., n_e) stack on a set of
-    same-source, same-fiber arrows, from the entry formula."""
+    """The block of an identity-fiber function on a set of same-source,
+    same-fiber arrows, from the entry formula."""
     g = sys.groupoid
     gidx = np.array([g.index(aid) for aid in arrow_ids], dtype=np.intp)
     table = g.compose_matrix()[np.ix_(gidx, g.invert_index[gidx])]
     if (table < 0).any():
         raise ValueError("Block arrows do not share a source; groupoid invalid.")
     sub_idx = parent_to_sub_index(sys)[table]
-    vals = np.where(sub_idx >= 0, a_e[..., np.clip(sub_idx, 0, None)], 0.0)
-    rho_per_unit = np.array([sys.haar.unit_weight(v) for v in g.units])
-    weights = rho_per_unit[g.dst_index[gidx]]
+    vals = np.where(sub_idx >= 0, a_e[np.clip(sub_idx, 0, None)], 0.0)
+    weights = _range_weights(g, sys.haar)[gidx]
     return vals * np.sqrt(np.outer(weights, weights))
-
-
-def _decompose(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """The fiber blocks at u (element key -> block, in block order), the
-    permuted full representation and the largest deviation between the two,
-    for every trial of a (..., n_e) stack of identity-fiber functions.
-
-    Empty fibers contribute no block; the fiber subspaces partition the space,
-    so the permuted matrix must be exactly the direct sum.
-    """
-    g = sys.groupoid
-    full = _rep_matrix_stack(g, include_stack(sys.identity_fiber, a_e, g), sys.haar, u)
-    partition = _fiber_partition_at(sys, u)
-    order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
-    perm = np.array([order[aid] for ids in partition.values() for aid in ids], dtype=np.intp)
-    permuted = full[..., perm[:, None], perm[None, :]]
-    blocks = {key: _fiber_rep_block(sys, a_e, tuple(ids)) for key, ids in partition.items()}
-    direct_sum = np.zeros_like(permuted)
-    offset = 0
-    for block in blocks.values():
-        d = block.shape[-1]
-        direct_sum[..., offset : offset + d, offset : offset + d] = block
-        offset += d
-    return blocks, permuted, np.abs(permuted - direct_sum).max(axis=(-2, -1))
-
-
-def decompose_rep_U_stack(sys: GradedGroupoid, a_e: np.ndarray, u: str) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """:func:`decompose_rep_U` for every trial of a (T, n_e) stack: the fiber
-    blocks, (T, d, d) each in block order, and each trial's largest deviation."""
-    blocks, _, error = _decompose(sys, _identity_fiber_stack(sys, a_e), u)
-    return blocks, error
 
 
 def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
     """Sort the basis at u into fiber blocks and compare the directly built
-    blocks against the permuted full representation of the included function."""
-    blocks, permuted, error = _decompose(sys, _of_identity_fiber(sys, a_e), u)
-    return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(error))
+    blocks against the permuted full representation of the included function.
+    Empty fibers contribute no block; the fiber subspaces partition the
+    space, so the permuted matrix must be exactly the direct sum."""
+    g, coeffs = sys.groupoid, _of_identity_fiber(sys, a_e)
+    full = _rep_matrix_stack(g, include_stack(sys.identity_fiber, coeffs, g), sys.haar, u)
+    partition = _fiber_partition_at(sys, u)
+    order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
+    perm = np.array([order[aid] for ids in partition.values() for aid in ids], dtype=np.intp)
+    permuted = full[perm[:, None], perm[None, :]]
+    blocks = {key: _fiber_rep_block(sys, coeffs, tuple(ids)) for key, ids in partition.items()}
+    direct_sum = np.zeros_like(permuted)
+    for block, end in zip(blocks.values(), np.cumsum([len(ids) for ids in partition.values()])):
+        direct_sum[end - len(block) : end, end - len(block) : end] = block
+    return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(np.abs(permuted - direct_sum).max()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,28 +343,6 @@ def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -
     return gamma_key, z, v, domain, vmat
 
 
-def _translate(sys: GradedGroupoid, a_e: np.ndarray, v: str, domain: tuple[str, ...], vmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fiber block on ``domain``, its conjugate by ``vmat`` and the
-    identity-fiber block at v, for every trial of a (..., n_e) stack."""
-    block = _fiber_rep_block(sys, a_e, domain)
-    target = _rep_matrix_stack(sys.identity_fiber, a_e, sys.haar, v)  # on the identity-fiber subgroupoid
-    return block, vmat @ block @ vmat.conj().T, target
-
-
-def translate_rep_V_stack(
-    sys: GradedGroupoid,
-    a_e: np.ndarray,
-    u: str,
-    gamma: Any,
-    z_arrow: str | None = None,
-) -> np.ndarray:
-    """The largest deviation of :func:`translate_rep_V` for every trial of a
-    (T, n_e) stack of identity-fiber functions."""
-    _, _, v, domain, vmat = _translation(sys, u, gamma, z_arrow)
-    _, translated, target = _translate(sys, _identity_fiber_stack(sys, a_e), v, domain, vmat)
-    return np.abs(translated - target).max(axis=(1, 2))
-
-
 def translate_rep_V(
     sys: GradedGroupoid,
     a_e: GroupoidFunction,
@@ -351,5 +354,7 @@ def translate_rep_V(
     (see :func:`_translation` for the choice of z).  In the orthonormalized
     bases the translation is a permutation matrix, hence exactly unitary."""
     gamma_key, z, v, domain, vmat = _translation(sys, u, gamma, z_arrow)
-    block, translated, target = _translate(sys, _of_identity_fiber(sys, a_e), v, domain, vmat)
+    block = _fiber_rep_block(sys, _of_identity_fiber(sys, a_e), domain)
+    target = _rep_matrix_stack(sys.identity_fiber, a_e.coeffs, sys.haar, v)  # on the identity-fiber subgroupoid
+    translated = vmat @ block @ vmat.conj().T
     return TranslationWitness(u, v, gamma_key, z, vmat, block, translated, target, float(np.abs(translated - target).max()))

@@ -16,6 +16,7 @@ identities, 1e-9 relative for anything passing through an eigensolve.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -51,7 +52,7 @@ from .groupoid import left_invariance_stack, validate_groupoid
 from .hilbert_module import (
     L_operator_norm_stack,
     action_stack,
-    eq_ruy_defect_stack,
+    eq_ruy_delta_defect_stack,
     eq_ruy_tolerance,
     expectation_stack,
     induced_space,
@@ -62,11 +63,10 @@ from .hilbert_module import (
 from .representation import (
     cstar_norm,
     cstar_norm_stack,
-    decompose_rep_U_stack,
+    fiber_block_stacks,
     operator_norms,
     positivity_stack,
     spectrum,
-    translate_rep_V_stack,
 )
 
 ALG_TOL = 1e-12
@@ -419,13 +419,9 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
     )
     (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
     ambient = cstar_norm_stack(g, include_stack(sub, f, g), haar)
-    block_max = np.zeros(UNITARY_TRIALS)
-    u_defect = 0.0
-    for u in g.units:
-        blocks, error = decompose_rep_U_stack(sys, f, u)
-        u_defect = _worst(u_defect, error)
-        for block in blocks.values():
-            block_max = np.maximum(block_max, operator_norms(block))
+    errors, segments = fiber_block_stacks(sys, f)
+    u_defect = _worst(errors)
+    block_max = functools.reduce(np.maximum, [operator_norms(blocks).max(axis=-1) for _, blocks, _ in segments])
     fiber_max = cstar_norm_stack(sub, f, haar)
     chain = _worst(_rel(np.abs(block_max - ambient), ambient), _rel(np.abs(fiber_max - ambient), ambient))
     rec.add(
@@ -445,12 +441,9 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
         trials=UNITARY_TRIALS,
     )
     (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
-    v_defect = 0.0
-    checked = 0
-    for ui, u in enumerate(g.units):
-        for k in np.unique(sys.fiber_index[g.src_index == ui]):
-            v_defect = _worst(v_defect, translate_rep_V_stack(sys, f, u, sys.fiber_elements[k]))
-            checked += UNITARY_TRIALS
+    _, segments = fiber_block_stacks(sys, f)
+    v_defect = _worst(*(error for _, _, error in segments))
+    checked = UNITARY_TRIALS * sum(len(seg) for seg, _, _ in segments)
     rec.add(
         "fiber-translation-unitaries",
         "right translation by a fiber arrow conjugates blocks to the identity-fiber representation",
@@ -679,16 +672,13 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
         max_rel_defect=bimodule,
         trials=count,
     )
-    # every trial's a against every delta b, one defect each
+    # every trial's a against every delta b, one defect each, chunked over
+    # the (trial, delta) rows; every delta has largest modulus 1
     (a,) = random_stacks(rng, SMALL_TRIALS, g)
-    ruy_defect = 0.0
-    ruy_ok = True
-    for s in trial_chunks(SMALL_TRIALS, g.n_arrows * g.n_arrows):
-        a_rows = np.repeat(a[s], g.n_arrows, axis=0)
-        b_rows = np.tile(deltas, (len(a[s]), 1))
-        defects = eq_ruy_defect_stack(sys, a_rows, b_rows)
-        ruy_defect = _worst(ruy_defect, defects)
-        ruy_ok = ruy_ok and bool((defects <= eq_ruy_tolerance(a_rows, b_rows, ALG_TOL)).all())
+    trial, v = np.divmod(np.arange(SMALL_TRIALS * g.n_arrows), g.n_arrows)
+    defects = np.concatenate([eq_ruy_delta_defect_stack(sys, a[trial[s]], v[s]) for s in trial_chunks(len(v), g.n_arrows)])
+    ruy_defect = _worst(defects)
+    ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)), ALG_TOL)[trial]).all())
     rec.add(
         "fiber-sandwich-identity",
         "i(<b, a*b>) = b^* P(a) b for fiber-supported b",

@@ -4,8 +4,16 @@ Every suite evaluates its seeded trials as (T, n) coefficient stacks.  The
 one-function API calls the same kernels with T = 1, so a stack must give
 exactly the values of T separate calls, whatever T is and however the trial
 axis is chunked; and the block draw must reproduce the sequential draws.
-The convolution kernel sums with ``bincount``; ``reference_convolve`` is the
-``np.add.at`` sum it replaced, and must agree bitwise too.
+The convolution kernel sums with one ``bincount`` over interleaved (real,
+imaginary) bins; ``reference_convolve`` is the ``np.add.at`` sum it replaced
+first, and ``reference_convolve_stack`` and ``reference_i_norm_stack`` the
+two-``bincount`` kernels (real and imaginary parts, direct and inverted
+fiber sums apart) it replaced next.  All must agree bitwise (as uint64
+views, so the signs of zeros count too).  The inclusion suite's all-units
+kernel ``fiber_block_stacks`` must give, bit for bit, the one-function
+``decompose_rep_U`` and ``translate_rep_V`` at every unit and fiber, and
+the expectation suite's delta gathers the four-convolution
+``eq_ruy_defect_stack``.
 
 The memory test runs the module suite on the Z-graded pair groupoid with
 n = 10 (100 arrows) under ``tracemalloc``: without the chunk budget, one
@@ -21,7 +29,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupoid_workbench import algebra
+from groupoid_workbench import algebra, hilbert_module, representation
 from groupoid_workbench.algebra import (
     GroupoidFunction,
     convolve,
@@ -42,6 +50,8 @@ from groupoid_workbench.document import parse_document
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     L_operator_norm_stack,
+    eq_ruy_defect_stack,
+    eq_ruy_delta_defect_stack,
     inner_product_stack,
     module_inner_product,
     module_norm,
@@ -51,11 +61,10 @@ from groupoid_workbench.representation import (
     cstar_norm,
     cstar_norm_stack,
     decompose_rep_U,
-    decompose_rep_U_stack,
+    fiber_block_stacks,
     positivity_check,
     positivity_stack,
     translate_rep_V,
-    translate_rep_V_stack,
 )
 from groupoid_workbench.verify import _Recorder, _suite_module
 
@@ -70,6 +79,47 @@ def reference_convolve(a: GroupoidFunction, b: GroupoidFunction, haar) -> np.nda
     out = np.zeros(g.n_arrows, dtype=np.complex128)
     np.add.at(out, zs, a.coeffs[ys] * b.coeffs[ts] * haar.weights(g)[ys])
     return out
+
+
+def _bin_rows(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
+    """Row by row, ``out[..., index[j]] += values[..., j]`` in the order of
+    j, by ``bincount``, for real values (..., m) with at most one leading axis."""
+    lead = values.shape[:-1]
+    bins = (index + width * np.arange(lead[0])[:, None]).ravel() if lead else index
+    return np.bincount(bins, values.ravel(), width * (lead[0] if lead else 1)).reshape(lead + (width,))
+
+
+def reference_convolve_stack(g, a: np.ndarray, b: np.ndarray, haar) -> np.ndarray:
+    """The convolution with the real and imaginary parts summed by two
+    ``bincount`` calls."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    ys, ts, zs = g.composable_pairs()
+    w = haar.weights(g)[ys]
+
+    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        terms = x.take(ys, axis=-1) * y.take(ts, axis=-1) * w
+        out = np.empty(x.shape, dtype=np.complex128)
+        out.real = _bin_rows(terms.real, zs, g.n_arrows)
+        out.imag = _bin_rows(terms.imag, zs, g.n_arrows)
+        return out
+
+    return algebra.chunked(kernel, len(zs), a, b)
+
+
+def reference_i_norm_stack(g, a: np.ndarray, haar) -> np.ndarray:
+    """The I-norm with the direct and inverted fiber sums apart."""
+    w = haar.weights(g)
+    mags = np.abs(a)
+    direct = _bin_rows(mags * w, g.dst_index, g.n_units)
+    inverted = _bin_rows(mags.take(g.invert_index, axis=-1) * w, g.dst_index, g.n_units)
+    return np.maximum(direct.max(axis=-1), inverted.max(axis=-1))
+
+
+def bitwise(x, y) -> bool:
+    """Equal shapes, dtypes and bits, the signs of zeros included."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and bool((x.view(np.uint64) == y.view(np.uint64)).all())
 
 
 def draws(g, seed: int, count: int) -> tuple[np.ndarray, list[GroupoidFunction]]:
@@ -123,22 +173,97 @@ def test_module_kernels_match_scalar_calls(doc):
         assert identical(restrict_stack(g, a, sub), [restrict_q(x, sub) for x in fa])
 
 
-@pytest.mark.parametrize("doc", CORPUS[::3], ids=lambda d: d.name)
-def test_fiber_blocks_match_scalar_calls(doc):
+@pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
+@pytest.mark.parametrize("on_identity_fiber", [False, True], ids=["G", "G_e"])
+def test_one_bincount_matches_two(doc, on_identity_fiber):
+    sys = doc.system
+    g = sys.identity_fiber if on_identity_fiber else sys.groupoid
+    haar = sys.haar
+    a, _ = draws(g, 8000, 37)
+    b, _ = draws(g, 8001, 37)
+    deltas = np.eye(g.n_arrows, dtype=np.complex128)
+    pairs = [
+        (a[0], b[0]),  # one function
+        (a[:1], b[:1]),
+        (a, b),
+        (a.real.copy(), b.real.copy()),  # real-valued
+        (a[:1], b),  # broadcast
+        (a, b[:1]),
+        (deltas, np.resize(b, deltas.shape)),
+        (deltas, deltas.real),
+    ]
+    for x, y in pairs:
+        assert bitwise(convolve_stack(g, x, y, haar), reference_convolve_stack(g, x, y, haar))
+    for x in (a[0], a[:1], a, a.real.copy()):
+        assert bitwise(np.asarray(i_norm_stack(g, x, haar)), np.asarray(reference_i_norm_stack(g, x, haar)))
+
+
+@pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
+@pytest.mark.parametrize("corrupted", [False, True], ids=["", "reversed-identity-index"])
+def test_fiber_blocks_match_scalar_calls(doc, corrupted, monkeypatch):
+    """Every unit and fiber of the all-units kernel against the one-function
+    decomposition and translation, bit for bit.  The deviations are exactly
+    zero on a graded groupoid, so they are also compared with the fiber
+    blocks read from the identity-fiber arrows in reverse order, where they
+    are not."""
     sys = doc.system
     g = sys.groupoid
+    if corrupted:
+        index = representation.parent_to_sub_index(sys)
+        reversed_index = np.where(index >= 0, index.max() - index, -1)
+        monkeypatch.setattr(representation, "parent_to_sub_index", lambda _: reversed_index)
     f, ff = draws(sys.identity_fiber, 6000, 3)
-    for ui, u in enumerate(g.units):
-        blocks, error = decompose_rep_U_stack(sys, f, u)
-        singles = [decompose_rep_U(sys, x, u) for x in ff]
-        assert identical(error, [s.max_abs_error for s in singles])
-        assert all(tuple(blocks) == s.block_order for s in singles)
-        for key, block in blocks.items():
-            assert identical(block, [s.blocks[key] for s in singles])
-        for k in np.unique(sys.fiber_index[g.src_index == ui]):
-            gamma = sys.fiber_elements[k]
-            error = translate_rep_V_stack(sys, f, u, gamma)
-            assert identical(error, [translate_rep_V(sys, x, u, gamma).max_abs_error for x in ff])
+    errors, segments = fiber_block_stacks(sys, f)
+    singles = {u: [decompose_rep_U(sys, x, u) for x in ff] for u in g.units}
+    assert bitwise(errors, np.array([max(dec[t].max_abs_error for dec in singles.values()) for t in range(3)]))
+    covered = 0
+    for seg, blocks, translation in segments:
+        assert blocks.shape == (3, len(seg), seg.shape[1], seg.shape[1]) and translation.shape == (3, len(seg))
+        for s, arrows in enumerate(seg):
+            u = g.units[g.src_index[arrows[0]]]
+            key = sys.fiber_keys[sys.fiber_index[arrows[0]]]
+            assert (sys.fiber_index[arrows] == sys.fiber_index[arrows[0]]).all() and (g.src_index[arrows] == g.src_index[arrows[0]]).all()
+            gamma = sys.fiber_elements[sys.fiber_index[arrows[0]]]
+            for t, x in enumerate(ff):
+                assert bitwise(blocks[t, s], singles[u][t].blocks[key])
+                assert bitwise(translation[t, s], np.float64(translate_rep_V(sys, x, u, gamma).max_abs_error))
+            covered += len(arrows)
+    assert covered == g.n_arrows  # the segments partition the arrows
+    if not corrupted:
+        assert errors.max() == 0.0 and all(translation.max() == 0.0 for *_, translation in segments)
+    elif sys.identity_fiber.n_arrows > 1:
+        assert errors.min() > 0.0 and any(translation.max() > 0.0 for *_, translation in segments)
+
+
+@pytest.mark.parametrize("doc", CORPUS + [None], ids=lambda d: d.name if d else "pair14-builtin")
+@pytest.mark.parametrize("leaky", [False, True], ids=["P", "P-keeps-one-more-fiber"])
+def test_delta_gathers_match_four_convolutions(doc, leaky, monkeypatch):
+    """``fiber-sandwich-identity`` by gathers against the same identity by
+    convolutions, on every (trial, delta) row, bit for bit.  The identity
+    holds exactly on a groupoid, so the defects are also compared with an
+    expectation that keeps one more fiber; where that fiber has an isotropy
+    arrow x, so that v x v^{-1} is defined for the deltas v into s(x), the
+    defects are not zero."""
+    if doc is None:
+        from pair_documents import pair_documents
+
+        from groupoid_workbench.document import document_from_dict
+
+        doc = document_from_dict(pair_documents(14)["pair14-builtin"])
+    sys = doc.system
+    n = sys.groupoid.n_arrows
+    g = sys.groupoid
+    isotropy = np.flatnonzero(~sys.identity_mask & (g.src_index == g.dst_index))
+    if leaky:
+        other = np.concatenate([isotropy, np.flatnonzero(~sys.identity_mask), [0]])[0]
+        keep = sys.identity_mask | (sys.fiber_index == sys.fiber_index[other])
+        monkeypatch.setattr(hilbert_module, "expectation_stack", lambda _, x: np.where(keep, x, 0.0))
+    count = 3 if n <= 25 else 1
+    a, _ = draws(sys.groupoid, 9000, count)
+    rows, v = np.repeat(a, n, axis=0), np.tile(np.arange(n), count)
+    want = eq_ruy_defect_stack(sys, rows, np.tile(np.eye(n, dtype=np.complex128), (count, 1)))
+    assert bitwise(eq_ruy_delta_defect_stack(sys, rows, v), want)
+    assert (want > 0).any() == (leaky and len(isotropy) > 0)
 
 
 @pytest.mark.parametrize("name", ["pair5-zgraded-weighted", "s3-action-weighted", "union-z2-z3-counting"])

@@ -1,9 +1,12 @@
 """Document parsing: formats, validation errors with paths, round-trips."""
 
 import json
+import time
 
 import pytest
 
+from groupoid_workbench import document
+from groupoid_workbench.cli import main
 from groupoid_workbench.document import (
     DocumentError,
     build_groupoid,
@@ -337,3 +340,79 @@ class TestStrictIntegers:
         with pytest.raises(DocumentError) as err:
             document_from_dict(raw)
         assert err.value.path == "group.free_abelian.rank"
+
+
+class TestSizeBudget:
+    """A builtin spec is sized from its parameters by closed forms, and one
+    over ``MAX_BUILTIN_ARROWS`` is rejected at its ``params`` before anything
+    is built.  The budget is patched small here; the oversize specs run with
+    the builders replaced by a failure, so a missing check cannot build them."""
+
+    SMALL = {
+        "pair": ({"n": 3}, 9),
+        "cyclic_group": ({"n": 5}, 5),
+        "symmetric_group": ({"n": 3}, 6),
+        "cyclic_action": ({"points": 3}, 9),
+        "symmetric_action": ({"points": 3}, 18),
+        "group_bundle_cyclic": ({"orders": [2, 3, 4]}, 9),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SMALL))
+    def test_closed_forms_match_the_builds(self, name, monkeypatch):
+        params, arrows = self.SMALL[name]
+        spec = {"builtin": name, "params": params}
+        assert build_groupoid(spec).n_arrows == arrows
+        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows)
+        assert build_groupoid(spec).n_arrows == arrows
+        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows - 1)
+        with pytest.raises(DocumentError, match=f"{name} describes {arrows} arrows") as err:
+            build_groupoid(spec)
+        assert err.value.path == "groupoid.params"
+
+    @pytest.mark.parametrize("combinator, arrows", [("disjoint_union", (1 + 4) + 5), ("product", (1 + 4) * 5)])
+    def test_combinators_add_and_multiply(self, combinator, arrows, monkeypatch):
+        explicit = {"explicit": {"units": ["u"], "arrows": [{"id": "u", "src": "u", "dst": "u"}], "compose": [["u", "u", "u"]], "invert": {"u": "u"}, "unit_arrows": {"u": "u"}}}
+        inner = {"builtin": "disjoint_union", "params": {"left": explicit, "right": {"builtin": "pair", "params": {"n": 2}}}}
+        spec = {"builtin": combinator, "params": {"left": inner, "right": {"builtin": "cyclic_group", "params": {"n": 5}}}}
+        assert build_groupoid(spec).n_arrows == arrows
+        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows - 1)
+        with pytest.raises(DocumentError, match=f"{combinator} describes {arrows} arrows") as err:
+            build_groupoid(spec)
+        assert err.value.path == "groupoid.params"
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("pair", {"n": 100_000}),
+            ("pair", {"n": 10**400}),
+            ("symmetric_group", {"n": 12}),
+            ("cyclic_group", {"n": 10**6}),
+            ("symmetric_action", {"points": 10**9}),
+            ("group_bundle_cyclic", {"orders": [4096, 1]}),
+        ],
+    )
+    def test_oversize_specs_rejected_before_building(self, name, params, monkeypatch, tmp_path):
+        def never(*args):
+            raise AssertionError("an oversize spec was built")
+
+        monkeypatch.setattr(document, "_build_builtin", never)
+        raw = minimal_pair_doc()
+        raw["groupoid"] = {"builtin": name, "params": params}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(raw))
+        started = time.perf_counter()
+        assert main(["validate", str(path)]) == 2
+        assert time.perf_counter() - started < 1.0
+        with pytest.raises(DocumentError) as err:
+            parse_document(path.read_text())
+        assert err.value.path == "groupoid.params" and "over the budget of 4096" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": -5}, {"n": True}, {"n": "100000"}, {}, {"m": 10**6}],
+    )
+    def test_invalid_parameters_keep_their_own_errors(self, params, monkeypatch):
+        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", 0)
+        with pytest.raises(DocumentError) as err:
+            build_groupoid({"builtin": "pair", "params": params})
+        assert "budget" not in str(err.value)

@@ -27,15 +27,17 @@ from groupoid_workbench.algebra import (
     unit_function,
     zero,
 )
+from groupoid_workbench import algebra, bundle
 from groupoid_workbench.bundle import (
     FiberRep,
     GradedSubspaceFamily,
+    check_grading_axioms,
     check_topological_grading,
     graded_subspaces,
 )
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
-from groupoid_workbench.grading import GradedGroupoid, validate_cocycle
+from groupoid_workbench.grading import Cocycle, GradedGroupoid, validate_cocycle
 from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, validate_groupoid, validate_left_invariance
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
@@ -955,3 +957,47 @@ def test_delta_rule_names_the_reference_defect(name, monkeypatch):
             want = reference_delta_rule_defect(g, haar)
             assert want > ALG_TOL
             assert _delta_rule_defect(g, haar) == want
+
+
+def _report(report: CheckReport) -> tuple:
+    return report.ok, report.cause, dict(report.witness)
+
+
+@pytest.mark.parametrize("name", sorted(d.name for d in builtin_corpus(seed=0)))
+def test_grading_axioms_in_one_convolution_name_the_reference_witness(name, monkeypatch):
+    """All fibers' random products in one convolution report what the
+    per-fiber loop reports: unmodified, with a unit arrow labelled off the
+    identity (the basis check fails first), and with a convolution that leaks into one arrow of
+    a fiber where the product cannot live, for the first such (beta, gamma)
+    pair and for the adjoint alone."""
+    doc = next(d for d in builtin_corpus(seed=0) if d.name == name)
+    sys = doc.system
+    family = graded_subspaces(sys)
+    for seed in (0, 5):
+        assert _report(check_grading_axioms(family, seed)) == _report(reference_check_grading_axioms(family, seed)) == (True, None, {})
+    if len(sys.fiber_keys) == 1:
+        return
+    g = sys.groupoid
+    labels = dict(zip(g.arrow_ids, (sys.fiber_elements[k] for k in sys.fiber_index)))
+    unit = g.unit_arrow_index[-1]  # labelled off the identity, so that c(u) c(u) != c(u)
+    labels[g.arrow_ids[unit]] = sys.fiber_elements[sys.fiber_index[~sys.identity_mask][0]]
+    corrupted = graded_subspaces(GradedGroupoid(g, sys.haar, Cocycle(sys.group, labels)))
+    got = check_grading_axioms(corrupted)
+    assert not got.ok and _report(got) == _report(reference_check_grading_axioms(corrupted))
+    convolve_stack, involute_stack = algebra.convolve_stack, algebra.involute_stack
+    leak = int(np.flatnonzero(sys.fiber_index != sys.fiber_index[0])[-1])  # off the fiber of arrow 0
+
+    def leaky(g_, a, b, haar):
+        out = convolve_stack(g_, a, b, haar)
+        return out + np.where(np.arange(g_.n_arrows) == leak, (np.abs(a).sum(axis=-1) > 0)[..., None] * 1e-3, 0.0)
+
+    def leaky_star(g_, a):
+        return np.where(np.arange(g_.n_arrows) == leak, 1.0, involute_stack(g_, a))
+
+    for patches in ({"convolve_stack": leaky}, {"involute_stack": leaky_star}):
+        with monkeypatch.context() as patch:
+            for attr, fn in patches.items():
+                patch.setattr(algebra, attr, fn)
+                patch.setattr(bundle, attr, fn)
+            got, want = check_grading_axioms(family, 3), reference_check_grading_axioms(family, 3)
+            assert not got.ok and _report(got) == _report(want)

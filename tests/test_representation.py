@@ -40,14 +40,12 @@ from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import (
     cstar_norm,
     decompose_rep_U,
-    decompose_rep_U_stack,
     operator_norm,
     positivity_check,
     regular_rep_matrix,
     rep_blocks,
     spectrum,
     translate_rep_V,
-    translate_rep_V_stack,
 )
 
 from conftest import rng_functions
@@ -331,17 +329,18 @@ class TestReportedDeviation:
     |translated - target| (translation) or |permuted - direct sum of blocks|
     (decomposition).  It is exactly 0 on valid input, so these tests feed a
     deliberately permuted v_matrix or fiber block, which gives a known
-    nonzero deviation, and assert its exact maximum in the one-function and
-    the stack form.  One fiber on pair3 makes every block 3 x 3."""
+    nonzero deviation, and assert its exact maximum.  One fiber on pair3
+    makes every block 3 x 3.  The all-units kernel of the inclusion suite is
+    checked against these functions in ``tests/test_batched_kernels.py``."""
 
     @pytest.fixture
     def setup(self):
         sys = next(doc for doc in builtin_corpus(seed=0) if doc.name == "pair3-trivial-weighted").system
         functions = rng_functions(sys.identity_fiber, seed=41, count=3)
-        return sys, functions, np.stack([f.coeffs for f in functions])
+        return sys, functions
 
     def test_translation_reports_the_largest_deviation(self, setup, monkeypatch):
-        sys, functions, stack = setup
+        sys, functions = setup
         translation = representation._translation
 
         def reversed_rows(*args):
@@ -355,11 +354,9 @@ class TestReportedDeviation:
             assert np.array_equal(wit.translated, wit.v_matrix @ wit.fiber_block @ wit.v_matrix.T)
             deviation = np.abs(wit.translated - wit.target_block)
             assert wit.max_abs_error == deviation.max() > deviation.min() >= 0.0
-        errors = translate_rep_V_stack(sys, stack, "1", gamma)
-        assert errors.tolist() == [wit.max_abs_error for wit in singles]
 
     def test_decomposition_reports_the_largest_deviation(self, setup, monkeypatch):
-        sys, functions, stack = setup
+        sys, functions = setup
         block = representation._fiber_rep_block
         monkeypatch.setattr(representation, "_fiber_rep_block", lambda *args: block(*args)[..., ::-1, :])
         singles = [decompose_rep_U(sys, f, "2") for f in functions]
@@ -367,6 +364,3 @@ class TestReportedDeviation:
             assert dec.block_order == (sys.fiber_keys[0],)
             deviation = np.abs(dec.permuted_matrix - dec.blocks[sys.fiber_keys[0]])
             assert dec.max_abs_error == deviation.max() > deviation.min() >= 0.0
-        blocks, errors = decompose_rep_U_stack(sys, stack, "2")
-        assert errors.tolist() == [dec.max_abs_error for dec in singles]
-        assert np.array_equal(blocks[sys.fiber_keys[0]], np.stack([dec.blocks[sys.fiber_keys[0]] for dec in singles]))
