@@ -22,9 +22,9 @@ the coefficients evaluate the trial axis in chunks of at most
 :data:`TRIAL_CHUNK_ENTRIES` entries (:func:`chunked`).  Each trial is
 evaluated exactly as it would be alone, so a stack gives bit for bit the
 values of T separate calls.  The convolution and the I-norm sum their terms
-by one ``bincount`` over interleaved bins, each complex term a (real,
-imaginary) pair of float64 bins, so every bin takes its terms in the order
-of a sum trial by trial and pair by pair.
+by one ``bincount`` per product (the convolution over interleaved bins, each
+complex term a (real, imaginary) pair of float64 bins), so every bin takes
+its terms in the order of a sum trial by trial and pair by pair.
 """
 
 from __future__ import annotations
@@ -156,13 +156,12 @@ def chunked(kernel: Callable[..., np.ndarray], per_trial: int, *stacks: np.ndarr
     return np.concatenate([kernel(*(x[s] for x in stacks)) for s in chunks])
 
 
-def _bin_pairs(values: np.ndarray, index: np.ndarray, width: int) -> np.ndarray:
-    """Row by row, ``out[..., 2 index[j] + k] += values[..., 2 j + k]`` for
-    k = 0, 1 in the order of j, by one ``bincount`` over interleaved bins:
-    values (..., 2m) hold m (real, imaginary) or other pairs."""
+def _bin_rows(values: np.ndarray, bins: np.ndarray, width: int) -> np.ndarray:
+    """Row by row, ``out[..., bins[j]] += values[..., j]`` in the order of j,
+    by one ``bincount`` over every row of real values (..., m)."""
     rows = values.reshape(-1, values.shape[-1])
-    bins = ((2 * index)[:, None] + np.arange(2)).ravel() + 2 * width * np.arange(len(rows))[:, None]
-    return np.bincount(bins.ravel(), rows.ravel(), 2 * width * len(rows)).reshape(values.shape[:-1] + (2 * width,))
+    offsets = bins if len(rows) == 1 else (bins + width * np.arange(len(rows))[:, None]).ravel()
+    return np.bincount(offsets, rows.ravel(), width * len(rows)).reshape(values.shape[:-1] + (width,))
 
 
 def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSystem) -> np.ndarray:
@@ -171,15 +170,16 @@ def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSy
 
     Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial in
     composable-pair order, by one ``bincount`` over the terms viewed as
-    (real, imaginary) pairs."""
+    (real, imaginary) pairs of float64, into the bins 2x and 2x + 1."""
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     ys, ts, zs = g.composable_pairs()
     w = haar.weights(g)[ys]
+    bins = np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel()
 
     def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         terms = (x.take(ys, axis=-1) * y.take(ts, axis=-1) * w).astype(np.complex128, copy=False)
-        return _bin_pairs(terms.view(np.float64), zs, g.n_arrows).view(np.complex128)
+        return _bin_rows(terms.view(np.float64), bins, 2 * g.n_arrows).view(np.complex128)
 
     return chunked(kernel, len(zs), a, b)
 
@@ -202,10 +202,11 @@ def involute(a: GroupoidFunction) -> GroupoidFunction:
 
 def i_norm_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
     """The I-norm of every trial of a (..., n) stack: the direct and the
-    inverted fiber sums are summed as pairs by one ``bincount``."""
+    inverted fiber sums are one ``bincount``, the inverted ones in the bins
+    after the direct ones."""
     w, mags = haar.weights(g), np.abs(a)
-    pairs = np.stack([mags * w, mags.take(g.invert_index, axis=-1) * w], axis=-1)
-    return _bin_pairs(pairs.reshape(mags.shape[:-1] + (-1,)), g.dst_index, g.n_units).max(axis=-1)
+    both = np.concatenate([mags * w, mags.take(g.invert_index, axis=-1) * w], axis=-1)
+    return _bin_rows(both, np.concatenate([g.dst_index, g.dst_index + g.n_units]), 2 * g.n_units).max(axis=-1)
 
 
 def i_norm(a: GroupoidFunction, haar: HaarSystem) -> float:

@@ -309,8 +309,8 @@ def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray)
     """:func:`eq_ruy_defect_stack` for rows a (R, n) against the deltas at
     the arrows v (R,), by gathers: (a * delta_v)(x) = a(x v^{-1}) w(x v^{-1})
     where s(x) = s(v), and (delta_v^* * h)(x) = h(v x) w(v^{-1}) where
-    r(x) = s(v), the one nonzero term of each convolution bin, multiplied in
-    the same order, so only the sign of a zero can differ."""
+    r(x) = s(v).  Each is the one nonzero term of its convolution bin, with
+    the delta's factor 1 left out, so only the sign of a zero can differ."""
     g, sub = sys.groupoid, sys.identity_fiber
     compose, w = g.compose_matrix(), sys.haar.weights(g)
     right = compose[:, g.invert_index[v]].T  # x v^{-1}, at [row, x]
