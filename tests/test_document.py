@@ -371,7 +371,15 @@ class TestSizeBudget:
 
     @pytest.mark.parametrize("combinator, arrows", [("disjoint_union", (1 + 4) + 5), ("product", (1 + 4) * 5)])
     def test_combinators_add_and_multiply(self, combinator, arrows, monkeypatch):
-        explicit = {"explicit": {"units": ["u"], "arrows": [{"id": "u", "src": "u", "dst": "u"}], "compose": [["u", "u", "u"]], "invert": {"u": "u"}, "unit_arrows": {"u": "u"}}}
+        explicit = {
+            "explicit": {
+                "units": ["u"],
+                "arrows": [{"id": "u", "src": "u", "dst": "u"}],
+                "compose": [["u", "u", "u"]],
+                "invert": {"u": "u"},
+                "unit_arrows": {"u": "u"},
+            }
+        }
         inner = {"builtin": "disjoint_union", "params": {"left": explicit, "right": {"builtin": "pair", "params": {"n": 2}}}}
         spec = {"builtin": combinator, "params": {"left": inner, "right": {"builtin": "cyclic_group", "params": {"n": 5}}}}
         assert build_groupoid(spec).n_arrows == arrows
