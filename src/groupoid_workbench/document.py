@@ -111,7 +111,7 @@ parameters before anything is built; a larger spec is rejected."""
 def _arrow_count(spec: Any) -> int | None:
     """The number of arrows a groupoid spec describes, by closed forms over
     the builtin parameters (an explicit part counts its listed arrows), or
-    None when a parameter is missing or invalid, which the builder reports."""
+    None when a parameter is missing or invalid, which ``_build_builtin`` reports."""
     try:
         if set(spec) == {"explicit"}:
             return len(spec["explicit"]["arrows"])

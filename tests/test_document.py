@@ -346,7 +346,7 @@ class TestSizeBudget:
     """A builtin spec is sized from its parameters by closed forms, and one
     over ``MAX_BUILTIN_ARROWS`` is rejected at its ``params`` before anything
     is built.  The budget is patched small here; the oversize specs run with
-    the builders replaced by a failure, so a missing check cannot build them."""
+    ``_build_builtin`` replaced by a failure, so a missing check cannot build them."""
 
     SMALL = {
         "pair": ({"n": 3}, 9),
