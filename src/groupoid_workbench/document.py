@@ -103,9 +103,10 @@ def _as_object(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-MAX_BUILTIN_ARROWS = 4096
-"""The most arrows a builtin groupoid spec may describe, counted from its
-parameters before anything is built; a larger spec is rejected."""
+MAX_ARROWS = 4096
+"""The most arrows a groupoid spec may describe, counted from a builtin's
+parameters or an explicit table's arrow list before anything is built; a
+larger spec is rejected."""
 
 
 def _arrow_count(spec: Any) -> int | None:
@@ -114,7 +115,8 @@ def _arrow_count(spec: Any) -> int | None:
     None when a parameter is missing or invalid, which ``_build_builtin`` reports."""
     try:
         if set(spec) == {"explicit"}:
-            return len(spec["explicit"]["arrows"])
+            arrows = spec["explicit"]["arrows"]
+            return len(arrows) if isinstance(arrows, list) else None
         name, params = spec["builtin"], spec.get("params", {})
         if name in ("disjoint_union", "product"):
             left, right = _arrow_count(params["left"]), _arrow_count(params["right"])
@@ -132,20 +134,27 @@ def _arrow_count(spec: Any) -> int | None:
 
 def build_groupoid(spec: Mapping[str, Any], path: str = "groupoid") -> FiniteGroupoid:
     """Construct a groupoid from a builtin or explicit specification; a
-    builtin spec over :data:`MAX_BUILTIN_ARROWS` arrows is rejected first."""
+    spec over :data:`MAX_ARROWS` arrows is rejected first, at the builtin's
+    ``params`` or the explicit table's ``arrows``."""
     spec = _as_object(spec, path)
     keys = set(spec)
     if keys == {"builtin", "params"} or keys == {"builtin"}:
         name = spec["builtin"]
         params = _as_object(spec.get("params", {}), f"{path}.params")
-        arrows = _arrow_count(spec)
-        if arrows is not None and arrows > MAX_BUILTIN_ARROWS:
-            shown = arrows if arrows < 10**18 else "over 10^18"
-            raise DocumentError(f"{path}.params", f"{name} describes {shown} arrows, over the budget of {MAX_BUILTIN_ARROWS}")
+        _check_budget(spec, f"{path}.params", name)
         return _build_builtin(name, params, path)
     if keys == {"explicit"}:
-        return _build_explicit(_as_object(spec["explicit"], f"{path}.explicit"), f"{path}.explicit")
+        explicit = _as_object(spec["explicit"], f"{path}.explicit")
+        _check_budget(spec, f"{path}.explicit.arrows", "the explicit table")
+        return _build_explicit(explicit, f"{path}.explicit")
     raise DocumentError(path, "expected either {'builtin': ..., 'params': ...} or {'explicit': ...}")
+
+
+def _check_budget(spec: Mapping[str, Any], path: str, what: Any) -> None:
+    arrows = _arrow_count(spec)
+    if arrows is not None and arrows > MAX_ARROWS:
+        shown = arrows if arrows < 10**18 else "over 10^18"
+        raise DocumentError(path, f"{what} describes {shown} arrows, over the budget of {MAX_ARROWS}")
 
 
 def _build_builtin(name: Any, params: Mapping[str, Any], path: str) -> FiniteGroupoid:
@@ -318,6 +327,32 @@ def _parse_complex(value: Any, path: str) -> complex:
     return complex(_finite_float(value[0], path, "complex values"), _finite_float(value[1], path, "complex values"))
 
 
+def _read_coefficients(g: FiniteGroupoid, coeffs: Mapping[str, Any], path: str) -> np.ndarray:
+    """The coefficient vector of a function's ``{arrow id: [re, im]}``
+    object.  Pairs of plain ints and floats on known arrows take one type
+    scan and one float64 conversion, checked finite and viewed as complex;
+    otherwise the entries are read one at a time, which names the first bad one."""
+    vec = np.zeros(g.n_arrows, dtype=np.complex128)
+    values = list(coeffs.values())
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {2}:
+        parts = list(itertools.chain.from_iterable(values))
+        if set(map(type, parts)) <= {int, float}:
+            try:
+                index = list(map(g.index, coeffs))
+                pairs = np.array(parts, dtype=np.float64)
+            except (KeyError, OverflowError):
+                pass
+            else:
+                if np.isfinite(pairs).all():
+                    vec[index] = pairs.view(np.complex128)
+                    return vec
+    for aid, value in coeffs.items():
+        if not g.has_arrow(aid):
+            raise DocumentError(f"{path}.{aid}", "unknown arrow")
+        vec[g.index(aid)] = _parse_complex(value, f"{path}.{aid}")
+    return vec
+
+
 def parse_document(text: str) -> WorkbenchDocument:
     """Parse and validate a document; raise DocumentError with a field path."""
     try:
@@ -341,18 +376,22 @@ def _read_rho(top: Mapping[str, Any]) -> dict[str, float]:
 def _read_cocycle(top: Mapping[str, Any], g: FiniteGroupoid) -> Cocycle:
     group = build_group(_require(top, "group", "$"), "group")
     cocycle_spec = _as_object(_require(top, "cocycle", "$"), "cocycle")
-    label = {}
-    for aid in g.arrow_ids:
-        if aid not in cocycle_spec:
-            raise DocumentError(f"cocycle.{aid}", "missing label for this arrow")
-        try:
-            label[aid] = group.canonical(cocycle_spec[aid])
-        except ValueError as exc:
-            raise DocumentError(f"cocycle.{aid}", str(exc)) from exc
-    extra = set(cocycle_spec) - set(g.arrow_ids)
-    if extra:
+    ids = g.arrow_ids
+    values = group.read_elements(list(map(cocycle_spec.get, ids)))
+    if values is None:  # the label loop names the first bad label
+        labels = []
+        for aid in ids:
+            if aid not in cocycle_spec:
+                raise DocumentError(f"cocycle.{aid}", "missing label for this arrow")
+            try:
+                labels.append(group.canonical(cocycle_spec[aid]))
+            except ValueError as exc:
+                raise DocumentError(f"cocycle.{aid}", str(exc)) from exc
+        values = group.element_array(labels)
+    if len(cocycle_spec) > len(ids):
+        extra = set(cocycle_spec) - set(ids)
         raise DocumentError("cocycle", f"labels for unknown arrows {sorted(extra)[:3]}")
-    return Cocycle(group=group, label=label)
+    return Cocycle(group=group, label=dict(zip(ids, group.elements_of(values))))
 
 
 def document_from_dict(raw: Any) -> WorkbenchDocument:
@@ -372,12 +411,7 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
     functions: dict[str, GroupoidFunction] = {}
     for fname, coeffs in _as_object(top.get("functions", {}), "functions").items():
         coeffs = _as_object(coeffs, f"functions.{fname}")
-        vec = np.zeros(g.n_arrows, dtype=np.complex128)
-        for aid, value in coeffs.items():
-            if not g.has_arrow(aid):
-                raise DocumentError(f"functions.{fname}.{aid}", "unknown arrow")
-            vec[g.index(aid)] = _parse_complex(value, f"functions.{fname}.{aid}")
-        functions[str(fname)] = GroupoidFunction(g, vec)
+        functions[str(fname)] = GroupoidFunction(g, _read_coefficients(g, coeffs, f"functions.{fname}"))
 
     system = GradedGroupoid(g, haar, cocycle)
     return WorkbenchDocument(name=name, system=system, functions=functions, raw=dict(top))

@@ -6,20 +6,21 @@ group identity is a subgroupoid carrying the restricted Haar system (same
 per-unit weights).  Surjectivity of the cocycle is not required: everything
 quantifies over the image.
 
+The labels are read as one array of group elements, the group's
+:meth:`~groupoid_workbench.groups.DiscreteGroup.element_array` (a Cayley
+index for a finite group, an integer row for Z^k), by one type scan and one
+conversion; a label is read on its own only to name the first bad one.
+:func:`validate_cocycle` checks membership on that array and the cocycle
+identities as array products over the groupoid's integer tables: a Cayley
+gather or a coordinate add per composable pair, exact for every label.
+:func:`validate_system` is the one validation path of a graded groupoid,
+shared by the document parser and :meth:`GradedGroupoid.build`.
+
 The fibers are numbered once, by :func:`number_fibers`, when a
 :class:`GradedGroupoid` is constructed: fiber k is the preimage of the k-th
 image element in the group's sort order, and ``fiber_index`` holds the fiber
 number of every arrow in declared order.  Every fiber-aware operation reads
-that index (as a numpy mask) instead of the arrow labels; this module is the
-only one that reads labels arrow by arrow.
-
-:func:`validate_cocycle` reads the labels into one array of group elements
-(a Cayley index for a finite group, an integer row for Z^k) and checks the
-cocycle identities as array products over the groupoid's integer tables:
-a Cayley gather or a coordinate add per composable pair, exact for every
-label.  :func:`validate_system` is the one validation
-path of a graded groupoid, shared by the document parser and
-:meth:`GradedGroupoid.build`.
+that index (as a numpy mask) instead of the arrow labels.
 """
 
 from __future__ import annotations
@@ -67,20 +68,23 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
 
     Check order: every label present and in the group, multiplicativity,
     units to the identity, inverses to inverses.  The labels become one
-    array (:meth:`~groupoid_workbench.groups.DiscreteGroup.element_array`)
-    and each identity is one array comparison over the composable pairs,
+    array (:meth:`~groupoid_workbench.groups.DiscreteGroup.element_array`),
+    or, when one is missing or no element, a loop over the arrows names the
+    first; each identity is one array comparison over the composable pairs,
     the units or the arrows.  The multiplicativity witness is the first
     failing pair in row-major compose order, the others the first failing
     unit or arrow in declared order.
     """
     grp = c.group
-    for a in g.arrows:
-        if a.id not in c.label:
-            return CheckReport.failed("label-missing", arrow=a.id)
-        if not grp.contains(c.label[a.id]):
-            return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(c.label[a.id]))
-    labels = [c.label[aid] for aid in g.arrow_ids]
+    labels = list(map(c.label.get, g.arrow_ids))
     values = grp.element_array(labels)
+    if values is None:
+        for a, label in zip(g.arrows, labels):
+            if a.id not in c.label:
+                return CheckReport.failed("label-missing", arrow=a.id)
+            if not grp.contains(label):
+                return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(label))
+        values = grp.element_array(list(map(grp.canonical, labels)))
     xs, ys, xys = g.composable_pairs()
     bad = _differ(values[xys], grp.mul_array(values[xs], values[ys]))
     if bad.any():
@@ -156,14 +160,17 @@ def validate_system(
 def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any, ...]]:
     """The fiber number of every arrow (declared order) and the image
     elements ordered by the group sort key: fiber k is the preimage of
-    elements[k].  Labels are compared as values, so they must be canonical
-    elements, as :func:`validate_cocycle` requires."""
-    first: dict[Any, int] = {}
-    seen = np.array([first.setdefault(c.label[a.id], len(first)) for a in g.arrows], dtype=np.intp)
-    elements = tuple(sorted(first, key=c.group.sort_key))
-    rank = np.empty(len(elements), dtype=np.intp)
-    rank[[first[el] for el in elements]] = np.arange(len(elements))
-    return rank[seen], elements
+    elements[k].  The labels must be elements, as :func:`validate_cocycle`
+    requires.  One ``np.unique`` numbers their element array: its entries
+    for a finite group or Z^1, else its rows as tuples, which sort as the
+    sort key does."""
+    values = c.group.element_array(list(map(c.label.__getitem__, g.arrow_ids)))
+    if values is None:
+        raise ValueError("Cocycle labels are not canonical group elements.")
+    if values.ndim == 2 and values.shape[1] != 1:
+        values = np.fromiter(map(tuple, values.tolist()), dtype=object, count=len(values))
+    elements, index = np.unique(values.reshape(len(values)), return_inverse=True)
+    return index, tuple(map(c.group.canonical, elements.tolist()))
 
 
 def identity_fiber_subgroupoid(g: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
@@ -225,11 +232,10 @@ class GradedGroupoid:
 
     def fibers(self) -> dict[str, tuple[str, ...]]:
         """Element key -> arrow ids in declared order, ordered by the group sort key."""
-        arrows = self.groupoid.arrows
-        return {
-            key: tuple(arrows[i].id for i in np.flatnonzero(self.fiber_index == k))
-            for k, key in enumerate(self.fiber_keys)
-        }
+        ids = self.groupoid.arrow_ids
+        grouped = [ids[i] for i in np.argsort(self.fiber_index, kind="stable").tolist()]
+        ends = np.bincount(self.fiber_index, minlength=len(self.fiber_keys)).cumsum().tolist()
+        return {key: tuple(grouped[start:end]) for key, start, end in zip(self.fiber_keys, [0, *ends], ends)}
 
     def __repr__(self) -> str:
         return f"GradedGroupoid({self.groupoid!r}, group={self.group.name})"

@@ -35,21 +35,25 @@ def strict_int(value: Any) -> int:
     raise TypeError(f"expected an integer, got {value!r}")
 
 
-def _index_table(cayley: Sequence[Sequence[int]], n: int) -> np.ndarray:
+def _index_table(cayley: Sequence[Sequence[int]] | np.ndarray, n: int) -> np.ndarray:
     """The entries of a square table as an (n, n) integer array, each in
-    [0, n).  Rows that are lists or tuples of n plain ints take one type
-    scan and one range check.  Otherwise, or on a violation, the rows are
-    read one at a time: the length, each entry through :func:`strict_int`,
-    then the range, so the first violation raises as that row loop finds it."""
-    rows_ok = all(isinstance(row, (list, tuple)) and len(row) == n for row in cayley)
-    if rows_ok and set(map(type, itertools.chain.from_iterable(cayley))) <= {int}:
-        try:
-            table = np.array(cayley, dtype=np.intp)
-        except OverflowError:  # an entry past the integer range; the row loop names it
-            pass
-        else:
-            if ((table >= 0) & (table < n)).all():
-                return table
+    [0, n).  An (n, n) integer ndarray is copied, and rows that are lists
+    or tuples of n plain ints take one type scan; either takes one range
+    check.  Otherwise, or on a violation, the rows are read one at a time:
+    the length, each entry through :func:`strict_int`, then the range, so
+    the first violation raises as that row loop finds it."""
+    table = None
+    if isinstance(cayley, np.ndarray):
+        if cayley.dtype.kind in "iu" and cayley.shape == (n, n):
+            table = cayley.astype(np.intp)
+    elif all(isinstance(row, (list, tuple)) and len(row) == n for row in cayley):
+        if set(map(type, itertools.chain.from_iterable(cayley))) <= {int}:
+            try:
+                table = np.array(cayley, dtype=np.intp)
+            except OverflowError:  # an entry past the integer range; the row loop names it
+                pass
+    if table is not None and ((table >= 0) & (table < n)).all():
+        return table
     rows = []
     for i, row in enumerate(cayley):
         if len(row) != n:
@@ -151,9 +155,20 @@ class DiscreteGroup:
     def element_to_json(self, el: Any) -> Any:
         raise NotImplementedError
 
-    def element_array(self, elements: Sequence[Any]) -> np.ndarray:
-        """Canonical elements as an array with one entry (or row) each, on
-        which :meth:`mul_array` computes exactly."""
+    def element_array(self, elements: Sequence[Any]) -> np.ndarray | None:
+        """Elements that :meth:`contains` accepts as one array, an entry (or
+        row) each, on which :meth:`mul_array` computes exactly; read by one
+        type scan and one conversion.  None when an entry is in no form the
+        backend lists: the caller's per-entry loop then names it."""
+        return self.read_elements(elements)
+
+    def read_elements(self, values: Sequence[Any]) -> np.ndarray | None:
+        """As :meth:`element_array`, also taking the JSON forms that
+        :meth:`canonical` normalizes."""
+        raise NotImplementedError
+
+    def elements_of(self, values: np.ndarray) -> list[Any]:
+        """The canonical elements of an :meth:`element_array` result."""
         raise NotImplementedError
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,7 +190,7 @@ class FiniteGroup(DiscreteGroup):
     failing triple.
     """
 
-    def __init__(self, cayley: Sequence[Sequence[int]], *, name: str = "finite") -> None:
+    def __init__(self, cayley: Sequence[Sequence[int]] | np.ndarray, *, name: str = "finite") -> None:
         n = len(cayley)
         if n == 0:
             raise ValueError("Cayley table must be nonempty.")
@@ -227,7 +242,7 @@ class FiniteGroup(DiscreteGroup):
             raise ValueError(f"Finite group element must be an integer index, got {el!r}.")
         if not 0 <= el < self.order:
             raise ValueError(f"Element index {el} out of range [0,{self.order - 1}].")
-        return el
+        return int(el)
 
     def element_key(self, el: int) -> str:
         return str(int(el))
@@ -238,8 +253,15 @@ class FiniteGroup(DiscreteGroup):
     def element_to_json(self, el: int) -> int:
         return int(el)
 
-    def element_array(self, elements: Sequence[int]) -> np.ndarray:
-        return np.array(elements, dtype=np.intp)
+    def read_elements(self, values: Sequence[Any]) -> np.ndarray | None:
+        """An intp array of plain ints in [0, order); bools, floats, numpy
+        integers, any other type and an index out of range give None."""
+        if set(map(type, values)) <= {int} and 0 <= min(values, default=0) and max(values, default=0) < self.order:
+            return np.array(values, dtype=np.intp)
+        return None
+
+    def elements_of(self, values: np.ndarray) -> list[int]:
+        return values.tolist()
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.cayley[a, b]
@@ -300,17 +322,31 @@ class FreeAbelianGroup(DiscreteGroup):
     def element_to_json(self, el: Sequence[int]) -> list[int]:
         return list(self.canonical(el))
 
-    def element_array(self, elements: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """An (m, rank) array: int64 while every coordinate is below 2**62 in
-        size, so that a sum of two stays in range, and Python ints otherwise."""
-        try:
-            values = np.array(elements, dtype=np.int64).reshape(len(elements), self.rank)
-        except OverflowError:
-            pass
+    def element_array(self, elements: Sequence[Any]) -> np.ndarray | None:
+        """Tuples of ``rank`` plain ints as :meth:`read_elements` reads them;
+        lists and bare ints give None here."""
+        return self.read_elements(elements) if set(map(type, elements)) <= {tuple} else None
+
+    def read_elements(self, values: Sequence[Any]) -> np.ndarray | None:
+        """An (m, rank) array of lists or tuples of ``rank`` plain ints, or
+        at rank 1 of bare ints: int64 while every coordinate is below 2**62
+        in size, so that a sum of two stays in range, and Python ints
+        otherwise.  Bools, floats, strings, None, nested lists and vectors
+        of another length give None."""
+        kinds = set(map(type, values))
+        if self.rank == 1 and kinds == {int}:
+            coords = values
+        elif kinds <= {list, tuple} and set(map(len, values)) <= {self.rank}:
+            coords = list(itertools.chain.from_iterable(values))
+            if not set(map(type, coords)) <= {int}:
+                return None
         else:
-            if ((values > -(2**62)) & (values < 2**62)).all():
-                return values
-        return np.array(elements, dtype=object).reshape(len(elements), self.rank)
+            return None
+        small = -(2**62) < min(coords, default=0) and max(coords, default=0) < 2**62
+        return np.array(coords, dtype=np.int64 if small else object).reshape(len(values), self.rank)
+
+    def elements_of(self, values: np.ndarray) -> list[tuple[int, ...]]:
+        return list(map(tuple, values.tolist()))
 
     def mul_array(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
@@ -369,4 +405,4 @@ def symmetric_group(n: int) -> FiniteGroup:
     product_codes = np.zeros((len(perms), len(perms)), dtype=np.intp)
     for k in range(n):  # digit k of p.q is p(q(k)), p along rows
         product_codes += perms[:, perms[:, k]] * place[k]
-    return FiniteGroup(index_of_code[product_codes].tolist(), name=f"S{n}")
+    return FiniteGroup(index_of_code[product_codes], name=f"S{n}")

@@ -344,7 +344,7 @@ class TestStrictIntegers:
 
 class TestSizeBudget:
     """A builtin spec is sized from its parameters by closed forms, and one
-    over ``MAX_BUILTIN_ARROWS`` is rejected at its ``params`` before anything
+    over ``MAX_ARROWS`` is rejected at its ``params`` before anything
     is built.  The budget is patched small here; the oversize specs run with
     ``_build_builtin`` replaced by a failure, so a missing check cannot build them."""
 
@@ -362,9 +362,9 @@ class TestSizeBudget:
         params, arrows = self.SMALL[name]
         spec = {"builtin": name, "params": params}
         assert build_groupoid(spec).n_arrows == arrows
-        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows)
+        monkeypatch.setattr(document, "MAX_ARROWS", arrows)
         assert build_groupoid(spec).n_arrows == arrows
-        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows - 1)
+        monkeypatch.setattr(document, "MAX_ARROWS", arrows - 1)
         with pytest.raises(DocumentError, match=f"{name} describes {arrows} arrows") as err:
             build_groupoid(spec)
         assert err.value.path == "groupoid.params"
@@ -383,7 +383,7 @@ class TestSizeBudget:
         inner = {"builtin": "disjoint_union", "params": {"left": explicit, "right": {"builtin": "pair", "params": {"n": 2}}}}
         spec = {"builtin": combinator, "params": {"left": inner, "right": {"builtin": "cyclic_group", "params": {"n": 5}}}}
         assert build_groupoid(spec).n_arrows == arrows
-        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", arrows - 1)
+        monkeypatch.setattr(document, "MAX_ARROWS", arrows - 1)
         with pytest.raises(DocumentError, match=f"{combinator} describes {arrows} arrows") as err:
             build_groupoid(spec)
         assert err.value.path == "groupoid.params"
@@ -420,7 +420,51 @@ class TestSizeBudget:
         [{"n": -5}, {"n": True}, {"n": "100000"}, {}, {"m": 10**6}],
     )
     def test_invalid_parameters_keep_their_own_errors(self, params, monkeypatch):
-        monkeypatch.setattr(document, "MAX_BUILTIN_ARROWS", 0)
+        monkeypatch.setattr(document, "MAX_ARROWS", 0)
         with pytest.raises(DocumentError) as err:
             build_groupoid({"builtin": "pair", "params": params})
         assert "budget" not in str(err.value)
+
+    @staticmethod
+    def loops(k: int) -> dict:
+        """An explicit table of k arrows on one unit with an empty compose
+        list: within the budget it fails the groupoid axioms, not the budget."""
+        arrows = [{"id": f"a{i}", "src": "u", "dst": "u"} for i in range(k)]
+        return {
+            "explicit": {
+                "units": ["u"],
+                "arrows": arrows,
+                "compose": [],
+                "invert": {a["id"]: a["id"] for a in arrows},
+                "unit_arrows": {"u": "a0"},
+            }
+        }
+
+    def test_explicit_tables_are_counted(self, monkeypatch, tmp_path, capsys):
+        spec = self.loops(5)
+        monkeypatch.setattr(document, "MAX_ARROWS", 5)
+        assert build_groupoid(spec).n_arrows == 5
+        monkeypatch.setattr(document, "MAX_ARROWS", 4)
+
+        def never(*args):
+            raise AssertionError("an oversize explicit table was built")
+
+        monkeypatch.setattr(document, "_build_explicit", never)
+        with pytest.raises(DocumentError, match="describes 5 arrows, over the budget of 4") as err:
+            build_groupoid(spec)
+        assert err.value.path == "groupoid.explicit.arrows"
+        raw = minimal_pair_doc()
+        raw["groupoid"] = spec
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("invalid: groupoid.explicit.arrows: ")
+
+    @pytest.mark.parametrize("arrows", [{"a": {}}, "a" * 10, 7])
+    def test_explicit_arrows_that_are_no_list_keep_their_error(self, arrows, monkeypatch):
+        monkeypatch.setattr(document, "MAX_ARROWS", 0)
+        spec = self.loops(1)
+        spec["explicit"]["arrows"] = arrows
+        with pytest.raises(DocumentError, match="expected a list") as err:
+            build_groupoid(spec)
+        assert err.value.path == "groupoid.explicit.arrows"

@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 from groupoid_workbench import groupoid as groupoid_module
 from groupoid_workbench.grading import Cocycle, validate_cocycle
 from groupoid_workbench.groupoid import Arrow, FiniteGroupoid, disjoint_union, group_groupoid, pair_groupoid, validate_groupoid
-from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup, cyclic_group, strict_int
+from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup, cyclic_group, strict_int, symmetric_group
 from conftest import redirected
 from test_table_validation import reference_validate_cocycle, reference_validate_groupoid
 
@@ -358,6 +358,18 @@ def outcome(read, cayley):
         [[0, 1], 5],
         [(0, np.int64(1)), (np.int64(1), 0)],
         [[False, 1], [1, 0]],
+        # integer arrays are read whole; any other array goes to the row loop
+        np.array([[0, 1], [1, 0]], dtype=np.int32),
+        np.array([[0, 1], [1, 0]], dtype=np.uint8),
+        np.array([[0, 1, 0], [1, 0, 1]]),
+        np.array([[0, 1], [1, 0], [0, 1]]),
+        np.array([0]),
+        np.zeros((1, 1, 1), dtype=np.intp),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[True, False], [False, True]]),
+        np.array([[0, 2], [1, 0]]),
+        np.array([[0, 1], [-1, 0]], dtype=np.int8),
+        np.array([[0, 2**64 - 1], [1, 0]], dtype=np.uint64),
     ],
 )
 def test_cayley_entries_read_as_the_row_loop(cayley):
@@ -366,3 +378,10 @@ def test_cayley_entries_read_as_the_row_loop(cayley):
         assert outcome(FiniteGroup, cayley) == expected
     else:
         assert FiniteGroup(cayley).cayley.tolist() == expected
+
+
+def test_cayley_array_is_copied():
+    table = symmetric_group(3).cayley.copy()
+    group = FiniteGroup(table)
+    table[0, 0] = 5
+    assert table.flags.writeable and group.cayley[0, 0] == 0 and group.cayley.dtype == np.intp
