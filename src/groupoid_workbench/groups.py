@@ -158,8 +158,12 @@ class DiscreteGroup:
     def element_array(self, elements: Sequence[Any]) -> np.ndarray | None:
         """Elements that :meth:`contains` accepts as one array, an entry (or
         row) each, on which :meth:`mul_array` computes exactly; read by one
-        type scan and one conversion.  None when an entry is in no form the
-        backend lists: the caller's per-entry loop then names it."""
+        type scan and one conversion.  A finite group takes plain ints in
+        [0, order) as an intp array; Z^k takes tuples of k plain ints as
+        (m, k) int64 rows (Python ints past 2**62).  Anything else gives
+        None: bools, floats, strings, None, numpy scalars, an index out of
+        range, and for Z^k lists, bare ints and vectors of another length.
+        The caller's per-entry loop then names the first bad entry."""
         return self.read_elements(elements)
 
     def read_elements(self, values: Sequence[Any]) -> np.ndarray | None:
