@@ -84,6 +84,7 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
                 return CheckReport.failed("label-missing", arrow=a.id)
             if not grp.contains(label):
                 return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(label))
+        # int and tuple subclasses are members that the type scan declines
         values = grp.element_array(list(map(grp.canonical, labels)))
     xs, ys, xys = g.composable_pairs()
     # take along rows gathers (n, rank) rows faster than fancy indexing
