@@ -170,12 +170,13 @@ def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSy
 
     Each term a(y) b(y^{-1} x) w(y) is summed into its bin x of its trial in
     composable-pair order, by one ``bincount`` over the terms viewed as
-    (real, imaginary) pairs of float64, into the bins 2x and 2x + 1."""
+    (real, imaginary) pairs of float64, into the bins 2x and 2x + 1, which
+    the groupoid builds once with its pair table."""
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     ys, ts, zs = g.composable_pairs()
     w = haar.weights(g)[ys]
-    bins = np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel()
+    bins = g.convolution_bins()
 
     def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         terms = (x.take(ys, axis=-1) * y.take(ts, axis=-1) * w).astype(np.complex128, copy=False)

@@ -391,7 +391,7 @@ def _read_cocycle(top: Mapping[str, Any], g: FiniteGroupoid) -> Cocycle:
     if len(cocycle_spec) > len(ids):
         extra = set(cocycle_spec) - set(ids)
         raise DocumentError("cocycle", f"labels for unknown arrows {sorted(extra)[:3]}")
-    return Cocycle(group=group, label=dict(zip(ids, group.elements_of(values))))
+    return Cocycle(group=group, label=dict(zip(ids, group.elements_of(values))), elements=values)
 
 
 def document_from_dict(raw: Any) -> WorkbenchDocument:

@@ -9,7 +9,9 @@ quantifies over the image.
 The labels are read as one array of group elements, the group's
 :meth:`~groupoid_workbench.groups.DiscreteGroup.element_array` (a Cayley
 index for a finite group, an integer row for Z^k), by one type scan and one
-conversion; a label is read on its own only to name the first bad one.
+conversion; a label is read on its own only to name the first bad one.  A
+:class:`Cocycle` carries that array (``elements``), converted once when it
+is constructed, or passed by the parser that read it.
 :func:`validate_cocycle` checks membership on that array and the cocycle
 identities as array products over the groupoid's integer tables: a Cayley
 gather or a coordinate add per composable pair, exact for every label.
@@ -25,7 +27,7 @@ that index (as a numpy mask) instead of the arrow labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -37,13 +39,35 @@ from .validation import CheckReport
 
 @dataclass(frozen=True, eq=False)
 class Cocycle:
-    """Arrow labelling c with values in a discrete group."""
+    """Arrow labelling c with values in a discrete group.
+
+    ``elements`` holds the labels as the group's element array, read-only,
+    an entry (or row) per label in the order of ``label``, or None when a
+    label is not an element in the array form.  Given the label map alone,
+    the labels are converted once, here; a parser passes the array it read.
+    """
 
     group: DiscreteGroup
     label: Mapping[str, Any]
+    elements: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        given = self.elements  # copied, never the caller's array
+        values = self.group.element_array(list(self.label.values())) if given is None else np.array(given)
+        if values is not None:
+            values.flags.writeable = False
+        object.__setattr__(self, "elements", values)
 
     def of(self, aid: str) -> Any:
         return self.label[aid]
+
+    def elements_on(self, g: FiniteGroupoid) -> np.ndarray | None:
+        """The element array of the labels of g's arrows in declared order,
+        or None when one is missing or not an element in the array form:
+        ``elements`` itself when the labels are in that order."""
+        if tuple(self.label) == g.arrow_ids:
+            return self.elements
+        return self.group.element_array(list(map(self.label.get, g.arrow_ids)))
 
 
 def cocycle_from_map(g: FiniteGroupoid, group: DiscreteGroup, label: Mapping[str, Any]) -> Cocycle:
@@ -67,43 +91,43 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     """Check the homomorphism identities; pass, or first violation with witness pair.
 
     Check order: every label present and in the group, multiplicativity,
-    units to the identity, inverses to inverses.  The labels become one
-    array (:meth:`~groupoid_workbench.groups.DiscreteGroup.element_array`),
-    or, when one is missing or no element, a loop over the arrows names the
-    first; each identity is one array comparison over the composable pairs,
-    the units or the arrows.  The multiplicativity witness is the first
-    failing pair in row-major compose order, the others the first failing
-    unit or arrow in declared order.
+    units to the identity, inverses to inverses.  The labels are the
+    cocycle's element array (:meth:`Cocycle.elements_on`), or, when one is
+    missing or no element, a loop over the arrows names the first; each
+    identity is one array comparison over the composable pairs, the units
+    or the arrows.  The multiplicativity witness is the first failing pair
+    in row-major compose order, the others the first failing unit or arrow
+    in declared order.
     """
     grp = c.group
-    labels = list(map(c.label.get, g.arrow_ids))
-    values = grp.element_array(labels)
+    ids = g.arrow_ids
+    values = c.elements_on(g)
     if values is None:
-        for a, label in zip(g.arrows, labels):
-            if a.id not in c.label:
-                return CheckReport.failed("label-missing", arrow=a.id)
-            if not grp.contains(label):
-                return CheckReport.failed("label-not-in-group", arrow=a.id, label=repr(label))
+        for aid in ids:
+            if aid not in c.label:
+                return CheckReport.failed("label-missing", arrow=aid)
+            if not grp.contains(c.label[aid]):
+                return CheckReport.failed("label-not-in-group", arrow=aid, label=repr(c.label[aid]))
         # int and tuple subclasses are members that the type scan declines
-        values = grp.element_array(list(map(grp.canonical, labels)))
+        values = grp.element_array([grp.canonical(c.label[aid]) for aid in ids])
     xs, ys, xys = g.composable_pairs()
     # take along rows gathers (n, rank) rows faster than fancy indexing
     bad = _differ(values.take(xys, axis=0), grp.mul_array(values.take(xs, axis=0), values.take(ys, axis=0)))
     if bad.any():
         i = np.argmax(bad)
-        x, y = xs[i], ys[i]
+        x, y = ids[xs[i]], ids[ys[i]]
         return CheckReport.failed(
             "not-multiplicative",
-            pair=(g.arrows[x].id, g.arrows[y].id),
-            got=grp.element_key(labels[xys[i]]),
-            expected=grp.element_key(grp.mul(labels[x], labels[y])),
+            pair=(x, y),
+            got=grp.element_key(c.of(ids[xys[i]])),
+            expected=grp.element_key(grp.mul(c.of(x), c.of(y))),
         )
     units = g.unit_arrow_index
     identity = grp.element_array([grp.identity])
     bad = _differ(values[units], identity)
     if bad.any():
         u = np.argmax(bad)
-        return CheckReport.failed("unit-not-identity", unit=g.units[u], got=grp.element_key(labels[units[u]]))
+        return CheckReport.failed("unit-not-identity", unit=g.units[u], got=grp.element_key(c.of(ids[units[u]])))
     # in a group, b = a^-1 exactly when ab = e
     bad = _differ(grp.mul_array(values, values[g.invert_index]), identity)
     if bad.any():
@@ -163,10 +187,10 @@ def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any,
     """The fiber number of every arrow (declared order) and the image
     elements ordered by the group sort key: fiber k is the preimage of
     elements[k].  The labels must be elements, as :func:`validate_cocycle`
-    requires.  One ``np.unique`` numbers their element array: its entries
-    for a finite group or Z^1, else its rows as tuples, which sort as the
-    sort key does."""
-    values = c.group.element_array(list(map(c.label.__getitem__, g.arrow_ids)))
+    requires.  One ``np.unique`` numbers the cocycle's element array: its
+    entries for a finite group or Z^1, else its rows as tuples, which sort
+    as the sort key does."""
+    values = c.elements_on(g)
     if values is None:
         raise ValueError("Cocycle labels are not canonical group elements.")
     if values.ndim == 2 and values.shape[1] != 1:

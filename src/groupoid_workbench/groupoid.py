@@ -101,7 +101,9 @@ class FiniteGroupoid:
             by_dst[a.dst].append(a.id)
         self._by_src = {u: tuple(v) for u, v in by_src.items()}
         self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
+        # composable_pairs() and convolution_bins(), filled together on first use
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pair_bins: np.ndarray | None = None
         # rep_tables() and orbit_rep_tables(), filled together on first use
         self._rep_tables: tuple[RepTables, OrbitRepTables] | None = None
         self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
@@ -207,7 +209,15 @@ class FiniteGroupoid:
                 xs, ys = np.nonzero(mat >= 0)
                 zs = mat[xs, ys]
             self._pair_table = (_read_only(xs), _read_only(ys), _read_only(zs))
+            self._pair_bins = _read_only(np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel())
         return self._pair_table
+
+    def convolution_bins(self) -> np.ndarray:
+        """The bins 2xy and 2xy + 1 of every composable pair, interleaved,
+        in :meth:`composable_pairs` order: where a complex convolution sums
+        the real and imaginary float64 parts of the pair's term."""
+        self.composable_pairs()
+        return self._pair_bins
 
     def embedding(self, parent: "FiniteGroupoid") -> np.ndarray:
         """The index in ``parent`` of every arrow of this groupoid (declared

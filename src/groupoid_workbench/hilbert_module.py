@@ -15,7 +15,10 @@ computed concretely by inducing through the faithful identity-fiber
 representation: form the Gram matrix of the elementary tensors
 (delta_x (x) basis vector), quotient the null directions, and express L_a on
 the surviving orthonormal frame.  The Gram matrix is block-diagonal, so each
-block is eigendecomposed on its own.  At this scale completion is trivial and
+block is eigendecomposed on its own.  The frame columns of a unit w = s(h)
+vanish off w's own rows (those with s(h) = w), and L_a keeps h, so the
+compression is block-diagonal over the units and each unit's block is formed
+on its own rows only.  At this scale completion is trivial and
 the null-space quotient is the only degeneracy to handle, so a deterministic
 relative eigenvalue cutoff keeps reports stable.  Inducing the regular
 representation of G_e up to G gives a multiple of the regular representation
@@ -31,15 +34,15 @@ is a weighted permutation (:func:`eq_ruy_delta_defect_stack`).
 Every operation also takes a (T, n) stack of trials (the ``*_stack``
 functions, ``InducedSpace.operator_norms``, :func:`kernel_verdicts`), and
 the one-function forms pass their 1-D coefficients to the same kernels.
-The induced operator takes its trials in chunks, so that its (t, n, n)
-left-convolution matrices stay within ``algebra.TRIAL_CHUNK_ENTRIES``.
+The induced operator takes its trials in chunks, so that its per-unit
+gathers, images and blocks stay within ``algebra.TRIAL_CHUNK_ENTRIES``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -124,11 +127,20 @@ class InducedSpace:
     Each block is eigendecomposed on its own; eigendirections below
     ``null_threshold`` times the top eigenvalue of the whole Gram are
     discarded, and left convolution is compressed onto the surviving frame,
-    where its largest singular value is the module operator norm.  Left
-    convolution keeps h and s(x), hence the support and the unit s(h), so
-    the compression is block-diagonal over s(h) and its norm is taken block
-    by block.  The dense ambient ``gram`` and ``frame`` are assembled only
-    when read.
+    where its largest singular value is the module operator norm.
+
+    The frame columns F_w of a unit w come from the blocks with s(h) = w,
+    so they vanish off w's support rows (h, x) with s(h) = w.  Left
+    convolution acts on x and keeps h, so it maps F_w into those rows, and
+    the compression is block-diagonal over w, with blocks F_w^H G_w L_a F_w.
+    The rows of w are the n_h arrows h of G_e with s(h) = w, each with the
+    n_x = |G_w| arrows x with s(x) = r(h) (r(h) lies in the orbit of w),
+    and on them L_a is, per h, the n_x x n_x matrix a(x' x^{-1}) rho(r(x)).
+    Units with equal (n_h, n_x, c), c their number of frame columns, form
+    one batch: one gather, one matmul over x per h and one over the n_h n_x
+    rows.  Every unit keeps its block, so the L norm stays independent of
+    the one-block-per-orbit C*-norm it is checked against.  The dense
+    ambient ``gram`` and ``frame`` are assembled only when read.
     """
 
     def __init__(self, sys: GradedGroupoid, null_threshold: float = 1e-10) -> None:
@@ -138,30 +150,17 @@ class InducedSpace:
         self.null_threshold = null_threshold
         self.dim_ambient = g.n_arrows * sub.n_arrows
         rho = np.array([sys.haar.unit_weight(u) for u in g.units])
-        self._rho_r = rho[g.dst_index]
-        # conv_idx[x', x] is the arrow x' x^{-1}, or -1 when s(x') != s(x)
-        conv_idx = g.compose_matrix()[:, g.invert_index]
-        self._conv_defined = conv_idx >= 0
-        self._conv_clipped = np.clip(conv_idx, 0, None)
+        rho_r = rho[g.dst_index]
 
-        # Support pairs, ordered by (|G_e^u|, |G_u|, u, h, x) with u = r(h):
-        # for each unit the pairs are the product of the identity-fiber arrows
-        # ending at u with the arrows starting at u, and units of one shape
-        # are adjacent, so left convolution acts on each shape as one batch.
-        n_h_at = np.bincount(sub.dst_index, minlength=g.n_units)
-        n_x_at = np.bincount(g.src_index, minlength=g.n_units)
+        # Support pairs, ordered by (s(h), r(h), h, x): the rows of a unit w
+        # are the run first_row[w] onward, n_h runs of n_x arrows x each
+        n_h = np.bincount(sub.src_index, minlength=g.n_units)
+        n_x = np.bincount(g.src_index, minlength=g.n_units)
+        first_row = np.cumsum(n_h * n_x) - n_h * n_x
         xs, hs = np.nonzero(g.src_index[:, None] == sub.dst_index[None, :])
-        unit = sub.dst_index[hs]
-        order = np.lexsort((xs, hs, unit, n_x_at[unit], n_h_at[unit]))
+        order = np.lexsort((xs, hs, sub.dst_index[hs], sub.src_index[hs]))
         xs, hs = xs[order], hs[order]
         self._support = xs * sub.n_arrows + hs
-        self._chunks = []
-        start = 0
-        for nh, nx in sorted(set(zip(n_h_at.tolist(), n_x_at.tolist()))):
-            stop = start + int(((n_h_at == nh) & (n_x_at == nx)).sum()) * nh * nx
-            arrows = xs[start:stop].reshape(-1, nh, nx)[:, 0, :]
-            self._chunks.append((slice(start, stop), nh, nx, arrows[:, :, None], arrows[:, None, :]))
-            start = stop
 
         # Gram blocks, batched by size: members[b] lists the support rows of
         # block b, and the entry test compares x^{-1} y with h h'^{-1} in G_e
@@ -176,7 +175,7 @@ class InducedSpace:
             x, h = xs[members], hs[members]
             x_inv_y = to_sub[compose[invert[x][:, :, None], x[:, None, :]]]
             h_h_inv = sub_compose[h[:, :, None], sub_invert[h][:, None, :]]
-            scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * self._rho_r[x][:, :, None]
+            scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * rho_r[x][:, :, None]
             gram = (x_inv_y == h_h_inv) * scale
             self._blocks.append((members, gram))
             solved.append((members, *np.linalg.eigh(gram)))
@@ -190,20 +189,42 @@ class InducedSpace:
         for members, eigvals, eigvecs in solved:
             b, j = np.nonzero(eigvals > cutoff)
             kept.append((members[b], eigvecs[b, :, j], eigvals[b, j]))
-        self.rank = sum(len(values) for _, _, values in kept)
-        # frame on the support rows: each column is a kept block eigenvector
-        # v / sqrt(lambda); since G v = lambda v, frame^H G = lambda frame^H
-        self._frame = np.zeros((len(self._support), self.rank))
-        col = 0
-        for rows, vectors, values in kept:
-            cols = np.arange(col, col + len(values))[:, None]
-            self._frame[rows, cols] = vectors / np.sqrt(values)[:, None]
-            col += len(values)
-        self._frame_gram = (self._frame * np.concatenate([v for _, _, v in kept])).T  # rank x support
-        # frame columns grouped by the unit s(h) of their block, with the
-        # matching rows of frame^H G
+
+        # frame columns, numbered unit by unit (the unit s(h) of their
+        # block), in kept order within a unit
         column_unit = np.concatenate([sub.src_index[hs[rows[:, 0]]] for rows, _, _ in kept])
-        self._unit_columns = [(cols, self._frame_gram[cols]) for cols in _equal_size_groups(column_unit)]
+        by_unit = np.argsort(column_unit, kind="stable")
+        self._kept, self._column_number = kept, np.argsort(by_unit)
+        values = np.concatenate([v for _, _, v in kept])[by_unit]
+        self.rank = len(values)
+        n_c = np.bincount(column_unit, minlength=g.n_units)
+        first_col = np.cumsum(n_c) - n_c
+
+        # F_w of every unit w: its (n_h n_x, c) block of the frame, row-major,
+        # at offset[w] of one flat array
+        sizes = n_h * n_x * n_c
+        offset = np.cumsum(sizes) - sizes
+        flat = np.zeros(sizes.sum())
+        unit_of = np.repeat(np.arange(g.n_units), n_c)
+        for rows, cols, entries in self._columns():
+            w = unit_of[cols][:, None]
+            flat[offset[w] + (rows - first_row[w]) * n_c[w] + cols[:, None] - first_col[w]] = entries
+
+        # per batch of units with equal (n_h, n_x, c): the units, their frame
+        # columns, the gather index of x' x^{-1} with the weights rho(r(x)),
+        # F_w and F_w^H G_w (since G v = lambda v, F^H G = lambda F^H)
+        self._batches = []
+        self._per_trial = 0
+        shape = np.stack([n_h, n_x, n_c], axis=1)
+        for nh, nx, c in sorted(set(map(tuple, shape[n_c > 0].tolist()))):
+            units = np.flatnonzero((shape == (nh, nx, c)).all(axis=1))
+            cols = first_col[units][:, None] + np.arange(c)
+            frame = flat[offset[units][:, None] + np.arange(nh * nx * c)].reshape(-1, nh, nx, c)
+            frame_gram = np.ascontiguousarray((frame.reshape(-1, nh * nx, c) * values[cols][:, None, :]).swapaxes(1, 2))
+            x = xs[first_row[units][:, None] + np.arange(nh * nx)].reshape(-1, nh, nx)
+            index = compose[x[..., :, None], invert[x][..., None, :]]  # s(x') = s(x) = r(h): all defined
+            self._batches.append((units, cols, index, rho_r[x][..., None, :], frame, frame_gram))
+            self._per_trial += index.size + frame.size + len(units) * c * c
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -218,45 +239,41 @@ class InducedSpace:
     def frame(self) -> np.ndarray:
         """The orthonormal frame as ambient vectors (zero off the support)."""
         frame = np.zeros((self.dim_ambient, self.rank))
-        frame[self._support] = self._frame
+        for rows, j, entries in self._columns():
+            frame[self._support[rows], j[:, None]] = entries
         return frame
 
-    def _left_conv_stack(self, a: np.ndarray) -> np.ndarray:
-        vals = np.where(self._conv_defined, a.take(self._conv_clipped, axis=-1), 0.0)
-        return vals * self._rho_r
+    def _columns(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The frame columns of each batch of kept eigenvectors v: their
+        support rows (m, size), numbers (m,) and entries v / sqrt(lambda)."""
+        col = 0
+        for rows, vectors, values in self._kept:
+            yield rows, self._column_number[col : col + len(values)], vectors / np.sqrt(values)[:, None]
+            col += len(values)
 
-    def _image(self, a: np.ndarray) -> np.ndarray:
-        """Left convolution by every trial of a (..., n) stack applied to the
-        frame, on the support rows: a (..., support, rank) array."""
-        conv = self._left_conv_stack(a)
-        image = np.empty(a.shape[:-1] + (len(self._support), self.rank), dtype=np.complex128)
-        for rows, nh, nx, row_arrows, col_arrows in self._chunks:
-            frame = self._frame[rows].reshape(-1, nh, nx, self.rank)
-            blocks = conv[..., row_arrows, col_arrows][..., None, :, :] @ frame
-            image[..., rows, :] = blocks.reshape(image[..., rows, :].shape)
-        return image
-
-    def operator_matrix(self, a: GroupoidFunction) -> np.ndarray:
-        """Compression of left convolution by a onto the orthonormal frame."""
-        return self._frame_gram @ self._image(a.coeffs)
-
-    def operator_block_stacks(self, a: np.ndarray) -> list[np.ndarray]:
-        """The diagonal blocks of the compression for every trial of a (..., n)
-        stack, one per unit s(h), as (..., k, c, c) stacks of equal-size
-        blocks; everything off them is zero."""
-        image = self._image(a)
-        return [frame_gram @ np.moveaxis(image[..., cols], -3, -2) for cols, frame_gram in self._unit_columns]
-
-    def operator_blocks(self, a: GroupoidFunction) -> list[np.ndarray]:
-        """The diagonal blocks of ``operator_matrix(a)``, one per unit s(h),
-        as stacks of equal-size blocks; everything off them is zero."""
-        return self.operator_block_stacks(a.coeffs)
+    def unit_blocks(self, a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The diagonal blocks of the compression of left convolution by
+        every trial of a (..., n) stack, one per unit s(h); everything off
+        them is zero.  Per batch of units: the units (k,), their frame
+        columns (k, c) and the blocks (..., k, c, c)."""
+        out = []
+        for units, cols, index, weight, frame, frame_gram in self._batches:
+            image = (a.take(index, axis=-1) * weight) @ frame  # (..., k, n_h, n_x, c)
+            rows = image.reshape(*image.shape[:-3], frame_gram.shape[-1], image.shape[-1])
+            out.append((units, cols, frame_gram @ rows))
+        return out
 
     def operator_norms(self, a: np.ndarray) -> np.ndarray:
         """The operator norm of left convolution by every trial of a (..., n)
         stack, one batched eigensolve per block size and chunk."""
-        per_trial = self._conv_defined.size + len(self._support) * self.rank
-        return chunked(lambda x: _norm_of_trials(self.operator_block_stacks(x)), per_trial, a)
+
+        def norms(x: np.ndarray) -> np.ndarray:
+            by_size: dict[int, list[np.ndarray]] = {}
+            for _, cols, blocks in self.unit_blocks(x):
+                by_size.setdefault(cols.shape[-1], []).append(blocks)
+            return _norm_of_trials([np.concatenate(s, axis=-3) if len(s) > 1 else s[0] for s in by_size.values()])
+
+        return chunked(norms, self._per_trial, a)
 
 
 def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:

@@ -175,7 +175,7 @@ def test_module_kernels_match_scalar_calls(doc):
 
 @pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
 @pytest.mark.parametrize("on_identity_fiber", [False, True], ids=["G", "G_e"])
-def test_one_bincount_matches_two(doc, on_identity_fiber):
+def test_one_bincount_matches_two(doc, on_identity_fiber, monkeypatch):
     sys = doc.system
     g = sys.identity_fiber if on_identity_fiber else sys.groupoid
     haar = sys.haar
@@ -192,8 +192,12 @@ def test_one_bincount_matches_two(doc, on_identity_fiber):
         (deltas, np.resize(b, deltas.shape)),
         (deltas, deltas.real),
     ]
+    bins = []
+    kernel = algebra._bin_rows
+    monkeypatch.setattr(algebra, "_bin_rows", lambda values, b, width: bins.append(b) or kernel(values, b, width))
     for x, y in pairs:
         assert bitwise(convolve_stack(g, x, y, haar), reference_convolve_stack(g, x, y, haar))
+    assert all(b is g.convolution_bins() for b in bins)  # built once, with the pair table
     for x in (a[0], a[:1], a, a.real.copy()):
         assert bitwise(np.asarray(i_norm_stack(g, x, haar)), np.asarray(reference_i_norm_stack(g, x, haar)))
 

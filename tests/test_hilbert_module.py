@@ -9,7 +9,10 @@ injective *-homomorphism into the module operators and therefore isometric.
 
 The induced space is built block by block; the dense construction it
 replaced (one eigensolve of the whole ambient Gram matrix) is kept below as
-``dense_induced_space`` and serves as an oracle on the corpus.
+``dense_induced_space`` and serves as an oracle on the corpus.  The induced
+operator is compressed unit by unit; ``reference_operator_blocks`` is the
+compression on every support row at once, whose diagonal blocks the
+per-unit blocks must be.
 """
 
 import time
@@ -26,6 +29,7 @@ from groupoid_workbench.algebra import (
     i_norm,
     include_i,
     involute,
+    random_stacks,
     restrict_q,
     unit_function,
     zero,
@@ -36,12 +40,15 @@ from groupoid_workbench.grading import GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import (
     action_groupoid,
     counting_haar,
+    group_groupoid,
     haar_from_weights,
     pair_groupoid,
+    product,
 )
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
+    L_operator_norm_stack,
     check_eq_ruy,
     eq_ruy_defect,
     eq_ruy_tolerance,
@@ -56,6 +63,7 @@ from groupoid_workbench.representation import cstar_norm, operator_norm, positiv
 from groupoid_workbench.verify import run_document
 
 from conftest import max_diff, pair_cocycle, rng_functions
+from test_orbit_blocks import shuffled, weighted
 
 
 def dense_induced_space(sys, null_threshold=1e-10):
@@ -96,6 +104,32 @@ def dense_induced_space(sys, null_threshold=1e-10):
         return operator_norm(frame.conj().T @ gram @ lifted @ frame)
 
     return int(keep.sum()), eigvals, l_norm
+
+
+def reference_operator_blocks(space, a):
+    """The compression F^H G (L_a (x) 1) F of left convolution by one
+    function a onto the frame F of ``space``, dense over every support row
+    (x, h) with s(x) = r(h) at once, the Gram entries from their formula.
+    Returns the (rank, rank) matrix and the unit s(h) of every frame
+    column."""
+    sys = space.system
+    g, sub = sys.groupoid, sys.identity_fiber
+    xs, hs = np.nonzero(g.src_index[:, None] == sub.dst_index[None, :])
+    frame = space.frame[xs * sub.n_arrows + hs]
+    rho = np.array([sys.haar.unit_weight(u) for u in g.units])
+    to_sub = np.full(g.n_arrows + 1, -1)  # and -1 (undefined) to -1
+    to_sub[sub.embedding(g)] = np.arange(sub.n_arrows)
+    compose, inv = g.compose_matrix(), g.invert_index
+    # G[(x, h), (y, h')] = rho(r(x)) sqrt(rho(r(h)) rho(r(h'))) where h h'^{-1} = x^{-1} y
+    x_inv_y = to_sub[compose[inv[xs][:, None], xs[None, :]]]
+    h_h_inv = sub.compose_matrix()[hs[:, None], sub.invert_index[hs][None, :]]
+    sqrt_rho_h = np.sqrt(rho[sub.dst_index[hs]])
+    gram = ((x_inv_y == h_h_inv) & (h_h_inv >= 0)) * np.outer(rho[g.dst_index[xs]] * sqrt_rho_h, sqrt_rho_h)
+    # (L_a (x) 1)[(x', h'), (x, h)] = a(x' x^{-1}) rho(r(x)) where h' = h
+    product = compose[xs[:, None], inv[xs][None, :]]
+    conv = np.where((hs[:, None] == hs[None, :]) & (product >= 0), a[product] * rho[g.dst_index[xs]][None, :], 0.0)
+    column_unit = sub.src_index[hs[np.abs(frame).argmax(axis=0)]]
+    return frame.T @ gram @ conv @ frame, column_unit
 
 
 def fiber_sum_inner_product(sys, a, b):
@@ -264,10 +298,6 @@ class TestInducedSpace:
         for a in doc.functions.values():
             dense = l_norm(a)
             assert L_operator_norm(sys, a, space) == pytest.approx(dense, rel=1e-12, abs=1e-300)
-            # the per-unit blocks hold all of the compression: nothing lies off them
-            full = np.linalg.norm(space.operator_matrix(a))
-            blocks = np.sqrt(sum(np.linalg.norm(stack) ** 2 for stack in space.operator_blocks(a)))
-            assert blocks == pytest.approx(full, rel=1e-12)
 
     def test_norm_and_verify_paths_leave_dense_views_unbuilt(self, graded_action):
         sys = graded_action
@@ -294,6 +324,63 @@ class TestInducedSpace:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         assert ell == pytest.approx(cstar_norm(a, sys.haar), rel=1e-9)
+
+
+def product_system(n, order, shuffle_seed=None):
+    """pair(n) x Z/order graded by i - j in Z, with unequal weights: the
+    identity fiber holds the isotropy, so every unit w has n_h = order
+    arrows h with s(h) = w, all with r(h) = w.  With a seed the arrows are
+    declared in a random order, out of translation order."""
+    g = product(pair_groupoid(n), group_groupoid(cyclic_group(order)))
+    if shuffle_seed is not None:
+        g = shuffled(g, np.random.default_rng(shuffle_seed))
+    ends = {a.id: a.id.split("|")[0].strip("()").split(",") for a in g.arrows}
+    label = {aid: (int(i) - int(j),) for aid, (i, j) in ends.items()}
+    return GradedGroupoid.build(g, weighted(g), cocycle_from_map(g, FreeAbelianGroup(1), label))
+
+
+def pair14_system():
+    from pair_documents import pair_documents
+
+    from groupoid_workbench.document import document_from_dict
+
+    return document_from_dict(pair_documents(14)["pair14-builtin"]).system
+
+
+UNIT_BLOCK_SYSTEMS = {
+    **{doc.name: (lambda doc=doc: doc.system) for doc in builtin_corpus(seed=0)},
+    "pair14-builtin": pair14_system,
+    "pair6-trivial": lambda: pair_system(6, graded=False),
+    "pair4-x-z3": lambda: product_system(4, 3),
+    "pair3-x-z4-shuffled": lambda: product_system(3, 4, shuffle_seed=3),
+}
+
+
+@pytest.mark.parametrize("name", UNIT_BLOCK_SYSTEMS)
+def test_unit_blocks_are_the_diagonal_blocks_of_the_dense_compression(name):
+    """Every unit s(h) has one block, over its own frame columns; it equals
+    the oracle's diagonal block there, nothing lies off the blocks, and the
+    norms agree, each within 1e-12 relative."""
+    sys = UNIT_BLOCK_SYSTEMS[name]()
+    space = induced_space(sys)
+    (a,) = random_stacks(np.random.default_rng(11), 3, sys.groupoid)
+    batches = space.unit_blocks(a)
+    units = np.concatenate([units for units, _, _ in batches])
+    assert len(set(units.tolist())) == len(units)
+    assert sorted(np.concatenate([cols.ravel() for _, cols, _ in batches]).tolist()) == list(range(space.rank))
+    norms = L_operator_norm_stack(sys, a, space)
+    for t, f in enumerate(a):
+        full, column_unit = reference_operator_blocks(space, f)
+        scale = np.abs(full).max()
+        off_blocks = full.copy()
+        for batch_units, cols, blocks in batches:
+            for w, c, block in zip(batch_units, cols, blocks[t]):
+                assert (column_unit[c] == w).all()
+                assert np.abs(block - full[np.ix_(c, c)]).max() <= 1e-12 * scale
+                off_blocks[np.ix_(c, c)] = 0.0
+        assert np.abs(off_blocks).max() <= 1e-12 * scale
+        assert norms[t] == pytest.approx(operator_norm(full), rel=1e-12)
+        assert float(L_operator_norm_stack(sys, f, space)) == norms[t]
 
 
 class TestLOperatorNorm:

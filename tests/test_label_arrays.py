@@ -179,6 +179,25 @@ def test_number_fibers_rejects_labels_that_are_not_elements():
         GradedGroupoid(g, counting_haar(g), Cocycle(FreeAbelianGroup(1), dict.fromkeys(g.arrow_ids, [0])))
 
 
+def test_cocycle_labels_are_converted_once(monkeypatch):
+    """The parsed cocycle carries the read-only element array the parser
+    read, so validation and fiber numbering convert no labels; a label map
+    alone is converted when the cocycle is made, to None when a label is no
+    element."""
+    doc = document_from_dict(pair_documents(5)["pair5-builtin"])
+    g, c = doc.system.groupoid, doc.system.cocycle
+    assert not c.elements.flags.writeable
+    assert c.elements.tolist() == c.group.element_array(list(c.label.values())).tolist()
+    assert Cocycle(c.group, dict(c.label)).elements.tolist() == c.elements.tolist()
+    assert Cocycle(c.group, {**c.label, "(1,2)": 1.5}).elements is None
+    lengths = []
+    convert = FreeAbelianGroup.element_array
+    monkeypatch.setattr(FreeAbelianGroup, "element_array", lambda self, els: lengths.append(len(els)) or convert(self, els))
+    assert validate_cocycle(g, c).ok
+    assert_fibers_match_reference(GradedGroupoid(g, doc.system.haar, c))
+    assert g.n_arrows not in lengths
+
+
 # -- the cocycle report -----------------------------------------------------
 
 

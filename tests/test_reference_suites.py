@@ -933,11 +933,14 @@ def test_topological_grading_reads_the_family_labels(docs, name):
 
 def _misrouted(g: FiniteGroupoid, monkeypatch: pytest.MonkeyPatch, pairs: list[int], to: int) -> None:
     """Send the convolution terms of the given composable pairs to bin ``to``,
-    while ``compose_matrix()`` keeps the right products."""
+    in the pair table and in its interleaved convolution bins, while
+    ``compose_matrix()`` keeps the right products."""
     xs, ys, zs = g.composable_pairs()
     zs = zs.copy()
     zs[pairs] = to
+    bins = np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel()
     monkeypatch.setattr(g, "composable_pairs", lambda: (xs, ys, zs))
+    monkeypatch.setattr(g, "convolution_bins", lambda: bins)
 
 
 @pytest.mark.parametrize("name", sorted(d.name for d in builtin_corpus(seed=0)))
