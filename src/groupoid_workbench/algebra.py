@@ -61,9 +61,6 @@ class GroupoidFunction:
     def support(self) -> tuple[str, ...]:
         return tuple(a.id for a, v in zip(self.groupoid.arrows, self.coeffs) if v != 0)
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max()) if len(self.coeffs) else 0.0
-
     def __add__(self, other: "GroupoidFunction") -> "GroupoidFunction":
         _same_groupoid(self, other)
         return GroupoidFunction(self.groupoid, self.coeffs + other.coeffs)

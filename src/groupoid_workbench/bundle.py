@@ -35,7 +35,7 @@ from .algebra import (
 from .grading import GradedGroupoid
 from .hilbert_module import expectation_stack
 from .representation import _norm_of_trials, _stacks_of, cstar_norm_stack
-from .validation import CheckReport
+from .validation import ALG_TOL, EIG_TOL, CheckReport, norm_chain
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +135,7 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
     denom = cstar_norm_stack(g, a, sys.haar)
     numer = cstar_norm_stack(g, expectation_stack(sys, a), sys.haar)
     sup_ratio = max([0.0, *(numer[denom != 0.0] / denom[denom != 0.0]).tolist()])
-    if sup_ratio > 1.0 + 1e-9:
+    if sup_ratio > 1.0 + EIG_TOL:
         return CheckReport.failed("projection-not-contractive", sup_ratio=sup_ratio)
     return CheckReport(ok=True, witness={"sup_ratio": sup_ratio, "samples": count})
 
@@ -178,18 +178,20 @@ def bundle_rep_check(
     rep: FiberRep | StackRep,
     seed: int = 0,
     count: int = 5,
-    tol: float = 1e-12,
 ) -> CheckReport:
     """Verify a fiberwise representation and its summed *-homomorphism.
 
     Checks, in order, on block stacks in chunks of arrows: coverage and shape
     of a :data:`FiberRep`; pi(d_x) pi(d_y) = w(x) pi(d_{xy}) (zero when
     non-composable) and pi(d_x)^H = pi(d_{x^{-1}}); the summed map on seeded
-    random pairs; the I-norm bound on each fiber.  The product relation is
-    linear in d_y, so each x is checked once on sum_y c_y d_y for the
-    modulus-one :func:`unit_labels` c, where one wrong pair shows at its full
-    defect (Freivalds, IFIP 1977); the pairs of each x over the tolerance are
-    then swept, so the witness is the sweep's unless wrong pairs cancel.
+    random pairs; the I-norm bound on each fiber (:func:`norm_chain`).
+    The relations hold within ``ALG_TOL`` times s = 1 + the largest basis
+    block norm (s^2 for products), n times that on the random pairs.  The
+    product relation is linear in d_y, so each x is checked once on
+    sum_y c_y d_y for the modulus-one :func:`unit_labels` c, where one wrong
+    pair shows at its full defect (Freivalds, IFIP 1977); the pairs of each
+    x over the tolerance are then swept, so the witness is the sweep's
+    unless wrong pairs cancel.
     """
     sys = family.system
     g, haar, n = sys.groupoid, sys.haar, sys.groupoid.n_arrows
@@ -217,14 +219,14 @@ def bundle_rep_check(
     per_chunk = [(_norm_of_trials(px := rep(eye[xs])), basis_defects(px, xs, labels)) for xs in chunks]
     scales, basis = map(np.concatenate, zip(*per_chunk))
     norm_scale, (labelled, adjoint) = 1.0 + float(scales.max()), basis.T
-    for x in np.flatnonzero((labelled > tol * norm_scale**2) | (adjoint > tol * norm_scale)):
-        for ys in chunks if labelled[x] > tol * norm_scale**2 else []:
+    for x in np.flatnonzero((labelled > ALG_TOL * norm_scale**2) | (adjoint > ALG_TOL * norm_scale)):
+        for ys in chunks if labelled[x] > ALG_TOL * norm_scale**2 else []:
             defect = basis_defects(rep(eye[[x]]), np.full(len(ys), x), eye[ys])[:, 0]
-            (bad,) = np.nonzero(defect > tol * norm_scale**2)
+            (bad,) = np.nonzero(defect > ALG_TOL * norm_scale**2)
             if len(bad):
                 pair = (g.arrow_ids[x], g.arrow_ids[ys[bad[0]]])
                 return CheckReport.failed("rep-not-multiplicative-on-basis", pair=pair, defect=float(defect[bad[0]]))
-        if adjoint[x] > tol * norm_scale:
+        if adjoint[x] > ALG_TOL * norm_scale:
             return CheckReport.failed("rep-not-star-on-basis", arrow=g.arrow_ids[x], defect=float(adjoint[x]))
 
     a, b = random_stacks(np.random.default_rng(seed), count, g, g)
@@ -233,7 +235,7 @@ def bundle_rep_check(
     bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
     norms = chunked(lambda p: _norm_of_trials(rep(p)), size, parts.reshape(-1, n)).reshape(bounds.shape)
     # per trial, in order: multiplicativity, adjoints, the norm of each fiber
-    failed = np.column_stack([mult > tol * norm_scale**2 * n, star > tol * norm_scale * n, (norms > bounds * (1.0 + 1e-9)).T])
+    failed = np.column_stack([mult > ALG_TOL * norm_scale**2 * n, star > ALG_TOL * norm_scale * n, ~norm_chain(norms, bounds).T])
     if failed.any():
         trial, check = np.argwhere(failed)[0]
         if check == 0:

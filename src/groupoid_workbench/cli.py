@@ -5,7 +5,8 @@
     workbench verify (<file> | --corpus) [--suite S] [--seed N] [--count K] [--json OUT]
     workbench corpus [--seed N] --out DIR
 
-Exit codes: 0 all checks pass, 1 a verification check failed, 2 input error.
+Exit codes: 0 all checks pass, 1 a verification check failed, 2 input error
+(an invalid document or option, or an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .algebra import i_norm, restrict_q
 from .corpus import builtin_corpus
 from .document import DocumentError, WorkbenchDocument, parse_document
 from .hilbert_module import L_operator_norm, module_norm
 from .representation import cstar_norm
+from .validation import norm_chain
 from .verify import DEFAULT_COUNTS, SUITES, report_to_json, run_verification
 
 
@@ -69,8 +72,7 @@ def _cmd_norms(args: argparse.Namespace) -> int:
     print(f"  module norm:       {module!r}")
     print(f"  L operator norm:   {operator!r}")
     print(f"  restriction norm:  {restriction!r}")
-    slack = 1.0 + 1e-9
-    ok = restriction <= module * slack + 1e-15 and module <= operator * slack + 1e-15 and operator <= ambient_i * slack + 1e-15
+    ok = norm_chain(restriction, module, operator, ambient_i)
     print(f"  sandwich restriction <= module <= operator <= I-norm: {'OK' if ok else 'VIOLATED'}")
     return 0 if ok else 1
 
@@ -91,21 +93,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     summary = report["summary"]
     print(f"summary: {summary['passed']}/{summary['total']} passed, {summary['failed']} failed")
     if args.json:
-        Path(args.json).write_text(report_to_json(report), encoding="utf-8")
+        try:
+            Path(args.json).write_text(report_to_json(report), encoding="utf-8")
+        except OSError as exc:
+            print(f"invalid: cannot write the report: {exc}")
+            return 2
         print(f"report written to {args.json}")
     return 0 if summary["failed"] == 0 else 1
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     docs = builtin_corpus(seed=args.seed)
-    for doc in docs:
-        path = out / f"{doc.name}.json"
-        path.write_text(json.dumps(doc.raw, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"wrote {path}")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for doc in docs:
+            path = out / f"{doc.name}.json"
+            path.write_text(json.dumps(doc.raw, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            print(f"wrote {path}")
+    except OSError as exc:
+        print(f"invalid: cannot write the corpus: {exc}")
+        return 2
     print(f"{len(docs)} documents")
     return 0
+
+
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,10 +147,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file", nargs="?", default=None)
     p_verify.add_argument("--corpus", action="store_true", help="run on the built-in corpus")
     p_verify.add_argument("--suite", default="all", choices=("all",) + SUITES)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_at_least(0), default=0)
     p_verify.add_argument(
         "--count",
-        type=int,
+        type=_at_least(1),
         default=None,
         help=f"random functions per check (defaults per suite: {DEFAULT_COUNTS})",
     )
@@ -136,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_corpus = sub.add_parser("corpus", help="emit the built-in corpus documents")
-    p_corpus.add_argument("--seed", type=int, default=0)
+    p_corpus.add_argument("--seed", type=_at_least(0), default=0)
     p_corpus.add_argument("--out", required=True)
     p_corpus.set_defaults(handler=_cmd_corpus)
 

@@ -41,7 +41,7 @@ from typing import Any, Callable, Mapping, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, first_nonassociative_triple, strict_int
-from .validation import CheckReport
+from .validation import ALG_TOL, CheckReport
 
 
 # per block size: (units, arrows, products), and (arrows, products) of the orbit rows
@@ -94,13 +94,6 @@ class FiniteGroupoid:
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, self._dst_index, self._src_index)
         self._orbit_base = _read_only(base)
-        by_src: dict[str, list[str]] = {u: [] for u in self.units}
-        by_dst: dict[str, list[str]] = {u: [] for u in self.units}
-        for a in self.arrows:
-            by_src[a.src].append(a.id)
-            by_dst[a.dst].append(a.id)
-        self._by_src = {u: tuple(v) for u, v in by_src.items()}
-        self._by_dst = {u: tuple(v) for u, v in by_dst.items()}
         # composable_pairs() and convolution_bins(), filled together on first use
         self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._pair_bins: np.ndarray | None = None
@@ -151,11 +144,11 @@ class FiniteGroupoid:
 
     def arrows_with_src(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with s(x) = u, in declared order (the set Gu)."""
-        return self._by_src[u]
+        return tuple(self._ids[i] for i in np.flatnonzero(self._src_index == self._unit_index[u]))
 
     def arrows_with_dst(self, u: str) -> tuple[str, ...]:
         """Arrow ids x with r(x) = u, in declared order (the set G^u)."""
-        return self._by_dst[u]
+        return tuple(self._ids[i] for i in np.flatnonzero(self._dst_index == self._unit_index[u]))
 
     # -- integer tables for vectorized operations --------------------------
 
@@ -573,7 +566,7 @@ def counting_haar(g: FiniteGroupoid) -> HaarSystem:
     return HaarSystem(rho={u: 1.0 for u in g.units})
 
 
-def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol: float = 1e-12) -> bool:
+def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float]) -> bool:
     """Check the invariance identity for an arbitrary arrow-weight table.
 
     True iff for every arrow x and every indicator function f,
@@ -586,21 +579,21 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float], rel_tol:
         if not float(w[a.id]) > 0.0:
             raise ValueError(f"Weight table must be positive; got {w[a.id]!r} at {a.id!r}.")
     vec = np.array([[float(w[a.id]) for a in g.arrows]])
-    return bool(left_invariance_stack(g, vec, rel_tol)[0])
+    return bool(left_invariance_stack(g, vec)[0])
 
 
-def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray, rel_tol: float = 1e-12) -> np.ndarray:
+def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray) -> np.ndarray:
     """The verdict of :func:`validate_left_invariance` for every row of a
     (T, n) stack of positive arrow-weight tables.
 
     For f the indicator of t the identity compares, per key (x, t), the sum
     of w(y) over the composable pairs with xy = t against w(t) when
-    r(t) = r(x) and 0 otherwise, within ``rel_tol * (1 + max w)``.  Only the
+    r(t) = r(x) and 0 otherwise, within ``ALG_TOL * (1 + max w)``.  Only the
     keys that some pair hits are formed; every (x, t) with r(t) = r(x) must
     be among them, since an unhit one compares 0 with a positive weight.
     """
     n = g.n_arrows
-    tol = rel_tol * (1.0 + w.max(axis=1))
+    tol = ALG_TOL * (1.0 + w.max(axis=1))
     xs, ys, zs = g.composable_pairs()
     keys, at = np.unique(xs * n + zs, return_inverse=True)
     bins = (at + len(keys) * np.arange(len(w))[:, None]).ravel()

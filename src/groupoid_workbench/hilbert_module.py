@@ -56,6 +56,10 @@ from .algebra import (
 )
 from .grading import GradedGroupoid
 from .representation import _equal_size_groups, _norm_of_trials, cstar_norm_stack, parent_to_sub_index
+from .validation import ALG_TOL, EIG_TOL
+
+NULL_THRESHOLD = 1e-10
+"""Gram eigendirections below this share of the top eigenvalue are null."""
 
 
 def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:
@@ -125,7 +129,7 @@ class InducedSpace:
       Gram is block-diagonal over the keys (r(x), c(x), s(h)).
 
     Each block is eigendecomposed on its own; eigendirections below
-    ``null_threshold`` times the top eigenvalue of the whole Gram are
+    ``NULL_THRESHOLD`` times the top eigenvalue of the whole Gram are
     discarded, and left convolution is compressed onto the surviving frame,
     where its largest singular value is the module operator norm.
 
@@ -143,11 +147,10 @@ class InducedSpace:
     ambient ``gram`` and ``frame`` are assembled only when read.
     """
 
-    def __init__(self, sys: GradedGroupoid, null_threshold: float = 1e-10) -> None:
+    def __init__(self, sys: GradedGroupoid) -> None:
         g = sys.groupoid
         sub = sys.identity_fiber
         self.system = sys
-        self.null_threshold = null_threshold
         self.dim_ambient = g.n_arrows * sub.n_arrows
         rho = np.array([sys.haar.unit_weight(u) for u in g.units])
         rho_r = rho[g.dst_index]
@@ -184,7 +187,7 @@ class InducedSpace:
         spectra = [eigvals.ravel() for _, eigvals, _ in solved] + [np.zeros(n_zero_rows)]
         self.gram_eigenvalues = np.sort(np.concatenate(spectra))
         self.gram_min_eig = float(self.gram_eigenvalues[0])
-        cutoff = null_threshold * float(self.gram_eigenvalues[-1])
+        cutoff = NULL_THRESHOLD * float(self.gram_eigenvalues[-1])
         kept = []
         for members, eigvals, eigvecs in solved:
             b, j = np.nonzero(eigvals > cutoff)
@@ -276,25 +279,21 @@ class InducedSpace:
         return chunked(norms, self._per_trial, a)
 
 
-def induced_space(sys: GradedGroupoid, null_threshold: float = 1e-10) -> InducedSpace:
+def induced_space(sys: GradedGroupoid) -> InducedSpace:
     """The induced space of a graded system, built once and cached on it."""
-    cached = sys._induced_space
-    if cached is None or cached.null_threshold != null_threshold:
-        cached = InducedSpace(sys, null_threshold)
-        sys._induced_space = cached
-    return cached
+    if sys._induced_space is None:
+        sys._induced_space = InducedSpace(sys)
+    return sys._induced_space
 
 
-def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray, space: InducedSpace | None = None) -> np.ndarray:
+def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:
     """Module operator norm of left convolution by every trial of a (..., n) stack."""
-    if space is None:
-        space = induced_space(sys)
-    return space.operator_norms(a)
+    return induced_space(sys).operator_norms(a)
 
 
-def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction, space: InducedSpace | None = None) -> float:
+def L_operator_norm(sys: GradedGroupoid, a: GroupoidFunction) -> float:
     """Module operator norm of left convolution by a."""
-    return float(L_operator_norm_stack(sys, *_on(sys, a), space))
+    return float(L_operator_norm_stack(sys, *_on(sys, a)))
 
 
 def _single_fiber_support(sys: GradedGroupoid, b: np.ndarray) -> None:
@@ -341,9 +340,9 @@ def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray)
     return np.abs(lhs - rhs).max(axis=1)
 
 
-def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """The bound ``tol * (1 + max|a|) * (1 + max|b|)^2`` on the defect, trial by trial."""
-    return tol * ((1.0 + np.abs(a).max(axis=1)) * (1.0 + np.abs(b).max(axis=1)) ** 2)
+def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The bound ``ALG_TOL * (1 + max|a|) * (1 + max|b|)^2`` on the defect, trial by trial."""
+    return ALG_TOL * ((1.0 + np.abs(a).max(axis=1)) * (1.0 + np.abs(b).max(axis=1)) ** 2)
 
 
 def eq_ruy_defect(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> float:
@@ -352,10 +351,10 @@ def eq_ruy_defect(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction)
     return float(eq_ruy_defect_stack(sys, *(x[None] for x in _on(sys, a, b)))[0])
 
 
-def check_eq_ruy(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction, tol: float = 1e-12) -> bool:
-    """True iff i(<b, a*b>) equals b^* P(a) b within tol (relative to scale)."""
+def check_eq_ruy(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) -> bool:
+    """True iff i(<b, a*b>) equals b^* P(a) b within :func:`eq_ruy_tolerance`."""
     a_, b_ = (x[None] for x in _on(sys, a, b))
-    return bool(eq_ruy_defect_stack(sys, a_, b_)[0] <= eq_ruy_tolerance(a_, b_, tol)[0])
+    return bool(eq_ruy_defect_stack(sys, a_, b_)[0] <= eq_ruy_tolerance(a_, b_)[0])
 
 
 @dataclass(frozen=True)
@@ -373,39 +372,32 @@ class KernelCheckRecord:
     consistent: bool
 
 
-def kernel_verdicts(
-    sys: GradedGroupoid, a: np.ndarray, tol: float = 1e-9, space: InducedSpace | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_verdicts(sys: GradedGroupoid, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For every trial of a (T, n) stack: the norm triple (||L_a||,
-    ||P(a^* a)||, ||a||) as a (3, T) array, its zero verdicts ``norm <= tol``
-    and whether the three verdicts agree."""
+    ||P(a^* a)||, ||a||) as a (3, T) array, its zero verdicts
+    ``norm <= EIG_TOL`` and whether the three verdicts agree."""
     g = sys.groupoid
     star_square = convolve_stack(g, involute_stack(g, a), a, sys.haar)
     norms = np.array([
-        L_operator_norm_stack(sys, a, space),
+        L_operator_norm_stack(sys, a),
         cstar_norm_stack(g, expectation_stack(sys, star_square), sys.haar),
         cstar_norm_stack(g, a, sys.haar),
     ])
-    zeros = norms <= tol
+    zeros = norms <= EIG_TOL
     return norms, zeros, (zeros == zeros[0]).all(axis=0)
 
 
-def kernel_check(
-    sys: GradedGroupoid,
-    functions: Sequence[GroupoidFunction],
-    tol: float = 1e-9,
-    space: InducedSpace | None = None,
-) -> list[KernelCheckRecord]:
+def kernel_check(sys: GradedGroupoid, functions: Sequence[GroupoidFunction]) -> list[KernelCheckRecord]:
     """For each function, test the three-way equivalence
 
         L_a = 0  <=>  P(a^* a) = 0  <=>  a = 0
 
-    with absolute zero-thresholds ``tol``.  P(a^* a) scales quadratically in
-    a, so the thresholds agree only away from norms near sqrt(tol); feed
+    with absolute zero-thresholds ``EIG_TOL``.  P(a^* a) scales quadratically
+    in a, so the thresholds agree only away from norms near sqrt(EIG_TOL); feed
     order-one functions (or exact zeros), as the verification suites do.
     """
     stack = np.array(_on(sys, *functions), dtype=np.complex128).reshape(len(functions), sys.groupoid.n_arrows)
-    norms, zeros, consistent = kernel_verdicts(sys, stack, tol, space)
+    norms, zeros, consistent = kernel_verdicts(sys, stack)
     return [
         KernelCheckRecord(*n, *z, c)
         for n, z, c in zip(norms.T.tolist(), zeros.T.tolist(), consistent.tolist())

@@ -54,6 +54,7 @@ import numpy as np
 from .algebra import GroupoidFunction, chunked, include_stack, involute
 from .grading import GradedGroupoid
 from .groupoid import FiniteGroupoid, HaarSystem
+from .validation import EIG_TOL
 
 
 def operator_norms(matrices: np.ndarray) -> np.ndarray:
@@ -141,12 +142,12 @@ def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     return float(cstar_norm_stack(a.groupoid, a.coeffs, haar))
 
 
-def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
+def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
     """:func:`positivity_check` for every trial of a (..., n) stack."""
 
     def kernel(x: np.ndarray) -> np.ndarray:
         stacks = _stacks_of(g, x, haar, g.orbit_rep_tables())
-        slack = tol * (1.0 + _norm_of_trials(stacks))
+        slack = EIG_TOL * (1.0 + _norm_of_trials(stacks))
         ok = np.ones(x.shape[:-1], dtype=bool)
         for m in stacks:
             adjoint = m.conj().swapaxes(-1, -2)
@@ -159,15 +160,15 @@ def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem, tol: fl
     return chunked(kernel, _orbit_size(g), a)
 
 
-def positivity_check(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> bool:
-    """True iff a is positive: blocks Hermitian and spectra >= -tol*(1 + ||a||)."""
-    return bool(positivity_stack(a.groupoid, a.coeffs, haar, tol))
+def positivity_check(a: GroupoidFunction, haar: HaarSystem) -> bool:
+    """True iff a is positive: blocks Hermitian and spectra >= -EIG_TOL*(1 + ||a||)."""
+    return bool(positivity_stack(a.groupoid, a.coeffs, haar))
 
 
-def spectrum(a: GroupoidFunction, haar: HaarSystem, tol: float = 1e-9) -> np.ndarray:
+def spectrum(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
     """Sorted real eigenvalues of the regular blocks; requires a self-adjoint."""
     deviation = cstar_norm(a - involute(a), haar)
-    if deviation > tol * (1.0 + cstar_norm(a, haar)):
+    if deviation > EIG_TOL * (1.0 + cstar_norm(a, haar)):
         raise ValueError(f"Function is not self-adjoint (deviation {deviation:.3e}).")
     values = [np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).ravel() for m in rep_stacks(a, haar)]
     return np.sort(np.concatenate(values))

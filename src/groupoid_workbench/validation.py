@@ -1,4 +1,9 @@
-"""Pass/fail reports returned by the structural validators.
+"""The pinned tolerances, and the pass/fail reports of the structural validators.
+
+Every numerical check of the workbench reads its tolerance from here:
+``ALG_TOL`` (relative) for exact algebraic identities, ``EIG_TOL``
+(relative) for anything that passes through an eigensolve, and
+:func:`norm_chain` for inequalities between norms.
 
 Validators report the first violated axiom with a witness instead of
 raising, so harness code can surface failures as data.
@@ -8,6 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+ALG_TOL = 1e-12
+EIG_TOL = 1e-9
+NORM_FLOOR = 1e-15
+
+
+def norm_chain(*norms: Any) -> Any:
+    """Whether each norm is at most the next, up to the relative slack
+    ``EIG_TOL`` and the absolute floor ``NORM_FLOOR``; for numbers, or
+    elementwise for arrays."""
+    held = True
+    for lower, upper in zip(norms, norms[1:]):
+        held = held & (lower <= upper * (1.0 + EIG_TOL) + NORM_FLOOR)
+    return held
 
 
 @dataclass(frozen=True)

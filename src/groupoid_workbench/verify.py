@@ -10,8 +10,10 @@ Records are sorted by (suite, instance, check) before emission and all
 numbers come from deterministic dense eigendecompositions, so the JSON
 report is byte-identical for a fixed (document, seed, version).
 
-Tolerances follow two regimes: 1e-12 relative for exact algebraic
-identities, 1e-9 relative for anything passing through an eigensolve.
+Tolerances are those of :mod:`validation`: ``ALG_TOL`` relative for exact
+algebraic identities, ``EIG_TOL`` relative for anything passing through an
+eigensolve.  A check passes iff every defect it records is at most the
+tolerance it records (and its verdict, where it has one, holds).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -68,9 +70,8 @@ from .representation import (
     positivity_stack,
     spectrum,
 )
+from .validation import ALG_TOL, EIG_TOL, norm_chain
 
-ALG_TOL = 1e-12
-EIG_TOL = 1e-9
 UNITARY_TRIALS = 20
 SMALL_TRIALS = 20
 
@@ -123,8 +124,14 @@ class _Recorder:
         """The suite's own generator, seeded by (seed, instance, suite)."""
         return np.random.default_rng([self.seed, _instance_key(self.instance), SUITES.index(self.suite)])
 
-    def add(self, check: str, prop: str, ok: bool, tolerance: float, **witness: Any) -> None:
-        witness = {k: _jsonable(v) for k, v in witness.items()}
+    def add(
+        self, check: str, prop: str, tolerance: float, ok: bool = True, defects: dict[str, float] | None = None, **witness: Any
+    ) -> None:
+        """Record a check that passes iff ``ok`` holds and every one of its
+        ``defects`` is at most ``tolerance``; the defects join the witness."""
+        defects = defects or {}
+        ok = ok and all(d <= tolerance for d in defects.values())
+        witness = {k: _jsonable(v) for k, v in {**defects, **witness}.items()}
         status = "pass" if ok else "fail"
         self.records.append(CheckRecord(self.suite, check, prop, self.instance, status, tolerance, self.seed, witness))
 
@@ -171,24 +178,24 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "groupoid-axioms",
         "compose/invert/unit tables satisfy the groupoid axioms",
-        report.ok,
         0.0,
+        ok=report.ok,
         cause=report.cause,
     )
     creport = validate_cocycle(g, sys.cocycle)
     rec.add(
         "cocycle-identities",
         "arrow labels form a homomorphism into the grading group",
-        creport.ok,
         0.0,
+        ok=creport.ok,
         cause=creport.cause,
     )
     w = haar.weights(g)
     rec.add(
         "haar-left-invariance",
         "source-determined weights satisfy the left-invariance identity",
-        bool(left_invariance_stack(g, w[None])[0]),
         ALG_TOL,
+        ok=bool(left_invariance_stack(g, w[None])[0]),
     )
     non_units = np.flatnonzero(~np.isin(np.arange(g.n_arrows), g.unit_arrow_index))
     # an integer and a uniform per trial: drawn one after the other, as the
@@ -201,8 +208,8 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "haar-perturbation-detected",
         "breaking the source-dependence of a weight breaks invariance",
-        detected == trials,
         ALG_TOL,
+        ok=detected == trials,
         trials=trials,
         detected=detected,
     )
@@ -215,17 +222,16 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "convolution-unit",
         "the weighted sum of unit-arrow deltas is a two-sided unit",
-        worst <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=worst,
+        defects={"max_rel_defect": worst},
         trials=count,
     )
     sub = sys.identity_fiber
     rec.add(
         "identity-fiber-subgroupoid",
         "the identity fiber is a subgroupoid carrying the restricted weights",
-        validate_groupoid(sub).ok and bool(left_invariance_stack(sub, haar.weights(sub)[None])[0]),
         0.0,
+        ok=validate_groupoid(sub).ok and bool(left_invariance_stack(sub, haar.weights(sub)[None])[0]),
         arrows=sub.n_arrows,
     )
 
@@ -270,38 +276,34 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
         _max_abs(restrict_stack(g, include(f1), sub) - f1),
         _max_abs(include(star(f1, sub)) - star(include(f1))),
     )
-    rec.add("convolution-associativity", "convolution is associative", assoc <= ALG_TOL, ALG_TOL, max_rel_defect=assoc, trials=count)
-    rec.add("convolution-bilinear", "convolution is bilinear", bilin <= ALG_TOL, ALG_TOL, max_rel_defect=bilin, trials=count)
+    rec.add("convolution-associativity", "convolution is associative", ALG_TOL, defects={"max_rel_defect": assoc}, trials=count)
+    rec.add("convolution-bilinear", "convolution is bilinear", ALG_TOL, defects={"max_rel_defect": bilin}, trials=count)
     rec.add(
         "involution-star-algebra",
         "the involution is involutive and anti-multiplicative",
-        star_defect <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=star_defect,
+        defects={"max_rel_defect": star_defect},
         trials=count,
     )
     rec.add(
         "i-norm-star-invariant",
         "the I-norm is invariant under the involution",
-        inorm_star <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=inorm_star,
+        defects={"max_rel_defect": inorm_star},
         trials=count,
     )
     rec.add(
         "graded-components-sum",
         "the fiber components sum back to the function exactly",
-        comp_sum == 0.0,
         0.0,
-        max_abs_defect=comp_sum,
+        defects={"max_abs_defect": comp_sum},
         trials=count,
     )
     rec.add(
         "inclusion-star-homomorphism",
         "extension by zero is a *-homomorphism split by restriction",
-        include_hom <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=include_hom,
+        defects={"max_rel_defect": include_hom},
         trials=count,
     )
 
@@ -342,29 +344,27 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     submult = _worst(_rel(np.maximum(0.0, iab - iaib), iaib))
     star = _worst(_rel(np.abs(cstar_norm_stack(g, involute_stack(g, a), haar) - n), n))
     positive = bool(positivity_stack(g, star_square, haar).all())
-    rec.add("cstar-identity", "the C*-identity ||a^* a|| = ||a||^2", cident <= EIG_TOL, EIG_TOL, max_rel_defect=cident, trials=count)
+    rec.add("cstar-identity", "the C*-identity ||a^* a|| = ||a||^2", EIG_TOL, defects={"max_rel_defect": cident}, trials=count)
     rec.add(
         "i-norm-dominates-cstar",
         "the C*-norm is bounded by the I-norm",
-        dominated <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=dominated,
+        defects={"max_rel_defect": dominated},
         trials=count,
     )
     rec.add(
         "i-norm-submultiplicative",
         "the I-norm is submultiplicative",
-        submult <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=submult,
+        defects={"max_rel_defect": submult},
         trials=count,
     )
-    rec.add("cstar-star-invariant", "the C*-norm is invariant under the involution", star <= EIG_TOL, EIG_TOL, max_rel_defect=star, trials=count)
+    rec.add("cstar-star-invariant", "the C*-norm is invariant under the involution", EIG_TOL, defects={"max_rel_defect": star}, trials=count)
     rec.add(
         "positivity-of-star-squares",
         "a^* a is positive in the regular representation",
-        positive,
         EIG_TOL,
+        ok=positive,
         trials=count,
     )
     e = unit_function(g, haar)
@@ -373,10 +373,8 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "unit-norm-and-spectrum",
         "the convolution unit has norm one and spectrum {1}",
-        max(unit_norm, unit_spec) <= EIG_TOL,
         EIG_TOL,
-        norm_defect=unit_norm,
-        spectrum_defect=unit_spec,
+        defects={"norm_defect": unit_norm, "spectrum_defect": unit_spec},
     )
     rho = np.array([haar.rho[u] for u in g.units])
     expected = np.sqrt(rho[g.src_index] * rho[g.dst_index])
@@ -386,16 +384,14 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "delta-norm-closed-form",
         "||delta_x|| is the geometric mean of the endpoint weights",
-        delta_norm <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=delta_norm,
+        defects={"max_rel_defect": delta_norm},
     )
     rec.add(
         "delta-convolution-rule",
         "delta_x * delta_y = w(x) delta_{xy} (zero when non-composable)",
-        delta_rule <= ALG_TOL,
         ALG_TOL,
-        max_abs_defect=delta_rule,
+        defects={"max_abs_defect": delta_rule},
     )
 
 
@@ -412,9 +408,8 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
     rec.add(
         "inclusion-isometric",
         "extension by zero preserves the C*-norm of identity-fiber functions",
-        iso <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=iso,
+        defects={"max_rel_defect": iso},
         trials=count,
     )
     (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
@@ -427,17 +422,15 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
     rec.add(
         "fiber-block-decomposition",
         "the representation of an included function is the direct sum of its fiber blocks",
-        u_defect <= ALG_TOL,
         ALG_TOL,
-        max_abs_defect=u_defect,
+        defects={"max_abs_defect": u_defect},
         trials=UNITARY_TRIALS,
     )
     rec.add(
         "included-norm-chain",
         "ambient norm = max fiber-block norm = identity-fiber norm",
-        chain <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=chain,
+        defects={"max_rel_defect": chain},
         trials=UNITARY_TRIALS,
     )
     (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
@@ -447,9 +440,8 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
     rec.add(
         "fiber-translation-unitaries",
         "right translation by a fiber arrow conjugates blocks to the identity-fiber representation",
-        v_defect <= ALG_TOL,
         ALG_TOL,
-        max_abs_defect=v_defect,
+        defects={"max_abs_defect": v_defect},
         conjugations=checked,
     )
 
@@ -477,8 +469,8 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "induced-gram-positive",
         "the induced-space Gram matrix is positive semidefinite",
-        space.gram_min_eig >= -EIG_TOL * (1.0 + float(space.gram_eigenvalues[-1])),
         EIG_TOL,
+        ok=space.gram_min_eig >= -EIG_TOL * (1.0 + float(space.gram_eigenvalues[-1])),
         min_eigenvalue=space.gram_min_eig,
         rank=space.rank,
         dimension=space.dim_ambient,
@@ -490,58 +482,54 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     a, b = random_stacks(rng, count, g, g)
     q = cstar_norm_stack(sub, restrict_stack(g, a, sub), haar)
     m = module_norm_stack(sys, a)
-    ell = L_operator_norm_stack(sys, a, space)
+    ell = L_operator_norm_stack(sys, a)
     ia = i_norm_stack(g, a, haar)
     n = cstar_norm_stack(g, a, haar)
-    slack = 1.0 + EIG_TOL
-    broken = np.flatnonzero(~((q <= m * slack + 1e-15) & (m <= ell * slack + 1e-15) & (ell <= ia * slack + 1e-15)))
+    broken = np.flatnonzero(~norm_chain(q, m, ell, ia))
     worst_chain = None
     if len(broken):
         last = broken[-1]
         worst_chain = {"restriction": q[last], "module": m[last], "operator": ell[last], "i_norm": ia[last]}
     contraction = _worst(_rel(np.maximum(0.0, q - n), n))
     positive = bool(positivity_stack(sub, inner(a, a), haar).all())
-    definite = not ((m <= 1e-9) & (n > 1e-6)).any()
+    definite = not ((m <= EIG_TOL) & (n > 1e-6)).any()
     pairing = cstar_norm_stack(sub, inner(a, b), haar)
     cauchy = _worst(_rel(np.maximum(0.0, pairing - m * module_norm_stack(sys, b)), pairing))
     gap = _worst(_rel(np.abs(ell - n), n))
     rec.add(
         "norm-sandwich",
         "restriction norm <= module norm <= operator norm <= I-norm",
-        not len(broken),
         EIG_TOL,
+        ok=not len(broken),
         trials=count,
         **({"worst": worst_chain} if worst_chain else {}),
     )
     rec.add(
         "restriction-contractive",
         "restriction to the identity fiber does not increase the C*-norm",
-        contraction <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=contraction,
+        defects={"max_rel_defect": contraction},
         trials=count,
     )
     rec.add(
         "inner-product-positive",
         "<a, a> is positive in the identity-fiber representation, and zero only at zero",
-        positive and definite,
         EIG_TOL,
+        ok=positive and definite,
         trials=count,
     )
     rec.add(
         "cauchy-schwarz",
         "||<a, b>|| <= ||a|| ||b|| for the module norm",
-        cauchy <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=cauchy,
+        defects={"max_rel_defect": cauchy},
         trials=count,
     )
     rec.add(
         "l-norm-equals-cstar",
         "the module operator norm of left convolution equals the C*-norm (induced regular representation)",
-        gap <= EIG_TOL,
         EIG_TOL,
-        max_rel_gap=gap,
+        defects={"max_rel_gap": gap},
         trials=count,
     )
     a, b, ge, he, a2, d, f = random_stacks(rng, SMALL_TRIALS, g, g, sub, sub, g, g, sub)
@@ -570,47 +558,41 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     target = cstar_norm_stack(sub, f, haar)
     isometry = _worst(
         _rel(np.abs(module_norm_stack(sys, lifted) - target), target),
-        _rel(np.abs(L_operator_norm_stack(sys, lifted, space) - target), target),
+        _rel(np.abs(L_operator_norm_stack(sys, lifted) - target), target),
     )
     rec.add(
         "inner-product-symmetry",
         "<a, b>^* = <b, a>",
-        symmetry <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=symmetry,
+        defects={"max_rel_defect": symmetry},
         trials=SMALL_TRIALS,
     )
     rec.add(
         "inner-product-right-linear",
         "<a, b.g> = <a, b> * g over the identity-fiber algebra",
-        linearity <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=linearity,
+        defects={"max_rel_defect": linearity},
         trials=SMALL_TRIALS,
     )
     rec.add(
         "module-action-associative",
         "the action is associative and unital, and its two evaluation paths agree",
-        action <= ALG_TOL and path_gap <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=action,
-        max_path_gap=path_gap,
+        defects={"max_rel_defect": action, "max_path_gap": path_gap},
         trials=SMALL_TRIALS,
     )
     rec.add(
         "module-adjoint-identity",
         "<L_a b, L_c d> = <b, L_{a^* c} d>",
-        adjoint <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=adjoint,
+        defects={"max_rel_defect": adjoint},
         trials=SMALL_TRIALS,
     )
     rec.add(
         "module-isometry-on-included",
         "module and operator norms of included functions equal the identity-fiber norm",
-        isometry <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=isometry,
+        defects={"max_rel_defect": isometry},
         trials=SMALL_TRIALS,
     )
 
@@ -633,9 +615,8 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
     rec.add(
         "expectation-projection",
         "the expectation is the identity on the identity component and zero on the others",
-        basis_defect == 0.0,
         0.0,
-        max_abs_defect=basis_defect,
+        defects={"max_abs_defect": basis_defect},
     )
     a, b, c = random_stacks(rng, count, g, sub, sub)
     b, c = include_stack(sub, b, g), include_stack(sub, c, g)
@@ -648,28 +629,20 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
     lhs = expect(conv(conv(b_star, a), c))
     rhs = conv(conv(b_star, once), c)
     bimodule = _worst(_rel(_max_abs(lhs - rhs), _max_abs(rhs)))
-    rec.add("expectation-idempotent", "applying the expectation twice changes nothing", idem == 0.0, 0.0, max_abs_defect=idem, trials=count)
+    rec.add("expectation-idempotent", "applying the expectation twice changes nothing", 0.0, defects={"max_abs_defect": idem}, trials=count)
     rec.add(
         "expectation-contractive",
         "the expectation does not increase the C*-norm",
-        contraction <= EIG_TOL,
         EIG_TOL,
-        max_rel_defect=contraction,
+        defects={"max_rel_defect": contraction},
         trials=count,
     )
-    rec.add(
-        "expectation-positive",
-        "the expectation of a^* a is positive",
-        positive,
-        EIG_TOL,
-        trials=count,
-    )
+    rec.add("expectation-positive", "the expectation of a^* a is positive", EIG_TOL, ok=positive, trials=count)
     rec.add(
         "expectation-bimodule",
         "P(b^* a c) = b^* P(a) c for identity-fiber b, c",
-        bimodule <= ALG_TOL,
         ALG_TOL,
-        max_rel_defect=bimodule,
+        defects={"max_rel_defect": bimodule},
         trials=count,
     )
     # every trial's a against every delta b, one defect each, chunked over
@@ -678,24 +651,24 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
     trial, v = np.divmod(np.arange(SMALL_TRIALS * g.n_arrows), g.n_arrows)
     defects = np.concatenate([eq_ruy_delta_defect_stack(sys, a[trial[s]], v[s]) for s in trial_chunks(len(v), g.n_arrows)])
     ruy_defect = _worst(defects)
-    ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)), ALG_TOL)[trial]).all())
+    ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)))[trial]).all())
     rec.add(
         "fiber-sandwich-identity",
         "i(<b, a*b>) = b^* P(a) b for fiber-supported b",
-        ruy_ok,
         ALG_TOL,
+        ok=ruy_ok,
         max_abs_defect=ruy_defect,
         trials=SMALL_TRIALS * g.n_arrows,
     )
     (functions,) = random_stacks(rng, count, g)
     functions = np.concatenate([np.zeros((1, g.n_arrows)), functions])
-    _, zeros, consistent = kernel_verdicts(sys, functions, EIG_TOL)
+    _, zeros, consistent = kernel_verdicts(sys, functions)
     kernel_ok = bool(consistent.all() and zeros[:, 0].all() and not zeros[:, 1:].any())
     rec.add(
         "kernel-characterization",
         "L_a vanishes iff P(a^* a) vanishes iff a vanishes",
-        kernel_ok,
         EIG_TOL,
+        ok=kernel_ok,
         functions=len(functions),
     )
 
@@ -708,8 +681,8 @@ def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "grading-axioms",
         "fiber subspaces multiply and adjoint into the right fibers, span, and are independent",
-        axioms.ok,
         0.0,
+        ok=axioms.ok,
         cause=axioms.cause,
         fibers=len(family.keys),
     )
@@ -717,8 +690,8 @@ def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "topological-grading",
         "the expectation is the norm-one projection singling out the identity component",
-        topo.ok,
         EIG_TOL,
+        ok=topo.ok,
         cause=topo.cause,
         **dict(topo.witness),
     )
@@ -726,8 +699,8 @@ def _suite_bundle(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     rec.add(
         "bundle-representation",
         "the fiberwise regular representation is a *-representation bounded by the I-norm",
-        taut.ok,
         ALG_TOL,
+        ok=taut.ok,
         cause=taut.cause,
         **dict(taut.witness),
     )
@@ -840,7 +813,3 @@ def _flat_dict_items(dicts: list[dict[str, Any]], pad: str) -> list[str]:
     occurs nowhere else."""
     sep = "," + pad
     return json.dumps(dicts, sort_keys=True, separators=(sep, ": "))[2:-2].split("}" + sep + "{")
-
-
-def iter_failures(report: dict[str, Any]) -> Iterable[dict[str, Any]]:
-    return (c for c in report["checks"] if c["status"] != "pass")

@@ -16,6 +16,7 @@ from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import counting_haar, group_groupoid
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import operator_norm
+from groupoid_workbench.validation import ALG_TOL
 
 from conftest import max_diff, rng_functions
 from test_reference_suites import reference_bundle_rep_check, reference_rep_apply_stack, reference_tautological_rep
@@ -231,12 +232,12 @@ def test_block_check_matches_the_dense_sweep(name):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_a_wrong_pair_just_over_the_tolerance_is_found(name):
     """With labels of modulus one, a row with one wrong pair shows at that
-    pair's full defect: set the tolerance 5% under the largest pair defect of
-    the first failing row, and the check still names the reference's pair."""
+    pair's full defect: scale pi(d_z) so that the largest pair defect of the
+    first failing row is 5% over the tolerance, and the check still names
+    the reference's pair."""
     sys = CORPUS[name].system
     g = sys.groupoid
     family = graded_subspaces(sys)
-    blocks, dense = _scaled(sys, 1.0 + 2.0**-30)
     z = _first_non_unit(g)
     mats = _dense_matrices(sys)
     mats[z] *= 1.0 + 2.0**-30
@@ -246,10 +247,11 @@ def test_a_wrong_pair_just_over_the_tolerance_is_found(name):
         for y in np.flatnonzero(g.compose_matrix()[z] >= 0)
     ]
     norm_scale = 1.0 + max(operator_norm(m) for m in mats)
-    tol = max(defects) / (1.05 * norm_scale**2)
-    want = _outcome(reference_bundle_rep_check(family, dense, seed=4, count=3, tol=tol))
+    # the pair defects grow linearly with the scaling's offset from 1
+    blocks, dense = _scaled(sys, 1.0 + 2.0**-30 * 1.05 * ALG_TOL * norm_scale**2 / max(defects))
+    want = _outcome(reference_bundle_rep_check(family, dense, seed=4, count=3))
     assert want[:2] == (False, "rep-not-multiplicative-on-basis")
-    assert _outcome(bundle_rep_check(family, blocks, seed=4, count=3, tol=tol)) == want
+    assert _outcome(bundle_rep_check(family, blocks, seed=4, count=3)) == want
 
 
 def test_labels_have_modulus_one_and_leave_the_seeded_draws_alone():

@@ -166,3 +166,33 @@ def test_s6_graded_document_within_budget(tmp_path, capsys):
     assert "grading fibers: 7" in out and "summary: 3/3 passed, 0 failed" in out
     assert validated - started <= 1.0
     assert verified - validated <= 1.0
+
+
+class TestInputErrors:
+    """Input errors exit 2, the code the CLI keeps apart from a failed check (1)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--corpus", "--count", "-1"],
+            ["verify", "--corpus", "--suite", "haar", "--count", "0"],
+            ["verify", "--corpus", "--seed", "-1"],
+            ["corpus", "--seed", "-1", "--out", "unused"],
+        ],
+    )
+    def test_option_out_of_range(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_corpus_out_names_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert main(["corpus", "--out", str(taken)]) == 2
+        assert capsys.readouterr().out.startswith("invalid: ")
+        assert taken.read_text(encoding="utf-8") == ""
+
+    def test_report_into_a_non_directory(self, doc_file, capsys):
+        assert main(["verify", str(doc_file), "--suite", "haar", "--json", str(doc_file / "report.json")]) == 2
+        assert "invalid: " in capsys.readouterr().out

@@ -96,7 +96,6 @@ class TestLargerInstance:
         # 64 arrows, 8 identity-fiber arrows, 512-dimensional induced space
         from groupoid_workbench.algebra import i_norm, restrict_q
         from groupoid_workbench.groupoid import haar_from_weights
-        from groupoid_workbench.hilbert_module import induced_space
 
         g = pair_groupoid(8)
         rng = np.random.default_rng(17)
@@ -107,7 +106,6 @@ class TestLargerInstance:
             i, j = a.id.strip("()").split(",")
             label[a.id] = (int(i) - int(j),)
         sys = GradedGroupoid.build(g, haar_from_weights(g, rho), cocycle_from_map(g, z1, label))
-        space = induced_space(sys)
         slack = 1 + 1e-9
         for _ in range(3):
             f = random_function(sys.identity_fiber, rng)
@@ -116,7 +114,7 @@ class TestLargerInstance:
             a = random_function(g, rng)
             q = cstar_norm(restrict_q(a, sys.identity_fiber), sys.haar)
             m = module_norm(sys, a)
-            ell = L_operator_norm(sys, a, space)
+            ell = L_operator_norm(sys, a)
             assert q <= m * slack and m <= ell * slack and ell <= i_norm(a, sys.haar) * slack
         a_e = random_function(sys.identity_fiber, rng)
         assert decompose_rep_U(sys, a_e, "3").max_abs_error <= 1e-12

@@ -20,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+from groupoid_workbench import hilbert_module
 from groupoid_workbench.algebra import (
     GroupoidFunction,
     convolve,
@@ -297,7 +298,7 @@ class TestInducedSpace:
         assert np.abs(space.gram_eigenvalues - eigvals).max() <= 1e-12 * (1 + eigvals[-1])
         for a in doc.functions.values():
             dense = l_norm(a)
-            assert L_operator_norm(sys, a, space) == pytest.approx(dense, rel=1e-12, abs=1e-300)
+            assert L_operator_norm(sys, a) == pytest.approx(dense, rel=1e-12, abs=1e-300)
 
     def test_norm_and_verify_paths_leave_dense_views_unbuilt(self, graded_action):
         sys = graded_action
@@ -320,7 +321,7 @@ class TestInducedSpace:
         sys = pair_system(n, graded)
         a = rng_functions(sys.groupoid, seed=n, count=1)[0]
         t0 = time.perf_counter()
-        ell = L_operator_norm(sys, a, induced_space(sys))
+        ell = L_operator_norm(sys, a)
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         assert ell == pytest.approx(cstar_norm(a, sys.haar), rel=1e-9)
@@ -368,7 +369,7 @@ def test_unit_blocks_are_the_diagonal_blocks_of_the_dense_compression(name):
     units = np.concatenate([units for units, _, _ in batches])
     assert len(set(units.tolist())) == len(units)
     assert sorted(np.concatenate([cols.ravel() for _, cols, _ in batches]).tolist()) == list(range(space.rank))
-    norms = L_operator_norm_stack(sys, a, space)
+    norms = L_operator_norm_stack(sys, a)
     for t, f in enumerate(a):
         full, column_unit = reference_operator_blocks(space, f)
         scale = np.abs(full).max()
@@ -380,7 +381,7 @@ def test_unit_blocks_are_the_diagonal_blocks_of_the_dense_compression(name):
                 off_blocks[np.ix_(c, c)] = 0.0
         assert np.abs(off_blocks).max() <= 1e-12 * scale
         assert norms[t] == pytest.approx(operator_norm(full), rel=1e-12)
-        assert float(L_operator_norm_stack(sys, f, space)) == norms[t]
+        assert float(L_operator_norm_stack(sys, f)) == norms[t]
 
 
 class TestLOperatorNorm:
@@ -489,10 +490,10 @@ class TestEqRuy:
             check_eq_ruy(sys, rng_functions(sys.groupoid, 42, 1)[0], b)
 
     def test_tolerance_scales_with_both_functions(self):
-        # the verdict bound is tol * (1 + max|a|) * (1 + max|b|)^2, trial by trial
+        # the verdict bound is ALG_TOL * (1 + max|a|) * (1 + max|b|)^2, trial by trial
         a = np.array([[3.0, -4.0j], [0.5, 0.0]])
         b = np.array([[1.0, 0.0], [0.0, -2.0]])
-        assert eq_ruy_tolerance(a, b, 1e-12).tolist() == [1e-12 * 5.0 * 4.0, 1e-12 * 1.5 * 9.0]
+        assert eq_ruy_tolerance(a, b).tolist() == [1e-12 * 5.0 * 4.0, 1e-12 * 1.5 * 9.0]
 
 
 class TestKernelCheck:
@@ -513,12 +514,13 @@ class TestKernelCheck:
         assert rec.consistent and not rec.a_zero
 
     def test_thresholds_disagree_near_sqrt_tol(self, p2_graded_weighted):
-        # ||a|| and ||L_a|| are about 1e-5, above tol; ||P(a^* a)|| is about
-        # 4e-10, below it: the verdicts disagree and the record says so
+        # ||a|| and ||L_a|| are about 1e-5, above EIG_TOL; ||P(a^* a)|| is
+        # about 4e-10, below it: the verdicts disagree and the record says so
         sys = p2_graded_weighted
-        rec = kernel_check(sys, [delta(sys.groupoid, "(1,2)", 1e-5)], tol=1e-9)[0]
+        rec = kernel_check(sys, [delta(sys.groupoid, "(1,2)", 1e-5)])[0]
         assert (rec.l_zero, rec.p_zero, rec.a_zero, rec.consistent) == (False, True, False, False)
 
-    def test_zero_threshold_is_inclusive(self, p2_graded_weighted):
-        rec = kernel_check(p2_graded_weighted, [zero(p2_graded_weighted.groupoid)], tol=0.0)[0]
+    def test_zero_threshold_is_inclusive(self, p2_graded_weighted, monkeypatch):
+        monkeypatch.setattr(hilbert_module, "EIG_TOL", 0.0)
+        rec = kernel_check(p2_graded_weighted, [zero(p2_graded_weighted.groupoid)])[0]
         assert rec.l_zero and rec.p_zero and rec.a_zero and rec.consistent

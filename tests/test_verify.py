@@ -15,7 +15,6 @@ from groupoid_workbench.groups import FreeAbelianGroup
 from groupoid_workbench.verify import (
     DEFAULT_COUNTS,
     SUITES,
-    iter_failures,
     report_to_json,
     run_document,
     run_verification,
@@ -131,7 +130,7 @@ class TestForcedFailure:
         system = GradedGroupoid(broken, counting_haar(broken), trivial_cocycle(broken, FreeAbelianGroup(1)))
         doc = WorkbenchDocument(name="broken", system=system, functions={}, raw={})
         report = run_verification([doc], suite="haar", seed=0)
-        failures = list(iter_failures(report))
+        failures = [c for c in report["checks"] if c["status"] != "pass"]
         assert failures
         axioms = [f for f in failures if f["check"] == "groupoid-axioms"]
         assert axioms and axioms[0]["witness"]["cause"] == "compose-range-mismatch"
