@@ -86,6 +86,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except DocumentError as exc:
         print(f"invalid: {exc}")
         return 2
+    try:  # the report path must be writable before any suite runs
+        if args.json:
+            open(args.json, "a", encoding="utf-8").close()
+    except OSError as exc:
+        print(f"invalid: cannot write the report: {exc}")
+        return 2
     report = run_verification(docs, suite=args.suite, seed=args.seed, count=args.count)
     for check in report["checks"]:
         status = check["status"].upper()

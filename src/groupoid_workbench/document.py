@@ -18,8 +18,8 @@ product combinators) or explicit tables.  Complex numbers are [re, im]
 pairs; group elements are an index (finite backend) or an integer vector
 (free abelian).  Parsing validates everything, through
 :func:`~groupoid_workbench.grading.validate_system`: groupoid axioms, Haar
-positivity, left invariance and the cocycle identities, with the JSON path
-in every error.
+positivity and the cocycle identities, with the JSON path in every error
+(per-unit Haar weights are left invariant by construction).
 """
 
 from __future__ import annotations

@@ -28,11 +28,12 @@ that index (as a numpy mask) instead of the arrow labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, left_invariance_stack, validate_groupoid
+from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, once_property, validate_groupoid
 from .groups import DiscreteGroup
 from .validation import CheckReport
 
@@ -41,10 +42,11 @@ from .validation import CheckReport
 class Cocycle:
     """Arrow labelling c with values in a discrete group.
 
-    ``elements`` holds the labels as the group's element array, read-only,
-    an entry (or row) per label in the order of ``label``, or None when a
-    label is not an element in the array form.  Given the label map alone,
-    the labels are converted once, here; a parser passes the array it read.
+    ``label`` is a read-only copy of the map passed in, and ``elements``
+    holds the labels as the group's element array, read-only, an entry (or
+    row) per label in the order of ``label``, or None when a label is not
+    an element in the array form.  Given the label map alone, the labels
+    are converted once, here; a parser passes the array it read.
     """
 
     group: DiscreteGroup
@@ -52,6 +54,7 @@ class Cocycle:
     elements: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "label", MappingProxyType(dict(self.label)))
         given = self.elements  # copied, never the caller's array
         values = self.group.element_array(list(self.label.values())) if given is None else np.array(given)
         if values is not None:
@@ -157,10 +160,11 @@ def validate_system(
     g: FiniteGroupoid, rho: Callable[[], Mapping[str, float]], cocycle: Callable[[], Cocycle]
 ) -> tuple[HaarSystem, Cocycle]:
     """The validation of a graded groupoid, in order: the groupoid axioms,
-    the Haar weights (finite and positive on every unit, no others), left
-    invariance of the arrow weights, the cocycle identities.  Returns the
-    Haar system and the cocycle; the first failure raises
-    :class:`InvalidSystem`.
+    the Haar weights (finite and positive on every unit, no others), the
+    cocycle identities.  Per-unit weights are left invariant on a groupoid
+    (the identity at (x, t) has the one term w(x^-1 t) = w(t)), so that is
+    not checked again.  Returns the Haar system and the cocycle; the first
+    failure raises :class:`InvalidSystem`.
 
     ``rho`` and ``cocycle`` are called for the per-unit weights and the
     cocycle once the checks before them pass, so a parser can read each
@@ -174,8 +178,6 @@ def validate_system(
         haar = haar_from_weights(g, weights)
     except ValueError as exc:
         raise InvalidSystem("haar.rho", str(exc)) from exc
-    if not left_invariance_stack(g, haar.weights(g)[None, :])[0]:
-        raise InvalidSystem("haar.rho", "weights violate left invariance")
     c = cocycle()
     report = validate_cocycle(g, c)
     if not report:
@@ -214,7 +216,7 @@ class GradedGroupoid:
     Bundles the three layers every higher operation needs.  The fibers are
     numbered at construction (``fiber_index``, ``fiber_elements`` and their
     ``fiber_keys``; see :func:`number_fibers`) and the identity-fiber
-    subgroupoid is cached.  Use :meth:`build` to get construction-time
+    subgroupoid is built on first use.  Use :meth:`build` to get construction-time
     validation of all invariants (:func:`validate_system`).
     """
 
@@ -227,8 +229,7 @@ class GradedGroupoid:
         self._fiber_number = {el: k for k, el in enumerate(self.fiber_elements)}
         self.identity_mask = self.fiber_mask(self.group.identity)
         self.fiber_index.flags.writeable = self.identity_mask.flags.writeable = False
-        self._identity_fiber: FiniteGroupoid | None = None
-        self._induced_space = None
+        self._cache: dict[str, Any] = {}  # by once(): identity_fiber, and hilbert_module's induced_space
 
     @classmethod
     def build(cls, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> "GradedGroupoid":
@@ -241,12 +242,9 @@ class GradedGroupoid:
     def group(self) -> DiscreteGroup:
         return self.cocycle.group
 
-    @property
+    @once_property
     def identity_fiber(self) -> FiniteGroupoid:
-        if self._identity_fiber is None:
-            ids = [self.groupoid.arrows[i].id for i in np.flatnonzero(self.identity_mask)]
-            self._identity_fiber = self.groupoid.restricted_to(ids)
-        return self._identity_fiber
+        return self.groupoid.restricted_to([self.groupoid.arrow_ids[i] for i in np.flatnonzero(self.identity_mask)])
 
     def fiber_number(self, gamma: Any) -> int:
         """The number of the fiber over gamma, or -1 when gamma is off the image."""

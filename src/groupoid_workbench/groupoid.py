@@ -29,7 +29,8 @@ finite groupoid forces the arrow weight ``w(y)`` to depend only on ``s(y)``
 table ``rho`` determines the measures ``w(y) = rho(s(y))`` and is valid by
 construction.
 
-All values are immutable after construction; operations are pure.
+All values are immutable after construction; a table built on first use is
+stored by :func:`once`, which assigns it once.  Operations are pure.
 """
 
 from __future__ import annotations
@@ -94,12 +95,7 @@ class FiniteGroupoid:
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, self._dst_index, self._src_index)
         self._orbit_base = _read_only(base)
-        # composable_pairs() and convolution_bins(), filled together on first use
-        self._pair_table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pair_bins: np.ndarray | None = None
-        # rep_tables() and orbit_rep_tables(), filled together on first use
-        self._rep_tables: tuple[RepTables, OrbitRepTables] | None = None
-        self._embeddings: dict[int, tuple[FiniteGroupoid, np.ndarray]] = {}
+        self._cache: dict[Any, Any] = {}  # by once(): pairs, bins, rep index, embedding per parent
 
     # -- basic accessors ---------------------------------------------------
 
@@ -146,10 +142,6 @@ class FiniteGroupoid:
         """Arrow ids x with s(x) = u, in declared order (the set Gu)."""
         return tuple(self._ids[i] for i in np.flatnonzero(self._src_index == self._unit_index[u]))
 
-    def arrows_with_dst(self, u: str) -> tuple[str, ...]:
-        """Arrow ids x with r(x) = u, in declared order (the set G^u)."""
-        return tuple(self._ids[i] for i in np.flatnonzero(self._dst_index == self._unit_index[u]))
-
     # -- integer tables for vectorized operations --------------------------
 
     @property
@@ -187,43 +179,44 @@ class FiniteGroupoid:
         in O(pairs) from the arrows grouped by range: each x is repeated
         once per arrow y into s(x).  Otherwise they are the nonzero entries
         of the defined mask."""
-        if self._pair_table is None:
-            src, dst, mat = self._src_index, self._dst_index, self._compose_matrix
-            by_dst = np.argsort(dst, kind="stable")
-            starts = np.searchsorted(dst[by_dst], np.arange(self.n_units + 1))
-            counts = np.diff(starts)[src]
-            xs = np.repeat(np.arange(self.n_arrows), counts)
-            # the k-th pair of row x is y = by_dst[starts[s(x)] + k], after
-            # ends[x] - counts[x] pairs of earlier rows
-            ends = np.cumsum(counts)
-            ys = by_dst[np.repeat(starts[src] - ends + counts, counts) + np.arange(len(xs))]
+        return once(self._cache, "pairs", FiniteGroupoid._pair_table, self)
+
+    def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        src, dst, mat = self._src_index, self._dst_index, self._compose_matrix
+        by_dst = np.argsort(dst, kind="stable")
+        starts = np.searchsorted(dst[by_dst], np.arange(self.n_units + 1))
+        counts = np.diff(starts)[src]
+        xs = np.repeat(np.arange(self.n_arrows), counts)
+        # the k-th pair of row x is y = by_dst[starts[s(x)] + k], after
+        # ends[x] - counts[x] pairs of earlier rows
+        ends = np.cumsum(counts)
+        ys = by_dst[np.repeat(starts[src] - ends + counts, counts) + np.arange(len(xs))]
+        zs = mat[xs, ys]
+        if (zs < 0).any() or np.count_nonzero(mat >= 0) != len(zs):
+            xs, ys = np.nonzero(mat >= 0)
             zs = mat[xs, ys]
-            if (zs < 0).any() or np.count_nonzero(mat >= 0) != len(zs):
-                xs, ys = np.nonzero(mat >= 0)
-                zs = mat[xs, ys]
-            self._pair_table = (_read_only(xs), _read_only(ys), _read_only(zs))
-            self._pair_bins = _read_only(np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel())
-        return self._pair_table
+        return _read_only(xs), _read_only(ys), _read_only(zs)
 
     def convolution_bins(self) -> np.ndarray:
         """The bins 2xy and 2xy + 1 of every composable pair, interleaved,
         in :meth:`composable_pairs` order: where a complex convolution sums
         the real and imaginary float64 parts of the pair's term."""
-        self.composable_pairs()
-        return self._pair_bins
+        return once(self._cache, "bins", FiniteGroupoid._convolution_bins, self)
+
+    def _convolution_bins(self) -> np.ndarray:
+        return _read_only((2 * self.composable_pairs()[2][:, None] + np.arange(2)).ravel())
 
     def embedding(self, parent: "FiniteGroupoid") -> np.ndarray:
         """The index in ``parent`` of every arrow of this groupoid (declared
         order), matched by arrow id; read-only, built once per parent.
         Subgroupoids made by :meth:`restricted_to` get it at construction."""
-        cached = self._embeddings.get(id(parent))
-        if cached is None:
-            for a in self.arrows:
-                if not parent.has_arrow(a.id):
-                    raise ValueError(f"Arrow {a.id!r} of the subgroupoid is not an arrow of the ambient groupoid.")
-            index = _read_only(np.array([parent.index(a.id) for a in self.arrows], dtype=np.intp))
-            cached = self._embeddings.setdefault(id(parent), (parent, index))
-        return cached[1]
+        return once(self._cache, parent, self._index_in, parent)
+
+    def _index_in(self, parent: "FiniteGroupoid") -> np.ndarray:
+        index = [parent._index.get(aid, -1) for aid in self._ids]
+        if -1 in index:
+            raise ValueError(f"Arrow {self._ids[index.index(-1)]!r} of the subgroupoid is not an arrow of the ambient groupoid.")
+        return _read_only(np.array(index, dtype=np.intp))
 
     def rep_tables(self) -> RepTables:
         """Index of the regular representation, one entry per block size d,
@@ -231,7 +224,7 @@ class FiniteGroupoid:
         as a (k, d) index array (both in declared order), and the products
         x' x^{-1} as a (k, d, d) index array.  Built on first use; the
         arrays are read-only."""
-        return self._rep_index()[0]
+        return once(self._cache, "rep", FiniteGroupoid._rep_index, self)[0]
 
     def orbit_rep_tables(self) -> OrbitRepTables:
         """The (arrows, products) rows of :meth:`rep_tables` whose unit is
@@ -239,28 +232,26 @@ class FiniteGroupoid:
         size that has one.  Right translation by an arrow z: v -> u maps G_u
         onto G_v and permutes the block at u onto the block at v, so these
         rows carry every block up to a permutation."""
-        return self._rep_index()[1]
+        return once(self._cache, "rep", FiniteGroupoid._rep_index, self)[1]
 
     def _rep_index(self) -> tuple[RepTables, OrbitRepTables]:
-        if self._rep_tables is None:
-            src = self._src_index
-            sizes = np.bincount(src, minlength=self.n_units)
-            by_src = src.argsort(kind="stable")
-            starts = sizes.cumsum() - sizes
-            tables, orbit_tables = [], []
-            for d in sorted(set(sizes.tolist())):
-                (at,) = (sizes == d).nonzero()
-                arrows = _read_only(by_src[starts[at][:, None] + np.arange(d)])
-                products = self._compose_matrix[arrows[:, :, None], self._invert_index[arrows][:, None, :]]
-                bad = np.argwhere(products < 0)
-                if bad.size:
-                    raise ValueError(f"Arrows with source {self.units[at[bad[0][0]]]!r} do not compose; groupoid invalid.")
-                tables.append((tuple(self.units[u] for u in at), arrows, _read_only(products)))
-                base = self._orbit_base[at] == at
-                if base.any():
-                    orbit_tables.append((_read_only(arrows[base]), _read_only(products[base])))
-            self._rep_tables = (tuple(tables), tuple(orbit_tables))
-        return self._rep_tables
+        src = self._src_index
+        sizes = np.bincount(src, minlength=self.n_units)
+        by_src = src.argsort(kind="stable")
+        starts = sizes.cumsum() - sizes
+        tables, orbit_tables = [], []
+        for d in sorted(set(sizes.tolist())):
+            (at,) = (sizes == d).nonzero()
+            arrows = _read_only(by_src[starts[at][:, None] + np.arange(d)])
+            products = self._compose_matrix[arrows[:, :, None], self._invert_index[arrows][:, None, :]]
+            bad = np.argwhere(products < 0)
+            if bad.size:
+                raise ValueError(f"Arrows with source {self.units[at[bad[0][0]]]!r} do not compose; groupoid invalid.")
+            tables.append((tuple(self.units[u] for u in at), arrows, _read_only(products)))
+            base = self._orbit_base[at] == at
+            if base.any():
+                orbit_tables.append((_read_only(arrows[base]), _read_only(products[base])))
+        return tuple(tables), tuple(orbit_tables)
 
     # -- derived groupoids --------------------------------------------------
 
@@ -300,7 +291,7 @@ class FiniteGroupoid:
             renumber[self._invert_index[kept]],
             renumber[self._unit_arrow_index],
         )
-        restricted._embeddings[id(self)] = (self, _read_only(kept))
+        restricted._cache[self] = _read_only(kept)
         return restricted
 
     def __repr__(self) -> str:
@@ -323,6 +314,17 @@ def numbered(units: Sequence[str], arrows: Sequence[Arrow]) -> tuple[dict[str, i
         if a.src not in unit_index or a.dst not in unit_index:
             raise ValueError(f"Arrow {a.id!r} references unknown unit {a.src!r} or {a.dst!r}.")
     return unit_index, index
+
+
+def once(cache: dict[Any, Any], key: Any, build: Callable[[Any], Any], arg: Any) -> Any:
+    """``cache[key]``, stored as ``build(arg)`` on the first call; callers that miss together all get the first one stored."""
+    value = cache.get(key)
+    return cache.setdefault(key, build(arg)) if value is None else value
+
+
+def once_property(build: Callable[[Any], Any]) -> property:
+    """A read-only property ``build(self)``, built on first read by :func:`once` into ``self._cache``."""
+    return property(lambda self: once(self._cache, build.__name__, build, self), doc=build.__doc__)
 
 
 def _checked_table(name: str, table: Any, shape: tuple[int, ...], low: int, high: int) -> np.ndarray:
@@ -525,7 +527,7 @@ class HaarSystem:
     weight arrays cached per groupoid cannot go stale."""
 
     rho: Mapping[str, float]
-    _weights: dict[int, tuple[FiniteGroupoid, np.ndarray]] = field(default_factory=dict, init=False, repr=False)
+    _cache: dict[FiniteGroupoid, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", MappingProxyType(dict(self.rho)))
@@ -538,12 +540,11 @@ class HaarSystem:
 
     def weights(self, g: FiniteGroupoid) -> np.ndarray:
         """w(y) = rho(s(y)) in declared arrow order; read-only, computed
-        once per groupoid."""
-        cached = self._weights.get(id(g))
-        if cached is None:
-            per_unit = np.array([self.rho[u] for u in g.units], dtype=float)
-            cached = self._weights.setdefault(id(g), (g, _read_only(per_unit[g.src_index])))
-        return cached[1]
+        once per groupoid (:func:`once`)."""
+        return once(self._cache, g, self._arrow_weights, g)
+
+    def _arrow_weights(self, g: FiniteGroupoid) -> np.ndarray:
+        return _read_only(np.array([self.rho[u] for u in g.units], dtype=float)[g.src_index])
 
 
 def haar_from_weights(g: FiniteGroupoid, rho: Mapping[str, float]) -> HaarSystem:

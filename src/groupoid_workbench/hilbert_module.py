@@ -41,8 +41,7 @@ gathers, images and blocks stay within ``algebra.TRIAL_CHUNK_ENTRIES``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +54,7 @@ from .algebra import (
     restrict_stack,
 )
 from .grading import GradedGroupoid
+from .groupoid import once, once_property
 from .representation import _equal_size_groups, _norm_of_trials, cstar_norm_stack, parent_to_sub_index
 from .validation import ALG_TOL, EIG_TOL
 
@@ -151,6 +151,7 @@ class InducedSpace:
         g = sys.groupoid
         sub = sys.identity_fiber
         self.system = sys
+        self._cache: dict[str, np.ndarray] = {}  # gram and frame, built on first read by once()
         self.dim_ambient = g.n_arrows * sub.n_arrows
         rho = np.array([sys.haar.unit_weight(u) for u in g.units])
         rho_r = rho[g.dst_index]
@@ -159,7 +160,7 @@ class InducedSpace:
         # are the run first_row[w] onward, n_h runs of n_x arrows x each
         n_h = np.bincount(sub.src_index, minlength=g.n_units)
         n_x = np.bincount(g.src_index, minlength=g.n_units)
-        first_row = np.cumsum(n_h * n_x) - n_h * n_x
+        self._first_row = first_row = np.cumsum(n_h * n_x) - n_h * n_x
         xs, hs = np.nonzero(g.src_index[:, None] == sub.dst_index[None, :])
         order = np.lexsort((xs, hs, sub.dst_index[hs], sub.src_index[hs]))
         xs, hs = xs[order], hs[order]
@@ -197,7 +198,6 @@ class InducedSpace:
         # block), in kept order within a unit
         column_unit = np.concatenate([sub.src_index[hs[rows[:, 0]]] for rows, _, _ in kept])
         by_unit = np.argsort(column_unit, kind="stable")
-        self._kept, self._column_number = kept, np.argsort(by_unit)
         values = np.concatenate([v for _, _, v in kept])[by_unit]
         self.rank = len(values)
         n_c = np.bincount(column_unit, minlength=g.n_units)
@@ -209,9 +209,10 @@ class InducedSpace:
         offset = np.cumsum(sizes) - sizes
         flat = np.zeros(sizes.sum())
         unit_of = np.repeat(np.arange(g.n_units), n_c)
-        for rows, cols, entries in self._columns():
+        numbers = np.split(np.argsort(by_unit), np.cumsum([len(v) for _, _, v in kept])[:-1])
+        for (rows, vectors, eigvals), cols in zip(kept, numbers):  # columns v / sqrt(lambda)
             w = unit_of[cols][:, None]
-            flat[offset[w] + (rows - first_row[w]) * n_c[w] + cols[:, None] - first_col[w]] = entries
+            flat[offset[w] + (rows - first_row[w]) * n_c[w] + cols[:, None] - first_col[w]] = vectors / np.sqrt(eigvals)[:, None]
 
         # per batch of units with equal (n_h, n_x, c): the units, their frame
         # columns, the gather index of x' x^{-1} with the weights rho(r(x)),
@@ -229,7 +230,7 @@ class InducedSpace:
             self._batches.append((units, cols, index, rho_r[x][..., None, :], frame, frame_gram))
             self._per_trial += index.size + frame.size + len(units) * c * c
 
-    @cached_property
+    @once_property
     def gram(self) -> np.ndarray:
         """The dense ambient Gram matrix, assembled from its blocks."""
         gram = np.zeros((self.dim_ambient, self.dim_ambient))
@@ -238,21 +239,15 @@ class InducedSpace:
             gram[rows[:, :, None], rows[:, None, :]] = block
         return gram
 
-    @cached_property
+    @once_property
     def frame(self) -> np.ndarray:
-        """The orthonormal frame as ambient vectors (zero off the support)."""
+        """The orthonormal frame as ambient vectors (zero off the support),
+        assembled from every unit's F_w."""
         frame = np.zeros((self.dim_ambient, self.rank))
-        for rows, j, entries in self._columns():
-            frame[self._support[rows], j[:, None]] = entries
+        for units, cols, _, _, f_w, _ in self._batches:
+            rows = self._support[self._first_row[units][:, None] + np.arange(f_w.shape[1] * f_w.shape[2])]
+            frame[rows[:, :, None], cols[:, None, :]] = f_w.reshape(rows.shape + cols.shape[-1:])
         return frame
-
-    def _columns(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The frame columns of each batch of kept eigenvectors v: their
-        support rows (m, size), numbers (m,) and entries v / sqrt(lambda)."""
-        col = 0
-        for rows, vectors, values in self._kept:
-            yield rows, self._column_number[col : col + len(values)], vectors / np.sqrt(values)[:, None]
-            col += len(values)
 
     def unit_blocks(self, a: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The diagonal blocks of the compression of left convolution by
@@ -280,10 +275,8 @@ class InducedSpace:
 
 
 def induced_space(sys: GradedGroupoid) -> InducedSpace:
-    """The induced space of a graded system, built once and cached on it."""
-    if sys._induced_space is None:
-        sys._induced_space = InducedSpace(sys)
-    return sys._induced_space
+    """The induced space of a graded system, built once in its cache."""
+    return once(sys._cache, "induced_space", InducedSpace, sys)
 
 
 def L_operator_norm_stack(sys: GradedGroupoid, a: np.ndarray) -> np.ndarray:

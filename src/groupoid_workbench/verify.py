@@ -312,17 +312,17 @@ def _delta_rule_defect(g: Any, haar: Any) -> float:
     """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|,
     with the products read off ``compose_matrix()``.  Both sides are linear in
     delta_y, so each x is checked once on the modulus-one ``unit_labels`` c,
-    and the pairs of every x with a nonzero residual are swept in chunks."""
+    one (1, n) row broadcast over x, and the pairs of every x with a nonzero
+    residual are swept in chunks."""
     n = g.n_arrows
     compose, w, eye = g.compose_matrix(), haar.weights(g), np.eye(n, dtype=np.complex128)
 
     def defects(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        rows, ys = np.nonzero(compose[x] >= 0)
-        expected = np.zeros_like(c)
-        np.add.at(expected, (rows, compose[x[rows], ys]), c[rows, ys] * w[x[rows]])
+        (rows, ys), expected = np.nonzero(compose[x] >= 0), np.zeros((len(x), n), dtype=np.complex128)
+        np.add.at(expected, (rows, compose[x[rows], ys]), np.broadcast_to(c, expected.shape)[rows, ys] * w[x[rows]])
         return _max_abs(convolve_stack(g, eye[x], c, haar) - expected)
 
-    flagged = np.flatnonzero(defects(np.arange(n), np.tile(unit_labels(n), (n, 1))) != 0.0)
+    flagged = np.flatnonzero(defects(np.arange(n), unit_labels(n)[None]) != 0.0)
     x, y = np.repeat(flagged, n), np.tile(np.arange(n), len(flagged))
     return _worst(0.0, *(defects(x[s], eye[y[s]]) for s in trial_chunks(len(x), n)))
 

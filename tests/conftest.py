@@ -17,13 +17,18 @@ from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groups import FreeAbelianGroup
 
 
+def arrows_into(g: FiniteGroupoid, u: str) -> list[str]:
+    """Arrow ids y with r(y) = u in declared order (the set G^u), read off ``dst_index``."""
+    return [g.arrow_ids[i] for i in np.flatnonzero(g.dst_index == g.units.index(u))]
+
+
 def naive_convolve(a: GroupoidFunction, b: GroupoidFunction, haar: HaarSystem) -> dict[str, complex]:
     """(a*b)(x) = sum over {y : r(y) = r(x)} a(y) b(y^{-1}x) w(y), by direct loops."""
     g = a.groupoid
     out = {}
     for x in g.arrows:
         total = 0j
-        for y_id in g.arrows_with_dst(x.dst):
+        for y_id in arrows_into(g, x.dst):
             t = g.compose_ids(g.invert_id(y_id), x.id)
             assert t is not None
             total += a.value(y_id) * b.value(t) * haar.weight(g, y_id)
@@ -35,8 +40,8 @@ def naive_i_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
     g = a.groupoid
     best = 0.0
     for u in g.units:
-        direct = sum(abs(a.value(x)) * haar.weight(g, x) for x in g.arrows_with_dst(u))
-        inverted = sum(abs(a.value(g.invert_id(x))) * haar.weight(g, x) for x in g.arrows_with_dst(u))
+        direct = sum(abs(a.value(x)) * haar.weight(g, x) for x in arrows_into(g, u))
+        inverted = sum(abs(a.value(g.invert_id(x))) * haar.weight(g, x) for x in arrows_into(g, u))
         best = max(best, direct, inverted)
     return best
 

@@ -196,3 +196,9 @@ class TestInputErrors:
     def test_report_into_a_non_directory(self, doc_file, capsys):
         assert main(["verify", str(doc_file), "--suite", "haar", "--json", str(doc_file / "report.json")]) == 2
         assert "invalid: " in capsys.readouterr().out
+
+    def test_report_path_is_checked_before_any_suite_runs(self, doc_file, capsys):
+        assert main(["verify", "--corpus", "--suite", "haar", "--json", str(doc_file / "report.json")]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("invalid: cannot write the report")
+        assert not [line for line in out if line.startswith(("PASS", "FAIL"))]

@@ -50,6 +50,18 @@ class TestValidateCocycle:
         with pytest.raises(ValueError, match="missing"):
             cocycle_from_map(p2, z, {"(1,1)": (0,)})
 
+    def test_labels_are_a_read_only_copy(self, p2):
+        # the labels and the element array they were read into cannot drift
+        # apart through the caller's dict
+        label = {"(1,1)": (0,), "(1,2)": (-1,), "(2,1)": (1,), "(2,2)": (0,)}
+        c = Cocycle(FreeAbelianGroup(1), label)
+        label["(1,2)"] = (5,)
+        assert c.of("(1,2)") == (-1,)
+        assert c.elements[:, 0].tolist() == [0, -1, 1, 0]
+        with pytest.raises(TypeError):
+            c.label["(1,2)"] = (5,)
+        assert validate_cocycle(p2, c).ok
+
 
 def fiber_ids(sys, gamma):
     """Arrow ids over gamma in declared order, read from the fiber mask."""

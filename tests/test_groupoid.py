@@ -7,6 +7,8 @@ pair groupoid).
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.groupoid import (
@@ -18,6 +20,7 @@ from groupoid_workbench.groupoid import (
     group_bundle,
     group_groupoid,
     haar_from_weights,
+    left_invariance_stack,
     pair_groupoid,
     product,
     validate_groupoid,
@@ -26,6 +29,7 @@ from groupoid_workbench.groupoid import (
 from groupoid_workbench.groups import cyclic_group
 
 from conftest import id_tables, redirected, with_tables
+from test_structure_certificate import twisted_tables
 
 
 def dense_left_invariance(g: FiniteGroupoid, w, rel_tol: float = 1e-12) -> bool:
@@ -218,6 +222,25 @@ class TestHaar:
         w = {a.id: 1.0 for a in broken.arrows}
         assert not dense_left_invariance(broken, w)
         assert not validate_left_invariance(broken, w)
+
+    @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda doc: doc.name)
+    def test_per_unit_weights_are_invariant_on_corpus(self, doc):
+        assert per_unit_weights_invariant(doc.groupoid, np.random.default_rng([9, doc.groupoid.n_arrows]))
+
+
+def per_unit_weights_invariant(g: FiniteGroupoid, rng: np.random.Generator) -> bool:
+    """Whether eight draws of arrow weights w(y) = rho(s(y)), with rho
+    log-uniform in [1e-300, 1e300] per unit, all pass left_invariance_stack.
+    On a groupoid the identity at (x, t) has the one term w(x^-1 t) = w(t),
+    which is why validate_system does not check it."""
+    rho = 10.0 ** rng.uniform(-300.0, 300.0, size=(8, g.n_units))
+    return bool(left_invariance_stack(g, rho[:, g.src_index]).all())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(twisted_tables(), st.integers(0, 2**32 - 1))
+def test_per_unit_weights_are_invariant_on_twisted_tables(g, seed):
+    assert per_unit_weights_invariant(g, np.random.default_rng(seed))
 
 
 class TestConstructors:

@@ -63,7 +63,7 @@ from groupoid_workbench.hilbert_module import (
 from groupoid_workbench.representation import cstar_norm, operator_norm, positivity_check
 from groupoid_workbench.verify import run_document
 
-from conftest import max_diff, pair_cocycle, rng_functions
+from conftest import arrows_into, max_diff, pair_cocycle, rng_functions
 from test_orbit_blocks import shuffled, weighted
 
 
@@ -205,7 +205,7 @@ class TestInnerProduct:
             direct = module_inner_product(sys, a, b)
             oracle = np.zeros(sub.n_arrows, dtype=complex)
             for i, n in enumerate(sub.arrow_ids):
-                for y in g.arrows_with_dst(g.target(n)):
+                for y in arrows_into(g, g.target(n)):
                     y_inv = g.invert_id(y)
                     term = np.conj(a.coeffs[g.index(y_inv)]) * b.coeffs[g.index(g.compose_ids(y_inv, n))]
                     oracle[i] += term * sys.haar.weight(g, y)

@@ -154,7 +154,7 @@ class TestStacksAgainstPerUnitBlocks:
 
     def test_union_of_groups_has_two_stacks(self):
         doc = next(d for d in builtin_corpus(seed=0) if d.name == "union-z2-z3-counting")
-        assert doc.system.groupoid._rep_tables is None  # parsing and validation do not build the index
+        assert "rep" not in doc.system.groupoid._cache  # parsing and validation do not build the index
         tables = doc.system.groupoid.rep_tables()
         assert [(len(units), arrows.shape[1]) for units, arrows, _ in tables] == [(1, 2), (1, 3)]
         assert all(not arrows.flags.writeable and not products.flags.writeable for _, arrows, products in tables)
