@@ -106,7 +106,8 @@ def _as_object(value: Any, path: str) -> Mapping[str, Any]:
 MAX_ARROWS = 4096
 """The most arrows a groupoid spec may describe, counted from a builtin's
 parameters or an explicit table's arrow list before anything is built; a
-larger spec is rejected."""
+larger spec is rejected.  A finite group's Cayley table may have as many
+rows, counted before any entry is read."""
 
 
 def _arrow_count(spec: Any) -> int | None:
@@ -244,8 +245,8 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
 
 
 def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
-    """The compose table of [first, second, product] id triples, -1 where no
-    triple names the pair; a repeated pair keeps its last product.
+    """The (m, 3) index triples of [first, second, product] id triples, in
+    row-major pair order; a repeated pair keeps its last product.
 
     The ids are looked up in one pass over the flattened triples, through
     ``str`` only if that pass misses (JSON ids may be numbers), and the last
@@ -253,7 +254,6 @@ def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
     is still unknown, the triples are read into a dict in order and walked:
     the error names the first unknown id among the pairs' last products, and
     an unknown id that only a later triple overwrites is no error."""
-    n = len(index)
     flat = list(itertools.chain.from_iterable(triples))
     try:
         found = list(map(index.__getitem__, flat))
@@ -263,12 +263,8 @@ def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
         except KeyError:
             found = _walk_compose(triples, index)
     found = np.fromiter(found, dtype=np.intp, count=len(found)).reshape(-1, 3)
-    keys = found[:, 0] * n + found[:, 1]
-    _, from_end = np.unique(keys[::-1], return_index=True)
-    last = len(keys) - 1 - from_end
-    table = np.full(n * n, -1, dtype=np.intp)
-    table[keys[last]] = found[last, 2]
-    return table.reshape(n, n)
+    _, from_end = np.unique((found[:, 0] * len(index) + found[:, 1])[::-1], return_index=True)
+    return found[len(found) - 1 - from_end]
 
 
 def _walk_compose(triples: list, index: Mapping[str, int]) -> list[int]:
@@ -290,6 +286,8 @@ def build_group(spec: Mapping[str, Any], path: str = "group") -> DiscreteGroup:
     if set(spec) == {"finite"}:
         finite = _as_object(spec["finite"], f"{path}.finite")
         cayley = _require(finite, "cayley", f"{path}.finite")
+        if isinstance(cayley, list) and len(cayley) > MAX_ARROWS:
+            raise DocumentError(f"{path}.finite.cayley", f"the Cayley table has {len(cayley)} rows, over the budget of {MAX_ARROWS}")
         try:
             return FiniteGroup(cayley)
         except (ValueError, TypeError) as exc:

@@ -3,17 +3,15 @@
 A groupoid here is a finite set of arrows over a finite unit space.  Arrow
 records carry ``src`` (the source unit ``s(x)``) and ``dst`` (the range unit
 ``r(x)``); ``compose(x, y)`` is defined exactly when ``s(x) = r(y)`` and then
-``r(xy) = r(x)`` and ``s(xy) = s(y)``.  The groupoid numbers its arrows and
-units in declared order, and its state is five read-only integer tables over
-those numbers, built once at construction: ``src_index``/``dst_index``,
-``invert_index``, ``unit_arrow_index`` and the (n, n) ``compose_matrix()``,
-with -1 where a product is undefined; they are the only encoding a groupoid
-is built from.  The first unit of every unit's orbit (``orbit_base``) is
-read from them at construction.  Arrow and unit ids are labels only.  The
-builtin constructors write their tables in closed form, the document parser
-maps explicit id tables to indices once, and :func:`validate_groupoid` and
-:func:`validate_left_invariance` are array reductions over the tables; no
-temporary they build has more entries than the compose matrix.
+``r(xy) = r(x)`` and ``s(xy) = s(y)``.  Arrows and units are numbered in
+declared order, and the state is read-only integer tables over those numbers,
+built at construction: ``src_index``/``dst_index``, ``invert_index``,
+``unit_arrow_index``, ``orbit_base`` and the pair table, the (x, y, xy)
+triples of the composable pairs in row-major order.  That table is the only
+encoding of composition: a product is read by its position
+(:meth:`~FiniteGroupoid.compose_index`), and the dense (n, n)
+``compose_matrix()`` is a view built on first call.  Ids are labels only.
+The validators are array reductions in O(composable pairs).
 
 :func:`validate_groupoid` proves associativity with a structure certificate:
 by the structure theorem (Renault, LNM 793, ch. I) a groupoid is, orbit by
@@ -62,13 +60,14 @@ class Arrow:
 class FiniteGroupoid:
     """Arrows over a finite unit space with integer compose/invert tables.
 
-    The tables are index arrays over the declared order: ``compose`` the
-    (n, n) table of xy with -1 where undefined, ``invert`` the (n,) table of
-    inverses and ``unit_arrow`` the (n_units,) table of unit arrows.  They
-    are taken over and made read-only.  The constructor checks structural
+    ``compose`` is an (m, 3) integer array of (x, y, xy) index triples, each
+    pair at most once, in any order; ``invert`` the (n,) table of inverses
+    and ``unit_arrow`` the (n_units,) table of unit arrows, which are taken
+    over and made read-only.  The constructor checks structural
     well-formedness (nonempty unit space, unique ids, arrow endpoints among
-    the units, integer tables of these shapes with every entry in range)
-    and raises ``ValueError`` on violations.  The groupoid *axioms* are
+    the units, integer tables of these shapes with every entry in range, no
+    pair twice), raises ``ValueError`` on violations, and records whether
+    the pairs are exactly the composable ones.  The groupoid *axioms* are
     checked by :func:`validate_groupoid`, which reports rather than raises,
     so deliberately broken tables can be built and fed to the validator.
 
@@ -89,13 +88,51 @@ class FiniteGroupoid:
         n = len(self._ids)
         self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
         self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
-        self._compose_matrix = _checked_table("compose", compose, (n, n), -1, n)
-        self._invert_index = _checked_table("invert", invert, (n,), 0, n)
-        self._unit_arrow_index = _checked_table("unit_arrow", unit_arrow, (len(self.units),), 0, n)
+        src, dst = self._src_index, self._dst_index
+        # the composable pair (x, y) sits at row_start[x] + rank[y]: row x
+        # holds |G^{s(x)}| pairs, and y is ranked among the arrows into r(y).
+        # With the unit numbers scaled by a stride past every such sum,
+        # row_at[x] + col_at[y] is that position plus (s(x) - r(y)) stride,
+        # in [0, pairs) exactly when s(x) = r(y)
+        into = np.bincount(dst, minlength=len(self.units))
+        by_dst = dst.argsort(kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_dst] = np.arange(n) - (into.cumsum() - into)[dst[by_dst]]
+        row = into[src]
+        n_pairs = int(row.sum())
+        self._row_at = row.cumsum() - row + src * (n_pairs + n)
+        self._col_at = rank - dst * (n_pairs + n)
+        self._lookup, self._defined = self._read_compose(compose, n_pairs)
+        self._invert_index = _read_only(_checked_table("invert", invert, (n,), n))
+        self._unit_arrow_index = _read_only(_checked_table("unit_arrow", unit_arrow, (len(self.units),), n))
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
-        np.minimum.at(base, self._dst_index, self._src_index)
+        np.minimum.at(base, dst, src)
         self._orbit_base = _read_only(base)
-        self._cache: dict[Any, Any] = {}  # by once(): pairs, bins, rep index, embedding per parent
+        self._cache: dict[Any, Any] = {}  # by once(): pairs, dense view, bins, rep index, embedding per parent
+
+    def _read_compose(self, compose: Any, n_pairs: int) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
+        """When the pairs are exactly the ``n_pairs`` composable ones, the
+        products in row-major pair order with a -1 after them, and None:
+        every product is written at its pair's position, each position
+        once.  Otherwise None, and the triples sorted so, where a repeated
+        pair is a ValueError."""
+        n = self.n_arrows
+        rows = compose.shape[:1] if isinstance(compose, np.ndarray) else (0,)
+        x, y, z = _checked_table("compose", compose, (*rows, 3), n).T
+        at = self._row_at[x]
+        at += self._col_at[y]
+        if len(x) == n_pairs and (not n_pairs or at.view(np.uintp).max() < n_pairs):
+            lookup = np.full(n_pairs + 1, -1, dtype=np.intp)
+            lookup[at] = z
+            if not n_pairs or lookup[:-1].min() >= 0:
+                return _read_only(lookup), None
+        keys = x * n + y
+        order = np.argsort(keys, kind="stable")
+        twice = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+        if twice.size:
+            k = order[twice[0]]
+            raise ValueError(f"The compose table defines the pair ({self._ids[x[k]]!r},{self._ids[y[k]]!r}) more than once.")
+        return None, tuple(_read_only(column[order]) for column in (x, y, z))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -130,9 +167,12 @@ class FiniteGroupoid:
         return self.arrows[self._index[aid]].dst
 
     def compose_ids(self, a: str, b: str) -> str | None:
-        """The id of ab, or None where the product is undefined or an id is unknown."""
+        """The id of ab, or None where the product is undefined or an id is
+        unknown; on any table, exact or not."""
         i, j = self._index.get(a), self._index.get(b)
-        k = -1 if i is None or j is None else self._compose_matrix[i, j]
+        if i is None or j is None:
+            return None
+        k = self.compose_index(i, j) if self._defined is None else self.compose_matrix()[i, j]
         return self._ids[k] if k >= 0 else None
 
     def invert_id(self, aid: str) -> str:
@@ -168,21 +208,32 @@ class FiniteGroupoid:
         of v, so this is the first unit of the orbit."""
         return self._orbit_base
 
-    def compose_matrix(self) -> np.ndarray:
-        """Dense (n, n) table of arrow indices for x.y, with -1 where undefined."""
-        return self._compose_matrix
+    def compose_index(self, x: Any, y: Any) -> np.ndarray:
+        """xy for arrow index arrays x and y (broadcast together), -1 where
+        s(x) != r(y), read from the pair table by position.  Only an exact
+        table can be read so; on any other it is a ValueError, and
+        :func:`validate_groupoid` names the violation."""
+        if self._defined is not None:
+            raise ValueError("The compose table is not defined on exactly the composable pairs; groupoid invalid.")
+        at = (self._row_at[x] + self._col_at[y]).view(np.uintp)
+        return self._lookup[np.minimum(at, len(self._lookup) - 1)]
 
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Index arrays (x, y, xy) over the defined compose entries, in
-        row-major order.  When the defined entries are exactly the
-        composable pairs, s(x) = r(y), as in every groupoid, they are read
-        in O(pairs) from the arrows grouped by range: each x is repeated
-        once per arrow y into s(x).  Otherwise they are the nonzero entries
-        of the defined mask."""
+        """The pair table: index arrays (x, y, xy) over the defined compose
+        entries, in row-major order.  On an exact table, as in every
+        groupoid, these are the composable pairs s(x) = r(y): each x is
+        repeated once per arrow y into s(x), and its x and y columns are
+        built on first call."""
+        if self._defined is not None:
+            return self._defined
         return once(self._cache, "pairs", FiniteGroupoid._pair_table, self)
 
     def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        src, dst, mat = self._src_index, self._dst_index, self._compose_matrix
+        return (*self._composable(), self._lookup[:-1])
+
+    def _composable(self) -> tuple[np.ndarray, np.ndarray]:
+        """The composable pairs (x, y) in row-major order, read-only."""
+        src, dst = self._src_index, self._dst_index
         by_dst = np.argsort(dst, kind="stable")
         starts = np.searchsorted(dst[by_dst], np.arange(self.n_units + 1))
         counts = np.diff(starts)[src]
@@ -191,11 +242,18 @@ class FiniteGroupoid:
         # ends[x] - counts[x] pairs of earlier rows
         ends = np.cumsum(counts)
         ys = by_dst[np.repeat(starts[src] - ends + counts, counts) + np.arange(len(xs))]
-        zs = mat[xs, ys]
-        if (zs < 0).any() or np.count_nonzero(mat >= 0) != len(zs):
-            xs, ys = np.nonzero(mat >= 0)
-            zs = mat[xs, ys]
-        return _read_only(xs), _read_only(ys), _read_only(zs)
+        return _read_only(xs), _read_only(ys)
+
+    def compose_matrix(self) -> np.ndarray:
+        """Dense (n, n) view of the pair table, -1 where undefined; built on
+        first call, for the suites that gather whole rows."""
+        return once(self._cache, "dense", FiniteGroupoid._dense_view, self)
+
+    def _dense_view(self) -> np.ndarray:
+        xs, ys, zs = self.composable_pairs()
+        mat = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.intp)
+        mat[xs, ys] = zs
+        return _read_only(mat)
 
     def convolution_bins(self) -> np.ndarray:
         """The bins 2xy and 2xy + 1 of every composable pair, interleaved,
@@ -243,7 +301,7 @@ class FiniteGroupoid:
         for d in sorted(set(sizes.tolist())):
             (at,) = (sizes == d).nonzero()
             arrows = _read_only(by_src[starts[at][:, None] + np.arange(d)])
-            products = self._compose_matrix[arrows[:, :, None], self._invert_index[arrows][:, None, :]]
+            products = self.compose_index(arrows[:, :, None], self._invert_index[arrows][:, None, :])
             bad = np.argwhere(products < 0)
             if bad.size:
                 raise ValueError(f"Arrows with source {self.units[at[bad[0][0]]]!r} do not compose; groupoid invalid.")
@@ -257,7 +315,7 @@ class FiniteGroupoid:
 
     def restricted_to(self, arrow_ids: Sequence[str]) -> "FiniteGroupoid":
         """Subgroupoid on a subset of arrows (same units, declared order kept),
-        with the compose matrix sliced and renumbered.
+        with the pairs of kept arrows taken from the pair table and renumbered.
 
         The subset must contain every unit arrow, be closed under inversion,
         and be closed under composition; otherwise ValueError naming the
@@ -276,18 +334,18 @@ class FiniteGroupoid:
         open_at = ~mask[self._invert_index[kept]]
         if open_at.any():
             raise ValueError(f"Restriction not closed under inversion at {self._ids[kept[np.argmax(open_at)]]!r}.")
-        sub = self._compose_matrix[np.ix_(kept, kept)]
-        leaves = (sub >= 0) & ~mask[sub]
+        xs, ys, zs = self.composable_pairs()
+        inside = mask[xs] & mask[ys]
+        leaves = inside & ~mask[zs]
         if leaves.any():
-            i, j = np.argwhere(leaves)[0]
-            raise ValueError(f"Restriction not closed under composition at ({self._ids[kept[i]]!r},{self._ids[kept[j]]!r}).")
-        # new numbers of the kept arrows; the extra last entry sends -1 to -1
-        renumber = np.full(self.n_arrows + 1, -1, dtype=np.intp)
+            k = np.argmax(leaves)
+            raise ValueError(f"Restriction not closed under composition at ({self._ids[xs[k]]!r},{self._ids[ys[k]]!r}).")
+        renumber = np.empty(self.n_arrows, dtype=np.intp)
         renumber[kept] = np.arange(len(kept))
         restricted = FiniteGroupoid(
             self.units,
             [self.arrows[i] for i in kept],
-            renumber[sub],
+            renumber[np.stack((xs[inside], ys[inside], zs[inside]), axis=1)],
             renumber[self._invert_index[kept]],
             renumber[self._unit_arrow_index],
         )
@@ -327,17 +385,18 @@ def once_property(build: Callable[[Any], Any]) -> property:
     return property(lambda self: once(self._cache, build.__name__, build, self), doc=build.__doc__)
 
 
-def _checked_table(name: str, table: Any, shape: tuple[int, ...], low: int, high: int) -> np.ndarray:
-    """``table`` as a read-only intp array, once it is an integer array of
-    ``shape`` with every entry in [low, high)."""
-    if not isinstance(table, np.ndarray) or table.shape != shape or not np.issubdtype(table.dtype, np.integer):
+def _checked_table(name: str, table: Any, shape: tuple[int, ...], high: int) -> np.ndarray:
+    """``table`` as an intp array, once it is an integer array of ``shape``
+    with every entry in [0, high).  The range takes one pass, the maximum
+    of the entries read as unsigned, where a negative entry is past any index."""
+    if not isinstance(table, np.ndarray) or table.shape != shape or table.dtype.kind not in "iu":
         got = f"{table.dtype} array of shape {table.shape}" if isinstance(table, np.ndarray) else type(table).__name__
         raise ValueError(f"The {name} table must be an integer array of shape {shape}, got {got}.")
-    if table.size:
+    table = table.astype(np.intp, copy=False)
+    if table.size and table.view(np.uintp).max() >= high:
         lo, hi = int(table.min()), int(table.max())
-        if lo < low or hi >= high:
-            raise ValueError(f"The {name} table has an entry {lo if lo < low else hi} outside [{low}, {high}).")
-    return _read_only(table.astype(np.intp, copy=False))
+        raise ValueError(f"The {name} table has an entry {lo if lo < 0 else hi} outside [0, {high}).")
+    return table
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -364,10 +423,8 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     check is a whole-array comparison on the integer tables; the witness is
     the first violation in declared arrow order (row-major for pairs).
 
-    Exactness is "every defined entry is a composable pair, and there are as
-    many as composable pairs", over :meth:`FiniteGroupoid.composable_pairs`;
-    the dense comparison of the two n x n masks runs only to name the
-    witness.
+    Exactness (the defined pairs are the composable ones) is recorded by the
+    constructor; every later check reads products by position.
 
     Associativity is proved by a structure certificate instead of a sweep
     over the composable triples.  A groupoid is isomorphic, orbit by orbit,
@@ -378,35 +435,17 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     :func:`_associativity_witness` runs only on a failed certificate,
     to name the first failing triple.
     """
-    mat = g.compose_matrix()
+    if g._defined is not None:
+        return _exactness_failure(g)
+    at = g.compose_index
     src = g.src_index
     dst = g.dst_index
     n = g.n_arrows
     xs, ys, zs = g.composable_pairs()
-    n_composable = int(np.bincount(src, minlength=g.n_units) @ np.bincount(dst, minlength=g.n_units))
-    if len(xs) != n_composable or (src[xs] != dst[ys]).any():
-        composable = src[:, None] == dst[None, :]
-        i, j = np.argwhere((mat >= 0) != composable)[0]
-        a, b = g.arrows[i].id, g.arrows[j].id
-        if composable[i, j]:
-            return CheckReport.failed("compose-undefined-on-composable-pair", pair=(a, b))
-        return CheckReport.failed("compose-defined-on-noncomposable-pair", pair=(a, b))
-    bad = dst[zs] != dst[xs]
-    if bad.any():
-        k = int(np.nonzero(bad)[0][0])
-        return CheckReport.failed(
-            "compose-range-mismatch",
-            pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id),
-            product=g.arrows[zs[k]].id,
-        )
-    bad = src[zs] != src[ys]
-    if bad.any():
-        k = int(np.nonzero(bad)[0][0])
-        return CheckReport.failed(
-            "compose-source-mismatch",
-            pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id),
-            product=g.arrows[zs[k]].id,
-        )
+    for cause, bad in (("compose-range-mismatch", dst[zs] != dst[xs]), ("compose-source-mismatch", src[zs] != src[ys])):
+        if bad.any():
+            k = int(np.argmax(bad))
+            return CheckReport.failed(cause, pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id), product=g.arrows[zs[k]].id)
     unit_arrow = g.unit_arrow_index
     units = np.arange(g.n_units)
     bad = (src[unit_arrow] != units) | (dst[unit_arrow] != units)
@@ -414,20 +453,21 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
         u = np.argmax(bad)
         return CheckReport.failed("unit-arrow-endpoints", unit=g.units[u], arrow=g.arrows[unit_arrow[u]].id)
     # compose is exact and the unit arrows sit at their units, so every
-    # product with a unit arrow is defined and ``got`` is an arrow
-    arrows = np.arange(n)
-    left = mat[unit_arrow[dst], arrows]
-    right = mat[arrows, unit_arrow[src]]
+    # product with a unit arrow is defined and ``got`` is an arrow; one
+    # lookup reads e_r(x) x, x e_s(x), x^-1 x and x x^-1
+    arrows, inv = np.arange(n), g.invert_index
+    left, right, inv_left, inv_right = at(
+        np.concatenate([unit_arrow[dst], arrows, inv, arrows]), np.concatenate([arrows, unit_arrow[src], arrows, inv])
+    ).reshape(4, n)
     found = _first_violation(left != arrows, right != arrows)
     if found:
         k, i = found
         cause, got = (("unit-not-left-identity", left), ("unit-not-right-identity", right))[k]
         return CheckReport.failed(cause, arrow=g.arrows[i].id, got=g.arrows[got[i]].id)
-    inv = g.invert_index
     found = _first_violation(
         (src[inv] != dst) | (dst[inv] != src),
-        mat[inv, arrows] != unit_arrow[src],
-        mat[arrows, inv] != unit_arrow[dst],
+        inv_left != unit_arrow[src],
+        inv_right != unit_arrow[dst],
         inv[inv] != arrows,
     )
     if found:
@@ -439,6 +479,22 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     if _structure_certificate(g):
         return CheckReport.passed()
     return CheckReport.failed("associativity", triple=tuple(g.arrows[i].id for i in _associativity_witness(g)))
+
+
+def _exactness_failure(g: FiniteGroupoid) -> CheckReport:
+    """The first pair in row-major order, on a table that is not exact,
+    that is defined but not composable or composable but not defined (its
+    position unfilled), in O(pairs)."""
+    src, dst = g.src_index, g.dst_index
+    xs, ys, _ = g.composable_pairs()
+    loose = src[xs] != dst[ys]
+    cx, cy = g._composable()
+    filled = np.zeros(len(cx), dtype=bool)
+    filled[g._row_at[xs[~loose]] + g._col_at[ys[~loose]]] = True
+    first = [(int(x[k[0]]), int(y[k[0]])) for x, y, k in ((xs, ys, np.flatnonzero(loose)), (cx, cy, np.flatnonzero(~filled))) if k.size]
+    i, j = min(first)
+    cause = "compose-undefined-on-composable-pair" if src[i] == dst[j] else "compose-defined-on-noncomposable-pair"
+    return CheckReport.failed(cause, pair=(g.arrows[i].id, g.arrows[j].id))
 
 
 def _structure_certificate(g: FiniteGroupoid) -> bool:
@@ -464,18 +520,19 @@ def _structure_certificate(g: FiniteGroupoid) -> bool:
     (h(x) h(y)) h(z) = h(x) (h(y) h(z)), so they are equal.  In a groupoid
     every check holds, for any choice of transports.
     """
-    mat = g.compose_matrix()
+    at = g.compose_index
     src, dst, inv = g.src_index, g.dst_index, g.invert_index
     n = g.n_arrows
     base = g.orbit_base
     into = np.flatnonzero(src == base[dst])
     transport = np.full(g.n_units, n, dtype=np.intp)
     np.minimum.at(transport, dst[into], into)
-    h = mat[mat[inv[transport[dst]], np.arange(n)], transport[src]]
+    h = at(at(inv[transport[dst]], np.arange(n)), transport[src])
     if len(np.unique((dst * g.n_units + src) * n + h)) != n:
         return False
+    # where h is the identity, as in a bundle of groups, h(xy) = h(x) h(y) holds trivially
     xs, ys, zs = g.composable_pairs()
-    if (h[zs] != mat[h[xs], h[ys]]).any():
+    if (h != np.arange(n)).any() and (h[zs] != at(h[xs], h[ys])).any():
         return False
     # a one-arrow isotropy is {unit arrow}, associative by the identity law
     loops = np.flatnonzero((src == dst) & (src == base[src]))
@@ -483,7 +540,7 @@ def _structure_certificate(g: FiniteGroupoid) -> bool:
     for u in np.flatnonzero(np.bincount(src[loops]) > 1):
         iso = loops[src[loops] == u]
         local[iso] = np.arange(len(iso))
-        if first_nonassociative_triple(local[mat[iso[:, None], iso]]) is not None:
+        if first_nonassociative_triple(local[at(iso[:, None], iso)]) is not None:
             return False
     return True
 
@@ -496,7 +553,7 @@ def _associativity_witness(g: FiniteGroupoid) -> tuple[int, int, int]:
     runs over the arrows with s(x) = u as a column in declared order, and
     (xy)z is compared with x(yz) in chunks of at most n^2 triples.
     """
-    mat = g.compose_matrix()
+    at = g.compose_index
     src, dst = g.src_index, g.dst_index
     n = g.n_arrows
     xs, ys, zs = g.composable_pairs()
@@ -511,7 +568,7 @@ def _associativity_witness(g: FiniteGroupoid) -> tuple[int, int, int]:
         step = n * n // len(x)
         for lo in range(0, len(at_u), step):
             p = at_u[lo : lo + step]
-            bad = mat[mat[x, xs[p]], ys[p]] != mat[x, zs[p]]
+            bad = at(at(x, xs[p]), ys[p]) != at(x, zs[p])
             if bad.any():
                 i, k = np.argwhere(bad)[0]
                 first = (int(x[i, 0]), int(xs[p[k]]), int(ys[p[k]]))
@@ -616,18 +673,24 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
         raise ValueError(f"Pair groupoid needs at least one point, got {n}.")
     units = [str(i) for i in range(1, n + 1)]
     arrows = [Arrow(f"({i},{j})", src=j, dst=i) for i in units for j in units]
-    # arrow (i,j) has index i*n + j (from 0); as an (n, n, n, n) view indexed
-    # [i, j, j', k] the compose matrix holds (i,k) where j = j', -1 elsewhere
+    # arrow (i,j) has index i*n + j (from 0); indexed [i, j, k] the triples
+    # are ((i,j), (j,k), (i,k))
     ids = np.arange(n * n, dtype=np.intp).reshape(n, n)
-    compose = np.full((n * n, n * n), -1, dtype=np.intp)
-    diagonal = np.arange(n)
-    compose.reshape(n, n, n, n)[:, diagonal, diagonal, :] = ids[:, None, :]
-    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), diagonal * (n + 1))
+    compose = _triples(ids[:, :, None], ids[None], ids[:, None, :])
+    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), np.arange(n) * (n + 1))
+
+
+def _triples(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
+    """The (m, 3) compose triples of index arrays x, y and xy, broadcast together."""
+    triples = np.empty(np.broadcast_shapes(x.shape, y.shape, xy.shape) + (3,), dtype=np.intp)
+    triples[..., 0], triples[..., 1], triples[..., 2] = x, y, xy
+    return triples.reshape(-1, 3)
 
 
 def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A group as one-unit groupoid tables: the Cayley table is the compose matrix."""
-    return group.cayley, group.inverse_table, np.array([group.identity], dtype=np.intp)
+    """A group as one-unit groupoid tables: every pair composes, by the Cayley table."""
+    elements = np.arange(group.order)
+    return _triples(elements[:, None], elements, group.cayley), group.inverse_table, np.array([group.identity], dtype=np.intp)
 
 
 def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = "u") -> FiniteGroupoid:
@@ -687,26 +750,18 @@ def action_groupoid(
     ]
     # arrow (x,h) has index x*order + h; (x,h)(x.h,k) = (x,hk)
     order, n = group.order, len(arrows)
-    compose = np.full((n, n), -1, dtype=np.intp)
     products = np.arange(len(points))[:, None, None] * order + group.cayley
-    compose[np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order)] = products.reshape(n, order)
+    compose = _triples(np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order), products.reshape(n, order))
     invert = (act * order + group.inverse_table).ravel()
     return FiniteGroupoid(units, arrows, compose, invert, np.arange(len(points)) * order + group.identity)
 
 
 def _direct_sum(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of a disjoint union from the (compose, invert, unit_arrow)
-    tables of its parts, arrows and units in part order: the compose matrix
-    is block-diagonal, and each part's indices move by its offset."""
-    n = sum(len(invert) for _, invert, _ in parts)
-    compose = np.full((n, n), -1, dtype=np.intp)
-    inverse, unit_arrows, at = [], [], 0
-    for mat, invert, unit_arrow in parts:
-        np.add(mat, at, out=compose[at : at + len(invert), at : at + len(invert)], where=mat >= 0)
-        inverse.append(invert + at)
-        unit_arrows.append(unit_arrow + at)
-        at += len(invert)
-    return compose, np.concatenate(inverse), np.concatenate(unit_arrows)
+    tables of its parts, arrows and units in part order: each part's
+    indices move by its offset."""
+    offsets = np.cumsum([0] + [len(invert) for _, invert, _ in parts])
+    return tuple(np.concatenate([part[k] + at for part, at in zip(parts, offsets)]) for k in range(3))
 
 
 def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> FiniteGroupoid:
@@ -724,7 +779,7 @@ def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     relabel = [("L:", g1), ("R:", g2)]
     units = [p + u for p, g in relabel for u in g.units]
     arrows = [Arrow(p + a.id, src=p + a.src, dst=p + a.dst) for p, g in relabel for a in g.arrows]
-    parts = [(g.compose_matrix(), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
+    parts = [(np.stack(g.composable_pairs(), axis=1), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
     return FiniteGroupoid(units, arrows, *_direct_sum(parts))
 
 
@@ -732,12 +787,11 @@ def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Direct product groupoid; arrows are pairs composed componentwise."""
     units = [f"{u}|{v}" for u in g1.units for v in g2.units]
     arrows = [Arrow(f"{a.id}|{b.id}", src=f"{a.src}|{b.src}", dst=f"{a.dst}|{b.dst}") for a in g1.arrows for b in g2.arrows]
-    # arrow (a,b) has index a*n2 + b; indexed [a, b, c, d] the product
-    # (a,b)(c,d) = (ac,bd) is defined where both factors are
+    # arrow (a,b) has index a*n2 + b; the product (a,b)(c,d) = (ac,bd) is
+    # defined where both factors are, one triple per pair of triples
     n2 = g2.n_arrows
-    m1 = g1.compose_matrix()[:, None, :, None]
-    m2 = g2.compose_matrix()[None, :, None, :]
-    compose = np.where((m1 >= 0) & (m2 >= 0), m1 * n2 + m2, -1).reshape(len(arrows), len(arrows))
+    t1, t2 = (np.stack(g.composable_pairs(), axis=1) for g in (g1, g2))
+    compose = (t1[:, None, :] * n2 + t2[None, :, :]).reshape(-1, 3)
     invert = g1.invert_index[:, None] * n2 + g2.invert_index
     unit_arrow = g1.unit_arrow_index[:, None] * n2 + g2.unit_arrow_index
     return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel())

@@ -169,16 +169,15 @@ class InducedSpace:
         # Gram blocks, batched by size: members[b] lists the support rows of
         # block b, and the entry test compares x^{-1} y with h h'^{-1} in G_e
         key = (g.dst_index[xs] * len(sys.fiber_keys) + sys.fiber_index[xs]) * g.n_units + sub.src_index[hs]
-        compose, invert = g.compose_matrix(), g.invert_index
-        sub_compose, sub_invert = sub.compose_matrix(), sub.invert_index
+        invert, sub_invert = g.invert_index, sub.invert_index
         to_sub = parent_to_sub_index(sys)
         sqrt_rho_h = np.sqrt(rho[sub.dst_index])
         self._blocks = []  # (support rows, Gram) per batch of equal-size blocks
         solved = []
         for members in _equal_size_groups(key):
             x, h = xs[members], hs[members]
-            x_inv_y = to_sub[compose[invert[x][:, :, None], x[:, None, :]]]
-            h_h_inv = sub_compose[h[:, :, None], sub_invert[h][:, None, :]]
+            x_inv_y = to_sub[g.compose_index(invert[x][:, :, None], x[:, None, :])]
+            h_h_inv = sub.compose_index(h[:, :, None], sub_invert[h][:, None, :])
             scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * rho_r[x][:, :, None]
             gram = (x_inv_y == h_h_inv) * scale
             self._blocks.append((members, gram))
@@ -226,7 +225,7 @@ class InducedSpace:
             frame = flat[offset[units][:, None] + np.arange(nh * nx * c)].reshape(-1, nh, nx, c)
             frame_gram = np.ascontiguousarray((frame.reshape(-1, nh * nx, c) * values[cols][:, None, :]).swapaxes(1, 2))
             x = xs[first_row[units][:, None] + np.arange(nh * nx)].reshape(-1, nh, nx)
-            index = compose[x[..., :, None], invert[x][..., None, :]]  # s(x') = s(x) = r(h): all defined
+            index = g.compose_index(x[..., :, None], invert[x][..., None, :])  # s(x') = s(x) = r(h): all defined
             self._batches.append((units, cols, index, rho_r[x][..., None, :], frame, frame_gram))
             self._per_trial += index.size + frame.size + len(units) * c * c
 

@@ -222,7 +222,7 @@ def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, 
     blocks (T, S, L, L) and the largest deviation (T, S) of each block,
     translated, from the identity-fiber block at r(z)."""
     g, sub, haar, fiber = sys.groupoid, sys.identity_fiber, sys.haar, sys.fiber_index
-    compose, inv, to_sub, w = g.compose_matrix(), g.invert_index, parent_to_sub_index(sys), _range_weights(g, haar)
+    inv, to_sub, w = g.invert_index, parent_to_sub_index(sys), _range_weights(g, haar)
     lifted = include_stack(sub, f, g)
     cross = [(fiber[a][:, :, None] != fiber[a][:, None, :], m) for (_, a, _), m in zip(g.rep_tables(), _stacks_of(g, lifted, haar, g.rep_tables()))]
     error = functools.reduce(np.maximum, [np.abs(np.where(mask, m, 0.0)).max(axis=(-3, -2, -1)) for mask, m in cross])
@@ -234,7 +234,7 @@ def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, 
     identity, out = sys.fiber_number(sys.group.identity), []
     for seg in groups:
         position[seg] = np.arange(seg.shape[1])
-        products = compose[seg[:, :, None], inv[seg][:, None, :]]
+        products = g.compose_index(seg[:, :, None], inv[seg][:, None, :])
         sub_idx = to_sub[products]
         scale = np.sqrt(w[seg][:, :, None] * w[seg][:, None, :])
         blocks = np.where(sub_idx >= 0, f.take(np.clip(sub_idx, 0, None), axis=-1), 0.0) * scale
@@ -243,7 +243,7 @@ def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, 
         z = np.where(fiber[first] == identity, g.unit_arrow_index[g.src_index[first]], first)
         # the identity-fiber arrows with source r(z): the segment keyed (r(z), e), of size L
         codomain = seg[np.searchsorted(key[first], key[g.unit_arrow_index[g.dst_index[z]]])]
-        shift = position[compose[codomain, z[:, None]]]
+        shift = position[g.compose_index(codomain, z[:, None])]
         translated = blocks[..., np.arange(len(seg))[:, None, None], shift[:, :, None], shift[:, None, :]]
         units, stack = targets[seg.shape[1]]
         target = stack[..., [units.index(g.units[v]) for v in g.dst_index[z]], :, :]
@@ -262,7 +262,7 @@ def _fiber_rep_block(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str,
     same-fiber arrows, from the entry formula."""
     g = sys.groupoid
     gidx = np.array([g.index(aid) for aid in arrow_ids], dtype=np.intp)
-    table = g.compose_matrix()[np.ix_(gidx, g.invert_index[gidx])]
+    table = g.compose_index(gidx[:, None], g.invert_index[gidx])
     if (table < 0).any():
         raise ValueError("Block arrows do not share a source; groupoid invalid.")
     sub_idx = parent_to_sub_index(sys)[table]

@@ -60,20 +60,27 @@ def id_tables(g: FiniteGroupoid) -> tuple[dict[tuple[str, str], str], dict[str, 
     """The compose, invert and unit-arrow tables of g by id, read from its
     index arrays; compose holds the defined pairs in row-major order."""
     ids = g.arrow_ids
-    xs, ys = np.nonzero(g.compose_matrix() >= 0)
-    zs = g.compose_matrix()[xs, ys]
+    xs, ys, zs = g.composable_pairs()
     compose = {(ids[x], ids[y]): ids[z] for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist())}
     invert = {aid: ids[k] for aid, k in zip(ids, g.invert_index.tolist())}
     unit_arrow = {u: ids[k] for u, k in zip(g.units, g.unit_arrow_index.tolist())}
     return compose, invert, unit_arrow
 
 
+def triples_of(mat: np.ndarray) -> np.ndarray:
+    """The (m, 3) compose triples (x, y, mat[x, y]) of a dense (n, n) table,
+    in row-major order, over every entry but -1 (undefined)."""
+    xs, ys = np.nonzero(mat != -1)
+    return np.stack([xs, ys, mat[xs, ys]], axis=1)
+
+
 def with_tables(g: FiniteGroupoid, compose=None, invert=None, unit_arrow=None) -> FiniteGroupoid:
-    """g's units and arrows over the given index tables, g's own where None."""
+    """g's units and arrows over the given index tables, g's own where None;
+    ``compose`` is a dense (n, n) table, -1 where undefined."""
     return FiniteGroupoid(
         g.units,
         g.arrows,
-        g.compose_matrix() if compose is None else compose,
+        np.stack(g.composable_pairs(), axis=1) if compose is None else triples_of(compose),
         g.invert_index if invert is None else invert,
         g.unit_arrow_index if unit_arrow is None else unit_arrow,
     )

@@ -468,3 +468,44 @@ class TestSizeBudget:
         with pytest.raises(DocumentError, match="expected a list") as err:
             build_groupoid(spec)
         assert err.value.path == "groupoid.explicit.arrows"
+
+    @staticmethod
+    def z3_graded() -> dict:
+        """The one-arrow groupoid graded by Z/3, with its 3 x 3 Cayley table:
+        the Cayley budget, not the arrow budget, decides it."""
+        return {
+            "groupoid": {"builtin": "cyclic_group", "params": {"n": 1}},
+            "haar": {"rho": {"u": 1.0}},
+            "group": {"finite": {"cayley": [[(a + b) % 3 for b in range(3)] for a in range(3)]}},
+            "cocycle": {"g0": 0},
+        }
+
+    def test_cayley_tables_are_counted_by_their_rows(self, monkeypatch, tmp_path, capsys):
+        raw = self.z3_graded()
+        monkeypatch.setattr(document, "MAX_ARROWS", 3)
+        assert document_from_dict(raw).system.group.order == 3
+
+        def never(*args):
+            raise AssertionError("an oversize Cayley table was read")
+
+        monkeypatch.setattr(document, "MAX_ARROWS", 2)
+        monkeypatch.setattr(document, "FiniteGroup", never)
+        # rows that are no rows: reading any entry would fail otherwise
+        for cayley in (raw["group"]["finite"]["cayley"], [None, "x", {}]):
+            raw["group"]["finite"]["cayley"] = cayley
+            with pytest.raises(DocumentError, match="the Cayley table has 3 rows, over the budget of 2") as err:
+                document_from_dict(raw)
+            assert err.value.path == "group.finite.cayley"
+        path = tmp_path / "z3.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.startswith("invalid: group.finite.cayley: ")
+
+    @pytest.mark.parametrize("cayley", [{"a": [0]}, "abc", 7])
+    def test_cayley_tables_that_are_no_list_keep_their_error(self, cayley, monkeypatch):
+        raw = self.z3_graded()
+        raw["group"]["finite"]["cayley"] = cayley
+        monkeypatch.setattr(document, "MAX_ARROWS", 1)
+        with pytest.raises(DocumentError) as err:
+            document_from_dict(raw)
+        assert err.value.path == "group.finite.cayley" and "budget" not in str(err.value)

@@ -28,7 +28,7 @@ from groupoid_workbench.groupoid import (
 )
 from groupoid_workbench.groups import cyclic_group
 
-from conftest import id_tables, redirected, with_tables
+from conftest import id_tables, redirected, triples_of, with_tables
 from test_structure_certificate import twisted_tables
 
 
@@ -86,10 +86,10 @@ class TestValidateGroupoid:
 
 
 def malformed(table: str, edit) -> tuple:
-    """pair(2)'s compose, invert and unit-arrow tables with ``edit`` applied
-    to a copy of the named one; ``edit`` returns the replacement."""
+    """pair(2)'s compose triples, invert and unit-arrow tables with ``edit``
+    applied to a copy of the named one; ``edit`` returns the replacement."""
     g = pair_groupoid(2)
-    tables = {"compose": g.compose_matrix().copy(), "invert": g.invert_index.copy(), "unit_arrow": g.unit_arrow_index.copy()}
+    tables = {"compose": triples_of(g.compose_matrix()), "invert": g.invert_index.copy(), "unit_arrow": g.unit_arrow_index.copy()}
     tables[table] = edit(tables[table])
     return g.units, g.arrows, tables["compose"], tables["invert"], tables["unit_arrow"]
 
@@ -102,11 +102,17 @@ def set_entry(at, value):
     return edit
 
 
+# pair(2) has 8 composable pairs; its row-major pair 3 is ((1,2), (2,2))
 MALFORMED = {
-    "compose-entry-past-n": ("compose", set_entry((0, 0), 7), r"compose table has an entry 7 outside \[-1, 4\)"),
-    "compose-entry-below-undefined": ("compose", set_entry((1, 0), -2), r"compose table has an entry -2 outside \[-1, 4\)"),
-    "compose-float": ("compose", lambda t: t.astype(float), r"compose table must be an integer array of shape \(4, 4\), got float64"),
-    "compose-wrong-shape": ("compose", lambda t: t[:3], r"shape \(4, 4\), got int64 array of shape \(3, 4\)"),
+    "compose-entry-past-n": ("compose", set_entry((0, 2), 7), r"compose table has an entry 7 outside \[0, 4\)"),
+    "compose-entry-below-undefined": ("compose", set_entry((1, 0), -2), r"compose table has an entry -2 outside \[0, 4\)"),
+    "compose-entry-undefined": ("compose", set_entry((2, 2), -1), r"compose table has an entry -1 outside \[0, 4\)"),
+    "compose-float": ("compose", lambda t: t.astype(float), r"compose table must be an integer array of shape \(8, 3\), got float64"),
+    "compose-wrong-shape": ("compose", lambda t: t[:, :2], r"shape \(8, 3\), got int64 array of shape \(8, 2\)"),
+    "compose-dense": ("compose", lambda t: pair_groupoid(2).compose_matrix(), r"shape \(4, 3\), got int64 array of shape \(4, 4\)"),
+    "compose-repeated-pair": ("compose", lambda t: np.concatenate([t, [[1, 3, 0]]]), r"defines the pair \('\(1,2\)','\(2,2\)'\) more than once"),
+    # as many composable triples as pairs, with ((1,1), (1,2)) made a second ((1,1), (1,1))
+    "compose-repeated-in-place": ("compose", set_entry((1, 1), 0), r"defines the pair \('\(1,1\)','\(1,1\)'\) more than once"),
     "compose-mapping": ("compose", lambda t: id_tables(pair_groupoid(2))[0], "compose table must be an integer array .* got dict"),
     "compose-triples": ("compose", lambda t: [(x, y, z) for (x, y), z in id_tables(pair_groupoid(2))[0].items()], "got list"),
     "invert-three-entries": ("invert", lambda t: t[:3], r"invert table must be an integer array of shape \(4,\)"),
@@ -123,7 +129,7 @@ MALFORMED = {
 
 class TestTableChecks:
     """The constructor takes index arrays only, and checks their shape,
-    dtype and range."""
+    dtype and range, and that no compose pair repeats."""
 
     @pytest.mark.parametrize("name", list(MALFORMED))
     def test_malformed_table_rejected(self, name):
@@ -134,7 +140,7 @@ class TestTableChecks:
     def test_other_integer_dtypes_read_as_intp(self):
         g = pair_groupoid(2)
         narrow = FiniteGroupoid(
-            g.units, g.arrows, g.compose_matrix().astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
+            g.units, g.arrows, triples_of(g.compose_matrix()).astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
         )
         for got, want in zip(id_tables(narrow), id_tables(g)):
             assert got == want

@@ -1,7 +1,7 @@
 """Integer tables against the dict-walking constructors they replaced.
 
 The builtins write their index tables in closed form, explicit documents map
-ids to indices once, and ``restricted_to`` slices the compose matrix.  The
+ids to indices once, and ``restricted_to`` filters the pair table.  The
 constructors they replaced built string-keyed dicts and walked them into
 index arrays; they are kept below as ``reference_*`` oracles, together with
 the former constructor checks (``reference_tables``).  On every corpus
@@ -296,14 +296,21 @@ def test_larger_builtins_match_reference(name):
 
 
 def test_pair60_allocates_its_compose_matrix_once():
+    """The build holds the 216,000 composable pairs, under 64 B each, and
+    no n x n table; the dense view is allocated once, on its first call."""
     tracemalloc.start()
     try:
         g = pair_groupoid(60)
-        _, peak = tracemalloc.get_traced_memory()
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dense = g.compose_matrix()
+        _, viewed = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.compose_matrix().nbytes == 3600 * 3600 * 8
-    assert peak <= 1.5 * g.compose_matrix().nbytes
+    assert built <= 64 * 60**3
+    assert dense.nbytes == 3600 * 3600 * 8
+    assert viewed <= 1.5 * dense.nbytes
+    assert g.compose_matrix() is dense
 
 
 BAD_ACTIONS = {

@@ -949,7 +949,8 @@ def test_topological_grading_reads_the_family_labels(docs, name):
 def _misrouted(g: FiniteGroupoid, monkeypatch: pytest.MonkeyPatch, pairs: list[int], to: int) -> None:
     """Send the convolution terms of the given composable pairs to bin ``to``,
     in the pair table and in its interleaved convolution bins, while
-    ``compose_matrix()`` keeps the right products."""
+    ``compose_matrix()``, built before the patch, keeps the right products."""
+    g.compose_matrix()
     xs, ys, zs = g.composable_pairs()
     zs = zs.copy()
     zs[pairs] = to
