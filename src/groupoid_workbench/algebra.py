@@ -59,7 +59,7 @@ class GroupoidFunction:
         return complex(self.coeffs[self.groupoid.index(aid)])
 
     def support(self) -> tuple[str, ...]:
-        return tuple(a.id for a, v in zip(self.groupoid.arrows, self.coeffs) if v != 0)
+        return tuple(aid for aid, v in zip(self.groupoid.arrow_ids, self.coeffs) if v != 0)
 
     def __add__(self, other: "GroupoidFunction") -> "GroupoidFunction":
         _same_groupoid(self, other)

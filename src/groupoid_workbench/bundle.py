@@ -78,11 +78,11 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     if len(bad):
         k = bad[0]
         return CheckReport.failed(
-            "basis-product-off-fiber", pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id), product=g.arrows[zs[k]].id
+            "basis-product-off-fiber", pair=(g.arrow_ids[xs[k]], g.arrow_ids[ys[k]]), product=g.arrow_ids[zs[k]]
         )
     bad = np.flatnonzero(fiber[g.invert_index] != inverse[fiber])
     if len(bad):
-        return CheckReport.failed("basis-adjoint-off-fiber", arrow=g.arrows[bad[0]].id)
+        return CheckReport.failed("basis-adjoint-off-fiber", arrow=g.arrow_ids[bad[0]])
     # per fiber beta: a random pair (a, b) for every fiber gamma, then one
     # more function for the adjoint, drawn in that order as one block
     m, n = len(elements), g.n_arrows
@@ -97,9 +97,9 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
         if prod_off[beta].any():
             gamma, arrow = np.argwhere(prod_off[beta])[0]
             return CheckReport.failed(
-                "random-product-off-fiber", fibers=(sys.fiber_keys[beta], sys.fiber_keys[gamma]), arrow=g.arrows[arrow].id
+                "random-product-off-fiber", fibers=(sys.fiber_keys[beta], sys.fiber_keys[gamma]), arrow=g.arrow_ids[arrow]
             )
-        return CheckReport.failed("random-adjoint-off-fiber", fiber=sys.fiber_keys[beta], arrow=g.arrows[np.argmax(adj_off[beta])].id)
+        return CheckReport.failed("random-adjoint-off-fiber", fiber=sys.fiber_keys[beta], arrow=g.arrow_ids[np.argmax(adj_off[beta])])
     total = sum(family.dimension(key) for key in family.keys)
     if total != g.n_arrows:
         return CheckReport.failed("fibers-do-not-span", total=total, arrows=g.n_arrows)

@@ -35,11 +35,7 @@ def _load_document(path: str) -> WorkbenchDocument:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.file)
-    except DocumentError as exc:
-        print(f"invalid: {exc}")
-        return 2
+    doc = _load_document(args.file)
     sys_ = doc.system
     print(f"ok: {doc.name}")
     print(f"  units: {doc.groupoid.n_units}")
@@ -51,11 +47,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_norms(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_document(args.file)
-    except DocumentError as exc:
-        print(f"invalid: {exc}")
-        return 2
+    doc = _load_document(args.file)
     if args.fn not in doc.functions:
         print(f"invalid: unknown function {args.fn!r}; document defines {sorted(doc.functions)}")
         return 2
@@ -81,11 +73,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if bool(args.file) == bool(args.corpus):
         print("invalid: pass exactly one of a document file or --corpus")
         return 2
-    try:
-        docs = builtin_corpus(seed=args.seed) if args.corpus else [_load_document(args.file)]
-    except DocumentError as exc:
-        print(f"invalid: {exc}")
-        return 2
+    docs = builtin_corpus(seed=args.seed) if args.corpus else [_load_document(args.file)]
     try:  # the report path must be writable before any suite runs
         if args.json:
             open(args.json, "a", encoding="utf-8").close()
@@ -173,7 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except DocumentError as exc:  # an invalid or unreadable document
+        print(f"invalid: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ import numpy as np
 from .algebra import GroupoidFunction
 from .grading import Cocycle, GradedGroupoid, InvalidSystem, validate_system
 from .groupoid import (
-    Arrow,
     FiniteGroupoid,
     action_groupoid,
     disjoint_union,
@@ -200,33 +199,41 @@ def _require_list(obj: Mapping[str, Any], key: str, path: str) -> list:
     return value
 
 
+def _as_id(value: Any, path: str) -> str:
+    """An id of an explicit table: a string, or a number read as its string; any other value is rejected at ``path``."""
+    if isinstance(value, str) or _is_number(value):
+        return str(value)
+    raise DocumentError(path, f"an id is a string or a number, got {type(value).__name__}")
+
+
 def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
-    units = [str(u) for u in _require_list(spec, "units", path)]
-    arrows = []
+    units = [_as_id(u, f"{path}.units[{i}]") for i, u in enumerate(_require_list(spec, "units", path))]
+    ids, srcs, dsts = [], [], []
     for i, rec in enumerate(_require_list(spec, "arrows", path)):
         at = f"{path}.arrows[{i}]"
         rec = _as_object(rec, at)
-        arrows.append(
-            Arrow(id=str(_require(rec, "id", at)), src=str(_require(rec, "src", at)), dst=str(_require(rec, "dst", at)))
-        )
+        for key, column in (("id", ids), ("src", srcs), ("dst", dsts)):
+            column.append(_as_id(_require(rec, key, at), f"{at}.{key}"))
     triples = _require_list(spec, "compose", path)
     if not (set(map(type, triples)) <= {list, tuple} and set(map(len, triples)) <= {3}):
         for i, triple in enumerate(triples):
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-    invert = {str(k): str(v) for k, v in _as_object(_require(spec, "invert", path), f"{path}.invert").items()}
-    unit_arrows = {
-        str(k): str(v)
-        for k, v in _as_object(_require(spec, "unit_arrows", path), f"{path}.unit_arrows").items()
-    }
+    invert, unit_arrows = (
+        {str(k): _as_id(v, f"{path}.{key}.{k}") for k, v in _as_object(_require(spec, key, path), f"{path}.{key}").items()}
+        for key in ("invert", "unit_arrows")
+    )
     try:
         # the unit and arrow errors come before those of the id tables
-        unit_index, index = numbered(units, arrows)
-        table = _compose_table(triples, index)
+        unit_index, index = numbered(units, ids)
+        src, dst = (np.array([unit_index.get(u, -1) for u in ends], dtype=np.intp) for ends in (srcs, dsts))
+        for i in np.flatnonzero((src < 0) | (dst < 0))[:1]:
+            raise ValueError(f"Arrow {ids[i]!r} references unknown unit {srcs[i]!r} or {dsts[i]!r}.")
+        table = _compose_table(triples, index, f"{path}.compose")
         for x, y in invert.items():
             if x not in index or y not in index:
                 raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
-        missing = [a.id for a in arrows if a.id not in invert]
+        missing = [aid for aid in ids if aid not in invert]
         if missing:
             raise ValueError(f"Invert table missing arrows {missing[:3]}.")
         for u, aid in unit_arrows.items():
@@ -237,19 +244,22 @@ def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
         missing = [u for u in units if u not in unit_arrows]
         if missing:
             raise ValueError(f"Unit-arrow table missing units {missing[:3]}.")
-        inverse = np.array([index[invert[a.id]] for a in arrows], dtype=np.intp)
+        inverse = np.array([index[invert[aid]] for aid in ids], dtype=np.intp)
         unit_arrow = np.array([index[unit_arrows[u]] for u in units], dtype=np.intp)
-        return FiniteGroupoid(units, arrows, table, inverse, unit_arrow)
+        return FiniteGroupoid(units, ids, src, dst, table, inverse, unit_arrow)
+    except DocumentError:
+        raise
     except ValueError as exc:
         raise DocumentError(path, str(exc)) from exc
 
 
-def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
+def _compose_table(triples: list, index: Mapping[str, int], path: str) -> np.ndarray:
     """The (m, 3) index triples of [first, second, product] id triples, in
     row-major pair order; a repeated pair keeps its last product.
 
     The ids are looked up in one pass over the flattened triples, through
-    ``str`` only if that pass misses (JSON ids may be numbers), and the last
+    ``str`` only if that pass misses (JSON ids may be numbers; an entry of
+    any other type is rejected at its path under ``path``), and the last
     triple of each pair is picked by ``np.unique`` over x * n + y.  If an id
     is still unknown, the triples are read into a dict in order and walked:
     the error names the first unknown id among the pairs' last products, and
@@ -258,6 +268,9 @@ def _compose_table(triples: list, index: Mapping[str, int]) -> np.ndarray:
     try:
         found = list(map(index.__getitem__, flat))
     except (KeyError, TypeError):
+        if set(map(type, flat)) - {str, int, float}:
+            for k, value in enumerate(flat):
+                _as_id(value, f"{path}[{k // 3}][{k % 3}]")
         try:
             found = list(map(index.__getitem__, map(str, flat)))
         except KeyError:

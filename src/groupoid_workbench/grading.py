@@ -76,10 +76,10 @@ class Cocycle:
 def cocycle_from_map(g: FiniteGroupoid, group: DiscreteGroup, label: Mapping[str, Any]) -> Cocycle:
     """Canonicalize a total arrow -> element map into a Cocycle (totality enforced)."""
     table: dict[str, Any] = {}
-    for a in g.arrows:
-        if a.id not in label:
-            raise ValueError(f"Cocycle missing a label for arrow {a.id!r}.")
-        table[a.id] = group.canonical(label[a.id])
+    for aid in g.arrow_ids:
+        if aid not in label:
+            raise ValueError(f"Cocycle missing a label for arrow {aid!r}.")
+        table[aid] = group.canonical(label[aid])
     extra = set(label) - set(table)
     if extra:
         raise ValueError(f"Cocycle labels unknown arrows {sorted(extra)[:3]}.")
@@ -87,7 +87,7 @@ def cocycle_from_map(g: FiniteGroupoid, group: DiscreteGroup, label: Mapping[str
 
 
 def trivial_cocycle(g: FiniteGroupoid, group: DiscreteGroup) -> Cocycle:
-    return Cocycle(group=group, label={a.id: group.identity for a in g.arrows})
+    return Cocycle(group=group, label=dict.fromkeys(g.arrow_ids, group.identity))
 
 
 def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
@@ -134,7 +134,7 @@ def validate_cocycle(g: FiniteGroupoid, c: Cocycle) -> CheckReport:
     # in a group, b = a^-1 exactly when ab = e
     bad = _differ(grp.mul_array(values, values[g.invert_index]), identity)
     if bad.any():
-        return CheckReport.failed("inverse-not-inverted", arrow=g.arrows[np.argmax(bad)].id)
+        return CheckReport.failed("inverse-not-inverted", arrow=g.arrow_ids[np.argmax(bad)])
     return CheckReport.passed()
 
 

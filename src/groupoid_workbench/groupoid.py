@@ -1,17 +1,18 @@
 """Finite groupoids with integer composition tables, plus Haar systems.
 
-A groupoid here is a finite set of arrows over a finite unit space.  Arrow
-records carry ``src`` (the source unit ``s(x)``) and ``dst`` (the range unit
-``r(x)``); ``compose(x, y)`` is defined exactly when ``s(x) = r(y)`` and then
-``r(xy) = r(x)`` and ``s(xy) = s(y)``.  Arrows and units are numbered in
-declared order, and the state is read-only integer tables over those numbers,
-built at construction: ``src_index``/``dst_index``, ``invert_index``,
-``unit_arrow_index``, ``orbit_base`` and the pair table, the (x, y, xy)
-triples of the composable pairs in row-major order.  That table is the only
-encoding of composition: a product is read by its position
-(:meth:`~FiniteGroupoid.compose_index`), and the dense (n, n)
-``compose_matrix()`` is a view built on first call.  Ids are labels only.
-The validators are array reductions in O(composable pairs).
+A groupoid here is a finite set of arrows over a finite unit space.  An
+arrow is an id plus two unit numbers, its source ``s(x)`` in ``src_index``
+and its range ``r(x)`` in ``dst_index``; ``compose(x, y)`` is defined exactly
+when ``s(x) = r(y)`` and then ``r(xy) = r(x)`` and ``s(xy) = s(y)``.  Arrows
+and units are numbered in declared order, and the state is read-only
+integer tables over those numbers, built at construction: the endpoints,
+``invert_index``, ``unit_arrow_index``, ``orbit_base`` and the pair table,
+the (x, y, xy) triples of the composable pairs in row-major order.  That
+table is the only encoding of composition: a product is read by its
+position (:meth:`~FiniteGroupoid.compose_index`); the dense (n, n)
+``compose_matrix()`` and the :class:`Arrow` records ``arrows`` are views
+built on first read.  Ids are labels only.  The validators are array
+reductions in O(composable pairs).
 
 :func:`validate_groupoid` proves associativity with a structure certificate:
 by the structure theorem (Renault, LNM 793, ch. I) a groupoid is, orbit by
@@ -57,15 +58,27 @@ class Arrow:
     dst: str
 
 
+def once(cache: dict[Any, Any], key: Any, build: Callable[[Any], Any], arg: Any) -> Any:
+    """``cache[key]``, stored as ``build(arg)`` on the first call; callers that miss together all get the first one stored."""
+    value = cache.get(key)
+    return cache.setdefault(key, build(arg)) if value is None else value
+
+
+def once_property(build: Callable[[Any], Any]) -> property:
+    """A read-only property ``build(self)``, built on first read by :func:`once` into ``self._cache``."""
+    return property(lambda self: once(self._cache, build.__name__, build, self), doc=build.__doc__)
+
+
 class FiniteGroupoid:
     """Arrows over a finite unit space with integer compose/invert tables.
 
-    ``compose`` is an (m, 3) integer array of (x, y, xy) index triples, each
-    pair at most once, in any order; ``invert`` the (n,) table of inverses
-    and ``unit_arrow`` the (n_units,) table of unit arrows, which are taken
-    over and made read-only.  The constructor checks structural
-    well-formedness (nonempty unit space, unique ids, arrow endpoints among
-    the units, integer tables of these shapes with every entry in range, no
+    ``arrow_ids`` names the n arrows and ``src``/``dst`` hold the unit
+    numbers of their sources and ranges; ``compose`` is an (m, 3) integer
+    array of (x, y, xy) index triples, each pair at most once, in any order;
+    ``invert`` the (n,) table of inverses and ``unit_arrow`` the (n_units,)
+    table of unit arrows.  The arrays are taken over and made read-only.
+    The constructor checks structural well-formedness (nonempty unit space,
+    unique ids, integer tables of these shapes with every entry in range, no
     pair twice), raises ``ValueError`` on violations, and records whether
     the pairs are exactly the composable ones.  The groupoid *axioms* are
     checked by :func:`validate_groupoid`, which reports rather than raises,
@@ -78,17 +91,18 @@ class FiniteGroupoid:
     def __init__(
         self,
         units: Sequence[str],
-        arrows: Sequence[Arrow],
+        arrow_ids: Sequence[str],
+        src: np.ndarray,
+        dst: np.ndarray,
         compose: np.ndarray,
         invert: np.ndarray,
         unit_arrow: np.ndarray,
     ) -> None:
-        self._unit_index, self._index = numbered(units, arrows)
-        self.units, self.arrows, self._ids = tuple(self._unit_index), tuple(arrows), tuple(self._index)
+        self._unit_index, self._index = numbered(units, arrow_ids)
+        self.units, self._ids = tuple(self._unit_index), tuple(self._index)
         n = len(self._ids)
-        self._src_index = _read_only(np.array([self._unit_index[a.src] for a in self.arrows], dtype=np.intp))
-        self._dst_index = _read_only(np.array([self._unit_index[a.dst] for a in self.arrows], dtype=np.intp))
-        src, dst = self._src_index, self._dst_index
+        src = self._src_index = _read_only(_checked_table("src", src, (n,), len(self.units)))
+        dst = self._dst_index = _read_only(_checked_table("dst", dst, (n,), len(self.units)))
         # the composable pair (x, y) sits at row_start[x] + rank[y]: row x
         # holds |G^{s(x)}| pairs, and y is ranked among the arrows into r(y).
         # With the unit numbers scaled by a stride past every such sum,
@@ -108,7 +122,7 @@ class FiniteGroupoid:
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, dst, src)
         self._orbit_base = _read_only(base)
-        self._cache: dict[Any, Any] = {}  # by once(): pairs, dense view, bins, rep index, embedding per parent
+        self._cache: dict[Any, Any] = {}  # by once(): records, pairs, dense view, bins, rep index, embedding per parent
 
     def _read_compose(self, compose: Any, n_pairs: int) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
         """When the pairs are exactly the ``n_pairs`` composable ones, the
@@ -142,11 +156,17 @@ class FiniteGroupoid:
 
     @property
     def n_arrows(self) -> int:
-        return len(self.arrows)
+        return len(self._ids)
 
     @property
     def arrow_ids(self) -> tuple[str, ...]:
         return self._ids
+
+    @once_property
+    def arrows(self) -> tuple[Arrow, ...]:
+        """The arrows as records in declared order, built on first read."""
+        ends = zip(self._ids, self._src_index.tolist(), self._dst_index.tolist())
+        return tuple(Arrow(aid, self.units[s], self.units[r]) for aid, s, r in ends)
 
     def arrow(self, aid: str) -> Arrow:
         return self.arrows[self._index[aid]]
@@ -161,10 +181,10 @@ class FiniteGroupoid:
         return aid in self._index
 
     def source(self, aid: str) -> str:
-        return self.arrows[self._index[aid]].src
+        return self.units[self._src_index[self._index[aid]]]
 
     def target(self, aid: str) -> str:
-        return self.arrows[self._index[aid]].dst
+        return self.units[self._dst_index[self._index[aid]]]
 
     def compose_ids(self, a: str, b: str) -> str | None:
         """The id of ab, or None where the product is undefined or an id is
@@ -344,7 +364,9 @@ class FiniteGroupoid:
         renumber[kept] = np.arange(len(kept))
         restricted = FiniteGroupoid(
             self.units,
-            [self.arrows[i] for i in kept],
+            [self._ids[i] for i in kept.tolist()],
+            self._src_index[kept],
+            self._dst_index[kept],
             renumber[np.stack((xs[inside], ys[inside], zs[inside]), axis=1)],
             renumber[self._invert_index[kept]],
             renumber[self._unit_arrow_index],
@@ -356,33 +378,18 @@ class FiniteGroupoid:
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
 
 
-def numbered(units: Sequence[str], arrows: Sequence[Arrow]) -> tuple[dict[str, int], dict[str, int]]:
+def numbered(units: Sequence[str], arrow_ids: Sequence[str]) -> tuple[dict[str, int], dict[str, int]]:
     """The number of each unit (as a string) and each arrow id in declared
-    order.  ValueError on an empty unit space, a repeated unit or arrow id,
-    or an arrow whose endpoint is not a unit."""
+    order.  ValueError on an empty unit space or a repeated unit or arrow id."""
     unit_index = {str(u): i for i, u in enumerate(units)}
     if not unit_index:
         raise ValueError("Unit space must be nonempty (norms are undefined on empty algebras).")
     if len(unit_index) != len(units):
         raise ValueError("Unit identifiers must be unique.")
-    index = {a.id: i for i, a in enumerate(arrows)}
-    if len(index) != len(arrows):
+    index = dict(zip(arrow_ids, range(len(arrow_ids))))
+    if len(index) != len(arrow_ids):
         raise ValueError("Arrow identifiers must be unique.")
-    for a in arrows:
-        if a.src not in unit_index or a.dst not in unit_index:
-            raise ValueError(f"Arrow {a.id!r} references unknown unit {a.src!r} or {a.dst!r}.")
     return unit_index, index
-
-
-def once(cache: dict[Any, Any], key: Any, build: Callable[[Any], Any], arg: Any) -> Any:
-    """``cache[key]``, stored as ``build(arg)`` on the first call; callers that miss together all get the first one stored."""
-    value = cache.get(key)
-    return cache.setdefault(key, build(arg)) if value is None else value
-
-
-def once_property(build: Callable[[Any], Any]) -> property:
-    """A read-only property ``build(self)``, built on first read by :func:`once` into ``self._cache``."""
-    return property(lambda self: once(self._cache, build.__name__, build, self), doc=build.__doc__)
 
 
 def _checked_table(name: str, table: Any, shape: tuple[int, ...], high: int) -> np.ndarray:
@@ -445,13 +452,13 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     for cause, bad in (("compose-range-mismatch", dst[zs] != dst[xs]), ("compose-source-mismatch", src[zs] != src[ys])):
         if bad.any():
             k = int(np.argmax(bad))
-            return CheckReport.failed(cause, pair=(g.arrows[xs[k]].id, g.arrows[ys[k]].id), product=g.arrows[zs[k]].id)
+            return CheckReport.failed(cause, pair=(g.arrow_ids[xs[k]], g.arrow_ids[ys[k]]), product=g.arrow_ids[zs[k]])
     unit_arrow = g.unit_arrow_index
     units = np.arange(g.n_units)
     bad = (src[unit_arrow] != units) | (dst[unit_arrow] != units)
     if bad.any():
         u = np.argmax(bad)
-        return CheckReport.failed("unit-arrow-endpoints", unit=g.units[u], arrow=g.arrows[unit_arrow[u]].id)
+        return CheckReport.failed("unit-arrow-endpoints", unit=g.units[u], arrow=g.arrow_ids[unit_arrow[u]])
     # compose is exact and the unit arrows sit at their units, so every
     # product with a unit arrow is defined and ``got`` is an arrow; one
     # lookup reads e_r(x) x, x e_s(x), x^-1 x and x x^-1
@@ -463,7 +470,7 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     if found:
         k, i = found
         cause, got = (("unit-not-left-identity", left), ("unit-not-right-identity", right))[k]
-        return CheckReport.failed(cause, arrow=g.arrows[i].id, got=g.arrows[got[i]].id)
+        return CheckReport.failed(cause, arrow=g.arrow_ids[i], got=g.arrow_ids[got[i]])
     found = _first_violation(
         (src[inv] != dst) | (dst[inv] != src),
         inv_left != unit_arrow[src],
@@ -473,12 +480,12 @@ def validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     if found:
         k, i = found
         if k == 3:
-            return CheckReport.failed("inverse-not-involutive", arrow=g.arrows[i].id)
+            return CheckReport.failed("inverse-not-involutive", arrow=g.arrow_ids[i])
         cause = ("inverse-endpoints", "inverse-left", "inverse-right")[k]
-        return CheckReport.failed(cause, arrow=g.arrows[i].id, inverse=g.arrows[inv[i]].id)
+        return CheckReport.failed(cause, arrow=g.arrow_ids[i], inverse=g.arrow_ids[inv[i]])
     if _structure_certificate(g):
         return CheckReport.passed()
-    return CheckReport.failed("associativity", triple=tuple(g.arrows[i].id for i in _associativity_witness(g)))
+    return CheckReport.failed("associativity", triple=tuple(g.arrow_ids[i] for i in _associativity_witness(g)))
 
 
 def _exactness_failure(g: FiniteGroupoid) -> CheckReport:
@@ -494,7 +501,7 @@ def _exactness_failure(g: FiniteGroupoid) -> CheckReport:
     first = [(int(x[k[0]]), int(y[k[0]])) for x, y, k in ((xs, ys, np.flatnonzero(loose)), (cx, cy, np.flatnonzero(~filled))) if k.size]
     i, j = min(first)
     cause = "compose-undefined-on-composable-pair" if src[i] == dst[j] else "compose-defined-on-noncomposable-pair"
-    return CheckReport.failed(cause, pair=(g.arrows[i].id, g.arrows[j].id))
+    return CheckReport.failed(cause, pair=(g.arrow_ids[i], g.arrow_ids[j]))
 
 
 def _structure_certificate(g: FiniteGroupoid) -> bool:
@@ -631,12 +638,12 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float]) -> bool:
     sum over {y : r(y) = s(x)} of f(xy) w(y) equals
     sum over {y : r(y) = r(x)} of f(y) w(y).  See :func:`left_invariance_stack`.
     """
-    for a in g.arrows:
-        if a.id not in w:
-            raise ValueError(f"Weight table missing arrow {a.id!r}.")
-        if not float(w[a.id]) > 0.0:
-            raise ValueError(f"Weight table must be positive; got {w[a.id]!r} at {a.id!r}.")
-    vec = np.array([[float(w[a.id]) for a in g.arrows]])
+    for aid in g.arrow_ids:
+        if aid not in w:
+            raise ValueError(f"Weight table missing arrow {aid!r}.")
+        if not float(w[aid]) > 0.0:
+            raise ValueError(f"Weight table must be positive; got {w[aid]!r} at {aid!r}.")
+    vec = np.array([[float(w[aid]) for aid in g.arrow_ids]])
     return bool(left_invariance_stack(g, vec)[0])
 
 
@@ -672,12 +679,12 @@ def pair_groupoid(n: int) -> FiniteGroupoid:
     if n <= 0:
         raise ValueError(f"Pair groupoid needs at least one point, got {n}.")
     units = [str(i) for i in range(1, n + 1)]
-    arrows = [Arrow(f"({i},{j})", src=j, dst=i) for i in units for j in units]
-    # arrow (i,j) has index i*n + j (from 0); indexed [i, j, k] the triples
-    # are ((i,j), (j,k), (i,k))
+    # arrow (i,j) runs j -> i and has index i*n + j (from 0); indexed
+    # [i, j, k] the triples are ((i,j), (j,k), (i,k))
     ids = np.arange(n * n, dtype=np.intp).reshape(n, n)
     compose = _triples(ids[:, :, None], ids[None], ids[:, None, :])
-    return FiniteGroupoid(units, arrows, compose, ids.T.ravel(), np.arange(n) * (n + 1))
+    arrow_ids = [f"({i},{j})" for i in units for j in units]
+    return FiniteGroupoid(units, arrow_ids, ids.ravel() % n, ids.ravel() // n, compose, ids.T.ravel(), np.arange(n) * (n + 1))
 
 
 def _triples(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
@@ -687,18 +694,17 @@ def _triples(x: np.ndarray, y: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return triples.reshape(-1, 3)
 
 
-def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _group_tables(group: FiniteGroup) -> tuple[np.ndarray, ...]:
     """A group as one-unit groupoid tables: every pair composes, by the Cayley table."""
-    elements = np.arange(group.order)
-    return _triples(elements[:, None], elements, group.cayley), group.inverse_table, np.array([group.identity], dtype=np.intp)
+    elements, at_unit = np.arange(group.order), np.zeros(group.order, dtype=np.intp)
+    return at_unit, at_unit, _triples(elements[:, None], elements, group.cayley), group.inverse_table, np.array([group.identity], dtype=np.intp)
 
 
 def group_groupoid(group: FiniteGroup | Sequence[Sequence[int]], *, unit: str = "u") -> FiniteGroupoid:
     """A finite group as a one-unit groupoid; arrow ids are g0..g{n-1}."""
     if not isinstance(group, FiniteGroup):
         group = FiniteGroup(group)
-    arrows = [Arrow(f"g{i}", src=unit, dst=unit) for i in group.elements()]
-    return FiniteGroupoid([unit], arrows, *_group_tables(group))
+    return FiniteGroupoid([unit], [f"g{i}" for i in group.elements()], *_group_tables(group))
 
 
 def action_groupoid(
@@ -743,25 +749,22 @@ def action_groupoid(
     units = [str(x) for x in points]
     if len(set(units)) != len(units):
         raise ValueError("Action points must stringify to distinct unit ids.")
-    arrows = [
-        Arrow(f"({x},{h})", src=units[y], dst=units[i])
-        for i, (x, row) in enumerate(zip(points, act.tolist()))
-        for h, y in enumerate(row)
-    ]
-    # arrow (x,h) has index x*order + h; (x,h)(x.h,k) = (x,hk)
-    order, n = group.order, len(arrows)
+    # arrow (x,h) runs x.h -> x and has index x*order + h; (x,h)(x.h,k) = (x,hk)
+    order, n = group.order, act.size
+    arrow_ids = [f"({x},{h})" for x in points for h in group.elements()]
     products = np.arange(len(points))[:, None, None] * order + group.cayley
     compose = _triples(np.arange(n)[:, None], act.reshape(n, 1) * order + np.arange(order), products.reshape(n, order))
     invert = (act * order + group.inverse_table).ravel()
-    return FiniteGroupoid(units, arrows, compose, invert, np.arange(len(points)) * order + group.identity)
+    unit_arrow = np.arange(len(points)) * order + group.identity
+    return FiniteGroupoid(units, arrow_ids, act.ravel(), np.arange(n) // order, compose, invert, unit_arrow)
 
 
-def _direct_sum(parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of a disjoint union from the (compose, invert, unit_arrow)
-    tables of its parts, arrows and units in part order: each part's
-    indices move by its offset."""
-    offsets = np.cumsum([0] + [len(invert) for _, invert, _ in parts])
-    return tuple(np.concatenate([part[k] + at for part, at in zip(parts, offsets)]) for k in range(3))
+def _direct_sum(parts: Sequence[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """The (src, dst, compose, invert, unit_arrow) tables of a disjoint union
+    from those of its parts, arrows and units in part order: each part's
+    unit numbers and arrow indices move by its offsets."""
+    offsets = np.cumsum([(0, 0)] + [(len(unit_arrow), len(invert)) for *_, invert, unit_arrow in parts], axis=0)
+    return tuple(np.concatenate([part[k] + at[int(k > 1)] for part, at in zip(parts, offsets)]) for k in range(5))
 
 
 def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> FiniteGroupoid:
@@ -770,28 +773,29 @@ def group_bundle(groups: Sequence[FiniteGroup | Sequence[Sequence[int]]]) -> Fin
         raise ValueError("Group bundle needs at least one fibre.")
     fibres = [h if isinstance(h, FiniteGroup) else FiniteGroup(h) for h in groups]
     units = [f"u{j}" for j in range(1, len(fibres) + 1)]
-    arrows = [Arrow(f"{u}:g{i}", src=u, dst=u) for u, h in zip(units, fibres) for i in h.elements()]
-    return FiniteGroupoid(units, arrows, *_direct_sum([_group_tables(h) for h in fibres]))
+    arrow_ids = [f"{u}:g{i}" for u, h in zip(units, fibres) for i in h.elements()]
+    return FiniteGroupoid(units, arrow_ids, *_direct_sum([_group_tables(h) for h in fibres]))
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Disjoint union; ids are prefixed L:/R: to keep them unique."""
     relabel = [("L:", g1), ("R:", g2)]
     units = [p + u for p, g in relabel for u in g.units]
-    arrows = [Arrow(p + a.id, src=p + a.src, dst=p + a.dst) for p, g in relabel for a in g.arrows]
-    parts = [(np.stack(g.composable_pairs(), axis=1), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
-    return FiniteGroupoid(units, arrows, *_direct_sum(parts))
+    arrow_ids = [p + aid for p, g in relabel for aid in g.arrow_ids]
+    parts = [(g.src_index, g.dst_index, np.stack(g.composable_pairs(), axis=1), g.invert_index, g.unit_arrow_index) for g in (g1, g2)]
+    return FiniteGroupoid(units, arrow_ids, *_direct_sum(parts))
 
 
 def product(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
     """Direct product groupoid; arrows are pairs composed componentwise."""
     units = [f"{u}|{v}" for u in g1.units for v in g2.units]
-    arrows = [Arrow(f"{a.id}|{b.id}", src=f"{a.src}|{b.src}", dst=f"{a.dst}|{b.dst}") for a in g1.arrows for b in g2.arrows]
-    # arrow (a,b) has index a*n2 + b; the product (a,b)(c,d) = (ac,bd) is
-    # defined where both factors are, one triple per pair of triples
-    n2 = g2.n_arrows
+    arrow_ids = [f"{a}|{b}" for a in g1.arrow_ids for b in g2.arrow_ids]
+    # arrow (a,b) has index a*n2 + b and unit (u,v) index u*m2 + v; (a,b)(c,d)
+    # = (ac,bd) is defined where both factors are, one triple per pair of triples
+    n2, m2 = g2.n_arrows, g2.n_units
+    src, dst = ((e1[:, None] * m2 + e2).ravel() for e1, e2 in ((g1.src_index, g2.src_index), (g1.dst_index, g2.dst_index)))
     t1, t2 = (np.stack(g.composable_pairs(), axis=1) for g in (g1, g2))
     compose = (t1[:, None, :] * n2 + t2[None, :, :]).reshape(-1, 3)
     invert = g1.invert_index[:, None] * n2 + g2.invert_index
     unit_arrow = g1.unit_arrow_index[:, None] * n2 + g2.unit_arrow_index
-    return FiniteGroupoid(units, arrows, compose, invert.ravel(), unit_arrow.ravel())
+    return FiniteGroupoid(units, arrow_ids, src, dst, compose, invert.ravel(), unit_arrow.ravel())

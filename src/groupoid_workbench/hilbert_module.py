@@ -297,7 +297,7 @@ def _single_fiber_support(sys: GradedGroupoid, b: np.ndarray) -> None:
         support = np.flatnonzero(b[spread[0]])
         keys: dict[str, list[str]] = {}
         for i in support:
-            keys.setdefault(sys.fiber_keys[sys.fiber_index[i]], []).append(sys.groupoid.arrows[i].id)
+            keys.setdefault(sys.fiber_keys[sys.fiber_index[i]], []).append(sys.groupoid.arrow_ids[i])
         detail = "; ".join(f"{k}: {ids[:2]}" for k, ids in sorted(keys.items()))
         raise ValueError(f"Function is supported in more than one fiber ({detail}).")
 

@@ -194,7 +194,7 @@ def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
     g = sys.groupoid
     gidx = np.flatnonzero(g.src_index == g.units.index(u))
     fiber = sys.fiber_index[gidx]
-    return {sys.fiber_keys[k]: [g.arrows[i].id for i in gidx[fiber == k]] for k in np.unique(fiber)}
+    return {sys.fiber_keys[k]: [g.arrow_ids[i] for i in gidx[fiber == k]] for k in np.unique(fiber)}
 
 
 def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
@@ -320,17 +320,16 @@ def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -
     gamma_key = grp.element_key(gamma)
     unit = g.units.index(u)
     at_u = (g.src_index == unit) & sys.fiber_mask(gamma)
-    fiber_at_u = [g.arrows[i].id for i in np.flatnonzero(at_u)]
-    if not fiber_at_u:
+    domain = tuple(g.arrow_ids[i] for i in np.flatnonzero(at_u))
+    if not domain:
         raise ValueError(f"Fiber over {gamma_key} has no arrows with source {u!r}.")
     if z_arrow is None:
-        z = g.arrow_ids[g.unit_arrow_index[unit]] if gamma == grp.identity else fiber_at_u[0]
+        z = g.arrow_ids[g.unit_arrow_index[unit]] if gamma == grp.identity else domain[0]
     else:
-        if z_arrow not in fiber_at_u:
+        if z_arrow not in domain:
             raise ValueError(f"Arrow {z_arrow!r} is not in the {gamma_key}-fiber at {u!r}.")
         z = z_arrow
     v = g.target(z)
-    domain = tuple(fiber_at_u)
     codomain = sys.identity_fiber.arrows_with_src(v)
     if len(codomain) != len(domain):
         raise ValueError("Translation is not bijective; groupoid or grading invalid.")

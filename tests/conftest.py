@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from groupoid_workbench.algebra import GroupoidFunction
-from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, pair_groupoid
+from groupoid_workbench.groupoid import Arrow, FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, pair_groupoid
 from groupoid_workbench.groups import cyclic_group
 from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groups import FreeAbelianGroup
@@ -74,10 +74,19 @@ def triples_of(mat: np.ndarray) -> np.ndarray:
     return np.stack([xs, ys, mat[xs, ys]], axis=1)
 
 
+def from_records(units, arrows: list[Arrow], compose, invert, unit_arrow) -> FiniteGroupoid:
+    """The groupoid on ``units`` whose arrows are the given records: their
+    ids, and their endpoints as unit numbers, over the given index tables."""
+    number = {u: i for i, u in enumerate(units)}
+    src = np.array([number[a.src] for a in arrows], dtype=np.intp)
+    dst = np.array([number[a.dst] for a in arrows], dtype=np.intp)
+    return FiniteGroupoid(units, [a.id for a in arrows], src, dst, compose, invert, unit_arrow)
+
+
 def with_tables(g: FiniteGroupoid, compose=None, invert=None, unit_arrow=None) -> FiniteGroupoid:
     """g's units and arrows over the given index tables, g's own where None;
     ``compose`` is a dense (n, n) table, -1 where undefined."""
-    return FiniteGroupoid(
+    return from_records(
         g.units,
         g.arrows,
         np.stack(g.composable_pairs(), axis=1) if compose is None else triples_of(compose),

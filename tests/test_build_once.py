@@ -1,7 +1,7 @@
 """Every lazily built value is assigned once, so concurrent readers share it.
 
-The workbench builds some values on first use: a groupoid's pair table
-columns, dense compose view, convolution bins, rep index and embeddings, a
+The workbench builds some values on first use: a groupoid's arrow records,
+pair table columns, dense compose view, convolution bins, rep index and embeddings, a
 Haar system's weight arrays, a graded groupoid's identity fiber and induced
 space, and an induced space's dense Gram and frame.  Each goes through ``groupoid.once``: two
 callers that miss together may both build, but both get the first value
@@ -81,6 +81,7 @@ def _space(attr: str):
 
 # value -> (reader, and the (owner, name) of a call its build makes)
 CASES = {
+    "arrows": (lambda: lambda g=pair_groupoid(3): g.arrows, (groupoid_module, "Arrow")),
     "composable_pairs": (lambda: pair_groupoid(3).composable_pairs, (groupoid_module, "_read_only")),
     "compose_matrix": (lambda: pair_groupoid(3).compose_matrix, (groupoid_module, "_read_only")),
     "convolution_bins": (lambda: pair_groupoid(3).convolution_bins, (groupoid_module, "_read_only")),
@@ -135,7 +136,7 @@ def test_many_threads_reading_every_value_share_each_one():
 
     def read_all():
         space = induced_space(graded)
-        return (g.compose_matrix(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber, space, space.gram, space.frame)
+        return (g.arrows, g.compose_matrix(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber, space, space.gram, space.frame)
 
     barrier, seen = threading.Barrier(8), []
     threads = [threading.Thread(target=lambda: (barrier.wait(TIMEOUT), seen.append(read_all()))) for _ in range(8)]

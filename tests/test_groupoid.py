@@ -28,7 +28,7 @@ from groupoid_workbench.groupoid import (
 )
 from groupoid_workbench.groups import cyclic_group
 
-from conftest import id_tables, redirected, triples_of, with_tables
+from conftest import from_records, id_tables, redirected, triples_of, with_tables
 from test_structure_certificate import twisted_tables
 
 
@@ -82,7 +82,7 @@ class TestValidateGroupoid:
 
     def test_empty_units_rejected(self):
         with pytest.raises(ValueError):
-            FiniteGroupoid([], [], np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
+            from_records([], [], np.zeros((0, 0), dtype=int), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
 
 def malformed(table: str, edit) -> tuple:
@@ -135,11 +135,11 @@ class TestTableChecks:
     def test_malformed_table_rejected(self, name):
         table, edit, message = MALFORMED[name]
         with pytest.raises(ValueError, match=message):
-            FiniteGroupoid(*malformed(table, edit))
+            from_records(*malformed(table, edit))
 
     def test_other_integer_dtypes_read_as_intp(self):
         g = pair_groupoid(2)
-        narrow = FiniteGroupoid(
+        narrow = from_records(
             g.units, g.arrows, triples_of(g.compose_matrix()).astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
         )
         for got, want in zip(id_tables(narrow), id_tables(g)):

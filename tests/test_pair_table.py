@@ -147,6 +147,17 @@ edits = st.one_of(
 )
 
 
+def first_non_id(triples: list) -> str | None:
+    """The path of the first entry that is neither a string nor a number,
+    when every triple is a list of three entries; else None."""
+    if all(isinstance(triple, list) and len(triple) == 3 for triple in triples):
+        for i, triple in enumerate(triples):
+            for j, entry in enumerate(triple):
+                if not isinstance(entry, (str, int, float)) or isinstance(entry, bool):
+                    return f"groupoid.explicit.compose[{i}][{j}]"
+    return None
+
+
 def parse_outcome(raw: dict) -> tuple:
     try:
         doc = document_from_dict(raw)
@@ -168,8 +179,13 @@ def test_one_substituted_triple_reads_as_the_dense_reader(edit):
         triples.insert(at, list(value))
     raw = json.loads(json.dumps(dict(BASE, groupoid={"explicit": dict(BASE["groupoid"]["explicit"], compose=triples)})))
     got = parse_outcome(raw)
+    non_id = first_non_id(raw["groupoid"]["explicit"]["compose"])
+    if non_id is not None:
+        # the dense reader read any JSON value through str; the parser rejects it
+        assert got[:2] == ("reject", non_id)
+        return
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(document, "_compose_table", lambda triples, index: triples_of(reference_compose_table(triples, index)))
+        patch.setattr(document, "_compose_table", lambda triples, index, path: triples_of(reference_compose_table(triples, index)))
         expected = parse_outcome(raw)
     assert got == expected
 

@@ -34,7 +34,7 @@ from groupoid_workbench import groupoid as groupoid_module
 from groupoid_workbench.grading import Cocycle, validate_cocycle
 from groupoid_workbench.groupoid import Arrow, FiniteGroupoid, disjoint_union, group_groupoid, pair_groupoid, validate_groupoid
 from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup, cyclic_group, strict_int, symmetric_group
-from conftest import redirected, triples_of
+from conftest import from_records, redirected, triples_of
 from test_table_validation import reference_validate_cocycle, reference_validate_groupoid
 
 # every element of this loop is its own inverse, which no group of order 5
@@ -54,7 +54,7 @@ def shuffled(
     compose = np.full((n, n), -1, dtype=np.intp)
     compose[np.ix_(new, new)] = np.where(mat >= 0, new[np.maximum(mat, 0)], -1)
     arrows = [Arrow(f"a{k}", src=units[src[k]], dst=units[dst[k]]) for k in order.tolist()]
-    return FiniteGroupoid(units, arrows, triples_of(compose), new[inv[order]], new[unit])
+    return from_records(units, arrows, triples_of(compose), new[inv[order]], new[unit])
 
 
 def inverses(mat: np.ndarray, src: np.ndarray, dst: np.ndarray, unit: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def collapsed_isotropy() -> FiniteGroupoid:
         [-1, t, -1, eu, a],  # x = eu
         [-1, t, -1, a, eu],  # x = a
     ])  # fmt: skip
-    return FiniteGroupoid(["b", "u"], arrows, triples_of(compose), np.array([eb, s, t, eu, a]), np.array([eb, eu]))
+    return from_records(["b", "u"], arrows, triples_of(compose), np.array([eb, s, t, eu, a]), np.array([eb, eu]))
 
 
 def assert_matches_reference(g: FiniteGroupoid) -> str | None:
