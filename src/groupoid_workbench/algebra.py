@@ -182,6 +182,17 @@ def convolve_stack(g: FiniteGroupoid, a: np.ndarray, b: np.ndarray, haar: HaarSy
     return chunked(kernel, len(zs), a, b)
 
 
+def delta_products(g: FiniteGroupoid, x: np.ndarray, c: np.ndarray, haar: HaarSystem) -> np.ndarray:
+    """delta_x * c row by row, for arrows x (R,) and c (R, n) or (1, n): the sum
+    over {y : r(y) = s(x)} of c(y) w(x) delta_{xy}, with xy read from the pair
+    table; y -> xy is one to one, so each entry is assigned once."""
+    xy = g.compose_index(x[:, None], np.arange(g.n_arrows))
+    rows, ys = np.nonzero(xy >= 0)
+    out = np.zeros(xy.shape, dtype=np.complex128)
+    out[rows, xy[rows, ys]] = np.broadcast_to(c, xy.shape)[rows, ys] * haar.weights(g)[x[rows]]
+    return out
+
+
 def convolve(a: GroupoidFunction, b: GroupoidFunction, haar: HaarSystem) -> GroupoidFunction:
     """(a * b)(x) = sum over {y : r(y) = r(x)} of a(y) b(y^{-1}x) w(y)."""
     _same_groupoid(a, b)

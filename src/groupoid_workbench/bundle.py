@@ -24,6 +24,7 @@ import numpy as np
 from .algebra import (
     chunked,
     convolve_stack,
+    delta_products,
     graded_component_stack,
     i_norm_stack,
     involute_stack,
@@ -198,7 +199,7 @@ def bundle_rep_check(
     rep = _one_block(family, rep) if isinstance(rep, Mapping) else rep
     if isinstance(rep, CheckReport):
         return rep
-    compose, w, eye = g.compose_matrix(), haar.weights(g), np.eye(n, dtype=np.complex128)
+    eye = np.eye(n, dtype=np.complex128)
 
     def defects(pa: list[np.ndarray], b: np.ndarray, ab: np.ndarray, a_star: np.ndarray) -> np.ndarray:
         """|pi(a) pi(b) - pi(ab)| and |pi(a)^H - pi(a^*)| for each trial, (T, 2), given pi(a)."""
@@ -209,9 +210,7 @@ def bundle_rep_check(
 
     def basis_defects(px: list[np.ndarray], x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """:func:`defects` of d_x (blocks px), c (T, n) or (1, n), sum_y c_y w(x) d_{xy} and d_{x^{-1}}."""
-        (rows, ys), d = np.nonzero(compose[x] >= 0), np.zeros((len(x), n), dtype=np.complex128)
-        np.add.at(d, (rows, compose[x[rows], ys]), np.broadcast_to(c, d.shape)[rows, ys] * w[x[rows]])
-        return defects(px, c, d, eye[g.invert_index[x]])
+        return defects(px, c, delta_products(g, x, c, haar), eye[g.invert_index[x]])
 
     labels = unit_labels(n)[None]
     size = sum(m.size for m in rep(labels))  # block entries of one function

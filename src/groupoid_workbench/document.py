@@ -368,7 +368,7 @@ def parse_document(text: str) -> WorkbenchDocument:
     """Parse and validate a document; raise DocumentError with a field path."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past the digit limit, or nesting past the stack
         raise DocumentError("$", f"invalid JSON: {exc}") from exc
     return document_from_dict(raw)
 

@@ -9,8 +9,8 @@ integer tables over those numbers, built at construction: the endpoints,
 ``invert_index``, ``unit_arrow_index``, ``orbit_base`` and the pair table,
 the (x, y, xy) triples of the composable pairs in row-major order.  That
 table is the only encoding of composition: a product is read by its
-position (:meth:`~FiniteGroupoid.compose_index`); the dense (n, n)
-``compose_matrix()`` and the :class:`Arrow` records ``arrows`` are views
+position (:meth:`~FiniteGroupoid.compose_index`), whole rows included, and
+no (n, n) table is kept; the :class:`Arrow` records ``arrows`` are a view
 built on first read.  Ids are labels only.  The validators are array
 reductions in O(composable pairs).
 
@@ -106,15 +106,15 @@ class FiniteGroupoid:
         # the composable pair (x, y) sits at row_start[x] + rank[y]: row x
         # holds |G^{s(x)}| pairs, and y is ranked among the arrows into r(y).
         # With the unit numbers scaled by a stride past every such sum,
-        # row_at[x] + col_at[y] is that position plus (s(x) - r(y)) stride,
-        # in [0, pairs) exactly when s(x) = r(y)
+        # row_at[x] + col_at[y] is that position + 1 (the lookup leads with
+        # a -1) plus (s(x) - r(y)) stride, in [1, pairs] exactly when s(x) = r(y)
         into = np.bincount(dst, minlength=len(self.units))
         by_dst = dst.argsort(kind="stable")
         rank = np.empty(n, dtype=np.intp)
         rank[by_dst] = np.arange(n) - (into.cumsum() - into)[dst[by_dst]]
         row = into[src]
         n_pairs = int(row.sum())
-        self._row_at = row.cumsum() - row + src * (n_pairs + n)
+        self._row_at = row.cumsum() - row + 1 + src * (n_pairs + n)
         self._col_at = rank - dst * (n_pairs + n)
         self._lookup, self._defined = self._read_compose(compose, n_pairs)
         self._invert_index = _read_only(_checked_table("invert", invert, (n,), n))
@@ -122,12 +122,12 @@ class FiniteGroupoid:
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, dst, src)
         self._orbit_base = _read_only(base)
-        self._cache: dict[Any, Any] = {}  # by once(): records, pairs, dense view, bins, rep index, embedding per parent
+        self._cache: dict[Any, Any] = {}  # by once(): records, pairs, bins, rep index, embedding per parent
 
     def _read_compose(self, compose: Any, n_pairs: int) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
         """When the pairs are exactly the ``n_pairs`` composable ones, the
-        products in row-major pair order with a -1 after them, and None:
-        every product is written at its pair's position, each position
+        products in row-major pair order between a -1 at each end, and None:
+        every product is written at its pair's read position, each position
         once.  Otherwise None, and the triples sorted so, where a repeated
         pair is a ValueError."""
         n = self.n_arrows
@@ -135,10 +135,10 @@ class FiniteGroupoid:
         x, y, z = _checked_table("compose", compose, (*rows, 3), n).T
         at = self._row_at[x]
         at += self._col_at[y]
-        if len(x) == n_pairs and (not n_pairs or at.view(np.uintp).max() < n_pairs):
-            lookup = np.full(n_pairs + 1, -1, dtype=np.intp)
+        if len(x) == n_pairs and (not n_pairs or (at - 1).view(np.uintp).max() < n_pairs):
+            lookup = np.full(n_pairs + 2, -1, dtype=np.intp)
             lookup[at] = z
-            if not n_pairs or lookup[:-1].min() >= 0:
+            if not n_pairs or lookup[1:-1].min() >= 0:
                 return _read_only(lookup), None
         keys = x * n + y
         order = np.argsort(keys, kind="stable")
@@ -188,11 +188,12 @@ class FiniteGroupoid:
 
     def compose_ids(self, a: str, b: str) -> str | None:
         """The id of ab, or None where the product is undefined or an id is
-        unknown; on any table, exact or not."""
+        unknown; read by :meth:`compose_index`, so a ValueError on a table
+        that is not exact."""
         i, j = self._index.get(a), self._index.get(b)
         if i is None or j is None:
             return None
-        k = self.compose_index(i, j) if self._defined is None else self.compose_matrix()[i, j]
+        k = self.compose_index(i, j)
         return self._ids[k] if k >= 0 else None
 
     def invert_id(self, aid: str) -> str:
@@ -235,8 +236,7 @@ class FiniteGroupoid:
         :func:`validate_groupoid` names the violation."""
         if self._defined is not None:
             raise ValueError("The compose table is not defined on exactly the composable pairs; groupoid invalid.")
-        at = (self._row_at[x] + self._col_at[y]).view(np.uintp)
-        return self._lookup[np.minimum(at, len(self._lookup) - 1)]
+        return self._lookup.take(self._row_at[x] + self._col_at[y], mode="clip")
 
     def composable_pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pair table: index arrays (x, y, xy) over the defined compose
@@ -249,7 +249,7 @@ class FiniteGroupoid:
         return once(self._cache, "pairs", FiniteGroupoid._pair_table, self)
 
     def _pair_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (*self._composable(), self._lookup[:-1])
+        return (*self._composable(), self._lookup[1:-1])
 
     def _composable(self) -> tuple[np.ndarray, np.ndarray]:
         """The composable pairs (x, y) in row-major order, read-only."""
@@ -263,17 +263,6 @@ class FiniteGroupoid:
         ends = np.cumsum(counts)
         ys = by_dst[np.repeat(starts[src] - ends + counts, counts) + np.arange(len(xs))]
         return _read_only(xs), _read_only(ys)
-
-    def compose_matrix(self) -> np.ndarray:
-        """Dense (n, n) view of the pair table, -1 where undefined; built on
-        first call, for the suites that gather whole rows."""
-        return once(self._cache, "dense", FiniteGroupoid._dense_view, self)
-
-    def _dense_view(self) -> np.ndarray:
-        xs, ys, zs = self.composable_pairs()
-        mat = np.full((self.n_arrows, self.n_arrows), -1, dtype=np.intp)
-        mat[xs, ys] = zs
-        return _read_only(mat)
 
     def convolution_bins(self) -> np.ndarray:
         """The bins 2xy and 2xy + 1 of every composable pair, interleaved,
@@ -497,7 +486,7 @@ def _exactness_failure(g: FiniteGroupoid) -> CheckReport:
     loose = src[xs] != dst[ys]
     cx, cy = g._composable()
     filled = np.zeros(len(cx), dtype=bool)
-    filled[g._row_at[xs[~loose]] + g._col_at[ys[~loose]]] = True
+    filled[g._row_at[xs[~loose]] + g._col_at[ys[~loose]] - 1] = True
     first = [(int(x[k[0]]), int(y[k[0]])) for x, y, k in ((xs, ys, np.flatnonzero(loose)), (cx, cy, np.flatnonzero(~filled))) if k.size]
     i, j = min(first)
     cause = "compose-undefined-on-composable-pair" if src[i] == dst[j] else "compose-defined-on-noncomposable-pair"

@@ -320,15 +320,15 @@ def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray)
     r(x) = s(v).  Each is the one nonzero term of its convolution bin, with
     the delta's factor 1 left out, so only the sign of a zero can differ."""
     g, sub = sys.groupoid, sys.identity_fiber
-    compose, w = g.compose_matrix(), sys.haar.weights(g)
-    right = compose[:, g.invert_index[v]].T  # x v^{-1}, at [row, x]
-    w_right, w_left = w[np.clip(right, 0, None)], w[g.invert_index[v]][:, None]
+    every, inv, w = np.arange(g.n_arrows), g.invert_index, sys.haar.weights(g)
+    right, left = g.compose_index(every, inv[v][:, None]), g.compose_index(v[:, None], every)  # x v^{-1} and v x, at [row, x]
+    w_right, w_left = w[np.clip(right, 0, None)], w[inv[v]][:, None]
 
     def gather(h: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
         return np.where(index >= 0, np.take_along_axis(h, np.clip(index, 0, None), axis=1) * weight, 0.0)
 
-    lhs = include_stack(sub, restrict_stack(g, gather(gather(a, right, w_right), compose[v], w_left), sub), g)
-    rhs = gather(gather(expectation_stack(sys, a), compose[v], w_left), right, w_right)
+    lhs = include_stack(sub, restrict_stack(g, gather(gather(a, right, w_right), left, w_left), sub), g)
+    rhs = gather(gather(expectation_stack(sys, a), left, w_left), right, w_right)
     return np.abs(lhs - rhs).max(axis=1)
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .algebra import (
     convolve_stack,
+    delta_products,
     graded_component_stack,
     i_norm_stack,
     include_stack,
@@ -310,17 +311,15 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
 
 def _delta_rule_defect(g: Any, haar: Any) -> float:
     """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|,
-    with the products read off ``compose_matrix()``.  Both sides are linear in
+    against the rows of :func:`delta_products`.  Both sides are linear in
     delta_y, so each x is checked once on the modulus-one ``unit_labels`` c,
     one (1, n) row broadcast over x, and the pairs of every x with a nonzero
     residual are swept in chunks."""
     n = g.n_arrows
-    compose, w, eye = g.compose_matrix(), haar.weights(g), np.eye(n, dtype=np.complex128)
+    eye = np.eye(n, dtype=np.complex128)
 
     def defects(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        (rows, ys), expected = np.nonzero(compose[x] >= 0), np.zeros((len(x), n), dtype=np.complex128)
-        np.add.at(expected, (rows, compose[x[rows], ys]), np.broadcast_to(c, expected.shape)[rows, ys] * w[x[rows]])
-        return _max_abs(convolve_stack(g, eye[x], c, haar) - expected)
+        return _max_abs(convolve_stack(g, eye[x], c, haar) - delta_products(g, x, c, haar))
 
     flagged = np.flatnonzero(defects(np.arange(n), unit_labels(n)[None]) != 0.0)
     x, y = np.repeat(flagged, n), np.tile(np.arange(n), len(flagged))
@@ -451,7 +450,7 @@ def _action_by_fiber_sum(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) ->
     trial by trial: (a.g)(x) = sum over {n in G_e : r(n) = s(x)} of
     a(xn) g(n^{-1}) w(n)."""
     g, sub = sys.groupoid, sys.identity_fiber
-    xn = g.compose_matrix()[:, sub.embedding(g)]
+    xn = g.compose_index(np.arange(g.n_arrows)[:, None], sub.embedding(g))
     weighted = g_e[:, sub.invert_index] * sys.haar.weights(sub)
     out = np.empty(a.shape, dtype=np.complex128)
     for s in trial_chunks(len(a), xn.size):

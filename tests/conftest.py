@@ -67,6 +67,15 @@ def id_tables(g: FiniteGroupoid) -> tuple[dict[tuple[str, str], str], dict[str, 
     return compose, invert, unit_arrow
 
 
+def dense_compose(g: FiniteGroupoid) -> np.ndarray:
+    """The dense (n, n) compose table of g, -1 where a product is undefined,
+    written from its pair table: the oracle for readers of whole rows."""
+    xs, ys, zs = g.composable_pairs()
+    mat = np.full((g.n_arrows, g.n_arrows), -1, dtype=np.intp)
+    mat[xs, ys] = zs
+    return mat
+
+
 def triples_of(mat: np.ndarray) -> np.ndarray:
     """The (m, 3) compose triples (x, y, mat[x, y]) of a dense (n, n) table,
     in row-major order, over every entry but -1 (undefined)."""
@@ -97,7 +106,7 @@ def with_tables(g: FiniteGroupoid, compose=None, invert=None, unit_arrow=None) -
 
 def redirected(g: FiniteGroupoid, x: str, y: str, xy: str | None) -> FiniteGroupoid:
     """g with the compose entry (x, y) set to xy, or undefined for None."""
-    compose = g.compose_matrix().copy()
+    compose = dense_compose(g)
     compose[g.index(x), g.index(y)] = -1 if xy is None else g.index(xy)
     return with_tables(g, compose=compose)
 

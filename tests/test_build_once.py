@@ -83,7 +83,6 @@ def _space(attr: str):
 CASES = {
     "arrows": (lambda: lambda g=pair_groupoid(3): g.arrows, (groupoid_module, "Arrow")),
     "composable_pairs": (lambda: pair_groupoid(3).composable_pairs, (groupoid_module, "_read_only")),
-    "compose_matrix": (lambda: pair_groupoid(3).compose_matrix, (groupoid_module, "_read_only")),
     "convolution_bins": (lambda: pair_groupoid(3).convolution_bins, (groupoid_module, "_read_only")),
     "rep_tables": (lambda: pair_groupoid(3).rep_tables, (groupoid_module, "_read_only")),
     "orbit_rep_tables": (lambda: pair_groupoid(3).orbit_rep_tables, (groupoid_module, "_read_only")),
@@ -136,7 +135,7 @@ def test_many_threads_reading_every_value_share_each_one():
 
     def read_all():
         space = induced_space(graded)
-        return (g.arrows, g.compose_matrix(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber, space, space.gram, space.frame)
+        return (g.arrows, g.composable_pairs(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber, space, space.gram, space.frame)
 
     barrier, seen = threading.Barrier(8), []
     threads = [threading.Thread(target=lambda: (barrier.wait(TIMEOUT), seen.append(read_all()))) for _ in range(8)]

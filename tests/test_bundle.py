@@ -18,7 +18,7 @@ from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import operator_norm
 from groupoid_workbench.validation import ALG_TOL
 
-from conftest import max_diff, rng_functions
+from conftest import dense_compose, max_diff, rng_functions
 from test_reference_suites import reference_bundle_rep_check, reference_rep_apply_stack, reference_tautological_rep
 
 
@@ -226,7 +226,7 @@ def test_block_check_matches_the_dense_sweep(name):
     g = sys.groupoid
     z = _first_non_unit(g)
     assert outcomes["wrong-products-in-one-row"][2]["pair"][0] == g.arrow_ids[z]
-    assert np.count_nonzero(g.compose_matrix()[z] >= 0) >= 2
+    assert np.count_nonzero(dense_compose(g)[z] >= 0) >= 2
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -241,11 +241,8 @@ def test_a_wrong_pair_just_over_the_tolerance_is_found(name):
     z = _first_non_unit(g)
     mats = _dense_matrices(sys)
     mats[z] *= 1.0 + 2.0**-30
-    w = sys.haar.weights(g)
-    defects = [
-        np.abs(mats[z] @ mats[y] - w[z] * mats[g.compose_matrix()[z, y]]).max()
-        for y in np.flatnonzero(g.compose_matrix()[z] >= 0)
-    ]
+    w, row = sys.haar.weights(g), dense_compose(g)[z]
+    defects = [np.abs(mats[z] @ mats[y] - w[z] * mats[row[y]]).max() for y in np.flatnonzero(row >= 0)]
     norm_scale = 1.0 + max(operator_norm(m) for m in mats)
     # the pair defects grow linearly with the scaling's offset from 1
     blocks, dense = _scaled(sys, 1.0 + 2.0**-30 * 1.05 * ALG_TOL * norm_scale**2 / max(defects))

@@ -28,7 +28,7 @@ from groupoid_workbench.groupoid import (
 )
 from groupoid_workbench.groups import cyclic_group
 
-from conftest import from_records, id_tables, redirected, triples_of, with_tables
+from conftest import dense_compose, from_records, id_tables, redirected, triples_of, with_tables
 from test_structure_certificate import twisted_tables
 
 
@@ -89,7 +89,7 @@ def malformed(table: str, edit) -> tuple:
     """pair(2)'s compose triples, invert and unit-arrow tables with ``edit``
     applied to a copy of the named one; ``edit`` returns the replacement."""
     g = pair_groupoid(2)
-    tables = {"compose": triples_of(g.compose_matrix()), "invert": g.invert_index.copy(), "unit_arrow": g.unit_arrow_index.copy()}
+    tables = {"compose": triples_of(dense_compose(g)), "invert": g.invert_index.copy(), "unit_arrow": g.unit_arrow_index.copy()}
     tables[table] = edit(tables[table])
     return g.units, g.arrows, tables["compose"], tables["invert"], tables["unit_arrow"]
 
@@ -109,7 +109,7 @@ MALFORMED = {
     "compose-entry-undefined": ("compose", set_entry((2, 2), -1), r"compose table has an entry -1 outside \[0, 4\)"),
     "compose-float": ("compose", lambda t: t.astype(float), r"compose table must be an integer array of shape \(8, 3\), got float64"),
     "compose-wrong-shape": ("compose", lambda t: t[:, :2], r"shape \(8, 3\), got int64 array of shape \(8, 2\)"),
-    "compose-dense": ("compose", lambda t: pair_groupoid(2).compose_matrix(), r"shape \(4, 3\), got int64 array of shape \(4, 4\)"),
+    "compose-dense": ("compose", lambda t: dense_compose(pair_groupoid(2)), r"shape \(4, 3\), got int64 array of shape \(4, 4\)"),
     "compose-repeated-pair": ("compose", lambda t: np.concatenate([t, [[1, 3, 0]]]), r"defines the pair \('\(1,2\)','\(2,2\)'\) more than once"),
     # as many composable triples as pairs, with ((1,1), (1,2)) made a second ((1,1), (1,1))
     "compose-repeated-in-place": ("compose", set_entry((1, 1), 0), r"defines the pair \('\(1,1\)','\(1,1\)'\) more than once"),
@@ -140,11 +140,11 @@ class TestTableChecks:
     def test_other_integer_dtypes_read_as_intp(self):
         g = pair_groupoid(2)
         narrow = from_records(
-            g.units, g.arrows, triples_of(g.compose_matrix()).astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
+            g.units, g.arrows, triples_of(dense_compose(g)).astype(np.int8), g.invert_index.astype(np.uint16), g.unit_arrow_index.astype(np.int32)
         )
         for got, want in zip(id_tables(narrow), id_tables(g)):
             assert got == want
-        assert {narrow.compose_matrix().dtype, narrow.invert_index.dtype, narrow.unit_arrow_index.dtype} == {np.dtype(np.intp)}
+        assert {narrow.composable_pairs()[2].dtype, narrow.invert_index.dtype, narrow.unit_arrow_index.dtype} == {np.dtype(np.intp)}
 
 
 class TestHaar:
@@ -321,10 +321,6 @@ class TestReadOnlyState:
         weights = counting_haar(g).weights(g)
         with pytest.raises(ValueError, match="read-only"):
             weights[0] = -1.0
-
-    def test_compose_matrix_is_read_only(self):
-        with pytest.raises(ValueError, match="read-only"):
-            pair_groupoid(2).compose_matrix()[0, 0] = 3
 
     @pytest.mark.parametrize("which", [0, 1, 2], ids=["x", "y", "xy"])
     def test_composable_pairs_are_read_only(self, which):

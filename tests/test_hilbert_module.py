@@ -63,7 +63,7 @@ from groupoid_workbench.hilbert_module import (
 from groupoid_workbench.representation import cstar_norm, operator_norm, positivity_check
 from groupoid_workbench.verify import run_document
 
-from conftest import arrows_into, max_diff, pair_cocycle, rng_functions
+from conftest import arrows_into, dense_compose, max_diff, pair_cocycle, rng_functions
 from test_orbit_blocks import shuffled, weighted
 
 
@@ -120,10 +120,10 @@ def reference_operator_blocks(space, a):
     rho = np.array([sys.haar.unit_weight(u) for u in g.units])
     to_sub = np.full(g.n_arrows + 1, -1)  # and -1 (undefined) to -1
     to_sub[sub.embedding(g)] = np.arange(sub.n_arrows)
-    compose, inv = g.compose_matrix(), g.invert_index
+    compose, inv = dense_compose(g), g.invert_index
     # G[(x, h), (y, h')] = rho(r(x)) sqrt(rho(r(h)) rho(r(h'))) where h h'^{-1} = x^{-1} y
     x_inv_y = to_sub[compose[inv[xs][:, None], xs[None, :]]]
-    h_h_inv = sub.compose_matrix()[hs[:, None], sub.invert_index[hs][None, :]]
+    h_h_inv = dense_compose(sub)[hs[:, None], sub.invert_index[hs][None, :]]
     sqrt_rho_h = np.sqrt(rho[sub.dst_index[hs]])
     gram = ((x_inv_y == h_h_inv) & (h_h_inv >= 0)) * np.outer(rho[g.dst_index[xs]] * sqrt_rho_h, sqrt_rho_h)
     # (L_a (x) 1)[(x', h'), (x, h)] = a(x' x^{-1}) rho(r(x)) where h' = h

@@ -44,7 +44,7 @@ from groupoid_workbench.representation import (
     positivity_stack,
 )
 
-from conftest import from_records, triples_of
+from conftest import dense_compose, from_records, triples_of
 
 CORPUS = builtin_corpus(seed=0)
 TRIALS = (1, 3, 100)
@@ -185,7 +185,7 @@ def shuffled(g: FiniteGroupoid, rng: np.random.Generator) -> FiniteGroupoid:
     new = np.empty_like(perm)
     new[perm] = np.arange(g.n_arrows)
     renumber = np.append(new, -1)  # keeps -1 (undefined) at -1
-    compose = renumber[g.compose_matrix()[np.ix_(perm, perm)]]
+    compose = renumber[dense_compose(g)[np.ix_(perm, perm)]]
     return from_records(g.units, [g.arrows[i] for i in perm], triples_of(compose), new[g.invert_index[perm]], new[g.unit_arrow_index])
 
 

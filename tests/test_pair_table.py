@@ -3,20 +3,24 @@
 A groupoid keeps its composition as (x, y, xy) triples in row-major pair
 order, one per composable pair, and reads a product by its position in
 that order: row x starts after the pairs of the earlier rows, and y sits at
-its rank among the arrows into s(x).  The dense (n, n) ``compose_matrix()``
-is a view built on first call.  Here:
+its rank among the arrows into s(x).  No (n, n) table is kept; the dense
+table ``conftest.dense_compose``, written from the pair table, is the
+oracle.  Here:
 
-* the positional lookup ``compose_index`` against the dense view, on every
+* the positional lookup ``compose_index`` against the dense oracle, on every
   corpus groupoid and identity fiber and on drawn twisted tables with
   permuted arrows, over every (x, y), so non-composable pairs read -1;
+* ``algebra.delta_products``, the rows sum_y c_y w(x) delta_{xy} that the
+  delta-rule and bundle checks compare against, against the same rows
+  built from the dense oracle, in the labelled pass over every arrow and
+  in the pair sweep, on the corpus and on drawn twisted tables;
 * a table that is not exact: ``validate_groupoid`` names the violation,
-  every other reader raises ``ValueError`` and ``compose_ids`` still
-  answers;
+  every other reader, ``compose_ids`` included, raises ``ValueError``, and
+  the pair table still lists the defined pairs;
 * the explicit parser against the dense reader it replaced
   (``reference_compose_table``), with one triple or one entry of a triple
   replaced by arbitrary JSON, or one pair repeated;
-* memory: parsing pair(64) stays linear in its composable pairs, and the
-  ``workbench norms`` path builds no dense view.
+* memory: parsing pair(64) stays linear in its composable pairs.
 """
 
 from __future__ import annotations
@@ -32,16 +36,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from groupoid_workbench import document
-from groupoid_workbench.algebra import delta
-from groupoid_workbench.cli import main
+from groupoid_workbench.algebra import delta, delta_products, unit_labels
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import DocumentError, _walk_compose, document_from_dict, parse_document
 from groupoid_workbench.grading import GradedGroupoid
-from groupoid_workbench.groupoid import FiniteGroupoid, counting_haar, pair_groupoid, validate_groupoid
+from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, pair_groupoid, validate_groupoid
 from groupoid_workbench.hilbert_module import induced_space
 from groupoid_workbench.representation import cstar_norm
 
-from conftest import pair_cocycle, redirected, triples_of
+from conftest import dense_compose, pair_cocycle, redirected, triples_of
 from pair_documents import pair_documents
 from test_label_arrays import json_values
 from test_structure_certificate import twisted_tables
@@ -52,7 +55,7 @@ CORPUS = builtin_corpus(seed=0)
 
 def assert_lookup_matches_dense_view(g: FiniteGroupoid) -> None:
     n = g.n_arrows
-    dense = g.compose_matrix()
+    dense = dense_compose(g)
     got = g.compose_index(np.arange(n)[:, None], np.arange(n))
     assert got.tolist() == dense.tolist()
     composable = g.src_index[:, None] == g.dst_index[None, :]
@@ -76,6 +79,39 @@ def test_positional_lookup_matches_the_dense_view_on_twisted_tables(g):
     assert_lookup_matches_dense_view(g)
 
 
+def reference_delta_products(g: FiniteGroupoid, x: np.ndarray, c: np.ndarray, haar: HaarSystem) -> np.ndarray:
+    """The rows sum_y c_y w(x) delta_{xy} as the delta-rule and bundle
+    checks built them from the dense table: every defined (row, y) added
+    into its product's bin."""
+    compose, w = dense_compose(g), haar.weights(g)
+    (rows, ys), out = np.nonzero(compose[x] >= 0), np.zeros((len(x), g.n_arrows), dtype=np.complex128)
+    np.add.at(out, (rows, compose[x[rows], ys]), np.broadcast_to(c, out.shape)[rows, ys] * w[x[rows]])
+    return out
+
+
+def assert_delta_products_match_dense_rows(g: FiniteGroupoid, haar: HaarSystem) -> None:
+    """The labelled pass (every arrow x on the ``unit_labels`` row) and the
+    pair sweep (every (x, y), y as a delta row), as the checks call them."""
+    n = g.n_arrows
+    every, eye = np.arange(n), np.eye(n, dtype=np.complex128)
+    labels = unit_labels(n)[None]
+    assert np.array_equal(delta_products(g, every, labels, haar), reference_delta_products(g, every, labels, haar))
+    x, y = np.repeat(every, n), np.tile(every, n)
+    assert np.array_equal(delta_products(g, x, eye[y], haar), reference_delta_products(g, x, eye[y], haar))
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)), ids=[doc.name for doc in CORPUS])
+def test_delta_products_match_the_dense_rows_on_the_corpus(index):
+    sys = CORPUS[index].system
+    assert_delta_products_match_dense_rows(sys.groupoid, sys.haar)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(twisted_tables())
+def test_delta_products_match_the_dense_rows_on_twisted_tables(g):
+    assert_delta_products_match_dense_rows(g, haar_from_weights(g, {u: 1.0 + k / 3 for k, u in enumerate(g.units)}))
+
+
 def not_exact() -> dict[str, FiniteGroupoid]:
     g = pair_groupoid(2)
     return {
@@ -93,6 +129,7 @@ def test_a_table_that_is_not_exact_is_read_only_by_the_validator(name):
     sys = GradedGroupoid(g, counting_haar(g), pair_cocycle(g))
     readers = {
         "compose_index": lambda: g.compose_index(0, 0),
+        "compose_ids": lambda: g.compose_ids("(1,1)", "(1,1)"),
         "rep_tables": g.rep_tables,
         "orbit_rep_tables": g.orbit_rep_tables,
         "cstar_norm": lambda: cstar_norm(delta(g, "(1,1)"), sys.haar),
@@ -101,12 +138,7 @@ def test_a_table_that_is_not_exact_is_read_only_by_the_validator(name):
     for read in readers.values():
         with pytest.raises(ValueError, match="groupoid invalid"):
             read()
-    dense = g.compose_matrix()
-    for x in g.arrow_ids:
-        for y in g.arrow_ids:
-            k = dense[g.index(x), g.index(y)]
-            assert g.compose_ids(x, y) == (g.arrow_ids[k] if k >= 0 else None)
-    assert np.stack(g.composable_pairs(), axis=1).tolist() == triples_of(dense).tolist()
+    assert np.stack(g.composable_pairs(), axis=1).tolist() == triples_of(dense_compose(g)).tolist()
 
 
 # -- the explicit parser against the dense reader it replaced -----------------
@@ -163,7 +195,7 @@ def parse_outcome(raw: dict) -> tuple:
         doc = document_from_dict(raw)
     except DocumentError as exc:
         return ("reject", exc.path, str(exc))
-    return ("accept", doc.groupoid.compose_matrix().tolist())
+    return ("accept", dense_compose(doc.groupoid).tolist())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -191,7 +223,7 @@ def test_one_substituted_triple_reads_as_the_dense_reader(edit):
 
 
 def test_the_unedited_document_reads_as_the_dense_reader():
-    assert parse_outcome(json.loads(json.dumps(BASE)))[1] == pair_groupoid(3).compose_matrix().tolist()
+    assert parse_outcome(json.loads(json.dumps(BASE)))[1] == dense_compose(pair_groupoid(3)).tolist()
 
 
 # -- memory ------------------------------------------------------------------
@@ -212,17 +244,3 @@ def test_parse_at_the_arrow_budget_is_linear_in_the_pairs():
         tracemalloc.stop()
     assert len(doc.groupoid.composable_pairs()[0]) == 64**3
     assert peak <= BYTES_PER_PAIR * 64**3
-    assert "dense" not in doc.groupoid._cache
-
-
-def test_the_norms_path_builds_no_dense_view(monkeypatch, tmp_path):
-    """Parsing, the identity fiber and the five quantities of ``workbench
-    norms`` read products by position only, on G and on G_e."""
-
-    def never(g):
-        raise AssertionError(f"{g} built its dense compose view")
-
-    path = tmp_path / "pair12.json"
-    path.write_text(json.dumps(pair_documents(12)["pair12-builtin"]))
-    monkeypatch.setattr(FiniteGroupoid, "_dense_view", never)
-    assert main(["norms", str(path), "--fn", "sample"]) == 0

@@ -61,7 +61,7 @@ from groupoid_workbench.representation import (
 )
 from groupoid_workbench.validation import CheckReport
 
-from conftest import id_tables
+from conftest import dense_compose, id_tables
 from groupoid_workbench.verify import (
     _SUITE_FN,
     ALG_TOL,
@@ -610,7 +610,7 @@ def reference_action_by_fiber_sum(sys: GradedGroupoid, a: GroupoidFunction, g_e:
     """The module action by its fiber-sum formula, a cross-check of a * i(g):
     (a.g)(x) = sum over {n in G_e : r(n) = s(x)} of a(xn) g(n^{-1}) w(n)."""
     g, sub = sys.groupoid, sys.identity_fiber
-    xn = g.compose_matrix()[:, [g.index(aid) for aid in sub.arrow_ids]]
+    xn = dense_compose(g)[:, [g.index(aid) for aid in sub.arrow_ids]]
     terms = a.coeffs[xn] * (g_e.coeffs[sub.invert_index] * sys.haar.weights(sub))
     return np.where(xn >= 0, terms, 0.0).sum(axis=1)
 
@@ -949,8 +949,8 @@ def test_topological_grading_reads_the_family_labels(docs, name):
 def _misrouted(g: FiniteGroupoid, monkeypatch: pytest.MonkeyPatch, pairs: list[int], to: int) -> None:
     """Send the convolution terms of the given composable pairs to bin ``to``,
     in the pair table and in its interleaved convolution bins, while
-    ``compose_matrix()``, built before the patch, keeps the right products."""
-    g.compose_matrix()
+    ``compose_index``, which reads the products by position, keeps the
+    unpatched ones."""
     xs, ys, zs = g.composable_pairs()
     zs = zs.copy()
     zs[pairs] = to

@@ -25,7 +25,7 @@ from groupoid_workbench.groupoid import FiniteGroupoid, validate_groupoid
 from groupoid_workbench.groups import FiniteGroup, FreeAbelianGroup
 from groupoid_workbench.validation import CheckReport
 
-from conftest import id_tables, redirected, with_tables
+from conftest import dense_compose, id_tables, redirected, with_tables
 
 CORPUS = builtin_corpus(seed=0)
 
@@ -33,7 +33,7 @@ CORPUS = builtin_corpus(seed=0)
 def reference_validate_groupoid(g: FiniteGroupoid) -> CheckReport:
     """The groupoid axioms, arrow by arrow and one compose row at a time."""
     _, invert, unit_arrow = id_tables(g)
-    mat = g.compose_matrix()
+    mat = dense_compose(g)
     src = g.src_index
     dst = g.dst_index
     n = g.n_arrows
