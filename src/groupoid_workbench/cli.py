@@ -29,7 +29,7 @@ from .verify import DEFAULT_COUNTS, SUITES, report_to_json, run_verification
 def _load_document(path: str) -> WorkbenchDocument:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file, or one that is not UTF-8
         raise DocumentError(path, f"cannot read file: {exc}") from exc
     return parse_document(text)
 

@@ -206,46 +206,61 @@ def _as_id(value: Any, path: str) -> str:
     raise DocumentError(path, f"an id is a string or a number, got {type(value).__name__}")
 
 
+def _arrow_columns(records: list, path: str) -> list[list[str]]:
+    """The id, src and dst columns of the arrow records, in one pass each when
+    every record is an object of three strings; else record by record, which names the first bad one."""
+    if set(map(type, records)) <= {dict}:
+        columns = [[rec.get(key) for rec in records] for key in ("id", "src", "dst")]  # None for a missing key
+        if set(map(type, itertools.chain(*columns))) <= {str}:
+            return columns
+    columns = [[], [], []]
+    for i, rec in enumerate(records):
+        at = f"{path}[{i}]"
+        for key, column in zip(("id", "src", "dst"), columns):
+            column.append(_as_id(_require(_as_object(rec, at), key, at), f"{at}.{key}"))
+    return columns
+
+
+def _id_map(spec: Mapping[str, Any], key: str, path: str) -> dict[str, str]:
+    """The id-to-id object ``spec[key]``: as it is when every key and value is a string, else read entry by entry."""
+    table = _as_object(_require(spec, key, path), f"{path}.{key}")
+    if set(map(type, table)) | set(map(type, table.values())) <= {str}:
+        return table
+    return {str(k): _as_id(v, f"{path}.{key}.{k}") for k, v in table.items()}
+
+
 def _build_explicit(spec: Mapping[str, Any], path: str) -> FiniteGroupoid:
+    """An explicit table, each id column read in one type scan and one C-level pass; the
+    per-entry reads that name the first bad entry run only where a bulk read fails."""
     units = [_as_id(u, f"{path}.units[{i}]") for i, u in enumerate(_require_list(spec, "units", path))]
-    ids, srcs, dsts = [], [], []
-    for i, rec in enumerate(_require_list(spec, "arrows", path)):
-        at = f"{path}.arrows[{i}]"
-        rec = _as_object(rec, at)
-        for key, column in (("id", ids), ("src", srcs), ("dst", dsts)):
-            column.append(_as_id(_require(rec, key, at), f"{at}.{key}"))
+    ids, srcs, dsts = _arrow_columns(_require_list(spec, "arrows", path), f"{path}.arrows")
     triples = _require_list(spec, "compose", path)
     if not (set(map(type, triples)) <= {list, tuple} and set(map(len, triples)) <= {3}):
         for i, triple in enumerate(triples):
             if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise DocumentError(f"{path}.compose[{i}]", "expected a [first, second, product] triple")
-    invert, unit_arrows = (
-        {str(k): _as_id(v, f"{path}.{key}.{k}") for k, v in _as_object(_require(spec, key, path), f"{path}.{key}").items()}
-        for key in ("invert", "unit_arrows")
-    )
+    invert, unit_arrows = (_id_map(spec, key, path) for key in ("invert", "unit_arrows"))
     try:
         # the unit and arrow errors come before those of the id tables
         unit_index, index = numbered(units, ids)
-        src, dst = (np.array([unit_index.get(u, -1) for u in ends], dtype=np.intp) for ends in (srcs, dsts))
+        src, dst = (np.fromiter(map(unit_index.get, ends, itertools.repeat(-1)), dtype=np.intp, count=len(ids)) for ends in (srcs, dsts))
         for i in np.flatnonzero((src < 0) | (dst < 0))[:1]:
             raise ValueError(f"Arrow {ids[i]!r} references unknown unit {srcs[i]!r} or {dsts[i]!r}.")
         table = _compose_table(triples, index, f"{path}.compose")
         for x, y in invert.items():
             if x not in index or y not in index:
                 raise ValueError(f"Invert entry {x!r}->{y!r} references an unknown arrow.")
-        missing = [aid for aid in ids if aid not in invert]
-        if missing:
-            raise ValueError(f"Invert table missing arrows {missing[:3]}.")
+        if len(invert) < len(ids):
+            raise ValueError(f"Invert table missing arrows {[aid for aid in ids if aid not in invert][:3]}.")
         for u, aid in unit_arrows.items():
             if u not in unit_index:
                 raise ValueError(f"Unit-arrow entry for unknown unit {u!r}.")
             if aid not in index:
                 raise ValueError(f"Unit arrow {aid!r} for unit {u!r} is not a declared arrow.")
-        missing = [u for u in units if u not in unit_arrows]
-        if missing:
-            raise ValueError(f"Unit-arrow table missing units {missing[:3]}.")
-        inverse = np.array([index[invert[aid]] for aid in ids], dtype=np.intp)
-        unit_arrow = np.array([index[unit_arrows[u]] for u in units], dtype=np.intp)
+        if len(unit_arrows) < len(units):
+            raise ValueError(f"Unit-arrow table missing units {[u for u in units if u not in unit_arrows][:3]}.")
+        inverse = np.fromiter(map(index.__getitem__, map(invert.__getitem__, ids)), dtype=np.intp, count=len(ids))
+        unit_arrow = np.fromiter(map(index.__getitem__, map(unit_arrows.__getitem__, units)), dtype=np.intp, count=len(units))
         return FiniteGroupoid(units, ids, src, dst, table, inverse, unit_arrow)
     except DocumentError:
         raise
@@ -257,25 +272,24 @@ def _compose_table(triples: list, index: Mapping[str, int], path: str) -> np.nda
     """The (m, 3) index triples of [first, second, product] id triples, in
     row-major pair order; a repeated pair keeps its last product.
 
-    The ids are looked up in one pass over the flattened triples, through
-    ``str`` only if that pass misses (JSON ids may be numbers; an entry of
-    any other type is rejected at its path under ``path``), and the last
-    triple of each pair is picked by ``np.unique`` over x * n + y.  If an id
-    is still unknown, the triples are read into a dict in order and walked:
-    the error names the first unknown id among the pairs' last products, and
-    an unknown id that only a later triple overwrites is no error."""
-    flat = list(itertools.chain.from_iterable(triples))
+    The ids are looked up into an intp array in one C-level pass over the chained triples,
+    through ``str`` only if that pass misses (JSON ids may be numbers; an entry of any other
+    type is rejected at its path under ``path``), and the last triple of each pair is picked by
+    ``np.unique`` over x * n + y.  If an id is still unknown, the triples are read into a dict
+    in order and walked: the error names the first unknown id among the pairs' last products,
+    and an unknown id that a later triple overwrites is no error."""
     try:
-        found = list(map(index.__getitem__, flat))
+        found = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(triples)), dtype=np.intp, count=3 * len(triples))
     except (KeyError, TypeError):
+        flat = list(itertools.chain.from_iterable(triples))
         if set(map(type, flat)) - {str, int, float}:
             for k, value in enumerate(flat):
                 _as_id(value, f"{path}[{k // 3}][{k % 3}]")
         try:
-            found = list(map(index.__getitem__, map(str, flat)))
+            found = np.fromiter(map(index.__getitem__, map(str, flat)), dtype=np.intp, count=len(flat))
         except KeyError:
-            found = _walk_compose(triples, index)
-    found = np.fromiter(found, dtype=np.intp, count=len(found)).reshape(-1, 3)
+            found = np.array(_walk_compose(triples, index), dtype=np.intp)
+    found = found.reshape(-1, 3)
     _, from_end = np.unique((found[:, 0] * len(index) + found[:, 1])[::-1], return_index=True)
     return found[len(found) - 1 - from_end]
 

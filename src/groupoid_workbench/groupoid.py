@@ -99,6 +99,7 @@ class FiniteGroupoid:
         unit_arrow: np.ndarray,
     ) -> None:
         self._unit_index, self._index = numbered(units, arrow_ids)
+        self.index = self._index.__getitem__  # an arrow id's number, KeyError if unknown; a C-level call
         self.units, self._ids = tuple(self._unit_index), tuple(self._index)
         n = len(self._ids)
         src = self._src_index = _read_only(_checked_table("src", src, (n,), len(self.units)))
@@ -173,9 +174,6 @@ class FiniteGroupoid:
 
     def has_unit(self, u: str) -> bool:
         return u in self._unit_index
-
-    def index(self, aid: str) -> int:
-        return self._index[aid]
 
     def has_arrow(self, aid: str) -> bool:
         return aid in self._index

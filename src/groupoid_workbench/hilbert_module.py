@@ -314,22 +314,26 @@ def eq_ruy_defect_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np
 
 
 def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`eq_ruy_defect_stack` for rows a (R, n) against the deltas at
-    the arrows v (R,), by gathers: (a * delta_v)(x) = a(x v^{-1}) w(x v^{-1})
-    where s(x) = s(v), and (delta_v^* * h)(x) = h(v x) w(v^{-1}) where
-    r(x) = s(v).  Each is the one nonzero term of its convolution bin, with
-    the delta's factor 1 left out, so only the sign of a zero can differ."""
+    """:func:`eq_ruy_defect_stack` of trials a (T, n) against the deltas at v (R,), as (T, R), by
+    gathers: (a * delta_v)(x) = a(x v^{-1}) w(x v^{-1}) where s(x) = s(v), and (delta_v^* * h)(x)
+    = h(v x) w(v^{-1}) where r(x) = s(v), else entry 0 times 0.  Each is the one nonzero term of its
+    convolution bin, with the delta's factor 1 left out, so only the sign of a zero can differ.
+    The (R, n) tables are built once for every chunk of trials (:func:`chunked`)."""
     g, sub = sys.groupoid, sys.identity_fiber
     every, inv, w = np.arange(g.n_arrows), g.invert_index, sys.haar.weights(g)
     right, left = g.compose_index(every, inv[v][:, None]), g.compose_index(v[:, None], every)  # x v^{-1} and v x, at [row, x]
-    w_right, w_left = w[np.clip(right, 0, None)], w[inv[v]][:, None]
+    w_right, w_left = np.where(right >= 0, w[right], 0.0), np.where(left >= 0, w[inv[v]][:, None], 0.0)
+    right, left = np.clip(right, 0, None)[None], np.clip(left, 0, None)[None]
 
     def gather(h: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return np.where(index >= 0, np.take_along_axis(h, np.clip(index, 0, None), axis=1) * weight, 0.0)
+        return np.take_along_axis(h, index, axis=-1) * weight  # h is (T, 1, n) or (T, R, n)
 
-    lhs = include_stack(sub, restrict_stack(g, gather(gather(a, right, w_right), left, w_left), sub), g)
-    rhs = gather(gather(expectation_stack(sys, a), left, w_left), right, w_right)
-    return np.abs(lhs - rhs).max(axis=1)
+    def defects(a: np.ndarray) -> np.ndarray:
+        lhs = include_stack(sub, restrict_stack(g, gather(gather(a[:, None], right, w_right), left, w_left), sub), g)
+        rhs = gather(gather(expectation_stack(sys, a[:, None]), left, w_left), right, w_right)
+        return np.abs(lhs - rhs).max(axis=-1)
+
+    return chunked(defects, len(v) * g.n_arrows, a)
 
 
 def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -644,13 +644,11 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
         defects={"max_rel_defect": bimodule},
         trials=count,
     )
-    # every trial's a against every delta b, one defect each, chunked over
-    # the (trial, delta) rows; every delta has largest modulus 1
+    # every trial's a against every delta b, chunked over the deltas; every delta has largest modulus 1
     (a,) = random_stacks(rng, SMALL_TRIALS, g)
-    trial, v = np.divmod(np.arange(SMALL_TRIALS * g.n_arrows), g.n_arrows)
-    defects = np.concatenate([eq_ruy_delta_defect_stack(sys, a[trial[s]], v[s]) for s in trial_chunks(len(v), g.n_arrows)])
+    defects = np.hstack([eq_ruy_delta_defect_stack(sys, a, np.arange(g.n_arrows)[s]) for s in trial_chunks(g.n_arrows, g.n_arrows)])
     ruy_defect = _worst(defects)
-    ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)))[trial]).all())
+    ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)))[:, None]).all())
     rec.add(
         "fiber-sandwich-identity",
         "i(<b, a*b>) = b^* P(a) b for fiber-supported b",

@@ -264,10 +264,26 @@ def test_delta_gathers_match_four_convolutions(doc, leaky, monkeypatch):
         monkeypatch.setattr(hilbert_module, "expectation_stack", lambda _, x: np.where(keep, x, 0.0))
     count = 3 if n <= 25 else 1
     a, _ = draws(sys.groupoid, 9000, count)
-    rows, v = np.repeat(a, n, axis=0), np.tile(np.arange(n), count)
-    want = eq_ruy_defect_stack(sys, rows, np.tile(np.eye(n, dtype=np.complex128), (count, 1)))
-    assert bitwise(eq_ruy_delta_defect_stack(sys, rows, v), want)
+    want = eq_ruy_defect_stack(sys, np.repeat(a, n, axis=0), np.tile(np.eye(n, dtype=np.complex128), (count, 1)))
+    assert bitwise(eq_ruy_delta_defect_stack(sys, a, np.arange(n)).ravel(), want)
     assert (want > 0).any() == (leaky and len(isotropy) > 0)
+
+
+@pytest.mark.parametrize("name", ["s3-sign-weighted", "s3-action-weighted", "product-pair2-z2-weighted"])
+def test_delta_gathers_chunked_over_deltas_and_trials(name, monkeypatch):
+    """The delta tables built once per chunk of deltas and read by every
+    chunk of trials give the defects of one whole (T, n) pass, bit for bit;
+    an expectation that keeps every fiber makes them nonzero on these
+    groupoids, which have isotropy arrows outside the identity fiber."""
+    sys = next(d for d in CORPUS if d.name == name).system
+    n = sys.groupoid.n_arrows
+    monkeypatch.setattr(hilbert_module, "expectation_stack", lambda _, x: x)
+    a, _ = draws(sys.groupoid, 9100, 7)
+    whole = eq_ruy_delta_defect_stack(sys, a, np.arange(n))
+    monkeypatch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 2 * n)  # two deltas per chunk, one trial at a time
+    chunks = algebra.trial_chunks(n, n)
+    parts = np.hstack([eq_ruy_delta_defect_stack(sys, a, np.arange(n)[s]) for s in chunks])
+    assert len(chunks) > 1 and bitwise(parts, whole) and whole.shape == (7, n) and whole.max() > 0
 
 
 @pytest.mark.parametrize("name", ["pair5-zgraded-weighted", "s3-action-weighted", "union-z2-z3-counting"])

@@ -58,6 +58,14 @@ class TestValidate:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("argv", [["validate"], ["norms", "--fn", "f"], ["verify"]], ids=lambda a: a[0])
+    def test_file_not_utf8(self, argv, tmp_path, capsys):
+        """Bytes that are not UTF-8 are an invalid document (exit 2), not a traceback."""
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(argv[:1] + [str(bad)] + argv[1:]) == 2
+        assert capsys.readouterr().out.startswith(f"invalid: {bad}: cannot read file: 'utf-8' codec can't decode")
+
 
 class TestNorms:
     def test_norms_output(self, doc_file, capsys):
