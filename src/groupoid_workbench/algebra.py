@@ -30,7 +30,7 @@ its terms in the order of a sum trial by trial and pair by pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -191,6 +191,27 @@ def delta_products(g: FiniteGroupoid, x: np.ndarray, c: np.ndarray, haar: HaarSy
     out = np.zeros(xy.shape, dtype=np.complex128)
     out[rows, xy[rows, ys]] = np.broadcast_to(c, xy.shape)[rows, ys] * haar.weights(g)[x[rows]]
     return out
+
+
+def delta_rows(x: Any, n: int) -> np.ndarray:
+    """The coefficient rows (R, n) of the deltas at arrows x (R,)."""
+    return (np.asarray(x)[:, None] == np.arange(n)).astype(np.complex128)
+
+
+def labelled_sweep(
+    n: int, per_row: int, residual: Callable[[np.ndarray, np.ndarray], np.ndarray], tol: float
+) -> Iterator[tuple[int, int, float]]:
+    """Check a relation linear in c at every arrow x on the modulus-one
+    :func:`unit_labels` c (1, n), where one wrong pair shows at its full
+    defect (Freivalds, IFIP 1977), and yield (x, y, defect) over every y (c
+    the delta rows (R, n)) for each x whose labelled ``residual(x, c)`` is
+    not at most ``tol``, x then y ascending.  A residual call takes at most
+    ``TRIAL_CHUNK_ENTRIES // per_row`` rows."""
+    chunks = [np.arange(n)[s] for s in trial_chunks(n, per_row)]
+    labelled = np.concatenate([residual(xs, unit_labels(n)[None]) for xs in chunks])
+    for x in np.flatnonzero(~(labelled <= tol)).tolist():
+        for ys in chunks:
+            yield from zip([x] * len(ys), ys.tolist(), residual(np.full(len(ys), x), delta_rows(ys, n)).tolist())
 
 
 def convolve(a: GroupoidFunction, b: GroupoidFunction, haar: HaarSystem) -> GroupoidFunction:

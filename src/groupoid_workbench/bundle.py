@@ -25,9 +25,11 @@ from .algebra import (
     chunked,
     convolve_stack,
     delta_products,
+    delta_rows,
     graded_component_stack,
     i_norm_stack,
     involute_stack,
+    labelled_sweep,
     random_stacks,
     trial_chunks,
     unit_function,
@@ -126,7 +128,7 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
     # identity key and to vanish otherwise
     identity_key = sys.group.element_key(sys.group.identity)
     listed = [(key, aid) for key, ids in family.bases.items() for aid in ids]
-    deltas = np.eye(g.n_arrows, dtype=np.complex128)[[g.index(aid) for _, aid in listed]]
+    deltas = delta_rows([g.index(aid) for _, aid in listed], g.n_arrows)
     kept = np.array([key == identity_key for key, _ in listed], dtype=bool).reshape(-1, 1)
     wrong = np.flatnonzero(np.abs(expectation_stack(sys, deltas) - np.where(kept, deltas, 0.0)).max(axis=1) != 0.0)
     if len(wrong):
@@ -154,7 +156,8 @@ def tautological_rep(sys: GradedGroupoid) -> StackRep:
 
 
 def _one_block(family: GradedSubspaceFamily, rep: FiberRep) -> StackRep | CheckReport:
-    """A :data:`FiberRep` checked for coverage and shape, acting as one block."""
+    """A :data:`FiberRep` checked for coverage, shape and finite numeric
+    entries, acting as one block."""
     dim: int | None = None
     for key, ids in family.bases.items():
         if key not in rep:
@@ -162,9 +165,18 @@ def _one_block(family: GradedSubspaceFamily, rep: FiberRep) -> StackRep | CheckR
         for aid in ids:
             if aid not in rep[key]:
                 return CheckReport.failed("basis-element-missing-from-rep", fiber=key, arrow=aid)
-            mat = np.asarray(rep[key][aid])
+            try:
+                mat = np.asarray(rep[key][aid])
+            except ValueError:  # ragged rows
+                mat = np.empty(0)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 return CheckReport.failed("rep-matrix-not-square", arrow=aid)
+            if mat.size == 0:
+                return CheckReport.failed("rep-matrix-empty", arrow=aid)
+            if mat.dtype.kind not in "biufc":
+                return CheckReport.failed("rep-matrix-not-numeric", arrow=aid)
+            if not np.isfinite(mat).all():
+                return CheckReport.failed("rep-matrix-not-finite", arrow=aid)
             if dim is None:
                 dim = mat.shape[0]
             elif mat.shape[0] != dim:
@@ -182,54 +194,62 @@ def bundle_rep_check(
 ) -> CheckReport:
     """Verify a fiberwise representation and its summed *-homomorphism.
 
-    Checks, in order, on block stacks in chunks of arrows: coverage and shape
-    of a :data:`FiberRep`; pi(d_x) pi(d_y) = w(x) pi(d_{xy}) (zero when
-    non-composable) and pi(d_x)^H = pi(d_{x^{-1}}); the summed map on seeded
-    random pairs; the I-norm bound on each fiber (:func:`norm_chain`).
+    Checks, in order, on block stacks in chunks of arrows: coverage, shape
+    and entries of a :data:`FiberRep`; pi(d_x) pi(d_y) = w(x) pi(d_{xy})
+    (zero when non-composable) and pi(d_x)^H = pi(d_{x^{-1}}); the summed map
+    on seeded random pairs; the I-norm bound on each fiber (:func:`norm_chain`).
     The relations hold within ``ALG_TOL`` times s = 1 + the largest basis
     block norm (s^2 for products), n times that on the random pairs.  The
-    product relation is linear in d_y, so each x is checked once on
-    sum_y c_y d_y for the modulus-one :func:`unit_labels` c, where one wrong
-    pair shows at its full defect (Freivalds, IFIP 1977); the pairs of each
-    x over the tolerance are then swept, so the witness is the sweep's
-    unless wrong pairs cancel.
+    product relation is linear in d_y, so it goes through
+    :func:`labelled_sweep`; the first failing x names its first failing pair,
+    or the arrow itself where only its adjoint fails.
     """
     sys = family.system
     g, haar, n = sys.groupoid, sys.haar, sys.groupoid.n_arrows
     rep = _one_block(family, rep) if isinstance(rep, Mapping) else rep
     if isinstance(rep, CheckReport):
         return rep
-    eye = np.eye(n, dtype=np.complex128)
 
-    def defects(pa: list[np.ndarray], b: np.ndarray, ab: np.ndarray, a_star: np.ndarray) -> np.ndarray:
-        """|pi(a) pi(b) - pi(ab)| and |pi(a)^H - pi(a^*)| for each trial, (T, 2), given pi(a)."""
-        product = [p @ q - m for p, q, m in zip(pa, rep(b), rep(ab))]
-        adjoint = [p.conj().swapaxes(-1, -2) - m for p, m in zip(pa, rep(a_star))]
-        largest = [functools.reduce(np.maximum, [np.abs(m).max(axis=(-3, -2, -1)) for m in d]) for d in (product, adjoint)]
-        return np.stack(largest, axis=-1)
+    def largest(diffs: list[np.ndarray]) -> np.ndarray:
+        return functools.reduce(np.maximum, [np.abs(m).max(axis=(-3, -2, -1)) for m in diffs])
 
-    def basis_defects(px: list[np.ndarray], x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """:func:`defects` of d_x (blocks px), c (T, n) or (1, n), sum_y c_y w(x) d_{xy} and d_{x^{-1}}."""
-        return defects(px, c, delta_products(g, x, c, haar), eye[g.invert_index[x]])
+    def product(pa: list[np.ndarray], b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        """|pi(a) pi(b) - pi(ab)| for each trial, given pi(a)."""
+        return largest([p @ q - m for p, q, m in zip(pa, rep(b), rep(ab))])
 
-    labels = unit_labels(n)[None]
-    size = sum(m.size for m in rep(labels))  # block entries of one function
-    chunks = [np.arange(n)[s] for s in trial_chunks(n, size)]
-    per_chunk = [(_norm_of_trials(px := rep(eye[xs])), basis_defects(px, xs, labels)) for xs in chunks]
-    scales, basis = map(np.concatenate, zip(*per_chunk))
-    norm_scale, (labelled, adjoint) = 1.0 + float(scales.max()), basis.T
-    for x in np.flatnonzero((labelled > ALG_TOL * norm_scale**2) | (adjoint > ALG_TOL * norm_scale)):
-        for ys in chunks if labelled[x] > ALG_TOL * norm_scale**2 else []:
-            defect = basis_defects(rep(eye[[x]]), np.full(len(ys), x), eye[ys])[:, 0]
-            (bad,) = np.nonzero(defect > ALG_TOL * norm_scale**2)
-            if len(bad):
-                pair = (g.arrow_ids[x], g.arrow_ids[ys[bad[0]]])
-                return CheckReport.failed("rep-not-multiplicative-on-basis", pair=pair, defect=float(defect[bad[0]]))
-        if adjoint[x] > ALG_TOL * norm_scale:
-            return CheckReport.failed("rep-not-star-on-basis", arrow=g.arrow_ids[x], defect=float(adjoint[x]))
+    def adjoint(pa: list[np.ndarray], a_star: np.ndarray) -> np.ndarray:
+        """|pi(a)^H - pi(a^*)| for each trial, given pi(a)."""
+        return largest([p.conj().swapaxes(-1, -2) - m for p, m in zip(pa, rep(a_star))])
+
+    def basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The norms of pi(d_x), which scale the tolerances, and the adjoint defects."""
+        px = rep(delta_rows(x, n))
+        return _norm_of_trials(px), adjoint(px, delta_rows(g.invert_index[x], n))
+
+    def basis_products(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """:func:`product` of d_x, c (R, n) or (1, n) and sum_y c_y w(x) d_{xy}."""
+        return product(rep(delta_rows(x, n)), c, delta_products(g, x, c, haar))
+
+    def pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """:func:`product` and :func:`adjoint` of random pairs, (T, 2)."""
+        pa = rep(a)
+        return np.stack([product(pa, b, convolve_stack(g, a, b, haar)), adjoint(pa, involute_stack(g, a))], axis=-1)
+
+    blocks = rep(unit_labels(n)[None])
+    size = sum(m.size for m in blocks)  # block entries of one function
+    scales, stars = map(np.concatenate, zip(*(basis(np.arange(n)[s]) for s in trial_chunks(n, size))))
+    norm_scale = 1.0 + float(scales.max())
+    star_failed = np.append(np.flatnonzero(stars > ALG_TOL * norm_scale), n)[0]  # n when none fails
+    for x, y, defect in labelled_sweep(n, size, basis_products, ALG_TOL * norm_scale**2):
+        if x > star_failed:
+            break
+        if defect > ALG_TOL * norm_scale**2:
+            return CheckReport.failed("rep-not-multiplicative-on-basis", pair=(g.arrow_ids[x], g.arrow_ids[y]), defect=defect)
+    if star_failed < n:
+        return CheckReport.failed("rep-not-star-on-basis", arrow=g.arrow_ids[star_failed], defect=float(stars[star_failed]))
 
     a, b = random_stacks(np.random.default_rng(seed), count, g, g)
-    mult, star = chunked(lambda a, b: defects(rep(a), b, convolve_stack(g, a, b, haar), involute_stack(g, a)), size, a, b).T
+    mult, star = chunked(pairs, size, a, b).T
     parts = graded_component_stack(sys, a)
     bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
     norms = chunked(lambda p: _norm_of_trials(rep(p)), size, parts.reshape(-1, n)).reshape(bounds.shape)
@@ -245,4 +265,4 @@ def bundle_rep_check(
         return CheckReport.failed(
             "fiber-norm-exceeds-i-norm", fiber=sys.fiber_keys[k], norm=float(norms[k, trial]), bound=float(bounds[k, trial])
         )
-    return CheckReport(ok=True, witness={"dimension": sum(m.shape[-3] * m.shape[-1] for m in rep(labels)), "samples": count})
+    return CheckReport(ok=True, witness={"dimension": sum(m.shape[-3] * m.shape[-1] for m in blocks), "samples": count})

@@ -32,15 +32,16 @@ from . import __version__
 from .algebra import (
     convolve_stack,
     delta_products,
+    delta_rows,
     graded_component_stack,
     i_norm_stack,
     include_stack,
     involute_stack,
+    labelled_sweep,
     random_stacks,
     restrict_stack,
     trial_chunks,
     unit_function,
-    unit_labels,
 )
 from .bundle import (
     bundle_rep_check,
@@ -310,20 +311,13 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
 
 
 def _delta_rule_defect(g: Any, haar: Any) -> float:
-    """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|,
-    against the rows of :func:`delta_products`.  Both sides are linear in
-    delta_y, so each x is checked once on the modulus-one ``unit_labels`` c,
-    one (1, n) row broadcast over x, and the pairs of every x with a nonzero
-    residual are swept in chunks."""
-    n = g.n_arrows
-    eye = np.eye(n, dtype=np.complex128)
+    """max over all pairs (x, y) of |delta_x * delta_y - w(x) delta_{xy}|, by
+    :func:`labelled_sweep` on delta_x * c against :func:`delta_products`."""
 
-    def defects(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _max_abs(convolve_stack(g, eye[x], c, haar) - delta_products(g, x, c, haar))
+    def residual(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return _max_abs(convolve_stack(g, delta_rows(x, g.n_arrows), c, haar) - delta_products(g, x, c, haar))
 
-    flagged = np.flatnonzero(defects(np.arange(n), unit_labels(n)[None]) != 0.0)
-    x, y = np.repeat(flagged, n), np.tile(np.arange(n), len(flagged))
-    return _worst(0.0, *(defects(x[s], eye[y[s]]) for s in trial_chunks(len(x), n)))
+    return _worst(np.fromiter((defect for *_, defect in labelled_sweep(g.n_arrows, g.n_arrows, residual, 0.0)), float))
 
 
 def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from groupoid_workbench.algebra import (
+    TRIAL_CHUNK_ENTRIES,
     GroupoidFunction,
     convolve,
     delta,
@@ -18,6 +19,7 @@ from groupoid_workbench.algebra import (
     i_norm,
     include_i,
     involute,
+    labelled_sweep,
     random_function,
     restrict_q,
     unit_function,
@@ -222,3 +224,23 @@ class TestReadOnlyCoefficients:
         f = delta(p2, "(1,2)")
         with pytest.raises(ValueError, match="read-only"):
             f.coeffs[0] = 1.0
+
+
+def test_labelled_sweep_yields_the_flagged_rows_pair_by_pair():
+    """On the residual |sum_y E[x, y] c_y|, linear in c, with rows of one
+    wrong entry, two, none and a NaN: the rows over the tolerance (the NaN
+    one too) are swept, x then y ascending, each pair at its own defect, and
+    every call stays within its chunk of two rows."""
+    n = 7
+    errors = np.zeros((n, n))
+    errors[1, 4], errors[3, [0, 6]], errors[5, 2] = 1e-3, 2.0, np.nan
+
+    def residual(x, c):
+        assert len(x) <= 2
+        return np.abs((errors[x] * c).sum(axis=1))
+
+    swept = list(labelled_sweep(n, TRIAL_CHUNK_ENTRIES // 2, residual, 1e-6))
+    assert [(x, y) for x, y, _ in swept] == [(x, y) for x in (1, 3, 5) for y in range(n)]
+    want = np.concatenate([np.abs(errors[1]), np.abs(errors[3]), np.full(n, np.nan)])  # NaN * 0 is NaN
+    np.testing.assert_array_equal([defect for *_, defect in swept], want)
+    assert list(labelled_sweep(n, n, lambda x, c: np.zeros(len(x)), 0.0)) == []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from groupoid_workbench.algebra import (
     GroupoidFunction,
@@ -38,7 +39,7 @@ from groupoid_workbench.bundle import (
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument
 from groupoid_workbench.grading import Cocycle, GradedGroupoid, validate_cocycle
-from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, validate_groupoid, validate_left_invariance
+from groupoid_workbench.groupoid import FiniteGroupoid, HaarSystem, haar_from_weights, validate_groupoid, validate_left_invariance
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     check_eq_ruy,
@@ -75,6 +76,7 @@ from groupoid_workbench.verify import (
     _Recorder,
     _delta_rule_defect,
 )
+from test_structure_certificate import twisted_tables
 
 INSTANCES = ("pair3-zgraded-weighted", "s3-sign-weighted", "union-z2-z3-weighted", "product-pair2-z2-counting")
 
@@ -973,6 +975,28 @@ def test_delta_rule_names_the_reference_defect(name, monkeypatch):
     for pairs in ([last], row[-2:].tolist()):
         with monkeypatch.context() as patch:
             _misrouted(g, patch, pairs, (zs[last] + 1) % g.n_arrows)
+            want = reference_delta_rule_defect(g, haar)
+            assert want > ALG_TOL
+            assert _delta_rule_defect(g, haar) == want
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(twisted_tables())
+def test_delta_rule_names_the_reference_defect_on_twisted_tables(g):
+    """As on the corpus, on drawn tables with shuffled arrows (so the swept
+    rows and pairs come in an order no corpus layout has) and Haar weights
+    that differ from unit to unit: 0.0 unmodified (the convolution sums the
+    pair table's terms, so the rule holds exactly even on a loop table), the
+    reference's largest pair defect with one misrouted product or two of one
+    row."""
+    haar = haar_from_weights(g, {u: 1.0 + k / 3 for k, u in enumerate(g.units)})
+    assert _delta_rule_defect(g, haar) == 0.0
+    xs, _, zs = g.composable_pairs()
+    at = len(xs) // 2
+    row = np.flatnonzero(xs == xs[at])
+    for pairs in ([at], row[-2:].tolist()):
+        with pytest.MonkeyPatch.context() as patch:
+            _misrouted(g, patch, pairs, (zs[at] + 1) % g.n_arrows)
             want = reference_delta_rule_defect(g, haar)
             assert want > ALG_TOL
             assert _delta_rule_defect(g, haar) == want
