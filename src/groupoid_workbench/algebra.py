@@ -143,6 +143,11 @@ def trial_chunks(count: int, per_trial: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
+def row_chunks(count: int, per_row: int) -> list[np.ndarray]:
+    """The row numbers 0, ..., count - 1 in the chunks of :func:`trial_chunks`."""
+    return [np.arange(count)[s] for s in trial_chunks(count, per_row)]
+
+
 def chunked(kernel: Callable[..., np.ndarray], per_trial: int, *stacks: np.ndarray) -> np.ndarray:
     """``kernel(*stacks)`` on the chunks of :func:`trial_chunks` of the
     trial axis of (T, n) stacks, concatenated.  One function (a 1-D array)
@@ -207,7 +212,7 @@ def labelled_sweep(
     the delta rows (R, n)) for each x whose labelled ``residual(x, c)`` is
     not at most ``tol``, x then y ascending.  A residual call takes at most
     ``TRIAL_CHUNK_ENTRIES // per_row`` rows."""
-    chunks = [np.arange(n)[s] for s in trial_chunks(n, per_row)]
+    chunks = row_chunks(n, per_row)
     labelled = np.concatenate([residual(xs, unit_labels(n)[None]) for xs in chunks])
     for x in np.flatnonzero(~(labelled <= tol)).tolist():
         for ys in chunks:

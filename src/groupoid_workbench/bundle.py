@@ -31,7 +31,7 @@ from .algebra import (
     involute_stack,
     labelled_sweep,
     random_stacks,
-    trial_chunks,
+    row_chunks,
     unit_function,
     unit_labels,
 )
@@ -66,7 +66,9 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     Basis products are checked through the composition table; random
     fiber-supported elements are convolved and must vanish identically off
     the product fiber (every contributing term lands there, so the zeros are
-    exact, not approximate).
+    exact, not approximate).  Per fiber beta, 2m + 1 draws from one generator
+    give a on beta and b on gamma for each of the m fibers gamma, then one
+    adjoint trial on beta; the first failing beta is named, products first.
     """
     sys = family.system
     g = sys.groupoid
@@ -86,23 +88,20 @@ def check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckRe
     bad = np.flatnonzero(fiber[g.invert_index] != inverse[fiber])
     if len(bad):
         return CheckReport.failed("basis-adjoint-off-fiber", arrow=g.arrow_ids[bad[0]])
-    # per fiber beta: a random pair (a, b) for every fiber gamma, then one
-    # more function for the adjoint, drawn in that order as one block
-    m, n = len(elements), g.n_arrows
-    masks = fiber == np.arange(m)[:, None]
-    (draws,) = random_stacks(np.random.default_rng(seed), m * (2 * m + 1), g)
-    draws = draws.reshape(m, 2 * m + 1, n)
-    a = np.where(masks[:, None], draws[:, 0:-1:2], 0.0).reshape(-1, n)
-    prod = convolve_stack(g, a, np.where(masks, draws[:, 1:-1:2], 0.0).reshape(-1, n), sys.haar).reshape(m, m, n)
-    prod_off = (prod != 0) & (fiber != product[:, :, None])
-    adj_off = (involute_stack(g, np.where(masks, draws[:, -1], 0.0)) != 0) & (fiber != inverse[:, None])
-    for beta in np.flatnonzero(prod_off.any(axis=(1, 2)) | adj_off.any(axis=1))[:1]:
-        if prod_off[beta].any():
-            gamma, arrow = np.argwhere(prod_off[beta])[0]
+    masks = fiber == np.arange(len(elements))[:, None]
+    rng = np.random.default_rng(seed)
+    for beta in range(len(elements)):
+        (draws,) = random_stacks(rng, 2 * len(elements) + 1, g)
+        prod = convolve_stack(g, np.where(masks[beta], draws[0:-1:2], 0.0), np.where(masks, draws[1:-1:2], 0.0), sys.haar)
+        prod_off = (prod != 0) & (fiber != product[beta][:, None])
+        if prod_off.any():
+            gamma, arrow = np.argwhere(prod_off)[0]
             return CheckReport.failed(
                 "random-product-off-fiber", fibers=(sys.fiber_keys[beta], sys.fiber_keys[gamma]), arrow=g.arrow_ids[arrow]
             )
-        return CheckReport.failed("random-adjoint-off-fiber", fiber=sys.fiber_keys[beta], arrow=g.arrow_ids[np.argmax(adj_off[beta])])
+        adj_off = (involute_stack(g, np.where(masks[beta], draws[-1], 0.0)) != 0) & (fiber != inverse[beta])
+        if adj_off.any():
+            return CheckReport.failed("random-adjoint-off-fiber", fiber=sys.fiber_keys[beta], arrow=g.arrow_ids[np.argmax(adj_off)])
     total = sum(family.dimension(key) for key in family.keys)
     if total != g.n_arrows:
         return CheckReport.failed("fibers-do-not-span", total=total, arrows=g.n_arrows)
@@ -125,15 +124,17 @@ def check_topological_grading(family: GradedSubspaceFamily, seed: int = 0, count
     if float(np.abs(expectation_stack(sys, e[None]) - e).max()) != 0.0:
         return CheckReport.failed("projection-moves-unit")
     # every listed basis delta, expected to stay when listed under the
-    # identity key and to vanish otherwise
+    # identity key and to vanish otherwise, in chunks of deltas
     identity_key = sys.group.element_key(sys.group.identity)
     listed = [(key, aid) for key, ids in family.bases.items() for aid in ids]
-    deltas = delta_rows([g.index(aid) for _, aid in listed], g.n_arrows)
+    index = np.array([g.index(aid) for _, aid in listed], dtype=np.intp)
     kept = np.array([key == identity_key for key, _ in listed], dtype=bool).reshape(-1, 1)
-    wrong = np.flatnonzero(np.abs(expectation_stack(sys, deltas) - np.where(kept, deltas, 0.0)).max(axis=1) != 0.0)
-    if len(wrong):
-        key, aid = listed[wrong[0]]
-        return CheckReport.failed("projection-wrong-on-basis", fiber=key, arrow=aid)
+    for rows in row_chunks(len(listed), g.n_arrows):
+        deltas = delta_rows(index[rows], g.n_arrows)
+        wrong = np.flatnonzero(np.abs(expectation_stack(sys, deltas) - np.where(kept[rows], deltas, 0.0)).max(axis=1) != 0.0)
+        if len(wrong):
+            key, aid = listed[rows[wrong[0]]]
+            return CheckReport.failed("projection-wrong-on-basis", fiber=key, arrow=aid)
     (a,) = random_stacks(np.random.default_rng(seed), count, g)
     denom = cstar_norm_stack(g, a, sys.haar)
     numer = cstar_norm_stack(g, expectation_stack(sys, a), sys.haar)
@@ -198,11 +199,14 @@ def bundle_rep_check(
     and entries of a :data:`FiberRep`; pi(d_x) pi(d_y) = w(x) pi(d_{xy})
     (zero when non-composable) and pi(d_x)^H = pi(d_{x^{-1}}); the summed map
     on seeded random pairs; the I-norm bound on each fiber (:func:`norm_chain`).
-    The relations hold within ``ALG_TOL`` times s = 1 + the largest basis
-    block norm (s^2 for products), n times that on the random pairs.  The
-    product relation is linear in d_y, so it goes through
-    :func:`labelled_sweep`; the first failing x names its first failing pair,
-    or the arrow itself where only its adjoint fails.
+    The relations hold within ``ALG_TOL`` times s = 1 + the largest
+    sqrt(w(x) w(x^{-1})) (s^2 for products), n times that on the random
+    pairs: pi(d_x)^H pi(d_x) = pi(d_x^* d_x) is w(x) w(x^{-1}) times a
+    projection, so s - 1 bounds every basis block norm, attained by the
+    regular representation.  The product relation is linear in d_y, so it
+    goes through :func:`labelled_sweep`; the first failing x names its first
+    failing pair, or the arrow itself where only its adjoint fails.  NaN
+    passes no bound, and a non-finite block is not eigensolved.
     """
     sys = family.system
     g, haar, n = sys.groupoid, sys.haar, sys.groupoid.n_arrows
@@ -221,11 +225,6 @@ def bundle_rep_check(
         """|pi(a)^H - pi(a^*)| for each trial, given pi(a)."""
         return largest([p.conj().swapaxes(-1, -2) - m for p, m in zip(pa, rep(a_star))])
 
-    def basis(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The norms of pi(d_x), which scale the tolerances, and the adjoint defects."""
-        px = rep(delta_rows(x, n))
-        return _norm_of_trials(px), adjoint(px, delta_rows(g.invert_index[x], n))
-
     def basis_products(x: np.ndarray, c: np.ndarray) -> np.ndarray:
         """:func:`product` of d_x, c (R, n) or (1, n) and sum_y c_y w(x) d_{xy}."""
         return product(rep(delta_rows(x, n)), c, delta_products(g, x, c, haar))
@@ -235,15 +234,21 @@ def bundle_rep_check(
         pa = rep(a)
         return np.stack([product(pa, b, convolve_stack(g, a, b, haar)), adjoint(pa, involute_stack(g, a))], axis=-1)
 
+    def fiber_norms(p: np.ndarray) -> np.ndarray:
+        """The norms of pi(p): NaN, and no eigensolve, for a trial with a non-finite entry."""
+        pp = rep(p)
+        finite = np.isfinite(largest(pp))
+        return np.where(finite, _norm_of_trials([np.where(finite[:, None, None, None], m, 0.0) for m in pp]), np.nan)
+
     blocks = rep(unit_labels(n)[None])
     size = sum(m.size for m in blocks)  # block entries of one function
-    scales, stars = map(np.concatenate, zip(*(basis(np.arange(n)[s]) for s in trial_chunks(n, size))))
-    norm_scale = 1.0 + float(scales.max())
-    star_failed = np.append(np.flatnonzero(stars > ALG_TOL * norm_scale), n)[0]  # n when none fails
+    norm_scale = 1.0 + float(np.sqrt(haar.weights(g) * haar.weights(g)[g.invert_index]).max())
+    stars = np.concatenate([adjoint(rep(delta_rows(x, n)), delta_rows(g.invert_index[x], n)) for x in row_chunks(n, size)])
+    star_failed = np.append(np.flatnonzero(~(stars <= ALG_TOL * norm_scale)), n)[0]  # n when none fails
     for x, y, defect in labelled_sweep(n, size, basis_products, ALG_TOL * norm_scale**2):
         if x > star_failed:
             break
-        if defect > ALG_TOL * norm_scale**2:
+        if not defect <= ALG_TOL * norm_scale**2:
             return CheckReport.failed("rep-not-multiplicative-on-basis", pair=(g.arrow_ids[x], g.arrow_ids[y]), defect=defect)
     if star_failed < n:
         return CheckReport.failed("rep-not-star-on-basis", arrow=g.arrow_ids[star_failed], defect=float(stars[star_failed]))
@@ -252,9 +257,9 @@ def bundle_rep_check(
     mult, star = chunked(pairs, size, a, b).T
     parts = graded_component_stack(sys, a)
     bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
-    norms = chunked(lambda p: _norm_of_trials(rep(p)), size, parts.reshape(-1, n)).reshape(bounds.shape)
+    norms = chunked(fiber_norms, size, parts.reshape(-1, n)).reshape(bounds.shape)
     # per trial, in order: multiplicativity, adjoints, the norm of each fiber
-    failed = np.column_stack([mult > ALG_TOL * norm_scale**2 * n, star > ALG_TOL * norm_scale * n, ~norm_chain(norms, bounds).T])
+    failed = np.column_stack([~(mult <= ALG_TOL * norm_scale**2 * n), ~(star <= ALG_TOL * norm_scale * n), ~norm_chain(norms, bounds).T])
     if failed.any():
         trial, check = np.argwhere(failed)[0]
         if check == 0:

@@ -40,6 +40,7 @@ from .algebra import (
     labelled_sweep,
     random_stacks,
     restrict_stack,
+    row_chunks,
     trial_chunks,
     unit_function,
 )
@@ -371,8 +372,8 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     )
     rho = np.array([haar.rho[u] for u in g.units])
     expected = np.sqrt(rho[g.src_index] * rho[g.dst_index])
-    deltas = np.eye(g.n_arrows, dtype=np.complex128)
-    delta_norm = _worst(_rel(np.abs(cstar_norm_stack(g, deltas, haar) - expected), expected))
+    norms = np.concatenate([cstar_norm_stack(g, delta_rows(x, g.n_arrows), haar) for x in row_chunks(g.n_arrows, g.n_arrows)])
+    delta_norm = _worst(_rel(np.abs(norms - expected), expected))
     delta_rule = _delta_rule_defect(g, haar)
     rec.add(
         "delta-norm-closed-form",
@@ -603,8 +604,11 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
     def conv(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return convolve_stack(g, x, y, haar)
 
-    deltas = np.eye(g.n_arrows, dtype=np.complex128)
-    basis_defect = _worst(_max_abs(expect(deltas) - np.where(sys.identity_mask[:, None], deltas, 0.0)))
+    def moved(x: np.ndarray) -> np.ndarray:
+        deltas = delta_rows(x, g.n_arrows)
+        return _max_abs(expect(deltas) - np.where(sys.identity_mask[x, None], deltas, 0.0))
+
+    basis_defect = _worst(*(moved(x) for x in row_chunks(g.n_arrows, g.n_arrows)))
     rec.add(
         "expectation-projection",
         "the expectation is the identity on the identity component and zero on the others",
@@ -640,7 +644,7 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
     )
     # every trial's a against every delta b, chunked over the deltas; every delta has largest modulus 1
     (a,) = random_stacks(rng, SMALL_TRIALS, g)
-    defects = np.hstack([eq_ruy_delta_defect_stack(sys, a, np.arange(g.n_arrows)[s]) for s in trial_chunks(g.n_arrows, g.n_arrows)])
+    defects = np.hstack([eq_ruy_delta_defect_stack(sys, a, v) for v in row_chunks(g.n_arrows, g.n_arrows)])
     ruy_defect = _worst(defects)
     ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)))[:, None]).all())
     rec.add(

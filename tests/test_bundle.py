@@ -1,11 +1,14 @@
 """Grading subspaces, the topological-grading projection, and fiber representations."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from groupoid_workbench.algebra import convolve, delta, from_map, i_norm, random_stacks
+from groupoid_workbench.algebra import convolve, delta, delta_rows, from_map, i_norm, random_stacks, unit_labels
 from groupoid_workbench.bundle import (
     bundle_rep_check,
     check_grading_axioms,
@@ -17,10 +20,12 @@ from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.grading import Cocycle, GradedGroupoid, cocycle_from_map
 from groupoid_workbench.groupoid import counting_haar, group_groupoid, haar_from_weights
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
-from groupoid_workbench.representation import operator_norm
+from groupoid_workbench.document import document_from_dict
+from groupoid_workbench.representation import operator_norm, operator_norms
 from groupoid_workbench.validation import ALG_TOL
 
 from conftest import dense_compose, max_diff, rng_functions
+from pair_documents import pair_documents
 from test_reference_suites import _misrouted, reference_bundle_rep_check, reference_rep_apply_stack, reference_tautological_rep
 from test_structure_certificate import twisted_tables
 
@@ -356,23 +361,106 @@ def test_block_map_is_the_dense_representation(name):
             assert np.array_equal(dense[:, at][:, :, at], stack[:, k])
 
 
+def _pair_system(k):
+    return document_from_dict(pair_documents(k)[f"pair{k}-builtin"]).system
+
+
+def _traced_peak(check):
+    """The value of ``check()`` and its ``tracemalloc`` peak in bytes."""
+    tracemalloc.start()
+    try:
+        value = check()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_memory_stays_quadratic_at_400_arrows():
     """On the Z-graded pair groupoid on 20 points the check holds no more
     than 256 n^2 bytes at a time: its temporaries are chunked over the
     arrows (20 MB); with `algebra.TRIAL_CHUNK_ENTRIES` = 2^40 it peaks at 210 MB."""
-    import tracemalloc
-
-    from pair_documents import pair_documents
-
-    from groupoid_workbench.document import document_from_dict
-
-    sys = document_from_dict(pair_documents(20)["pair20-builtin"]).system
+    sys = _pair_system(20)
     n = sys.groupoid.n_arrows
-    tracemalloc.start()
-    try:
-        report = bundle_rep_check(graded_subspaces(sys), tautological_rep(sys), seed=0, count=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = _traced_peak(lambda: bundle_rep_check(graded_subspaces(sys), tautological_rep(sys), seed=0, count=3))
     assert report.ok and report.witness["dimension"] == n == 400
     assert peak < 256 * n * n
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS) + ["pair14-builtin"])
+def test_the_tolerance_scale_is_the_closed_form_of_the_basis_norms(name):
+    """1 + the largest sqrt(w(x) w(x^-1)), the scale of `bundle_rep_check`'s
+    tolerances, is 1 + the largest eigensolved norm of the regular
+    representation's pi(d_x)."""
+    sys = CORPUS[name].system if name in CORPUS else _pair_system(14)
+    g = sys.groupoid
+    w = sys.haar.weights(g)
+    closed = 1.0 + np.sqrt(w * w[g.invert_index]).max()
+    blocks = tautological_rep(sys)(delta_rows(np.arange(g.n_arrows), g.n_arrows))
+    eigensolved = 1.0 + max(operator_norms(m).max() for m in blocks)
+    assert abs(eigensolved - closed) <= 1e-15 * closed
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(CORPUS) if len(set(CORPUS[name].system.groupoid.orbit_base)) > 1])
+def test_a_rep_that_vanishes_on_one_orbit_passes(name):
+    """The regular representation with the blocks of the last unit's orbit
+    set to zero is a degenerate *-representation; the closed-form scale
+    bounds its basis norms without being attained, and the check passes."""
+    sys = CORPUS[name].system
+    g = sys.groupoid
+    rep = tautological_rep(sys)
+    last = g.orbit_base[-1]
+    keep = [np.array([g.orbit_base[g.units.index(u)] != last for u in units])[:, None, None] for units, _, _ in g.rep_tables()]
+    report = bundle_rep_check(graded_subspaces(sys), lambda a: [m * k for m, k in zip(rep(a), keep)], seed=4, count=3)
+    assert _outcome(report) == (True, None, {"dimension": g.n_arrows, "samples": 3})
+
+
+def test_a_nan_representation_fails_at_its_first_basis_pair():
+    """The regular representation scaled by NaN: every defect is NaN and
+    fails, so the first pair of the first arrow is named, and no NaN block
+    reaches an eigensolve."""
+    sys = CORPUS["pair3-zgraded-weighted"].system
+    g = sys.groupoid
+    rep = tautological_rep(sys)
+    report = bundle_rep_check(graded_subspaces(sys), lambda a: [m * np.nan for m in rep(a)], seed=4, count=3)
+    assert (report.ok, report.cause, report.witness["pair"]) == (False, "rep-not-multiplicative-on-basis", (g.arrow_ids[0],) * 2)
+    assert math.isnan(report.witness["defect"])
+
+
+def test_a_representation_that_is_nan_off_the_basis_fails_on_its_first_trial():
+    """Regular on multiples of basis deltas and on the labelled row, NaN on
+    every other row: the basis relations hold, and the first random pair
+    fails with a NaN defect before any fiber norm is eigensolved."""
+    sys = CORPUS["pair3-zgraded-weighted"].system
+    n = sys.groupoid.n_arrows
+    rep = tautological_rep(sys)
+    labels = unit_labels(n)
+
+    def partly_nan(a):
+        regular = (np.count_nonzero(a, axis=-1) <= 1) | (a == labels).all(axis=-1)
+        return [np.where(regular[:, None, None, None], m, np.nan) for m in rep(a)]
+
+    report = bundle_rep_check(graded_subspaces(sys), partly_nan, seed=4, count=3)
+    assert (report.ok, report.cause) == (False, "rep-not-multiplicative")
+    assert math.isnan(report.witness["defect"])
+
+
+def test_grading_axioms_hold_one_fiber_of_draws_at_a_time():
+    """On the 39 fibers of the Z-graded pair groupoid on 20 points the
+    axioms draw and convolve one fiber's 79 functions at a time: the
+    `tracemalloc` peak stays under 16 MB (56 MB when every fiber's draws
+    are held as one block)."""
+    sys = _pair_system(20)
+    report, peak = _traced_peak(lambda: check_grading_axioms(graded_subspaces(sys), seed=5))
+    assert report.ok and len(sys.fiber_keys) == 39
+    assert peak < 16e6
+
+
+def test_topological_grading_reads_the_basis_deltas_in_chunks():
+    """On the Z-graded pair groupoid on 30 points (900 arrows) the basis
+    deltas are read in chunks of `algebra.TRIAL_CHUNK_ENTRIES` entries: the
+    `tracemalloc` peak stays under 20 MB (39 MB with every delta held as
+    one 900 x 900 array)."""
+    sys = _pair_system(30)
+    report, peak = _traced_peak(lambda: check_topological_grading(graded_subspaces(sys), seed=5))
+    assert report.ok and report.witness["samples"] == 200
+    assert peak < 20e6
