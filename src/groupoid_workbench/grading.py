@@ -195,10 +195,16 @@ def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any,
     values = c.elements_on(g)
     if values is None:
         raise ValueError("Cocycle labels are not canonical group elements.")
-    if values.ndim == 2 and values.shape[1] != 1:
-        values = np.fromiter(map(tuple, values.tolist()), dtype=object, count=len(values))
-    elements, index = np.unique(values.reshape(len(values)), return_inverse=True)
+    elements, index = np.unique(_sortable(values), return_inverse=True)
     return index, tuple(map(c.group.canonical, elements.tolist()))
+
+
+def _sortable(values: np.ndarray) -> np.ndarray:
+    """An element array as one entry per element, sorting as the group sort
+    key does: its entries for a finite group or Z^1, else its rows as tuples."""
+    if values.ndim == 2 and values.shape[1] != 1:
+        return np.fromiter(map(tuple, values.tolist()), dtype=object, count=len(values))
+    return values.reshape(len(values))
 
 
 def identity_fiber_subgroupoid(g: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
@@ -249,6 +255,12 @@ class GradedGroupoid:
     def fiber_number(self, gamma: Any) -> int:
         """The number of the fiber over gamma, or -1 when gamma is off the image."""
         return self._fiber_number.get(self.group.canonical(gamma), -1)
+
+    def fiber_numbers(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`fiber_number` of every element of an element array, by one sorted search."""
+        image, keys = _sortable(self.group.element_array(list(self.fiber_elements))), _sortable(values)
+        at = np.minimum(np.searchsorted(image, keys), len(image) - 1)
+        return np.where(image[at] == keys, at, -1)
 
     def fiber_mask(self, gamma: Any) -> np.ndarray:
         """The arrows over gamma as a mask in declared order (all False off the image)."""

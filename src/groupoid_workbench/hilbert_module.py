@@ -55,7 +55,7 @@ from .algebra import (
 )
 from .grading import GradedGroupoid
 from .groupoid import once, once_property
-from .representation import _equal_size_groups, _norm_of_trials, cstar_norm_stack, parent_to_sub_index
+from .representation import _equal_size_groups, _norm_of_trials, _range_weights, cstar_norm_stack
 from .validation import ALG_TOL, EIG_TOL
 
 NULL_THRESHOLD = 1e-10
@@ -153,8 +153,7 @@ class InducedSpace:
         self.system = sys
         self._cache: dict[str, np.ndarray] = {}  # gram and frame, built on first read by once()
         self.dim_ambient = g.n_arrows * sub.n_arrows
-        rho = np.array([sys.haar.unit_weight(u) for u in g.units])
-        rho_r = rho[g.dst_index]
+        rho_r = _range_weights(g, sys.haar)
 
         # Support pairs, ordered by (s(h), r(h), h, x): the rows of a unit w
         # are the run first_row[w] onward, n_h runs of n_x arrows x each
@@ -167,17 +166,16 @@ class InducedSpace:
         self._support = xs * sub.n_arrows + hs
 
         # Gram blocks, batched by size: members[b] lists the support rows of
-        # block b, and the entry test compares x^{-1} y with h h'^{-1} in G_e
+        # block b, and the entry test compares x^{-1} y with h h'^{-1} in G
         key = (g.dst_index[xs] * len(sys.fiber_keys) + sys.fiber_index[xs]) * g.n_units + sub.src_index[hs]
-        invert, sub_invert = g.invert_index, sub.invert_index
-        to_sub = parent_to_sub_index(sys)
-        sqrt_rho_h = np.sqrt(rho[sub.dst_index])
+        invert, sub_invert, embedding = g.invert_index, sub.invert_index, sub.embedding(g)
+        sqrt_rho_h = np.sqrt(_range_weights(sub, sys.haar))
         self._blocks = []  # (support rows, Gram) per batch of equal-size blocks
         solved = []
         for members in _equal_size_groups(key):
             x, h = xs[members], hs[members]
-            x_inv_y = to_sub[g.compose_index(invert[x][:, :, None], x[:, None, :])]
-            h_h_inv = sub.compose_index(h[:, :, None], sub_invert[h][:, None, :])
+            x_inv_y = g.compose_index(invert[x][:, :, None], x[:, None, :])
+            h_h_inv = embedding[sub.compose_index(h[:, :, None], sub_invert[h][:, None, :])]
             scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * rho_r[x][:, :, None]
             gram = (x_inv_y == h_h_inv) * scale
             self._blocks.append((members, gram))

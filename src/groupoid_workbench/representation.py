@@ -34,10 +34,11 @@ size.  The ``*_stack`` functions evaluate a (T, n) stack of trials the same
 way, with the trial axis in front of the unit axis, so one eigensolve per
 block size covers every trial of a chunk; the one-function forms pass their
 1-D coefficients to the same kernels.  The inclusion suite's fiber checks
-(:func:`fiber_block_stacks`) take every unit's block from ``rep_tables()``
-and its fiber sub-blocks and translations by index gathers, with one
-eigensolve per fiber-block size; :func:`decompose_rep_U` and
-:func:`translate_rep_V` build the same blocks one unit at a time.
+(:func:`fiber_block_stacks`) evaluate the entry formula on the included
+function i(f): every unit's block for the entries between fibers, and each
+fiber block on its own arrows, translated by index gathers;
+:func:`decompose_rep_U` and :func:`translate_rep_V` cut the same fiber
+blocks out of the block of i(f) at one unit.
 
 Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
 power iteration, so repeated runs give bit-stable reports.
@@ -179,28 +180,14 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FiberBlockDecomposition:
-    """Fiber blocks of the regular representation at a unit, with the
-    deviation between the directly built blocks and the permuted full matrix."""
+    """Fiber blocks of the regular representation of an included function at
+    a unit, with the largest entry of the permuted full matrix outside them."""
 
     unit: str
     block_order: tuple[str, ...]  # element keys with nonempty fiber at the unit
     blocks: dict[str, np.ndarray]
     permuted_matrix: np.ndarray
     max_abs_error: float
-
-
-def _fiber_partition_at(sys: GradedGroupoid, u: str) -> dict[str, list[str]]:
-    """Element key -> arrows of Gu in that fiber (declared order), sorted by group order."""
-    g = sys.groupoid
-    gidx = np.flatnonzero(g.src_index == g.units.index(u))
-    fiber = sys.fiber_index[gidx]
-    return {sys.fiber_keys[k]: [g.arrow_ids[i] for i in gidx[fiber == k]] for k in np.unique(fiber)}
-
-
-def parent_to_sub_index(sys: GradedGroupoid) -> np.ndarray:
-    """Map from parent arrow index to identity-fiber arrow index (-1 outside)."""
-    mask = sys.identity_mask
-    return np.where(mask, np.cumsum(mask) - 1, -1)
 
 
 def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
@@ -212,33 +199,39 @@ def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
     return [order[first[sizes == size][:, None] + np.arange(size)] for size in np.unique(sizes)]
 
 
+def _cross_fiber_max(fiber: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The largest entry of (..., d, d) blocks whose basis arrows, of fiber
+    numbers (..., d), lie in different fibers."""
+    cross = fiber[..., :, None] != fiber[..., None, :]
+    return np.abs(np.where(cross, blocks, 0.0)).max(axis=(-2, -1))
+
+
 def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """:func:`decompose_rep_U` and :func:`translate_rep_V` (default z) at
     every unit and fiber, for a (T, n_e) stack f of identity-fiber functions.
     The arrows of one source and fiber form a segment; segments are grouped
     by size L into (S, L) arrays in (unit, fiber) order.  Returns each
-    trial's largest deviation of the blocks of i(f) from the direct sum of
-    the fiber blocks built from f, and per L the segments, their fiber
-    blocks (T, S, L, L) and the largest deviation (T, S) of each block,
-    translated, from the identity-fiber block at r(z)."""
+    trial's largest cross-fiber entry of the blocks of i(f), and per L the
+    segments, their fiber blocks (T, S, L, L) of i(f) and the largest
+    deviation (T, S) of each block, translated, from the identity-fiber
+    block at r(z)."""
     g, sub, haar, fiber = sys.groupoid, sys.identity_fiber, sys.haar, sys.fiber_index
-    inv, to_sub, w = g.invert_index, parent_to_sub_index(sys), _range_weights(g, haar)
+    w, tables = _range_weights(g, haar), g.rep_tables()
     lifted = include_stack(sub, f, g)
-    cross = [(fiber[a][:, :, None] != fiber[a][:, None, :], m) for (_, a, _), m in zip(g.rep_tables(), _stacks_of(g, lifted, haar, g.rep_tables()))]
-    error = functools.reduce(np.maximum, [np.abs(np.where(mask, m, 0.0)).max(axis=(-3, -2, -1)) for mask, m in cross])
+
+    def cross(x: np.ndarray) -> np.ndarray:
+        stacks = zip(tables, _stacks_of(g, x, haar, tables))
+        return functools.reduce(np.maximum, [_cross_fiber_max(fiber[a], m).max(axis=-1) for (_, a, _), m in stacks])
+
+    error = chunked(cross, sum(products.size for *_, products in tables), lifted)
     key = g.src_index * len(sys.fiber_keys) + fiber
-    groups = _equal_size_groups(key)
     # the identity-fiber blocks, by block size, with their units
     targets = {a.shape[1]: (units, m) for (units, a, _), m in zip(sub.rep_tables(), _stacks_of(sub, f, haar, sub.rep_tables()))}
     position = np.empty(g.n_arrows, dtype=np.intp)  # of every arrow in its segment
     identity, out = sys.fiber_number(sys.group.identity), []
-    for seg in groups:
+    for seg in _equal_size_groups(key):
         position[seg] = np.arange(seg.shape[1])
-        products = g.compose_index(seg[:, :, None], inv[seg][:, None, :])
-        sub_idx = to_sub[products]
-        scale = np.sqrt(w[seg][:, :, None] * w[seg][:, None, :])
-        blocks = np.where(sub_idx >= 0, f.take(np.clip(sub_idx, 0, None), axis=-1), 0.0) * scale
-        error = np.maximum(error, np.abs(_rep_entries(lifted, w, seg, products) - blocks).max(axis=(-3, -2, -1)))
+        blocks = _rep_entries(lifted, w, seg, g.compose_index(seg[:, :, None], g.invert_index[seg][:, None, :]))
         first = seg[:, 0]
         z = np.where(fiber[first] == identity, g.unit_arrow_index[g.src_index[first]], first)
         # the identity-fiber arrows with source r(z): the segment keyed (r(z), e), of size L
@@ -251,42 +244,27 @@ def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, 
     return error, out
 
 
-def _of_identity_fiber(sys: GradedGroupoid, a_e: GroupoidFunction) -> np.ndarray:
+def _included_block(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> tuple[np.ndarray, np.ndarray]:
+    """The block at u of the included function i(a_e), and the fiber number
+    of each of its basis arrows ``arrows_with_src(u)``."""
     if a_e.groupoid is not sys.identity_fiber:
         raise ValueError("Function must live on the identity-fiber subgroupoid.")
-    return a_e.coeffs
-
-
-def _fiber_rep_block(sys: GradedGroupoid, a_e: np.ndarray, arrow_ids: tuple[str, ...]) -> np.ndarray:
-    """The block of an identity-fiber function on a set of same-source,
-    same-fiber arrows, from the entry formula."""
     g = sys.groupoid
-    gidx = np.array([g.index(aid) for aid in arrow_ids], dtype=np.intp)
-    table = g.compose_index(gidx[:, None], g.invert_index[gidx])
-    if (table < 0).any():
-        raise ValueError("Block arrows do not share a source; groupoid invalid.")
-    sub_idx = parent_to_sub_index(sys)[table]
-    vals = np.where(sub_idx >= 0, a_e[np.clip(sub_idx, 0, None)], 0.0)
-    weights = _range_weights(g, sys.haar)[gidx]
-    return vals * np.sqrt(np.outer(weights, weights))
+    block = _rep_matrix_stack(g, include_stack(a_e.groupoid, a_e.coeffs, g), sys.haar, u)
+    return block, sys.fiber_index[g.src_index == g.units.index(u)]
 
 
 def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> FiberBlockDecomposition:
-    """Sort the basis at u into fiber blocks and compare the directly built
-    blocks against the permuted full representation of the included function.
-    Empty fibers contribute no block; the fiber subspaces partition the
-    space, so the permuted matrix must be exactly the direct sum."""
-    g, coeffs = sys.groupoid, _of_identity_fiber(sys, a_e)
-    full = _rep_matrix_stack(g, include_stack(sys.identity_fiber, coeffs, g), sys.haar, u)
-    partition = _fiber_partition_at(sys, u)
-    order = {aid: i for i, aid in enumerate(g.arrows_with_src(u))}
-    perm = np.array([order[aid] for ids in partition.values() for aid in ids], dtype=np.intp)
+    """Sort the basis at u into fiber blocks, the diagonal blocks of the
+    permuted representation of the included function.  Empty fibers
+    contribute no block; the fiber subspaces partition the space, so the
+    permuted matrix must be exactly their direct sum: the reported deviation
+    is its largest entry between two fibers."""
+    full, fiber = _included_block(sys, a_e, u)
+    perm = np.argsort(fiber, kind="stable")
     permuted = full[perm[:, None], perm[None, :]]
-    blocks = {key: _fiber_rep_block(sys, coeffs, tuple(ids)) for key, ids in partition.items()}
-    direct_sum = np.zeros_like(permuted)
-    for block, end in zip(blocks.values(), np.cumsum([len(ids) for ids in partition.values()])):
-        direct_sum[end - len(block) : end, end - len(block) : end] = block
-    return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(np.abs(permuted - direct_sum).max()))
+    blocks = {sys.fiber_keys[k]: full[np.ix_(fiber == k, fiber == k)] for k in np.unique(fiber)}
+    return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(_cross_fiber_max(fiber, full)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,42 +283,35 @@ class TranslationWitness:
     max_abs_error: float
 
 
-def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -> tuple[str, str, str, tuple[str, ...], np.ndarray]:
-    """The element key of gamma, the translating arrow z, its range v, the
-    gamma-fiber arrows at u and the permutation matrix of x -> x.z from them
-    onto the identity-fiber arrows at v.
+def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -> tuple[str, str, str, np.ndarray]:
+    """The element key of gamma, the translating arrow z, its range v and
+    the permutation matrix of x -> x.z from the gamma-fiber arrows at u
+    (declared order) onto the identity-fiber arrows at v.
 
     z defaults to the unit arrow when gamma is the identity, else to the first
     arrow of the fiber in declared order; any member of the fiber may be
     passed explicitly.
     """
-    g = sys.groupoid
-    grp = sys.group
+    g, grp = sys.groupoid, sys.group
     gamma = grp.canonical(gamma)
     gamma_key = grp.element_key(gamma)
     unit = g.units.index(u)
-    at_u = (g.src_index == unit) & sys.fiber_mask(gamma)
-    domain = tuple(g.arrow_ids[i] for i in np.flatnonzero(at_u))
-    if not domain:
+    domain = np.flatnonzero((g.src_index == unit) & sys.fiber_mask(gamma))
+    if not len(domain):
         raise ValueError(f"Fiber over {gamma_key} has no arrows with source {u!r}.")
     if z_arrow is None:
-        z = g.arrow_ids[g.unit_arrow_index[unit]] if gamma == grp.identity else domain[0]
+        z = g.unit_arrow_index[unit] if gamma == grp.identity else domain[0]
     else:
-        if z_arrow not in domain:
+        z = g.index(z_arrow) if g.has_arrow(z_arrow) else -1
+        if z not in domain:
             raise ValueError(f"Arrow {z_arrow!r} is not in the {gamma_key}-fiber at {u!r}.")
-        z = z_arrow
-    v = g.target(z)
-    codomain = sys.identity_fiber.arrows_with_src(v)
+    codomain = np.flatnonzero((g.src_index == g.dst_index[z]) & sys.identity_mask)
     if len(codomain) != len(domain):
         raise ValueError("Translation is not bijective; groupoid or grading invalid.")
-    col = {aid: j for j, aid in enumerate(domain)}
-    vmat = np.zeros((len(codomain), len(domain)))
-    for i, x in enumerate(codomain):
-        y = g.compose_ids(x, z)
-        if y is None or y not in col:
-            raise ValueError("Translation leaves the fiber; groupoid or grading invalid.")
-        vmat[i, col[y]] = 1.0
-    return gamma_key, z, v, domain, vmat
+    vmat = (g.compose_index(codomain, z)[:, None] == domain).astype(float)
+    if not vmat.any(axis=1).all():
+        raise ValueError("Translation leaves the fiber; groupoid or grading invalid.")
+    return gamma_key, g.arrow_ids[z], g.units[g.dst_index[z]], vmat
 
 
 def translate_rep_V(
@@ -353,8 +324,10 @@ def translate_rep_V(
     """Conjugate the gamma-fiber block at u by right translation x -> x.z
     (see :func:`_translation` for the choice of z).  In the orthonormalized
     bases the translation is a permutation matrix, hence exactly unitary."""
-    gamma_key, z, v, domain, vmat = _translation(sys, u, gamma, z_arrow)
-    block = _fiber_rep_block(sys, _of_identity_fiber(sys, a_e), domain)
+    gamma_key, z, v, vmat = _translation(sys, u, gamma, z_arrow)
+    full, fiber = _included_block(sys, a_e, u)
+    at = np.flatnonzero(fiber == sys.fiber_number(gamma))
+    block = full[at[:, None], at[None, :]]
     target = _rep_matrix_stack(sys.identity_fiber, a_e.coeffs, sys.haar, v)  # on the identity-fiber subgroupoid
     translated = vmat @ block @ vmat.conj().T
     return TranslationWitness(u, v, gamma_key, z, vmat, block, translated, target, float(np.abs(translated - target).max()))

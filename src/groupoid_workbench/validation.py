@@ -2,8 +2,9 @@
 
 Every numerical check of the workbench reads its tolerance from here:
 ``ALG_TOL`` (relative) for exact algebraic identities, ``EIG_TOL``
-(relative) for anything that passes through an eigensolve, and
-:func:`norm_chain` for inequalities between norms.
+(relative) for anything that passes through an eigensolve,
+:func:`norm_chain` for inequalities between norms, and ``NONZERO_NORM``
+for telling a nonzero function from a zero one.
 
 Validators report the first violated axiom with a witness instead of
 raising, so harness code can surface failures as data.
@@ -17,6 +18,10 @@ from typing import Any, Mapping
 ALG_TOL = 1e-12
 EIG_TOL = 1e-9
 NORM_FLOOR = 1e-15
+NONZERO_NORM = 1e-6
+"""The C*-norm that separates nonzero functions, of norm order one in the
+suites, from zero ones, whose norms round to at most ``EIG_TOL``: the module
+inner product is definite if no function above it has module norm <= ``EIG_TOL``."""
 
 
 def norm_chain(*norms: Any) -> Any:

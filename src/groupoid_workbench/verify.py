@@ -73,7 +73,7 @@ from .representation import (
     positivity_stack,
     spectrum,
 )
-from .validation import ALG_TOL, EIG_TOL, norm_chain
+from .validation import ALG_TOL, EIG_TOL, NONZERO_NORM, norm_chain
 
 UNITARY_TRIALS = 20
 SMALL_TRIALS = 20
@@ -370,8 +370,8 @@ def _suite_norms(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
         EIG_TOL,
         defects={"norm_defect": unit_norm, "spectrum_defect": unit_spec},
     )
-    rho = np.array([haar.rho[u] for u in g.units])
-    expected = np.sqrt(rho[g.src_index] * rho[g.dst_index])
+    w = haar.weights(g)
+    expected = np.sqrt(w * w[g.invert_index])
     norms = np.concatenate([cstar_norm_stack(g, delta_rows(x, g.n_arrows), haar) for x in row_chunks(g.n_arrows, g.n_arrows)])
     delta_norm = _worst(_rel(np.abs(norms - expected), expected))
     delta_rule = _delta_rule_defect(g, haar)
@@ -406,11 +406,13 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
         defects={"max_rel_defect": iso},
         trials=count,
     )
-    (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
-    ambient = cstar_norm_stack(g, include_stack(sub, f, g), haar)
+    # one draw of the decomposition trials followed by the translation trials
+    (f,) = random_stacks(rng, 2 * UNITARY_TRIALS, sub)
     errors, segments = fiber_block_stacks(sys, f)
-    u_defect = _worst(errors)
-    block_max = functools.reduce(np.maximum, [operator_norms(blocks).max(axis=-1) for _, blocks, _ in segments])
+    f = f[:UNITARY_TRIALS]
+    ambient = cstar_norm_stack(g, include_stack(sub, f, g), haar)
+    u_defect = _worst(errors[:UNITARY_TRIALS])
+    block_max = functools.reduce(np.maximum, [operator_norms(blocks[:UNITARY_TRIALS]).max(axis=-1) for _, blocks, _ in segments])
     fiber_max = cstar_norm_stack(sub, f, haar)
     chain = _worst(_rel(np.abs(block_max - ambient), ambient), _rel(np.abs(fiber_max - ambient), ambient))
     rec.add(
@@ -427,9 +429,7 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
         defects={"max_rel_defect": chain},
         trials=UNITARY_TRIALS,
     )
-    (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
-    _, segments = fiber_block_stacks(sys, f)
-    v_defect = _worst(*(error for _, _, error in segments))
+    v_defect = _worst(*(error[UNITARY_TRIALS:] for _, _, error in segments))
     checked = UNITARY_TRIALS * sum(len(seg) for seg, _, _ in segments)
     rec.add(
         "fiber-translation-unitaries",
@@ -486,7 +486,7 @@ def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
         worst_chain = {"restriction": q[last], "module": m[last], "operator": ell[last], "i_norm": ia[last]}
     contraction = _worst(_rel(np.maximum(0.0, q - n), n))
     positive = bool(positivity_stack(sub, inner(a, a), haar).all())
-    definite = not ((m <= EIG_TOL) & (n > 1e-6)).any()
+    definite = not ((m <= EIG_TOL) & (n > NONZERO_NORM)).any()
     pairing = cstar_norm_stack(sub, inner(a, b), haar)
     cauchy = _worst(_rel(np.maximum(0.0, pairing - m * module_norm_stack(sys, b)), pairing))
     gap = _worst(_rel(np.abs(ell - n), n))

@@ -11,7 +11,8 @@ two-``bincount`` kernels (real and imaginary parts, direct and inverted
 fiber sums apart) it replaced next.  All must agree bitwise (as uint64
 views, so the signs of zeros count too).  The inclusion suite's all-units
 kernel ``fiber_block_stacks`` must give, bit for bit, the one-function
-``decompose_rep_U`` and ``translate_rep_V`` at every unit and fiber, and
+``decompose_rep_U`` and ``translate_rep_V`` at every unit and fiber, on
+the corpus and on drawn twisted pair groupoids with shuffled arrows, and
 the expectation suite's delta gathers the four-convolution
 ``eq_ruy_defect_stack``.
 
@@ -28,8 +29,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
-from groupoid_workbench import algebra, hilbert_module, representation
+from groupoid_workbench import algebra, hilbert_module
 from groupoid_workbench.algebra import (
     GroupoidFunction,
     convolve,
@@ -47,6 +49,7 @@ from groupoid_workbench.algebra import (
 )
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import parse_document
+from groupoid_workbench.groupoid import validate_groupoid
 from groupoid_workbench.hilbert_module import (
     L_operator_norm,
     L_operator_norm_stack,
@@ -67,6 +70,9 @@ from groupoid_workbench.representation import (
     translate_rep_V,
 )
 from groupoid_workbench.verify import _Recorder, _suite_module
+
+from test_bundle import _twisted_system
+from test_structure_certificate import twisted_tables
 
 CORPUS = builtin_corpus(seed=0)
 TRIALS = (1, 3, 100)
@@ -202,27 +208,34 @@ def test_one_bincount_matches_two(doc, on_identity_fiber, monkeypatch):
         assert bitwise(np.asarray(i_norm_stack(g, x, haar)), np.asarray(reference_i_norm_stack(g, x, haar)))
 
 
-@pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
-@pytest.mark.parametrize("corrupted", [False, True], ids=["", "reversed-identity-index"])
-def test_fiber_blocks_match_scalar_calls(doc, corrupted, monkeypatch):
-    """Every unit and fiber of the all-units kernel against the one-function
-    decomposition and translation, bit for bit.  The deviations are exactly
-    zero on a graded groupoid, so they are also compared with the fiber
-    blocks read from the identity-fiber arrows in reverse order, where they
-    are not."""
-    sys = doc.system
+def misincluded(sys, patch) -> bool:
+    """Make extension by zero write the last identity-fiber coefficient onto
+    the first arrow outside the identity fiber (when the grading is trivial,
+    write the coefficients onto the identity-fiber arrows in reverse order),
+    by patching the inclusion map that ``include_stack`` reads.  Whether an
+    arrow outside the identity fiber took the coefficient."""
+    sub, g = sys.identity_fiber, sys.groupoid
+    embedding = sub.embedding(g).copy()
+    outside = np.flatnonzero(~sys.identity_mask)
+    if len(outside):
+        embedding[-1] = outside[0]
+    else:
+        embedding = embedding[::-1]
+    patch.setattr(sub, "embedding", lambda parent: embedding)
+    return bool(len(outside))
+
+
+def assert_fiber_blocks_match(sys, f, ff) -> tuple[np.ndarray, list]:
+    """Every unit and fiber of ``fiber_block_stacks`` on the stack f against
+    ``decompose_rep_U`` and ``translate_rep_V`` on its trials ff, bit for
+    bit; returns the stack's deviations."""
     g = sys.groupoid
-    if corrupted:
-        index = representation.parent_to_sub_index(sys)
-        reversed_index = np.where(index >= 0, index.max() - index, -1)
-        monkeypatch.setattr(representation, "parent_to_sub_index", lambda _: reversed_index)
-    f, ff = draws(sys.identity_fiber, 6000, 3)
     errors, segments = fiber_block_stacks(sys, f)
     singles = {u: [decompose_rep_U(sys, x, u) for x in ff] for u in g.units}
-    assert bitwise(errors, np.array([max(dec[t].max_abs_error for dec in singles.values()) for t in range(3)]))
+    assert bitwise(errors, np.array([max(dec[t].max_abs_error for dec in singles.values()) for t in range(len(ff))]))
     covered = 0
     for seg, blocks, translation in segments:
-        assert blocks.shape == (3, len(seg), seg.shape[1], seg.shape[1]) and translation.shape == (3, len(seg))
+        assert blocks.shape == (len(ff), len(seg), seg.shape[1], seg.shape[1]) and translation.shape == (len(ff), len(seg))
         for s, arrows in enumerate(seg):
             u = g.units[g.src_index[arrows[0]]]
             key = sys.fiber_keys[sys.fiber_index[arrows[0]]]
@@ -233,10 +246,47 @@ def test_fiber_blocks_match_scalar_calls(doc, corrupted, monkeypatch):
                 assert bitwise(translation[t, s], np.float64(translate_rep_V(sys, x, u, gamma).max_abs_error))
             covered += len(arrows)
     assert covered == g.n_arrows  # the segments partition the arrows
+    return errors, [translation for *_, translation in segments]
+
+
+@pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
+@pytest.mark.parametrize("corrupted", [False, True], ids=["", "misincluded"])
+def test_fiber_blocks_match_scalar_calls(doc, corrupted, monkeypatch):
+    """Every unit and fiber of the all-units kernel against the one-function
+    decomposition and translation, bit for bit.  The deviations are exactly
+    zero on a graded groupoid, so they are also compared under an inclusion
+    that puts an identity-fiber coefficient on an arrow outside the identity
+    fiber, where they are not."""
+    sys = doc.system
+    outside = corrupted and misincluded(sys, monkeypatch)
+    f, ff = draws(sys.identity_fiber, 6000, 3)
+    errors, translations = assert_fiber_blocks_match(sys, f, ff)
     if not corrupted:
-        assert errors.max() == 0.0 and all(translation.max() == 0.0 for *_, translation in segments)
+        assert errors.max() == 0.0 and all(translation.max() == 0.0 for translation in translations)
     elif sys.identity_fiber.n_arrows > 1:
-        assert errors.min() > 0.0 and any(translation.max() > 0.0 for *_, translation in segments)
+        assert (errors.min() > 0.0) == outside and any(translation.max() > 0.0 for translation in translations)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(twisted_tables())
+def test_fiber_blocks_match_scalar_calls_on_twisted_tables(g):
+    """As on the corpus, on drawn twisted pair groupoids with shuffled
+    arrows that are groupoids, graded by r(x) - s(x): each segment holds
+    the arrows of one isotropy group, and a translation by an arrow between
+    two units is no identity.  The decomposition defect is taken a trial
+    or a few at a time here."""
+    assume(validate_groupoid(g).ok)
+    sys = _twisted_system(g, True)
+    f, ff = draws(sys.identity_fiber, 6001, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 64)
+        errors, translations = assert_fiber_blocks_match(sys, f, ff)
+        assert errors.max() == 0.0 and all(translation.max() == 0.0 for translation in translations)
+        if sys.identity_mask.all():
+            return
+        assert misincluded(sys, patch)
+        errors, translations = assert_fiber_blocks_match(sys, f, ff)
+    assert errors.min() > 0.0 and any(translation.max() > 0.0 for translation in translations)
 
 
 @pytest.mark.parametrize("doc", CORPUS + [None], ids=lambda d: d.name if d else "pair14-builtin")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from groupoid_workbench.algebra import convolve, delta, delta_rows, from_map, i_norm, random_stacks, unit_labels
 from groupoid_workbench.bundle import (
+    _fiber_tables,
     bundle_rep_check,
     check_grading_axioms,
     check_topological_grading,
@@ -26,7 +27,13 @@ from groupoid_workbench.validation import ALG_TOL
 
 from conftest import dense_compose, max_diff, rng_functions
 from pair_documents import pair_documents
-from test_reference_suites import _misrouted, reference_bundle_rep_check, reference_rep_apply_stack, reference_tautological_rep
+from test_reference_suites import (
+    _misrouted,
+    reference_bundle_rep_check,
+    reference_fiber_tables,
+    reference_rep_apply_stack,
+    reference_tautological_rep,
+)
 from test_structure_certificate import twisted_tables
 
 
@@ -453,6 +460,30 @@ def test_grading_axioms_hold_one_fiber_of_draws_at_a_time():
     report, peak = _traced_peak(lambda: check_grading_axioms(graded_subspaces(sys), seed=5))
     assert report.ok and len(sys.fiber_keys) == 39
     assert peak < 16e6
+
+
+def _unvalidated_z2_graded(labels):
+    """pair(3) labelled in Z^2 by ``labels(k)`` for the k-th arrow, without
+    validation, so that the image need not hold the identity or be closed."""
+    sys = _pair_system(3)
+    g = sys.groupoid
+    return GradedGroupoid(g, sys.haar, Cocycle(FreeAbelianGroup(2), {aid: labels(k) for k, aid in enumerate(g.arrow_ids)}))
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [CORPUS[name].system for name in sorted(CORPUS)]
+    + [_pair_system(14)]
+    + [_unvalidated_z2_graded(lambda k: (k % 3 - 1, -(k % 2))), _unvalidated_z2_graded(lambda k: (k % 3, 1))],
+    ids=sorted(CORPUS) + ["pair14-builtin", "z2-labels", "z2-labels-off-identity"],
+)
+def test_fiber_tables_are_the_reference_loops(sys):
+    """The product and inverse tables of `check_grading_axioms`, from one
+    `mul_array` and one lookup, are the per-entry `grp.mul` and `grp.inv`
+    loops', dtype included; also on unvalidated Z^2 labels whose products
+    leave the image, once with the identity off the image."""
+    for got, want in zip(_fiber_tables(sys), reference_fiber_tables(sys)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_topological_grading_reads_the_basis_deltas_in_chunks():

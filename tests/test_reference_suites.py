@@ -105,6 +105,15 @@ def _max_abs(x: np.ndarray) -> float:
 # -- the bundle checks' trial loops --------------------------------------------
 
 
+def reference_fiber_tables(sys: GradedGroupoid) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber numbers of the products and inverses of image elements
+    (-1 off the image), one group operation and lookup per entry."""
+    grp, elements = sys.group, sys.fiber_elements
+    product = np.array([[sys.fiber_number(grp.mul(b, c)) for c in elements] for b in elements], dtype=np.intp)
+    inverse = np.array([sys.fiber_number(grp.inv(b)) for b in elements], dtype=np.intp)
+    return product, inverse
+
+
 def reference_check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) -> CheckReport:
     """Product/adjoint support containment (exact), spanning, independence.
 
@@ -118,9 +127,7 @@ def reference_check_grading_axioms(family: GradedSubspaceFamily, seed: int = 0) 
     grp = sys.group
     fiber = sys.fiber_index
     elements = sys.fiber_elements
-    # fiber numbers of the products and inverses of image elements (-1 off the image)
-    product = np.array([[sys.fiber_number(grp.mul(b, c)) for c in elements] for b in elements], dtype=np.intp)
-    inverse = np.array([sys.fiber_number(grp.inv(b)) for b in elements], dtype=np.intp)
+    product, inverse = reference_fiber_tables(sys)
     xs, ys, zs = g.composable_pairs()
     bad = np.flatnonzero(product[fiber[xs], fiber[ys]] != fiber[zs])
     if len(bad):

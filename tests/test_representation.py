@@ -326,26 +326,28 @@ class TestTranslationUnitaries:
 
 class TestReportedDeviation:
     """The deviation that the fiber checks report is the largest entry of
-    |translated - target| (translation) or |permuted - direct sum of blocks|
-    (decomposition).  It is exactly 0 on valid input, so these tests feed a
-    deliberately permuted v_matrix or fiber block, which gives a known
-    nonzero deviation, and assert its exact maximum.  One fiber on pair3
-    makes every block 3 x 3.  The all-units kernel of the inclusion suite is
-    checked against these functions in ``tests/test_batched_kernels.py``."""
+    |translated - target| (translation) or of the permuted matrix outside
+    the direct sum of its fiber blocks (decomposition).  It is exactly 0 on
+    valid input, so these tests feed a deliberately permuted v_matrix, or an
+    inclusion that puts an identity-fiber coefficient on an arrow of another
+    fiber, which gives a known nonzero deviation, and assert its exact
+    maximum.  The all-units kernel of the inclusion suite is checked against
+    these functions in ``tests/test_batched_kernels.py``."""
 
-    @pytest.fixture
-    def setup(self):
-        sys = next(doc for doc in builtin_corpus(seed=0) if doc.name == "pair3-trivial-weighted").system
+    @staticmethod
+    def instance(name):
+        sys = next(doc for doc in builtin_corpus(seed=0) if doc.name == name).system
         functions = rng_functions(sys.identity_fiber, seed=41, count=3)
         return sys, functions
 
-    def test_translation_reports_the_largest_deviation(self, setup, monkeypatch):
-        sys, functions = setup
+    def test_translation_reports_the_largest_deviation(self, monkeypatch):
+        # one fiber on pair3 makes every block 3 x 3
+        sys, functions = self.instance("pair3-trivial-weighted")
         translation = representation._translation
 
         def reversed_rows(*args):
-            gamma_key, z, v, domain, vmat = translation(*args)
-            return gamma_key, z, v, domain, vmat[::-1]
+            gamma_key, z, v, vmat = translation(*args)
+            return gamma_key, z, v, vmat[::-1]
 
         monkeypatch.setattr(representation, "_translation", reversed_rows)
         gamma = sys.fiber_elements[0]
@@ -355,12 +357,19 @@ class TestReportedDeviation:
             deviation = np.abs(wit.translated - wit.target_block)
             assert wit.max_abs_error == deviation.max() > deviation.min() >= 0.0
 
-    def test_decomposition_reports_the_largest_deviation(self, setup, monkeypatch):
-        sys, functions = setup
-        block = representation._fiber_rep_block
-        monkeypatch.setattr(representation, "_fiber_rep_block", lambda *args: block(*args)[..., ::-1, :])
+    def test_decomposition_reports_the_largest_deviation(self, monkeypatch):
+        # pair3 graded by j - i: the three arrows at a unit lie in three fibers
+        sys, functions = self.instance("pair3-zgraded-weighted")
+        g, sub = sys.groupoid, sys.identity_fiber
+        embedding = sub.embedding(g).copy()
+        embedding[-1] = np.flatnonzero(~sys.identity_mask)[0]  # the coefficient of the last identity-fiber arrow
+        monkeypatch.setattr(sub, "embedding", lambda parent: embedding)
         singles = [decompose_rep_U(sys, f, "2") for f in functions]
         for dec in singles:
-            assert dec.block_order == (sys.fiber_keys[0],)
-            deviation = np.abs(dec.permuted_matrix - dec.blocks[sys.fiber_keys[0]])
+            assert dec.block_order == sys.fiber_keys[1:4]
+            direct_sum = np.zeros_like(dec.permuted_matrix)
+            for k, key in enumerate(dec.block_order):
+                assert dec.blocks[key].shape == (1, 1)
+                direct_sum[k, k] = dec.blocks[key][0, 0]
+            deviation = np.abs(dec.permuted_matrix - direct_sum)
             assert dec.max_abs_error == deviation.max() > deviation.min() >= 0.0
