@@ -56,10 +56,7 @@ from .algebra import (
 from .grading import GradedGroupoid
 from .groupoid import once, once_property
 from .representation import _equal_size_groups, _norm_of_trials, _range_weights, cstar_norm_stack
-from .validation import ALG_TOL, EIG_TOL
-
-NULL_THRESHOLD = 1e-10
-"""Gram eigendirections below this share of the top eigenvalue are null."""
+from .validation import ALG_TOL, EIG_TOL, NULL_THRESHOLD
 
 
 def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:

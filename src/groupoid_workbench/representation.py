@@ -35,8 +35,9 @@ way, with the trial axis in front of the unit axis, so one eigensolve per
 block size covers every trial of a chunk; the one-function forms pass their
 1-D coefficients to the same kernels.  The inclusion suite's fiber checks
 (:func:`fiber_block_stacks`) evaluate the entry formula on the included
-function i(f): every unit's block for the entries between fibers, and each
-fiber block on its own arrows, translated by index gathers;
+function i(f) a chunk of trials at a time: every unit's block for the
+entries between fibers, and each fiber block on its own arrows, translated
+by index gathers, reduced to three numbers per trial;
 :func:`decompose_rep_U` and :func:`translate_rep_V` cut the same fiber
 blocks out of the block of i(f) at one unit.
 
@@ -206,42 +207,48 @@ def _cross_fiber_max(fiber: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.abs(np.where(cross, blocks, 0.0)).max(axis=(-2, -1))
 
 
-def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+def fiber_block_stacks(sys: GradedGroupoid, f: np.ndarray) -> np.ndarray:
     """:func:`decompose_rep_U` and :func:`translate_rep_V` (default z) at
-    every unit and fiber, for a (T, n_e) stack f of identity-fiber functions.
-    The arrows of one source and fiber form a segment; segments are grouped
-    by size L into (S, L) arrays in (unit, fiber) order.  Returns each
-    trial's largest cross-fiber entry of the blocks of i(f), and per L the
-    segments, their fiber blocks (T, S, L, L) of i(f) and the largest
-    deviation (T, S) of each block, translated, from the identity-fiber
-    block at r(z)."""
+    every unit and fiber, for a (T, n_e) stack f of identity-fiber functions,
+    reduced to a (T, 3) array: per trial, the largest cross-fiber entry of
+    the blocks of i(f), the largest operator norm of a fiber block, and the
+    largest deviation of a translated fiber block from the identity-fiber
+    block at r(z).  The arrows of one source and fiber form a segment;
+    segments are grouped by size L into (S, L) arrays in (unit, fiber)
+    order, whose products, translation gathers and target tables are built
+    once.  The trials are taken in chunks (:func:`chunked`), so no (T, S, L,
+    L) block stack outlives its chunk."""
     g, sub, haar, fiber = sys.groupoid, sys.identity_fiber, sys.haar, sys.fiber_index
-    w, tables = _range_weights(g, haar), g.rep_tables()
-    lifted = include_stack(sub, f, g)
-
-    def cross(x: np.ndarray) -> np.ndarray:
-        stacks = zip(tables, _stacks_of(g, x, haar, tables))
-        return functools.reduce(np.maximum, [_cross_fiber_max(fiber[a], m).max(axis=-1) for (_, a, _), m in stacks])
-
-    error = chunked(cross, sum(products.size for *_, products in tables), lifted)
+    w, w_sub, tables = _range_weights(g, haar), _range_weights(sub, haar), g.rep_tables()
     key = g.src_index * len(sys.fiber_keys) + fiber
-    # the identity-fiber blocks, by block size, with their units
-    targets = {a.shape[1]: (units, m) for (units, a, _), m in zip(sub.rep_tables(), _stacks_of(sub, f, haar, sub.rep_tables()))}
+    # the identity-fiber tables, by block size, with their units
+    targets = {a.shape[1]: (units, a, products) for units, a, products in sub.rep_tables()}
     position = np.empty(g.n_arrows, dtype=np.intp)  # of every arrow in its segment
-    identity, out = sys.fiber_number(sys.group.identity), []
+    identity, segments = sys.fiber_number(sys.group.identity), []
     for seg in _equal_size_groups(key):
         position[seg] = np.arange(seg.shape[1])
-        blocks = _rep_entries(lifted, w, seg, g.compose_index(seg[:, :, None], g.invert_index[seg][:, None, :]))
         first = seg[:, 0]
         z = np.where(fiber[first] == identity, g.unit_arrow_index[g.src_index[first]], first)
         # the identity-fiber arrows with source r(z): the segment keyed (r(z), e), of size L
         codomain = seg[np.searchsorted(key[first], key[g.unit_arrow_index[g.dst_index[z]]])]
         shift = position[g.compose_index(codomain, z[:, None])]
-        translated = blocks[..., np.arange(len(seg))[:, None, None], shift[:, :, None], shift[:, None, :]]
-        units, stack = targets[seg.shape[1]]
-        target = stack[..., [units.index(g.units[v]) for v in g.dst_index[z]], :, :]
-        out.append((seg, blocks, np.abs(translated - target).max(axis=(-2, -1))))
-    return error, out
+        units, arrows, products = targets[seg.shape[1]]
+        at = [units.index(g.units[v]) for v in g.dst_index[z]]
+        translation = (np.arange(len(seg))[:, None, None], shift[:, :, None], shift[:, None, :])
+        segments.append((seg, g.compose_index(seg[:, :, None], g.invert_index[seg][:, None, :]), translation, arrows[at], products[at]))
+
+    def kernel(x: np.ndarray) -> np.ndarray:
+        lifted = include_stack(sub, x, g)
+        cross = [_cross_fiber_max(fiber[a], m).max(axis=-1) for (_, a, _), m in zip(tables, _stacks_of(g, lifted, haar, tables))]
+        norms, moved = [], []
+        for seg, products, translation, arrows, target in segments:
+            blocks = _rep_entries(lifted, w, seg, products)
+            norms.append(operator_norms(blocks).max(axis=-1))
+            deviation = blocks[(..., *translation)] - _rep_entries(x, w_sub, arrows, target)
+            moved.append(np.abs(deviation).max(axis=(-3, -2, -1)))
+        return np.stack([functools.reduce(np.maximum, r) for r in (cross, norms, moved)], axis=-1)
+
+    return chunked(kernel, sum(products.size for *_, products in tables), f)
 
 
 def _included_block(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 Every numerical check of the workbench reads its tolerance from here:
 ``ALG_TOL`` (relative) for exact algebraic identities, ``EIG_TOL``
 (relative) for anything that passes through an eigensolve,
-:func:`norm_chain` for inequalities between norms, and ``NONZERO_NORM``
-for telling a nonzero function from a zero one.
+:func:`norm_chain` for inequalities between norms, ``NONZERO_NORM``
+for telling a nonzero function from a zero one, and ``NULL_THRESHOLD`` for
+the null eigendirections of the induced-space Gram matrix.
 
 Validators report the first violated axiom with a witness instead of
 raising, so harness code can surface failures as data.
@@ -22,6 +23,8 @@ NONZERO_NORM = 1e-6
 """The C*-norm that separates nonzero functions, of norm order one in the
 suites, from zero ones, whose norms round to at most ``EIG_TOL``: the module
 inner product is definite if no function above it has module norm <= ``EIG_TOL``."""
+NULL_THRESHOLD = 1e-10
+"""Gram eigendirections below this share of the top eigenvalue are null."""
 
 
 def norm_chain(*norms: Any) -> Any:

@@ -18,7 +18,6 @@ tolerance it records (and its verdict, where it has one, holds).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -30,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .algebra import (
+    chunked,
     convolve_stack,
     delta_products,
     delta_rows,
@@ -41,7 +41,6 @@ from .algebra import (
     random_stacks,
     restrict_stack,
     row_chunks,
-    trial_chunks,
     unit_function,
 )
 from .bundle import (
@@ -69,7 +68,6 @@ from .representation import (
     cstar_norm,
     cstar_norm_stack,
     fiber_block_stacks,
-    operator_norms,
     positivity_stack,
     spectrum,
 )
@@ -271,7 +269,7 @@ def _suite_algebra(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     )
     ia = i_norm_stack(g, a, haar)
     inorm_star = _worst(_rel(np.abs(i_norm_stack(g, star(a), haar) - ia), ia))
-    comp_sum = _worst(_max_abs(graded_component_stack(sys, a).sum(axis=0) - a))
+    comp_sum = _worst(chunked(lambda x: _max_abs(graded_component_stack(sys, x).sum(axis=0) - x), len(sys.fiber_keys) * g.n_arrows, a))
     lift = conv(include(f1), include(f2))
     lifted_prod = include(conv(f1, f2, sub))
     include_hom = _worst(
@@ -406,20 +404,16 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
         defects={"max_rel_defect": iso},
         trials=count,
     )
-    # one draw of the decomposition trials followed by the translation trials
-    (f,) = random_stacks(rng, 2 * UNITARY_TRIALS, sub)
-    errors, segments = fiber_block_stacks(sys, f)
-    f = f[:UNITARY_TRIALS]
+    (f,) = random_stacks(rng, UNITARY_TRIALS, sub)
+    u_defect, block_max, v_defect = fiber_block_stacks(sys, f).T
     ambient = cstar_norm_stack(g, include_stack(sub, f, g), haar)
-    u_defect = _worst(errors[:UNITARY_TRIALS])
-    block_max = functools.reduce(np.maximum, [operator_norms(blocks[:UNITARY_TRIALS]).max(axis=-1) for _, blocks, _ in segments])
     fiber_max = cstar_norm_stack(sub, f, haar)
     chain = _worst(_rel(np.abs(block_max - ambient), ambient), _rel(np.abs(fiber_max - ambient), ambient))
     rec.add(
         "fiber-block-decomposition",
         "the representation of an included function is the direct sum of its fiber blocks",
         ALG_TOL,
-        defects={"max_abs_defect": u_defect},
+        defects={"max_abs_defect": _worst(u_defect)},
         trials=UNITARY_TRIALS,
     )
     rec.add(
@@ -429,14 +423,13 @@ def _suite_inclusion(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None
         defects={"max_rel_defect": chain},
         trials=UNITARY_TRIALS,
     )
-    v_defect = _worst(*(error[UNITARY_TRIALS:] for _, _, error in segments))
-    checked = UNITARY_TRIALS * sum(len(seg) for seg, _, _ in segments)
+    unit_fibers = len(np.unique(g.src_index * len(sys.fiber_keys) + sys.fiber_index))  # nonempty (unit, fiber) pairs
     rec.add(
         "fiber-translation-unitaries",
         "right translation by a fiber arrow conjugates blocks to the identity-fiber representation",
         ALG_TOL,
-        defects={"max_abs_defect": v_defect},
-        conjugations=checked,
+        defects={"max_abs_defect": _worst(v_defect)},
+        conjugations=UNITARY_TRIALS * unit_fibers,
     )
 
 
@@ -447,10 +440,7 @@ def _action_by_fiber_sum(sys: GradedGroupoid, a: np.ndarray, g_e: np.ndarray) ->
     g, sub = sys.groupoid, sys.identity_fiber
     xn = g.compose_index(np.arange(g.n_arrows)[:, None], sub.embedding(g))
     weighted = g_e[:, sub.invert_index] * sys.haar.weights(sub)
-    out = np.empty(a.shape, dtype=np.complex128)
-    for s in trial_chunks(len(a), xn.size):
-        out[s] = np.where(xn >= 0, a[s][:, xn] * weighted[s][:, None, :], 0.0).sum(axis=2)
-    return out
+    return chunked(lambda x, y: np.where(xn >= 0, x[:, xn] * y[:, None, :], 0.0).sum(axis=2), xn.size, a, weighted)
 
 
 def _suite_module(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:

@@ -10,10 +10,11 @@ first, and ``reference_convolve_stack`` and ``reference_i_norm_stack`` the
 two-``bincount`` kernels (real and imaginary parts, direct and inverted
 fiber sums apart) it replaced next.  All must agree bitwise (as uint64
 views, so the signs of zeros count too).  The inclusion suite's all-units
-kernel ``fiber_block_stacks`` must give, bit for bit, the one-function
-``decompose_rep_U`` and ``translate_rep_V`` at every unit and fiber, on
-the corpus and on drawn twisted pair groupoids with shuffled arrows, and
-the expectation suite's delta gathers the four-convolution
+kernel ``fiber_block_stacks`` must give, bit for bit, the largest
+deviations of the one-function ``decompose_rep_U`` and ``translate_rep_V``
+and the largest ``operator_norm`` of a fiber block over every unit and
+fiber, on the corpus and on drawn twisted pair groupoids with shuffled
+arrows, and the expectation suite's delta gathers the four-convolution
 ``eq_ruy_defect_stack``.
 
 The memory test runs the module suite on the Z-graded pair groupoid with
@@ -65,6 +66,7 @@ from groupoid_workbench.representation import (
     cstar_norm_stack,
     decompose_rep_U,
     fiber_block_stacks,
+    operator_norm,
     positivity_check,
     positivity_stack,
     translate_rep_V,
@@ -225,46 +227,45 @@ def misincluded(sys, patch) -> bool:
     return bool(len(outside))
 
 
-def assert_fiber_blocks_match(sys, f, ff) -> tuple[np.ndarray, list]:
-    """Every unit and fiber of ``fiber_block_stacks`` on the stack f against
-    ``decompose_rep_U`` and ``translate_rep_V`` on its trials ff, bit for
-    bit; returns the stack's deviations."""
+def assert_fiber_blocks_match(sys, f, ff) -> np.ndarray:
+    """The three reductions of ``fiber_block_stacks`` on the stack f against
+    the one-function references over every unit and fiber of its trials ff,
+    bit for bit: the largest ``decompose_rep_U`` deviation, the largest
+    ``operator_norm`` of its blocks and the largest ``translate_rep_V``
+    deviation; returns the stack's (T, 3) reductions."""
     g = sys.groupoid
-    errors, segments = fiber_block_stacks(sys, f)
-    singles = {u: [decompose_rep_U(sys, x, u) for x in ff] for u in g.units}
-    assert bitwise(errors, np.array([max(dec[t].max_abs_error for dec in singles.values()) for t in range(len(ff))]))
-    covered = 0
-    for seg, blocks, translation in segments:
-        assert blocks.shape == (len(ff), len(seg), seg.shape[1], seg.shape[1]) and translation.shape == (len(ff), len(seg))
-        for s, arrows in enumerate(seg):
-            u = g.units[g.src_index[arrows[0]]]
-            key = sys.fiber_keys[sys.fiber_index[arrows[0]]]
-            assert (sys.fiber_index[arrows] == sys.fiber_index[arrows[0]]).all() and (g.src_index[arrows] == g.src_index[arrows[0]]).all()
-            gamma = sys.fiber_elements[sys.fiber_index[arrows[0]]]
-            for t, x in enumerate(ff):
-                assert bitwise(blocks[t, s], singles[u][t].blocks[key])
-                assert bitwise(translation[t, s], np.float64(translate_rep_V(sys, x, u, gamma).max_abs_error))
-            covered += len(arrows)
-    assert covered == g.n_arrows  # the segments partition the arrows
-    return errors, [translation for *_, translation in segments]
+    got = fiber_block_stacks(sys, f)
+    fibers = [(u, sys.fiber_elements[k]) for i, u in enumerate(g.units) for k in np.unique(sys.fiber_index[g.src_index == i])]
+    want = []
+    for x in ff:
+        decompositions = [decompose_rep_U(sys, x, u) for u in g.units]
+        want.append(
+            [
+                max(dec.max_abs_error for dec in decompositions),
+                max(operator_norm(block) for dec in decompositions for block in dec.blocks.values()),
+                max(translate_rep_V(sys, x, u, gamma).max_abs_error for u, gamma in fibers),
+            ]
+        )
+    assert bitwise(got, np.array(want))
+    return got
 
 
 @pytest.mark.parametrize("doc", CORPUS, ids=lambda d: d.name)
 @pytest.mark.parametrize("corrupted", [False, True], ids=["", "misincluded"])
 def test_fiber_blocks_match_scalar_calls(doc, corrupted, monkeypatch):
-    """Every unit and fiber of the all-units kernel against the one-function
-    decomposition and translation, bit for bit.  The deviations are exactly
-    zero on a graded groupoid, so they are also compared under an inclusion
-    that puts an identity-fiber coefficient on an arrow outside the identity
-    fiber, where they are not."""
+    """The reductions of the all-units kernel against the one-function
+    decomposition, block norms and translation, bit for bit.  The
+    deviations are exactly zero on a graded groupoid, so they are also
+    compared under an inclusion that puts an identity-fiber coefficient on
+    an arrow outside the identity fiber, where they are not."""
     sys = doc.system
     outside = corrupted and misincluded(sys, monkeypatch)
     f, ff = draws(sys.identity_fiber, 6000, 3)
-    errors, translations = assert_fiber_blocks_match(sys, f, ff)
+    errors, _, translations = assert_fiber_blocks_match(sys, f, ff).T
     if not corrupted:
-        assert errors.max() == 0.0 and all(translation.max() == 0.0 for translation in translations)
+        assert errors.max() == 0.0 and translations.max() == 0.0
     elif sys.identity_fiber.n_arrows > 1:
-        assert (errors.min() > 0.0) == outside and any(translation.max() > 0.0 for translation in translations)
+        assert (errors.min() > 0.0) == outside and translations.max() > 0.0
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
@@ -273,20 +274,20 @@ def test_fiber_blocks_match_scalar_calls_on_twisted_tables(g):
     """As on the corpus, on drawn twisted pair groupoids with shuffled
     arrows that are groupoids, graded by r(x) - s(x): each segment holds
     the arrows of one isotropy group, and a translation by an arrow between
-    two units is no identity.  The decomposition defect is taken a trial
-    or a few at a time here."""
+    two units is no identity.  The trials are taken a trial or a few at a
+    time here."""
     assume(validate_groupoid(g).ok)
     sys = _twisted_system(g, True)
     f, ff = draws(sys.identity_fiber, 6001, 3)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 64)
-        errors, translations = assert_fiber_blocks_match(sys, f, ff)
-        assert errors.max() == 0.0 and all(translation.max() == 0.0 for translation in translations)
+        errors, _, translations = assert_fiber_blocks_match(sys, f, ff).T
+        assert errors.max() == 0.0 and translations.max() == 0.0
         if sys.identity_mask.all():
             return
         assert misincluded(sys, patch)
-        errors, translations = assert_fiber_blocks_match(sys, f, ff)
-    assert errors.min() > 0.0 and any(translation.max() > 0.0 for translation in translations)
+        errors, _, translations = assert_fiber_blocks_match(sys, f, ff).T
+    assert errors.min() > 0.0 and translations.max() > 0.0
 
 
 @pytest.mark.parametrize("doc", CORPUS + [None], ids=lambda d: d.name if d else "pair14-builtin")

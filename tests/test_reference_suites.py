@@ -568,16 +568,21 @@ def reference_suite_inclusion(doc: WorkbenchDocument, rec: _ReferenceRecorder, r
         max_rel_defect=iso,
         trials=count,
     )
-    chain = u_defect = 0.0
+    chain = u_defect = v_defect = 0.0
+    checked = 0
     for _ in range(UNITARY_TRIALS):
         f = random_function(sub, rng)
         ambient = cstar_norm(include_i(f, g), haar)
         block_max = 0.0
-        for u in g.units:
+        for ui, u in enumerate(g.units):
             dec = decompose_rep_U(sys, f, u)
             u_defect = max(u_defect, dec.max_abs_error)
             for block in dec.blocks.values():
                 block_max = max(block_max, operator_norm(block))
+            for k in np.unique(sys.fiber_index[g.src_index == ui]):
+                wit = translate_rep_V(sys, f, u, sys.fiber_elements[k])
+                v_defect = max(v_defect, wit.max_abs_error)
+                checked += 1
         fiber_max = cstar_norm(f, haar)
         chain = max(chain, _rel(abs(block_max - ambient), ambient), _rel(abs(fiber_max - ambient), ambient))
     rec.add(
@@ -596,15 +601,6 @@ def reference_suite_inclusion(doc: WorkbenchDocument, rec: _ReferenceRecorder, r
         max_rel_defect=chain,
         trials=UNITARY_TRIALS,
     )
-    v_defect = 0.0
-    checked = 0
-    for _ in range(UNITARY_TRIALS):
-        f = random_function(sub, rng)
-        for ui, u in enumerate(g.units):
-            for k in np.unique(sys.fiber_index[g.src_index == ui]):
-                wit = translate_rep_V(sys, f, u, sys.fiber_elements[k])
-                v_defect = max(v_defect, wit.max_abs_error)
-                checked += 1
     rec.add(
         "fiber-translation-unitaries",
         "right translation by a fiber arrow conjugates blocks to the identity-fiber representation",

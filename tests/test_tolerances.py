@@ -11,11 +11,11 @@ from groupoid_workbench import validation
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.verify import _Recorder, run_verification
 
-PINNED = {validation.ALG_TOL, validation.EIG_TOL, validation.NORM_FLOOR, validation.NONZERO_NORM}
+PINNED = {validation.ALG_TOL, validation.EIG_TOL, validation.NORM_FLOOR, validation.NONZERO_NORM, validation.NULL_THRESHOLD}
 
 
 def test_pinned_tolerances_are_written_only_in_validation():
-    assert PINNED == {1e-12, 1e-9, 1e-15, 1e-6}
+    assert PINNED == {1e-12, 1e-9, 1e-15, 1e-6, 1e-10}
     found = []
     for path in sorted(Path(validation.__file__).parent.rglob("*.py")):
         if path.name == "validation.py":
