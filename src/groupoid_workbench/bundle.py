@@ -243,12 +243,6 @@ def bundle_rep_check(
         pa = rep(a)
         return np.stack([product(pa, b, convolve_stack(g, a, b, haar)), adjoint(pa, involute_stack(g, a))], axis=-1)
 
-    def fiber_norms(p: np.ndarray) -> np.ndarray:
-        """The norms of pi(p): NaN, and no eigensolve, for a trial with a non-finite entry."""
-        pp = rep(p)
-        finite = np.isfinite(largest(pp))
-        return np.where(finite, _norm_of_trials([np.where(finite[:, None, None, None], m, 0.0) for m in pp]), np.nan)
-
     blocks = rep(unit_labels(n)[None])
     size = sum(m.size for m in blocks)  # block entries of one function
     norm_scale = 1.0 + float(np.sqrt(haar.weights(g) * haar.weights(g)[g.invert_index]).max())
@@ -266,7 +260,7 @@ def bundle_rep_check(
     mult, star = chunked(pairs, size, a, b).T
     parts = graded_component_stack(sys, a)
     bounds = np.array([i_norm_stack(g, part, haar) for part in parts])
-    norms = chunked(fiber_norms, size, parts.reshape(-1, n)).reshape(bounds.shape)
+    norms = chunked(lambda p: _norm_of_trials(rep(p)), size, parts.reshape(-1, n)).reshape(bounds.shape)
     # per trial, in order: multiplicativity, adjoints, the norm of each fiber
     failed = np.column_stack([~(mult <= ALG_TOL * norm_scale**2 * n), ~(star <= ALG_TOL * norm_scale * n), ~norm_chain(norms, bounds).T])
     if failed.any():

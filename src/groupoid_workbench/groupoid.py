@@ -634,7 +634,9 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float]) -> bool:
     return bool(left_invariance_stack(g, vec)[0])
 
 
-def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray) -> np.ndarray:
+def left_invariance_stack(
+    g: FiniteGroupoid, w: np.ndarray, chunks: Callable[[int, int], Sequence[slice]] | None = None
+) -> np.ndarray:
     """The verdict of :func:`validate_left_invariance` for every row of a
     (T, n) stack of positive arrow-weight tables.
 
@@ -643,18 +645,26 @@ def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray) -> np.ndarray:
     r(t) = r(x) and 0 otherwise, within ``ALG_TOL * (1 + max w)``.  Only the
     keys that some pair hits are formed; every (x, t) with r(t) = r(x) must
     be among them, since an unhit one compares 0 with a positive weight.
+    The keys are formed once; ``chunks(T, per_row)`` (``algebra.trial_chunks``)
+    splits the rows into the slices whose sums are formed together, all of
+    them at once by default.
     """
     n = g.n_arrows
-    tol = ALG_TOL * (1.0 + w.max(axis=1))
     xs, ys, zs = g.composable_pairs()
     keys, at = np.unique(xs * n + zs, return_inverse=True)
-    bins = (at + len(keys) * np.arange(len(w))[:, None]).ravel()
-    lhs = np.bincount(bins, w[:, ys].ravel(), len(w) * len(keys)).reshape(len(w), len(keys))
     x, t = np.divmod(keys, n)
     dst = g.dst_index
     same = dst[x] == dst[t]
     every_pair_hit = int(same.sum()) == int((np.bincount(dst) ** 2).sum())
-    return every_pair_hit & (np.abs(lhs - np.where(same, w[:, t], 0.0)).max(axis=1) <= tol)
+
+    def verdicts(rows: np.ndarray) -> np.ndarray:
+        bins = (at + len(keys) * np.arange(len(rows))[:, None]).ravel()
+        lhs = np.bincount(bins, rows[:, ys].ravel(), len(rows) * len(keys)).reshape(len(rows), len(keys))
+        tol = ALG_TOL * (1.0 + rows.max(axis=1))
+        return every_pair_hit & (np.abs(lhs - np.where(same, rows[:, t], 0.0)).max(axis=1) <= tol)
+
+    slices = chunks(len(w), len(ys)) if chunks else ()
+    return np.concatenate([verdicts(w[s]) for s in slices]) if len(slices) > 1 else verdicts(w)
 
 
 # -- constructors ----------------------------------------------------------

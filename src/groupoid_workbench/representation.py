@@ -41,8 +41,13 @@ by index gathers, reduced to three numbers per trial;
 :func:`decompose_rep_U` and :func:`translate_rep_V` cut the same fiber
 blocks out of the block of i(f) at one unit.
 
-Operator norms use a full dense Hermitian eigendecomposition of M^H M, never
-power iteration, so repeated runs give bit-stable reports.
+Blocks of size 1 and 2 are reduced in closed form: the norm of a 1 x 1
+block is |m|, and a Hermitian 2 x 2 matrix [[a, conj(b)], [b, c]] has the
+eigenvalues (a + c)/2 +- hypot((a - c)/2, |b|), taken of M^H M (from its
+entries, without the product) for the norm and of the Hermitian part for
+positivity (:func:`operator_norms`, :func:`lowest_eigenvalues`).  Larger
+blocks use a full dense Hermitian eigendecomposition, of M^H M for norms.
+Neither is an iteration, so repeated runs give bit-stable reports.
 """
 
 from __future__ import annotations
@@ -59,16 +64,52 @@ from .groupoid import FiniteGroupoid, HaarSystem
 from .validation import EIG_TOL
 
 
+def _square(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of complex entries, as the diagonal of a Gram matrix holds it."""
+    return z.real**2 + z.imag**2
+
+
+def _eigenvalue_2x2(a: np.ndarray, c: np.ndarray, b: np.ndarray, sign: float) -> np.ndarray:
+    """The larger (sign +1) or smaller (sign -1) eigenvalue of the Hermitian
+    matrix [[a, conj(b)], [b, c]]: (a + c)/2 +- hypot((a - c)/2, |b|)."""
+    return 0.5 * (a + c) + sign * np.hypot(0.5 * (a - c), np.abs(b))
+
+
 def operator_norms(matrices: np.ndarray) -> np.ndarray:
-    """The largest singular value of every matrix of a stack (..., d, d),
-    via the eigenvalues of M^H M."""
+    """The largest singular value of every matrix of a stack (..., d, d):
+    |m| for d = 1, the square root of the larger eigenvalue of M^H M in
+    closed form for d = 2, and by ``eigvalsh`` of M^H M for larger d.  A
+    matrix with a non-finite entry has norm NaN and is not eigensolved."""
+    if not np.isfinite(matrices).all():
+        finite = np.isfinite(matrices).all(axis=(-2, -1))
+        return np.where(finite, operator_norms(np.where(finite[..., None, None], matrices, 0.0)), np.nan)
+    d = matrices.shape[-1]
+    if d == 1:
+        return np.sqrt(_square(matrices[..., 0, 0]))
+    if d == 2:  # M^H M = [[a, conj(b)], [b, c]], a and c the squared column norms
+        columns = _square(matrices).sum(axis=-2)
+        b = (matrices[..., 0].conj() * matrices[..., 1]).sum(axis=-1)
+        return np.sqrt(_eigenvalue_2x2(columns[..., 0], columns[..., 1], b, 1.0))
     top = np.linalg.eigvalsh(matrices.conj().swapaxes(-1, -2) @ matrices)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
 
 
+def lowest_eigenvalues(hermitian: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of every matrix of a stack (..., d, d) of
+    Hermitian matrices, read from the lower triangle as ``eigvalsh`` reads
+    it: the real diagonal entry for d = 1, the closed form for d = 2, and
+    ``eigvalsh`` for larger d; the entries must be finite."""
+    d = hermitian.shape[-1]
+    if d == 1:
+        return hermitian[..., 0, 0].real
+    if d == 2:
+        return _eigenvalue_2x2(hermitian[..., 0, 0].real, hermitian[..., 1, 1].real, hermitian[..., 1, 0], -1.0)
+    return np.linalg.eigvalsh(hermitian)[..., 0]
+
+
 def operator_norm(matrix: np.ndarray) -> float:
-    """Largest singular value via the eigendecomposition of M^H M; for a
-    stack of matrices, the largest over the stack."""
+    """Largest singular value (:func:`operator_norms`); for a stack of
+    matrices, the largest over the stack."""
     m = np.asarray(matrix, dtype=np.complex128)
     return float(operator_norms(m).max()) if m.size else 0.0
 
@@ -145,18 +186,22 @@ def cstar_norm(a: GroupoidFunction, haar: HaarSystem) -> float:
 
 
 def positivity_stack(g: FiniteGroupoid, a: np.ndarray, haar: HaarSystem) -> np.ndarray:
-    """:func:`positivity_check` for every trial of a (..., n) stack."""
+    """:func:`positivity_check` for every trial of a (..., n) stack.  A
+    trial with a non-finite coefficient is not positive; its blocks are
+    zeroed before the eigensolve."""
 
     def kernel(x: np.ndarray) -> np.ndarray:
+        ok = np.isfinite(x).all(axis=-1)
+        if not ok.all():
+            x = np.where(ok[..., None], x, 0.0)
         stacks = _stacks_of(g, x, haar, g.orbit_rep_tables())
         slack = EIG_TOL * (1.0 + _norm_of_trials(stacks))
-        ok = np.ones(x.shape[:-1], dtype=bool)
         for m in stacks:
             adjoint = m.conj().swapaxes(-1, -2)
-            ok &= ~(np.abs(m - adjoint).max(axis=(-3, -2, -1)) > slack)
+            ok &= np.abs(m - adjoint).max(axis=(-3, -2, -1)) <= slack
             if not ok.any():  # no trial left to decide
                 break
-            ok &= ~(np.linalg.eigvalsh(0.5 * (m + adjoint))[..., 0].min(axis=-1) < -slack)
+            ok &= lowest_eigenvalues(0.5 * (m + adjoint)).min(axis=-1) >= -slack
         return ok
 
     return chunked(kernel, _orbit_size(g), a)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from groupoid_workbench import algebra
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.groupoid import (
     FiniteGroupoid,
@@ -232,6 +233,24 @@ class TestHaar:
     @pytest.mark.parametrize("doc", builtin_corpus(seed=0), ids=lambda doc: doc.name)
     def test_per_unit_weights_are_invariant_on_corpus(self, doc):
         assert per_unit_weights_invariant(doc.groupoid, np.random.default_rng([9, doc.groupoid.n_arrows]))
+
+
+@pytest.mark.parametrize("doc", builtin_corpus(seed=0)[::3], ids=lambda doc: doc.name)
+def test_chunked_left_invariance_matches_one_pass(doc, monkeypatch):
+    """Rows summed a chunk at a time (two rows per chunk, one at the end)
+    give the verdicts of one pass over every row: half the rows keep the
+    per-unit weights, the others scale one non-unit arrow's weight."""
+    g = doc.groupoid
+    rng = np.random.default_rng([3, g.n_arrows])
+    w = np.tile(10.0 ** rng.uniform(-3.0, 3.0, g.n_units)[g.src_index], (7, 1))
+    non_units = np.setdiff1d(np.arange(g.n_arrows), g.unit_arrow_index)
+    if len(non_units):
+        w[1::2, rng.choice(non_units)] *= 1.5
+    monkeypatch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 2 * len(g.composable_pairs()[0]))
+    assert len(algebra.trial_chunks(len(w), len(g.composable_pairs()[0]))) == 4
+    chunked = left_invariance_stack(g, w, algebra.trial_chunks)
+    assert chunked.tolist() == left_invariance_stack(g, w).tolist()
+    assert chunked.tolist() == [True, not len(non_units)] * 3 + [True]
 
 
 def per_unit_weights_invariant(g: FiniteGroupoid, rng: np.random.Generator) -> bool:

@@ -14,6 +14,8 @@ unit at a time) is kept below as ``per_unit_block`` and serves as an oracle
 on the corpus.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,9 +41,13 @@ from groupoid_workbench import representation
 from groupoid_workbench.groups import FreeAbelianGroup, cyclic_group
 from groupoid_workbench.representation import (
     cstar_norm,
+    cstar_norm_stack,
     decompose_rep_U,
+    lowest_eigenvalues,
     operator_norm,
+    operator_norms,
     positivity_check,
+    positivity_stack,
     regular_rep_matrix,
     rep_blocks,
     spectrum,
@@ -234,6 +240,92 @@ class TestPositivityAndSpectrum:
 
     def test_non_hermitian_fails_positivity(self, p2, p2_counting):
         assert not positivity_check(delta(p2, "(1,2)"), p2_counting)
+
+
+EPS = np.finfo(float).eps
+
+
+def complex_stack(rng: np.random.Generator, count: int, d: int, scale: float = 1.0) -> np.ndarray:
+    return (rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))) * scale
+
+
+def small_block_cases(d: int) -> list[np.ndarray]:
+    """Random complex (count, d, d) stacks at the scales 1e-150, 1 and 1e150,
+    and stacks with equal, zero and rank-one structure."""
+    rng = np.random.default_rng([17, d])
+    cases = [complex_stack(rng, 4000, d, scale) for scale in (1e-150, 1.0, 1e150)]
+    v, u = complex_stack(rng, 500, d)[..., :1], complex_stack(rng, 500, d)[..., :1]
+    cases.append(v @ u.conj().swapaxes(-1, -2))  # rank one
+    cases.append(np.eye(d) * rng.normal(size=(500, 1, 1)))  # equal eigenvalues
+    cases.append(np.zeros((3, d, d), dtype=complex))
+    cases.append(np.exp(2j * np.pi * rng.random((500, 1, 1))) * np.eye(d)[::-1])  # unitary: equal singular values
+    return cases
+
+
+class TestSmallBlockClosedForms:
+    """Blocks of size 1 and 2 are reduced in closed form (|m|, and the
+    quadratic formula for the eigenvalues of a Hermitian 2 x 2 matrix);
+    ``eigvalsh`` stays the oracle.  The scale of the bounds is the squared
+    Frobenius norm of the block, at least its squared operator norm."""
+
+    def test_one_by_one_norm_is_eigvalsh_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        m = complex_stack(rng, 140_000, 1, 1.0) * 10.0 ** rng.uniform(-150.0, 150.0, size=(140_000, 1, 1))
+        top = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1]
+        assert np.array_equal(operator_norms(m), np.sqrt(np.maximum(top, 0.0)))
+
+    def test_one_by_one_lowest_eigenvalue_is_eigvalsh_bit_for_bit(self):
+        h = complex_stack(np.random.default_rng(6), 10_000, 1)
+        assert np.array_equal(lowest_eigenvalues(h), np.linalg.eigvalsh(h)[..., 0])
+
+    @pytest.mark.parametrize("case", range(len(small_block_cases(2))))
+    def test_two_by_two_norm_matches_eigvalsh(self, case):
+        m = small_block_cases(2)[case]
+        top = np.linalg.eigvalsh(m.conj().swapaxes(-1, -2) @ m)[..., -1]
+        scale = (np.abs(m) ** 2).sum(axis=(-2, -1))
+        norms = operator_norms(m)
+        # |n^2 - top| without rounding the square of n
+        assert ((norms + np.sqrt(top)) * np.abs(norms - np.sqrt(top)) <= 8 * EPS * scale).all()
+
+    @pytest.mark.parametrize("case", range(len(small_block_cases(2))))
+    def test_two_by_two_lowest_eigenvalue_matches_eigvalsh(self, case):
+        m = small_block_cases(2)[case]
+        h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        scale = np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1)))
+        assert (np.abs(lowest_eigenvalues(h) - np.linalg.eigvalsh(h)[..., 0]) <= 8 * EPS * scale).all()
+
+    def test_lowest_eigenvalue_reads_the_lower_triangle(self):
+        h = np.array([[1.0, 5.0 + 1j], [2.0, -1.0]])  # not Hermitian: eigvalsh reads h[1, 0]
+        assert lowest_eigenvalues(h) == pytest.approx(np.linalg.eigvalsh(h)[0], abs=8 * EPS * 6)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1j * np.inf])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_a_non_finite_block_has_a_nan_norm(self, d, value):
+        m = np.ones((2, d, d), dtype=complex)
+        m[0, -1, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = operator_norms(m)
+        assert np.isnan(norms[0]) and norms[1] == pytest.approx(d)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_nan_coefficient_is_not_positive(self, n):
+        """The unit function is positive; with one NaN coefficient it is not,
+        at block size n, and neither the C*-norm nor the verdict raises.  The
+        NaN sits off the diagonal of the block where there is an off-diagonal
+        entry, where ``eigvalsh`` rejects the block if it gets it."""
+        g = pair_groupoid(n)
+        haar = counting_haar(g)
+        stack = np.tile(unit_function(g, haar).coeffs, (3, 1))
+        stack[1, 1 % g.n_arrows] = np.nan  # the arrow (1, 2) when n > 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            verdicts = positivity_stack(g, stack, haar)
+            norms = cstar_norm_stack(g, stack, haar)
+            one = positivity_stack(g, stack[1], haar)
+        assert verdicts.tolist() == [True, False, True]
+        assert not one
+        assert np.isnan(norms[1]) and norms[[0, 2]].tolist() == [1.0, 1.0]
 
 
 class TestFiberDecomposition:

@@ -263,3 +263,25 @@ class TestPastTheCorpus:
         assert len(doc.system.fiber_keys) == 1
         assert [r.status for r in records] == ["pass"] * 4
         assert peak < 32e6
+
+    def test_haar_suite_memory_at_the_arrow_budget(self):
+        """On the pair groupoid on 64 points (4,096 arrows, 262,144
+        composable pairs) haar-perturbation-detected sums the weight rows of
+        its 20 trials a chunk of rows at a time, so the haar suite's
+        `tracemalloc` peak stays under 32 MB (22 MB; 178 MB with every
+        trial's sums held at once)."""
+        from pair_documents import pair_documents
+
+        from groupoid_workbench.document import document_from_dict
+
+        doc = document_from_dict(pair_documents(64)["pair64-builtin"])
+        tracemalloc.start()
+        try:
+            records = run_document(doc, suite="haar", seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        detected = next(r for r in records if r.check == "haar-perturbation-detected")
+        assert detected.witness == {"trials": 20, "detected": 20}
+        assert [r.status for r in records] == ["pass"] * 6
+        assert peak < 32e6
