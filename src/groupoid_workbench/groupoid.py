@@ -634,9 +634,7 @@ def validate_left_invariance(g: FiniteGroupoid, w: Mapping[str, float]) -> bool:
     return bool(left_invariance_stack(g, vec)[0])
 
 
-def left_invariance_stack(
-    g: FiniteGroupoid, w: np.ndarray, chunks: Callable[[int, int], Sequence[slice]] | None = None
-) -> np.ndarray:
+def left_invariance_stack(g: FiniteGroupoid, w: np.ndarray) -> np.ndarray:
     """The verdict of :func:`validate_left_invariance` for every row of a
     (T, n) stack of positive arrow-weight tables.
 
@@ -645,10 +643,10 @@ def left_invariance_stack(
     r(t) = r(x) and 0 otherwise, within ``ALG_TOL * (1 + max w)``.  Only the
     keys that some pair hits are formed; every (x, t) with r(t) = r(x) must
     be among them, since an unhit one compares 0 with a positive weight.
-    The keys are formed once; ``chunks(T, per_row)`` (``algebra.trial_chunks``)
-    splits the rows into the slices whose sums are formed together, all of
-    them at once by default.
+    The keys are formed once and the sums a chunk of rows at a time, in the
+    chunks of ``algebra.trial_chunks``.
     """
+    from .algebra import chunked  # algebra imports this module
     n = g.n_arrows
     xs, ys, zs = g.composable_pairs()
     keys, at = np.unique(xs * n + zs, return_inverse=True)
@@ -663,8 +661,7 @@ def left_invariance_stack(
         tol = ALG_TOL * (1.0 + rows.max(axis=1))
         return every_pair_hit & (np.abs(lhs - np.where(same, rows[:, t], 0.0)).max(axis=1) <= tol)
 
-    slices = chunks(len(w), len(ys)) if chunks else ()
-    return np.concatenate([verdicts(w[s]) for s in slices]) if len(slices) > 1 else verdicts(w)
+    return chunked(verdicts, len(ys), w)
 
 
 # -- constructors ----------------------------------------------------------

@@ -41,7 +41,6 @@ from .algebra import (
     random_stacks,
     restrict_stack,
     row_chunks,
-    trial_chunks,
     unit_function,
 )
 from .bundle import (
@@ -206,7 +205,7 @@ def _suite_haar(doc: WorkbenchDocument, rec: _Recorder, count: int) -> None:
     draws = np.array([(rng.integers(len(non_units)), rng.uniform(1.3, 2.0)) for _ in range(trials)]).reshape(trials, 2)
     perturbed = np.tile(w, (trials, 1))
     perturbed[np.arange(trials), non_units[draws[:, 0].astype(np.intp)]] *= draws[:, 1]
-    detected = int((~left_invariance_stack(g, perturbed, trial_chunks)).sum())
+    detected = int((~left_invariance_stack(g, perturbed)).sum())
     rec.add(
         "haar-perturbation-detected",
         "breaking the source-dependence of a weight breaks invariance",
