@@ -29,31 +29,26 @@ its terms in the order of a sum trial by trial and pair by pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
 from .grading import GradedGroupoid
-from .groupoid import FiniteGroupoid, HaarSystem
+from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly
 
 
-@dataclass(frozen=True, eq=False)
-class GroupoidFunction:
+class GroupoidFunction(ReadOnly):
     """Element of the convolution algebra: one complex coefficient per arrow,
     held as a read-only copy."""
 
-    groupoid: FiniteGroupoid
-    coeffs: np.ndarray
+    __slots__ = ("groupoid", "coeffs")
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.complex128)  # a copy, never the caller's array
-        if arr.shape != (self.groupoid.n_arrows,):
-            raise ValueError(
-                f"Coefficient vector has shape {arr.shape}, expected ({self.groupoid.n_arrows},)."
-            )
+    def __init__(self, groupoid: FiniteGroupoid, coeffs: np.ndarray) -> None:
+        arr = np.array(coeffs, dtype=np.complex128)  # a copy, never the caller's array
+        if arr.shape != (groupoid.n_arrows,):
+            raise ValueError(f"Coefficient vector has shape {arr.shape}, expected ({groupoid.n_arrows},).")
         arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
+        self._set(groupoid=groupoid, coeffs=arr)
 
     def value(self, aid: str) -> complex:
         return complex(self.coeffs[self.groupoid.index(aid)])

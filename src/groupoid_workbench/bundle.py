@@ -16,7 +16,6 @@ elements, and for the I-norm bound on each fiber.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -36,17 +35,19 @@ from .algebra import (
     unit_labels,
 )
 from .grading import GradedGroupoid
+from .groupoid import ReadOnly
 from .hilbert_module import expectation_stack
 from .representation import _norm_of_trials, _stacks_of, cstar_norm_stack
 from .validation import ALG_TOL, EIG_TOL, CheckReport, norm_chain
 
 
-@dataclass(frozen=True, eq=False)
-class GradedSubspaceFamily:
+class GradedSubspaceFamily(ReadOnly):
     """Delta-function bases of the fiber subspaces, keyed by element key."""
 
-    system: GradedGroupoid
-    bases: Mapping[str, tuple[str, ...]]
+    __slots__ = ("system", "bases")
+
+    def __init__(self, system: GradedGroupoid, bases: Mapping[str, tuple[str, ...]]) -> None:
+        self._set(system=system, bases=bases)
 
     @property
     def keys(self) -> tuple[str, ...]:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Any, Mapping
 
 import numpy as np
@@ -37,6 +37,7 @@ from .algebra import GroupoidFunction
 from .grading import Cocycle, GradedGroupoid, InvalidSystem, validate_system
 from .groupoid import (
     FiniteGroupoid,
+    ReadOnly,
     action_groupoid,
     disjoint_union,
     group_bundle,
@@ -64,14 +65,15 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-@dataclass(eq=False)
-class WorkbenchDocument:
-    """A parsed and fully validated instance plus its named functions."""
+class WorkbenchDocument(ReadOnly):
+    """A parsed and fully validated instance plus its named functions, held
+    as a read-only copy of the mapping passed in, and ``raw``, the JSON
+    object it was read from."""
 
-    name: str
-    system: GradedGroupoid
-    functions: dict[str, GroupoidFunction]
-    raw: dict[str, Any]
+    __slots__ = ("name", "system", "functions", "raw")
+
+    def __init__(self, name: str, system: GradedGroupoid, functions: Mapping[str, GroupoidFunction], raw: dict[str, Any]) -> None:
+        self._set(name=name, system=system, functions=MappingProxyType(dict(functions)), raw=raw)
 
     @property
     def groupoid(self) -> FiniteGroupoid:
@@ -416,7 +418,7 @@ def _read_cocycle(top: Mapping[str, Any], g: FiniteGroupoid) -> Cocycle:
     if len(cocycle_spec) > len(ids):
         extra = set(cocycle_spec) - set(ids)
         raise DocumentError("cocycle", f"labels for unknown arrows {sorted(extra)[:3]}")
-    return Cocycle(group=group, label=dict(zip(ids, group.elements_of(values))), elements=values)
+    return Cocycle(group=group, label=ids, elements=values)
 
 
 def document_from_dict(raw: Any) -> WorkbenchDocument:

@@ -27,39 +27,45 @@ that index (as a numpy mask) instead of the arrow labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, HaarSystem, counting_haar, haar_from_weights, once_property, validate_groupoid
+from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly, counting_haar, haar_from_weights, once_property, validate_groupoid
 from .groups import DiscreteGroup
 from .validation import CheckReport
 
 
-@dataclass(frozen=True, eq=False)
-class Cocycle:
+class Cocycle(ReadOnly):
     """Arrow labelling c with values in a discrete group.
 
     ``label`` is a read-only copy of the map passed in, and ``elements``
     holds the labels as the group's element array, read-only, an entry (or
     row) per label in the order of ``label``, or None when a label is not
     an element in the array form.  Given the label map alone, the labels
-    are converted once, here; a parser passes the array it read.
+    are converted once, here.  A parser passes the array it read and, as
+    ``label``, the arrow ids alone, in the order of its entries; the label
+    map is then built from the array on first read (:func:`once_property`).
     """
 
-    group: DiscreteGroup
-    label: Mapping[str, Any]
-    elements: np.ndarray | None = field(default=None, repr=False)
+    __slots__ = ("group", "elements", "_ids", "_cache")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "label", MappingProxyType(dict(self.label)))
-        given = self.elements  # copied, never the caller's array
-        values = self.group.element_array(list(self.label.values())) if given is None else np.array(given)
+    def __init__(self, group: DiscreteGroup, label: Mapping[str, Any] | Sequence[str], elements: np.ndarray | None = None) -> None:
+        cache: dict[str, Any] = {}  # by once(): the label map
+        if isinstance(label, Mapping):
+            cache["label"] = MappingProxyType(dict(label))
+        elif elements is None:
+            raise TypeError("Cocycle takes a label map, or the arrow ids with their element array.")
+        # copied, never the caller's array
+        values = group.element_array(list(cache["label"].values())) if elements is None else np.array(elements)
         if values is not None:
             values.flags.writeable = False
-        object.__setattr__(self, "elements", values)
+        self._set(group=group, elements=values, _ids=tuple(label), _cache=cache)
+
+    @once_property
+    def label(self) -> Mapping[str, Any]:
+        return MappingProxyType(dict(zip(self._ids, self.group.elements_of(self.elements))))
 
     def of(self, aid: str) -> Any:
         return self.label[aid]
@@ -68,7 +74,7 @@ class Cocycle:
         """The element array of the labels of g's arrows in declared order,
         or None when one is missing or not an element in the array form:
         ``elements`` itself when the labels are in that order."""
-        if tuple(self.label) == g.arrow_ids:
+        if self._ids == g.arrow_ids:
             return self.elements
         return self.group.element_array(list(map(self.label.get, g.arrow_ids)))
 

@@ -34,9 +34,8 @@ stored by :func:`once`, which assigns it once.  Operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,13 +48,34 @@ RepTables = tuple[tuple[tuple[str, ...], np.ndarray, np.ndarray], ...]
 OrbitRepTables = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     """One arrow: ``src`` is the source unit s(x), ``dst`` the range unit r(x)."""
 
     id: str
     src: str
     dst: str
+
+
+class ReadOnly:
+    """Base of the records that compare by identity: their fields are
+    ``__slots__``, set once by the constructor through :meth:`_set`, and
+    assigning or deleting an attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields: Any) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"
 
 
 def once(cache: dict[Any, Any], key: Any, build: Callable[[Any], Any], arg: Any) -> Any:
@@ -570,18 +590,16 @@ def _associativity_witness(g: FiniteGroupoid) -> tuple[int, int, int]:
     return witness
 
 
-@dataclass(frozen=True, eq=False)
-class HaarSystem:
+class HaarSystem(ReadOnly):
     """Per-unit positive weights; arrow y gets measure w(y) = rho(s(y)).
 
     ``rho`` is held as a read-only copy of the mapping passed in, so the
     weight arrays cached per groupoid cannot go stale."""
 
-    rho: Mapping[str, float]
-    _cache: dict[FiniteGroupoid, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("rho", "_cache")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rho", MappingProxyType(dict(self.rho)))
+    def __init__(self, rho: Mapping[str, float]) -> None:
+        self._set(rho=MappingProxyType(dict(rho)), _cache={})  # by once(): the weights per groupoid
 
     def unit_weight(self, u: str) -> float:
         return self.rho[u]

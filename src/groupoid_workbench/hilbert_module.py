@@ -40,8 +40,7 @@ gathers, images and blocks stay within ``algebra.TRIAL_CHUNK_ENTRIES``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -348,8 +347,7 @@ def check_eq_ruy(sys: GradedGroupoid, a: GroupoidFunction, b: GroupoidFunction) 
     return bool(eq_ruy_defect_stack(sys, a_, b_)[0] <= eq_ruy_tolerance(a_, b_)[0])
 
 
-@dataclass(frozen=True)
-class KernelCheckRecord:
+class KernelCheckRecord(NamedTuple):
     """Norm triple for one function: left-convolution operator, expectation
     of the star-square, and the C*-norm, with their zero-verdicts and
     whether the verdicts agree."""

@@ -53,14 +53,13 @@ Neither is an iteration, so repeated runs give bit-stable reports.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .algebra import GroupoidFunction, chunked, include_stack, involute
 from .grading import GradedGroupoid
-from .groupoid import FiniteGroupoid, HaarSystem
+from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly
 from .validation import EIG_TOL
 
 
@@ -215,7 +214,7 @@ def positivity_check(a: GroupoidFunction, haar: HaarSystem) -> bool:
 def spectrum(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
     """Sorted real eigenvalues of the regular blocks; requires a self-adjoint."""
     deviation = cstar_norm(a - involute(a), haar)
-    if deviation > EIG_TOL * (1.0 + cstar_norm(a, haar)):
+    if not deviation <= EIG_TOL * (1.0 + cstar_norm(a, haar)):  # NaN fails
         raise ValueError(f"Function is not self-adjoint (deviation {deviation:.3e}).")
     values = [np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2))).ravel() for m in rep_stacks(a, haar)]
     return np.sort(np.concatenate(values))
@@ -224,16 +223,22 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
 # -- fiberwise decomposition of the representation of the identity component
 
 
-@dataclass(frozen=True, eq=False)
-class FiberBlockDecomposition:
+class FiberBlockDecomposition(ReadOnly):
     """Fiber blocks of the regular representation of an included function at
-    a unit, with the largest entry of the permuted full matrix outside them."""
+    a unit, with the largest entry of the permuted full matrix outside them.
+    ``block_order`` lists the element keys with a nonempty fiber at the unit."""
 
-    unit: str
-    block_order: tuple[str, ...]  # element keys with nonempty fiber at the unit
-    blocks: dict[str, np.ndarray]
-    permuted_matrix: np.ndarray
-    max_abs_error: float
+    __slots__ = ("unit", "block_order", "blocks", "permuted_matrix", "max_abs_error")
+
+    def __init__(
+        self,
+        unit: str,
+        block_order: tuple[str, ...],
+        blocks: dict[str, np.ndarray],
+        permuted_matrix: np.ndarray,
+        max_abs_error: float,
+    ) -> None:
+        self._set(unit=unit, block_order=block_order, blocks=blocks, permuted_matrix=permuted_matrix, max_abs_error=max_abs_error)
 
 
 def _equal_size_groups(key: np.ndarray) -> list[np.ndarray]:
@@ -319,20 +324,37 @@ def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> Fiber
     return FiberBlockDecomposition(u, tuple(blocks), blocks, permuted, float(_cross_fiber_max(fiber, full)))
 
 
-@dataclass(frozen=True, eq=False)
-class TranslationWitness:
+class TranslationWitness(ReadOnly):
     """Conjugation of a fiber block to the identity-fiber representation at
     the range of the chosen translating arrow."""
 
-    source_unit: str
-    target_unit: str
-    gamma_key: str
-    z_arrow: str
-    v_matrix: np.ndarray
-    fiber_block: np.ndarray
-    translated: np.ndarray
-    target_block: np.ndarray
-    max_abs_error: float
+    __slots__ = (
+        "source_unit", "target_unit", "gamma_key", "z_arrow", "v_matrix", "fiber_block", "translated", "target_block", "max_abs_error"
+    )
+
+    def __init__(
+        self,
+        source_unit: str,
+        target_unit: str,
+        gamma_key: str,
+        z_arrow: str,
+        v_matrix: np.ndarray,
+        fiber_block: np.ndarray,
+        translated: np.ndarray,
+        target_block: np.ndarray,
+        max_abs_error: float,
+    ) -> None:
+        self._set(
+            source_unit=source_unit,
+            target_unit=target_unit,
+            gamma_key=gamma_key,
+            z_arrow=z_arrow,
+            v_matrix=v_matrix,
+            fiber_block=fiber_block,
+            translated=translated,
+            target_block=target_block,
+            max_abs_error=max_abs_error,
+        )
 
 
 def _translation(sys: GradedGroupoid, u: str, gamma: Any, z_arrow: str | None) -> tuple[str, str, str, np.ndarray]:

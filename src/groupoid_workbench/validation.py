@@ -13,8 +13,8 @@ raising, so harness code can surface failures as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 ALG_TOL = 1e-12
 EIG_TOL = 1e-9
@@ -37,13 +37,12 @@ def norm_chain(*norms: Any) -> Any:
     return held
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of a structural validation: pass, or first failure with witness."""
 
     ok: bool
     cause: str | None = None
-    witness: Mapping[str, Any] = field(default_factory=dict)
+    witness: Mapping[str, Any] = MappingProxyType({})
 
     @classmethod
     def passed(cls) -> "CheckReport":

@@ -22,8 +22,8 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,8 +88,7 @@ DEFAULT_COUNTS = {
 SUITES = tuple(DEFAULT_COUNTS)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified property on one instance, with its worst-case witness."""
 
     suite: str
@@ -99,7 +98,7 @@ class CheckRecord:
     status: str
     tolerance: float
     seed: int
-    witness: dict[str, Any] = field(default_factory=dict)
+    witness: Mapping[str, Any] = MappingProxyType({})
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -110,7 +109,7 @@ class CheckRecord:
             "status": self.status,
             "tolerance": self.tolerance,
             "seed": self.seed,
-            "witness": self.witness,
+            "witness": self.witness or {},  # a dict for JSON in place of the read-only default
         }
 
 

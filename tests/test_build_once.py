@@ -2,8 +2,9 @@
 
 The workbench builds some values on first use: a groupoid's arrow records,
 pair table columns, dense compose view, convolution bins, rep index and embeddings, a
-Haar system's weight arrays, a graded groupoid's identity fiber and induced
-space, and an induced space's dense Gram and frame.  Each goes through ``groupoid.once``: two
+Haar system's weight arrays, a parsed cocycle's label map, a graded
+groupoid's identity fiber and induced space, and an induced space's dense
+Gram and frame.  Each goes through ``groupoid.once``: two
 callers that miss together may both build, but both get the first value
 stored.  :func:`race` makes that interleaving happen on purpose: the second
 caller is held inside its build until the first caller has returned.
@@ -22,8 +23,9 @@ from groupoid_workbench import groupoid as groupoid_module
 from groupoid_workbench import hilbert_module
 from groupoid_workbench.algebra import GroupoidFunction
 from groupoid_workbench.document import parse_document
-from groupoid_workbench.grading import GradedGroupoid
+from groupoid_workbench.grading import Cocycle, GradedGroupoid
 from groupoid_workbench.groupoid import FiniteGroupoid, haar_from_weights, pair_groupoid
+from groupoid_workbench.groups import FreeAbelianGroup
 from groupoid_workbench.hilbert_module import L_operator_norm, induced_space, module_action, module_norm
 
 from conftest import pair_cocycle
@@ -74,6 +76,12 @@ def _weights():
     return lambda: haar.weights(g)
 
 
+def _label():
+    g = pair_groupoid(3)
+    c = Cocycle(FreeAbelianGroup(1), g.arrow_ids, pair_cocycle(g).elements)  # as a parser passes it
+    return lambda: c.label
+
+
 def _space(attr: str):
     space = induced_space(graded_pair())
     return lambda: getattr(space, attr)
@@ -88,6 +96,7 @@ CASES = {
     "orbit_rep_tables": (lambda: pair_groupoid(3).orbit_rep_tables, (groupoid_module, "_read_only")),
     "embedding": (_embedding, (groupoid_module, "_read_only")),
     "weights": (_weights, (groupoid_module, "_read_only")),
+    "label": (_label, (FreeAbelianGroup, "elements_of")),
     "identity_fiber": (lambda: lambda sys=graded_pair(): sys.identity_fiber, (groupoid_module, "_read_only")),
     "induced_space": (lambda: lambda sys=graded_pair(): induced_space(sys), (hilbert_module, "InducedSpace")),
     "gram": (lambda: _space("gram"), (np, "zeros")),

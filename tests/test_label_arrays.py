@@ -56,7 +56,7 @@ def assert_fibers_match_reference(sys_: GradedGroupoid) -> None:
     g, c = sys_.groupoid, sys_.cocycle
     index, elements = reference_number_fibers(g, c)
     keys = tuple(c.group.element_key(el) for el in elements)
-    fibers = {key: tuple(a.id for a in np.array(g.arrows, dtype=object)[index == k]) for k, key in enumerate(keys)}
+    fibers = {key: tuple(np.array([a.id for a in g.arrows], dtype=object)[index == k]) for k, key in enumerate(keys)}
     assert sys_.fiber_index.dtype == np.intp and sys_.fiber_index.tolist() == index.tolist()
     assert sys_.fiber_elements == elements
     assert [list(map(type, np.atleast_1d(el))) for el in sys_.fiber_elements] == [

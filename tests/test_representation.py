@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from groupoid_workbench.algebra import (
+    GroupoidFunction,
     convolve,
     delta,
     from_map,
@@ -237,6 +238,22 @@ class TestPositivityAndSpectrum:
         eigs = spectrum(unit_function(p2, p2_weighted), p2_weighted)
         assert eigs.shape == (4,)
         assert np.abs(eigs - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_nan_coefficient_has_no_spectrum(self, n):
+        """The unit function with a NaN coefficient at (1,1) is rejected: its
+        self-adjointness deviation is NaN, which must fail the test (it read
+        [0, -0, 0, -0] on pair(2) when only a deviation above it failed)."""
+        g = pair_groupoid(n)
+        haar = counting_haar(g)
+        unit = unit_function(g, haar)
+        coeffs = np.array(unit.coeffs)
+        coeffs[g.index("(1,1)")] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="self-adjoint"):
+                spectrum(GroupoidFunction(g, coeffs), haar)
+        assert spectrum(unit, haar).tolist() == [1.0] * n * n
 
     def test_non_hermitian_fails_positivity(self, p2, p2_counting):
         assert not positivity_check(delta(p2, "(1,2)"), p2_counting)
