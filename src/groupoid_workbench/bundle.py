@@ -16,6 +16,7 @@ elements, and for the I-norm bound on each fiber.
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -42,12 +43,13 @@ from .validation import ALG_TOL, EIG_TOL, CheckReport, norm_chain
 
 
 class GradedSubspaceFamily(ReadOnly):
-    """Delta-function bases of the fiber subspaces, keyed by element key."""
+    """Delta-function bases of the fiber subspaces, keyed by element key,
+    held as a read-only copy of the mapping passed in."""
 
     __slots__ = ("system", "bases")
 
     def __init__(self, system: GradedGroupoid, bases: Mapping[str, tuple[str, ...]]) -> None:
-        self._set(system=system, bases=bases)
+        self._set(system=system, bases=MappingProxyType(dict(bases)))
 
     @property
     def keys(self) -> tuple[str, ...]:

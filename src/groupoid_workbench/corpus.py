@@ -1,6 +1,6 @@
 """The built-in instance corpus: small graded groupoids of every supported shape.
 
-Sixteen base instances (pair groupoids with the integer difference grading
+Seventeen base instances (pair groupoids with the integer difference grading
 and with the trivial grading, cyclic and symmetric group groupoids under
 identity and quotient cocycles, cyclic-shift action groupoids graded by the
 group coordinate, a bundle of two copies of Z/2, disjoint unions, and one
@@ -8,7 +8,12 @@ product graded by its group factor), each emitted twice: once with counting
 Haar weights and once with a seeded random positive weight per unit.
 
 Every document is produced through the parser, so corpus members satisfy the
-parse-time validation by construction.
+parse-time validation by construction: a base's groupoid is built once, the
+counting twin is read onto it by :func:`~groupoid_workbench.document.document_on`,
+and the weighted twin shares that document's groupoid, group, cocycle and
+functions, its Haar system checked by
+:func:`~groupoid_workbench.groupoid.haar_from_weights`.  Each call builds
+fresh objects.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
-from .document import WorkbenchDocument, build_group, build_groupoid, document_from_dict
-from .groupoid import FiniteGroupoid
+from .document import WorkbenchDocument, build_group, build_groupoid, document_on
+from .grading import GradedGroupoid
+from .groupoid import FiniteGroupoid, haar_from_weights
 from .groups import DiscreteGroup, cyclic_group, permutation_parity, permutations_of, symmetric_group
 
 if TYPE_CHECKING:
@@ -114,16 +120,18 @@ def builtin_corpus(seed: int = 0) -> list[WorkbenchDocument]:
         group: DiscreteGroup = build_group(base["group"])
         label = base["label"]
         cocycle = {aid: group.element_to_json(group.canonical(label(g, aid))) for aid in g.arrow_ids}
+        raw = {
+            "name": f"{base['slug']}-counting",
+            "groupoid": base["groupoid"],
+            "haar": {"rho": {u: 1.0 for u in g.units}},
+            "group": base["group"],
+            "cocycle": cocycle,
+            "functions": _sample_functions(g, np.random.default_rng([seed, idx, 1])),
+        }
+        counting = document_on(raw, g)
         rng = np.random.default_rng([seed, idx])
-        weighted_rho = {u: round(float(rng.uniform(0.5, 2.5)), 6) for u in g.units}
-        for variant, rho in (("counting", {u: 1.0 for u in g.units}), ("weighted", weighted_rho)):
-            raw = {
-                "name": f"{base['slug']}-{variant}",
-                "groupoid": base["groupoid"],
-                "haar": {"rho": rho},
-                "group": base["group"],
-                "cocycle": cocycle,
-                "functions": _sample_functions(g, np.random.default_rng([seed, idx, 1])),
-            }
-            docs.append(document_from_dict(raw))
+        rho = {u: round(float(rng.uniform(0.5, 2.5)), 6) for u in g.units}
+        system = GradedGroupoid(g, haar_from_weights(g, rho), counting.system.cocycle)
+        weighted = {**raw, "name": f"{base['slug']}-weighted", "haar": {"rho": rho}}
+        docs += counting, WorkbenchDocument(weighted["name"], system, counting.functions, weighted)
     return docs

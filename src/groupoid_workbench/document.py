@@ -427,9 +427,14 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
     unknown = set(top) - allowed
     if unknown:
         raise DocumentError("$", f"unknown fields {sorted(unknown)}")
-    name = str(top.get("name", "document"))
+    return document_on(top, build_groupoid(_require(top, "groupoid", "$"), "groupoid"))
 
-    g = build_groupoid(_require(top, "groupoid", "$"), "groupoid")
+
+def document_on(top: Mapping[str, Any], g: FiniteGroupoid) -> WorkbenchDocument:
+    """The document of a top-level object whose fields are known, read onto
+    g, the groupoid built from its ``groupoid`` field: the rest of
+    :func:`document_from_dict`, validated by :func:`validate_system`."""
+    name = str(top.get("name", "document"))
     try:
         haar, cocycle = validate_system(g, partial(_read_rho, top), partial(_read_cocycle, top, g))
     except InvalidSystem as exc:
@@ -442,4 +447,3 @@ def document_from_dict(raw: Any) -> WorkbenchDocument:
 
     system = GradedGroupoid(g, haar, cocycle)
     return WorkbenchDocument(name=name, system=system, functions=functions, raw=dict(top))
-

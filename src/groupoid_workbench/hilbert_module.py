@@ -14,12 +14,12 @@ convolution L_a is an adjointable module operator; its operator norm is
 computed concretely by inducing through the faithful identity-fiber
 representation: form the Gram matrix of the elementary tensors
 (delta_x (x) basis vector), quotient the null directions, and express L_a on
-the surviving orthonormal frame.  The Gram matrix is block-diagonal, so each
-block is eigendecomposed on its own.  The frame columns of a unit w = s(h)
-vanish off w's own rows (those with s(h) = w), and L_a keeps h, so the
-compression is block-diagonal over the units and each unit's block is formed
-on its own rows only.  At this scale completion is trivial and
-the null-space quotient is the only degeneracy to handle, so a deterministic
+the surviving orthonormal frame.  The Gram matrix is block-diagonal over the
+products z = xh, so each block is eigendecomposed on its own.  The frame
+columns of a unit w = s(h) vanish off w's own rows (those with s(h) = w),
+and L_a keeps h, so the compression is block-diagonal over the units and
+each unit's block is formed on its own rows only.  At this scale completion
+is trivial and the null-space quotient is the only degeneracy to handle, so a deterministic
 relative eigenvalue cutoff keeps reports stable.  Inducing the regular
 representation of G_e up to G gives a multiple of the regular representation
 of G, so ||L_a|| equals the C*-norm of a; the verify suites assert this
@@ -121,8 +121,11 @@ class InducedSpace:
 
     * rows with r(h) != s(x) vanish, so only the support pairs with
       r(h) = s(x) are kept (the dropped rows count as exact zero eigenvalues);
-    * a nonzero entry needs r(x) = r(y), c(x) = c(y) and s(h) = s(h'), so the
-      Gram is block-diagonal over the keys (r(x), c(x), s(h)).
+    * h h'^{-1} = x^{-1} y holds exactly when xh = yh', so the Gram is
+      block-diagonal over the products z = xh.  A block's rows are the
+      (z h^{-1}, h) over the h of G_e with s(h) = s(z), and every entry of
+      it is nonzero: the block is rho(r(z)) v v^T with v_h = sqrt(rho(r(h))),
+      of rank one.
 
     Each block is eigendecomposed on its own; eigendirections below
     ``NULL_THRESHOLD`` times the top eigenvalue of the whole Gram are
@@ -162,9 +165,10 @@ class InducedSpace:
         self._support = xs * sub.n_arrows + hs
 
         # Gram blocks, batched by size: members[b] lists the support rows of
-        # block b, and the entry test compares x^{-1} y with h h'^{-1} in G
-        key = (g.dst_index[xs] * len(sys.fiber_keys) + sys.fiber_index[xs]) * g.n_units + sub.src_index[hs]
+        # block b, those with one product z = xh, and the entry test compares
+        # x^{-1} y with h h'^{-1} in G
         invert, sub_invert, embedding = g.invert_index, sub.invert_index, sub.embedding(g)
+        key = g.compose_index(xs, embedding[hs])
         sqrt_rho_h = np.sqrt(_range_weights(sub, sys.haar))
         self._blocks = []  # (support rows, Gram) per batch of equal-size blocks
         solved = []

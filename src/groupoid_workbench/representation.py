@@ -53,13 +53,14 @@ Neither is an iteration, so repeated runs give bit-stable reports.
 from __future__ import annotations
 
 import functools
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 
 from .algebra import GroupoidFunction, chunked, include_stack, involute
 from .grading import GradedGroupoid
-from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly
+from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly, _read_only
 from .validation import EIG_TOL
 
 
@@ -226,7 +227,9 @@ def spectrum(a: GroupoidFunction, haar: HaarSystem) -> np.ndarray:
 class FiberBlockDecomposition(ReadOnly):
     """Fiber blocks of the regular representation of an included function at
     a unit, with the largest entry of the permuted full matrix outside them.
-    ``block_order`` lists the element keys with a nonempty fiber at the unit."""
+    ``block_order`` lists the element keys with a nonempty fiber at the unit.
+    ``blocks`` is a read-only mapping of read-only copies of the blocks
+    passed in, and ``permuted_matrix`` a read-only copy."""
 
     __slots__ = ("unit", "block_order", "blocks", "permuted_matrix", "max_abs_error")
 
@@ -234,10 +237,12 @@ class FiberBlockDecomposition(ReadOnly):
         self,
         unit: str,
         block_order: tuple[str, ...],
-        blocks: dict[str, np.ndarray],
+        blocks: Mapping[str, np.ndarray],
         permuted_matrix: np.ndarray,
         max_abs_error: float,
     ) -> None:
+        blocks = MappingProxyType({key: _read_only(np.array(block)) for key, block in blocks.items()})
+        permuted_matrix = _read_only(np.array(permuted_matrix))
         self._set(unit=unit, block_order=block_order, blocks=blocks, permuted_matrix=permuted_matrix, max_abs_error=max_abs_error)
 
 
@@ -326,7 +331,8 @@ def decompose_rep_U(sys: GradedGroupoid, a_e: GroupoidFunction, u: str) -> Fiber
 
 class TranslationWitness(ReadOnly):
     """Conjugation of a fiber block to the identity-fiber representation at
-    the range of the chosen translating arrow."""
+    the range of the chosen translating arrow; the four matrices are held as
+    read-only copies."""
 
     __slots__ = (
         "source_unit", "target_unit", "gamma_key", "z_arrow", "v_matrix", "fiber_block", "translated", "target_block", "max_abs_error"
@@ -349,10 +355,10 @@ class TranslationWitness(ReadOnly):
             target_unit=target_unit,
             gamma_key=gamma_key,
             z_arrow=z_arrow,
-            v_matrix=v_matrix,
-            fiber_block=fiber_block,
-            translated=translated,
-            target_block=target_block,
+            v_matrix=_read_only(np.array(v_matrix)),
+            fiber_block=_read_only(np.array(fiber_block)),
+            translated=_read_only(np.array(translated)),
+            target_block=_read_only(np.array(target_block)),
             max_abs_error=max_abs_error,
         )
 

@@ -4,7 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 from groupoid_workbench.corpus import builtin_corpus
+from groupoid_workbench.document import document_from_dict
 from groupoid_workbench.groupoid import validate_groupoid
 
 
@@ -14,6 +17,35 @@ def test_corpus_size_and_validity():
     for doc in docs:
         assert validate_groupoid(doc.groupoid).ok
         assert doc.groupoid.n_arrows <= 500
+
+
+def test_corpus_equals_what_the_parser_makes():
+    """Each twin equals the parse of its own JSON object, though the twins
+    of a base share one groupoid, group, cocycle and function set."""
+    docs = builtin_corpus(seed=0)
+    for doc in docs:
+        parsed = document_from_dict(doc.raw)
+        g, h = doc.groupoid, parsed.groupoid
+        assert parsed.name == doc.name and g.units == h.units and g.arrow_ids == h.arrow_ids
+        tables = ("src_index", "dst_index", "invert_index", "unit_arrow_index")
+        assert all(np.array_equal(getattr(g, t), getattr(h, t)) for t in tables)
+        assert all(map(np.array_equal, g.composable_pairs(), h.composable_pairs()))
+        assert doc.system.haar.rho == parsed.system.haar.rho
+        assert doc.system.group.name == parsed.system.group.name
+        assert np.array_equal(doc.system.cocycle.elements, parsed.system.cocycle.elements)
+        assert list(doc.functions) == list(parsed.functions)
+        for name, f in doc.functions.items():
+            assert f.groupoid is g and np.array_equal(f.coeffs, parsed.functions[name].coeffs)
+    for counting, weighted in zip(docs[::2], docs[1::2]):
+        assert weighted.name == counting.name.replace("-counting", "-weighted")
+        assert weighted.groupoid is counting.groupoid
+        assert weighted.system.cocycle is counting.system.cocycle
+        assert dict(weighted.functions) == dict(counting.functions)
+
+
+def test_each_call_builds_fresh_objects():
+    a, b = builtin_corpus(seed=0)[0], builtin_corpus(seed=0)[0]
+    assert a.groupoid is not b.groupoid and a.system.cocycle is not b.system.cocycle
 
 
 def test_documents_are_deterministic():

@@ -177,3 +177,31 @@ def test_cocycle_from_arrow_ids_needs_elements(p2):
     assert dict(c.label) == dict(pair_cocycle(p2).label)
     with pytest.raises(TypeError, match="arrow ids"):
         Cocycle(FreeAbelianGroup(1), p2.arrow_ids)
+
+
+def test_subspace_bases_are_a_read_only_copy():
+    family = graded_subspaces(SYS)
+    keys = family.keys
+    with pytest.raises(TypeError):
+        family.bases["zz"] = ("(1,2)",)
+    assert family.keys == keys
+    bases = dict(family.bases)
+    copy = GradedSubspaceFamily(SYS, bases)
+    bases.clear()
+    assert copy.keys == keys
+
+
+def test_witness_matrices_are_read_only_copies():
+    dec = decompose_rep_U(SYS, A_E, "1")
+    with pytest.raises(TypeError):
+        dec.blocks["zz"] = dec.permuted_matrix
+    witness = translate_rep_V(SYS, A_E, "1", (1,))
+    held = [dec.permuted_matrix, *dec.blocks.values()]
+    held += [getattr(witness, name) for name in ("v_matrix", "fiber_block", "translated", "target_block")]
+    for matrix in held:
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 99.0
+    block, permuted = np.ones((1, 1)), np.ones((1, 1))
+    copy = FiberBlockDecomposition("1", ("0",), {"0": block}, permuted, 0.0)
+    block[0, 0] = permuted[0, 0] = 7.0  # the caller's arrays stay writable
+    assert copy.blocks["0"][0, 0] == copy.permuted_matrix[0, 0] == 1.0
