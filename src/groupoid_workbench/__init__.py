@@ -1,6 +1,6 @@
 """Desk-scale workbench for graded finite-groupoid convolution algebras."""
 
-__version__ = "0.28.0"
+__version__ = "0.29.0"
 
 from .algebra import (
     GroupoidFunction,

@@ -18,11 +18,13 @@ gather or a coordinate add per composable pair, exact for every label.
 :func:`validate_system` is the one validation path of a graded groupoid,
 shared by the document parser and :meth:`GradedGroupoid.build`.
 
-The fibers are numbered once, by :func:`number_fibers`, when a
-:class:`GradedGroupoid` is constructed: fiber k is the preimage of the k-th
-image element in the group's sort order, and ``fiber_index`` holds the fiber
-number of every arrow in declared order.  Every fiber-aware operation reads
-that index (as a numpy mask) instead of the arrow labels.
+The fibers are numbered once per (groupoid, cocycle), whatever the Haar
+system: fiber k is the preimage of the k-th image element in the group's
+sort order, and ``fiber_index`` holds the fiber number of every arrow in
+declared order.  The numbering and G_e are kept in the cocycle's cache, keyed
+by the groupoid, and shared by every :class:`GradedGroupoid` on the pair.
+Every fiber-aware operation reads that index (as a numpy mask) instead of
+the arrow labels.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly, counting_haar, haar_from_weights, once_property, validate_groupoid
+from .groupoid import FiniteGroupoid, HaarSystem, ReadOnly, _read_only, haar_from_weights, once, once_property, validate_groupoid
 from .groups import DiscreteGroup
 from .validation import CheckReport
 
@@ -191,20 +193,6 @@ def validate_system(
     return haar, c
 
 
-def number_fibers(g: FiniteGroupoid, c: Cocycle) -> tuple[np.ndarray, tuple[Any, ...]]:
-    """The fiber number of every arrow (declared order) and the image
-    elements ordered by the group sort key: fiber k is the preimage of
-    elements[k].  The labels must be elements, as :func:`validate_cocycle`
-    requires.  One ``np.unique`` numbers the cocycle's element array: its
-    entries for a finite group or Z^1, else its rows as tuples, which sort
-    as the sort key does."""
-    values = c.elements_on(g)
-    if values is None:
-        raise ValueError("Cocycle labels are not canonical group elements.")
-    elements, index = np.unique(_sortable(values), return_inverse=True)
-    return index, tuple(map(c.group.canonical, elements.tolist()))
-
-
 def _sortable(values: np.ndarray) -> np.ndarray:
     """An element array as one entry per element, sorting as the group sort
     key does: its entries for a finite group or Z^1, else its rows as tuples."""
@@ -214,34 +202,60 @@ def _sortable(values: np.ndarray) -> np.ndarray:
 
 
 def identity_fiber_subgroupoid(g: FiniteGroupoid, c: Cocycle) -> FiniteGroupoid:
-    """The subgroupoid over the group identity, with the same unit space.
+    """The subgroupoid over the group identity, with the same unit space; no Haar system enters.
 
     Arrow ids are shared with the parent, so inclusion and restriction of
     functions are id-based coefficient transfers.
     """
-    return GradedGroupoid(g, counting_haar(g), c).identity_fiber
+    return _fibers(g, c).identity_fiber
 
 
-class GradedGroupoid:
+def _fibers(g: FiniteGroupoid, c: Cocycle) -> "_Fibers":
+    """The fibers of g under c, built once per groupoid in the cocycle's cache."""
+    return once(c._cache, g, lambda g: _Fibers(g, c), g)
+
+
+class _Fibers(ReadOnly):
+    """The part of a grading that no Haar weight enters.  One ``np.unique``
+    numbers the cocycle's element array, read as :func:`_sortable` entries:
+    ``image`` is the sorted image, fiber k is the preimage of its k-th entry,
+    the element ``fiber_elements[k]``, and ``fiber_index`` holds the fiber
+    number of every arrow in declared order.  The labels must be elements,
+    as :func:`validate_cocycle` requires.  The identity-fiber subgroupoid is
+    built on first read."""
+
+    __slots__ = ("groupoid", "fiber_index", "fiber_elements", "fiber_keys", "image", "identity_mask", "_cache")
+
+    def __init__(self, g: FiniteGroupoid, c: Cocycle) -> None:
+        values = c.elements_on(g)
+        if values is None:
+            raise ValueError("Cocycle labels are not canonical group elements.")
+        image, index = np.unique(_sortable(values), return_inverse=True)
+        elements = tuple(map(c.group.canonical, image.tolist()))
+        self._set(groupoid=g, fiber_index=_read_only(index), fiber_elements=elements, fiber_keys=tuple(map(c.group.element_key, elements)))
+        self._set(image=image, identity_mask=_read_only(~_differ(values, c.group.element_array([c.group.identity]))), _cache={})
+
+    @once_property
+    def identity_fiber(self) -> FiniteGroupoid:
+        return self.groupoid.restricted_to([self.groupoid.arrow_ids[i] for i in np.flatnonzero(self.identity_mask)])
+
+
+class GradedGroupoid(ReadOnly):
     """A groupoid together with a Haar system and a validated grading.
 
-    Bundles the three layers every higher operation needs.  The fibers are
-    numbered at construction (``fiber_index``, ``fiber_elements`` and their
-    ``fiber_keys``; see :func:`number_fibers`) and the identity-fiber
-    subgroupoid is built on first use.  Use :meth:`build` to get construction-time
-    validation of all invariants (:func:`validate_system`).
+    Bundles the three layers every higher operation needs.  The fibers
+    (``fiber_index``, ``fiber_elements``, ``fiber_keys``, ``identity_mask``)
+    and the identity-fiber subgroupoid are those of every graded groupoid on
+    the same groupoid and cocycle (:class:`_Fibers`).  Use :meth:`build` to
+    get construction-time validation of all invariants (:func:`validate_system`).
     """
 
+    __slots__ = ("groupoid", "haar", "cocycle", "fiber_index", "fiber_elements", "fiber_keys", "identity_mask", "_fibers", "_cache")
+
     def __init__(self, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> None:
-        self.groupoid = groupoid
-        self.haar = haar
-        self.cocycle = cocycle
-        self.fiber_index, self.fiber_elements = number_fibers(groupoid, cocycle)
-        self.fiber_keys = tuple(self.group.element_key(el) for el in self.fiber_elements)
-        self._fiber_number = {el: k for k, el in enumerate(self.fiber_elements)}
-        self.identity_mask = self.fiber_mask(self.group.identity)
-        self.fiber_index.flags.writeable = self.identity_mask.flags.writeable = False
-        self._cache: dict[str, Any] = {}  # by once(): identity_fiber, and hilbert_module's induced_space
+        fibers = _fibers(groupoid, cocycle)
+        self._set(groupoid=groupoid, haar=haar, cocycle=cocycle, fiber_index=fibers.fiber_index, fiber_elements=fibers.fiber_elements)
+        self._set(fiber_keys=fibers.fiber_keys, identity_mask=fibers.identity_mask, _fibers=fibers, _cache={})  # by once(): the induced space
 
     @classmethod
     def build(cls, groupoid: FiniteGroupoid, haar: HaarSystem, cocycle: Cocycle) -> "GradedGroupoid":
@@ -254,17 +268,17 @@ class GradedGroupoid:
     def group(self) -> DiscreteGroup:
         return self.cocycle.group
 
-    @once_property
+    @property
     def identity_fiber(self) -> FiniteGroupoid:
-        return self.groupoid.restricted_to([self.groupoid.arrow_ids[i] for i in np.flatnonzero(self.identity_mask)])
+        return self._fibers.identity_fiber
 
     def fiber_number(self, gamma: Any) -> int:
-        """The number of the fiber over gamma, or -1 when gamma is off the image."""
-        return self._fiber_number.get(self.group.canonical(gamma), -1)
+        """The number of the fiber over gamma, or -1 off the image: :meth:`fiber_numbers` of one element."""
+        return int(self.fiber_numbers(self.group.element_array([self.group.canonical(gamma)]))[0])
 
     def fiber_numbers(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`fiber_number` of every element of an element array, by one sorted search."""
-        image, keys = _sortable(self.group.element_array(list(self.fiber_elements))), _sortable(values)
+        """The fiber number of every element of an element array (-1 off the image), by one sorted search."""
+        image, keys = self._fibers.image, _sortable(values)
         at = np.minimum(np.searchsorted(image, keys), len(image) - 1)
         return np.where(image[at] == keys, at, -1)
 

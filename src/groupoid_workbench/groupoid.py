@@ -40,7 +40,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .groups import FiniteGroup, first_nonassociative_triple, strict_int
-from .validation import ALG_TOL, CheckReport
+from .validation import ALG_TOL, CheckReport, ReadOnly
 
 
 # per block size: (units, arrows, products), and (arrows, products) of the orbit rows
@@ -56,28 +56,6 @@ class Arrow(NamedTuple):
     dst: str
 
 
-class ReadOnly:
-    """Base of the records that compare by identity: their fields are
-    ``__slots__``, set once by the constructor through :meth:`_set`, and
-    assigning or deleting an attribute raises ``AttributeError``."""
-
-    __slots__ = ()
-
-    def _set(self, **fields: Any) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
-        return f"{type(self).__name__}({fields})"
-
-
 def once(cache: dict[Any, Any], key: Any, build: Callable[[Any], Any], arg: Any) -> Any:
     """``cache[key]``, stored as ``build(arg)`` on the first call; callers that miss together all get the first one stored."""
     value = cache.get(key)
@@ -89,7 +67,7 @@ def once_property(build: Callable[[Any], Any]) -> property:
     return property(lambda self: once(self._cache, build.__name__, build, self), doc=build.__doc__)
 
 
-class FiniteGroupoid:
+class FiniteGroupoid(ReadOnly):
     """Arrows over a finite unit space with integer compose/invert tables.
 
     ``arrow_ids`` names the n arrows and ``src``/``dst`` hold the unit
@@ -108,6 +86,9 @@ class FiniteGroupoid:
     follow it.
     """
 
+    __slots__ = ("units", "index", "_unit_index", "_index", "_ids", "_src_index", "_dst_index", "_row_at", "_col_at")
+    __slots__ += ("_lookup", "_defined", "_invert_index", "_unit_arrow_index", "_orbit_base", "_cache")
+
     def __init__(
         self,
         units: Sequence[str],
@@ -118,12 +99,12 @@ class FiniteGroupoid:
         invert: np.ndarray,
         unit_arrow: np.ndarray,
     ) -> None:
-        self._unit_index, self._index = numbered(units, arrow_ids)
-        self.index = self._index.__getitem__  # an arrow id's number, KeyError if unknown; a C-level call
-        self.units, self._ids = tuple(self._unit_index), tuple(self._index)
+        unit_index, index = numbered(units, arrow_ids)
+        # index: an arrow id's number, KeyError if unknown; a C-level call
+        self._set(_unit_index=unit_index, _index=index, index=index.__getitem__, units=tuple(unit_index), _ids=tuple(index))
         n = len(self._ids)
-        src = self._src_index = _read_only(_checked_table("src", src, (n,), len(self.units)))
-        dst = self._dst_index = _read_only(_checked_table("dst", dst, (n,), len(self.units)))
+        src = _read_only(_checked_table("src", src, (n,), len(self.units)))
+        dst = _read_only(_checked_table("dst", dst, (n,), len(self.units)))
         # the composable pair (x, y) sits at row_start[x] + rank[y]: row x
         # holds |G^{s(x)}| pairs, and y is ranked among the arrows into r(y).
         # With the unit numbers scaled by a stride past every such sum,
@@ -135,15 +116,14 @@ class FiniteGroupoid:
         rank[by_dst] = np.arange(n) - (into.cumsum() - into)[dst[by_dst]]
         row = into[src]
         n_pairs = int(row.sum())
-        self._row_at = row.cumsum() - row + 1 + src * (n_pairs + n)
-        self._col_at = rank - dst * (n_pairs + n)
-        self._lookup, self._defined = self._read_compose(compose, n_pairs)
-        self._invert_index = _read_only(_checked_table("invert", invert, (n,), n))
-        self._unit_arrow_index = _read_only(_checked_table("unit_arrow", unit_arrow, (len(self.units),), n))
+        self._set(_src_index=src, _dst_index=dst, _row_at=row.cumsum() - row + 1 + src * (n_pairs + n), _col_at=rank - dst * (n_pairs + n))
+        lookup, defined = self._read_compose(compose, n_pairs)
+        invert = _read_only(_checked_table("invert", invert, (n,), n))
+        unit_arrow = _read_only(_checked_table("unit_arrow", unit_arrow, (len(self.units),), n))
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, dst, src)
-        self._orbit_base = _read_only(base)
-        self._cache: dict[Any, Any] = {}  # by once(): records, pairs, bins, rep index, embedding per parent
+        self._set(_lookup=lookup, _defined=defined, _invert_index=invert, _unit_arrow_index=unit_arrow, _orbit_base=_read_only(base))
+        self._set(_cache={})  # by once(): records, pairs, bins, rep index, embedding per parent
 
     def _read_compose(self, compose: Any, n_pairs: int) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
         """When the pairs are exactly the ``n_pairs`` composable ones, the

@@ -23,6 +23,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .validation import ReadOnly
+
 
 def strict_int(value: Any) -> int:
     """An integer argument, checked rather than cast: ints and numpy integers
@@ -122,9 +124,10 @@ def first_nonassociative_triple(table: np.ndarray) -> tuple[int, int, int] | Non
     return None
 
 
-class DiscreteGroup:
+class DiscreteGroup(ReadOnly):
     """Shared interface for the two group backends."""
 
+    __slots__ = ()
     name: str
 
     def mul(self, a: Any, b: Any) -> Any:
@@ -194,6 +197,8 @@ class FiniteGroup(DiscreteGroup):
     failing triple.
     """
 
+    __slots__ = ("name", "order", "cayley", "identity_index", "inverse_table")
+
     def __init__(self, cayley: Sequence[Sequence[int]] | np.ndarray, *, name: str = "finite") -> None:
         n = len(cayley)
         if n == 0:
@@ -211,13 +216,9 @@ class FiniteGroup(DiscreteGroup):
         triple = first_nonassociative_triple(cayley_table)
         if triple is not None:
             raise ValueError("Cayley table not associative at triple ({},{},{}).".format(*triple))
-        self.name = name
-        self.order = n
-        cayley_table.flags.writeable = False
-        self.cayley = cayley_table
-        self.identity_index = identity
-        self.inverse_table = inverse_pairs.argmax(axis=1)
-        self.inverse_table.flags.writeable = False
+        inverse_table = inverse_pairs.argmax(axis=1)
+        cayley_table.flags.writeable = inverse_table.flags.writeable = False
+        self._set(name=name, order=n, cayley=cayley_table, identity_index=identity, inverse_table=inverse_table)
 
     def _element(self, a: Any) -> int:
         a = strict_int(a)
@@ -277,12 +278,13 @@ class FiniteGroup(DiscreteGroup):
 class FreeAbelianGroup(DiscreteGroup):
     """Free abelian group Z^k; elements are integer k-tuples, identity is zero."""
 
+    __slots__ = ("rank", "name")
+
     def __init__(self, rank: int, *, name: str | None = None) -> None:
         rank = strict_int(rank)
         if rank < 0:
             raise ValueError(f"Rank must be nonnegative, got {rank}.")
-        self.rank = rank
-        self.name = name or f"Z^{rank}"
+        self._set(rank=rank, name=name or f"Z^{rank}")
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         return tuple(int(x) + int(y) for x, y in zip(self.canonical(a), self.canonical(b)))

@@ -53,9 +53,9 @@ from .algebra import (
     restrict_stack,
 )
 from .grading import GradedGroupoid
-from .groupoid import once, once_property
+from .groupoid import _read_only, once, once_property
 from .representation import _equal_size_groups, _norm_of_trials, _range_weights, cstar_norm_stack
-from .validation import ALG_TOL, EIG_TOL, NULL_THRESHOLD
+from .validation import ALG_TOL, EIG_TOL, NULL_THRESHOLD, ReadOnly
 
 
 def _on(sys: GradedGroupoid, *functions: GroupoidFunction) -> list[np.ndarray]:
@@ -109,7 +109,7 @@ def expectation_P(sys: GradedGroupoid, a: GroupoidFunction) -> GroupoidFunction:
     return GroupoidFunction(sys.groupoid, expectation_stack(sys, *_on(sys, a)))
 
 
-class InducedSpace:
+class InducedSpace(ReadOnly):
     """Orthonormal frame for the module tensored with the identity-fiber
     regular representation.
 
@@ -143,26 +143,28 @@ class InducedSpace:
     one batch: one gather, one matmul over x per h and one over the n_h n_x
     rows.  Every unit keeps its block, so the L norm stays independent of
     the one-block-per-orbit C*-norm it is checked against.  The dense
-    ambient ``gram`` and ``frame`` are assembled only when read.
+    ambient ``gram`` and ``frame`` are assembled only when read; the Gram
+    spectrum ``gram_eigenvalues`` is a read-only array.
     """
+
+    __slots__ = ("system", "dim_ambient", "rank", "gram_eigenvalues", "gram_min_eig")
+    __slots__ += ("_first_row", "_support", "_blocks", "_batches", "_per_trial", "_cache")
 
     def __init__(self, sys: GradedGroupoid) -> None:
         g = sys.groupoid
         sub = sys.identity_fiber
-        self.system = sys
-        self._cache: dict[str, np.ndarray] = {}  # gram and frame, built on first read by once()
-        self.dim_ambient = g.n_arrows * sub.n_arrows
+        dim_ambient = g.n_arrows * sub.n_arrows
         rho_r = _range_weights(g, sys.haar)
 
         # Support pairs, ordered by (s(h), r(h), h, x): the rows of a unit w
         # are the run first_row[w] onward, n_h runs of n_x arrows x each
         n_h = np.bincount(sub.src_index, minlength=g.n_units)
         n_x = np.bincount(g.src_index, minlength=g.n_units)
-        self._first_row = first_row = np.cumsum(n_h * n_x) - n_h * n_x
+        first_row = np.cumsum(n_h * n_x) - n_h * n_x
         xs, hs = np.nonzero(g.src_index[:, None] == sub.dst_index[None, :])
         order = np.lexsort((xs, hs, sub.dst_index[hs], sub.src_index[hs]))
         xs, hs = xs[order], hs[order]
-        self._support = xs * sub.n_arrows + hs
+        support = xs * sub.n_arrows + hs
 
         # Gram blocks, batched by size: members[b] lists the support rows of
         # block b, those with one product z = xh, and the entry test compares
@@ -170,7 +172,7 @@ class InducedSpace:
         invert, sub_invert, embedding = g.invert_index, sub.invert_index, sub.embedding(g)
         key = g.compose_index(xs, embedding[hs])
         sqrt_rho_h = np.sqrt(_range_weights(sub, sys.haar))
-        self._blocks = []  # (support rows, Gram) per batch of equal-size blocks
+        blocks = []  # (support rows, Gram) per batch of equal-size blocks
         solved = []
         for members in _equal_size_groups(key):
             x, h = xs[members], hs[members]
@@ -178,14 +180,12 @@ class InducedSpace:
             h_h_inv = embedding[sub.compose_index(h[:, :, None], sub_invert[h][:, None, :])]
             scale = sqrt_rho_h[h][:, :, None] * sqrt_rho_h[h][:, None, :] * rho_r[x][:, :, None]
             gram = (x_inv_y == h_h_inv) * scale
-            self._blocks.append((members, gram))
+            blocks.append((members, gram))
             solved.append((members, *np.linalg.eigh(gram)))
 
-        n_zero_rows = self.dim_ambient - len(self._support)
-        spectra = [eigvals.ravel() for _, eigvals, _ in solved] + [np.zeros(n_zero_rows)]
-        self.gram_eigenvalues = np.sort(np.concatenate(spectra))
-        self.gram_min_eig = float(self.gram_eigenvalues[0])
-        cutoff = NULL_THRESHOLD * float(self.gram_eigenvalues[-1])
+        spectra = [eigvals.ravel() for _, eigvals, _ in solved] + [np.zeros(dim_ambient - len(support))]
+        gram_eigenvalues = _read_only(np.sort(np.concatenate(spectra)))
+        cutoff = NULL_THRESHOLD * float(gram_eigenvalues[-1])
         kept = []
         for members, eigvals, eigvecs in solved:
             b, j = np.nonzero(eigvals > cutoff)
@@ -196,7 +196,6 @@ class InducedSpace:
         column_unit = np.concatenate([sub.src_index[hs[rows[:, 0]]] for rows, _, _ in kept])
         by_unit = np.argsort(column_unit, kind="stable")
         values = np.concatenate([v for _, _, v in kept])[by_unit]
-        self.rank = len(values)
         n_c = np.bincount(column_unit, minlength=g.n_units)
         first_col = np.cumsum(n_c) - n_c
 
@@ -214,8 +213,8 @@ class InducedSpace:
         # per batch of units with equal (n_h, n_x, c): the units, their frame
         # columns, the gather index of x' x^{-1} with the weights rho(r(x)),
         # F_w and F_w^H G_w (since G v = lambda v, F^H G = lambda F^H)
-        self._batches = []
-        self._per_trial = 0
+        batches = []
+        per_trial = 0
         shape = np.stack([n_h, n_x, n_c], axis=1)
         for nh, nx, c in sorted(set(map(tuple, shape[n_c > 0].tolist()))):
             units = np.flatnonzero((shape == (nh, nx, c)).all(axis=1))
@@ -224,8 +223,12 @@ class InducedSpace:
             frame_gram = np.ascontiguousarray((frame.reshape(-1, nh * nx, c) * values[cols][:, None, :]).swapaxes(1, 2))
             x = xs[first_row[units][:, None] + np.arange(nh * nx)].reshape(-1, nh, nx)
             index = g.compose_index(x[..., :, None], invert[x][..., None, :])  # s(x') = s(x) = r(h): all defined
-            self._batches.append((units, cols, index, rho_r[x][..., None, :], frame, frame_gram))
-            self._per_trial += index.size + frame.size + len(units) * c * c
+            batches.append((units, cols, index, rho_r[x][..., None, :], frame, frame_gram))
+            per_trial += index.size + frame.size + len(units) * c * c
+        self._set(
+            system=sys, dim_ambient=dim_ambient, rank=len(values), gram_eigenvalues=gram_eigenvalues, gram_min_eig=float(gram_eigenvalues[0]),
+            _first_row=first_row, _support=support, _blocks=blocks, _batches=batches, _per_trial=per_trial, _cache={},  # by once(): gram, frame
+        )
 
     @once_property
     def gram(self) -> np.ndarray:

@@ -8,7 +8,8 @@ for telling a nonzero function from a zero one, and ``NULL_THRESHOLD`` for
 the null eigendirections of the induced-space Gram matrix.
 
 Validators report the first violated axiom with a witness instead of
-raising, so harness code can surface failures as data.
+raising, so harness code can surface failures as data.  :class:`ReadOnly`
+is the base of the types that cannot be written.
 """
 
 from __future__ import annotations
@@ -54,3 +55,25 @@ class CheckReport(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+class ReadOnly:
+    """Base of the types that compare by identity: their fields are
+    ``__slots__``, set once by the constructor through :meth:`_set`, and
+    assigning or deleting an attribute raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _set(self, **fields: Any) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__ if not name.startswith("_"))
+        return f"{type(self).__name__}({fields})"

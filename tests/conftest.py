@@ -111,6 +111,15 @@ def redirected(g: FiniteGroupoid, x: str, y: str, xy: str | None) -> FiniteGroup
     return with_tables(g, compose=compose)
 
 
+def patch_method(patch: pytest.MonkeyPatch, obj: object, name: str, replacement) -> None:
+    """Make ``obj.name(...)`` call ``replacement(...)`` while ``patch`` is
+    active.  A read-only instance takes no attribute, so the method is
+    patched on its class, for ``obj`` only: every other instance keeps the
+    original."""
+    original = getattr(type(obj), name)
+    patch.setattr(type(obj), name, lambda self, *args: replacement(*args) if self is obj else original(self, *args))
+
+
 def pair_cocycle(g: FiniteGroupoid) -> Cocycle:
     """The integer grading c((i,j)) = i - j on a pair groupoid."""
     z = FreeAbelianGroup(1)

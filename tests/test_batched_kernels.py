@@ -73,6 +73,7 @@ from groupoid_workbench.representation import (
 )
 from groupoid_workbench.verify import _Recorder, _suite_module
 
+from conftest import patch_method
 from test_bundle import _twisted_system
 from test_structure_certificate import twisted_tables
 
@@ -223,7 +224,7 @@ def misincluded(sys, patch) -> bool:
         embedding[-1] = outside[0]
     else:
         embedding = embedding[::-1]
-    patch.setattr(sub, "embedding", lambda parent: embedding)
+    patch_method(patch, sub, "embedding", lambda parent: embedding)
     return bool(len(outside))
 
 

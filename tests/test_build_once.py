@@ -2,8 +2,9 @@
 
 The workbench builds some values on first use: a groupoid's arrow records,
 pair table columns, dense compose view, convolution bins, rep index and embeddings, a
-Haar system's weight arrays, a parsed cocycle's label map, a graded
-groupoid's identity fiber and induced space, and an induced space's dense
+Haar system's weight arrays, a parsed cocycle's label map, the fibers and
+identity fiber that every graded groupoid on one groupoid and cocycle
+shares, a graded groupoid's induced space, and an induced space's dense
 Gram and frame.  Each goes through ``groupoid.once``: two
 callers that miss together may both build, but both get the first value
 stored.  :func:`race` makes that interleaving happen on purpose: the second
@@ -19,6 +20,7 @@ import threading
 import numpy as np
 import pytest
 
+from groupoid_workbench import grading as grading_module
 from groupoid_workbench import groupoid as groupoid_module
 from groupoid_workbench import hilbert_module
 from groupoid_workbench.algebra import GroupoidFunction
@@ -82,6 +84,13 @@ def _label():
     return lambda: c.label
 
 
+def _twins():
+    g = pair_groupoid(3)
+    c = pair_cocycle(g)
+    # each read is a new twin: one groupoid and cocycle, a Haar system of its own
+    return lambda: GradedGroupoid(g, haar_from_weights(g, {u: float(u) for u in g.units}), c).identity_fiber
+
+
 def _space(attr: str):
     space = induced_space(graded_pair())
     return lambda: getattr(space, attr)
@@ -98,6 +107,7 @@ CASES = {
     "weights": (_weights, (groupoid_module, "_read_only")),
     "label": (_label, (FreeAbelianGroup, "elements_of")),
     "identity_fiber": (lambda: lambda sys=graded_pair(): sys.identity_fiber, (groupoid_module, "_read_only")),
+    "twin_identity_fiber": (_twins, (grading_module, "_Fibers")),
     "induced_space": (lambda: lambda sys=graded_pair(): induced_space(sys), (hilbert_module, "InducedSpace")),
     "gram": (lambda: _space("gram"), (np, "zeros")),
     "frame": (lambda: _space("frame"), (np, "zeros")),
@@ -141,10 +151,13 @@ def test_many_threads_reading_every_value_share_each_one():
     # reach two threads as two objects
     graded = graded_pair(4)
     g, haar = graded.groupoid, graded.haar
+    c = Cocycle(graded.group, g.arrow_ids, graded.cocycle.elements)  # its fibers are built by the threads
 
     def read_all():
         space = induced_space(graded)
-        return (g.arrows, g.composable_pairs(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber, space, space.gram, space.frame)
+        twin = GradedGroupoid(g, haar_from_weights(g, dict.fromkeys(g.units, 2.0)), c)
+        values = (g.arrows, g.composable_pairs(), g.convolution_bins(), g.rep_tables(), haar.weights(g), graded.identity_fiber)
+        return (*values, space, space.gram, space.frame, twin.identity_fiber)
 
     barrier, seen = threading.Barrier(8), []
     threads = [threading.Thread(target=lambda: (barrier.wait(TIMEOUT), seen.append(read_all()))) for _ in range(8)]

@@ -1,5 +1,6 @@
 """Built-in corpus: size, shapes, determinism, and the advertised members."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 
 from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import document_from_dict
+from groupoid_workbench.grading import GradedGroupoid, identity_fiber_subgroupoid
 from groupoid_workbench.groupoid import validate_groupoid
+from groupoid_workbench.hilbert_module import InducedSpace, induced_space
 
 
 def test_corpus_size_and_validity():
@@ -41,6 +44,25 @@ def test_corpus_equals_what_the_parser_makes():
         assert weighted.groupoid is counting.groupoid
         assert weighted.system.cocycle is counting.system.cocycle
         assert dict(weighted.functions) == dict(counting.functions)
+
+
+def test_twins_share_their_fibers_and_not_their_weights():
+    """The fibers, the identity mask and G_e depend on the groupoid and the
+    cocycle alone, so each weighted twin reads its counting twin's, down to
+    G_e's pair table.  The induced space depends on the weights: each twin
+    has its own, and the weighted twin's, built after the counting twin's,
+    equals one built from a fresh parse of its JSON object."""
+    docs = builtin_corpus(seed=0)
+    for counting, weighted in zip(docs[::2], docs[1::2]):
+        c, w = counting.system, weighted.system
+        assert w.fiber_index is c.fiber_index and w.identity_mask is c.identity_mask
+        assert w.identity_fiber is c.identity_fiber
+        assert all(map(operator.is_, w.identity_fiber.composable_pairs(), c.identity_fiber.composable_pairs()))
+        assert identity_fiber_subgroupoid(c.groupoid, c.cocycle) is GradedGroupoid(c.groupoid, w.haar, c.cocycle).identity_fiber
+        first, second = induced_space(c), induced_space(w)
+        assert first is not second and second.system is w
+        fresh = InducedSpace(document_from_dict(weighted.raw).system)
+        assert np.array_equal(second.gram, fresh.gram) and np.array_equal(second.gram_eigenvalues, fresh.gram_eigenvalues)
 
 
 def test_each_call_builds_fresh_objects():

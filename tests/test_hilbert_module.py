@@ -334,7 +334,7 @@ class TestInducedSpace:
         records = run_document(doc, suite="module", seed=0, count=5)
         assert all(r.status == "pass" for r in records)
         L_operator_norm(sys, rng_functions(sys.groupoid, seed=26, count=1)[0])
-        assert "gram" not in vars(induced_space(sys)) and "frame" not in vars(induced_space(sys))
+        assert "gram" not in induced_space(sys)._cache and "frame" not in induced_space(sys)._cache
 
     def test_dense_views_match_blocks(self, graded_action):
         space = induced_space(graded_action)

@@ -1,10 +1,11 @@
 """The package's record types: plain classes, read-only, with their equality.
 
 Four records compare by value (``typing.NamedTuple``) and seven by identity
-(``__slots__`` classes on ``groupoid.ReadOnly``).  Each rejects assignment
+(``__slots__`` classes on ``ReadOnly``).  Each rejects assignment
 and deletion with ``AttributeError``, keeps its constructor's parameters and
 defaults, and none is a dataclass, whose methods are generated and compiled
-at every import.
+at every import.  Every class the package exports is a named tuple or
+rejects assignment in the same way, and no instance has a ``__dict__``.
 """
 
 import dataclasses
@@ -23,8 +24,8 @@ from groupoid_workbench.corpus import builtin_corpus
 from groupoid_workbench.document import WorkbenchDocument, parse_document
 from groupoid_workbench.grading import Cocycle
 from groupoid_workbench.groupoid import Arrow, HaarSystem, pair_groupoid
-from groupoid_workbench.groups import FreeAbelianGroup
-from groupoid_workbench.hilbert_module import KernelCheckRecord
+from groupoid_workbench.groups import DiscreteGroup, FreeAbelianGroup, cyclic_group
+from groupoid_workbench.hilbert_module import KernelCheckRecord, induced_space
 from groupoid_workbench.representation import (
     FiberBlockDecomposition,
     TranslationWitness,
@@ -129,6 +130,46 @@ def test_identity_records_compare_by_identity(kind):
     first, second = build(), build()
     assert first == first and first != second
     assert hash(first) == object.__hash__(first) and len({first, second}) == 2
+
+
+EXPORTED = [value for value in map(vars(groupoid_workbench).get, groupoid_workbench.__all__) if inspect.isclass(value)]
+
+# per exported class that is no named tuple: an instance, and the name of an
+# attribute it has
+INSTANCES = {
+    "GroupoidFunction": (lambda: A_E, "coeffs"),
+    "Cocycle": (lambda: SYS.cocycle, "group"),
+    "GradedGroupoid": (lambda: SYS, "haar"),
+    "FiniteGroupoid": (lambda: P2, "units"),
+    "HaarSystem": (lambda: SYS.haar, "rho"),
+    "DiscreteGroup": (DiscreteGroup, "__slots__"),  # the interface has no field of its own
+    "FiniteGroup": (lambda: cyclic_group(3), "order"),
+    "FreeAbelianGroup": (lambda: FreeAbelianGroup(2), "rank"),
+    "InducedSpace": (lambda: induced_space(SYS), "rank"),
+}
+
+
+@pytest.mark.parametrize("kind", EXPORTED, ids=lambda kind: kind.__name__)
+def test_no_exported_type_can_be_written(kind):
+    if issubclass(kind, tuple) and hasattr(kind, "_fields"):
+        return
+    build, field = INSTANCES[kind.__name__]
+    instance = build()
+    assert isinstance(instance, kind) and not hasattr(instance, "__dict__")
+    before = getattr(instance, field)
+    for change in (lambda: setattr(instance, field, 0), lambda: setattr(instance, "extra", 0)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(instance, field) is before and not hasattr(instance, "extra")
+
+
+def test_every_exported_type_is_covered():
+    assert {kind.__name__ for kind in EXPORTED if not issubclass(kind, tuple)} == set(INSTANCES)
+
+
+def test_induced_spectrum_is_read_only():
+    with pytest.raises(ValueError, match="read-only"):
+        induced_space(SYS).gram_eigenvalues[0] = 1.0
 
 
 def test_defaults_are_not_shared_mutable_dicts():

@@ -62,7 +62,7 @@ from groupoid_workbench.representation import (
 )
 from groupoid_workbench.validation import CheckReport
 
-from conftest import dense_compose, id_tables
+from conftest import dense_compose, id_tables, patch_method
 from groupoid_workbench.verify import (
     _SUITE_FN,
     ALG_TOL,
@@ -960,8 +960,8 @@ def _misrouted(g: FiniteGroupoid, monkeypatch: pytest.MonkeyPatch, pairs: list[i
     zs = zs.copy()
     zs[pairs] = to
     bins = np.stack([2 * zs, 2 * zs + 1], axis=-1).ravel()
-    monkeypatch.setattr(g, "composable_pairs", lambda: (xs, ys, zs))
-    monkeypatch.setattr(g, "convolution_bins", lambda: bins)
+    patch_method(monkeypatch, g, "composable_pairs", lambda: (xs, ys, zs))
+    patch_method(monkeypatch, g, "convolution_bins", lambda: bins)
 
 
 @pytest.mark.parametrize("name", sorted(d.name for d in builtin_corpus(seed=0)))

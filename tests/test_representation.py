@@ -55,7 +55,7 @@ from groupoid_workbench.representation import (
     translate_rep_V,
 )
 
-from conftest import rng_functions
+from conftest import patch_method, rng_functions
 
 
 def per_unit_block(a, haar, u):
@@ -472,7 +472,7 @@ class TestReportedDeviation:
         g, sub = sys.groupoid, sys.identity_fiber
         embedding = sub.embedding(g).copy()
         embedding[-1] = np.flatnonzero(~sys.identity_mask)[0]  # the coefficient of the last identity-fiber arrow
-        monkeypatch.setattr(sub, "embedding", lambda parent: embedding)
+        patch_method(monkeypatch, sub, "embedding", lambda parent: embedding)
         singles = [decompose_rep_U(sys, f, "2") for f in functions]
         for dec in singles:
             assert dec.block_order == sys.fiber_keys[1:4]
