@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
 
 from .algebra import i_norm, restrict_q
 from .corpus import builtin_corpus
-from .document import DocumentError, WorkbenchDocument, parse_document
+from .document import MAX_DOCUMENT_BYTES, DocumentError, WorkbenchDocument, parse_document
 from .hilbert_module import L_operator_norm, module_norm
 from .representation import cstar_norm
 from .validation import norm_chain
@@ -28,6 +29,9 @@ from .verify import DEFAULT_COUNTS, SUITES, report_to_json, run_verification
 
 def _load_document(path: str) -> WorkbenchDocument:
     try:
+        size = os.stat(path).st_size
+        if size > MAX_DOCUMENT_BYTES:
+            raise DocumentError("$", f"the file is {size} bytes, over the budget of {MAX_DOCUMENT_BYTES}")
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a missing or unreadable file, or one that is not UTF-8
         raise DocumentError(path, f"cannot read file: {exc}") from exc

@@ -110,6 +110,16 @@ parameters or an explicit table's arrow list before anything is built; a
 larger spec is rejected.  A finite group's Cayley table may have as many
 rows, counted before any entry is read."""
 
+MAX_DOCUMENT_BYTES = 4096 * MAX_ARROWS
+"""The largest document file read, 16 MiB (4 KiB per arrow of the budget;
+the explicit pair(64) is a 9.3 MB file), compared with the file's size
+before any byte is read."""
+
+MAX_FUNCTION_ENTRIES = 256 * MAX_ARROWS
+"""The most coefficients a document's functions may hold together (256
+functions at the arrow budget, 16 MiB of complex coefficients), counted as
+functions times arrows before any coefficient array is allocated."""
+
 
 def _arrow_count(spec: Any) -> int | None:
     """The number of arrows a groupoid spec describes, by closed forms over
@@ -441,7 +451,11 @@ def document_on(top: Mapping[str, Any], g: FiniteGroupoid) -> WorkbenchDocument:
         raise DocumentError(exc.path, exc.message) from exc
 
     functions: dict[str, GroupoidFunction] = {}
-    for fname, coeffs in _as_object(top.get("functions", {}), "functions").items():
+    listed = _as_object(top.get("functions", {}), "functions")
+    total = len(listed) * g.n_arrows
+    if total > MAX_FUNCTION_ENTRIES:
+        raise DocumentError("functions", f"{len(listed)} functions of {g.n_arrows} coefficients each hold {total}, over the budget of {MAX_FUNCTION_ENTRIES}")
+    for fname, coeffs in listed.items():
         coeffs = _as_object(coeffs, f"functions.{fname}")
         functions[str(fname)] = GroupoidFunction(g, _read_coefficients(g, coeffs, f"functions.{fname}"))
 

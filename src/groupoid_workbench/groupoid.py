@@ -123,7 +123,7 @@ class FiniteGroupoid(ReadOnly):
         base = np.full(len(self.units), len(self.units), dtype=np.intp)
         np.minimum.at(base, dst, src)
         self._set(_lookup=lookup, _defined=defined, _invert_index=invert, _unit_arrow_index=unit_arrow, _orbit_base=_read_only(base))
-        self._set(_cache={})  # by once(): records, pairs, bins, rep index, embedding per parent
+        self._set(_cache={})  # by once(): records, pairs, bins, rep index, isotropy, embedding per parent
 
     def _read_compose(self, compose: Any, n_pairs: int) -> tuple[np.ndarray | None, tuple[np.ndarray, ...] | None]:
         """When the pairs are exactly the ``n_pairs`` composable ones, the
@@ -226,6 +226,14 @@ class FiniteGroupoid(ReadOnly):
         order.  In a groupoid the sources of the arrows into v are the orbit
         of v, so this is the first unit of the orbit."""
         return self._orbit_base
+
+    @once_property
+    def isotropy(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (v, x) with x in the isotropy group G_{s(v)}^{s(v)}, held once per unit s(v):
+        the loops s(x) = r(x) grouped by unit, in declared order within one, and every order |G_u^u|."""
+        loops = np.flatnonzero(self._src_index == self._dst_index)
+        loops = loops[np.argsort(self._src_index[loops], kind="stable")]
+        return _read_only(loops), _read_only(np.bincount(self._src_index[loops], minlength=self.n_units))
 
     def compose_index(self, x: Any, y: Any) -> np.ndarray:
         """xy for arrow index arrays x and y (broadcast together), -1 where

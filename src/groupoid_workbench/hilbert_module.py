@@ -28,8 +28,8 @@ against the independently computed C*-norm.
 The conditional expectation P = include after restrict projects onto the
 identity-fiber subalgebra; the fiberwise identity linking it to the module
 structure and the kernel characterization of L both live here.  Against
-deltas the identity is evaluated by gathers, since convolution with a delta
-is a weighted permutation (:func:`eq_ruy_delta_defect_stack`).
+deltas the identity is evaluated by isotropy gathers, since convolution with
+a delta is a weighted permutation (:func:`eq_ruy_delta_defect_stack`).
 
 Every operation also takes a (T, n) stack of trials (the ``*_stack``
 functions, ``InducedSpace.operator_norms``, :func:`kernel_verdicts`), and
@@ -315,26 +315,28 @@ def eq_ruy_defect_stack(sys: GradedGroupoid, a: np.ndarray, b: np.ndarray) -> np
 
 
 def eq_ruy_delta_defect_stack(sys: GradedGroupoid, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`eq_ruy_defect_stack` of trials a (T, n) against the deltas at v (R,), as (T, R), by
-    gathers: (a * delta_v)(x) = a(x v^{-1}) w(x v^{-1}) where s(x) = s(v), and (delta_v^* * h)(x)
-    = h(v x) w(v^{-1}) where r(x) = s(v), else entry 0 times 0.  Each is the one nonzero term of its
-    convolution bin, with the delta's factor 1 left out, so only the sign of a zero can differ.
-    The (R, n) tables are built once for every chunk of trials (:func:`chunked`)."""
-    g, sub = sys.groupoid, sys.identity_fiber
-    every, inv, w = np.arange(g.n_arrows), g.invert_index, sys.haar.weights(g)
-    right, left = g.compose_index(every, inv[v][:, None]), g.compose_index(v[:, None], every)  # x v^{-1} and v x, at [row, x]
-    w_right, w_left = np.where(right >= 0, w[right], 0.0), np.where(left >= 0, w[inv[v]][:, None], 0.0)
-    right, left = np.clip(right, 0, None)[None], np.clip(left, 0, None)[None]
-
-    def gather(h: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(h, index, axis=-1) * weight  # h is (T, 1, n) or (T, R, n)
+    """:func:`eq_ruy_defect_stack` of trials a (T, n) against the deltas at v (R,), as (T, R).  For
+    b = delta_v both sides live on the isotropy group at s(v) (Renault, LNM 793, ch. I): a * delta_v
+    needs s(x) = s(v) and delta_v^* * h needs r(x) = s(v), so off the pairs (v, x) of the groupoid's
+    ``isotropy`` both are exact zeros, and a delta's defect is the largest over its pairs.  On them
+    each side is the one nonzero term of its convolution bins, the delta's factor 1 left out:
+    a(v x v^{-1}) w(v x v^{-1}) w(v^{-1}) on G_e, against P(a)(v x v^{-1}) w(v^{-1}) w(x v^{-1})."""
+    g = sys.groupoid
+    loops, order = g.isotropy
+    size, first = order[g.src_index[v]], (np.cumsum(order) - order)[g.src_index[v]]
+    start = np.cumsum(size) - size  # delta i's pairs are start[i] onward
+    delta = np.repeat(v, size)
+    x = loops[np.repeat(first - start, size) + np.arange(len(delta))]
+    w, inv = sys.haar.weights(g), g.invert_index[delta]
+    x_v = g.compose_index(x, inv)
+    y, keep = g.compose_index(delta, x_v), sys.identity_mask[x]
 
     def defects(a: np.ndarray) -> np.ndarray:
-        lhs = include_stack(sub, restrict_stack(g, gather(gather(a[:, None], right, w_right), left, w_left), sub), g)
-        rhs = gather(gather(expectation_stack(sys, a[:, None]), left, w_left), right, w_right)
-        return np.abs(lhs - rhs).max(axis=-1)
+        lhs = np.where(keep, a[:, y] * w[y] * w[inv], 0.0)
+        rhs = expectation_stack(sys, a)[:, y] * w[inv] * w[x_v]
+        return np.maximum.reduceat(np.abs(lhs - rhs), start, axis=-1)
 
-    return chunked(defects, len(v) * g.n_arrows, a)
+    return chunked(defects, len(x), a)
 
 
 def eq_ruy_tolerance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -631,9 +631,9 @@ def _suite_expectation(doc: WorkbenchDocument, rec: _Recorder, count: int) -> No
         defects={"max_rel_defect": bimodule},
         trials=count,
     )
-    # every trial's a against every delta b, chunked over the deltas; every delta has largest modulus 1
+    # every trial's a against every delta b, chunked over the deltas by their isotropy pairs; every delta has largest modulus 1
     (a,) = random_stacks(rng, SMALL_TRIALS, g)
-    defects = np.hstack([eq_ruy_delta_defect_stack(sys, a, v) for v in row_chunks(g.n_arrows, g.n_arrows)])
+    defects = np.hstack([eq_ruy_delta_defect_stack(sys, a, v) for v in row_chunks(g.n_arrows, g.isotropy[1].max())])
     ruy_defect = _worst(defects)
     ruy_ok = bool((defects <= eq_ruy_tolerance(a, np.ones((1, 1)))[:, None]).all())
     rec.add(

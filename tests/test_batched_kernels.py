@@ -75,6 +75,7 @@ from groupoid_workbench.verify import _Recorder, _suite_module
 
 from conftest import patch_method
 from test_bundle import _twisted_system
+from test_hilbert_module import pair_system, trivially_graded_cyclic
 from test_structure_certificate import twisted_tables
 
 CORPUS = builtin_corpus(seed=0)
@@ -291,22 +292,33 @@ def test_fiber_blocks_match_scalar_calls_on_twisted_tables(g):
     assert errors.min() > 0.0 and translations.max() > 0.0
 
 
-@pytest.mark.parametrize("doc", CORPUS + [None], ids=lambda d: d.name if d else "pair14-builtin")
+def pair14_system():
+    from pair_documents import pair_documents
+
+    from groupoid_workbench.document import document_from_dict
+
+    return document_from_dict(pair_documents(14)["pair14-builtin"]).system
+
+
+DELTA_SYSTEMS = [pytest.param(lambda doc=doc: doc.system, id=doc.name) for doc in CORPUS] + [
+    pytest.param(pair14_system, id="pair14-builtin"),
+    pytest.param(lambda: pair_system(6, False), id="pair6-one-fiber"),
+    pytest.param(lambda: trivially_graded_cyclic(6), id="cyclic6-trivial"),
+]
+
+
+@pytest.mark.parametrize("system", DELTA_SYSTEMS)
 @pytest.mark.parametrize("leaky", [False, True], ids=["P", "P-keeps-one-more-fiber"])
-def test_delta_gathers_match_four_convolutions(doc, leaky, monkeypatch):
-    """``fiber-sandwich-identity`` by gathers against the same identity by
-    convolutions, on every (trial, delta) row, bit for bit.  The identity
-    holds exactly on a groupoid, so the defects are also compared with an
-    expectation that keeps one more fiber; where that fiber has an isotropy
-    arrow x, so that v x v^{-1} is defined for the deltas v into s(x), the
-    defects are not zero."""
-    if doc is None:
-        from pair_documents import pair_documents
-
-        from groupoid_workbench.document import document_from_dict
-
-        doc = document_from_dict(pair_documents(14)["pair14-builtin"])
-    sys = doc.system
+def test_delta_gathers_match_four_convolutions(system, leaky, monkeypatch):
+    """``fiber-sandwich-identity`` on the isotropy support against the same
+    identity by convolutions, on every (trial, delta) row, bit for bit, on
+    the corpus, the Z-graded pair(14), a one-fiber pair groupoid and a
+    trivially graded group (G_e = G; there every delta has |G| pairs).  The
+    identity holds exactly on a groupoid, so the defects are also compared
+    with an expectation that keeps one more fiber; where that fiber has an
+    isotropy arrow x, so that v x v^{-1} is defined for the deltas v into
+    s(x), the defects are not zero."""
+    sys = system()
     n = sys.groupoid.n_arrows
     g = sys.groupoid
     isotropy = np.flatnonzero(~sys.identity_mask & (g.src_index == g.dst_index))
@@ -323,17 +335,18 @@ def test_delta_gathers_match_four_convolutions(doc, leaky, monkeypatch):
 
 @pytest.mark.parametrize("name", ["s3-sign-weighted", "s3-action-weighted", "product-pair2-z2-weighted"])
 def test_delta_gathers_chunked_over_deltas_and_trials(name, monkeypatch):
-    """The delta tables built once per chunk of deltas and read by every
-    chunk of trials give the defects of one whole (T, n) pass, bit for bit;
-    an expectation that keeps every fiber makes them nonzero on these
-    groupoids, which have isotropy arrows outside the identity fiber."""
+    """The deltas taken in chunks sized by their isotropy pairs, and each
+    chunk's trials in chunks, give the defects of one whole (T, n) pass, bit
+    for bit; an expectation that keeps every fiber makes them nonzero on
+    these groupoids, which have isotropy arrows outside the identity fiber."""
     sys = next(d for d in CORPUS if d.name == name).system
     n = sys.groupoid.n_arrows
+    per_delta = int(sys.groupoid.isotropy[1].max())
     monkeypatch.setattr(hilbert_module, "expectation_stack", lambda _, x: x)
     a, _ = draws(sys.groupoid, 9100, 7)
     whole = eq_ruy_delta_defect_stack(sys, a, np.arange(n))
-    monkeypatch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 2 * n)  # two deltas per chunk, one trial at a time
-    chunks = algebra.trial_chunks(n, n)
+    monkeypatch.setattr(algebra, "TRIAL_CHUNK_ENTRIES", 2 * per_delta)  # two deltas per chunk, one trial at a time
+    chunks = algebra.trial_chunks(n, per_delta)
     parts = np.hstack([eq_ruy_delta_defect_stack(sys, a, np.arange(n)[s]) for s in chunks])
     assert len(chunks) > 1 and bitwise(parts, whole) and whole.shape == (7, n) and whole.max() > 0
 

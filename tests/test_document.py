@@ -511,3 +511,59 @@ class TestSizeBudget:
         with pytest.raises(DocumentError) as err:
             document_from_dict(raw)
         assert err.value.path == "group.finite.cayley" and "budget" not in str(err.value)
+
+
+class TestReaderBudget:
+    """The reader's two bounds: a document's functions are counted as
+    functions times arrows against ``MAX_FUNCTION_ENTRIES`` before any
+    coefficient array is allocated, and the CLI compares a file's size with
+    ``MAX_DOCUMENT_BYTES`` before it reads a byte."""
+
+    def test_functions_are_counted_before_any_is_read(self, monkeypatch, tmp_path, capsys):
+        from pair_documents import pair_documents
+
+        raw = pair_documents(64)["pair64-builtin"]
+        at_bound = document.MAX_FUNCTION_ENTRIES // 4096
+        raw["functions"] = {f"f{k}": {"(1,1)": [1.0, 0.0]} for k in range(at_bound + 1)}
+
+        def never(*args):
+            raise AssertionError("a coefficient array was allocated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(document, "_read_coefficients", never)
+            patch.setattr(document, "GroupoidFunction", never)
+            with pytest.raises(DocumentError, match=f"{at_bound + 1} functions of 4096 coefficients each") as err:
+                document_from_dict(raw)
+            assert err.value.path == "functions"
+            path = tmp_path / "many.json"
+            path.write_text(json.dumps(raw))
+            assert main(["validate", str(path)]) == 2
+            assert capsys.readouterr().out.startswith("invalid: functions: ")
+        del raw["functions"]["f0"]
+        assert len(document_from_dict(raw).functions) == at_bound
+
+    def test_file_size_is_compared_before_reading(self, monkeypatch, tmp_path, capsys):
+        from pair_documents import pair_documents
+
+        from groupoid_workbench import cli
+
+        sparse = tmp_path / "sparse.json"  # no block is written, and reading it would fail on its NUL bytes
+        with open(sparse, "wb") as out:
+            out.truncate(document.MAX_DOCUMENT_BYTES + 1)
+        assert main(["validate", str(sparse)]) == 2
+        limit = document.MAX_DOCUMENT_BYTES
+        assert capsys.readouterr().out == f"invalid: $: the file is {limit + 1} bytes, over the budget of {limit}\n"
+        path = tmp_path / "pair3.json"
+        path.write_text(json.dumps(pair_documents(3)["pair3-builtin"]))
+        size = path.stat().st_size
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size)
+        assert main(["validate", str(path)]) == 0
+        monkeypatch.setattr(cli, "MAX_DOCUMENT_BYTES", size - 1)
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.endswith(f"invalid: $: the file is {size} bytes, over the budget of {size - 1}\n")
+
+    def test_the_explicit_table_at_the_arrow_budget_fits_the_file_bound(self):
+        from pair_documents import pair_documents
+
+        explicit = json.dumps(pair_documents(64)["pair64-explicit"]).encode()
+        assert 9_000_000 < len(explicit) < document.MAX_DOCUMENT_BYTES

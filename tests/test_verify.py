@@ -188,8 +188,8 @@ class TestPastTheCorpus:
 
     def test_every_suite_within_budget(self, pair14):
         """All seven suites take 0.35-0.56 s here; ``fiber-sandwich-identity``
-        (20 trials x 196 deltas) is one gather per chunk of (trial, delta)
-        rows instead of four convolutions each."""
+        (20 trials x 196 deltas) gathers each delta's one isotropy pair
+        instead of four convolutions each."""
         started = time.perf_counter()
         records = run_document(pair14, suite="all", seed=0)
         assert time.perf_counter() - started <= 3.0
